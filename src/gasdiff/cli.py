@@ -341,10 +341,10 @@ def cmd_reproduce(args) -> int:
     out_dir = Path(args.out)
     stage_manifests = []
 
-    def stage_writer(command, directory, config, outputs):
+    def stage_writer(command, directory, config, outputs, wall_time_s):
         manifest = RunManifest(
             command=command, config=config, inputs=[], outputs=outputs,
-            version=__version__, wall_time_s=0.0, seed=config.get("seed"),
+            version=__version__, wall_time_s=wall_time_s, seed=config.get("seed"),
         )
         _write_manifest(Path(directory), manifest)
         stage_manifests.append(str(Path(directory) / "manifest.json"))

@@ -4,8 +4,9 @@ Works in the g/mol, Angstrom, femtosecond, kcal/mol unit system throughout.
 Newton's equations are integrated with velocity Verlet (the explicit member
 of the Stormer-Verlet family) in a periodic square box under the minimum
 image convention.  Pair interactions are truncated Lennard-Jones with
-per-species-pair well depth and size; neighbor search uses a cell list
-rebuilt every step with cell edge >= the cutoff.
+per-species-pair well depth and size.  Neighbor search is a Verlet pair
+list: a cell-list search at the cutoff plus a skin, reused until some
+particle has moved more than half the skin since the search.
 
 The one non-obvious constant is the acceleration conversion: forces come
 out in kcal/(mol A) and masses are in g/mol, so F/m picks up a factor of
@@ -48,6 +49,10 @@ SPECIES_BY_LABEL = {"He": Species.HE, "Ar": Species.AR}
 
 #: cutoff shared by all pair interactions (A).
 LJ_CUTOFF = 20.0
+
+#: the pair list holds every pair closer than LJ_CUTOFF + SKIN and is rebuilt
+#: once any particle has moved SKIN/2 from where it was at the last search (A).
+SKIN = 5.0
 
 
 @dataclass(frozen=True)
@@ -120,13 +125,19 @@ class MDConfig:
 @dataclass
 class ParticleState:
     """Positions are wrapped into [0, side); unwrapped copies accumulate the
-    true displacement for mean-squared-displacement analysis."""
+    true displacement for mean-squared-displacement analysis.
+
+    ``pair_list`` is ``(idx_i, idx_j, positions at build)`` from the last
+    pair search, or None; compute_forces checks it against the current
+    positions before using it.
+    """
 
     positions: np.ndarray
     unwrapped: np.ndarray
     velocities: np.ndarray
     species: np.ndarray
     time: float = 0.0
+    pair_list: tuple | None = None
 
     @property
     def n_particles(self) -> int:
@@ -169,10 +180,14 @@ def minimum_image(dx: np.ndarray, box: SimBox) -> np.ndarray:
 
 
 def _wrap(x: np.ndarray, side: float) -> np.ndarray:
-    w = np.mod(x, side)
-    # float mod of a tiny negative can land exactly on side
-    w[w >= side] -= side
-    return w
+    """Wrap x into [0, side) in place; values already inside are untouched."""
+    out = (x < 0.0) | (x >= side)
+    if out.any():
+        w = np.mod(x[out], side)
+        # float mod of a tiny negative can land exactly on side
+        w[w >= side] -= side
+        x[out] = w
+    return x
 
 
 def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float):
@@ -267,13 +282,30 @@ def _pair_interactions(pos, species, box, idx_i, idx_j):
     return forces, potential
 
 
+def _pair_list_current(state: ParticleState, box: SimBox) -> bool:
+    """True while no particle has moved SKIN/2 (minimum image) since the
+    state's pair list was built, so no pair outside the list can be inside
+    the cutoff."""
+    if state.pair_list is None:
+        return False
+    built = state.pair_list[2]
+    if built.shape != state.positions.shape:
+        return False
+    d = minimum_image(state.positions - built, box)
+    return not np.any(np.einsum("ij,ij->i", d, d) > (0.5 * SKIN) ** 2)
+
+
 def compute_forces(state: ParticleState, box: SimBox):
     """Total force on each particle and the total potential energy.
 
-    Pairwise sums are accumulated antisymmetrically, so the net force is
-    zero to roundoff.
+    Searches for pairs only when the state's pair list is missing or stale,
+    and leaves the new list on the state.  Pairwise sums are accumulated
+    antisymmetrically, so the net force is zero to roundoff.
     """
-    idx_i, idx_j = _candidate_pairs(state.positions, box.side, LJ_CUTOFF)
+    if not _pair_list_current(state, box):
+        idx_i, idx_j = _candidate_pairs(state.positions, box.side, LJ_CUTOFF + SKIN)
+        state.pair_list = (idx_i, idx_j, state.positions.copy())
+    idx_i, idx_j, _ = state.pair_list
     return _pair_interactions(state.positions, state.species, box, idx_i, idx_j)
 
 
@@ -303,7 +335,9 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
     patch, Maxwell-Boltzmann velocities with the net drift removed.
 
     Uniform placement can produce overlapping pairs; any particle landing
-    within 0.8 * sigma_ArAr of another is redrawn, up to 100 rounds.
+    within 0.8 * sigma_ArAr of another is redrawn, up to 100 rounds.  The
+    last overlap search is at the pair-list range, so its result is handed
+    to the returned state as its pair list.
     """
     rng = np.random.default_rng(cfg.seed)
     side = box.side
@@ -325,7 +359,7 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
 
     min_sep = 0.8 * pair_params(Species.AR, Species.AR).sigma
     for _ in range(100):
-        ii, jj = _candidate_pairs(positions, side, LJ_CUTOFF)
+        ii, jj = _candidate_pairs(positions, side, LJ_CUTOFF + SKIN)
         d = minimum_image(positions[ii] - positions[jj], box)
         close = np.einsum("ij,ij->i", d, d) < min_sep**2
         if not np.any(close):
@@ -347,6 +381,7 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
         velocities=velocities,
         species=species,
         time=0.0,
+        pair_list=(ii, jj, positions.copy()),
     )
 
 
@@ -367,6 +402,7 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         velocities=v_half,
         species=state.species,
         time=state.time + dt,
+        pair_list=state.pair_list,
     )
     new_forces, potential = compute_forces(new_state, box)
     accel2 = new_forces * (KCAL_PER_MOL_TO_MD / MASS_G_MOL[state.species])[:, None]

@@ -11,6 +11,7 @@ it exists for completeness and is not exercised by the test suite.
 from __future__ import annotations
 
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -184,7 +185,13 @@ def fit_report_dict(result: fitting.FitResult) -> dict:
 
 def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
                   manifest_writer=None):
-    """MD run, MSD estimate, then bin+fit at every preset N."""
+    """MD run, MSD estimate, then bin+fit at every preset N.
+
+    ``manifest_writer(command, directory, config, outputs, wall_time_s)`` is
+    called after each stage with that stage's wall time, its output writes
+    included.
+    """
+    started = time.perf_counter()
     box = md.SimBox(side=preset.box_side)
     cfg = preset.md_config(seed)
     traj = md.run(cfg, box, preset.n_steps)
@@ -192,7 +199,8 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
     traj_path = seed_dir / "trajectory.txt"
     write_native(traj, traj_path)
     if manifest_writer:
-        manifest_writer("md-run", seed_dir, {"seed": seed}, [str(traj_path)])
+        manifest_writer("md-run", seed_dir, {"seed": seed}, [str(traj_path)],
+                        time.perf_counter() - started)
 
     msd = md.msd_diffusion_estimate(traj, md.Species.AR)
     scale = preset.unit_scale
@@ -202,13 +210,16 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
 
     fits = {}
     for n in preset.n_values:
+        started = time.perf_counter()
         grid = GridSpec(d=2, n=n)
         series = binning.bin_trajectory(traj, grid, md.Species.AR)
         bin_dir = seed_dir / f"bin_N{n}"
         write_binned_dir(series, bin_dir, source=str(traj_path))
         if manifest_writer:
             manifest_writer("bin", bin_dir, {"N": n, "seed": seed},
-                            [str(bin_dir / "binned.json")])
+                            [str(bin_dir / "binned.json")],
+                            time.perf_counter() - started)
+        started = time.perf_counter()
         result = fit_binned(series, scale, d0,
                             init_from_frame0=preset.init_from_frame0)
         report = fit_report_dict(result)
@@ -218,7 +229,8 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
             json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         if manifest_writer:
             manifest_writer("fit", fit_dir, {"N": n, "seed": seed, "d0": d0},
-                            [str(fit_dir / "report.json")])
+                            [str(fit_dir / "report.json")],
+                            time.perf_counter() - started)
         fits[n] = report
 
     return {

@@ -7,6 +7,7 @@ from gasdiff.fields import KCAL_PER_MOL_TO_MD
 from gasdiff import md
 from gasdiff.md import (
     LJ_CUTOFF,
+    SKIN,
     MDConfig,
     ParticleState,
     SimBox,
@@ -47,6 +48,14 @@ def brute_reference_forces(positions, species, side):
             forces[i] += fvec
             forces[j] -= fvec
     return forces, potential
+
+
+def pairs_closer_than(r, positions, box, ii, jj):
+    """Unordered index pairs among (ii, jj) at minimum-image separation < r."""
+    d = minimum_image(positions[ii] - positions[jj], box)
+    near = np.einsum("ij,ij->i", d, d) < r**2
+    return set(zip(np.minimum(ii, jj)[near].tolist(),
+                   np.maximum(ii, jj)[near].tolist()))
 
 
 class TestSpecies:
@@ -150,6 +159,31 @@ class TestMinimumImage:
         assert (out - dx) / 100.0 == pytest.approx(round((out - dx) / 100.0), abs=1e-9)
 
 
+class TestWrap:
+    def test_edge_cases(self):
+        side = 100.0
+        x = np.array([-1e-300, side, 0.0, 37.25, np.nextafter(side, 0.0),
+                      -250.5, 312.0])
+        w = md._wrap(x.copy(), side)
+        assert np.array_equal(w, [0.0, 0.0, 0.0, 37.25, np.nextafter(side, 0.0),
+                                  49.5, 12.0])
+        assert np.all((w >= 0.0) & (w < side))
+
+    def test_in_range_values_untouched(self):
+        rng = np.random.default_rng(4)
+        side = 5.0e4
+        x = rng.uniform(0.0, side, (1000, 2))
+        x[::7] += rng.choice([-side, side], (len(x[::7]), 2))
+        inside = (x >= 0.0) & (x < side)
+        before = x.copy()
+        w = md._wrap(x.copy(), side)
+        assert np.array_equal(w[inside], before[inside])
+        # bit-identical to wrapping every value with np.mod
+        ref = np.mod(before, side)
+        ref[ref >= side] -= side
+        assert np.array_equal(w, ref)
+
+
 class TestInitState:
     def test_argon_confined_to_patch(self):
         cfg = MDConfig(n_he=200, n_ar=200, seed=3)
@@ -193,6 +227,38 @@ class TestInitState:
         r = np.sqrt((d**2).sum(axis=2))
         np.fill_diagonal(r, np.inf)
         assert r.min() >= min_sep
+
+    def test_pair_list_handed_over_without_changing_positions(self, monkeypatch):
+        # Overlap rounds search at LJ_CUTOFF + SKIN; every pair closer than
+        # 0.8 sigma_ArAr is also in the LJ_CUTOFF list, so the redraws (and
+        # the positions) are those of a search at the cutoff.
+        searches = []
+        search = md._candidate_pairs
+
+        def recording(pos, side, r_cut):
+            ii, jj = search(pos, side, r_cut)
+            assert r_cut == LJ_CUTOFF + SKIN
+            searches.append((pos.copy(), ii, jj))
+            return ii, jj
+
+        monkeypatch.setattr(md, "_candidate_pairs", recording)
+        cfg = MDConfig(n_he=400, n_ar=400, seed=1)
+        box = SimBox(side=1000.0)
+        state = init_state(cfg, box)
+        assert len(searches) >= 2  # dense enough to force a redraw
+
+        min_sep = 0.8 * pair_params(Species.AR, Species.AR).sigma
+        for pos, ii, jj in searches:
+            assert pairs_closer_than(min_sep, pos, box, ii, jj) == \
+                pairs_closer_than(min_sep, pos, box,
+                                  *search(pos, box.side, LJ_CUTOFF))
+
+        ii, jj, built = state.pair_list
+        assert np.array_equal(built, state.positions)
+        assert ii is searches[-1][1] and jj is searches[-1][2]
+        n_searches = len(searches)
+        compute_forces(state, box)
+        assert len(searches) == n_searches  # the first force call reuses it
 
     def test_net_momentum_removed(self):
         cfg = MDConfig(n_he=500, n_ar=500, seed=2)
@@ -267,6 +333,97 @@ class TestComputeForces:
         )
         with pytest.raises(GasdiffError):
             compute_forces(state, SimBox(side=100.0))
+
+
+class TestPairList:
+    def test_no_missed_pairs_while_list_is_reused(self, monkeypatch):
+        # Hot, crowded box: ~2 neighbours per particle inside the cutoff and
+        # fast enough that the list goes stale several times.
+        searches = []
+        search = md._candidate_pairs
+
+        def counting(*args):
+            searches.append(args[2])
+            return search(*args)
+
+        cfg = MDConfig(n_he=100, n_ar=50, temperature=2000.0, seed=17)
+        box = SimBox(side=300.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        monkeypatch.setattr(md, "_candidate_pairs", counting)
+        n_steps = 60
+        for _ in range(n_steps):
+            state, forces, potential = verlet_step(state, forces, cfg, box)
+            ii, jj, _ = state.pair_list
+            fresh = search(state.positions, box.side, LJ_CUTOFF)
+            assert pairs_closer_than(LJ_CUTOFF, state.positions, box, ii, jj) == \
+                pairs_closer_than(LJ_CUTOFF, state.positions, box, *fresh)
+            ref_forces, ref_potential = md._pair_interactions(
+                state.positions, state.species, box, *fresh)
+            scale = np.max(np.abs(ref_forces))
+            assert np.max(np.abs(forces - ref_forces)) <= 1e-12 * scale
+            assert potential == pytest.approx(ref_potential, rel=1e-12)
+        assert 2 <= len(searches) < n_steps
+        assert set(searches) == {LJ_CUTOFF + SKIN}
+
+    def test_head_on_pair_is_listed_before_it_reaches_the_cutoff(self):
+        # Two argon atoms in non-adjacent 25 A cells close at 0.097 A per
+        # step.  The half-skin rebuild lists them at 20.16 A; a list kept
+        # until each had moved a full skin would miss them from 20 A on.
+        cfg = MDConfig(n_he=0, n_ar=2, dt=5.0, seed=0)
+        box = SimBox(side=300.0)
+        state = ParticleState(
+            positions=np.array([[24.9, 160.0], [50.1, 160.0]]),
+            unwrapped=np.zeros((2, 2)),
+            velocities=np.array([[0.0097, 0.0], [-0.0097, 0.0]]),
+            species=np.array([1, 1]),
+        )
+        forces, _ = compute_forces(state, box)
+        assert len(state.pair_list[0]) == 0
+        interacting = 0
+        for _ in range(120):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+            ref_forces, _ = compute_forces_brute(state, box)
+            assert np.allclose(forces, ref_forces, rtol=1e-12, atol=0.0)
+            interacting += bool(np.any(ref_forces))
+        assert interacting > 50
+
+    def test_list_of_another_particle_count_is_rebuilt(self):
+        box = SimBox(side=100.0)
+        old = ParticleState(positions=np.array([[10.0, 10.0], [60.0, 60.0]]),
+                            unwrapped=np.zeros((2, 2)), velocities=np.zeros((2, 2)),
+                            species=np.array([0, 1]))
+        compute_forces(old, box)
+        state = ParticleState(
+            positions=np.array([[10.0, 10.0], [60.0, 60.0], [14.0, 10.0]]),
+            unwrapped=np.zeros((3, 2)), velocities=np.zeros((3, 2)),
+            species=np.array([0, 1, 1]), pair_list=old.pair_list)
+        forces, potential = compute_forces(state, box)
+        ref_forces, ref_potential = compute_forces_brute(state, box)
+        assert np.array_equal(forces, ref_forces) and potential == ref_potential
+        assert np.any(forces)
+
+    def test_in_place_move_past_half_skin_rebuilds(self):
+        rng = np.random.default_rng(12)
+        n = 200
+        box = SimBox(side=250.0)
+        positions = rng.uniform(0, box.side, (n, 2))
+        species = rng.integers(0, 2, n)
+        state = ParticleState(positions=positions, unwrapped=np.zeros((n, 2)),
+                              velocities=np.zeros((n, 2)), species=species)
+        compute_forces(state, box)
+        ii, jj, _ = state.pair_list
+        listed = set(zip(np.minimum(ii, jj).tolist(), np.maximum(ii, jj).tolist()))
+        # particle 0 jumps next to a particle it was not listed with
+        partner = next(k for k in range(1, n) if (0, k) not in listed)
+        target = md._wrap(positions[partner] + [0.6 * LJ_CUTOFF, 0.0], box.side)
+        assert np.linalg.norm(minimum_image(target - positions[0], box)) > SKIN / 2
+        state.positions[0] = target
+        forces, potential = compute_forces(state, box)
+        ref_forces, ref_potential = brute_reference_forces(
+            state.positions, species, box.side)
+        assert np.max(np.abs(forces - ref_forces)) < 1e-10
+        assert potential == pytest.approx(ref_potential, abs=1e-10)
 
 
 def two_body_bound_state(v_tangential=2e-4):

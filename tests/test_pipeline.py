@@ -70,8 +70,8 @@ class TestReproduce:
     def test_report_table_and_manifests(self, tmp_path):
         manifests = []
 
-        def writer(command, directory, config, outputs):
-            manifests.append((command, str(directory)))
+        def writer(command, directory, config, outputs, wall_time_s):
+            manifests.append((command, str(directory), wall_time_s))
 
         report = run_reproduce(MINI, seeds=[3], out_dir=tmp_path,
                                manifest_writer=writer)
@@ -90,8 +90,9 @@ class TestReproduce:
         saved = json.loads((tmp_path / "report.json").read_text())
         assert saved["summary"]["6"]["d_opt_cm2_s_mean"] > 0
 
-        stages = {c for c, _ in manifests}
+        stages = {c for c, _, _ in manifests}
         assert stages == {"md-run", "bin", "fit"}
+        assert all(seconds > 0 for _, _, seconds in manifests)
         assert (tmp_path / "seed_3" / "trajectory.txt").exists()
         assert (tmp_path / "seed_3" / "bin_N6" / "binned.json").exists()
         assert (tmp_path / "seed_3" / "fit_N6" / "report.json").exists()
