@@ -5,8 +5,8 @@ Newton's equations are integrated with velocity Verlet (the explicit member
 of the Stormer-Verlet family) in a periodic square box under the minimum
 image convention.  Pair interactions are truncated Lennard-Jones with
 per-species-pair well depth and size.  Neighbor search is a Verlet pair
-list: a cell-list search at the cutoff plus a skin, reused until some
-particle has moved more than half the skin since the search.
+list: a cell-list search for the pairs closer than the cutoff plus a skin,
+reused until some particle has moved more than half the skin since then.
 
 The one non-obvious constant is the acceleration conversion: forces come
 out in kcal/(mol A) and masses are in g/mol, so F/m picks up a factor of
@@ -16,6 +16,7 @@ out in kcal/(mol A) and masses are in g/mol, so F/m picks up a factor of
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class Species(enum.IntEnum):
 
 
 MASS_G_MOL = np.array([4.003, 39.948])
+#: acceleration per unit force, per species and axis (A/fs^2 per kcal/(mol A))
+_ACCEL_SCALE = np.repeat((KCAL_PER_MOL_TO_MD / MASS_G_MOL)[:, None], 2, axis=1)
 SPECIES_LABELS = {0: "He", 1: "Ar"}
 SPECIES_BY_LABEL = {"He": Species.HE, "Ar": Species.AR}
 
@@ -124,16 +127,15 @@ class MDConfig:
 
 @dataclass
 class ParticleState:
-    """Positions are wrapped into [0, side); unwrapped copies accumulate the
-    true displacement for mean-squared-displacement analysis.
+    """Positions are wrapped into [0, side); unwrap_displacements rebuilds
+    displacements from sampled frames.
 
-    ``pair_list`` is ``(idx_i, idx_j, positions at build)`` from the last
-    pair search, or None; compute_forces checks it against the current
-    positions before using it.
+    ``pair_list`` is ``(idx_i, idx_j, positions at build, cell order)`` from
+    the last pair search, or None; compute_forces checks it against the
+    current positions before using it and sorts the next search from it.
     """
 
     positions: np.ndarray
-    unwrapped: np.ndarray
     velocities: np.ndarray
     species: np.ndarray
     time: float = 0.0
@@ -181,8 +183,8 @@ def minimum_image(dx: np.ndarray, box: SimBox) -> np.ndarray:
 
 def _wrap(x: np.ndarray, side: float) -> np.ndarray:
     """Wrap x into [0, side) in place; values already inside are untouched."""
-    out = (x < 0.0) | (x >= side)
-    if out.any():
+    if x.min(initial=0.0) < 0.0 or x.max(initial=0.0) >= side:
+        out = (x < 0.0) | (x >= side)
         w = np.mod(x[out], side)
         # float mod of a tiny negative can land exactly on side
         w[w >= side] -= side
@@ -190,73 +192,92 @@ def _wrap(x: np.ndarray, side: float) -> np.ndarray:
     return x
 
 
-def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float):
-    """Index pairs (i, j) covering every pair at separation < r_cut.
+def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float, order=None):
+    """Index pairs (i, j) at minimum-image separation < r_cut, and the
+    permutation that sorts the particles by (cell, index).
 
     Cell list with edge >= r_cut; each unordered cell pair is visited once
-    (self plus four forward neighbors).  Falls back to all pairs when the
-    box is too small for at least 3 cells per axis.
+    (self plus four forward neighbors) and the pairs at r_cut or beyond are
+    dropped, keeping the visiting order.  The sort starts from ``order``, an
+    earlier search's permutation, so it is cheap when few particles changed
+    cells; the result does not depend on it.  Falls back to all pairs when
+    the box is too small for at least 3 cells per axis.
     """
     n = len(pos)
-    n_side = int(side // r_cut)
-    if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    if n_side < 3:
-        return np.triu_indices(n, k=1)
+    if order is None or len(order) != n:
+        order = np.arange(n)
+    # cells per axis, capped so that the sort key cid * n + i fits in int64
+    n_side = min(int(side // r_cut), math.isqrt((2**63 - 1) // max(n, 1)))
+    if n_side < 3 or n < 2:
+        ii, jj = np.triu_indices(n, k=1)
+    else:
+        cell_len = side / n_side
+        q = np.floor(pos / cell_len)
+        # the rounded quotient can reach the next cell just below its edge
+        edge = pos - q * cell_len < side * 2.0**-50
+        q[edge] = pos[edge] // cell_len
+        coords = np.clip(q.astype(np.int64), 0, n_side - 1)
+        cid = coords[:, 0] * n_side + coords[:, 1]
+        order = order[np.argsort(cid[order] * n + order, kind="stable")]
+        ii, jj = _cell_pairs(order, cid[order], n_side)
+    d = np.abs(np.take(pos, ii, axis=0) - np.take(pos, jj, axis=0))
+    d = np.minimum(d, side - d, out=d)
+    near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < r_cut * r_cut
+    return ii[near], jj[near], order
 
-    cell_len = side / n_side
-    coords = np.clip((pos // cell_len).astype(np.int64), 0, n_side - 1)
-    cid = coords[:, 0] * n_side + coords[:, 1]
-    order = np.argsort(cid, kind="stable")
-    sorted_cid = cid[order]
-    cells, start, counts = np.unique(sorted_cid, return_index=True, return_counts=True)
-    n_occ = len(cells)
+
+def _cell_pairs(order, sorted_cid, n_side):
+    """Pairs of particles in the same or adjacent cells, given the particles
+    sorted by (cell, index) and their sorted cell ids."""
+    # the c-th occupied cell, cells[c], holds order[start[c]:start[c] + counts[c]]
+    start = np.flatnonzero(np.r_[True, sorted_cid[1:] != sorted_cid[:-1]])
+    counts = np.diff(np.append(start, len(order)))
+    cells = sorted_cid[start]
     kmax = int(counts.max())
-
-    members = np.full((n_occ, kmax), -1, dtype=np.int64)
-    rows = np.repeat(np.arange(n_occ), counts)
-    rank = np.arange(n) - np.repeat(start, counts)
-    members[rows, rank] = order
-    valid = members >= 0
-
-    out_i: list[np.ndarray] = []
-    out_j: list[np.ndarray] = []
-
-    # pairs inside one cell: ranks fill from 0, so slot b valid implies a<b valid
-    for b in range(1, kmax):
-        occupied = valid[:, b]
+    out_i = [np.empty(0, dtype=np.int64)]
+    out_j = [np.empty(0, dtype=np.int64)]
+    for b in range(1, kmax):  # same cell, slot a before slot b
+        sb = start[counts > b]
         for a in range(b):
-            out_i.append(members[occupied, a])
-            out_j.append(members[occupied, b])
+            out_i.append(order[sb + a])
+            out_j.append(order[sb + b])
 
-    cx, cy = cells // n_side, cells % n_side
-    for dx, dy in ((0, 1), (1, 0), (1, 1), (1, n_side - 1)):
-        ncid = ((cx + dx) % n_side) * n_side + (cy + dy) % n_side
-        loc = np.searchsorted(cells, ncid)
-        loc_safe = np.minimum(loc, n_occ - 1)
-        hit = cells[loc_safe] == ncid
-        src = np.nonzero(hit)[0]
-        dst = loc_safe[hit]
-        for a in range(kmax):
-            sa = src[valid[src, a]]
-            da = dst[valid[src, a]]
-            if sa.size == 0:
-                continue
+    # Unless the offset wraps, cell (cx + dx, cy + dy) is cells + dx * n_side
+    # + dy, and it is occupied iff it sits at its slot in cells: the next
+    # slot for (0, 1); for the next row one search finds the (1, -1) slot and
+    # each further column is at most one slot on.  Cells on the wrapping
+    # edges are searched on their own.
+    last = len(cells) - 1
+    cx = cells // n_side
+    cy = cells - cx * n_side
+    edge = np.flatnonzero((cx == n_side - 1) | (cy == 0) | (cy == n_side - 1))
+    guess = {(0, 1): np.minimum(np.arange(1, last + 2), last),
+             (1, -1): np.minimum(np.searchsorted(cells, cells + (n_side - 1)), last)}
+    for dy in (0, 1):
+        prev = guess[1, dy - 1]
+        guess[1, dy] = np.minimum(prev + (cells[prev] == cells + (n_side + dy - 1)), last)
+    for dx, dy in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        ncid = cells + (dx * n_side + dy)
+        ncid[edge] = (cx[edge] + dx) % n_side * n_side + (cy[edge] + dy) % n_side
+        loc = guess[dx, dy]
+        loc[edge] = np.minimum(np.searchsorted(cells, ncid[edge]), last)
+        hit = cells[loc] == ncid
+        src, src_n = start[hit], counts[hit]
+        dst, dst_n = start[loc[hit]], counts[loc[hit]]
+        for a in range(int(src_n.max(initial=0))):
+            has_a = src_n > a
+            sa, da, da_n = src[has_a] + a, dst[has_a], dst_n[has_a]
             for b in range(kmax):
-                sel = valid[da, b]
-                out_i.append(members[sa[sel], a])
-                out_j.append(members[da[sel], b])
-
-    if not out_i:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
+                sel = da_n > b
+                out_i.append(order[sa[sel]])
+                out_j.append(order[da[sel] + b])
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
 def _pair_interactions(pos, species, box, idx_i, idx_j):
     """Forces and potential for given candidate pairs, cutoff applied."""
-    d = minimum_image(pos[idx_i] - pos[idx_j], box)
+    # np.take gathers rows an order of magnitude faster than pos[idx]
+    d = minimum_image(np.take(pos, idx_i, axis=0) - np.take(pos, idx_j, axis=0), box)
     r2 = np.einsum("ij,ij->i", d, d)
     if np.any(r2 < COINCIDENT_DISTANCE**2):
         k = int(np.argmin(r2))
@@ -264,8 +285,9 @@ def _pair_interactions(pos, species, box, idx_i, idx_j):
             f"coincident particles {idx_i[k]} and {idx_j[k]} "
             f"(separation {np.sqrt(r2[k]):.2e} A)"
         )
-    within = r2 < LJ_CUTOFF**2
-    idx_i, idx_j, d, r2 = idx_i[within], idx_j[within], d[within], r2[within]
+    within = np.flatnonzero(r2 < LJ_CUTOFF**2)
+    idx_i, idx_j, r2 = idx_i[within], idx_j[within], r2[within]
+    d = np.take(d, within, axis=0)
 
     si, sj = species[idx_i], species[idx_j]
     eps = _EPS_TABLE[si, sj]
@@ -275,9 +297,11 @@ def _pair_interactions(pos, species, box, idx_i, idx_j):
     sr12 = sr6 * sr6
 
     forces = np.zeros_like(pos)
-    fvec = ((24.0 * eps / r2) * (2.0 * sr12 - sr6))[:, None] * d
-    np.add.at(forces, idx_i, fvec)
-    np.add.at(forces, idx_j, -fvec)
+    fmag = (24.0 * eps / r2) * (2.0 * sr12 - sr6)
+    fx, fy = fmag * d[:, 0], fmag * d[:, 1]
+    # flat add.at (fast path); per component the order of idx_i then idx_j
+    flat = np.concatenate([2 * idx_i, 2 * idx_i + 1, 2 * idx_j, 2 * idx_j + 1])
+    np.add.at(forces.reshape(-1), flat, np.concatenate([fx, fy, -fx, -fy]))
     potential = float(np.sum(4.0 * eps * (sr12 - sr6)))
     return forces, potential
 
@@ -291,8 +315,10 @@ def _pair_list_current(state: ParticleState, box: SimBox) -> bool:
     built = state.pair_list[2]
     if built.shape != state.positions.shape:
         return False
-    d = minimum_image(state.positions - built, box)
-    return not np.any(np.einsum("ij,ij->i", d, d) > (0.5 * SKIN) ** 2)
+    d = np.abs(state.positions - built)
+    d = np.minimum(d, box.side - d, out=d)
+    d *= d
+    return not (d[:, 0] + d[:, 1]).max(initial=0.0) > (0.5 * SKIN) ** 2
 
 
 def compute_forces(state: ParticleState, box: SimBox):
@@ -303,9 +329,11 @@ def compute_forces(state: ParticleState, box: SimBox):
     antisymmetrically, so the net force is zero to roundoff.
     """
     if not _pair_list_current(state, box):
-        idx_i, idx_j = _candidate_pairs(state.positions, box.side, LJ_CUTOFF + SKIN)
-        state.pair_list = (idx_i, idx_j, state.positions.copy())
-    idx_i, idx_j, _ = state.pair_list
+        order = state.pair_list[3] if state.pair_list is not None else None
+        idx_i, idx_j, order = _candidate_pairs(
+            state.positions, box.side, LJ_CUTOFF + SKIN, order)
+        state.pair_list = (idx_i, idx_j, state.positions.copy(), order)
+    idx_i, idx_j = state.pair_list[:2]
     return _pair_interactions(state.positions, state.species, box, idx_i, idx_j)
 
 
@@ -358,8 +386,9 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
     positions = draw(np.ones(len(species), dtype=bool))
 
     min_sep = 0.8 * pair_params(Species.AR, Species.AR).sigma
+    order = None
     for _ in range(100):
-        ii, jj = _candidate_pairs(positions, side, LJ_CUTOFF + SKIN)
+        ii, jj, order = _candidate_pairs(positions, side, LJ_CUTOFF + SKIN, order)
         d = minimum_image(positions[ii] - positions[jj], box)
         close = np.einsum("ij,ij->i", d, d) < min_sep**2
         if not np.any(close):
@@ -377,11 +406,10 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
 
     return ParticleState(
         positions=positions,
-        unwrapped=positions.copy(),
         velocities=velocities,
         species=species,
         time=0.0,
-        pair_list=(ii, jj, positions.copy()),
+        pair_list=(ii, jj, positions.copy(), order),
     )
 
 
@@ -392,23 +420,27 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
     Returns (new_state, new_forces, potential) so the caller can reuse the
     freshly computed forces.
     """
-    dt = cfg.dt
-    accel = forces * (KCAL_PER_MOL_TO_MD / MASS_G_MOL[state.species])[:, None]
-    v_half = state.velocities + 0.5 * dt * accel
-    disp = dt * v_half
+    half_dt = 0.5 * cfg.dt
+    scale = np.take(_ACCEL_SCALE, state.species, axis=0)
+    v_half = forces * scale
+    v_half *= half_dt
+    v_half += state.velocities
+    positions = cfg.dt * v_half
+    positions += state.positions
     new_state = ParticleState(
-        positions=_wrap(state.positions + disp, box.side),
-        unwrapped=state.unwrapped + disp,
+        positions=_wrap(positions, box.side),
         velocities=v_half,
         species=state.species,
-        time=state.time + dt,
+        time=state.time + cfg.dt,
         pair_list=state.pair_list,
     )
     new_forces, potential = compute_forces(new_state, box)
-    accel2 = new_forces * (KCAL_PER_MOL_TO_MD / MASS_G_MOL[state.species])[:, None]
-    new_state.velocities = v_half + 0.5 * dt * accel2
-    speed2 = np.einsum("ij,ij->i", new_state.velocities, new_state.velocities)
-    if np.any(speed2 > VELOCITY_LIMIT**2) or np.any(np.isnan(speed2)):
+    kick = np.multiply(new_forces, scale, out=scale)
+    kick *= half_dt
+    v_half += kick  # the new state's velocities, kicked in place
+    v2 = np.multiply(v_half, v_half, out=kick)
+    speed2 = v2[:, 0] + v2[:, 1]
+    if not speed2.max(initial=0.0) <= VELOCITY_LIMIT**2:  # NaN fails too
         worst = int(np.argmax(speed2))
         raise InstabilityError(
             f"particle {worst} reached {np.sqrt(speed2[worst]):.3g} A/fs "

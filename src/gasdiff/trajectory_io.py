@@ -104,11 +104,10 @@ def write_native(traj: Trajectory, path) -> None:
             else:
                 fh.write(f"FRAME {fr.timestep} {float(fr.time_fs)!r} "
                          f"{float(fr.energy)!r}\n")
-            for i in range(fr.n_particles):
-                label = SPECIES_LABELS[int(fr.species[i])]
-                x, y = (float(v) for v in fr.positions[i])
-                vx, vy = (float(v) for v in fr.velocities[i])
-                fh.write(f"{int(fr.ids[i])} {label} {x!r} {y!r} {vx!r} {vy!r}\n")
+            rows = zip(fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
+                       fr.velocities.tolist())
+            fh.write("".join(f"{i} {SPECIES_LABELS[s]} {x!r} {y!r} {vx!r} {vy!r}\n"
+                             for i, s, (x, y), (vx, vy) in rows))
 
 
 def _parse_float(token: str, path, line: int) -> float:
@@ -158,7 +157,7 @@ def read_native(path) -> Trajectory:
         time_fs = _parse_float(tokens[2], path, i + 1)
         energy = _parse_float(tokens[3], path, i + 1) if len(tokens) == 4 else None
         i += 1
-        rows = []
+        ids, rows = [], []
         while i < len(lines) and lines[i].strip() and not lines[i].startswith("FRAME"):
             parts = lines[i].split()
             if len(parts) != 6:
@@ -168,11 +167,12 @@ def read_native(path) -> Trajectory:
                 )
             if parts[1] not in SPECIES_BY_LABEL:
                 raise ParseError(f"unknown species {parts[1]!r}", path=path, line=i + 1)
-            rows.append((
-                _parse_int(parts[0], path, i + 1),
-                int(SPECIES_BY_LABEL[parts[1]]),
-                *(_parse_float(p, path, i + 1) for p in parts[2:]),
-            ))
+            ids.append(_parse_int(parts[0], path, i + 1))
+            try:
+                rows.append((int(SPECIES_BY_LABEL[parts[1]]), *map(float, parts[2:])))
+            except ValueError:  # report the first bad field
+                for p in parts[2:]:
+                    _parse_float(p, path, i + 1)
             i += 1
         if frames and len(rows) != frames[0].n_particles:
             raise ParseError(
@@ -180,14 +180,15 @@ def read_native(path) -> Trajectory:
                 f"expected {frames[0].n_particles}",
                 path=path, line=i,
             )
-        arr = np.array(rows, dtype=np.float64).reshape(len(rows), 6)
+        # ids stay integers: a float64 column would round ids above 2**53
+        arr = np.array(rows, dtype=np.float64).reshape(len(rows), 5)
         frames.append(Frame(
             timestep=timestep,
             time_fs=time_fs,
-            ids=arr[:, 0].astype(np.int64),
-            species=arr[:, 1].astype(np.int64),
-            positions=arr[:, 2:4].copy(),
-            velocities=arr[:, 4:6].copy(),
+            ids=np.array(ids, dtype=np.int64),
+            species=arr[:, 0].astype(np.int64),
+            positions=arr[:, 1:3].copy(),
+            velocities=arr[:, 3:5].copy(),
             energy=energy,
         ))
 
@@ -364,18 +365,13 @@ def write_lammps_dump(traj: Trajectory, path) -> None:
             fh.write(f"0.0 {float(traj.box_side)!r}\n")
             fh.write(f"0.0 {float(traj.box_side)!r}\n")
             fh.write("-0.5 0.5\n")
+            rows = zip(fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
+                       fr.velocities.tolist())
             if traj.has_velocities:
                 fh.write("ITEM: ATOMS id type x y z vx vy\n")
-                for i in range(fr.n_particles):
-                    fh.write(
-                        f"{int(fr.ids[i])} {type_of[int(fr.species[i])]} "
-                        f"{float(fr.positions[i, 0])!r} {float(fr.positions[i, 1])!r} 0.0 "
-                        f"{float(fr.velocities[i, 0])!r} {float(fr.velocities[i, 1])!r}\n"
-                    )
+                fh.write("".join(f"{i} {type_of[s]} {x!r} {y!r} 0.0 {vx!r} {vy!r}\n"
+                                 for i, s, (x, y), (vx, vy) in rows))
             else:
                 fh.write("ITEM: ATOMS id type x y z\n")
-                for i in range(fr.n_particles):
-                    fh.write(
-                        f"{int(fr.ids[i])} {type_of[int(fr.species[i])]} "
-                        f"{float(fr.positions[i, 0])!r} {float(fr.positions[i, 1])!r} 0.0\n"
-                    )
+                fh.write("".join(f"{i} {type_of[s]} {x!r} {y!r} 0.0\n"
+                                 for i, s, (x, y), _ in rows))

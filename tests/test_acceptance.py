@@ -167,7 +167,7 @@ def test_criterion_4_md_correctness(desk_run):
     box = SimBox(side=600.0)
     positions = rng.uniform(0, box.side, (n, 2))
     species = rng.integers(0, 2, n)
-    state = ParticleState(positions=positions, unwrapped=positions.copy(),
+    state = ParticleState(positions=positions,
                           velocities=np.zeros((n, 2)), species=species)
     cell_forces, _ = md.compute_forces(state, box)
     brute_forces = _independent_brute_forces(positions, species, box.side)

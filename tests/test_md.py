@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +58,45 @@ def pairs_closer_than(r, positions, box, ii, jj):
     near = np.einsum("ij,ij->i", d, d) < r**2
     return set(zip(np.minimum(ii, jj)[near].tolist(),
                    np.maximum(ii, jj)[near].tolist()))
+
+
+def unfiltered_cell_pairs(pos, side, r_cut):
+    """Every pair of particles in the same or adjacent cells of edge >=
+    r_cut, with no distance filter, written the direct way: a (cell, slot)
+    member table and a sorted-cell lookup per forward neighbour.  Order:
+    same-cell pairs by slot pair, then per neighbour offset and slot pair,
+    cells ascending."""
+    n = len(pos)
+    n_side = int(side // r_cut)
+    cell_len = side / n_side
+    coords = np.clip((pos // cell_len).astype(np.int64), 0, n_side - 1)
+    cid = coords[:, 0] * n_side + coords[:, 1]
+    order = np.argsort(cid, kind="stable")
+    cells, start, counts = np.unique(cid[order], return_index=True,
+                                     return_counts=True)
+    kmax = int(counts.max())
+    members = np.full((len(cells), kmax), -1)
+    members[np.repeat(np.arange(len(cells)), counts),
+            np.arange(n) - np.repeat(start, counts)] = order
+    valid = members >= 0
+    out_i, out_j = [], []
+    for b in range(1, kmax):
+        for a in range(b):
+            out_i.append(members[valid[:, b], a])
+            out_j.append(members[valid[:, b], b])
+    cx, cy = cells // n_side, cells % n_side
+    for dx, dy in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        ncid = ((cx + dx) % n_side) * n_side + (cy + dy) % n_side
+        loc = np.minimum(np.searchsorted(cells, ncid), len(cells) - 1)
+        hit = cells[loc] == ncid
+        src, dst = np.nonzero(hit)[0], loc[hit]
+        for a in range(kmax):
+            sa, da = src[valid[src, a]], dst[valid[src, a]]
+            for b in range(kmax):
+                sel = valid[da, b]
+                out_i.append(members[sa[sel], a])
+                out_j.append(members[da[sel], b])
+    return np.concatenate(out_i), np.concatenate(out_j)
 
 
 class TestSpecies:
@@ -235,11 +276,11 @@ class TestInitState:
         searches = []
         search = md._candidate_pairs
 
-        def recording(pos, side, r_cut):
-            ii, jj = search(pos, side, r_cut)
+        def recording(pos, side, r_cut, order=None):
+            ii, jj, order = search(pos, side, r_cut, order)
             assert r_cut == LJ_CUTOFF + SKIN
             searches.append((pos.copy(), ii, jj))
-            return ii, jj
+            return ii, jj, order
 
         monkeypatch.setattr(md, "_candidate_pairs", recording)
         cfg = MDConfig(n_he=400, n_ar=400, seed=1)
@@ -251,9 +292,9 @@ class TestInitState:
         for pos, ii, jj in searches:
             assert pairs_closer_than(min_sep, pos, box, ii, jj) == \
                 pairs_closer_than(min_sep, pos, box,
-                                  *search(pos, box.side, LJ_CUTOFF))
+                                  *search(pos, box.side, LJ_CUTOFF)[:2])
 
-        ii, jj, built = state.pair_list
+        ii, jj, built, _ = state.pair_list
         assert np.array_equal(built, state.positions)
         assert ii is searches[-1][1] and jj is searches[-1][2]
         n_searches = len(searches)
@@ -275,7 +316,6 @@ class TestComputeForces:
         r_min = 2.0 ** (1.0 / 6.0) * p.sigma
         state = ParticleState(
             positions=np.array([[50.0, 50.0], [50.0 + r_min, 50.0]]),
-            unwrapped=np.zeros((2, 2)),
             velocities=np.zeros((2, 2)),
             species=np.array([1, 1]),
         )
@@ -288,7 +328,6 @@ class TestComputeForces:
         box = SimBox(side=300.0)
         state = ParticleState(
             positions=rng.uniform(0, box.side, (n, 2)),
-            unwrapped=np.zeros((n, 2)),
             velocities=np.zeros((n, 2)),
             species=rng.integers(0, 2, n),
         )
@@ -302,7 +341,7 @@ class TestComputeForces:
         box = SimBox(side=250.0)
         positions = rng.uniform(0, box.side, (n, 2))
         species = rng.integers(0, 2, n)
-        state = ParticleState(positions=positions, unwrapped=np.zeros((n, 2)),
+        state = ParticleState(positions=positions,
                               velocities=np.zeros((n, 2)), species=species)
         forces, potential = compute_forces(state, box)
         ref_forces, ref_potential = brute_reference_forces(positions, species, box.side)
@@ -315,7 +354,6 @@ class TestComputeForces:
         box = SimBox(side=500.0)
         state = ParticleState(
             positions=rng.uniform(0, box.side, (n, 2)),
-            unwrapped=np.zeros((n, 2)),
             velocities=np.zeros((n, 2)),
             species=rng.integers(0, 2, n),
         )
@@ -324,10 +362,21 @@ class TestComputeForces:
         assert np.max(np.abs(f1 - f2)) < 1e-10
         assert p1 == pytest.approx(p2, abs=1e-9)
 
+    def test_crowded_forces_are_pinned(self):
+        # SHA-256 of the force array in a box with up to ~10 neighbours per
+        # particle, where the order in which pair forces are summed shows.
+        rng = np.random.default_rng(12)
+        n = 200
+        state = ParticleState(positions=rng.uniform(0, 250.0, (n, 2)),
+                              velocities=np.zeros((n, 2)),
+                              species=rng.integers(0, 2, n))
+        forces, _ = compute_forces(state, SimBox(side=250.0))
+        assert hashlib.sha256(forces.tobytes()).hexdigest() == (
+            "0ca35909bf2c31b00001678a0117c24437f057ab868e9a1d60097ef6e40a792f")
+
     def test_coincident_particles_raise(self):
         state = ParticleState(
             positions=np.array([[10.0, 10.0], [10.0, 10.0]]),
-            unwrapped=np.zeros((2, 2)),
             velocities=np.zeros((2, 2)),
             species=np.array([0, 0]),
         )
@@ -354,8 +403,8 @@ class TestPairList:
         n_steps = 60
         for _ in range(n_steps):
             state, forces, potential = verlet_step(state, forces, cfg, box)
-            ii, jj, _ = state.pair_list
-            fresh = search(state.positions, box.side, LJ_CUTOFF)
+            ii, jj = state.pair_list[:2]
+            fresh = search(state.positions, box.side, LJ_CUTOFF)[:2]
             assert pairs_closer_than(LJ_CUTOFF, state.positions, box, ii, jj) == \
                 pairs_closer_than(LJ_CUTOFF, state.positions, box, *fresh)
             ref_forces, ref_potential = md._pair_interactions(
@@ -374,7 +423,6 @@ class TestPairList:
         box = SimBox(side=300.0)
         state = ParticleState(
             positions=np.array([[24.9, 160.0], [50.1, 160.0]]),
-            unwrapped=np.zeros((2, 2)),
             velocities=np.array([[0.0097, 0.0], [-0.0097, 0.0]]),
             species=np.array([1, 1]),
         )
@@ -391,12 +439,12 @@ class TestPairList:
     def test_list_of_another_particle_count_is_rebuilt(self):
         box = SimBox(side=100.0)
         old = ParticleState(positions=np.array([[10.0, 10.0], [60.0, 60.0]]),
-                            unwrapped=np.zeros((2, 2)), velocities=np.zeros((2, 2)),
+                            velocities=np.zeros((2, 2)),
                             species=np.array([0, 1]))
         compute_forces(old, box)
         state = ParticleState(
             positions=np.array([[10.0, 10.0], [60.0, 60.0], [14.0, 10.0]]),
-            unwrapped=np.zeros((3, 2)), velocities=np.zeros((3, 2)),
+            velocities=np.zeros((3, 2)),
             species=np.array([0, 1, 1]), pair_list=old.pair_list)
         forces, potential = compute_forces(state, box)
         ref_forces, ref_potential = compute_forces_brute(state, box)
@@ -409,10 +457,10 @@ class TestPairList:
         box = SimBox(side=250.0)
         positions = rng.uniform(0, box.side, (n, 2))
         species = rng.integers(0, 2, n)
-        state = ParticleState(positions=positions, unwrapped=np.zeros((n, 2)),
+        state = ParticleState(positions=positions,
                               velocities=np.zeros((n, 2)), species=species)
         compute_forces(state, box)
-        ii, jj, _ = state.pair_list
+        ii, jj = state.pair_list[:2]
         listed = set(zip(np.minimum(ii, jj).tolist(), np.maximum(ii, jj).tolist()))
         # particle 0 jumps next to a particle it was not listed with
         partner = next(k for k in range(1, n) if (0, k) not in listed)
@@ -426,6 +474,76 @@ class TestPairList:
         assert potential == pytest.approx(ref_potential, abs=1e-10)
 
 
+    def test_listed_pairs_are_closer_than_the_list_range(self, monkeypatch):
+        searches = []
+        search = md._candidate_pairs
+
+        def recording(pos, side, r_cut, order=None):
+            ii, jj, order = search(pos, side, r_cut, order)
+            searches.append((pos.copy(), ii, jj))
+            return ii, jj, order
+
+        monkeypatch.setattr(md, "_candidate_pairs", recording)
+        cfg = MDConfig(n_he=100, n_ar=50, temperature=2000.0, seed=17)
+        box = SimBox(side=300.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        for _ in range(40):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert len(searches) >= 3
+        for pos, ii, jj in searches:
+            d = minimum_image(pos[ii] - pos[jj], box)
+            assert np.all(np.einsum("ij,ij->i", d, d) < (LJ_CUTOFF + SKIN) ** 2)
+
+    @pytest.mark.parametrize("side, n_he, n_ar, seed", [
+        (5.0e4, 30000, 30000, 1),   # paper density
+        (251.0, 150, 150, 4),       # 25.1 A cells, particles on cell edges
+    ])
+    def test_list_is_the_unfiltered_cell_search_filtered(self, side, n_he, n_ar, seed):
+        box = SimBox(side=side)
+        positions = init_state(MDConfig(n_he=n_he, n_ar=n_ar, seed=seed), box).positions
+        if side == 251.0:
+            rng = np.random.default_rng(seed)
+            on_edge = rng.random(positions.shape) < 0.3
+            # k * 25.1 rounds below the true edge often enough that
+            # floor(x / 25.1) and x // 25.1 disagree on some of these
+            edges = rng.integers(1, 10, positions.shape) * 25.1
+            positions[on_edge] = edges[on_edge]
+            assert np.any(np.floor(positions / 25.1) != positions // 25.1)
+        r_cut = LJ_CUTOFF + SKIN
+        ii, jj, _ = md._candidate_pairs(positions, side, r_cut)
+        ref_i, ref_j = unfiltered_cell_pairs(positions, side, r_cut)
+        d = minimum_image(positions[ref_i] - positions[ref_j], box)
+        keep = np.einsum("ij,ij->i", d, d) < r_cut**2
+        assert len(ii) < len(ref_i)
+        assert np.array_equal(ii, ref_i[keep]) and np.array_equal(jj, ref_j[keep])
+
+    def test_warm_started_search_matches_a_cold_one(self):
+        cfg = MDConfig(n_he=300, n_ar=300, temperature=2000.0, seed=3)
+        box = SimBox(side=1000.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        for _ in range(30):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+        r_cut = LJ_CUTOFF + SKIN
+        cold = md._candidate_pairs(state.positions, box.side, r_cut)
+        shuffled = np.random.default_rng(0).permutation(state.n_particles)
+        for order in (state.pair_list[3], shuffled, cold[2]):
+            warm = md._candidate_pairs(state.positions, box.side, r_cut, order)
+            for a, b in zip(warm, cold):
+                assert np.array_equal(a, b)
+
+    def test_huge_box_pairs_across_the_periodic_edge(self):
+        # cid * n + i would overflow int64 with 25 A cells in this box
+        side = 1.0e12
+        box = SimBox(side=side)
+        positions = np.array([[1.0, 5.0e11], [side - 4.0, 5.0e11],
+                              [3.0e11, 3.0e11], [3.0e11 + 7.0, 3.0e11 + 7.0]])
+        ii, jj, _ = md._candidate_pairs(positions, side, LJ_CUTOFF + SKIN)
+        assert pairs_closer_than(LJ_CUTOFF + SKIN, positions, box, ii, jj) == {(0, 1), (2, 3)}
+        assert len(ii) == 2
+
+
 def two_body_bound_state(v_tangential=2e-4):
     """Ar-Ar pair at the potential minimum with slow opposite tangential
     velocities: a gently perturbed bound orbit."""
@@ -434,7 +552,6 @@ def two_body_bound_state(v_tangential=2e-4):
     c = 100.0
     return ParticleState(
         positions=np.array([[c - r_min / 2, c], [c + r_min / 2, c]]),
-        unwrapped=np.array([[c - r_min / 2, c], [c + r_min / 2, c]]),
         velocities=np.array([[0.0, v_tangential], [0.0, -v_tangential]]),
         species=np.array([1, 1]),
     )
@@ -447,16 +564,16 @@ class TestVerletStep:
         v = np.array([[0.01, -0.02], [-0.005, 0.015]])
         state = ParticleState(
             positions=np.array([[100.0, 100.0], [5000.0, 7000.0]]),
-            unwrapped=np.array([[100.0, 100.0], [5000.0, 7000.0]]),
             velocities=v.copy(),
             species=np.array([0, 0]),
         )
         forces, _ = compute_forces(state, box)
-        x0 = state.unwrapped.copy()
+        x0 = state.positions.copy()
         n = 200
         for _ in range(n):
             state, forces, _ = verlet_step(state, forces, cfg, box)
-        assert np.allclose(state.unwrapped, x0 + n * cfg.dt * v, rtol=1e-12, atol=1e-9)
+        unwrapped = x0 + minimum_image(state.positions - x0, box)
+        assert np.allclose(unwrapped, x0 + n * cfg.dt * v, rtol=1e-12, atol=1e-9)
         assert np.allclose(state.velocities, v, rtol=0, atol=0)
 
     def test_two_body_energy_drift(self):
@@ -474,7 +591,7 @@ class TestVerletStep:
         cfg = MDConfig(n_he=25, n_ar=25, dt=5.0, seed=21)
         box = SimBox(side=300.0)
         state = init_state(cfg, box)
-        start = state.unwrapped.copy()
+        start = state.positions.copy()
         forces, _ = compute_forces(state, box)
         n = 100
         for _ in range(n):
@@ -482,14 +599,13 @@ class TestVerletStep:
         state.velocities = -state.velocities
         for _ in range(n):
             state, forces, _ = verlet_step(state, forces, cfg, box)
-        assert np.max(np.abs(state.unwrapped - start)) < 1e-8
+        assert np.max(np.abs(minimum_image(state.positions - start, box))) < 1e-8
 
     def test_instability_aborts_with_diagnostic(self):
         cfg = MDConfig(n_he=0, n_ar=2, dt=100.0, seed=0)
         box = SimBox(side=200.0)
         state = ParticleState(
             positions=np.array([[100.0, 100.0], [102.0, 100.0]]),
-            unwrapped=np.array([[100.0, 100.0], [102.0, 100.0]]),
             velocities=np.zeros((2, 2)),
             species=np.array([1, 1]),
         )
@@ -498,8 +614,44 @@ class TestVerletStep:
             for _ in range(50):
                 state, forces, _ = verlet_step(state, forces, cfg, box)
 
+    def test_nan_velocity_aborts(self):
+        cfg = MDConfig(n_he=0, n_ar=2, dt=5.0, seed=0)
+        box = SimBox(side=200.0)
+        state = ParticleState(
+            positions=np.array([[100.0, 100.0], [110.0, 100.0]]),
+            velocities=np.array([[np.nan, 0.0], [0.0, 0.0]]),
+            species=np.array([1, 1]),
+        )
+        forces, _ = compute_forces(state, box)
+        with pytest.raises(InstabilityError, match="particle 0"):
+            verlet_step(state, forces, cfg, box)
+
 
 class TestRun:
+    @pytest.mark.parametrize("n_he, n_ar", [(0, 0), (1, 0), (0, 1)])
+    def test_zero_and_one_particle(self, n_he, n_ar):
+        cfg = MDConfig(n_he=n_he, n_ar=n_ar, seed=5, sample_stride=5)
+        traj = run(cfg, SimBox(side=1000.0), 20)
+        assert traj.n_frames == 5
+        assert traj.n_particles == n_he + n_ar
+        for f in traj.frames:
+            assert np.all(np.isfinite(f.positions)) and np.all(np.isfinite(f.velocities))
+        if n_he + n_ar:
+            drift = minimum_image(traj.frames[-1].positions - traj.frames[0].positions,
+                                  SimBox(side=1000.0))
+            assert np.allclose(drift, 20 * cfg.dt * traj.frames[0].velocities,
+                               rtol=1e-12, atol=1e-9)
+
+    def test_desk_final_state_is_pinned(self):
+        # SHA-256 of the final positions and velocities of the desk md-run
+        # (500 He + 500 Ar, 5e3 A box, 2000 steps of 5 fs, seed 1).  Any
+        # change to the pair order or the step arithmetic changes it.
+        cfg = MDConfig(n_he=500, n_ar=500, seed=1, sample_stride=2000)
+        last = run(cfg, SimBox(side=5.0e3), 2000).frames[-1]
+        digest = hashlib.sha256(last.positions.tobytes() + last.velocities.tobytes())
+        assert digest.hexdigest() == (
+            "398e1332fb1d18e493f4fa40262da3136636b223a074c9c29bbcfaa005327880")
+
     def test_zero_steps_single_frame(self):
         cfg = MDConfig(n_he=50, n_ar=50, seed=5, sample_stride=10)
         traj = run(cfg, SimBox(side=2000.0), 0)
@@ -529,9 +681,12 @@ class TestRun:
         box = SimBox(side=150.0)  # small box so particles wrap quickly
         state = init_state(cfg, box)
         forces, _ = compute_forces(state, box)
+        unwrapped = state.positions.copy()
         for _ in range(400):
+            previous = state.positions
             state, forces, _ = verlet_step(state, forces, cfg, box)
-        ratio = (state.unwrapped - state.positions) / box.side
+            unwrapped += minimum_image(state.positions - previous, box)
+        ratio = (unwrapped - state.positions) / box.side
         assert np.max(np.abs(ratio - np.round(ratio))) < 1e-9
         assert np.max(np.abs(np.round(ratio))) >= 1  # something actually wrapped
 

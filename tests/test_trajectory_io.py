@@ -110,6 +110,48 @@ class TestNativeFormat:
         with pytest.raises(ParseError, match="columns"):
             read_native(p)
 
+    @pytest.mark.parametrize("big_id", [2**53 + 1, 2**62, -(2**62)])
+    def test_large_ids_roundtrip_exactly(self, tmp_path, big_id):
+        # a float64 column would read 2**53 + 1 back as 2**53
+        traj = make_trajectory(n_frames=2, n=3)
+        for fr in traj.frames:
+            fr.ids = np.array([1, big_id, 7], dtype=np.int64)
+        path = tmp_path / "traj.txt"
+        write_native(traj, path)
+        back = read_native(path)
+        for fr in back.frames:
+            assert fr.ids.dtype == np.int64
+            assert fr.ids.tolist() == [1, big_id, 7]
+
+    def test_id_beyond_int_range_rejected(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n"
+                     f"{2**62 + 1} He 1.0 1.0 0.0 0.0\n")
+        with pytest.raises(ParseError, match="out of range") as err:
+            read_native(p)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("row", ["1 He banana 1.0 0.0 0.0",
+                                     "1 He 1.0 1.0 0.0 banana"])
+    def test_bad_float_names_field_and_line(self, tmp_path, row):
+        p = tmp_path / "bad.txt"
+        p.write_text("#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n"
+                     f"2 Ar 5.0 5.0 0.0 0.0\n{row}\n")
+        with pytest.raises(ParseError, match="non-numeric field 'banana'") as err:
+            read_native(p)
+        assert err.value.line == 5
+
+    def test_lammps_dump_bytes_without_velocities(self, tmp_path):
+        traj = make_trajectory(n_frames=1, n=2)
+        traj.has_velocities = False
+        fr = traj.frames[0]
+        fr.positions = np.array([[0.1, 2.5], [999.0, 1e-300]])
+        fr.species = np.array([0, 1])
+        path = tmp_path / "t.dump"
+        write_lammps_dump(traj, path)
+        assert path.read_text().splitlines()[-3:] == [
+            "ITEM: ATOMS id type x y z", "1 1 0.1 2.5 0.0", "2 2 999.0 1e-300 0.0"]
+
 
 MINIMAL_DUMP = """ITEM: TIMESTEP
 0
