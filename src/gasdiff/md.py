@@ -8,6 +8,11 @@ per-species-pair well depth and size.  Neighbor search is a Verlet pair
 list: a cell-list search for the pairs closer than the cutoff plus a skin,
 reused until some particle has moved more than half the skin since then.
 
+verlet_step advances a ParticleState in place: its positions and velocities
+arrays, its time and its pair list change, and the step returns the same
+object.  A caller that keeps positions or velocities across steps copies
+them.
+
 The one non-obvious constant is the acceleration conversion: forces come
 out in kcal/(mol A) and masses are in g/mol, so F/m picks up a factor of
 4.184e-4 to land in A/fs^2 (KCAL_PER_MOL_TO_MD in fields).
@@ -17,7 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,6 +139,12 @@ class ParticleState:
     ``pair_list`` is ``(idx_i, idx_j, positions at build, cell order)`` from
     the last pair search, or None; compute_forces checks it against the
     current positions before using it and sorts the next search from it.
+
+    verlet_step updates ``positions``, ``velocities``, ``time`` and
+    ``pair_list`` in place; arrays that are not C-contiguous writable
+    float64 are first replaced by copies that are.  ``species`` is fixed:
+    the first force call makes the array read-only and builds per-particle
+    tables from it, so a change of species means assigning a new array.
     """
 
     positions: np.ndarray
@@ -140,6 +152,8 @@ class ParticleState:
     species: np.ndarray
     time: float = 0.0
     pair_list: tuple | None = None
+    _work: "_Work | None" = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def n_particles(self) -> int:
@@ -211,19 +225,33 @@ def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float, order=None):
     if n_side < 3 or n < 2:
         ii, jj = np.triu_indices(n, k=1)
     else:
-        cell_len = side / n_side
-        q = np.floor(pos / cell_len)
-        # the rounded quotient can reach the next cell just below its edge
-        edge = pos - q * cell_len < side * 2.0**-50
-        q[edge] = pos[edge] // cell_len
-        coords = np.clip(q.astype(np.int64), 0, n_side - 1)
-        cid = coords[:, 0] * n_side + coords[:, 1]
-        order = order[np.argsort(cid[order] * n + order, kind="stable")]
-        ii, jj = _cell_pairs(order, cid[order], n_side)
+        order, sorted_cid = _sorted_cells(pos, side, n_side, order)
+        ii, jj = _cell_pairs(order, sorted_cid, n_side)
     d = np.abs(np.take(pos, ii, axis=0) - np.take(pos, jj, axis=0))
     d = np.minimum(d, side - d, out=d)
     near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < r_cut * r_cut
     return ii[near], jj[near], order
+
+
+def _sorted_cells(pos, side, n_side, order):
+    """The particles sorted by (cell, index), the sort starting from
+    ``order``, and their cell ids cx * n_side + cy in that order."""
+    cell_len = side / n_side
+    q = np.divide(pos, cell_len)
+    np.floor(q, out=q)
+    # the rounded quotient can reach the next cell just below its edge
+    rem = np.multiply(q, cell_len)
+    edge = np.subtract(pos, rem, out=rem) < side * 2.0**-50
+    q[edge] = pos[edge] // cell_len
+    coords = q.astype(np.int64)
+    np.clip(coords, 0, n_side - 1, out=coords)
+    cid = coords[:, 0] * n_side
+    cid += coords[:, 1]
+    key = np.take(cid, order)
+    key *= len(order)
+    key += order
+    order = np.take(order, np.argsort(key, kind="stable"))
+    return order, np.take(cid, order, out=key)
 
 
 def _cell_pairs(order, sorted_cid, n_side):
@@ -231,7 +259,7 @@ def _cell_pairs(order, sorted_cid, n_side):
     sorted by (cell, index) and their sorted cell ids."""
     # the c-th occupied cell, cells[c], holds order[start[c]:start[c] + counts[c]]
     start = np.flatnonzero(np.r_[True, sorted_cid[1:] != sorted_cid[:-1]])
-    counts = np.diff(np.append(start, len(order)))
+    counts = np.diff(start, append=len(order))
     cells = sorted_cid[start]
     kmax = int(counts.max())
     out_i = [np.empty(0, dtype=np.int64)]
@@ -246,24 +274,34 @@ def _cell_pairs(order, sorted_cid, n_side):
     # + dy, and it is occupied iff it sits at its slot in cells: the next
     # slot for (0, 1); for the next row one search finds the (1, -1) slot and
     # each further column is at most one slot on.  Cells on the wrapping
-    # edges are searched on their own.
+    # edges (last row, first or last column) are searched on their own.
     last = len(cells) - 1
-    cx = cells // n_side
-    cy = cells - cx * n_side
-    edge = np.flatnonzero((cx == n_side - 1) | (cy == 0) | (cy == n_side - 1))
-    guess = {(0, 1): np.minimum(np.arange(1, last + 2), last),
-             (1, -1): np.minimum(np.searchsorted(cells, cells + (n_side - 1)), last)}
-    for dy in (0, 1):
-        prev = guess[1, dy - 1]
-        guess[1, dy] = np.minimum(prev + (cells[prev] == cells + (n_side + dy - 1)), last)
-    for dx, dy in ((0, 1), (1, 0), (1, 1), (1, -1)):
-        ncid = cells + (dx * n_side + dy)
-        ncid[edge] = (cx[edge] + dx) % n_side * n_side + (cy[edge] + dy) % n_side
-        loc = guess[dx, dy]
+    ncid = cells % n_side  # cy; the buffer then holds the neighbour ids
+    edge = np.flatnonzero((ncid == 0) | (ncid == n_side - 1)
+                          | (cells >= (n_side - 1) * n_side))
+    edge_cx, edge_cy = np.divmod(cells[edge], n_side)
+    found = np.empty_like(cells)
+    found_at = {}
+    loc = np.arange(1, last + 2)
+    loc[-1] = last
+    for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        np.add(cells, dx * n_side + dy, out=ncid)
+        if dy == -1:
+            loc = np.searchsorted(cells, ncid)
+            np.minimum(loc, last, out=loc)
+        elif dx == 1:  # one slot past the (1, dy - 1) cell if it matched
+            loc += match
+            np.minimum(loc, last, out=loc)
+        ncid[edge] = (edge_cx + dx) % n_side * n_side + (edge_cy + dy) % n_side
         loc[edge] = np.minimum(np.searchsorted(cells, ncid[edge]), last)
-        hit = cells[loc] == ncid
-        src, src_n = start[hit], counts[hit]
-        dst, dst_n = start[loc[hit]], counts[loc[hit]]
+        match = np.take(cells, loc, out=found) == ncid
+        hit = np.flatnonzero(match)
+        nbr = np.take(loc, hit)
+        found_at[dx, dy] = (np.take(start, hit), np.take(counts, hit),
+                            np.take(start, nbr), np.take(counts, nbr))
+    # the pairs keep this offset order, which sets the order forces are summed in
+    for offset in ((0, 1), (1, 0), (1, 1), (1, -1)):
+        src, src_n, dst, dst_n = found_at[offset]
         for a in range(int(src_n.max(initial=0))):
             has_a = src_n > a
             sa, da, da_n = src[has_a] + a, dst[has_a], dst_n[has_a]
@@ -274,8 +312,53 @@ def _cell_pairs(order, sorted_cid, n_side):
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def _pair_interactions(pos, species, box, idx_i, idx_j):
-    """Forces and potential for given candidate pairs, cutoff applied."""
+class _PairTerms(NamedTuple):
+    """Constants of one pair list, built once per search."""
+
+    flat: np.ndarray    # force component of each term: 2i, 2i+1, 2j, 2j+1
+    active: np.ndarray  # the components the list touches, ascending
+    c24: np.ndarray     # 24 eps per pair
+    c4: np.ndarray      # 4 eps per pair
+    sig2: np.ndarray    # sigma^2 per pair
+
+
+def _pair_terms(species, idx_i, idx_j, n) -> _PairTerms:
+    si, sj = np.take(species, idx_i), np.take(species, idx_j)
+    eps, sig = _EPS_TABLE[si, sj], _SIG_TABLE[si, sj]
+    flat = np.concatenate([2 * idx_i, 2 * idx_i + 1, 2 * idx_j, 2 * idx_j + 1])
+    touched = np.zeros(2 * n, dtype=bool)
+    touched[flat] = True
+    return _PairTerms(flat, np.flatnonzero(touched), 24.0 * eps, 4.0 * eps,
+                      sig * sig)
+
+
+class _Work:
+    """Scratch a state keeps for compute_forces and verlet_step: the
+    acceleration scale per particle and axis, one (n, 2) buffer, and the
+    terms of the pair list they were last built for."""
+
+    __slots__ = ("species", "scale", "buf", "pair_list", "terms")
+
+    def __init__(self, species):
+        self.species = species
+        self.scale = np.take(_ACCEL_SCALE, species, axis=0)
+        self.buf = np.empty_like(self.scale)
+        self.pair_list = self.terms = None
+
+
+def _work(state: ParticleState) -> _Work:
+    w = state._work
+    if w is None or w.species is not state.species:
+        state.species.flags.writeable = False  # the tables are built from it
+        w = state._work = _Work(state.species)
+    return w
+
+
+def _pair_interactions(pos, species, box, idx_i, idx_j, terms=None):
+    """Forces and potential for given candidate pairs, cutoff applied.
+    ``terms`` are the pairs' _pair_terms, built here when not given."""
+    if terms is None:
+        terms = _pair_terms(species, idx_i, idx_j, len(pos))
     # np.take gathers rows an order of magnitude faster than pos[idx]
     d = minimum_image(np.take(pos, idx_i, axis=0) - np.take(pos, idx_j, axis=0), box)
     r2 = np.einsum("ij,ij->i", d, d)
@@ -285,40 +368,48 @@ def _pair_interactions(pos, species, box, idx_i, idx_j):
             f"coincident particles {idx_i[k]} and {idx_j[k]} "
             f"(separation {np.sqrt(r2[k]):.2e} A)"
         )
-    within = np.flatnonzero(r2 < LJ_CUTOFF**2)
-    idx_i, idx_j, r2 = idx_i[within], idx_j[within], r2[within]
-    d = np.take(d, within, axis=0)
-
-    si, sj = species[idx_i], species[idx_j]
-    eps = _EPS_TABLE[si, sj]
-    sig = _SIG_TABLE[si, sj]
-    sr2 = sig * sig / r2
+    near = r2 < LJ_CUTOFF**2
+    sr2 = terms.sig2 / r2
     sr6 = sr2 * sr2 * sr2
     sr12 = sr6 * sr6
+    fd = ((terms.c24 / r2) * (2.0 * sr12 - sr6))[:, None] * d
+    fd[~near] = 0.0  # pairs at or beyond the cutoff add exact zeros
+    # weights fx, fy, -fx, -fy match flat; bincount adds them in that order,
+    # so each component sums its idx_i terms, then its idx_j terms
+    forces = np.bincount(terms.flat, np.concatenate((fd.T, -fd.T), axis=None),
+                         minlength=2 * len(pos))
+    potential = float(np.sum((terms.c4 * (sr12 - sr6))[near]))
+    # an empty list gives an int64 count array
+    return forces.astype(np.float64, copy=False).reshape(len(pos), 2), potential
 
-    forces = np.zeros_like(pos)
-    fmag = (24.0 * eps / r2) * (2.0 * sr12 - sr6)
-    fx, fy = fmag * d[:, 0], fmag * d[:, 1]
-    # flat add.at (fast path); per component the order of idx_i then idx_j
-    flat = np.concatenate([2 * idx_i, 2 * idx_i + 1, 2 * idx_j, 2 * idx_j + 1])
-    np.add.at(forces.reshape(-1), flat, np.concatenate([fx, fy, -fx, -fy]))
-    potential = float(np.sum(4.0 * eps * (sr12 - sr6)))
-    return forces, potential
 
-
-def _pair_list_current(state: ParticleState, box: SimBox) -> bool:
+def _pair_list_current(state: ParticleState, box: SimBox, buf) -> bool:
     """True while no particle has moved SKIN/2 (minimum image) since the
     state's pair list was built, so no pair outside the list can be inside
-    the cutoff."""
+    the cutoff.
+
+    The decision is that of max(x^2 + y^2) > (SKIN/2)^2 over the minimum-image
+    displacements (a NaN maximum keeps the list), but the norm is taken only
+    for rows with a component above (SKIN/2)/sqrt(2), less a rounding
+    margin; ``buf`` is (n, 2) scratch.
+    """
     if state.pair_list is None:
         return False
     built = state.pair_list[2]
     if built.shape != state.positions.shape:
         return False
-    d = np.abs(state.positions - built)
-    d = np.minimum(d, box.side - d, out=d)
-    d *= d
-    return not (d[:, 0] + d[:, 1]).max(initial=0.0) > (0.5 * SKIN) ** 2
+    d = np.abs(np.subtract(state.positions, built, out=buf), out=buf)
+    # |component| >= its minimum image, so every other row is inside SKIN/2
+    bound = 0.5 * SKIN / math.sqrt(2.0) * (1.0 - 1e-9)
+    rows = np.flatnonzero(d.reshape(-1) > bound) >> 1
+    if not len(rows):
+        return True
+    e = np.abs(np.take(state.positions, rows, axis=0) - np.take(built, rows, axis=0))
+    e = np.minimum(e, box.side - e, out=e)
+    e *= e
+    if not (e[:, 0] + e[:, 1]).max() > (0.5 * SKIN) ** 2:
+        return True
+    return bool(np.isnan(d).any())
 
 
 def compute_forces(state: ParticleState, box: SimBox):
@@ -328,13 +419,18 @@ def compute_forces(state: ParticleState, box: SimBox):
     and leaves the new list on the state.  Pairwise sums are accumulated
     antisymmetrically, so the net force is zero to roundoff.
     """
-    if not _pair_list_current(state, box):
+    w = _work(state)
+    if not _pair_list_current(state, box, w.buf):
         order = state.pair_list[3] if state.pair_list is not None else None
-        idx_i, idx_j, order = _candidate_pairs(
-            state.positions, box.side, LJ_CUTOFF + SKIN, order)
-        state.pair_list = (idx_i, idx_j, state.positions.copy(), order)
+        built = state.positions.copy()
+        idx_i, idx_j, order = _candidate_pairs(built, box.side, LJ_CUTOFF + SKIN, order)
+        state.pair_list = (idx_i, idx_j, built, order)
     idx_i, idx_j = state.pair_list[:2]
-    return _pair_interactions(state.positions, state.species, box, idx_i, idx_j)
+    if w.pair_list is not state.pair_list:
+        w.pair_list = state.pair_list
+        w.terms = _pair_terms(state.species, idx_i, idx_j, state.n_particles)
+    return _pair_interactions(state.positions, state.species, box, idx_i, idx_j,
+                              w.terms)
 
 
 def compute_forces_brute(state: ParticleState, box: SimBox):
@@ -404,49 +500,65 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
     if len(species):
         velocities -= np.sum(m[:, None] * velocities, axis=0) / np.sum(m)
 
+    # the searched array stays the list's build snapshot
     return ParticleState(
-        positions=positions,
+        positions=positions.copy(),
         velocities=velocities,
         species=species,
         time=0.0,
-        pair_list=(ii, jj, positions.copy(), order),
+        pair_list=(ii, jj, positions, order),
     )
+
+
+def _own(a: np.ndarray) -> np.ndarray:
+    """``a`` if it can be updated in place as float64 rows, else such a copy."""
+    if a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable:
+        return a
+    return np.array(a, dtype=np.float64, order="C")
 
 
 def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
                 box: SimBox):
     """One velocity-Verlet step: half kick, drift, recompute, half kick.
 
-    Returns (new_state, new_forces, potential) so the caller can reuse the
-    freshly computed forces.
+    Advances ``state`` in place (positions, velocities, time, pair list) and
+    returns (state, new_forces, potential), the same state object, so the
+    caller can reuse the freshly computed forces.  On InstabilityError the
+    state holds the failed step.
     """
+    w = _work(state)
+    x = state.positions = _own(state.positions)
+    v = state.velocities = _own(state.velocities)
     half_dt = 0.5 * cfg.dt
-    scale = np.take(_ACCEL_SCALE, state.species, axis=0)
-    v_half = forces * scale
-    v_half *= half_dt
-    v_half += state.velocities
-    positions = cfg.dt * v_half
-    positions += state.positions
-    new_state = ParticleState(
-        positions=_wrap(positions, box.side),
-        velocities=v_half,
-        species=state.species,
-        time=state.time + cfg.dt,
-        pair_list=state.pair_list,
-    )
-    new_forces, potential = compute_forces(new_state, box)
-    kick = np.multiply(new_forces, scale, out=scale)
+    kick = np.multiply(forces, w.scale, out=w.buf)
     kick *= half_dt
-    v_half += kick  # the new state's velocities, kicked in place
-    v2 = np.multiply(v_half, v_half, out=kick)
-    speed2 = v2[:, 0] + v2[:, 1]
-    if not speed2.max(initial=0.0) <= VELOCITY_LIMIT**2:  # NaN fails too
-        worst = int(np.argmax(speed2))
-        raise InstabilityError(
-            f"particle {worst} reached {np.sqrt(speed2[worst]):.3g} A/fs "
-            f"at t = {new_state.time} fs; reduce dt or check the setup"
-        )
-    return new_state, new_forces, potential
+    v += kick
+    x += np.multiply(v, cfg.dt, out=w.buf)
+    _wrap(x, box.side)
+    state.time = state.time + cfg.dt
+    new_forces, potential = compute_forces(state, box)
+    # The new forces are +0.0 off the components the pair list touches, so a
+    # kick there would leave v as it is (a -0.0 would turn +0.0): kick only
+    # the listed components.
+    active, flat_v = w.terms.active, v.reshape(-1)
+    kick = np.take(new_forces.reshape(-1), active)
+    kick *= np.take(w.scale.reshape(-1), active)
+    kick *= half_dt
+    kick += np.take(flat_v, active)
+    flat_v[active] = kick
+    # both components within limit/sqrt(2), less a rounding margin, keep
+    # vx^2 + vy^2 within limit^2; NaN fails this and goes to the exact check
+    bound = VELOCITY_LIMIT / math.sqrt(2.0) * (1.0 - 1e-9)
+    if not (v.max(initial=0.0) <= bound and v.min(initial=0.0) >= -bound):
+        v2 = v * v
+        speed2 = v2[:, 0] + v2[:, 1]
+        if not speed2.max(initial=0.0) <= VELOCITY_LIMIT**2:  # NaN fails too
+            worst = int(np.argmax(speed2))
+            raise InstabilityError(
+                f"particle {worst} reached {np.sqrt(speed2[worst]):.3g} A/fs "
+                f"at t = {state.time} fs; reduce dt or check the setup"
+            )
+    return state, new_forces, potential
 
 
 def run(cfg: MDConfig, box: SimBox, n_steps: int):
@@ -458,14 +570,17 @@ def run(cfg: MDConfig, box: SimBox, n_steps: int):
 
     state = init_state(cfg, box)
     forces, potential = compute_forces(state, box)
+    # every frame shares one read-only copy of ids and species
     ids = np.arange(1, state.n_particles + 1, dtype=np.int64)
+    species = state.species.copy()
+    ids.flags.writeable = species.flags.writeable = False
 
     def frame(step_index):
         return Frame(
             timestep=step_index,
             time_fs=state.time,
-            ids=ids.copy(),
-            species=state.species.copy(),
+            ids=ids,
+            species=species,
             positions=state.positions.copy(),
             velocities=state.velocities.copy(),
             energy=kinetic_energy(state) + potential,

@@ -127,6 +127,53 @@ def _parse_int(token: str, path, line: int) -> int:
     return value
 
 
+_SPECIES_CODE = {label: int(sp) for label, sp in SPECIES_BY_LABEL.items()}
+
+
+def _native_columns(rows: list[str]):
+    """ids, species, positions and velocities of particle rows, parsed by
+    column; None if any row is malformed (or there are none), so that the
+    row-by-row parser can report it."""
+    parts = list(map(str.split, rows))
+    if set(map(len, parts)) != {6}:
+        return None
+    ids, labels, *floats = zip(*parts)
+    try:
+        ids = np.array(list(map(int, ids)), dtype=np.int64)
+        species = np.array(list(map(_SPECIES_CODE.__getitem__, labels)), dtype=np.int64)
+        values = np.array([list(map(float, col)) for col in floats])
+    except (ValueError, KeyError, OverflowError):
+        return None
+    if ids.min() < -2**62 or ids.max() > 2**62:
+        return None
+    return ids, species, values[:2].T.copy(), values[2:].T.copy()
+
+
+def _native_rows(lines, i, end, path):
+    """The row-by-row parser of particle rows lines[i:end]: raises
+    ParseError at the first malformed row."""
+    ids, rows = [], []
+    for k in range(i, end):
+        parts = lines[k].split()
+        if len(parts) != 6:
+            raise ParseError(
+                f"expected 6 columns in particle row, found {len(parts)}",
+                path=path, line=k + 1,
+            )
+        if parts[1] not in SPECIES_BY_LABEL:
+            raise ParseError(f"unknown species {parts[1]!r}", path=path, line=k + 1)
+        ids.append(_parse_int(parts[0], path, k + 1))
+        try:
+            rows.append((int(SPECIES_BY_LABEL[parts[1]]), *map(float, parts[2:])))
+        except ValueError:  # report the first bad field
+            for p in parts[2:]:
+                _parse_float(p, path, k + 1)
+    # ids stay integers: a float64 column would round ids above 2**53
+    arr = np.array(rows, dtype=np.float64).reshape(len(rows), 5)
+    return (np.array(ids, dtype=np.int64), arr[:, 0].astype(np.int64),
+            arr[:, 1:3].copy(), arr[:, 3:5].copy())
+
+
 def read_native(path) -> Trajectory:
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -156,39 +203,24 @@ def read_native(path) -> Trajectory:
         timestep = _parse_int(tokens[1], path, i + 1)
         time_fs = _parse_float(tokens[2], path, i + 1)
         energy = _parse_float(tokens[3], path, i + 1) if len(tokens) == 4 else None
-        i += 1
-        ids, rows = [], []
+        start = i = i + 1
         while i < len(lines) and lines[i].strip() and not lines[i].startswith("FRAME"):
-            parts = lines[i].split()
-            if len(parts) != 6:
-                raise ParseError(
-                    f"expected 6 columns in particle row, found {len(parts)}",
-                    path=path, line=i + 1,
-                )
-            if parts[1] not in SPECIES_BY_LABEL:
-                raise ParseError(f"unknown species {parts[1]!r}", path=path, line=i + 1)
-            ids.append(_parse_int(parts[0], path, i + 1))
-            try:
-                rows.append((int(SPECIES_BY_LABEL[parts[1]]), *map(float, parts[2:])))
-            except ValueError:  # report the first bad field
-                for p in parts[2:]:
-                    _parse_float(p, path, i + 1)
             i += 1
-        if frames and len(rows) != frames[0].n_particles:
+        columns = _native_columns(lines[start:i]) or _native_rows(lines, start, i, path)
+        ids, species, positions, velocities = columns
+        if frames and len(ids) != frames[0].n_particles:
             raise ParseError(
-                f"frame at timestep {timestep} has {len(rows)} particles, "
+                f"frame at timestep {timestep} has {len(ids)} particles, "
                 f"expected {frames[0].n_particles}",
                 path=path, line=i,
             )
-        # ids stay integers: a float64 column would round ids above 2**53
-        arr = np.array(rows, dtype=np.float64).reshape(len(rows), 5)
         frames.append(Frame(
             timestep=timestep,
             time_fs=time_fs,
-            ids=np.array(ids, dtype=np.int64),
-            species=arr[:, 0].astype(np.int64),
-            positions=arr[:, 1:3].copy(),
-            velocities=arr[:, 3:5].copy(),
+            ids=ids,
+            species=species,
+            positions=positions,
+            velocities=velocities,
             energy=energy,
         ))
 

@@ -627,6 +627,254 @@ class TestVerletStep:
             verlet_step(state, forces, cfg, box)
 
 
+def stale_by_norm(positions, built, side):
+    """The full-array stale test: max(x^2 + y^2) of the minimum-image
+    displacement components against (SKIN/2)^2; a NaN maximum keeps the
+    list."""
+    d = np.abs(positions - built)
+    d = np.minimum(d, side - d)
+    d *= d
+    return bool((d[:, 0] + d[:, 1]).max(initial=0.0) > (0.5 * SKIN) ** 2)
+
+
+def is_stale(positions, built, side):
+    n = len(built)
+    state = ParticleState(positions=positions, velocities=np.zeros((n, 2)),
+                          species=np.zeros(n, dtype=np.int64),
+                          pair_list=(np.zeros(0, dtype=np.int64),
+                                     np.zeros(0, dtype=np.int64), built, None))
+    return not md._pair_list_current(state, SimBox(side=side), np.empty((n, 2)))
+
+
+def full_kick_step(state, forces, cfg, box):
+    """Velocity Verlet on copies with both half kicks over every component."""
+    scale = np.take(md._ACCEL_SCALE, state.species, axis=0)
+    v = forces * scale
+    v *= 0.5 * cfg.dt
+    v += state.velocities
+    x = cfg.dt * v
+    x += state.positions
+    new = ParticleState(positions=md._wrap(x, box.side), velocities=v,
+                        species=state.species, time=state.time + cfg.dt,
+                        pair_list=state.pair_list)
+    new_forces, potential = compute_forces(new, box)
+    kick = new_forces * scale
+    kick *= 0.5 * cfg.dt
+    v += kick
+    return new, new_forces, potential
+
+
+def free_particles(velocities):
+    """Argon atoms 100 A apart, so no pair is ever listed."""
+    n = len(velocities)
+    positions = np.stack([100.0 + 100.0 * np.arange(n), np.full(n, 500.0)], axis=1)
+    return ParticleState(positions=positions,
+                         velocities=np.asarray(velocities, dtype=float).reshape(n, 2),
+                         species=np.ones(n, dtype=np.int64))
+
+
+class TestInPlaceStep:
+    def test_returns_the_same_state_and_arrays(self):
+        cfg = MDConfig(n_he=40, n_ar=40, seed=2)
+        box = SimBox(side=600.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        positions, velocities = state.positions, state.velocities
+        for _ in range(5):
+            out, forces, _ = verlet_step(state, forces, cfg, box)
+            assert out is state
+        assert state.positions is positions and state.velocities is velocities
+        assert state.time == 5 * cfg.dt
+
+    def test_unowned_arrays_are_replaced_not_written(self):
+        cfg = MDConfig(n_he=0, n_ar=2, seed=0)
+        box = SimBox(side=1000.0)
+        positions = np.array([[100.0, 100.0], [300.0, 300.0]])
+        positions.flags.writeable = False
+        velocities = np.asfortranarray([[0.01, 0.0], [0.0, 0.02]])
+        state = ParticleState(positions=positions, velocities=velocities,
+                              species=np.array([1, 1]))
+        forces, _ = compute_forces(state, box)
+        verlet_step(state, forces, cfg, box)
+        assert positions.tolist() == [[100.0, 100.0], [300.0, 300.0]]
+        assert state.positions is not positions and state.velocities is not velocities
+        assert state.velocities.flags.c_contiguous
+        assert np.allclose(state.positions, [[100.05, 100.0], [300.0, 300.1]])
+        assert state.velocities.tolist() == velocities.tolist()
+
+    def test_searched_positions_never_change(self, monkeypatch):
+        given_to_search = []
+        search = md._candidate_pairs
+
+        def recording(pos, side, r_cut, order=None):
+            given_to_search.append((pos, pos.copy()))
+            return search(pos, side, r_cut, order)
+
+        cfg = MDConfig(n_he=100, n_ar=50, temperature=2000.0, seed=17)
+        box = SimBox(side=300.0)
+        state = init_state(cfg, box)
+        # init_state hands over the array its last search was given
+        given_to_search.append((state.pair_list[2], state.pair_list[2].copy()))
+        monkeypatch.setattr(md, "_candidate_pairs", recording)
+        forces, _ = compute_forces(state, box)
+        for _ in range(40):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert len(given_to_search) >= 3
+        for pos, snapshot in given_to_search:
+            assert pos is not state.positions
+            assert np.array_equal(pos, snapshot)
+        assert state.pair_list[2] is given_to_search[-1][0]
+
+    def test_species_is_frozen_by_the_first_force_call(self):
+        state = free_particles([[0.0, 0.0], [0.0, 0.0]])
+        compute_forces(state, SimBox(side=1000.0))
+        with pytest.raises(ValueError):
+            state.species[0] = Species.HE
+
+    def test_a_new_species_array_is_used(self):
+        box = SimBox(side=100.0)
+        state = ParticleState(positions=np.array([[40.0, 50.0], [44.0, 50.0]]),
+                              velocities=np.zeros((2, 2)), species=np.array([0, 1]))
+        compute_forces(state, box)
+        state.species = np.array([1, 1])
+        forces, potential = compute_forces(state, box)
+        ref_forces, ref_potential = brute_reference_forces(state.positions,
+                                                           state.species, box.side)
+        assert np.allclose(forces, ref_forces, rtol=1e-12, atol=0.0)
+        assert potential == pytest.approx(ref_potential, rel=1e-12)
+        cfg = MDConfig(n_he=0, n_ar=2, seed=0)
+        verlet_step(state, np.zeros((2, 2)), cfg, box)
+        ar_scale = KCAL_PER_MOL_TO_MD / md.MASS_G_MOL[Species.AR]
+        assert np.array_equal(state._work.scale, np.full((2, 2), ar_scale))
+
+    @pytest.mark.parametrize("side, n_he, n_ar, temperature, seed", [
+        (300.0, 100, 50, 2000.0, 17),   # hot and crowded: many searches
+        (5000.0, 500, 500, 300.0, 1),   # desk density
+    ])
+    def test_sparse_second_kick_equals_the_full_kick(self, side, n_he, n_ar,
+                                                     temperature, seed):
+        cfg = MDConfig(n_he=n_he, n_ar=n_ar, temperature=temperature, seed=seed)
+        box = SimBox(side=side)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        ref, ref_forces = state, forces
+        state = ParticleState(positions=ref.positions.copy(),
+                              velocities=ref.velocities.copy(),
+                              species=ref.species, pair_list=ref.pair_list)
+        for _ in range(60):
+            state, forces, potential = verlet_step(state, forces, cfg, box)
+            ref, ref_forces, ref_potential = full_kick_step(ref, ref_forces, cfg, box)
+            assert state.velocities.tobytes() == ref.velocities.tobytes()
+            assert state.positions.tobytes() == ref.positions.tobytes()
+            assert forces.tobytes() == ref_forces.tobytes()
+            assert potential == ref_potential
+
+    def test_empty_pair_list_gives_float64_forces(self):
+        for n in (0, 2):
+            state = free_particles(np.zeros((n, 2)))
+            forces, potential = compute_forces(state, SimBox(side=1000.0))
+            assert len(state.pair_list[0]) == 0
+            assert forces.dtype == np.float64 and forces.shape == (n, 2)
+            assert not np.any(forces) and potential == 0.0
+
+
+class TestStaleCheck:
+    half = 0.5 * SKIN
+
+    @pytest.mark.parametrize("delta", [
+        (half, 0.0), (0.0, -half), (1.5, 2.0), (-2.0, 1.5),   # norm exactly SKIN/2
+        (np.nextafter(half, 3.0), 0.0), (0.0, np.nextafter(-half, -3.0)),
+        (half / np.sqrt(2.0), half / np.sqrt(2.0)),           # the component threshold
+        (np.nextafter(half / np.sqrt(2.0), 3.0), np.nextafter(half / np.sqrt(2.0), 3.0)),
+        (half / np.sqrt(2.0) * (1.0 - 1e-9), half / np.sqrt(2.0) * (1.0 - 1e-9)),
+        (1.76776695, 1.76776696), (1.7677669529663687, 1.7677669529663689),
+        (1.0, 0.0), (0.0, 0.0),
+    ])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_edge_displacements_decide_as_the_norm(self, delta, wrapped):
+        side = 100.0
+        rng = np.random.default_rng(3)
+        built = rng.uniform(10.0, 90.0, (50, 2))
+        built[7] = [0.5, 99.5] if wrapped else [50.0, 50.0]
+        positions = built + rng.uniform(-0.1, 0.1, built.shape)
+        positions[7] = md._wrap(built[7] + np.array(delta), side)
+        assert is_stale(positions, built, side) == stale_by_norm(positions, built, side)
+
+    def test_random_displacements_decide_as_the_norm(self):
+        rng = np.random.default_rng(11)
+        side = 250.0
+        for trial in range(400):
+            n = int(rng.integers(0, 30))
+            built = rng.uniform(0.0, side, (n, 2))
+            step = rng.normal(0.0, rng.choice([0.3, 1.0, 1.8, 3.0]), (n, 2))
+            positions = md._wrap(built + step, side)
+            if n and trial % 4 == 0:  # some norms right at the limit
+                k = int(rng.integers(n))
+                angle = rng.uniform(0.0, 2.0 * np.pi)
+                positions[k] = md._wrap(
+                    built[k] + self.half * np.array([np.cos(angle), np.sin(angle)]), side)
+            assert is_stale(positions, built, side) == stale_by_norm(positions, built, side)
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_nan_keeps_the_list_as_the_norm_does(self, far):
+        side = 100.0
+        built = np.array([[10.0, 10.0], [50.0, 50.0], [80.0, 20.0]])
+        positions = built.copy()
+        positions[0, 1] = np.nan
+        if far:  # a row past SKIN/2 does not outweigh a NaN maximum
+            positions[1] += [3.0, 3.0]
+        assert is_stale(positions, built, side) == stale_by_norm(positions, built, side)
+        positions[2, 0] = np.nan  # a NaN row with the other component far off
+        positions[2, 1] += 4.0
+        assert is_stale(positions, built, side) == stale_by_norm(positions, built, side)
+
+    def test_infinite_position_is_stale(self):
+        built = np.array([[10.0, 10.0], [50.0, 50.0]])
+        positions = built.copy()
+        positions[1, 0] = np.inf
+        assert is_stale(positions, built, 100.0) and stale_by_norm(positions, built, 100.0)
+
+
+class TestSpeedCheck:
+    limit = md.VELOCITY_LIMIT
+
+    @staticmethod
+    def exact_verdict(v):
+        """The per-particle test: the particle that fails, or None."""
+        v = np.asarray(v, dtype=float).reshape(-1, 2)
+        speed2 = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+        if speed2.max(initial=0.0) <= md.VELOCITY_LIMIT**2:
+            return None
+        return int(np.argmax(speed2))
+
+    def step_verdict(self, v):
+        state = free_particles(v)
+        cfg = MDConfig(n_he=0, n_ar=len(state.species), dt=0.5, seed=0)
+        try:  # an infinite speed makes NaN positions, which numpy warns about
+            with np.errstate(invalid="ignore"):
+                verlet_step(state, np.zeros_like(state.velocities), cfg, SimBox(side=5.0e4))
+        except InstabilityError as err:
+            return int(str(err).split()[1])
+        return None
+
+    @pytest.mark.parametrize("v", [
+        [], [[0.0, 0.0]], [[1.0, 0.0]], [[0.0, -1.0]], [[0.6, 0.8]], [[-0.8, 0.6]],
+        [[np.nextafter(1.0, 2.0), 0.0]], [[0.0, 0.0], [0.0, np.nextafter(-1.0, -2.0)]],
+        [[2**-0.5, 2**-0.5]], [[np.nextafter(2**-0.5, 1.0), np.nextafter(2**-0.5, 1.0)]],
+        [[0.70710678, 0.70710679]], [[0.1, 0.2], [0.75, 0.0], [0.0, -0.99]],
+        [[0.1, 0.2], [np.nan, 0.0], [0.0, 0.3]], [[0.1, np.inf], [0.0, 0.5]],
+        [[0.5, 0.5], [-np.inf, 0.0]], [[1.2, 0.0], [0.0, 1.5], [0.0, -1.5]],
+    ])
+    def test_verdict_and_particle_match_the_exact_check(self, v):
+        assert self.step_verdict(v) == self.exact_verdict(v)
+
+    def test_random_velocities_match_the_exact_check(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            v = rng.normal(0.0, rng.choice([0.2, 0.5, 0.8]), (int(rng.integers(1, 8)), 2))
+            assert self.step_verdict(v) == self.exact_verdict(v)
+
+
 class TestRun:
     @pytest.mark.parametrize("n_he, n_ar", [(0, 0), (1, 0), (0, 1)])
     def test_zero_and_one_particle(self, n_he, n_ar):
@@ -676,6 +924,17 @@ class TestRun:
         assert np.all(np.isfinite(energies))
         assert np.max(np.abs(energies - energies[0])) <= 1e-3 * abs(energies[0])
 
+    def test_frames_share_read_only_ids_and_species(self):
+        cfg = MDConfig(n_he=20, n_ar=20, seed=4, sample_stride=5)
+        traj = run(cfg, SimBox(side=1000.0), 20)
+        first = traj.frames[0]
+        for f in traj.frames[1:]:
+            assert f.ids is first.ids and f.species is first.species
+            assert f.positions is not first.positions
+        assert not first.ids.flags.writeable and not first.species.flags.writeable
+        assert first.ids.tolist() == list(range(1, 41))
+        assert first.species.tolist() == [0] * 20 + [1] * 20
+
     def test_wrapped_unwrapped_differ_by_side_multiples(self):
         cfg = MDConfig(n_he=100, n_ar=0, temperature=300.0, seed=9, sample_stride=200)
         box = SimBox(side=150.0)  # small box so particles wrap quickly
@@ -683,7 +942,7 @@ class TestRun:
         forces, _ = compute_forces(state, box)
         unwrapped = state.positions.copy()
         for _ in range(400):
-            previous = state.positions
+            previous = state.positions.copy()  # the step moves it in place
             state, forces, _ = verlet_step(state, forces, cfg, box)
             unwrapped += minimum_image(state.positions - previous, box)
         ratio = (unwrapped - state.positions) / box.side

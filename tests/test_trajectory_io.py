@@ -141,6 +141,39 @@ class TestNativeFormat:
             read_native(p)
         assert err.value.line == 5
 
+    def test_column_parser_matches_row_parser(self, tmp_path):
+        from gasdiff import trajectory_io
+
+        traj = make_trajectory(n_frames=4, n=50, seed=3)
+        traj.frames[1].ids[7] = -(2**62)
+        traj.frames[2].velocities[3] = [np.inf, -0.0]
+        path = tmp_path / "traj.txt"
+        write_native(traj, path)
+        lines = path.read_text().splitlines()
+        starts = [k + 1 for k, line in enumerate(lines) if line.startswith("FRAME")]
+        for start in starts:
+            by_column = trajectory_io._native_columns(lines[start:start + 50])
+            by_row = trajectory_io._native_rows(lines, start, start + 50, path)
+            for a, b in zip(by_column, by_row):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("3 He 1.0 1.0 0.0", "columns"),
+        ("3 Xe 1.0 1.0 0.0 0.0", "unknown species"),
+        ("3.0 He 1.0 1.0 0.0 0.0", "non-integer"),
+        (f"{2**63} He 1.0 1.0 0.0 0.0", "out of range"),
+    ])
+    def test_bad_row_in_a_later_frame_names_its_line(self, tmp_path, bad_row, message):
+        rows = [f"{k} Ar {k}.5 2.0 0.0 0.0" for k in range(1, 5)]
+        p = tmp_path / "bad.txt"
+        p.write_text("#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n"
+                     + "\n".join(rows) + "\nFRAME 1 5.0\n"
+                     + "\n".join(rows[:2] + [bad_row] + rows[3:]) + "\n")
+        with pytest.raises(ParseError, match=message) as err:
+            read_native(p)
+        assert err.value.line == 11
+
     def test_lammps_dump_bytes_without_velocities(self, tmp_path):
         traj = make_trajectory(n_frames=1, n=2)
         traj.has_velocities = False
