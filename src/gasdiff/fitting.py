@@ -75,13 +75,24 @@ class FitProblem:
     def from_binned(cls, observed: BinnedSeries, scale: UnitScale,
                     substeps: int = 1,
                     init_from_frame0: bool = False) -> "FitProblem":
-        """Derive the FD time step from the observed frame spacing."""
+        """Derive the FD time step from the observed frame spacing.
+
+        The patch initial condition holds at t = 0, so without
+        ``init_from_frame0`` observed frame 0 must be at t = 0 (to 1e-9 of
+        the frame spacing); a series that starts later is an error, not a
+        shifted fit.
+        """
         times = observed.times_fs
         if len(times) < 2:
             raise FitError("need at least two observed frames to fit")
         spacing = np.diff(times)
         if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
             raise FitError("observed frames are not uniformly spaced in time")
+        if not init_from_frame0 and not abs(times[0]) <= 1e-9 * abs(spacing[0]):
+            raise FitError(
+                f"observed frame 0 is at t = {float(times[0])!r} fs, but the patch "
+                f"initial condition is at t = 0; fit from frame 0 instead "
+                f"(--init-from-frame0)")
         k = float(spacing[0]) / scale.time_unit_fs / substeps
         return cls(observed=observed, scale=scale, k=k, substeps=substeps,
                    init_from_frame0=init_from_frame0)

@@ -11,7 +11,10 @@ reused until some particle has moved more than half the skin since then.
 verlet_step advances a ParticleState in place: its positions and velocities
 arrays, its time and its pair list change, and the step returns the same
 object.  A caller that keeps positions or velocities across steps copies
-them.
+them.  Between steps the positions, velocities and returned forces are
+read-only; a caller changes a state by assigning new arrays.  When the next
+step gets those same arrays back, it knows they are its own and advances
+them with work on the listed particles only.
 
 The one non-obvious constant is the acceleration conversion: forces come
 out in kcal/(mol A) and masses are in g/mol, so F/m picks up a factor of
@@ -142,7 +145,9 @@ class ParticleState:
 
     verlet_step updates ``positions``, ``velocities``, ``time`` and
     ``pair_list`` in place; arrays that are not C-contiguous writable
-    float64 are first replaced by copies that are.  ``species`` is fixed:
+    float64 are first replaced by copies that are.  It hands ``positions``
+    and ``velocities`` back read-only; to change a state between steps,
+    assign new arrays (or copies).  ``species`` is fixed:
     the first force call makes the array read-only and builds per-particle
     tables from it, so a change of species means assigning a new array.
     """
@@ -276,7 +281,15 @@ def _cell_pairs(order, sorted_cid, n_side):
     # each further column is at most one slot on.  Cells on the wrapping
     # edges (last row, first or last column) are searched on their own.
     last = len(cells) - 1
-    ncid = cells % n_side  # cy; the buffer then holds the neighbour ids
+    # The (1, -1) slots are searchsorted(cells, cells + n_side - 1), found by
+    # a merge: a query sorts before an equal cell, so its rank less the
+    # queries before it counts the cells below it.  It runs before the other
+    # buffers exist, as its temporaries set the search's peak memory.
+    ncid = cells + (n_side - 1)
+    diag = np.flatnonzero(np.argsort(np.concatenate((ncid, cells)), kind="stable")
+                          < len(cells))
+    diag -= np.arange(len(cells))
+    np.remainder(cells, n_side, out=ncid)  # cy; then the neighbour ids
     edge = np.flatnonzero((ncid == 0) | (ncid == n_side - 1)
                           | (cells >= (n_side - 1) * n_side))
     edge_cx, edge_cy = np.divmod(cells[edge], n_side)
@@ -287,7 +300,7 @@ def _cell_pairs(order, sorted_cid, n_side):
     for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1)):
         np.add(cells, dx * n_side + dy, out=ncid)
         if dy == -1:
-            loc = np.searchsorted(cells, ncid)
+            loc = diag
             np.minimum(loc, last, out=loc)
         elif dx == 1:  # one slot past the (1, dy - 1) cell if it matched
             loc += match
@@ -317,6 +330,7 @@ class _PairTerms(NamedTuple):
 
     flat: np.ndarray    # force component of each term: 2i, 2i+1, 2j, 2j+1
     active: np.ndarray  # the components the list touches, ascending
+    accel: np.ndarray   # acceleration per unit force on each active component
     c24: np.ndarray     # 24 eps per pair
     c4: np.ndarray      # 4 eps per pair
     sig2: np.ndarray    # sigma^2 per pair
@@ -328,22 +342,33 @@ def _pair_terms(species, idx_i, idx_j, n) -> _PairTerms:
     flat = np.concatenate([2 * idx_i, 2 * idx_i + 1, 2 * idx_j, 2 * idx_j + 1])
     touched = np.zeros(2 * n, dtype=bool)
     touched[flat] = True
-    return _PairTerms(flat, np.flatnonzero(touched), 24.0 * eps, 4.0 * eps,
-                      sig * sig)
+    active = np.flatnonzero(touched)
+    accel = np.take(_ACCEL_SCALE[:, 0], np.take(species, active >> 1))
+    return _PairTerms(flat, active, accel, 24.0 * eps, 4.0 * eps, sig * sig)
 
 
 class _Work:
     """Scratch a state keeps for compute_forces and verlet_step: the
     acceleration scale per particle and axis, one (n, 2) buffer, and the
-    terms of the pair list they were last built for."""
+    terms of the pair list they were last built for.
 
-    __slots__ = ("species", "scale", "buf", "pair_list", "terms")
+    verlet_step also keeps what it handed back (positions, velocities,
+    forces, pair list, dt, box side), the half kick it gave the listed
+    components, and a bound on how far any particle has moved since the
+    list was built (inf when unknown) with the largest squared speed at
+    that build; ``list_current`` tells the next compute_forces that the
+    bound already shows the list current.
+    """
+
+    __slots__ = ("species", "scale", "buf", "pair_list", "terms", "handed",
+                 "kick", "moved", "v2_built", "list_current")
 
     def __init__(self, species):
         self.species = species
         self.scale = np.take(_ACCEL_SCALE, species, axis=0)
         self.buf = np.empty_like(self.scale)
-        self.pair_list = self.terms = None
+        self.pair_list = self.terms = self.handed = self.kick = None
+        self.moved, self.v2_built, self.list_current = math.inf, 0.0, False
 
 
 def _work(state: ParticleState) -> _Work:
@@ -420,7 +445,8 @@ def compute_forces(state: ParticleState, box: SimBox):
     antisymmetrically, so the net force is zero to roundoff.
     """
     w = _work(state)
-    if not _pair_list_current(state, box, w.buf):
+    known, w.list_current = w.list_current, False
+    if not (known or _pair_list_current(state, box, w.buf)):
         order = state.pair_list[3] if state.pair_list is not None else None
         built = state.positions.copy()
         idx_i, idx_j, order = _candidate_pairs(built, box.side, LJ_CUTOFF + SKIN, order)
@@ -517,39 +543,90 @@ def _own(a: np.ndarray) -> np.ndarray:
     return np.array(a, dtype=np.float64, order="C")
 
 
+def _handed_back(w: _Work, state: ParticleState, forces, cfg: MDConfig,
+                 box: SimBox) -> bool:
+    """True when the step gets back, still read-only, exactly the arrays and
+    pair list the last step handed out, with the same dt and box."""
+    h = w.handed
+    return (h is not None and h[0] is state.positions and h[1] is state.velocities
+            and h[2] is forces and h[3] is state.pair_list is w.pair_list
+            and h[4] == cfg.dt and h[5] == box.side
+            and not (state.positions.flags.writeable
+                     or state.velocities.flags.writeable or forces.flags.writeable))
+
+
 def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
                 box: SimBox):
     """One velocity-Verlet step: half kick, drift, recompute, half kick.
 
     Advances ``state`` in place (positions, velocities, time, pair list) and
     returns (state, new_forces, potential), the same state object, so the
-    caller can reuse the freshly computed forces.  On InstabilityError the
-    state holds the failed step.
+    caller can reuse the freshly computed forces.  The state's positions and
+    velocities and the returned forces are handed back read-only.  Given
+    those same arrays again, the step kicks only the components the pair
+    list touches (everything else is in free flight), checks the speed of
+    those particles only, and skips the exact stale-list check while a
+    bound on the distance moved since the list was built stays under
+    SKIN/2; any other input takes the full path.  The results are the same
+    either way.  On InstabilityError the state holds the failed step, with
+    writable arrays.
     """
     w = _work(state)
+    trusted = _handed_back(w, state, forces, cfg, box)
+    w.handed = None
+    if trusted:
+        state.positions.flags.writeable = state.velocities.flags.writeable = True
     x = state.positions = _own(state.positions)
     v = state.velocities = _own(state.velocities)
+    flat_v = v.reshape(-1)
     half_dt = 0.5 * cfg.dt
-    kick = np.multiply(forces, w.scale, out=w.buf)
-    kick *= half_dt
-    v += kick
+    listed = state.pair_list
+    if trusted:
+        # The forces are the last step's, +0.0 off the listed components, and
+        # w.kick is their half kick there, so only listed particles change
+        # speed: unlisted ones keep the speed they had at the list's build.
+        active = w.terms.active
+        vh = np.take(flat_v, active)
+        vh += w.kick
+        flat_v[active] = vh
+        vh *= vh
+        fastest2 = float((vh[0::2] + vh[1::2]).max(initial=0.0))
+        # The drift moves no particle further than dt * the top speed; the
+        # factor covers the rounding of dt * v, of this sum and of the exact
+        # check, and side * 2^-49 the rounding of x + dt * v and the wrap.
+        w.moved += (cfg.dt * math.sqrt(max(fastest2, w.v2_built)) * (1.0 + 1e-9)
+                    + box.side * 2.0**-49)
+        w.list_current = w.moved < 0.5 * SKIN * (1.0 - 1e-9)
+    else:
+        kick = np.multiply(forces, w.scale, out=w.buf)
+        kick *= half_dt
+        v += kick
+        w.moved = math.inf
     x += np.multiply(v, cfg.dt, out=w.buf)
     _wrap(x, box.side)
     state.time = state.time + cfg.dt
     new_forces, potential = compute_forces(state, box)
+    searched = state.pair_list is not listed
+    if searched:
+        w.moved = 0.0
+        w.v2_built = float(np.einsum("ij,ij->i", v, v).max(initial=0.0))
     # The new forces are +0.0 off the components the pair list touches, so a
     # kick there would leave v as it is (a -0.0 would turn +0.0): kick only
     # the listed components.
-    active, flat_v = w.terms.active, v.reshape(-1)
-    kick = np.take(new_forces.reshape(-1), active)
-    kick *= np.take(w.scale.reshape(-1), active)
-    kick *= half_dt
-    kick += np.take(flat_v, active)
-    flat_v[active] = kick
-    # both components within limit/sqrt(2), less a rounding margin, keep
-    # vx^2 + vy^2 within limit^2; NaN fails this and goes to the exact check
+    active = w.terms.active
+    w.kick = np.take(new_forces.reshape(-1), active)
+    w.kick *= w.terms.accel
+    w.kick *= half_dt
+    vn = np.take(flat_v, active)
+    vn += w.kick
+    flat_v[active] = vn
+    # Without a search only the listed rows were kicked since the last check
+    # passed; a search step also kicked the old list's rows, so check all.
+    # Both components within limit/sqrt(2), less a rounding margin, keep
+    # vx^2 + vy^2 within limit^2; NaN fails this and goes to the exact check.
+    u = vn if trusted and not searched else v
     bound = VELOCITY_LIMIT / math.sqrt(2.0) * (1.0 - 1e-9)
-    if not (v.max(initial=0.0) <= bound and v.min(initial=0.0) >= -bound):
+    if not (u.max(initial=0.0) <= bound and u.min(initial=0.0) >= -bound):
         v2 = v * v
         speed2 = v2[:, 0] + v2[:, 1]
         if not speed2.max(initial=0.0) <= VELOCITY_LIMIT**2:  # NaN fails too
@@ -558,6 +635,8 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
                 f"particle {worst} reached {np.sqrt(speed2[worst]):.3g} A/fs "
                 f"at t = {state.time} fs; reduce dt or check the setup"
             )
+    x.flags.writeable = v.flags.writeable = new_forces.flags.writeable = False
+    w.handed = (x, v, new_forces, state.pair_list, cfg.dt, box.side)
     return state, new_forces, potential
 
 

@@ -130,6 +130,30 @@ class TestFitCli:
         assert isinstance(report["cost_trace"], list)
 
 
+    def test_series_starting_after_t0_needs_init_from_frame0(self, tmp_path,
+                                                             small_traj):
+        dump = tmp_path / "out.dump"
+        assert run_cli("convert", "--in", small_traj, "--to", "lammps",
+                       "--out", dump) == 0
+        lines = dump.read_text().splitlines()
+        for i, line in enumerate(lines[:-1]):
+            if line == "ITEM: TIMESTEP":  # the run restarted at timestep 1000
+                lines[i + 1] = str(int(lines[i + 1]) + 1000)
+        dump.write_text("\n".join(lines) + "\n")
+        traj, binned = tmp_path / "late.txt", tmp_path / "late_bin"
+        assert run_cli("convert", "--in", dump, "--to", "native",
+                       "--species-map", "1=He,2=Ar", "--dt", 5.0, "--out", traj) == 0
+        assert read_native(traj).frames[0].time_fs == 5000.0
+        assert run_cli("bin", "--traj", traj, "--N", 8, "--species", "ar",
+                       "--out", binned) == 0
+        args = ("fit", "--binned", binned, "--d0", "0.05",
+                "--scale-box-cm", 2.5e-5, "--scale-time-s", 1e-9)
+        report = tmp_path / "fit" / "report.json"
+        assert run_cli(*args, "--out", report) == 2  # FitError
+        assert not report.exists()
+        assert run_cli(*args, "--init-from-frame0", "--out", report) == 0
+        assert json.loads(report.read_text())["d_opt_nd"] > 0
+
 class TestCostCurveCli:
     def test_writes_monotone_grid(self, tmp_path, binned_dir):
         out = tmp_path / "curve.csv"

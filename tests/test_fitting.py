@@ -263,6 +263,30 @@ class TestFitProblemConstruction:
         with pytest.raises(FitError):
             make_problem(observed)
 
+    def test_rejects_series_not_starting_at_zero(self):
+        # frames from a dump whose first timestep is 1000 (a frame every
+        # 10 timesteps of 5 fs): the patch is not frame 0's initial state
+        times = [(1000 + 10 * f) * 5.0 for f in range(N_FRAMES)]
+        fields = [f.concentration for f in OBSERVED.frames]
+        observed = BinnedSeries.from_fields(times, fields)
+        with pytest.raises(FitError, match="frame 0 is at t = 5000.0 fs"):
+            make_problem(observed)
+        problem = make_problem(observed, init_from_frame0=True)
+        assert problem.k == pytest.approx(50.0 / SCALE.time_unit_fs)
+
+    @pytest.mark.parametrize("offset, ok", [(0.5e-9, True), (-0.5e-9, True),
+                                            (2e-9, False), (-2e-9, False)])
+    def test_time_origin_tolerance_is_relative_to_spacing(self, offset, ok):
+        spacing = OBSERVED.times_fs[1] - OBSERVED.times_fs[0]
+        times = OBSERVED.times_fs + offset * spacing
+        fields = [f.concentration for f in OBSERVED.frames]
+        observed = BinnedSeries.from_fields(times, fields)
+        if ok:
+            assert make_problem(observed).k == pytest.approx(K)
+        else:
+            with pytest.raises(FitError):
+                make_problem(observed)
+
     def test_substeps_refine_internal_step(self):
         problem = make_problem(OBSERVED, substeps=5)
         assert problem.k == pytest.approx(K / 5)

@@ -875,6 +875,287 @@ class TestSpeedCheck:
             assert self.step_verdict(v) == self.exact_verdict(v)
 
 
+def record_steps(monkeypatch):
+    """Per verlet_step: whether it took the hand-back path, and how many pair
+    searches and exact stale checks it ran."""
+    steps = []
+    handed_back, search, check = (md._handed_back, md._candidate_pairs,
+                                  md._pair_list_current)
+
+    def recording_handed_back(*args):
+        trusted = handed_back(*args)
+        steps.append({"trusted": trusted, "searches": 0, "checks": 0})
+        return trusted
+
+    def counting_search(*args):
+        if steps:
+            steps[-1]["searches"] += 1
+        return search(*args)
+
+    def counting_check(*args):
+        if steps:
+            steps[-1]["checks"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(md, "_handed_back", recording_handed_back)
+    monkeypatch.setattr(md, "_candidate_pairs", counting_search)
+    monkeypatch.setattr(md, "_pair_list_current", counting_check)
+    return steps
+
+
+def full_path_step(state, forces, cfg, box):
+    """verlet_step given fresh copies of every array, so it never takes the
+    hand-back path."""
+    state.positions = state.positions.copy()
+    state.velocities = state.velocities.copy()
+    return verlet_step(state, forces.copy(), cfg, box)
+
+
+def copied_state(state):
+    return ParticleState(positions=state.positions.copy(),
+                         velocities=state.velocities.copy(), species=state.species,
+                         time=state.time, pair_list=state.pair_list)
+
+
+def max_displacement_since_build(state, box):
+    d = minimum_image(state.positions - state.pair_list[2], box)
+    return float(np.sqrt(np.einsum("ij,ij->i", d, d)).max(initial=0.0))
+
+
+class TestHandBack:
+    @pytest.mark.parametrize("side, n_he, n_ar, temperature, seed", [
+        (300.0, 100, 50, 2000.0, 17),   # hot and crowded: many searches
+        (5000.0, 500, 500, 300.0, 1),   # desk density
+    ])
+    def test_handed_back_run_equals_the_full_path(self, monkeypatch, side, n_he,
+                                                  n_ar, temperature, seed):
+        cfg = MDConfig(n_he=n_he, n_ar=n_ar, temperature=temperature, seed=seed)
+        box = SimBox(side=side)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        ref, ref_forces = copied_state(state), forces.copy()
+        steps = record_steps(monkeypatch)
+        handed, full = [], []
+        for _ in range(150):
+            state, forces, potential = verlet_step(state, forces, cfg, box)
+            handed.append(steps[-1])
+            ref, ref_forces, ref_potential = full_path_step(ref, ref_forces, cfg, box)
+            full.append(steps[-1])
+            assert state.positions.tobytes() == ref.positions.tobytes()
+            assert state.velocities.tobytes() == ref.velocities.tobytes()
+            assert forces.tobytes() == ref_forces.tobytes()
+            assert potential == ref_potential
+        assert [s["searches"] for s in handed] == [s["searches"] for s in full]
+        assert sum(s["searches"] for s in handed) >= 2
+        assert not any(s["trusted"] for s in full)
+        assert all(s["trusted"] for s in handed[1:])
+        # the bound spares most exact checks; the full path runs one per step
+        assert sum(s["checks"] for s in full) == 150
+        assert sum(s["checks"] for s in handed) < 150
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bound_covers_the_displacement(self, seed):
+        rng = np.random.default_rng(seed)
+        side = float(rng.uniform(60.0, 200.0))
+        n = int(rng.integers(10, 40))
+        cfg = MDConfig(n_he=n // 2, n_ar=n - n // 2, dt=2.0, seed=seed,
+                       temperature=float(rng.choice([3000.0, 20000.0])))
+        box = SimBox(side=side)
+        state = init_state(cfg, box)
+        # shift the box so the fastest particle in +x is about to wrap
+        k = int(np.argmax(state.velocities[:, 0]))
+        state.positions = md._wrap(state.positions + [side - 0.01 - state.positions[k, 0],
+                                                      0.0], side)
+        state.pair_list = None
+        forces, _ = compute_forces(state, box)
+        wrapped = bounded = 0
+        for _ in range(300):
+            before = state.positions.copy()
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+            wrapped += int(np.any(np.abs(state.positions - before) > side / 2))
+            bound = state._work.moved
+            bounded += bound < np.inf
+            assert bound >= max_displacement_since_build(state, box)
+        assert wrapped > 0 and bounded > 150
+
+    def test_bound_after_reassigned_velocities(self):
+        # an unlisted particle made fast between steps: the bound taken at the
+        # last search no longer covers it
+        cfg = MDConfig(n_he=30, n_ar=30, seed=4)
+        box = SimBox(side=1000.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        for _ in range(30):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+        listed = np.union1d(*state.pair_list[:2])
+        k = next(i for i in range(state.n_particles) if i not in listed)
+        velocities = state.velocities.copy()
+        velocities[k] = [0.0, 0.3]  # 1.5 A a step: no search at once
+        state.velocities = velocities
+        for _ in range(20):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+            assert state._work.moved >= max_displacement_since_build(state, box)
+
+    def test_blow_up_inside_a_handed_back_step_names_the_same_particle(
+            self, monkeypatch):
+        # two argon atoms close head-on; with dt = 10 fs a step drifts them
+        # into the core without a search, and the kick there blows up
+        cfg = MDConfig(n_he=0, n_ar=3, dt=10.0, seed=0)
+        box = SimBox(side=400.0)
+        state = ParticleState(
+            positions=np.array([[100.0, 100.0], [141.0, 100.0], [300.0, 300.0]]),
+            velocities=np.array([[0.08, 0.0], [-0.08, 0.0], [0.0, 0.0]]),
+            species=np.array([1, 1, 1]))
+        forces, _ = compute_forces(state, box)
+        ref, ref_forces = copied_state(state), forces.copy()
+        steps = record_steps(monkeypatch)
+        with pytest.raises(InstabilityError) as handed:
+            for _ in range(100):
+                state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert steps[-1] == {"trusted": True, "searches": 0, "checks": 0}
+        with pytest.raises(InstabilityError) as full:
+            for _ in range(100):
+                ref, ref_forces, _ = full_path_step(ref, ref_forces, cfg, box)
+        assert str(handed.value) == str(full.value)
+        assert str(handed.value).startswith("particle 0 reached")
+        # the failed step leaves the arrays writable and is not handed back
+        assert state.velocities.flags.writeable and state._work.handed is None
+
+    def test_reassigned_velocities_over_the_limit_raise(self):
+        cfg = MDConfig(n_he=40, n_ar=40, seed=3)
+        box = SimBox(side=600.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        for _ in range(10):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+        velocities = state.velocities.copy()
+        velocities[57] = [0.3, -1.2]
+        state.velocities = velocities
+        ref = copied_state(state)
+        with pytest.raises(InstabilityError) as handed:
+            verlet_step(state, forces, cfg, box)
+        with pytest.raises(InstabilityError) as full:
+            verlet_step(ref, forces.copy(), cfg, box)
+        assert str(handed.value) == str(full.value)
+        assert str(handed.value).startswith("particle 57 reached")
+
+    @staticmethod
+    def run_until_the_bound_spares_a_check(monkeypatch):
+        """A crowded state just after a handed-back step that skipped the
+        exact stale check, and the step recorder."""
+        cfg = MDConfig(n_he=100, n_ar=50, seed=12)
+        box = SimBox(side=300.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        steps = record_steps(monkeypatch)
+        for _ in range(200):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+            if steps[-1] == {"trusted": True, "searches": 0, "checks": 0}:
+                return cfg, box, state, forces, steps
+        raise AssertionError("the bound never spared an exact check")
+
+    @staticmethod
+    def jump_next_to_an_unlisted_particle(state, box):
+        """Move particle 0, in place, to 0.6 cutoffs from a particle it is
+        not listed with, in a spot with no other particle within 4 A."""
+        ii, jj = state.pair_list[:2]
+        listed = set(zip(np.minimum(ii, jj).tolist(), np.maximum(ii, jj).tolist()))
+        for partner in range(1, state.n_particles):
+            if (0, partner) in listed:
+                continue
+            target = md._wrap(state.positions[partner] + [0.6 * LJ_CUTOFF, 0.0],
+                              box.side)
+            d = minimum_image(state.positions[1:] - target, box)
+            if np.sqrt(np.einsum("ij,ij->i", d, d)).min() > 4.0:
+                break
+        assert np.linalg.norm(minimum_image(target - state.positions[0], box)) > SKIN / 2
+        state.positions.flags.writeable = True
+        state.positions[0] = target
+
+    def test_writable_positions_moved_past_half_skin_rebuild(self, monkeypatch):
+        cfg, box, state, forces, steps = self.run_until_the_bound_spares_a_check(
+            monkeypatch)
+        self.jump_next_to_an_unlisted_particle(state, box)
+        del steps[:]
+        state, forces, potential = verlet_step(state, forces, cfg, box)
+        assert steps == [{"trusted": False, "searches": 1, "checks": 1}]
+        ref_forces, ref_potential = brute_reference_forces(
+            state.positions, state.species, box.side)
+        assert np.max(np.abs(forces - ref_forces)) <= 1e-10
+        assert potential == pytest.approx(ref_potential, abs=1e-10)
+
+    def test_forces_after_an_edit_between_steps(self, monkeypatch):
+        # the step that skipped the stale check leaves no hint behind
+        _, box, state, _, _ = self.run_until_the_bound_spares_a_check(monkeypatch)
+        self.jump_next_to_an_unlisted_particle(state, box)
+        forces, potential = compute_forces(state, box)
+        ref_forces, ref_potential = brute_reference_forces(
+            state.positions, state.species, box.side)
+        assert np.max(np.abs(forces - ref_forces)) <= 1e-10
+        assert potential == pytest.approx(ref_potential, abs=1e-10)
+
+    def test_speed_check_covers_particles_a_search_unlists(self):
+        # Particle 0 is listed with particle 1.  A first half kick of 5 A/fs
+        # (set by hand: a run reaches it only past the speed limit) flies it
+        # out of range, so the search drops it from the list; the step must
+        # still check its speed.
+        cfg = MDConfig(n_he=0, n_ar=3, dt=10.0, seed=0)
+        box = SimBox(side=400.0)
+        state = ParticleState(
+            positions=np.array([[100.0, 100.0], [110.0, 100.0], [300.0, 300.0]]),
+            velocities=np.zeros((3, 2)), species=np.array([1, 1, 1]))
+        forces, _ = compute_forces(state, box)
+        for _ in range(3):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert state._work.terms.active[:2].tolist() == [0, 1]
+        state._work.kick[0] = -5.0
+        with pytest.raises(InstabilityError, match="particle 0 reached 5"):
+            verlet_step(state, forces, cfg, box)
+        assert 0 not in state._work.terms.active
+
+    def test_handed_back_arrays_are_read_only(self):
+        cfg = MDConfig(n_he=20, n_ar=20, seed=8)
+        box = SimBox(side=500.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        state, forces, _ = verlet_step(state, forces, cfg, box)
+        for array in (state.positions, state.velocities, forces):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                array += 0.0
+
+    @pytest.mark.parametrize("change", ["forces", "list", "dt", "writable"])
+    def test_any_other_input_takes_the_full_path(self, monkeypatch, change):
+        cfg = MDConfig(n_he=40, n_ar=40, seed=6)
+        box = SimBox(side=500.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        for _ in range(3):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+        ref, ref_forces = copied_state(state), forces.copy()
+        if change == "forces":  # read-only, but not the step's own
+            forces = forces * 0.5
+            forces.flags.writeable = False
+            ref_forces = forces.copy()
+        elif change == "list":
+            state.pair_list = (*state.pair_list[:2], state.pair_list[2].copy(),
+                               state.pair_list[3])
+            ref.pair_list = state.pair_list
+        elif change == "dt":
+            cfg = MDConfig(n_he=40, n_ar=40, seed=6, dt=4.0)
+        else:
+            state.velocities.flags.writeable = True
+        steps = record_steps(monkeypatch)
+        state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert not steps[0]["trusted"]
+        ref, ref_forces, _ = full_path_step(ref, ref_forces, cfg, box)
+        assert state.positions.tobytes() == ref.positions.tobytes()
+        assert state.velocities.tobytes() == ref.velocities.tobytes()
+        state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert steps[2]["trusted"]
+
+
 class TestRun:
     @pytest.mark.parametrize("n_he, n_ar", [(0, 0), (1, 0), (0, 1)])
     def test_zero_and_one_particle(self, n_he, n_ar):
@@ -899,6 +1180,31 @@ class TestRun:
         digest = hashlib.sha256(last.positions.tobytes() + last.velocities.tobytes())
         assert digest.hexdigest() == (
             "398e1332fb1d18e493f4fa40262da3136636b223a074c9c29bbcfaa005327880")
+
+    def test_paper_density_state_is_pinned(self, monkeypatch):
+        # SHA-256 of positions + velocities, the potential and the number of
+        # pair searches after 300 steps at paper density (30k He + 30k Ar,
+        # 5e4 A box, seed 1), recorded before steps could take the hand-back
+        # path: it covers the listed-component kicks and the stale bound.
+        searches = []
+        search = md._candidate_pairs
+
+        def counting(*args):
+            searches.append(1)
+            return search(*args)
+
+        cfg = MDConfig(n_he=30000, n_ar=30000, seed=1)
+        box = SimBox(side=5.0e4)
+        state = init_state(cfg, box)
+        forces, potential = compute_forces(state, box)
+        monkeypatch.setattr(md, "_candidate_pairs", counting)
+        for _ in range(300):
+            state, forces, potential = verlet_step(state, forces, cfg, box)
+        digest = hashlib.sha256(state.positions.tobytes() + state.velocities.tobytes())
+        assert digest.hexdigest() == (
+            "7eb0c91102bbfa0dc4ebc9d87311b19130e6ad4f1ea3b50742ddaf2c1ec0ffef")
+        assert repr(potential) == "-8.662576541246874"
+        assert len(searches) == 21
 
     def test_zero_steps_single_frame(self):
         cfg = MDConfig(n_he=50, n_ar=50, seed=5, sample_stride=10)
