@@ -6,6 +6,9 @@ value j lives at the cell spanning [j*h, (j+1)*h) of the unit square.
 Counts are taken on wrapped positions (the box is periodic, as is the FD
 domain) and normalized by a single maximum taken over every frame and cell
 of the series, so later frames keep their decayed peaks.
+
+Frames stream through a Binner one at a time: it keeps each frame's N x N
+counts, so binning a trajectory takes O(F N^2) memory, not O(F n).
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
-from .fd_solver import FieldSeries
-from .fields import GridSpec, ScalarField, UnitScale
+from .fields import GridSpec, ScalarField
 from .md import SimBox, Species
 
 
@@ -102,43 +103,31 @@ def normalize_series(count_frames, grid: GridSpec,
                         normalization_max=global_max, species=species)
 
 
+class Binner:
+    """Per-cell counts of one species, added a frame at a time.
+
+    Holds one N x N count array per frame added, never the frames.
+    """
+
+    def __init__(self, box_side: float, grid: GridSpec, species: Species = Species.AR):
+        self.box = SimBox(side=box_side)
+        self.grid = grid
+        self.species = species
+        self.count_frames: list[tuple[float, np.ndarray]] = []
+
+    def add(self, frame) -> None:
+        self.count_frames.append((frame.time_fs, bin_counts(
+            frame.positions, self.box, self.grid, frame.species, self.species)))
+
+    def series(self, per_frame_max: bool = False) -> BinnedSeries:
+        return normalize_series(self.count_frames, self.grid, species=self.species,
+                                per_frame_max=per_frame_max)
+
+
 def bin_trajectory(traj, grid: GridSpec, species: Species = Species.AR,
                    per_frame_max: bool = False) -> BinnedSeries:
-    """Bin every frame of a trajectory for one species."""
-    box = SimBox(side=traj.box_side)
-    count_frames = [
-        (fr.time_fs, bin_counts(fr.positions, box, grid, fr.species, species))
-        for fr in traj.frames
-    ]
-    return normalize_series(count_frames, grid, species=species,
-                            per_frame_max=per_frame_max)
-
-
-def align_series(binned: BinnedSeries, fd: FieldSeries, scale: UnitScale,
-                 tolerance_fraction: float = 0.5):
-    """Pair binned MD frames with FD frames at the same physical times.
-
-    Returns a list of (concentration, fd_frame_index) pairs.  Frame counts
-    must match exactly and each time difference must stay within
-    ``tolerance_fraction`` of the FD time step.
-    """
-    if binned.grid != fd.config.grid:
-        raise AlignmentError(
-            f"grid mismatch: binned N={binned.grid.n}, FD N={fd.config.grid.n}"
-        )
-    if len(binned.frames) != len(fd.frames):
-        raise AlignmentError(
-            f"frame count mismatch: {len(binned.frames)} binned vs "
-            f"{len(fd.frames)} FD frames"
-        )
-    k_fs = fd.config.k * scale.time_unit_fs
-    fd_times_fs = fd.times * scale.time_unit_fs
-    pairs = []
-    for i, (bf, t_fd) in enumerate(zip(binned.frames, fd_times_fs)):
-        if abs(bf.time_fs - t_fd) > tolerance_fraction * k_fs:
-            raise AlignmentError(
-                f"frame {i}: binned time {bf.time_fs} fs vs FD time {t_fd} fs "
-                f"differ by more than {tolerance_fraction} * k"
-            )
-        pairs.append((bf.concentration, i))
-    return pairs
+    """Bin every frame of an in-memory trajectory for one species."""
+    binner = Binner(traj.box_side, grid, species)
+    for fr in traj.frames:
+        binner.add(fr)
+    return binner.series(per_frame_max)

@@ -43,10 +43,13 @@ from .analytic import patch_solution_on_grid
 from .fields import GridSpec, UnitScale, read_field_csv
 from .md import MDConfig, SimBox, Species
 from .trajectory_io import (
+    iter_native,
     parse_lammps_dump,
     read_native,
+    read_native_header,
     write_lammps_dump,
     write_native,
+    write_native_frames,
 )
 
 EXIT_OK = 0
@@ -155,10 +158,10 @@ def cmd_md_run(args) -> int:
     )
     box = SimBox(side=_resolve(args, "box", 5.0e3, float))
     steps = _resolve(args, "steps", 20000, int)
-    traj = md.run(cfg, box, steps)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_native(traj, out)
+    write_native_frames(md.trajectory_header(cfg, box), md.iter_frames(cfg, box, steps),
+                        out)
     _write_manifest(out.parent, _manifest_for(
         "md-run", vars(args), [], [out], started, seed=cfg.seed))
     return EXIT_OK
@@ -219,11 +222,12 @@ def cmd_amp_plot(args) -> int:
 
 def cmd_bin(args) -> int:
     started = time.monotonic()
-    traj = read_native(args.traj)
     grid = GridSpec(d=2, n=_resolve(args, "N", 20, int))
     species = _species_from_name(_resolve(args, "species", "ar", str))
-    series = binning.bin_trajectory(traj, grid, species,
-                                    per_frame_max=args.per_frame_max)
+    binner = binning.Binner(read_native_header(args.traj).box_side, grid, species)
+    for frame in iter_native(args.traj):
+        binner.add(frame)
+    series = binner.series(per_frame_max=args.per_frame_max)
     out_dir = Path(args.out)
     pipeline.write_binned_dir(series, out_dir, source=str(args.traj))
     outputs = [str(out_dir / "binned.json")]
@@ -280,15 +284,16 @@ def cmd_cost_curve(args) -> int:
 
 def cmd_msd(args) -> int:
     started = time.monotonic()
-    traj = read_native(args.traj)
     species = _species_from_name(_resolve(args, "species", "ar", str))
+    msd = md.MSDAccumulator(read_native_header(args.traj).box_side, species)
+    for frame in iter_native(args.traj):
+        msd.add(frame)
     window = None
-    if args.t_lo is not None or args.t_hi is not None:
-        t_lo = args.t_lo if args.t_lo is not None else float(traj.times_fs[0])
-        t_hi = args.t_hi if args.t_hi is not None else float(traj.times_fs[-1])
+    if msd.times and (args.t_lo is not None or args.t_hi is not None):
+        t_lo = args.t_lo if args.t_lo is not None else msd.times[0]
+        t_hi = args.t_hi if args.t_hi is not None else msd.times[-1]
         window = (t_lo, t_hi)
-    result = md.msd_diffusion_estimate(traj, species, fit_window=window,
-                                       use_3d_factor=args.use_3d_factor)
+    result = msd.estimate(fit_window=window, use_3d_factor=args.use_3d_factor)
     report = {
         "d_a2_fs": result.diffusion,
         "d_cm2_s": result.diffusion_cm2_s,

@@ -27,9 +27,5 @@ class InstabilityError(GasdiffError):
     """A numerical integration blew up (NaN or runaway magnitude)."""
 
 
-class AlignmentError(GasdiffError):
-    """Two time series could not be paired frame-by-frame."""
-
-
 class FitError(GasdiffError):
     """The least-squares fit could not make progress."""

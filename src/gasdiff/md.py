@@ -16,6 +16,9 @@ read-only; a caller changes a state by assigning new arrays.  When the next
 step gets those same arrays back, it knows they are its own and advances
 them with work on the listed particles only.
 
+iter_frames yields each sampled frame as the run reaches it, and
+MSDAccumulator takes frames one at a time; run collects iter_frames.
+
 The one non-obvious constant is the acceleration conversion: forces come
 out in kcal/(mol A) and masses are in g/mol, so F/m picks up a factor of
 4.184e-4 to land in A/fs^2 (KCAL_PER_MOL_TO_MD in fields).
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -136,7 +139,7 @@ class MDConfig:
 
 @dataclass
 class ParticleState:
-    """Positions are wrapped into [0, side); unwrap_displacements rebuilds
+    """Positions are wrapped into [0, side); MSDAccumulator rebuilds
     displacements from sampled frames.
 
     ``pair_list`` is ``(idx_i, idx_j, positions at build, cell order)`` from
@@ -640,12 +643,23 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
     return state, new_forces, potential
 
 
-def run(cfg: MDConfig, box: SimBox, n_steps: int):
-    """NVE trajectory sampled every cfg.sample_stride steps, frame 0 included.
+def trajectory_header(cfg: MDConfig, box: SimBox):
+    """The metadata of a run's trajectory: a Trajectory without frames."""
+    from .trajectory_io import Trajectory
 
-    Total (kinetic + potential) energy is recorded on every sampled frame.
+    return Trajectory(box_side=box.side, units="real", dt=cfg.dt, seed=cfg.seed,
+                      n_he=cfg.n_he, n_ar=cfg.n_ar, has_velocities=True)
+
+
+def iter_frames(cfg: MDConfig, box: SimBox, n_steps: int):
+    """NVE frames sampled every cfg.sample_stride steps, frame 0 included,
+    each yielded as the run reaches it.
+
+    A frame owns copies of the positions and velocities, so consumers may
+    keep it; the run itself holds only the current state.  Total (kinetic +
+    potential) energy is recorded on every frame.
     """
-    from .trajectory_io import Frame, Trajectory
+    from .trajectory_io import Frame
 
     state = init_state(cfg, box)
     forces, potential = compute_forces(state, box)
@@ -665,21 +679,17 @@ def run(cfg: MDConfig, box: SimBox, n_steps: int):
             energy=kinetic_energy(state) + potential,
         )
 
-    frames = [frame(0)]
+    yield frame(0)
     for n in range(1, n_steps + 1):
         state, forces, potential = verlet_step(state, forces, cfg, box)
         if n % cfg.sample_stride == 0:
-            frames.append(frame(n))
-    return Trajectory(
-        box_side=box.side,
-        units="real",
-        frames=frames,
-        dt=cfg.dt,
-        seed=cfg.seed,
-        n_he=cfg.n_he,
-        n_ar=cfg.n_ar,
-        has_velocities=True,
-    )
+            yield frame(n)
+
+
+def run(cfg: MDConfig, box: SimBox, n_steps: int):
+    """The whole NVE trajectory in memory: ``iter_frames`` collected."""
+    return replace(trajectory_header(cfg, box),
+                   frames=list(iter_frames(cfg, box, n_steps)))
 
 
 @dataclass(frozen=True)
@@ -695,65 +705,73 @@ class MSDResult:
         return self.diffusion * A2_PER_FS_IN_CM2_PER_S
 
 
-def unwrap_displacements(traj) -> np.ndarray:
-    """Displacement of every particle from frame 0, shape (F, n, 2).
+class MSDAccumulator:
+    """Mean squared displacement from frame 0 of the particles that are
+    ``species`` in frame 0, added a frame at a time.
 
-    Reconstructed from wrapped coordinates by accumulating minimum-image
-    steps, valid as long as nothing moves more than half a box side between
-    sampled frames.
+    Keeps their previous positions, their running displacement (summed
+    minimum-image steps, valid while nothing moves half a box side between
+    frames) and one (time, MSD) pair per frame.
     """
-    box = SimBox(side=traj.box_side)
-    frames = traj.frames
-    disp = np.zeros((len(frames), len(frames[0].ids), 2))
-    for i in range(1, len(frames)):
-        delta = minimum_image(
-            frames[i].positions - frames[i - 1].positions, box)
-        disp[i] = disp[i - 1] + delta
-    return disp
 
+    def __init__(self, box_side: float, species: Species):
+        self.box = SimBox(side=box_side)
+        self.species = species
+        self.times: list[float] = []
+        self.msd: list[float] = []
+        self._mask = self._prev = self._disp = None
 
-def msd_diffusion_estimate(traj, species: Species, fit_window=None,
-                           use_3d_factor: bool = False) -> MSDResult:
-    """Diffusion coefficient from the slope of mean squared displacement.
+    def add(self, frame) -> None:
+        self.times.append(frame.time_fs)
+        if self._mask is None:
+            self._mask = frame.species == int(self.species)
+            self._prev = frame.positions[self._mask]
+            self._disp = np.zeros_like(self._prev)
+        else:
+            pos = frame.positions[self._mask]
+            self._disp += minimum_image(pos - self._prev, self.box)
+            self._prev = pos
+        if len(self._disp):
+            sq = np.einsum("nd,nd->n", self._disp, self._disp)
+            # summed left to right, as the mean over a frames-inner array was
+            self.msd.append(np.add.accumulate(sq)[-1] / len(sq))
 
-    Fits a straight line to MSD(t) over ``fit_window`` = (t_lo, t_hi) in fs
-    (default: the whole trajectory) and divides the slope by 2d with d=2.
-    ``use_3d_factor`` divides by 6 instead, reproducing the common
-    three-dimensional convention.  The r_squared diagnostic exposes how
-    linear the window actually was.
-    """
-    times = np.array([f.time_fs for f in traj.frames])
-    if fit_window is None:
-        sel = np.ones(len(times), dtype=bool)
-    else:
-        t_lo, t_hi = fit_window
-        sel = (times >= t_lo) & (times <= t_hi)
-    if int(np.count_nonzero(sel)) < 3:
-        raise ValueError("need at least 3 trajectory frames in the fit window")
+    def estimate(self, fit_window=None, use_3d_factor: bool = False) -> MSDResult:
+        """Diffusion coefficient from the slope of mean squared displacement.
 
-    disp = unwrap_displacements(traj)
-    mask = traj.frames[0].species == int(species)
-    if not np.any(mask):
-        raise ValueError(f"trajectory contains no {species.label} particles")
-    sq = np.einsum("fnd,fnd->fn", disp[:, mask, :], disp[:, mask, :])
-    msd = sq.mean(axis=1)
+        Fits a straight line to MSD(t) over ``fit_window`` = (t_lo, t_hi) in
+        fs (default: every frame) and divides the slope by 2d with d=2.
+        ``use_3d_factor`` divides by 6 instead, reproducing the common
+        three-dimensional convention.  The r_squared diagnostic exposes how
+        linear the window actually was.
+        """
+        times = np.array(self.times)
+        if fit_window is None:
+            sel = np.ones(len(times), dtype=bool)
+        else:
+            t_lo, t_hi = fit_window
+            sel = (times >= t_lo) & (times <= t_hi)
+        if int(np.count_nonzero(sel)) < 3:
+            raise ValueError("need at least 3 trajectory frames in the fit window")
+        if not self.msd:
+            raise ValueError(f"trajectory contains no {self.species.label} particles")
 
-    t, y = times[sel], msd[sel]
-    tc = t - t.mean()
-    denom = float(np.dot(tc, tc))
-    if denom == 0.0:
-        raise ValueError("fit window has no time spread")
-    slope = float(np.dot(tc, y - y.mean())) / denom
-    intercept = float(y.mean() - slope * t.mean())
-    resid = y - (intercept + slope * t)
-    total = float(np.dot(y - y.mean(), y - y.mean()))
-    r_squared = 1.0 - float(np.dot(resid, resid)) / total if total > 0 else 1.0
+        t, y = times[sel], np.array(self.msd)[sel]
+        tc = t - t.mean()
+        denom = float(np.dot(tc, tc))
+        if denom == 0.0:
+            raise ValueError("fit window has no time spread")
+        slope = float(np.dot(tc, y - y.mean())) / denom
+        intercept = float(y.mean() - slope * t.mean())
+        resid = y - (intercept + slope * t)
+        total = float(np.dot(y - y.mean(), y - y.mean()))
+        r_squared = 1.0 - float(np.dot(resid, resid)) / total if total > 0 else 1.0
 
-    divisor = 6.0 if use_3d_factor else 4.0
-    return MSDResult(
-        diffusion=slope / divisor,
-        slope=slope,
-        intercept=intercept,
-        r_squared=r_squared,
-        n_frames=int(np.count_nonzero(sel)),
-    )
+        divisor = 6.0 if use_3d_factor else 4.0
+        return MSDResult(
+            diffusion=slope / divisor,
+            slope=slope,
+            intercept=intercept,
+            r_squared=r_squared,
+            n_frames=int(np.count_nonzero(sel)),
+        )

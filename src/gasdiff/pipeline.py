@@ -28,7 +28,7 @@ from .fields import (
     read_field_csv,
     write_field_csv,
 )
-from .trajectory_io import write_native
+from .trajectory_io import write_native_frames
 
 
 @dataclass(frozen=True)
@@ -187,22 +187,34 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
                   manifest_writer=None):
     """MD run, MSD estimate, then bin+fit at every preset N.
 
+    Each MD frame goes to the trajectory writer, the MSD and one binner per
+    N as the run reaches it, and no frame is kept: memory is O(n + F N^2).
     ``manifest_writer(command, directory, config, outputs, wall_time_s)`` is
     called after each stage with that stage's wall time, its output writes
-    included.
+    included; the md-run stage includes the MSD and the binning counts.
     """
     started = time.perf_counter()
     box = md.SimBox(side=preset.box_side)
     cfg = preset.md_config(seed)
-    traj = md.run(cfg, box, preset.n_steps)
+    msd_acc = md.MSDAccumulator(box.side, md.Species.AR)
+    binners = {n: binning.Binner(box.side, GridSpec(d=2, n=n), md.Species.AR)
+               for n in preset.n_values}
+
+    def fan_out(frames):
+        for frame in frames:
+            for consumer in (msd_acc, *binners.values()):
+                consumer.add(frame)
+            yield frame
+
     seed_dir.mkdir(parents=True, exist_ok=True)
     traj_path = seed_dir / "trajectory.txt"
-    write_native(traj, traj_path)
+    write_native_frames(md.trajectory_header(cfg, box),
+                        fan_out(md.iter_frames(cfg, box, preset.n_steps)), traj_path)
     if manifest_writer:
         manifest_writer("md-run", seed_dir, {"seed": seed}, [str(traj_path)],
                         time.perf_counter() - started)
 
-    msd = md.msd_diffusion_estimate(traj, md.Species.AR)
+    msd = msd_acc.estimate()
     scale = preset.unit_scale
     d0 = physical_to_nd_d(msd.diffusion_cm2_s, scale)
     if not np.isfinite(d0) or d0 <= 0:
@@ -211,8 +223,7 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
     fits = {}
     for n in preset.n_values:
         started = time.perf_counter()
-        grid = GridSpec(d=2, n=n)
-        series = binning.bin_trajectory(traj, grid, md.Species.AR)
+        series = binners[n].series()
         bin_dir = seed_dir / f"bin_N{n}"
         write_binned_dir(series, bin_dir, source=str(traj_path))
         if manifest_writer:

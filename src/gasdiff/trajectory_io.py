@@ -19,6 +19,10 @@ Header lines are ``#key value``; each frame is a ``FRAME <timestep>
 ``id species x y vx vy`` row per particle.  Velocities are written as zeros
 when a source had none (``has_velocities 0``).
 
+Native trajectories stream: write_native_frames appends frames as they
+come and iter_native yields them one at a time; write_native and
+read_native run the same code for a Trajectory held in memory.
+
 The LAMMPS reader handles orthogonal-box text dumps with header-driven
 column order, unscaled (x y) or scaled (xs ys) coordinates, and ignores any
 z column.  Every malformed input raises ParseError with a line number; no
@@ -27,7 +31,10 @@ input may crash the parser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -79,35 +86,44 @@ class Trajectory:
     def n_particles(self) -> int:
         return self.frames[0].n_particles if self.frames else 0
 
-    @property
-    def times_fs(self) -> np.ndarray:
-        return np.array([f.time_fs for f in self.frames])
+
+def write_native_frames(header: Trajectory, frames: Iterable[Frame], path) -> None:
+    """Write ``header``'s fields (not its frames), then each of ``frames`` as
+    it comes, to ``path`` + ".tmp", renamed onto ``path`` after the last
+    frame.  If ``frames`` raises, the temporary file is removed."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("#gasdiff-trajectory 1\n")
+            fh.write(f"#box {header.box_side!r}\n")
+            if header.dt is not None:
+                fh.write(f"#dt {header.dt!r}\n")
+            fh.write(f"#units {header.units}\n")
+            if header.n_he is not None:
+                fh.write(f"#n_he {header.n_he}\n")
+            if header.n_ar is not None:
+                fh.write(f"#n_ar {header.n_ar}\n")
+            if header.seed is not None:
+                fh.write(f"#seed {header.seed}\n")
+            fh.write(f"#has_velocities {int(header.has_velocities)}\n")
+            for fr in frames:
+                if fr.energy is None:
+                    fh.write(f"FRAME {fr.timestep} {float(fr.time_fs)!r}\n")
+                else:
+                    fh.write(f"FRAME {fr.timestep} {float(fr.time_fs)!r} "
+                             f"{float(fr.energy)!r}\n")
+                rows = zip(fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
+                           fr.velocities.tolist())
+                fh.write("".join(f"{i} {SPECIES_LABELS[s]} {x!r} {y!r} {vx!r} {vy!r}\n"
+                                 for i, s, (x, y), (vx, vy) in rows))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_native(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("#gasdiff-trajectory 1\n")
-        fh.write(f"#box {traj.box_side!r}\n")
-        if traj.dt is not None:
-            fh.write(f"#dt {traj.dt!r}\n")
-        fh.write(f"#units {traj.units}\n")
-        if traj.n_he is not None:
-            fh.write(f"#n_he {traj.n_he}\n")
-        if traj.n_ar is not None:
-            fh.write(f"#n_ar {traj.n_ar}\n")
-        if traj.seed is not None:
-            fh.write(f"#seed {traj.seed}\n")
-        fh.write(f"#has_velocities {int(traj.has_velocities)}\n")
-        for fr in traj.frames:
-            if fr.energy is None:
-                fh.write(f"FRAME {fr.timestep} {float(fr.time_fs)!r}\n")
-            else:
-                fh.write(f"FRAME {fr.timestep} {float(fr.time_fs)!r} "
-                         f"{float(fr.energy)!r}\n")
-            rows = zip(fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
-                       fr.velocities.tolist())
-            fh.write("".join(f"{i} {SPECIES_LABELS[s]} {x!r} {y!r} {vx!r} {vy!r}\n"
-                             for i, s, (x, y), (vx, vy) in rows))
+    write_native_frames(traj, traj.frames, path)
 
 
 def _parse_float(token: str, path, line: int) -> float:
@@ -149,85 +165,56 @@ def _native_columns(rows: list[str]):
     return ids, species, values[:2].T.copy(), values[2:].T.copy()
 
 
-def _native_rows(lines, i, end, path):
-    """The row-by-row parser of particle rows lines[i:end]: raises
-    ParseError at the first malformed row."""
-    ids, rows = [], []
-    for k in range(i, end):
-        parts = lines[k].split()
+def _native_rows(rows: list[str], first_line: int, path):
+    """The row-by-row parser of particle rows, the first of which is line
+    ``first_line`` of the file: raises ParseError at the first malformed row."""
+    ids, values = [], []
+    for line, row in enumerate(rows, first_line):
+        parts = row.split()
         if len(parts) != 6:
             raise ParseError(
                 f"expected 6 columns in particle row, found {len(parts)}",
-                path=path, line=k + 1,
+                path=path, line=line,
             )
         if parts[1] not in SPECIES_BY_LABEL:
-            raise ParseError(f"unknown species {parts[1]!r}", path=path, line=k + 1)
-        ids.append(_parse_int(parts[0], path, k + 1))
+            raise ParseError(f"unknown species {parts[1]!r}", path=path, line=line)
+        ids.append(_parse_int(parts[0], path, line))
         try:
-            rows.append((int(SPECIES_BY_LABEL[parts[1]]), *map(float, parts[2:])))
+            values.append((int(SPECIES_BY_LABEL[parts[1]]), *map(float, parts[2:])))
         except ValueError:  # report the first bad field
             for p in parts[2:]:
-                _parse_float(p, path, k + 1)
+                _parse_float(p, path, line)
     # ids stay integers: a float64 column would round ids above 2**53
-    arr = np.array(rows, dtype=np.float64).reshape(len(rows), 5)
+    arr = np.array(values, dtype=np.float64).reshape(len(values), 5)
     return (np.array(ids, dtype=np.int64), arr[:, 0].astype(np.int64),
             arr[:, 1:3].copy(), arr[:, 3:5].copy())
 
 
-def read_native(path) -> Trajectory:
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#gasdiff-trajectory"):
+def _lines(fh):
+    """The lines of ``fh`` as ``fh.read().splitlines()`` splits them, read
+    one at a time."""
+    return (line for raw in fh for line in raw.splitlines())
+
+
+def _native_header(lines, path):
+    """A frameless Trajectory from the header at the start of ``lines``,
+    the line after the header (None at the end) and its line number."""
+    first = next(lines, None)
+    if first is None or not first.startswith("#gasdiff-trajectory"):
         raise ParseError("missing '#gasdiff-trajectory' signature", path=path, line=1)
-
     header: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("#"):
-        parts = lines[i][1:].split(None, 1)
+    line, lineno = next(lines, None), 2
+    while line is not None and line.startswith("#"):
+        parts = line[1:].split(None, 1)
         if len(parts) != 2:
-            raise ParseError("malformed header line", path=path, line=i + 1)
+            raise ParseError("malformed header line", path=path, line=lineno)
         header[parts[0]] = parts[1]
-        i += 1
+        line, lineno = next(lines, None), lineno + 1
     if "box" not in header:
-        raise ParseError("header is missing the box side", path=path, line=i)
-
-    box_side = _parse_float(header["box"], path, 1)
-    frames: list[Frame] = []
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        tokens = lines[i].split()
-        if tokens[0] != "FRAME" or len(tokens) not in (3, 4):
-            raise ParseError("expected a FRAME line", path=path, line=i + 1)
-        timestep = _parse_int(tokens[1], path, i + 1)
-        time_fs = _parse_float(tokens[2], path, i + 1)
-        energy = _parse_float(tokens[3], path, i + 1) if len(tokens) == 4 else None
-        start = i = i + 1
-        while i < len(lines) and lines[i].strip() and not lines[i].startswith("FRAME"):
-            i += 1
-        columns = _native_columns(lines[start:i]) or _native_rows(lines, start, i, path)
-        ids, species, positions, velocities = columns
-        if frames and len(ids) != frames[0].n_particles:
-            raise ParseError(
-                f"frame at timestep {timestep} has {len(ids)} particles, "
-                f"expected {frames[0].n_particles}",
-                path=path, line=i,
-            )
-        frames.append(Frame(
-            timestep=timestep,
-            time_fs=time_fs,
-            ids=ids,
-            species=species,
-            positions=positions,
-            velocities=velocities,
-            energy=energy,
-        ))
-
+        raise ParseError("header is missing the box side", path=path, line=lineno - 1)
     try:
-        return Trajectory(
-            box_side=box_side,
-            frames=frames,
+        traj = Trajectory(
+            box_side=_parse_float(header["box"], path, 1),
             units=header.get("units", "real"),
             dt=_parse_float(header["dt"], path, 1) if "dt" in header else None,
             seed=_parse_int(header["seed"], path, 1) if "seed" in header else None,
@@ -237,6 +224,65 @@ def read_native(path) -> Trajectory:
         )
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
+    return traj, line, lineno
+
+
+def read_native_header(path) -> Trajectory:
+    """The header of a native trajectory, as a Trajectory without frames."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return _native_header(_lines(fh), path)[0]
+
+
+def iter_native(path) -> Iterator[Frame]:
+    """Parse and yield the frames of a native trajectory one at a time.
+
+    A malformed line raises ParseError when the reader reaches it, after
+    the frames before it were yielded.
+    """
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = _lines(fh)
+        _, line, lineno = _native_header(lines, path)
+        n = last = None  # particle count and timestep of the frames so far
+        while line is not None:
+            if not line.strip():
+                line, lineno = next(lines, None), lineno + 1
+                continue
+            tokens = line.split()
+            if tokens[0] != "FRAME" or len(tokens) not in (3, 4):
+                raise ParseError("expected a FRAME line", path=path, line=lineno)
+            timestep = _parse_int(tokens[1], path, lineno)
+            time_fs = _parse_float(tokens[2], path, lineno)
+            energy = _parse_float(tokens[3], path, lineno) if len(tokens) == 4 else None
+            rows, line = [], next(lines, None)
+            while line is not None and line.strip() and not line.startswith("FRAME"):
+                rows.append(line)
+                line = next(lines, None)
+            ids, species, positions, velocities = (
+                _native_columns(rows) or _native_rows(rows, lineno + 1, path))
+            lineno += len(rows) + 1
+            if n is not None and len(ids) != n:
+                raise ParseError(
+                    f"frame at timestep {timestep} has {len(ids)} particles, "
+                    f"expected {n}",
+                    path=path, line=lineno - 1,
+                )
+            if last is not None and timestep <= last:
+                raise ParseError("frame timesteps must be strictly increasing", path=path)
+            n, last = len(ids), timestep
+            yield Frame(
+                timestep=timestep,
+                time_fs=time_fs,
+                ids=ids,
+                species=species,
+                positions=positions,
+                velocities=velocities,
+                energy=energy,
+            )
+
+
+def read_native(path) -> Trajectory:
+    """``iter_native`` collected into a Trajectory held in memory."""
+    return replace(read_native_header(path), frames=list(iter_native(path)))
 
 
 def _expect_item(lines, i, name, path):

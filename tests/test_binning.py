@@ -3,14 +3,13 @@ import pytest
 
 from gasdiff.binning import (
     BinnedSeries,
-    align_series,
+    Binner,
     bin_counts,
     bin_trajectory,
     normalize_series,
 )
-from gasdiff.errors import AlignmentError
 from gasdiff.fd_solver import SchemeKind, SolverConfig, make_patch_initial, solve
-from gasdiff.fields import GridSpec, UnitScale
+from gasdiff.fields import GridSpec
 from gasdiff.md import SimBox, Species
 from gasdiff.trajectory_io import Frame, Trajectory
 
@@ -160,58 +159,38 @@ class TestBinTrajectory:
         for f in series.frames:
             assert f.counts.sum() == n_ar
 
+    @pytest.mark.parametrize("per_frame_max", [False, True])
+    def test_streamed_frames_bin_as_the_whole_trajectory(self, tmp_path, per_frame_max):
+        from gasdiff import md
+        from gasdiff.trajectory_io import iter_native, read_native, write_native
+
+        cfg = md.MDConfig(n_he=150, n_ar=150, seed=8, sample_stride=20)
+        path = tmp_path / "traj.txt"
+        write_native(md.run(cfg, SimBox(side=2000.0), 200), path)
+        traj = read_native(path)
+        grid = GridSpec(d=2, n=6)
+        box = SimBox(side=traj.box_side)
+        want = normalize_series(
+            [(fr.time_fs, bin_counts(fr.positions, box, grid, fr.species, Species.AR))
+             for fr in traj.frames], grid, species=Species.AR,
+            per_frame_max=per_frame_max)
+        binner = Binner(traj.box_side, grid, Species.AR)
+        for frame in iter_native(path):
+            binner.add(frame)
+        for series in (binner.series(per_frame_max),
+                       bin_trajectory(traj, grid, Species.AR, per_frame_max)):
+            assert series.normalization_max == want.normalization_max
+            assert series.species == want.species and len(series.frames) == 11
+            for a, b in zip(series.frames, want.frames):
+                assert a.time_fs == b.time_fs
+                assert a.counts.tobytes() == b.counts.tobytes()
+                assert a.concentration.values.tobytes() == b.concentration.values.tobytes()
+
 
 def _fd_series(grid, k, n_frames, diffusion=0.1):
     cfg = SolverConfig(grid=grid, k=k, diffusion=diffusion,
                        scheme=SchemeKind.CRANK_NICOLSON, n_max=n_frames - 1)
     return solve(make_patch_initial(grid), cfg, sample_stride=1)
-
-
-def _binned_from_counts(grid, times_fs):
-    rng = np.random.default_rng(3)
-    box = SimBox(side=100.0)
-    frames = [
-        (t, bin_counts(rng.uniform(0, box.side, (150, 2)), box, grid))
-        for t in times_fs
-    ]
-    return normalize_series(frames, grid)
-
-
-class TestAlignSeries:
-    def test_production_timing_pairs_one_to_one(self):
-        # MD stride 1000 at dt=5 fs gives 5 ps frames; FD step 5 ps = 5e-3 nd
-        scale = UnitScale()  # 1 nd time unit = 1 ns
-        grid = GridSpec(d=2, n=8)
-        n_frames = 6
-        fd = _fd_series(grid, k=5e-3, n_frames=n_frames)
-        times_fs = [i * 1000 * 5.0 for i in range(n_frames)]
-        binned = _binned_from_counts(grid, times_fs)
-        pairs = align_series(binned, fd, scale)
-        assert [i for _, i in pairs] == list(range(n_frames))
-
-    def test_frame_count_mismatch_names_both_counts(self):
-        scale = UnitScale()
-        grid = GridSpec(d=2, n=8)
-        fd = _fd_series(grid, k=5e-3, n_frames=4)
-        binned = _binned_from_counts(grid, [i * 5000.0 for i in range(6)])
-        with pytest.raises(AlignmentError, match="6.*4"):
-            align_series(binned, fd, scale)
-
-    def test_single_frame_series(self):
-        scale = UnitScale()
-        grid = GridSpec(d=2, n=8)
-        fd = _fd_series(grid, k=5e-3, n_frames=1)
-        binned = _binned_from_counts(grid, [0.0])
-        pairs = align_series(binned, fd, scale)
-        assert len(pairs) == 1
-
-    def test_time_mismatch_beyond_tolerance_rejected(self):
-        scale = UnitScale()
-        grid = GridSpec(d=2, n=8)
-        fd = _fd_series(grid, k=5e-3, n_frames=3)
-        binned = _binned_from_counts(grid, [0.0, 8000.0, 16000.0])  # 8 ps spacing
-        with pytest.raises(AlignmentError, match="differ"):
-            align_series(binned, fd, scale)
 
 
 class TestBinnedSeriesFromFields:

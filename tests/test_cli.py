@@ -52,6 +52,26 @@ class TestMdRun:
         ) == 0
         assert again.read_bytes() == small_traj.read_bytes()
 
+    def test_blow_up_mid_run_exits_4_and_leaves_no_file(self, tmp_path, monkeypatch):
+        from gasdiff import md
+        from gasdiff.errors import InstabilityError
+
+        out = tmp_path / "run" / "traj.txt"
+        step, calls = md.verlet_step, []
+
+        def failing_step(*args):
+            calls.append(1)
+            if len(calls) == 25:  # after frames 0, 10 and 20 were written
+                assert (tmp_path / "run" / "traj.txt.tmp").stat().st_size > 0
+                raise InstabilityError("particle 3 reached 2 A/fs")
+            return step(*args)
+
+        monkeypatch.setattr(md, "verlet_step", failing_step)
+        assert run_cli("md-run", "--n-he", 20, "--n-ar", 20, "--box", 1000.0,
+                       "--steps", 100, "--stride", 10, "--out", out) == 4
+        assert len(calls) == 25
+        assert list((tmp_path / "run").iterdir()) == []
+
 
 class TestFdRun:
     def test_frames_series_and_oracle(self, tmp_path):
@@ -181,6 +201,13 @@ class TestMsdCli:
         assert report["n_frames"] == 11
         assert 0.0 <= report["r_squared"] <= 1.0
 
+    def test_one_sided_window_on_a_frameless_trajectory_exits_2(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("#gasdiff-trajectory 1\n#box 100.0\n")
+        assert run_cli("msd", "--traj", empty, "--t-lo", 0.0,
+                       "--out", tmp_path / "msd.json") == 2
+        assert not (tmp_path / "msd.json").exists()
+
 
 class TestConvertCli:
     def test_native_to_lammps_and_back(self, tmp_path, small_traj):
@@ -209,6 +236,31 @@ class TestConvertCli:
         code = run_cli("convert", "--in", bad, "--to", "native",
                        "--out", tmp_path / "x.txt")
         assert code == 3
+
+
+class TestMalformedLastFrame:
+    """A native trajectory whose last row is bad fails after every earlier
+    frame was read: the command exits 3 with the row's line and writes
+    nothing."""
+
+    @pytest.mark.parametrize("command", [
+        ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
+        ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
+        ["convert", "--in", "{traj}", "--to", "lammps", "--out", "{out}/t.dump"],
+    ])
+    def test_exits_3_with_the_line_and_writes_nothing(self, tmp_path, capsys,
+                                                      small_traj, command):
+        lines = small_traj.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(" ", 1)[0] + " banana"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = [str(a).format(traj=bad, out=out) for a in command]
+        capsys.readouterr()
+        assert run_cli(*argv) == 3
+        assert capsys.readouterr().err == (
+            f"gasdiff: {bad}:{len(lines)}: non-numeric field 'banana'\n")
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestHeatmapCli:
@@ -276,3 +328,42 @@ class TestArtifactIdempotence:
                 sorted(p.read_bytes() for p in out.glob("*.csv"))
             ) + (out / "series.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestStreamingMemory:
+    def test_bin_and_msd_memory_grows_only_by_the_binned_frames(self, tmp_path):
+        """Ten times the frames of the same n cost bin + msd no more traced
+        memory than the extra frames' N x N counts and concentrations: the
+        trajectory is never held whole."""
+        import tracemalloc
+
+        from gasdiff.trajectory_io import Frame, Trajectory, write_native_frames
+
+        n, grid_n = 300, 10
+        rng = np.random.default_rng(0)
+        ids, species = np.arange(1, n + 1), np.arange(n) % 2
+        start = rng.uniform(0.0, 1000.0, (n, 2))
+
+        def frames(count):
+            for f in range(count):
+                yield Frame(f, 10.0 * f, ids, species,
+                            (start + rng.normal(0.0, 1.0, (n, 2)) * f) % 1000.0,
+                            np.zeros((n, 2)))
+
+        peaks = {}
+        for count in (20, 200):
+            traj = tmp_path / f"t{count}.txt"
+            write_native_frames(Trajectory(box_side=1000.0), frames(count), traj)
+            # a first run pays for imports and caches outside the traced span
+            assert run_cli("msd", "--traj", traj, "--out", tmp_path / "warm.json") == 0
+            tracemalloc.start()
+            try:
+                assert run_cli("bin", "--traj", traj, "--N", grid_n,
+                               "--out", tmp_path / f"b{count}") == 0
+                assert run_cli("msd", "--traj", traj,
+                               "--out", tmp_path / f"m{count}.json") == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        binned_frame = 2 * grid_n * grid_n * 8  # int64 counts + float64 concentration
+        assert peaks[200] - peaks[20] <= 180 * binned_frame

@@ -21,12 +21,29 @@ from gasdiff.md import (
     lj_force_pair,
     lj_potential,
     minimum_image,
-    msd_diffusion_estimate,
     pair_params,
     run,
     verlet_step,
 )
 from gasdiff.trajectory_io import Frame, Trajectory
+
+
+def unwrap_displacements(traj) -> np.ndarray:
+    """Displacement of every particle from frame 0, shape (F, n, 2): the
+    whole-trajectory oracle for MSDAccumulator's running displacement.
+
+    Reconstructed from wrapped coordinates by accumulating minimum-image
+    steps, valid as long as nothing moves more than half a box side between
+    sampled frames.
+    """
+    box = SimBox(side=traj.box_side)
+    frames = traj.frames
+    disp = np.zeros((len(frames), len(frames[0].ids), 2))
+    for i in range(1, len(frames)):
+        delta = minimum_image(
+            frames[i].positions - frames[i - 1].positions, box)
+        disp[i] = disp[i - 1] + delta
+    return disp
 
 
 def brute_reference_forces(positions, species, side):
@@ -1218,7 +1235,7 @@ class TestRun:
         first, last = traj.frames[0], traj.frames[-1]
         ar = first.species == Species.AR
         # variance of unwrapped displacement-corrected positions grows
-        disp = md.unwrap_displacements(traj)[-1][ar]
+        disp = unwrap_displacements(traj)[-1][ar]
         var0 = first.positions[ar].var(axis=0).sum()
         var1 = (first.positions[ar] + disp).var(axis=0).sum()
         assert var1 > var0
@@ -1267,6 +1284,14 @@ class TestRun:
             write_native(traj, p)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+
+def msd_diffusion_estimate(traj, species, fit_window=None, use_3d_factor=False):
+    """MSDAccumulator fed every frame of an in-memory trajectory."""
+    acc = md.MSDAccumulator(traj.box_side, species)
+    for frame in traj.frames:
+        acc.add(frame)
+    return acc.estimate(fit_window, use_3d_factor)
 
 
 def synthetic_trajectory(frames, side=1e4):
@@ -1352,3 +1377,28 @@ class TestMSD:
         with pytest.raises(ValueError):
             msd_diffusion_estimate(synthetic_trajectory(frames), Species.AR,
                                    fit_window=(1e6, 2e6))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_streaming_msd_matches_the_unwrapped_oracle_bitwise(self, tmp_path, seed):
+        from dataclasses import replace
+
+        from gasdiff.pipeline import DESK
+        from gasdiff.trajectory_io import iter_native, read_native, write_native
+
+        # the desk preset's particles and box, shortened to 2000 steps
+        cfg = replace(DESK.md_config(seed), sample_stride=100)
+        path = tmp_path / "traj.txt"
+        write_native(run(cfg, SimBox(side=DESK.box_side), 2000), path)
+        traj = read_native(path)
+        disp = unwrap_displacements(traj)
+        mask = traj.frames[0].species == int(Species.AR)
+        sq = np.einsum("fnd,fnd->fn", disp[:, mask, :], disp[:, mask, :])
+        oracle = sq.mean(axis=1)
+
+        acc = md.MSDAccumulator(traj.box_side, Species.AR)
+        for frame in iter_native(path):
+            acc.add(frame)
+        assert np.array(acc.msd).tobytes() == oracle.tobytes()
+        assert acc.times == [f.time_fs for f in traj.frames]
+        assert acc.estimate().n_frames == 21
+        assert acc.estimate((2000.0, 8000.0)).n_frames == 13

@@ -1,14 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gasdiff import trajectory_io
 from gasdiff.errors import ParseError
 from gasdiff.md import Species
 from gasdiff.trajectory_io import (
     Frame,
     Trajectory,
+    iter_native,
     parse_lammps_dump,
     read_native,
+    read_native_header,
     write_lammps_dump,
     write_native,
 )
@@ -142,8 +147,6 @@ class TestNativeFormat:
         assert err.value.line == 5
 
     def test_column_parser_matches_row_parser(self, tmp_path):
-        from gasdiff import trajectory_io
-
         traj = make_trajectory(n_frames=4, n=50, seed=3)
         traj.frames[1].ids[7] = -(2**62)
         traj.frames[2].velocities[3] = [np.inf, -0.0]
@@ -153,7 +156,7 @@ class TestNativeFormat:
         starts = [k + 1 for k, line in enumerate(lines) if line.startswith("FRAME")]
         for start in starts:
             by_column = trajectory_io._native_columns(lines[start:start + 50])
-            by_row = trajectory_io._native_rows(lines, start, start + 50, path)
+            by_row = trajectory_io._native_rows(lines[start:start + 50], start + 1, path)
             for a, b in zip(by_column, by_row):
                 assert a.dtype == b.dtype and a.shape == b.shape
                 assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
@@ -368,3 +371,194 @@ class TestFuzz:
             read_native(path)
         except ParseError:
             pass
+
+
+def whole_file_read_native(path) -> Trajectory:
+    """Whole-file oracle for the streaming reader: the file split into lines
+    at once, every frame parsed, then the header fields and the Trajectory
+    checks."""
+    parse_float, parse_int = trajectory_io._parse_float, trajectory_io._parse_int
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith("#gasdiff-trajectory"):
+        raise ParseError("missing '#gasdiff-trajectory' signature", path=path, line=1)
+    header = {}
+    i = 1
+    while i < len(lines) and lines[i].startswith("#"):
+        parts = lines[i][1:].split(None, 1)
+        if len(parts) != 2:
+            raise ParseError("malformed header line", path=path, line=i + 1)
+        header[parts[0]] = parts[1]
+        i += 1
+    if "box" not in header:
+        raise ParseError("header is missing the box side", path=path, line=i)
+    box_side = parse_float(header["box"], path, 1)
+    frames = []
+    while i < len(lines):
+        if not lines[i].strip():
+            i += 1
+            continue
+        tokens = lines[i].split()
+        if tokens[0] != "FRAME" or len(tokens) not in (3, 4):
+            raise ParseError("expected a FRAME line", path=path, line=i + 1)
+        timestep = parse_int(tokens[1], path, i + 1)
+        time_fs = parse_float(tokens[2], path, i + 1)
+        energy = parse_float(tokens[3], path, i + 1) if len(tokens) == 4 else None
+        start = i = i + 1
+        while i < len(lines) and lines[i].strip() and not lines[i].startswith("FRAME"):
+            i += 1
+        ids, species, positions, velocities = (
+            trajectory_io._native_columns(lines[start:i])
+            or trajectory_io._native_rows(lines[start:i], start + 1, path))
+        if frames and len(ids) != frames[0].n_particles:
+            raise ParseError(
+                f"frame at timestep {timestep} has {len(ids)} particles, "
+                f"expected {frames[0].n_particles}", path=path, line=i)
+        frames.append(Frame(timestep=timestep, time_fs=time_fs, ids=ids,
+                            species=species, positions=positions,
+                            velocities=velocities, energy=energy))
+    try:
+        return Trajectory(
+            box_side=box_side, frames=frames, units=header.get("units", "real"),
+            dt=parse_float(header["dt"], path, 1) if "dt" in header else None,
+            seed=parse_int(header["seed"], path, 1) if "seed" in header else None,
+            n_he=parse_int(header["n_he"], path, 1) if "n_he" in header else None,
+            n_ar=parse_int(header["n_ar"], path, 1) if "n_ar" in header else None,
+            has_velocities=header.get("has_velocities", "1") == "1",
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None
+
+
+def assert_same_frames(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        # repr, so that a NaN time or energy compares equal to itself
+        assert (repr((a.timestep, a.time_fs, a.energy))
+                == repr((b.timestep, b.time_fs, b.energy)))
+        for x, y in ((a.ids, b.ids), (a.species, b.species),
+                     (a.positions, b.positions), (a.velocities, b.velocities)):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+
+
+def outcome(read, path):
+    """What a reader makes of a file: its frames, or its error's text and line."""
+    try:
+        result = read(path)
+    except ParseError as err:
+        return ("error", str(err), err.line)
+    return ("frames", result.frames if isinstance(result, Trajectory) else result)
+
+
+def assert_same_outcome(path):
+    want = outcome(whole_file_read_native, path)
+    for read in (read_native, lambda p: list(iter_native(p))):
+        got = outcome(read, path)
+        assert got[0] == want[0], (got, want)
+        if want[0] == "error":
+            assert got == want
+        else:
+            assert_same_frames(got[1], want[1])
+
+
+GOOD_NATIVE = ("#gasdiff-trajectory 1\n#box 100.0\n#dt 5.0\n#has_velocities 1\n"
+               "FRAME 0 0.0 -1.5\n1 He 1.0 1.0 0.0 0.0\n2 Ar 2.0 2.0 0.5 0.25\n"
+               "FRAME 10 50.0 -1.25\n1 He 1.5 1.0 0.0 0.1\n2 Ar 2.5 2.0 0.5 0.25\n"
+               "\n"
+               "FRAME 20 100.0\n1 He 2.0 1.0 0.0 0.1\n2 Ar 3.0 2.0 0.5 0.25\n")
+
+MALFORMED_NATIVE = {
+    "no signature": "FRAME 0 0.0\n",
+    "empty": "",
+    "header line": GOOD_NATIVE.replace("#dt 5.0", "#dt"),
+    "no box": GOOD_NATIVE.replace("#box 100.0\n", ""),
+    "bad box": GOOD_NATIVE.replace("#box 100.0", "#box wide"),
+    "negative box": GOOD_NATIVE.replace("#box 100.0", "#box -1.0"),
+    "bad dt": GOOD_NATIVE.replace("#dt 5.0", "#dt soon"),
+    "not a FRAME line": GOOD_NATIVE.replace("FRAME 10 50.0 -1.25", "FRAMES 10 50.0"),
+    "bad timestep": GOOD_NATIVE.replace("FRAME 10 ", "FRAME ten "),
+    "bad energy": GOOD_NATIVE.replace("-1.25", "cold"),
+    "timestep repeats": GOOD_NATIVE.replace("FRAME 20 ", "FRAME 10 "),
+    "short frame": GOOD_NATIVE.replace("2 Ar 2.5 2.0 0.5 0.25\n", ""),
+    "long frame": GOOD_NATIVE.replace("2 Ar 2.5 2.0 0.5 0.25\n",
+                                      "2 Ar 2.5 2.0 0.5 0.25\n3 Ar 1.0 1.0 0.0 0.0\n"),
+    "blank line inside a frame": GOOD_NATIVE.replace("1 He 1.5", "\n1 He 1.5"),
+    "empty frame": GOOD_NATIVE.replace("FRAME 10 ", "FRAME 5 0.0\nFRAME 10 "),
+    "bad row in the last frame": GOOD_NATIVE.replace("3.0 2.0 0.5", "3.0 x 0.5"),
+    "short row in the last frame": GOOD_NATIVE.replace("3.0 2.0 0.5 0.25", "3.0"),
+    "truncated last frame": GOOD_NATIVE[:-len("2 Ar 3.0 2.0 0.5 0.25\n")],
+    "unknown species": GOOD_NATIVE.replace("2 Ar 2.5", "2 Xe 2.5"),
+    "id out of range": GOOD_NATIVE.replace("1 He 1.5", f"{2**62 + 1} He 1.5"),
+    "count mismatch": ("#gasdiff-trajectory 1\n#box 100.0\n#has_velocities 1\n"
+                       "FRAME 0 0.0\n1 He 1.0 1.0 0.0 0.0\n2 Ar 2.0 2.0 0.0 0.0\n"
+                       "FRAME 1 5.0\n1 He 1.0 1.0 0.0 0.0\n"),
+    "truncated row": "#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n1 He 1.0 1.0\n",
+}
+
+
+class TestStreamingNativeReader:
+    def test_matches_the_whole_file_reader_on_a_desk_trajectory(self, tmp_path):
+        from gasdiff import md
+        from gasdiff.pipeline import DESK
+
+        # the desk preset's particles and box, shortened to 2000 steps
+        cfg = replace(DESK.md_config(seed=1), sample_stride=100)
+        path = tmp_path / "desk.txt"
+        write_native(md.run(cfg, md.SimBox(side=DESK.box_side), 2000), path)
+        want = whole_file_read_native(path)
+        assert want.n_frames == 21
+        assert_same_frames(list(iter_native(path)), want.frames)
+        assert_same_frames(read_native(path).frames, want.frames)
+        header = read_native_header(path)
+        assert header.frames == []
+        assert (header.box_side, header.dt, header.seed, header.n_he, header.n_ar) == (
+            want.box_side, want.dt, want.seed, want.n_he, want.n_ar)
+
+    def test_good_input_parses_as_before(self, tmp_path):
+        path = tmp_path / "good.txt"
+        path.write_text(GOOD_NATIVE)
+        assert outcome(whole_file_read_native, path)[0] == "frames"
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_NATIVE))
+    def test_malformed_input_gives_the_old_message_and_line(self, tmp_path, case):
+        path = tmp_path / "bad.txt"
+        path.write_text(MALFORMED_NATIVE[case])
+        assert outcome(whole_file_read_native, path)[0] == "error"
+        assert_same_outcome(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_edit_of_a_good_file_reads_as_before(self, tmp_path_factory, data):
+        lines = GOOD_NATIVE.splitlines(keepends=True)
+        k = data.draw(st.integers(0, len(lines) - 1))
+        edit = data.draw(st.sampled_from(["drop", "repeat", "blank", "token", "cut"]))
+        if edit == "drop":
+            lines[k] = ""
+        elif edit == "repeat":
+            lines[k] = lines[k] * 2
+        elif edit == "blank":
+            lines[k] = "\n" + lines[k]
+        elif edit == "token":
+            tokens = lines[k].split() or [""]
+            j = data.draw(st.integers(0, len(tokens) - 1))
+            tokens[j] = data.draw(st.sampled_from(
+                ["", "x", "-1", "0", "99", "He", "Ar", "FRAME", "#box", "1e400", "nan"]))
+            lines[k] = " ".join(tokens) + "\n"
+        else:
+            lines[k] = lines[k][:data.draw(st.integers(0, len(lines[k])))]
+            lines = lines[:k + 1]
+        path = tmp_path_factory.mktemp("edit") / "t.txt"
+        path.write_text("".join(lines))
+        assert_same_outcome(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="ab \n\r\x0b\x0c\x1c\x85\u2028", max_size=60))
+    def test_lines_split_like_splitlines(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("lines") / "t.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            want = fh.read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            assert list(trajectory_io._lines(fh)) == want
