@@ -26,5 +26,5 @@ from .fd_solver import (  # noqa: F401
 )
 from .md import MDConfig, SimBox, Species  # noqa: F401
 from .binning import BinnedSeries, bin_trajectory  # noqa: F401
-from .fitting import FitConfig, FitProblem, FitResult, lm_fit  # noqa: F401
+from .fitting import FitProblem, FitResult, lm_fit  # noqa: F401
 from .trajectory_io import Trajectory, parse_lammps_dump, read_native, write_native  # noqa: F401

@@ -1,47 +1,38 @@
 """Least-squares estimation of the diffusion coefficient.
 
-The observed concentration series is compared against Crank-Nicolson
-solutions of the diffusion equation; the scalar coefficient is updated by
-damped Gauss-Newton steps
+The observed series is fitted by Crank-Nicolson solutions of the diffusion
+equation with damped Gauss-Newton steps delta_D = J^T r / (J^T J + lambda),
+where r stacks (observed - model) over frames and J = d(model)/dD; lambda
+shrinks after an accepted step and grows after a failed one.  The cost is
+||r||^2 / N^2, summed over frames without a frame-count normalization.
 
-    delta_D = J^T r / (J^T J + lambda),
-
-where r stacks the per-frame, per-cell differences (observed - model) and
-J = d(model)/dD is a central finite difference.  The damping factor shrinks
-after an accepted step and grows when a step fails to reduce the cost,
-interpolating between Newton-like and gradient-descent-like behavior.  The
-cost is the paper-style mean-square deviation: ||r||^2 / N^2, summed over
-frames without a frame-count normalization.
+CN is diagonal in Fourier modes, so no solve is run: with s FD steps per
+observed frame, model frame f is rho(D)^(f s) times the initial modes, and J
+is exactly f s rho^(f s - 1) drho/dD times them.  r and J hold each frame's
+real-FFT half spectrum, weighted so that ||r||^2 is the sum over cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import fd_solver
 from .binning import BinnedSeries
 from .errors import FitError
-from .fd_solver import SchemeKind, SolverConfig, make_patch_initial, solve
-from .fields import GridSpec, ScalarField, UnitScale, nd_to_physical_d
+from .fields import GridSpec, UnitScale, nd_to_physical_d
 
-
-@dataclass(frozen=True)
-class FitConfig:
-    d0: float
-    lambda0: float = 1.0e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    max_iter: int = 100
-    tol_step: float = 1.0e-8
-    tol_cost: float = 1.0e-12
-    jacobian_rel_step: float = 1.0e-6
-
-    def __post_init__(self):
-        if self.d0 <= 0:
-            raise ValueError("initial diffusion guess must be positive")
-        if self.lambda_up <= 1.0 or not (0.0 < self.lambda_down < 1.0):
-            raise ValueError("damping multipliers must satisfy up > 1 > down > 0")
+#: Levenberg-Marquardt damping (initial value, factors after a rejected and
+#: an accepted trial), stopping rules, and rejected trials allowed per step.
+LAMBDA0 = 1.0e-3
+LAMBDA_UP = 10.0
+LAMBDA_DOWN = 0.1
+MAX_ITER = 100
+TOL_STEP = 1.0e-8
+TOL_COST = 1.0e-12
+MAX_REJECTS_PER_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -58,12 +49,9 @@ class FitResult:
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Observed series plus the solver template used to model it.
-
-    The model runs Crank-Nicolson from either the idealized patch indicator
-    or the observed frame 0, taking ``substeps`` FD steps between observed
-    frames.
-    """
+    """Observed series plus the time step of its Crank-Nicolson model, which
+    starts from the idealized patch indicator or from observed frame 0 and
+    takes ``substeps`` FD steps between observed frames."""
 
     observed: BinnedSeries
     scale: UnitScale
@@ -101,31 +89,44 @@ class FitProblem:
     def grid(self) -> GridSpec:
         return self.observed.grid
 
-    def initial_field(self) -> ScalarField:
+    @cached_property
+    def _modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Half-spectrum modes of every observed frame and of model frame 0.
+        Column j has weight sqrt(w / N^d), w = 1 if 2j = 0 mod N and 2 where
+        the real FFT drops its conjugate column: sum |mode|^2 = sum u^2."""
+        j = np.arange(self.grid.n // 2 + 1)
+        weights = np.sqrt(np.where(2 * j % self.grid.n == 0, 1.0, 2.0)
+                          / self.grid.num_cells)
+        frames = self.observed.frames
+        observed = np.empty((len(frames),) + self.grid.shape[:-1] + j.shape,
+                            dtype=np.complex128)
+        for f, frame in enumerate(frames):
+            observed[f] = np.fft.rfftn(frame.concentration.values) * weights
         if self.init_from_frame0:
-            return self.observed.frames[0].concentration
-        return make_patch_initial(self.grid)
+            return observed, observed[0]
+        patch = fd_solver.make_patch_initial(self.grid).values
+        return observed, np.fft.rfftn(patch) * weights
 
-    def model_frames(self, diffusion: float) -> list[ScalarField]:
-        config = SolverConfig(
-            grid=self.grid,
-            k=self.k,
-            diffusion=diffusion,
-            scheme=SchemeKind.CRANK_NICOLSON,
-            n_max=(len(self.observed.frames) - 1) * self.substeps,
-        )
-        series = solve(self.initial_field(), config, sample_stride=self.substeps)
-        return list(series.frames)
+    def _cn_factors(self, diffusion: float) -> np.ndarray:
+        """CN multiplier rho of one FD step on the half-spectrum modes."""
+        if diffusion <= 0:
+            raise ValueError("diffusion coefficient must be positive")
+        rho = fd_solver.amplification_factors(
+            fd_solver.SchemeKind.CRANK_NICOLSON, self.k, diffusion, self.grid)
+        return rho[..., :self.grid.n // 2 + 1]
 
 
 def residuals(problem: FitProblem, diffusion: float) -> np.ndarray:
-    """Flattened (observed - model) over all frames and cells."""
-    model = problem.model_frames(diffusion)
-    obs = problem.observed.frames
-    return np.concatenate([
-        (o.concentration.values - m.values).ravel()
-        for o, m in zip(obs, model)
-    ])
+    """Weighted modes of (observed - model) over all frames as one float
+    vector (real and imaginary parts interleaved): r.r is the sum over cells."""
+    observed, initial = problem._modes
+    rho_frame = problem._cn_factors(diffusion) ** problem.substeps
+    out = np.empty_like(observed)
+    model = initial.copy()
+    for f in range(len(out)):
+        np.subtract(observed[f], model, out=out[f])
+        model *= rho_frame
+    return out.view(np.float64).ravel()
 
 
 def cost(problem: FitProblem, diffusion: float) -> float:
@@ -134,95 +135,93 @@ def cost(problem: FitProblem, diffusion: float) -> float:
     return float(np.dot(r, r)) / problem.grid.num_cells
 
 
-def model_jacobian(problem: FitProblem, diffusion: float,
-                   rel_step: float = 1.0e-6) -> np.ndarray:
-    """d(model)/dD by central difference, ordered like the residual vector."""
-    delta = rel_step * diffusion
-    if delta <= 0 or diffusion - delta <= 0:
-        raise FitError(f"jacobian step underflow at D={diffusion}")
-    plus = problem.model_frames(diffusion + delta)
-    minus = problem.model_frames(diffusion - delta)
-    return np.concatenate([
-        ((p.values - m.values) / (2.0 * delta)).ravel()
-        for p, m in zip(plus, minus)
-    ])
+def model_jacobian(problem: FitProblem, diffusion: float) -> np.ndarray:
+    """Exact d(model)/dD, laid out like residuals(): frame f is
+    f s rho^(f s - 1) drho/dD times the initial modes, with Laplacian
+    eigenvalue lambda and drho/dD = k lambda / (1 - k D lambda / 2)^2."""
+    observed, initial = problem._modes
+    s = problem.substeps
+    rho = problem._cn_factors(diffusion)
+    lam = fd_solver.laplacian_eigenvalues(problem.grid)[..., :rho.shape[-1]]
+    # d(rho^s)/dD / s, with drho/dD = k lambda (1 + rho)^2 / 4
+    lead = rho ** (s - 1) * (problem.k * lam * (1.0 + rho) ** 2 / 4.0)
+    rho_frame = rho ** s
+    out = np.zeros_like(observed)
+    model = initial.copy()
+    for f in range(1, len(out)):
+        np.multiply(model, (f * s) * lead, out=out[f])
+        model *= rho_frame
+    return out.view(np.float64).ravel()
 
 
-def confidence_interval_95(jacobian: np.ndarray, residual: np.ndarray) -> float:
-    """Half-width of the standard asymptotic 95% interval for the scalar fit."""
+def confidence_interval_95(jacobian: np.ndarray, residual: np.ndarray,
+                           num_observations: int) -> float:
+    """Half-width of the standard asymptotic 95% interval for the scalar fit,
+    from ``num_observations`` fitted values (frames x cells, not len(r))."""
     jtj = float(np.dot(jacobian, jacobian))
     if jtj < 1.0e-300:
         raise FitError("degenerate fit: model does not respond to D")
-    n = len(residual)
-    if n < 2:
+    if num_observations < 2:
         raise FitError("too few residuals for a confidence interval")
-    s2 = float(np.dot(residual, residual)) / (n - 1)
+    s2 = float(np.dot(residual, residual)) / (num_observations - 1)
     return 1.96 * np.sqrt(s2 / jtj)
 
 
-def lm_fit(problem: FitProblem, config: FitConfig,
-           max_rejects_per_iter: int = 60) -> FitResult:
-    """Levenberg-Marquardt minimization of the diffusion-coefficient cost.
-
-    Steps to a nonpositive coefficient are treated as failed trials.  Stops
-    on a small relative step, a small cost reduction, or max_iter; raises
-    FitError if not a single step is ever accepted.
-    """
+def lm_fit(problem: FitProblem, d0: float) -> FitResult:
+    """Levenberg-Marquardt minimization of the cost from the guess d0 > 0.
+    Steps to D <= 0 are failed trials.  Stops on a small relative step or
+    cost drop, or after MAX_ITER steps; raises FitError if none is accepted."""
+    if d0 <= 0:
+        raise ValueError("initial diffusion guess must be positive")
     num_cells = problem.grid.num_cells
-    d_current = config.d0
+    d_current = d0
     r = residuals(problem, d_current)
     c = float(np.dot(r, r)) / num_cells
     if not np.isfinite(c):
         raise FitError(f"initial cost is not finite at D={d_current}")
 
-    lam = config.lambda0
+    lam = LAMBDA0
     trace = [c]
     iterations = 0
     converged = False
-    any_accept = False
 
-    for _ in range(config.max_iter):
-        jac = model_jacobian(problem, d_current, config.jacobian_rel_step)
+    for _ in range(MAX_ITER):
+        jac = model_jacobian(problem, d_current)
         jtj = float(np.dot(jac, jac))
         jtr = float(np.dot(jac, r))
-        if jtj > 0.0 and abs(jtr) / jtj < config.tol_step * d_current:
-            # undamped Gauss-Newton step already below tolerance (e.g. the
-            # initial guess sits at the minimum)
+        del jac  # J^T J and J^T r suffice below, and J is as large as r
+        if jtj > 0.0 and abs(jtr) / jtj < TOL_STEP * d_current:
+            # the undamped Gauss-Newton step is already below tolerance
             converged = True
             break
 
-        accepted = False
-        delta = 0.0
-        for _ in range(max_rejects_per_iter):
+        for _ in range(MAX_REJECTS_PER_ITER):
             delta = jtr / (jtj + lam)
             d_trial = d_current + delta
             if d_trial > 0.0:
                 r_trial = residuals(problem, d_trial)
                 c_trial = float(np.dot(r_trial, r_trial)) / num_cells
                 if np.isfinite(c_trial) and c_trial < c:
-                    accepted = True
                     break
-            lam *= config.lambda_up
-        if not accepted:
-            break
+                del r_trial
+            lam *= LAMBDA_UP
+        else:
+            break  # no trial accepted
 
-        any_accept = True
         iterations += 1
-        lam *= config.lambda_down
+        lam *= LAMBDA_DOWN
         cost_drop = c - c_trial
         d_current, r, c = d_trial, r_trial, c_trial
         trace.append(c)
-        if abs(delta) < config.tol_step * d_current or cost_drop < config.tol_cost:
+        if abs(delta) < TOL_STEP * d_current or cost_drop < TOL_COST:
             converged = True
             break
 
-    if not any_accept and not converged:
-        raise FitError(
-            f"no step accepted in {config.max_iter} iterations from D0={config.d0}"
-        )
+    if iterations == 0 and not converged:
+        raise FitError(f"no step accepted in {MAX_ITER} iterations from D0={d0}")
 
-    jac = model_jacobian(problem, d_current, config.jacobian_rel_step)
-    ci_nd = confidence_interval_95(jac, r)
+    jac = model_jacobian(problem, d_current)
+    ci_nd = confidence_interval_95(jac, r, len(problem.observed.frames) * num_cells)
     return FitResult(
         d_opt_nd=d_current,
         d_opt_cm2_s=nd_to_physical_d(d_current, problem.scale),

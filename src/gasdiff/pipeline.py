@@ -162,12 +162,10 @@ def write_fd_series_dir(series: FieldSeries, out_dir: Path,
 
 
 def fit_binned(series: binning.BinnedSeries, scale: UnitScale, d0_nd: float,
-               substeps: int = 1, init_from_frame0: bool = False,
-               fit_config: fitting.FitConfig | None = None) -> fitting.FitResult:
+               substeps: int = 1, init_from_frame0: bool = False) -> fitting.FitResult:
     problem = fitting.FitProblem.from_binned(
         series, scale, substeps=substeps, init_from_frame0=init_from_frame0)
-    cfg = fit_config or fitting.FitConfig(d0=d0_nd)
-    return fitting.lm_fit(problem, cfg)
+    return fitting.lm_fit(problem, d0_nd)
 
 
 def fit_report_dict(result: fitting.FitResult) -> dict:

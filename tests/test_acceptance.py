@@ -32,7 +32,7 @@ from gasdiff.fd_solver import (
     solve,
 )
 from gasdiff.fields import GridSpec, ScalarField, UnitScale, field_energy, field_mass
-from gasdiff.fitting import FitConfig, FitProblem, lm_fit
+from gasdiff.fitting import FitProblem, lm_fit
 from gasdiff.md import MDConfig, ParticleState, SimBox, Species, pair_params
 from gasdiff.trajectory_io import parse_lammps_dump
 
@@ -231,7 +231,7 @@ def test_criterion_5_estimator_oracle():
     rel_errors = {}
     traces_ok = True
     for d0 in (0.08, 8.0):
-        result = lm_fit(problem, FitConfig(d0=d0))
+        result = lm_fit(problem, d0)
         rel_errors[d0] = abs(result.d_opt_nd - d_true) / d_true
         traces_ok = traces_ok and all(
             b < a for a, b in zip(result.cost_trace, result.cost_trace[1:]))
@@ -241,7 +241,7 @@ def test_criterion_5_estimator_oracle():
     noisy_fields = [ScalarField(grid, f.values + rng.normal(0, 0.01, f.values.shape))
                     for f in series.frames]
     noisy = BinnedSeries.from_fields(times_fs, noisy_fields)
-    noisy_result = lm_fit(FitProblem.from_binned(noisy, scale), FitConfig(d0=0.3))
+    noisy_result = lm_fit(FitProblem.from_binned(noisy, scale), 0.3)
     noisy_rel = abs(noisy_result.d_opt_nd - d_true) / d_true
     elapsed = time.monotonic() - started
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from gasdiff.fd_solver import (
 )
 from gasdiff.fields import GridSpec, ScalarField, UnitScale
 from gasdiff.fitting import (
-    FitConfig,
     FitProblem,
     confidence_interval_95,
     cost,
@@ -51,24 +52,77 @@ OBSERVED = synthetic_observed(GRID, D_TRUE, K, N_FRAMES)
 PROBLEM = make_problem(OBSERVED)
 
 
+def solved_frames(problem, diffusion):
+    """The problem's model frames from the FD solver, one per observed frame."""
+    frames = problem.observed.frames
+    u0 = (frames[0].concentration if problem.init_from_frame0
+          else make_patch_initial(problem.grid))
+    cfg = SolverConfig(grid=problem.grid, k=problem.k, diffusion=diffusion,
+                       scheme=SchemeKind.CRANK_NICOLSON,
+                       n_max=(len(frames) - 1) * problem.substeps)
+    return solve(u0, cfg, sample_stride=problem.substeps).frames
+
+
+def solved_residual_norm(problem, diffusion):
+    """Sum over frames and cells of (observed - solve frame)^2: the per-cell
+    residual the mode-space vector must reproduce (Parseval)."""
+    return sum(float(np.sum((o.concentration.values - m.values) ** 2))
+               for o, m in zip(problem.observed.frames,
+                               solved_frames(problem, diffusion)))
+
+
+def noisy_problem(n, substeps, init_from_frame0):
+    """Noisy observed series on an N x N grid, so no D fits it exactly."""
+    observed = synthetic_observed(GridSpec(d=2, n=n), D_TRUE, K, N_FRAMES,
+                                  noise=0.01, seed=n)
+    return make_problem(observed, substeps=substeps,
+                        init_from_frame0=init_from_frame0)
+
+
+ORACLE_CASES = pytest.mark.parametrize(
+    "n, substeps, init_from_frame0",
+    [(n, s, f) for n in (20, 21) for s in (1, 5) for f in (False, True)])
+
+
+def as_modes(r, problem):
+    """Residual-layout vector as complex modes, shaped (frame, row, column)."""
+    n = problem.grid.n
+    return r.view(np.complex128).reshape(len(problem.observed.frames), n, n // 2 + 1)
+
+
 class TestResiduals:
     def test_self_residual_is_zero(self):
         r = residuals(PROBLEM, D_TRUE)
         assert np.max(np.abs(r)) < 1e-12
 
-    def test_length_is_frames_times_cells(self):
+    def test_length_is_real_and_imaginary_half_spectrum_modes(self):
         r = residuals(PROBLEM, 0.3)
-        assert len(r) == N_FRAMES * GRID.num_cells
+        assert len(r) == 2 * N_FRAMES * GRID.n * (GRID.n // 2 + 1)
 
-    def test_uniform_offset_appears_verbatim(self):
+    def test_uniform_offset_appears_only_in_mean_mode(self):
         delta = 0.037
         shifted = BinnedSeries.from_fields(
             [f.time_fs for f in OBSERVED.frames],
             [ScalarField(GRID, f.concentration.values + delta)
              for f in OBSERVED.frames],
         )
-        r = residuals(make_problem(shifted), D_TRUE)
-        assert np.allclose(r, delta, atol=1e-12)
+        problem = make_problem(shifted)
+        modes = as_modes(residuals(problem, D_TRUE), problem)
+        mean = modes[:, 0, 0].copy()
+        modes[:, 0, 0] = 0.0
+        assert np.max(np.abs(modes)) < 1e-12
+        assert float(np.sum(np.abs(mean) ** 2)) == pytest.approx(
+            N_FRAMES * GRID.num_cells * delta**2, rel=1e-12)
+
+    @ORACLE_CASES
+    def test_norm_equals_per_cell_sum_against_solver(self, n, substeps,
+                                                     init_from_frame0):
+        # odd N has no self-conjugate last column, so both weightings are hit
+        problem = noisy_problem(n, substeps, init_from_frame0)
+        for d in (0.3, D_TRUE, 2.5):
+            r = residuals(problem, d)
+            assert float(np.dot(r, r)) == pytest.approx(
+                solved_residual_norm(problem, d), rel=1e-12)
 
 
 class TestCost:
@@ -109,25 +163,39 @@ def single_mode_observed(grid, k, n_frames, m=(2, 1), amplitude=0.3):
 class TestJacobian:
     def test_single_mode_matches_closed_form(self):
         # model initialized from a single cosine mode evolves as rho(D)^n;
-        # d/dD of rho^n = n rho^(n-1) * k lambda / (1 - k D lambda / 2)^2
+        # d/dD of rho^n = n rho^(n-1) * k lambda / (1 - k D lambda / 2)^2.
+        # The real FFT keeps the cosine's mode m (its conjugate N - m is in a
+        # dropped column), with weight sqrt(2) / N.
         grid = GridSpec(d=2, n=16)
         m = (2, 1)
         k, n_frames, d0 = 2e-3, 6, 0.6
         observed = single_mode_observed(grid, k, n_frames, m=m)
         problem = make_problem(observed, init_from_frame0=True)
-        jac = model_jacobian(problem, d0, rel_step=1e-6).reshape(n_frames, -1)
+        jac = as_modes(model_jacobian(problem, d0), problem)
 
         lam = laplacian_eigenvalue(m, grid)
         a = 0.5 * k * d0 * lam
         rho = (1 + a) / (1 - a)
         drho = k * lam / (1 - a) ** 2
-        u0 = observed.frames[0].concentration.values.ravel()
+        u0 = observed.frames[0].concentration.values
+        u0_mode = np.fft.rfft2(u0)[m] * np.sqrt(2.0) / grid.n
         for n in range(1, n_frames):
-            analytic = n * rho ** (n - 1) * drho * u0
-            numeric = jac[n]
-            big = np.abs(analytic) > 1e-3 * np.max(np.abs(analytic))
-            rel = np.abs(numeric[big] - analytic[big]) / np.abs(analytic[big])
-            assert np.max(rel) < 1e-6
+            analytic = n * rho ** (n - 1) * drho * u0_mode
+            assert abs(jac[n][m] - analytic) <= 1e-10 * abs(analytic)
+            others = jac[n].copy()
+            others[m] = 0.0
+            assert np.max(np.abs(others)) <= 1e-10 * abs(analytic)
+
+    @ORACLE_CASES
+    def test_matches_central_difference_of_residuals(self, n, substeps,
+                                                     init_from_frame0):
+        problem = noisy_problem(n, substeps, init_from_frame0)
+        d = 0.5
+        delta = 1e-6 * d
+        numeric = -(residuals(problem, d + delta)
+                    - residuals(problem, d - delta)) / (2.0 * delta)
+        jac = model_jacobian(problem, d)
+        assert np.linalg.norm(jac - numeric) <= 1e-7 * np.linalg.norm(jac)
 
     def test_fully_decayed_solution_has_flat_response(self):
         # substeps keep k D |lambda| resolved so every mode truly decays
@@ -136,61 +204,64 @@ class TestJacobian:
         assert np.max(np.abs(jac)) < 1e-3
 
     def test_mass_component_is_zero(self):
-        # projection of dU/dD onto the constant mode: mass does not depend
-        # on D, so the per-frame mean of the jacobian vanishes (roundoff only)
-        jac = model_jacobian(PROBLEM, 0.4).reshape(N_FRAMES, -1)
-        assert np.max(np.abs(jac.mean(axis=1))) <= 1e-9
-
-    def test_richardson_consistency_across_step_sizes(self):
-        j1 = model_jacobian(PROBLEM, 0.5, rel_step=1e-6)
-        j2 = model_jacobian(PROBLEM, 0.5, rel_step=1e-7)
-        denom = np.linalg.norm(j1)
-        assert np.linalg.norm(j1 - j2) / denom < 1e-4
-
-    def test_step_underflow_rejected(self):
-        with pytest.raises(FitError):
-            model_jacobian(PROBLEM, 0.5, rel_step=0.0)
+        # mass does not depend on D, so the (0, 0) mode of dU/dD vanishes in
+        # every frame
+        jac = as_modes(model_jacobian(PROBLEM, 0.4), PROBLEM)
+        assert np.all(jac[:, 0, 0] == 0.0)
 
 
 class TestLMFit:
     @pytest.mark.parametrize("d0", [0.08, 8.0])
     def test_noiseless_recovery_within_1e6(self, d0):
-        result = lm_fit(PROBLEM, FitConfig(d0=d0))
+        result = lm_fit(PROBLEM, d0)
         assert result.converged
         assert abs(result.d_opt_nd - D_TRUE) / D_TRUE < 1e-6
 
     def test_noisy_recovery_within_1_percent(self):
         grid = GridSpec(d=2, n=50)
         observed = synthetic_observed(grid, D_TRUE, K, N_FRAMES, noise=0.01, seed=3)
-        result = lm_fit(make_problem(observed), FitConfig(d0=0.3))
+        result = lm_fit(make_problem(observed), 0.3)
         assert abs(result.d_opt_nd - D_TRUE) / D_TRUE < 0.01
 
     def test_accepted_cost_trace_strictly_decreasing(self):
-        result = lm_fit(PROBLEM, FitConfig(d0=0.1))
+        result = lm_fit(PROBLEM, 0.1)
         trace = result.cost_trace
         assert all(b < a for a, b in zip(trace, trace[1:]))
 
     def test_result_independent_of_initial_guess(self):
-        results = [lm_fit(PROBLEM, FitConfig(d0=d0)).d_opt_nd
+        results = [lm_fit(PROBLEM, d0).d_opt_nd
                    for d0 in (0.08, 0.8, 8.0)]
         for r in results[1:]:
             assert abs(r - results[0]) / results[0] < 1e-6
 
     def test_reports_physical_units(self):
-        result = lm_fit(PROBLEM, FitConfig(d0=0.5))
+        result = lm_fit(PROBLEM, 0.5)
         assert result.d_opt_cm2_s == pytest.approx(result.d_opt_nd * 250.0, rel=1e-12)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            FitConfig(d0=-1.0)
-        with pytest.raises(ValueError):
-            FitConfig(d0=1.0, lambda_up=0.5)
+            lm_fit(PROBLEM, -1.0)
+
+    def test_peak_memory_is_a_few_series_arrays(self):
+        # the observed modes, r, and J or a trial residual are each about one
+        # F x N^2 float64 array; J is dropped before the trial steps
+        n_frames = 201
+        grid = GridSpec(d=2, n=40)
+        observed = synthetic_observed(grid, D_TRUE, K, n_frames, noise=0.01, seed=11)
+        one_series = n_frames * grid.num_cells * 8
+        tracemalloc.start()
+        try:
+            lm_fit(make_problem(observed), 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * one_series
 
 
 class TestConfidenceInterval:
     def test_zero_residuals_give_zero_halfwidth(self):
         jac = np.ones(100)
-        assert confidence_interval_95(jac, np.zeros(100)) == 0.0
+        assert confidence_interval_95(jac, np.zeros(100), 100) == 0.0
 
     def test_halfwidth_shrinks_with_more_data(self):
         rng = np.random.default_rng(0)
@@ -198,8 +269,8 @@ class TestConfidenceInterval:
         res_small = rng.normal(0, 0.1, 200)
         jac_big = np.ones(400)
         res_big = rng.normal(0, 0.1, 400)
-        assert (confidence_interval_95(jac_big, res_big)
-                < confidence_interval_95(jac_small, res_small))
+        assert (confidence_interval_95(jac_big, res_big, 400)
+                < confidence_interval_95(jac_small, res_small, 200))
 
     def test_halfwidth_scales_linearly_with_noise(self):
         # doubling sigma doubles the halfwidth within 20% across seeds
@@ -209,13 +280,28 @@ class TestConfidenceInterval:
             jac = rng.normal(0, 1.0, 500)
             base = rng.normal(0, 0.05, 500)
             doubled = rng.normal(0, 0.10, 500)
-            ratios.append(confidence_interval_95(jac, doubled)
-                          / confidence_interval_95(jac, base))
+            ratios.append(confidence_interval_95(jac, doubled, 500)
+                          / confidence_interval_95(jac, base, 500))
         assert np.mean(ratios) == pytest.approx(2.0, rel=0.2)
 
     def test_degenerate_jacobian_rejected(self):
         with pytest.raises(FitError):
-            confidence_interval_95(np.zeros(50), np.ones(50))
+            confidence_interval_95(np.zeros(50), np.ones(50), 50)
+
+    def test_fit_halfwidth_from_per_cell_quantities(self):
+        # s^2 = residual sum of squares / (F N^2 - 1) over cells, not over
+        # the longer mode vector, and J^T J of the solver's frames
+        observed = synthetic_observed(GRID, D_TRUE, K, N_FRAMES, noise=0.01, seed=7)
+        problem = make_problem(observed)
+        result = lm_fit(problem, 0.5)
+        d = result.d_opt_nd
+        delta = 1e-6 * d
+        jtj = sum(float(np.sum(((p.values - m.values) / (2.0 * delta)) ** 2))
+                  for p, m in zip(solved_frames(problem, d + delta),
+                                  solved_frames(problem, d - delta)))
+        n_cells = N_FRAMES * GRID.num_cells
+        s2 = result.final_cost * GRID.num_cells / (n_cells - 1)
+        assert result.ci95_nd == pytest.approx(1.96 * np.sqrt(s2 / jtj), rel=1e-6)
 
     def test_fit_halfwidth_tracks_noise_level(self):
         grid = GridSpec(d=2, n=20)
@@ -223,7 +309,7 @@ class TestConfidenceInterval:
         for noise in (0.005, 0.01):
             observed = synthetic_observed(grid, D_TRUE, K, N_FRAMES,
                                           noise=noise, seed=7)
-            cis.append(lm_fit(make_problem(observed), FitConfig(d0=0.5)).ci95_nd)
+            cis.append(lm_fit(make_problem(observed), 0.5).ci95_nd)
         assert cis[1] == pytest.approx(2.0 * cis[0], rel=0.2)
 
 
@@ -235,7 +321,7 @@ class TestCostCurve:
         assert abs(d_min - D_TRUE) <= (d_grid[1] - d_grid[0])
 
     def test_curve_dominates_fit_optimum(self):
-        result = lm_fit(PROBLEM, FitConfig(d0=0.5))
+        result = lm_fit(PROBLEM, 0.5)
         curve = cost_curve(PROBLEM, np.linspace(0.4, 1.3, 19))
         assert np.all(curve[:, 1] >= result.final_cost - 1e-12)
 
@@ -290,5 +376,11 @@ class TestFitProblemConstruction:
     def test_substeps_refine_internal_step(self):
         problem = make_problem(OBSERVED, substeps=5)
         assert problem.k == pytest.approx(K / 5)
-        model = problem.model_frames(D_TRUE)
-        assert len(model) == N_FRAMES
+        # the model takes five CN steps of k/5 per observed frame
+        cfg = SolverConfig(grid=GRID, k=K / 5, diffusion=0.5,
+                           scheme=SchemeKind.CRANK_NICOLSON, n_max=5 * (N_FRAMES - 1))
+        model = solve(make_patch_initial(GRID), cfg, sample_stride=5).frames
+        expected = sum(float(np.sum((o.concentration.values - m.values) ** 2))
+                       for o, m in zip(OBSERVED.frames, model))
+        r = residuals(problem, 0.5)
+        assert float(np.dot(r, r)) == pytest.approx(expected, rel=1e-12)
