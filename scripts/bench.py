@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Fixed-step paper-density MD probe, run on one or more source trees.
+
+Each probe runs in a fresh interpreter with one BLAS thread and the given
+source tree first on PYTHONPATH.  It builds the paper preset's state (30k He
++ 30k Ar in a 5e4 A box at 300 K, dt 5 fs, seed 1), takes 20 steps
+untimed, then times 1000 velocity-Verlet steps one by one.  It reports
+the median and mean ms/step, the hours a 1e6-step seed takes at the mean,
+inner pair-list rebuilds per step (a new ``state.pair_list``), outer-list
+builds per step (a new ``state._work.outer``; 0 where there is none) and
+minor page faults per step.  With a fixed step count, equal rebuild counts
+show that two trees search on the same steps.
+
+Trees run in turn, 5 rounds, so that machine drift falls on all of
+them alike; the record keeps every run and the per-tree medians.
+
+    python3 scripts/bench.py --out bench.json parent=../parent/src change=src
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAPER_STEPS = 1_000_000
+SEED = 1
+ROUNDS = 5
+WARMUP = 20
+STEPS = 1000
+
+
+def probe() -> dict:
+    """Time STEPS paper-density steps after WARMUP untimed ones."""
+    import resource
+    import time
+
+    from gasdiff import md
+
+    cfg = md.MDConfig(n_he=30000, n_ar=30000, seed=SEED)
+    box = md.SimBox(side=5.0e4)
+    state = md.init_state(cfg, box)
+    forces, _ = md.compute_forces(state, box)
+    for _ in range(WARMUP):
+        state, forces, _ = md.verlet_step(state, forces, cfg, box)
+    times, inner, outer = [], 0, 0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(STEPS):
+        listed = state.pair_list
+        outer_list = getattr(state._work, "outer", None)
+        start = time.perf_counter()
+        state, forces, _ = md.verlet_step(state, forces, cfg, box)
+        times.append(time.perf_counter() - start)
+        inner += state.pair_list is not listed
+        outer += getattr(state._work, "outer", None) is not outer_list
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    mean_s = statistics.fmean(times)
+    return {
+        "median_ms_per_step": statistics.median(times) * 1e3,
+        "mean_ms_per_step": mean_s * 1e3,
+        "hours_per_seed": mean_s * PAPER_STEPS / 3600.0,
+        "inner_rebuilds_per_step": inner / STEPS,
+        "outer_builds_per_step": outer / STEPS,
+        "minor_faults_per_step": faults / STEPS,
+    }
+
+
+def run_probe(src: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, __file__, "--probe"],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("trees", nargs="*", metavar="NAME=SRC",
+                    help="a label and the src directory to import gasdiff from")
+    ap.add_argument("--out", help="JSON record to write")
+    ap.add_argument("--probe", action="store_true",
+                    help="run one probe in this process and print its JSON")
+    args = ap.parse_args()
+
+    if args.probe:
+        print(json.dumps(probe()))
+        return
+    if not args.trees or not args.out:
+        ap.error("give --out and at least one NAME=SRC")
+    trees = dict(tree.split("=", 1) for tree in args.trees)
+    runs = {name: [] for name in trees}
+    for round_ in range(ROUNDS):
+        for name, src in trees.items():
+            result = run_probe(src)
+            runs[name].append(result)
+            print(f"round {round_ + 1} {name}: "
+                  f"{result['median_ms_per_step']:.3f} ms/step median, "
+                  f"{result['mean_ms_per_step']:.3f} mean, "
+                  f"{result['inner_rebuilds_per_step']:.3f} inner and "
+                  f"{result['outer_builds_per_step']:.3f} outer per step", flush=True)
+    import numpy
+
+    record = {
+        "probe": {"preset": "30000 He + 30000 Ar, 5e4 A box, 300 K, dt 5 fs",
+                  "seed": SEED, "warmup_steps": WARMUP, "steps": STEPS,
+                  "blas_threads": 1, "paper_steps": PAPER_STEPS},
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": numpy.__version__},
+        "median_of_runs": {name: {key: statistics.median(r[key] for r in results)
+                                  for key in results[0]}
+                           for name, results in runs.items()},
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

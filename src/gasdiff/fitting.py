@@ -195,15 +195,19 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
             converged = True
             break
 
+        rejected = None
         for _ in range(MAX_REJECTS_PER_ITER):
             delta = jtr / (jtj + lam)
             d_trial = d_current + delta
-            if d_trial > 0.0:
+            # while lam << J^T J, raising lam can leave d_trial as it was: the
+            # same trial is rejected again without evaluating it
+            if d_trial > 0.0 and d_trial != rejected:
                 r_trial = residuals(problem, d_trial)
                 c_trial = float(np.dot(r_trial, r_trial)) / num_cells
                 if np.isfinite(c_trial) and c_trial < c:
                     break
                 del r_trial
+                rejected = d_trial
             lam *= LAMBDA_UP
         else:
             break  # no trial accepted

@@ -5,8 +5,14 @@ Newton's equations are integrated with velocity Verlet (the explicit member
 of the Stormer-Verlet family) in a periodic square box under the minimum
 image convention.  Pair interactions are truncated Lennard-Jones with
 per-species-pair well depth and size.  Neighbor search is a Verlet pair
-list: a cell-list search for the pairs closer than the cutoff plus a skin,
-reused until some particle has moved more than half the skin since then.
+list: the pairs closer than the cutoff plus a skin, reused until some
+particle has moved more than half the skin since then.  The list is a dual
+one: a new pair list is pruned from an outer list of the pairs closer than
+OUTER_RANGE, which a cell-list search rebuilds only once particles have
+moved far enough to miss a pair from it.  The pruned list equals a fresh
+search at the pair-list range, pairs and order alike, so the forces are
+summed in the same order either way.  At paper density a prune plus its
+share of the outer searches costs about 40 % of a fresh search.
 
 verlet_step advances a ParticleState in place: its positions and velocities
 arrays, its time and its pair list change, and the step returns the same
@@ -68,6 +74,11 @@ LJ_CUTOFF = 20.0
 #: the pair list holds every pair closer than LJ_CUTOFF + SKIN and is rebuilt
 #: once any particle has moved SKIN/2 from where it was at the last search (A).
 SKIN = 5.0
+
+#: the outer pair list holds every pair closer than this; the pair list is
+#: pruned from it, and it is searched again only once a particle has moved
+#: so far since that it could miss a pair the pruned list needs (A).
+OUTER_RANGE = 70.0
 
 
 @dataclass(frozen=True)
@@ -142,9 +153,10 @@ class ParticleState:
     """Positions are wrapped into [0, side); MSDAccumulator rebuilds
     displacements from sampled frames.
 
-    ``pair_list`` is ``(idx_i, idx_j, positions at build, cell order)`` from
-    the last pair search, or None; compute_forces checks it against the
-    current positions before using it and sorts the next search from it.
+    ``pair_list`` is ``(idx_i, idx_j, positions at build, cell order)``, or
+    None; compute_forces checks it against the current positions before
+    using it.  The cell order is that of the last fresh search at the list
+    range, which a later fresh search starts its sort from.
 
     verlet_step updates ``positions``, ``velocities``, ``time`` and
     ``pair_list`` in place; arrays that are not C-contiguous writable
@@ -168,34 +180,6 @@ class ParticleState:
         return len(self.positions)
 
 
-def lj_potential(r: float, p: LJPairParams) -> float:
-    """Truncated 12-6 potential, kcal/mol."""
-    if r <= 0:
-        raise ValueError("interparticle distance must be positive")
-    if r >= p.r_cut:
-        return 0.0
-    sr6 = (p.sigma / r) ** 6
-    return 4.0 * p.epsilon * (sr6 * sr6 - sr6)
-
-
-def lj_force_pair(r_vec: np.ndarray, p: LJPairParams) -> np.ndarray:
-    """Force on the particle displaced by r_vec from its partner.
-
-    Positive along r_vec means repulsion.  The magnitude is
-    (24 eps / r) * (2 (sigma/r)^12 - (sigma/r)^6); identically zero at and
-    beyond the cutoff.
-    """
-    r_vec = np.asarray(r_vec, dtype=np.float64)
-    r2 = float(np.dot(r_vec, r_vec))
-    r = np.sqrt(r2)
-    if r < COINCIDENT_DISTANCE:
-        raise GasdiffError(f"coincident particles (separation {r:.2e} A)")
-    if r >= p.r_cut:
-        return np.zeros_like(r_vec)
-    sr6 = (p.sigma / r) ** 6
-    return (24.0 * p.epsilon / r2) * (2.0 * sr6 * sr6 - sr6) * r_vec
-
-
 def minimum_image(dx: np.ndarray, box: SimBox) -> np.ndarray:
     """Shift displacement components by multiples of the side into
     [-side/2, side/2)."""
@@ -214,6 +198,12 @@ def _wrap(x: np.ndarray, side: float) -> np.ndarray:
     return x
 
 
+def _cells_per_axis(side: float, n: int, r_cut: float) -> int:
+    """Cells per axis of edge >= r_cut, capped so that the sort key
+    cid * n + i fits in int64."""
+    return min(int(side // r_cut), math.isqrt((2**63 - 1) // max(n, 1)))
+
+
 def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float, order=None):
     """Index pairs (i, j) at minimum-image separation < r_cut, and the
     permutation that sorts the particles by (cell, index).
@@ -228,8 +218,7 @@ def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float, order=None):
     n = len(pos)
     if order is None or len(order) != n:
         order = np.arange(n)
-    # cells per axis, capped so that the sort key cid * n + i fits in int64
-    n_side = min(int(side // r_cut), math.isqrt((2**63 - 1) // max(n, 1)))
+    n_side = _cells_per_axis(side, n, r_cut)
     if n_side < 3 or n < 2:
         ii, jj = np.triu_indices(n, k=1)
     else:
@@ -241,9 +230,8 @@ def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float, order=None):
     return ii[near], jj[near], order
 
 
-def _sorted_cells(pos, side, n_side, order):
-    """The particles sorted by (cell, index), the sort starting from
-    ``order``, and their cell ids cx * n_side + cy in that order."""
+def _cell_coords(pos, side, n_side):
+    """Cell (cx, cy) of each particle, for cells of edge side / n_side."""
     cell_len = side / n_side
     q = np.divide(pos, cell_len)
     np.floor(q, out=q)
@@ -253,6 +241,13 @@ def _sorted_cells(pos, side, n_side, order):
     q[edge] = pos[edge] // cell_len
     coords = q.astype(np.int64)
     np.clip(coords, 0, n_side - 1, out=coords)
+    return coords
+
+
+def _sorted_cells(pos, side, n_side, order):
+    """The particles sorted by (cell, index), the sort starting from
+    ``order``, and their cell ids cx * n_side + cy in that order."""
+    coords = _cell_coords(pos, side, n_side)
     cid = coords[:, 0] * n_side
     cid += coords[:, 1]
     key = np.take(cid, order)
@@ -325,7 +320,69 @@ def _cell_pairs(order, sorted_cid, n_side):
                 sel = da_n > b
                 out_i.append(order[sa[sel]])
                 out_j.append(order[da[sel] + b])
-    return np.concatenate(out_i), np.concatenate(out_j)
+    ii = np.concatenate(out_i)
+    del out_i  # before the second list is joined
+    return ii, np.concatenate(out_j)
+
+
+# The offset group of a pair whose second particle's cell is at (sx - 1,
+# sy - 1) from the first's, indexed by 3 * sx + sy: 0 for the same cell,
+# then 1-4 for _cell_pairs' forward offsets (0, 1), (1, 0), (1, 1), (1, -1),
+# which a backward offset (3 * sx + sy < 4) reaches with the pair turned round.
+_OFFSET_GROUP = np.array([3, 2, 4, 1, 0, 1, 4, 2, 3])
+
+
+def _pruned_pairs(pos, side, n_side, outer_i, outer_j):
+    """The pairs of _candidate_pairs(pos, side, LJ_CUTOFF + SKIN), in its
+    order, taken from an outer list that holds every pair in that range and
+    every two particles that share a cell; None if the sort key would
+    overflow int64.
+
+    Cells are at least the range wide, so a pair in range lies in one cell
+    or two adjacent ones.  A particle's slot is its number of cell mates of
+    lower index, its place in the (cell, index) sort.  _cell_pairs emits the
+    same-cell pairs, lower index first, by (slot b, slot a, cell), then per
+    forward offset group by (slot a, slot b, first cell), so one packed key
+    gives its order.
+    """
+    r_cut, cell_len = LJ_CUTOFF + SKIN, side / n_side
+    # the fresh search's filter, exactly
+    d = np.abs(np.take(pos, outer_i, axis=0) - np.take(pos, outer_j, axis=0))
+    d = np.minimum(d, side - d, out=d)
+    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    # two particles in one cell are closer than its diagonal, or a rounding
+    # over it; only these pairs and the pairs in range need cells
+    close = np.flatnonzero(r2 < 2.0 * (1.01 * cell_len) ** 2)
+    i, j, r2 = np.take(outer_i, close), np.take(outer_j, close), np.take(r2, close)
+    ci = _cell_coords(np.take(pos, i, axis=0), side, n_side)
+    cj = _cell_coords(np.take(pos, j, axis=0), side, n_side)
+    cid_i, cid_j = ci[:, 0] * n_side, cj[:, 0] * n_side
+    cid_i += ci[:, 1]
+    cid_j += cj[:, 1]
+    same = cid_i == cid_j
+    slot = np.bincount(np.maximum(i[same], j[same]), minlength=len(pos))
+    k, n_cells = int(slot.max()) + 1, n_side * n_side
+    if 5 * k * k * n_cells > 2**63 - 1:
+        return None
+    near = np.flatnonzero(r2 < r_cut * r_cut)
+    s = np.take(cj, near, axis=0) - np.take(ci, near, axis=0)
+    s += 1
+    s %= n_side
+    i, j = np.take(i, near), np.take(j, near)
+    cid_i, cid_j = np.take(cid_i, near), np.take(cid_j, near)
+    code = s[:, 0] * 3 + s[:, 1]
+    in_cell = code == 4
+    turn = (code < 4) | (in_cell & (i > j))
+    a, b = np.where(turn, j, i), np.where(turn, i, j)
+    slot_a, slot_b = np.take(slot, a), np.take(slot, b)
+    key = np.take(_OFFSET_GROUP, code) * k
+    key += np.where(in_cell, slot_b, slot_a)
+    key *= k
+    key += np.where(in_cell, slot_a, slot_b)
+    key *= n_cells
+    key += np.where(turn, cid_j, cid_i)
+    by_key = np.argsort(key)  # the keys are distinct
+    return np.take(a, by_key), np.take(b, by_key)
 
 
 class _PairTerms(NamedTuple):
@@ -361,16 +418,19 @@ class _Work:
     list was built (inf when unknown) with the largest squared speed at
     that build; ``list_current`` tells the next compute_forces that the
     bound already shows the list current.
+
+    ``outer`` is the outer pair list the pair list is pruned from, as
+    ``(idx_i, idx_j, positions at build, cell order, box side)``, or None.
     """
 
     __slots__ = ("species", "scale", "buf", "pair_list", "terms", "handed",
-                 "kick", "moved", "v2_built", "list_current")
+                 "kick", "moved", "v2_built", "list_current", "outer")
 
     def __init__(self, species):
         self.species = species
         self.scale = np.take(_ACCEL_SCALE, species, axis=0)
         self.buf = np.empty_like(self.scale)
-        self.pair_list = self.terms = self.handed = self.kick = None
+        self.pair_list = self.terms = self.handed = self.kick = self.outer = None
         self.moved, self.v2_built, self.list_current = math.inf, 0.0, False
 
 
@@ -411,33 +471,73 @@ def _pair_interactions(pos, species, box, idx_i, idx_j, terms=None):
     return forces.astype(np.float64, copy=False).reshape(len(pos), 2), potential
 
 
+def _moved_within(positions, built, side, limit, buf) -> bool:
+    """False when some particle's minimum-image displacement from ``built``
+    is longer than ``limit`` (a NaN maximum counts as within).
+
+    The norm is taken only for rows with a component above limit/sqrt(2),
+    less a rounding margin; ``buf`` is (n, 2) scratch.
+    """
+    d = np.abs(np.subtract(positions, built, out=buf), out=buf)
+    # |component| >= its minimum image, so every other row is within limit
+    bound = limit / math.sqrt(2.0) * (1.0 - 1e-9)
+    rows = np.flatnonzero(d.reshape(-1) > bound) >> 1
+    if not len(rows):
+        return True
+    e = np.abs(np.take(positions, rows, axis=0) - np.take(built, rows, axis=0))
+    e = np.minimum(e, side - e, out=e)
+    e *= e
+    if not (e[:, 0] + e[:, 1]).max() > limit * limit:
+        return True
+    return bool(np.isnan(d).any())
+
+
 def _pair_list_current(state: ParticleState, box: SimBox, buf) -> bool:
     """True while no particle has moved SKIN/2 (minimum image) since the
     state's pair list was built, so no pair outside the list can be inside
-    the cutoff.
-
-    The decision is that of max(x^2 + y^2) > (SKIN/2)^2 over the minimum-image
-    displacements (a NaN maximum keeps the list), but the norm is taken only
-    for rows with a component above (SKIN/2)/sqrt(2), less a rounding
-    margin; ``buf`` is (n, 2) scratch.
-    """
+    the cutoff.  ``buf`` is (n, 2) scratch."""
     if state.pair_list is None:
         return False
     built = state.pair_list[2]
     if built.shape != state.positions.shape:
         return False
-    d = np.abs(np.subtract(state.positions, built, out=buf), out=buf)
-    # |component| >= its minimum image, so every other row is inside SKIN/2
-    bound = 0.5 * SKIN / math.sqrt(2.0) * (1.0 - 1e-9)
-    rows = np.flatnonzero(d.reshape(-1) > bound) >> 1
-    if not len(rows):
-        return True
-    e = np.abs(np.take(state.positions, rows, axis=0) - np.take(built, rows, axis=0))
-    e = np.minimum(e, box.side - e, out=e)
-    e *= e
-    if not (e[:, 0] + e[:, 1]).max() > (0.5 * SKIN) ** 2:
-        return True
-    return bool(np.isnan(d).any())
+    return _moved_within(state.positions, built, box.side, 0.5 * SKIN, buf)
+
+
+def _rebuild_pair_list(state: ParticleState, box: SimBox, w: _Work):
+    """A new pair list for the state's positions, equal to a fresh search.
+
+    It is pruned from the outer list, which is searched again first when it
+    is missing, was built for another box, or a particle has moved more
+    than (OUTER_RANGE - the cell diagonal) / 2 since its build.  Within
+    that, two particles now closer than the diagonal were closer than
+    OUTER_RANGE then, so the outer list holds every pair in range and every
+    two particles that share a cell (the diagonal exceeds the range).  A
+    non-finite or out-of-box coordinate, fewer than 3 cells per axis, or
+    cells too large for OUTER_RANGE take a fresh search instead.
+    """
+    built = state.positions.copy()
+    side, n, r_cut = box.side, len(built), LJ_CUTOFF + SKIN
+    order = state.pair_list[3] if state.pair_list is not None else None
+    n_side = _cells_per_axis(side, n, r_cut)
+    reach = 0.0
+    if n_side >= 3:  # less a margin for rounding, relative and of positions
+        reach = ((OUTER_RANGE - side / n_side * math.sqrt(2.0)) / 2.0
+                 * (1.0 - 1e-9) - side * 2.0**-48)
+    # a NaN fails both bounds
+    if n >= 2 and reach > 0.0 and built.min() >= 0.0 and built.max() <= side:
+        outer = w.outer
+        if (outer is None or outer[4] != side or outer[2].shape != built.shape
+                or not _moved_within(built, outer[2], side, reach, w.buf)):
+            o_order = None if outer is None else outer[3]
+            outer = w.outer = None  # freed before the search, which sets the peak
+            oi, oj, o_order = _candidate_pairs(built, side, OUTER_RANGE, o_order)
+            outer = w.outer = (oi, oj, built, o_order, side)
+        pairs = _pruned_pairs(built, side, n_side, outer[0], outer[1])
+        if pairs is not None:
+            return (*pairs, built, order)
+    idx_i, idx_j, order = _candidate_pairs(built, side, r_cut, order)
+    return (idx_i, idx_j, built, order)
 
 
 def compute_forces(state: ParticleState, box: SimBox):
@@ -450,23 +550,13 @@ def compute_forces(state: ParticleState, box: SimBox):
     w = _work(state)
     known, w.list_current = w.list_current, False
     if not (known or _pair_list_current(state, box, w.buf)):
-        order = state.pair_list[3] if state.pair_list is not None else None
-        built = state.positions.copy()
-        idx_i, idx_j, order = _candidate_pairs(built, box.side, LJ_CUTOFF + SKIN, order)
-        state.pair_list = (idx_i, idx_j, built, order)
+        state.pair_list = _rebuild_pair_list(state, box, w)
     idx_i, idx_j = state.pair_list[:2]
     if w.pair_list is not state.pair_list:
         w.pair_list = state.pair_list
         w.terms = _pair_terms(state.species, idx_i, idx_j, state.n_particles)
     return _pair_interactions(state.positions, state.species, box, idx_i, idx_j,
                               w.terms)
-
-
-def compute_forces_brute(state: ParticleState, box: SimBox):
-    """All-pairs O(n^2) reference path; used for small boxes and checks."""
-    idx_i, idx_j = np.triu_indices(state.n_particles, k=1)
-    return _pair_interactions(state.positions, state.species, box,
-                              idx_i.astype(np.int64), idx_j.astype(np.int64))
 
 
 def kinetic_energy(state: ParticleState) -> float:

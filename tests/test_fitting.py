@@ -12,8 +12,10 @@ from gasdiff.fd_solver import (
     make_patch_initial,
     solve,
 )
-from gasdiff.fields import GridSpec, ScalarField, UnitScale
+from gasdiff import fitting
+from gasdiff.fields import GridSpec, ScalarField, UnitScale, nd_to_physical_d
 from gasdiff.fitting import (
+    FitResult,
     FitProblem,
     confidence_interval_95,
     cost,
@@ -210,6 +212,45 @@ class TestJacobian:
         assert np.all(jac[:, 0, 0] == 0.0)
 
 
+def lm_fit_every_trial(problem, d0):
+    """lm_fit's loop evaluating every damped trial, a repeat of the trial
+    just rejected included: the reference for skipping repeats."""
+    num_cells = problem.grid.num_cells
+    d, lam, iterations, converged = d0, fitting.LAMBDA0, 0, False
+    r = fitting.residuals(problem, d)
+    c = float(np.dot(r, r)) / num_cells
+    trace = [c]
+    for _ in range(fitting.MAX_ITER):
+        jac = fitting.model_jacobian(problem, d)
+        jtj, jtr = float(np.dot(jac, jac)), float(np.dot(jac, r))
+        if jtj > 0.0 and abs(jtr) / jtj < fitting.TOL_STEP * d:
+            converged = True
+            break
+        for _ in range(fitting.MAX_REJECTS_PER_ITER):
+            delta = jtr / (jtj + lam)
+            d_trial = d + delta
+            if d_trial > 0.0:
+                r_trial = fitting.residuals(problem, d_trial)
+                c_trial = float(np.dot(r_trial, r_trial)) / num_cells
+                if np.isfinite(c_trial) and c_trial < c:
+                    break
+            lam *= fitting.LAMBDA_UP
+        else:
+            break
+        iterations += 1
+        lam *= fitting.LAMBDA_DOWN
+        cost_drop = c - c_trial
+        d, r, c = d_trial, r_trial, c_trial
+        trace.append(c)
+        if abs(delta) < fitting.TOL_STEP * d or cost_drop < fitting.TOL_COST:
+            converged = True
+            break
+    ci = confidence_interval_95(fitting.model_jacobian(problem, d), r,
+                                len(problem.observed.frames) * num_cells)
+    return FitResult(d, nd_to_physical_d(d, problem.scale), c, iterations, ci,
+                     nd_to_physical_d(ci, problem.scale), converged, tuple(trace))
+
+
 class TestLMFit:
     @pytest.mark.parametrize("d0", [0.08, 8.0])
     def test_noiseless_recovery_within_1e6(self, d0):
@@ -233,6 +274,26 @@ class TestLMFit:
                    for d0 in (0.08, 0.8, 8.0)]
         for r in results[1:]:
             assert abs(r - results[0]) / results[0] < 1e-6
+
+    def test_repeated_rejected_trials_are_not_evaluated(self, monkeypatch):
+        # With lambda far below J^T J, ten times lambda leaves the trial D as
+        # it was; from d0 = 2 the first step overshoots and is rejected.
+        monkeypatch.setattr(fitting, "LAMBDA0", 1.0e-30)
+        calls = []
+        evaluate = fitting.residuals
+
+        def counting(problem, d):
+            calls.append(d)
+            return evaluate(problem, d)
+
+        monkeypatch.setattr(fitting, "residuals", counting)
+        reference = lm_fit_every_trial(PROBLEM, 2.0)
+        every_trial = len(calls)
+        assert sum(a == b for a, b in zip(calls, calls[1:])) >= 5
+        del calls[:]
+        assert lm_fit(PROBLEM, 2.0) == reference
+        assert len(calls) < every_trial
+        assert not any(a == b for a, b in zip(calls, calls[1:]))
 
     def test_reports_physical_units(self):
         result = lm_fit(PROBLEM, 0.5)

@@ -8,24 +8,60 @@ from gasdiff.errors import GasdiffError, InstabilityError
 from gasdiff.fields import KCAL_PER_MOL_TO_MD
 from gasdiff import md
 from gasdiff.md import (
+    COINCIDENT_DISTANCE,
     LJ_CUTOFF,
+    OUTER_RANGE,
     SKIN,
+    LJPairParams,
     MDConfig,
     ParticleState,
     SimBox,
     Species,
     compute_forces,
-    compute_forces_brute,
     init_state,
     kinetic_energy,
-    lj_force_pair,
-    lj_potential,
     minimum_image,
     pair_params,
     run,
     verlet_step,
 )
 from gasdiff.trajectory_io import Frame, Trajectory
+
+
+def lj_potential(r: float, p: LJPairParams) -> float:
+    """Truncated 12-6 potential, kcal/mol."""
+    if r <= 0:
+        raise ValueError("interparticle distance must be positive")
+    if r >= p.r_cut:
+        return 0.0
+    sr6 = (p.sigma / r) ** 6
+    return 4.0 * p.epsilon * (sr6 * sr6 - sr6)
+
+
+def lj_force_pair(r_vec: np.ndarray, p: LJPairParams) -> np.ndarray:
+    """Force on the particle displaced by r_vec from its partner.
+
+    Positive along r_vec means repulsion.  The magnitude is
+    (24 eps / r) * (2 (sigma/r)^12 - (sigma/r)^6); identically zero at and
+    beyond the cutoff.
+    """
+    r_vec = np.asarray(r_vec, dtype=np.float64)
+    r2 = float(np.dot(r_vec, r_vec))
+    r = np.sqrt(r2)
+    if r < COINCIDENT_DISTANCE:
+        raise GasdiffError(f"coincident particles (separation {r:.2e} A)")
+    if r >= p.r_cut:
+        return np.zeros_like(r_vec)
+    sr6 = (p.sigma / r) ** 6
+    return (24.0 * p.epsilon / r2) * (2.0 * sr6 * sr6 - sr6) * r_vec
+
+
+def compute_forces_brute(state: ParticleState, box: SimBox):
+    """All pairs through the library's pair kernel: the O(n^2) reference
+    path for the cell list."""
+    idx_i, idx_j = np.triu_indices(state.n_particles, k=1)
+    return md._pair_interactions(state.positions, state.species, box,
+                                 idx_i.astype(np.int64), idx_j.astype(np.int64))
 
 
 def unwrap_displacements(traj) -> np.ndarray:
@@ -405,18 +441,18 @@ class TestPairList:
     def test_no_missed_pairs_while_list_is_reused(self, monkeypatch):
         # Hot, crowded box: ~2 neighbours per particle inside the cutoff and
         # fast enough that the list goes stale several times.
-        searches = []
-        search = md._candidate_pairs
+        rebuilt = []
+        search, rebuild = md._candidate_pairs, md._rebuild_pair_list
 
-        def counting(*args):
-            searches.append(args[2])
-            return search(*args)
+        def recording(*args):
+            rebuilt.append(rebuild(*args))
+            return rebuilt[-1]
 
         cfg = MDConfig(n_he=100, n_ar=50, temperature=2000.0, seed=17)
         box = SimBox(side=300.0)
         state = init_state(cfg, box)
         forces, _ = compute_forces(state, box)
-        monkeypatch.setattr(md, "_candidate_pairs", counting)
+        monkeypatch.setattr(md, "_rebuild_pair_list", recording)
         n_steps = 60
         for _ in range(n_steps):
             state, forces, potential = verlet_step(state, forces, cfg, box)
@@ -429,8 +465,10 @@ class TestPairList:
             scale = np.max(np.abs(ref_forces))
             assert np.max(np.abs(forces - ref_forces)) <= 1e-12 * scale
             assert potential == pytest.approx(ref_potential, rel=1e-12)
-        assert 2 <= len(searches) < n_steps
-        assert set(searches) == {LJ_CUTOFF + SKIN}
+        assert 2 <= len(rebuilt) < n_steps
+        for ii, jj, built, _ in rebuilt:  # each list is a search at the list range
+            fresh = search(built, box.side, LJ_CUTOFF + SKIN)
+            assert np.array_equal(ii, fresh[0]) and np.array_equal(jj, fresh[1])
 
     def test_head_on_pair_is_listed_before_it_reaches_the_cutoff(self):
         # Two argon atoms in non-adjacent 25 A cells close at 0.097 A per
@@ -493,14 +531,14 @@ class TestPairList:
 
     def test_listed_pairs_are_closer_than_the_list_range(self, monkeypatch):
         searches = []
-        search = md._candidate_pairs
+        rebuild = md._rebuild_pair_list
 
-        def recording(pos, side, r_cut, order=None):
-            ii, jj, order = search(pos, side, r_cut, order)
-            searches.append((pos.copy(), ii, jj))
-            return ii, jj, order
+        def recording(*args):
+            ii, jj, built, order = rebuild(*args)
+            searches.append((built.copy(), ii, jj))
+            return ii, jj, built, order
 
-        monkeypatch.setattr(md, "_candidate_pairs", recording)
+        monkeypatch.setattr(md, "_rebuild_pair_list", recording)
         cfg = MDConfig(n_he=100, n_ar=50, temperature=2000.0, seed=17)
         box = SimBox(side=300.0)
         state = init_state(cfg, box)
@@ -559,6 +597,195 @@ class TestPairList:
         ii, jj, _ = md._candidate_pairs(positions, side, LJ_CUTOFF + SKIN)
         assert pairs_closer_than(LJ_CUTOFF + SKIN, positions, box, ii, jj) == {(0, 1), (2, 3)}
         assert len(ii) == 2
+
+
+def check_rebuilds(monkeypatch):
+    """Checks every pair-list rebuild against a fresh search at the list
+    range, in value and order, and counts the rebuilds, the ones pruned from
+    the outer list, and the most particles seen in one cell."""
+    rebuild, prune, search = (md._rebuild_pair_list, md._pruned_pairs,
+                              md._candidate_pairs)
+    seen = {"rebuilds": 0, "pruned": 0, "most_in_cell": 0}
+
+    def counting_prune(*args):
+        pairs = prune(*args)
+        seen["pruned"] += pairs is not None
+        return pairs
+
+    def checking_rebuild(state, box, w):
+        pair_list = rebuild(state, box, w)
+        built, r_cut = pair_list[2], LJ_CUTOFF + SKIN
+        ii, jj, _ = search(built, box.side, r_cut)
+        assert np.array_equal(pair_list[0], ii) and np.array_equal(pair_list[1], jj)
+        n_side = md._cells_per_axis(box.side, len(built), r_cut)
+        coords = md._cell_coords(built, box.side, n_side)
+        _, counts = np.unique(coords[:, 0] * n_side + coords[:, 1], return_counts=True)
+        seen["most_in_cell"] = max(seen["most_in_cell"], int(counts.max()))
+        seen["rebuilds"] += 1
+        return pair_list
+
+    monkeypatch.setattr(md, "_pruned_pairs", counting_prune)
+    monkeypatch.setattr(md, "_rebuild_pair_list", checking_rebuild)
+    return seen
+
+
+class TestDualList:
+    @pytest.mark.parametrize("side, n_he, n_ar, temperature, seed, n_steps", [
+        (5000.0, 500, 500, 300.0, 1, 2000),   # the desk preset
+        (5000.0, 500, 500, 300.0, 2, 2000),
+        (5000.0, 500, 500, 300.0, 3, 2000),
+        (2000.0, 100, 50, 300.0, 17, 1000),
+        (300.0, 100, 50, 2000.0, 17, 300),    # hot and crowded
+        (250.0, 200, 200, 300.0, 4, 300),     # 3 or more particles per cell
+        (80.0, 20, 20, 2000.0, 5, 300),       # 3 cells per axis, outer list all pairs
+        (100.0, 30, 30, 2000.0, 5, 300),      # 4 cells per axis
+    ])
+    def test_pruned_list_is_the_fresh_search(self, monkeypatch, side, n_he, n_ar,
+                                             temperature, seed, n_steps):
+        cfg = MDConfig(n_he=n_he, n_ar=n_ar, temperature=temperature, seed=seed)
+        box = SimBox(side=side)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        seen = check_rebuilds(monkeypatch)
+        for _ in range(n_steps):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert seen["rebuilds"] >= 5
+        assert seen["pruned"] == seen["rebuilds"]
+        if side == 250.0:
+            assert seen["most_in_cell"] >= 3
+
+    def test_particles_on_cell_edges_and_at_the_box_edge(self, monkeypatch):
+        side, n = 251.0, 300  # 25.1 A cells
+        box = SimBox(side=side)
+        rng = np.random.default_rng(8)
+        positions = rng.uniform(0.0, side, (n, 2))
+        edges = np.array([[np.nextafter(side, 0.0), 100.0], [200.0, np.nextafter(side, 0.0)],
+                          [0.0, 30.0], [side, 160.0]])  # side: the closed end of [0, side]
+        positions[:4] = np.abs(edges - 1.0)
+        state = ParticleState(positions=positions, velocities=np.zeros((n, 2)),
+                              species=rng.integers(0, 2, n))
+        compute_forces(state, box)
+        outer = state._work.outer
+        # one component of each particle moves to its nearest cell edge, by at
+        # most half a cell, and a few to the box edges: the outer list holds
+        moved = positions.copy()
+        axis = rng.integers(0, 2, n)
+        rows = np.arange(n)
+        moved[rows, axis] = np.round(moved[rows, axis] / 25.1) * 25.1
+        moved[:4] = edges
+        assert np.any(np.floor(moved / 25.1) != moved // 25.1)
+        state.positions, state.pair_list = moved, None
+        seen = check_rebuilds(monkeypatch)
+        md._rebuild_pair_list(state, box, state._work)
+        assert seen["rebuilds"] == seen["pruned"] == 1
+        assert state._work.outer is outer
+
+    @pytest.mark.parametrize("n_cells, ulps", [
+        (3, 1), (4, 2), (7, 5), (10, 1), (10, 3), (13, -2), (40, 9)])
+    def test_boxes_a_few_ulps_from_whole_cells(self, monkeypatch, n_cells, ulps):
+        # cells only just wider than the range, with particles within a few
+        # ulps of every cell edge: pairs in range stay in adjacent cells
+        r_cut = LJ_CUTOFF + SKIN
+        side = n_cells * r_cut + ulps * np.spacing(n_cells * r_cut)
+        cell_len = side / md._cells_per_axis(side, 2, r_cut)
+        edges = [c * cell_len + m * np.spacing(c * cell_len)
+                 for c in range(int(side / cell_len) + 1) for m in range(-3, 4)]
+        e = np.unique(np.clip(edges + [side], 0.0, side))
+        mid = np.full_like(e, 12.5)
+        positions = np.concatenate([np.column_stack(p) for p in
+                                    [(e, mid), (mid, e), (e, e)]])
+        n = len(positions)
+        state = ParticleState(positions=positions, velocities=np.zeros((n, 2)),
+                              species=np.ones(n, dtype=np.int64))
+        seen = check_rebuilds(monkeypatch)
+        md._rebuild_pair_list(state, SimBox(side=side), md._work(state))
+        assert seen["rebuilds"] == seen["pruned"] == 1
+
+    @pytest.mark.parametrize("far", [False, True])
+    def test_in_place_move_past_the_outer_reach(self, monkeypatch, far):
+        rng = np.random.default_rng(12)
+        n = 200
+        box = SimBox(side=250.0)
+        positions = rng.uniform(0, box.side, (n, 2))
+        species = rng.integers(0, 2, n)
+        state = ParticleState(positions=positions,
+                              velocities=np.zeros((n, 2)), species=species)
+        compute_forces(state, box)
+        outer = state._work.outer
+        oi, oj = outer[:2]
+        paired = set(zip(np.minimum(oi, oj).tolist(), np.maximum(oi, oj).tolist()))
+        # particle 0 jumps next to a particle the outer list does not pair it
+        # with, or moves past SKIN/2 but stays within the outer list's reach
+        partner = next(k for k in range(1, n) if (0, k) not in paired)
+        shift = [0.6 * LJ_CUTOFF, 0.0] if far else [0.0, 0.75 * SKIN]
+        target = md._wrap(positions[partner if far else 0] + shift, box.side)
+        reach = (OUTER_RANGE - 25.0 * np.sqrt(2.0)) / 2.0  # 25 A cells
+        assert (np.linalg.norm(minimum_image(target - positions[0], box)) > reach) == far
+        state.positions[0] = target
+        seen = check_rebuilds(monkeypatch)
+        forces, potential = compute_forces(state, box)
+        assert seen["rebuilds"] == seen["pruned"] == 1
+        assert (state._work.outer is not outer) == far
+        ref_forces, ref_potential = brute_reference_forces(
+            state.positions, species, box.side)
+        assert np.max(np.abs(forces - ref_forces)) < 1e-10
+        assert potential == pytest.approx(ref_potential, abs=1e-10)
+
+    def test_outer_list_of_another_box_is_rebuilt(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        n = 120
+        state = ParticleState(positions=rng.uniform(0.0, 240.0, (n, 2)),
+                              velocities=np.zeros((n, 2)),
+                              species=rng.integers(0, 2, n))
+        compute_forces(state, SimBox(side=400.0))
+        outer = state._work.outer
+        state.pair_list = None
+        seen = check_rebuilds(monkeypatch)
+        # pairs across the periodic edge of the smaller box
+        compute_forces(state, SimBox(side=250.0))
+        assert seen["rebuilds"] == seen["pruned"] == 1
+        assert state._work.outer is not outer
+
+    @pytest.mark.parametrize("side, bad", [
+        (250.0, np.nan), (250.0, np.inf), (250.0, -1e-9), (250.0, np.nextafter(250.0, 300.0)),
+        (70.0, None),     # 2 cells per axis
+        (1.0e12, None),   # cells too large for the outer list's reach
+        (5.0e10, None),   # the packed sort key would overflow int64
+    ])
+    def test_other_inputs_take_the_fresh_search(self, monkeypatch, side, bad):
+        rng = np.random.default_rng(3)
+        n = 30 if side < 1e3 else 4
+        positions = rng.uniform(0.0, min(side, 250.0), (n, 2))
+        if n == 4:  # two pairs in range
+            positions[1] = positions[0] + [7.0, 3.0]
+            positions[3] = positions[2] + [-2.0, 12.0]
+        if bad is not None:
+            positions[5, 1] = bad
+        state = ParticleState(positions=positions, velocities=np.zeros((n, 2)),
+                              species=np.ones(n, dtype=np.int64))
+        searched = []
+        search, prune = md._candidate_pairs, md._pruned_pairs
+
+        def recording_search(pos, side, r_cut, order=None):
+            searched.append(r_cut)
+            return search(pos, side, r_cut, order)
+
+        def recording_prune(*args):
+            searched.append("prune")
+            return prune(*args)
+
+        monkeypatch.setattr(md, "_candidate_pairs", recording_search)
+        monkeypatch.setattr(md, "_pruned_pairs", recording_prune)
+        with np.errstate(invalid="ignore"):
+            ii, jj, built, _ = md._rebuild_pair_list(state, SimBox(side=side),
+                                                     md._work(state))
+            fresh = search(positions, side, LJ_CUTOFF + SKIN)
+        assert searched[-1] == LJ_CUTOFF + SKIN
+        assert ("prune" in searched) == (side == 5.0e10)
+        assert np.array_equal(ii, fresh[0]) and np.array_equal(jj, fresh[1])
+        assert np.array_equal(built, positions, equal_nan=True)
+        if n == 4:
+            assert len(ii) == 2
 
 
 def two_body_bound_state(v_tangential=2e-4):
@@ -720,19 +947,26 @@ class TestInPlaceStep:
         assert state.velocities.tolist() == velocities.tolist()
 
     def test_searched_positions_never_change(self, monkeypatch):
+        # the build snapshots of the pair lists and of the outer lists
         given_to_search = []
-        search = md._candidate_pairs
+        search, rebuild = md._candidate_pairs, md._rebuild_pair_list
 
-        def recording(pos, side, r_cut, order=None):
+        def recording_search(pos, side, r_cut, order=None):
             given_to_search.append((pos, pos.copy()))
             return search(pos, side, r_cut, order)
+
+        def recording_rebuild(*args):
+            pair_list = rebuild(*args)
+            given_to_search.append((pair_list[2], pair_list[2].copy()))
+            return pair_list
 
         cfg = MDConfig(n_he=100, n_ar=50, temperature=2000.0, seed=17)
         box = SimBox(side=300.0)
         state = init_state(cfg, box)
         # init_state hands over the array its last search was given
         given_to_search.append((state.pair_list[2], state.pair_list[2].copy()))
-        monkeypatch.setattr(md, "_candidate_pairs", recording)
+        monkeypatch.setattr(md, "_candidate_pairs", recording_search)
+        monkeypatch.setattr(md, "_rebuild_pair_list", recording_rebuild)
         forces, _ = compute_forces(state, box)
         for _ in range(40):
             state, forces, _ = verlet_step(state, forces, cfg, box)
@@ -741,6 +975,7 @@ class TestInPlaceStep:
             assert pos is not state.positions
             assert np.array_equal(pos, snapshot)
         assert state.pair_list[2] is given_to_search[-1][0]
+        assert any(state._work.outer[2] is pos for pos, _ in given_to_search)
 
     def test_species_is_frozen_by_the_first_force_call(self):
         state = free_particles([[0.0, 0.0], [0.0, 0.0]])
@@ -894,20 +1129,20 @@ class TestSpeedCheck:
 
 def record_steps(monkeypatch):
     """Per verlet_step: whether it took the hand-back path, and how many pair
-    searches and exact stale checks it ran."""
+    list rebuilds and exact stale checks it ran."""
     steps = []
-    handed_back, search, check = (md._handed_back, md._candidate_pairs,
-                                  md._pair_list_current)
+    handed_back, rebuild, check = (md._handed_back, md._rebuild_pair_list,
+                                   md._pair_list_current)
 
     def recording_handed_back(*args):
         trusted = handed_back(*args)
-        steps.append({"trusted": trusted, "searches": 0, "checks": 0})
+        steps.append({"trusted": trusted, "rebuilds": 0, "checks": 0})
         return trusted
 
-    def counting_search(*args):
+    def counting_rebuild(*args):
         if steps:
-            steps[-1]["searches"] += 1
-        return search(*args)
+            steps[-1]["rebuilds"] += 1
+        return rebuild(*args)
 
     def counting_check(*args):
         if steps:
@@ -915,7 +1150,7 @@ def record_steps(monkeypatch):
         return check(*args)
 
     monkeypatch.setattr(md, "_handed_back", recording_handed_back)
-    monkeypatch.setattr(md, "_candidate_pairs", counting_search)
+    monkeypatch.setattr(md, "_rebuild_pair_list", counting_rebuild)
     monkeypatch.setattr(md, "_pair_list_current", counting_check)
     return steps
 
@@ -962,8 +1197,8 @@ class TestHandBack:
             assert state.velocities.tobytes() == ref.velocities.tobytes()
             assert forces.tobytes() == ref_forces.tobytes()
             assert potential == ref_potential
-        assert [s["searches"] for s in handed] == [s["searches"] for s in full]
-        assert sum(s["searches"] for s in handed) >= 2
+        assert [s["rebuilds"] for s in handed] == [s["rebuilds"] for s in full]
+        assert sum(s["rebuilds"] for s in handed) >= 2
         assert not any(s["trusted"] for s in full)
         assert all(s["trusted"] for s in handed[1:])
         # the bound spares most exact checks; the full path runs one per step
@@ -1029,7 +1264,7 @@ class TestHandBack:
         with pytest.raises(InstabilityError) as handed:
             for _ in range(100):
                 state, forces, _ = verlet_step(state, forces, cfg, box)
-        assert steps[-1] == {"trusted": True, "searches": 0, "checks": 0}
+        assert steps[-1] == {"trusted": True, "rebuilds": 0, "checks": 0}
         with pytest.raises(InstabilityError) as full:
             for _ in range(100):
                 ref, ref_forces, _ = full_path_step(ref, ref_forces, cfg, box)
@@ -1067,7 +1302,7 @@ class TestHandBack:
         steps = record_steps(monkeypatch)
         for _ in range(200):
             state, forces, _ = verlet_step(state, forces, cfg, box)
-            if steps[-1] == {"trusted": True, "searches": 0, "checks": 0}:
+            if steps[-1] == {"trusted": True, "rebuilds": 0, "checks": 0}:
                 return cfg, box, state, forces, steps
         raise AssertionError("the bound never spared an exact check")
 
@@ -1095,7 +1330,7 @@ class TestHandBack:
         self.jump_next_to_an_unlisted_particle(state, box)
         del steps[:]
         state, forces, potential = verlet_step(state, forces, cfg, box)
-        assert steps == [{"trusted": False, "searches": 1, "checks": 1}]
+        assert steps == [{"trusted": False, "rebuilds": 1, "checks": 1}]
         ref_forces, ref_potential = brute_reference_forces(
             state.positions, state.species, box.side)
         assert np.max(np.abs(forces - ref_forces)) <= 1e-10
@@ -1200,21 +1435,22 @@ class TestRun:
 
     def test_paper_density_state_is_pinned(self, monkeypatch):
         # SHA-256 of positions + velocities, the potential and the number of
-        # pair searches after 300 steps at paper density (30k He + 30k Ar,
-        # 5e4 A box, seed 1), recorded before steps could take the hand-back
-        # path: it covers the listed-component kicks and the stale bound.
+        # pair list rebuilds after 300 steps at paper density (30k He + 30k
+        # Ar, 5e4 A box, seed 1), recorded before steps could take the
+        # hand-back path: it covers the listed-component kicks, the stale
+        # bound and the lists pruned from the outer list.
         searches = []
-        search = md._candidate_pairs
+        rebuild = md._rebuild_pair_list
 
         def counting(*args):
             searches.append(1)
-            return search(*args)
+            return rebuild(*args)
 
         cfg = MDConfig(n_he=30000, n_ar=30000, seed=1)
         box = SimBox(side=5.0e4)
         state = init_state(cfg, box)
         forces, potential = compute_forces(state, box)
-        monkeypatch.setattr(md, "_candidate_pairs", counting)
+        monkeypatch.setattr(md, "_rebuild_pair_list", counting)
         for _ in range(300):
             state, forces, potential = verlet_step(state, forces, cfg, box)
         digest = hashlib.sha256(state.positions.tobytes() + state.velocities.tobytes())
