@@ -1,15 +1,24 @@
 #!/usr/bin/env python3
-"""Fixed-step paper-density MD probe, run on one or more source trees.
+"""Fixed-step paper-density MD probe and trajectory-I/O probe, run on one
+or more source trees.
 
 Each probe runs in a fresh interpreter with one BLAS thread and the given
-source tree first on PYTHONPATH.  It builds the paper preset's state (30k He
-+ 30k Ar in a 5e4 A box at 300 K, dt 5 fs, seed 1), takes 20 steps
-untimed, then times 1000 velocity-Verlet steps one by one.  It reports
-the median and mean ms/step, the hours a 1e6-step seed takes at the mean,
-inner pair-list rebuilds per step (a new ``state.pair_list``), outer-list
-builds per step (a new ``state._work.outer``; 0 where there is none) and
-minor page faults per step.  With a fixed step count, equal rebuild counts
-show that two trees search on the same steps.
+source tree first on PYTHONPATH.  The MD probe builds the paper preset's
+state (30k He + 30k Ar in a 5e4 A box at 300 K, dt 5 fs, seed 1), takes 20
+steps untimed, then times 1000 velocity-Verlet steps one by one.  It
+reports the median and mean ms/step, the hours a 1e6-step seed takes at the
+mean, inner pair-list rebuilds per step (a new ``state.pair_list``),
+outer-list builds per step (a new ``state._work.outer``; 0 where there is
+none) and minor page faults per step.  With a fixed step count, equal
+rebuild counts show that two trees search on the same steps.
+
+The I/O probe takes frame 0 of the desk preset (1000 particles) and of the
+paper preset (60000), writes it IO_FRAMES times with
+``write_native_frames`` and reads the file back with ``iter_native``
+twice: as the writer left it (with the binary frame sidecar, where the
+tree writes one; its hash checks included) and with only the text left.
+It reports each as microseconds per particle row, and the bytes per row of
+the text and of whatever else the writer left (the sidecar).
 
 Trees run in turn, 5 rounds, so that machine drift falls on all of
 them alike; the record keeps every run and the per-tree medians.
@@ -31,6 +40,8 @@ SEED = 1
 ROUNDS = 5
 WARMUP = 20
 STEPS = 1000
+#: frames written per preset by the I/O probe
+IO_FRAMES = {"desk": 100, "paper": 5}
 
 
 def probe() -> dict:
@@ -68,6 +79,52 @@ def probe() -> dict:
     }
 
 
+def io_probe() -> dict:
+    """Time writing IO_FRAMES frames per preset, and reading them back with
+    and without what the writer left beside the text."""
+    import tempfile
+    import time
+    from dataclasses import replace
+
+    from gasdiff import md, pipeline
+    from gasdiff.trajectory_io import iter_native, write_native_frames
+
+    out = {}
+    for name, n_frames in IO_FRAMES.items():
+        preset = getattr(pipeline, name.upper())
+        cfg, box = preset.md_config(SEED), md.SimBox(side=preset.box_side)
+        frame = next(md.iter_frames(cfg, box, 0))
+        rows = n_frames * frame.n_particles
+        frames = (replace(frame, timestep=k * cfg.sample_stride,
+                          time_fs=k * cfg.sample_stride * cfg.dt)
+                  for k in range(n_frames))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.txt"
+
+            def seconds(work):
+                start = time.perf_counter()
+                work()
+                return time.perf_counter() - start
+
+            def read():
+                if sum(1 for _ in iter_native(path)) != n_frames:
+                    raise RuntimeError(f"{path} did not read back {n_frames} frames")
+
+            times = [seconds(lambda: write_native_frames(
+                md.trajectory_header(cfg, box), frames, path))]
+            beside = [p for p in Path(tmp).iterdir() if p != path]
+            sizes = [path.stat().st_size, sum(p.stat().st_size for p in beside)]
+            times.append(seconds(read))
+            for p in beside:
+                p.unlink()
+            times.append(seconds(read))
+        for key, spent in zip(("write", "sidecar_read", "text_read"), times):
+            out[f"{name}_{key}_us_per_row"] = spent / rows * 1e6
+        out[f"{name}_text_bytes_per_row"] = sizes[0] / rows
+        out[f"{name}_sidecar_bytes_per_row"] = sizes[1] / rows
+    return out
+
+
 def run_probe(src: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -89,7 +146,7 @@ def main():
     args = ap.parse_args()
 
     if args.probe:
-        print(json.dumps(probe()))
+        print(json.dumps({**probe(), **io_probe()}))
         return
     if not args.trees or not args.out:
         ap.error("give --out and at least one NAME=SRC")
@@ -103,13 +160,19 @@ def main():
                   f"{result['median_ms_per_step']:.3f} ms/step median, "
                   f"{result['mean_ms_per_step']:.3f} mean, "
                   f"{result['inner_rebuilds_per_step']:.3f} inner and "
-                  f"{result['outer_builds_per_step']:.3f} outer per step", flush=True)
+                  f"{result['outer_builds_per_step']:.3f} outer per step; "
+                  f"paper frame write {result['paper_write_us_per_row']:.2f}, "
+                  f"read {result['paper_sidecar_read_us_per_row']:.2f}, "
+                  f"text read {result['paper_text_read_us_per_row']:.2f} us/row",
+                  flush=True)
     import numpy
 
     record = {
         "probe": {"preset": "30000 He + 30000 Ar, 5e4 A box, 300 K, dt 5 fs",
                   "seed": SEED, "warmup_steps": WARMUP, "steps": STEPS,
                   "blas_threads": 1, "paper_steps": PAPER_STEPS},
+        "io_probe": {"frame": "frame 0 of the desk and paper presets, seed 1",
+                     "frames_written": IO_FRAMES},
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "median_of_runs": {name: {key: statistics.median(r[key] for r in results)

@@ -1,9 +1,9 @@
 """Exact Fourier-series solution of the periodic diffusion equation.
 
-Serves as the convergence oracle for the finite-difference solver.  The
-supported initial conditions are the centered square patch (indicator of
-[1/4,3/4]^2) and explicit coefficient lists.  Each wavenumber m evolves
-independently: u_hat_m(t) = u_hat_m(0) * exp(-4 pi^2 |m|^2 D t).
+Serves as the convergence oracle for the finite-difference solver and the
+fd-run --oracle frames, for the centered square patch (indicator of
+[1/4,3/4]^2).  Each wavenumber m evolves independently:
+u_hat_m(t) = u_hat_m(0) * exp(-4 pi^2 |m|^2 D t).
 """
 
 from __future__ import annotations
@@ -39,36 +39,6 @@ def patch_fourier_coefficient(m) -> complex:
     return complex(out)
 
 
-def exact_solution(x, t: float, diffusion: float, modes: int = 64,
-                   coefficients=None) -> float:
-    """Pointwise truncated Fourier solution at position x and time t.
-
-    Sums wavenumbers with |m_i| <= modes.  By default the initial condition
-    is the square patch; pass ``coefficients`` as a dict {m_tuple: c} to use
-    an explicit list instead (conjugate symmetry is the caller's job there).
-    The symmetric sum is real up to roundoff; the imaginary part is dropped.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    d = x.size
-    if coefficients is not None:
-        total = 0.0 + 0.0j
-        for m, c in coefficients.items():
-            mv = np.atleast_1d(np.asarray(m, dtype=np.float64))
-            total += (
-                complex(c)
-                * np.exp(-4.0 * np.pi**2 * float(np.dot(mv, mv)) * diffusion * t)
-                * np.exp(2.0j * np.pi * float(np.dot(mv, x)))
-            )
-        return float(total.real)
-
-    # The patch factorizes over axes, as does the decay factor,
-    # so the d-dimensional sum is a product of 1D sums.
-    out = 1.0
-    for axis in range(d):
-        out *= _patch_axis_sum(np.array([x[axis]]), t, diffusion, modes)[0]
-    return float(out)
-
-
 def _patch_axis_sum(x: np.ndarray, t: float, diffusion: float, modes: int) -> np.ndarray:
     """1D truncated series of the diffused interval indicator at positions x."""
     ms = np.arange(-modes, modes + 1)
@@ -86,13 +56,3 @@ def patch_solution_on_grid(grid: GridSpec, t: float, diffusion: float,
     x = grid.cell_centers_1d()
     line = _patch_axis_sum(x, t, diffusion, modes)
     return ScalarField(grid, np.outer(line, line))
-
-
-def truncated_energy(t: float, diffusion: float, modes: int = 64) -> float:
-    """sum over |m_i| <= modes of |u_hat_m(t)|^2 for the patch problem."""
-    ms = np.arange(-modes, modes + 1)
-    coeffs = np.array([patch_coefficient_1d(int(m)) for m in ms])
-    decay = np.exp(-4.0 * np.pi**2 * ms.astype(np.float64) ** 2 * diffusion * t)
-    axis = coeffs * decay
-    # |c_(m1,m2)|^2 = |c_m1|^2 |c_m2|^2 summed over the square of modes.
-    return float(np.sum(axis**2) ** 2)

@@ -4,8 +4,6 @@ Both time discretizations (forward Euler and Crank-Nicolson) act diagonally
 on discrete Fourier modes, so a time step is one forward FFT, a per-mode
 multiply by the amplification factor, and an inverse FFT.  The implicit CN
 system is never assembled; the FFT route costs O(N^d log N) per step.
-Forward Euler additionally has a physical-space stencil form used for
-cross-checking.
 """
 
 from __future__ import annotations
@@ -75,16 +73,6 @@ def laplacian_eigenvalue(m, grid: GridSpec) -> float:
     return float(-4.0 / grid.h**2 * np.sum(s * s))
 
 
-def apply_discrete_laplacian(f: ScalarField) -> ScalarField:
-    """Central-difference Laplacian with periodic wraparound."""
-    u = f.values
-    h2 = f.grid.h**2
-    out = np.zeros_like(u)
-    for axis in range(f.grid.d):
-        out += np.roll(u, 1, axis=axis) - 2.0 * u + np.roll(u, -1, axis=axis)
-    return ScalarField(f.grid, out / h2)
-
-
 def critical_time_step(grid: GridSpec, diffusion: float) -> float:
     """Largest stable forward Euler step, h^2 / (2 d D)."""
     if diffusion <= 0:
@@ -117,12 +105,6 @@ def step(f: ScalarField, config: SolverConfig) -> ScalarField:
     rho = amplification_factors(config.scheme, config.k, config.diffusion, config.grid)
     u_hat = np.fft.fftn(f.values)
     return ScalarField(f.grid, np.fft.ifftn(rho * u_hat).real)
-
-
-def forward_euler_stencil_step(f: ScalarField, config: SolverConfig) -> ScalarField:
-    """Physical-space form of the FE update; agrees with step() to roundoff."""
-    lap = apply_discrete_laplacian(f)
-    return ScalarField(f.grid, f.values + config.k * config.diffusion * lap.values)
 
 
 def make_patch_initial(grid: GridSpec) -> ScalarField:

@@ -23,6 +23,18 @@ Native trajectories stream: write_native_frames appends frames as they
 come and iter_native yields them one at a time; write_native and
 read_native run the same code for a Trajectory held in memory.
 
+Next to ``<path>`` the writer also streams a binary sidecar,
+``<path>.frames``: per frame a little-endian ``<qdqd`` head (timestep,
+time_fs, 1 if there is an energy else 0, energy or 0.0), then the int64
+ids and species and the float64 (n, 2) positions and velocities.  A
+trailer closes it: the magic ``gasdiff-frames 1``, the particle and frame
+counts, the text's byte length and SHA-256, and the SHA-256 of the frame
+records.  The writer keeps the sidecar only when every frame parses back
+from its text bit for bit and would be accepted (finite values, |id| and
+|timestep| <= 2**62, increasing timesteps, one particle count).
+iter_native yields the sidecar's frames when its trailer, its records and
+the text all match; otherwise it parses the text.
+
 The LAMMPS reader handles orthogonal-box text dumps with header-driven
 column order, unscaled (x y) or scaled (xs ys) coordinates, and ignores any
 z column.  Every malformed input raises ParseError with a line number; no
@@ -31,7 +43,10 @@ input may crash the parser.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
+import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -87,38 +102,119 @@ class Trajectory:
         return self.frames[0].n_particles if self.frames else 0
 
 
+_SIDECAR_MAGIC = b"gasdiff-frames 1"
+#: timestep, time_fs, has energy, energy
+_FRAME_HEAD = struct.Struct("<qdqd")
+#: magic, particles, frames, text bytes, text SHA-256, frame records' SHA-256
+_TRAILER = struct.Struct("<16sqqq32s32s")
+#: ids, species, positions, velocities: the dtype the parser gives each
+#: and its columns; the sidecar stores them little-endian
+_COLUMNS = tuple((np.dtype(t), cols) for t, cols in (
+    (np.int64, ()), (np.int64, ()), (np.float64, (2,)), (np.float64, (2,))))
+_ROW_BYTES = 48  # id, species, x, y, vx, vy: 8 bytes each
+_BLOCK = 1 << 18
+
+
+def sidecar_path(path) -> Path:
+    """The binary frame sidecar of the native trajectory at ``path``."""
+    return Path(f"{path}.frames")
+
+
+def _header_text(header: Trajectory) -> str:
+    lines = ["#gasdiff-trajectory 1", f"#box {header.box_side!r}"]
+    if header.dt is not None:
+        lines.append(f"#dt {header.dt!r}")
+    lines.append(f"#units {header.units}")
+    for key in ("n_he", "n_ar", "seed"):
+        if getattr(header, key) is not None:
+            lines.append(f"#{key} {getattr(header, key)}")
+    lines.append(f"#has_velocities {int(header.has_velocities)}")
+    return "".join(f"{line}\n" for line in lines)
+
+
+def _frame_text(fr: Frame) -> str:
+    if fr.energy is None:
+        head = f"FRAME {fr.timestep} {float(fr.time_fs)!r}\n"
+    else:
+        head = f"FRAME {fr.timestep} {float(fr.time_fs)!r} {float(fr.energy)!r}\n"
+    rows = zip(fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
+               fr.velocities.tolist())
+    return head + "".join(f"{i} {SPECIES_LABELS[s]} {x!r} {y!r} {vx!r} {vy!r}\n"
+                          for i, s, (x, y), (vx, vy) in rows)
+
+
+def _parses_back(fr: Frame, n: int | None, last: int | None) -> bool:
+    """Whether ``_frame_text(fr)``, after a frame of ``n`` particles at
+    timestep ``last`` (None before the first), parses back to ``fr`` bit for
+    bit: dtypes and shapes the parser makes, finite floats (their repr
+    round-trips, -0.0 included), and nothing the parser rejects."""
+    ts, count = fr.timestep, len(fr.ids)
+    arrays = (fr.ids, fr.species, fr.positions, fr.velocities)
+    return ((type(ts) is int or isinstance(ts, np.integer)) and abs(int(ts)) <= 2**62
+            and (last is None or ts > last) and n in (None, count)
+            and all(isinstance(a, np.ndarray) and a.dtype == dtype
+                    and a.shape == (count, *cols)
+                    for a, (dtype, cols) in zip(arrays, _COLUMNS))
+            and math.isfinite(float(fr.time_fs))
+            and (fr.energy is None or math.isfinite(float(fr.energy)))
+            and bool(np.isfinite(fr.positions).all() and np.isfinite(fr.velocities).all())
+            and (count == 0 or -2**62 <= fr.ids.min() <= fr.ids.max() <= 2**62))
+
+
+def _frame_record(fr: Frame) -> list[bytes]:
+    energy = fr.energy
+    head = _FRAME_HEAD.pack(int(fr.timestep), float(fr.time_fs), energy is not None,
+                            0.0 if energy is None else float(energy))
+    return [head] + [a.astype(dtype.newbyteorder("<"), copy=False).tobytes()
+                     for a, (dtype, _) in zip(
+                         (fr.ids, fr.species, fr.positions, fr.velocities), _COLUMNS)]
+
+
 def write_native_frames(header: Trajectory, frames: Iterable[Frame], path) -> None:
     """Write ``header``'s fields (not its frames), then each of ``frames`` as
     it comes, to ``path`` + ".tmp", renamed onto ``path`` after the last
-    frame.  If ``frames`` raises, the temporary file is removed."""
-    tmp = Path(f"{path}.tmp")
+    frame; the binary sidecar goes the same way, or is removed when a frame
+    would not parse back from the text identically.  If ``frames`` raises,
+    both temporary files are removed."""
+    import hashlib
+
+    tmp, side = Path(f"{path}.tmp"), sidecar_path(path)
+    side_tmp = Path(f"{side}.tmp")
+    text_sha, records_sha = hashlib.sha256(), hashlib.sha256()
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("#gasdiff-trajectory 1\n")
-            fh.write(f"#box {header.box_side!r}\n")
-            if header.dt is not None:
-                fh.write(f"#dt {header.dt!r}\n")
-            fh.write(f"#units {header.units}\n")
-            if header.n_he is not None:
-                fh.write(f"#n_he {header.n_he}\n")
-            if header.n_ar is not None:
-                fh.write(f"#n_ar {header.n_ar}\n")
-            if header.seed is not None:
-                fh.write(f"#seed {header.seed}\n")
-            fh.write(f"#has_velocities {int(header.has_velocities)}\n")
+        with open(tmp, "wb") as fh, open(side_tmp, "wb") as side_fh:
+            def put(text: str) -> int:
+                data = text.encode("utf-8")
+                text_sha.update(data)
+                fh.write(data)
+                return len(data)
+
+            head = _header_text(header)
+            size = put(head)
+            # a line break inside a header value would start another line
+            exact = len(head.splitlines()) == head.count("\n")
+            n = last = None
+            count = 0
             for fr in frames:
-                if fr.energy is None:
-                    fh.write(f"FRAME {fr.timestep} {float(fr.time_fs)!r}\n")
-                else:
-                    fh.write(f"FRAME {fr.timestep} {float(fr.time_fs)!r} "
-                             f"{float(fr.energy)!r}\n")
-                rows = zip(fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
-                           fr.velocities.tolist())
-                fh.write("".join(f"{i} {SPECIES_LABELS[s]} {x!r} {y!r} {vx!r} {vy!r}\n"
-                                 for i, s, (x, y), (vx, vy) in rows))
+                size += put(_frame_text(fr))
+                exact = exact and _parses_back(fr, n, last)
+                if exact:
+                    for part in _frame_record(fr):
+                        records_sha.update(part)
+                        side_fh.write(part)
+                    n, last, count = len(fr.ids), fr.timestep, count + 1
+            if exact:
+                side_fh.write(_TRAILER.pack(_SIDECAR_MAGIC, n or 0, count, size,
+                                            text_sha.digest(), records_sha.digest()))
+        if exact:
+            os.replace(side_tmp, side)
+        else:
+            side_tmp.unlink()
+            side.unlink(missing_ok=True)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        side_tmp.unlink(missing_ok=True)
         raise
 
 
@@ -202,25 +298,32 @@ def _native_header(lines, path):
     first = next(lines, None)
     if first is None or not first.startswith("#gasdiff-trajectory"):
         raise ParseError("missing '#gasdiff-trajectory' signature", path=path, line=1)
-    header: dict[str, str] = {}
+    header: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
     line, lineno = next(lines, None), 2
     while line is not None and line.startswith("#"):
         parts = line[1:].split(None, 1)
         if len(parts) != 2:
             raise ParseError("malformed header line", path=path, line=lineno)
-        header[parts[0]] = parts[1]
+        header[parts[0]] = (parts[1], lineno)
         line, lineno = next(lines, None), lineno + 1
     if "box" not in header:
         raise ParseError("header is missing the box side", path=path, line=lineno - 1)
+
+    def number(key, parse):
+        if key not in header:
+            return None
+        text, at = header[key]
+        return parse(text, path, at)
+
     try:
         traj = Trajectory(
-            box_side=_parse_float(header["box"], path, 1),
-            units=header.get("units", "real"),
-            dt=_parse_float(header["dt"], path, 1) if "dt" in header else None,
-            seed=_parse_int(header["seed"], path, 1) if "seed" in header else None,
-            n_he=_parse_int(header["n_he"], path, 1) if "n_he" in header else None,
-            n_ar=_parse_int(header["n_ar"], path, 1) if "n_ar" in header else None,
-            has_velocities=header.get("has_velocities", "1") == "1",
+            box_side=number("box", _parse_float),
+            units=header.get("units", ("real",))[0],
+            dt=number("dt", _parse_float),
+            seed=number("seed", _parse_int),
+            n_he=number("n_he", _parse_int),
+            n_ar=number("n_ar", _parse_int),
+            has_velocities=header.get("has_velocities", ("1",))[0] == "1",
         )
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
@@ -233,8 +336,65 @@ def read_native_header(path) -> Trajectory:
         return _native_header(_lines(fh), path)[0]
 
 
+def _sha256(fh, size: int) -> bytes | None:
+    """The SHA-256 of the next ``size`` bytes of ``fh``, read in fixed-size
+    blocks; None if the file ends first."""
+    import hashlib
+
+    digest, block = hashlib.sha256(), memoryview(bytearray(_BLOCK))
+    while size > 0:
+        got = fh.readinto(block[:min(size, _BLOCK)])
+        if not got:
+            return None
+        digest.update(block[:got])
+        size -= got
+    return digest.digest()
+
+
+@contextlib.contextmanager
+def _open_sidecar(path):
+    """``path``'s sidecar open at its first frame, with its particle and frame
+    counts, if its trailer, its frame records and the text at ``path`` all
+    match what the writer recorded; else None."""
+    try:
+        fh = open(sidecar_path(path), "rb")
+    except OSError:
+        yield None
+        return
+    with fh:
+        body = os.fstat(fh.fileno()).st_size - _TRAILER.size
+        found = None
+        if body >= 0:
+            fh.seek(body)
+            magic, n, count, text_bytes, text_sha, records_sha = _TRAILER.unpack(
+                fh.read(_TRAILER.size))
+            if (magic == _SIDECAR_MAGIC and n >= 0 and count >= 0
+                    and body == count * (_FRAME_HEAD.size + _ROW_BYTES * n)
+                    and os.path.getsize(path) == text_bytes):
+                with open(path, "rb") as text:
+                    matches = _sha256(text, text_bytes) == text_sha
+                fh.seek(0)
+                if matches and _sha256(fh, body) == records_sha:
+                    fh.seek(0)
+                    found = fh, n, count
+        yield found
+
+
+def _sidecar_frame(fh, n: int) -> Frame:
+    """The next frame of a checked sidecar, each array its own."""
+    head = fh.read(_FRAME_HEAD.size)
+    arrays = [np.empty((n, *cols), dtype.newbyteorder("<")) for dtype, cols in _COLUMNS]
+    if len(head) != _FRAME_HEAD.size or any(fh.readinto(a) != a.nbytes for a in arrays):
+        raise ParseError("frame sidecar changed while it was read", path=fh.name)
+    timestep, time_fs, has_energy, energy = _FRAME_HEAD.unpack(head)
+    return Frame(timestep, time_fs,
+                 *(a.astype(dtype, copy=False) for a, (dtype, _) in zip(arrays, _COLUMNS)),
+                 energy=energy if has_energy else None)
+
+
 def iter_native(path) -> Iterator[Frame]:
-    """Parse and yield the frames of a native trajectory one at a time.
+    """Yield the frames of a native trajectory one at a time: from its
+    binary sidecar when that matches the text, else parsed from the text.
 
     A malformed line raises ParseError when the reader reaches it, after
     the frames before it were yielded.
@@ -242,6 +402,12 @@ def iter_native(path) -> Iterator[Frame]:
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = _lines(fh)
         _, line, lineno = _native_header(lines, path)
+        with _open_sidecar(path) as found:
+            if found is not None:
+                side, n, count = found
+                for _ in range(count):
+                    yield _sidecar_frame(side, n)
+                return
         n = last = None  # particle count and timestep of the frames so far
         while line is not None:
             if not line.strip():

@@ -330,6 +330,27 @@ class TestArtifactIdempotence:
         assert outs[0] == outs[1]
 
 
+class TestFrameSidecar:
+    def test_bin_and_msd_outputs_match_without_the_sidecar(self, tmp_path, small_traj):
+        from gasdiff.trajectory_io import sidecar_path
+
+        traj = tmp_path / "traj.txt"
+        traj.write_bytes(small_traj.read_bytes())
+        sidecar_path(traj).write_bytes(sidecar_path(small_traj).read_bytes())
+        outputs = []
+        for name in ("with", "without"):
+            if name == "without":
+                sidecar_path(traj).unlink()
+            assert run_cli("bin", "--traj", traj, "--N", 8, "--species", "ar",
+                           "--out", tmp_path / f"bin_{name}") == 0
+            assert run_cli("msd", "--traj", traj, "--species", "ar",
+                           "--out", tmp_path / f"msd_{name}" / "msd.json") == 0
+            outputs.append([p.read_bytes() for p in sorted(
+                (tmp_path / f"bin_{name}").glob("*.csv"))]
+                + [(tmp_path / f"msd_{name}" / "msd.json").read_bytes()])
+        assert len(outputs[0]) == 23 and outputs[0] == outputs[1]
+
+
 class TestStreamingMemory:
     def test_bin_and_msd_memory_grows_only_by_the_binned_frames(self, tmp_path):
         """Ten times the frames of the same n cost bin + msd no more traced

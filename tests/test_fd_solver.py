@@ -9,15 +9,29 @@ from gasdiff.fd_solver import (
     SolverConfig,
     amplification_factor,
     amplification_factors,
-    apply_discrete_laplacian,
     critical_time_step,
-    forward_euler_stencil_step,
     laplacian_eigenvalue,
     make_patch_initial,
     solve,
     step,
 )
 from gasdiff.fields import GridSpec, ScalarField, field_energy, field_mass
+
+
+def apply_discrete_laplacian(f: ScalarField) -> ScalarField:
+    """Central-difference Laplacian with periodic wraparound."""
+    u = f.values
+    h2 = f.grid.h**2
+    out = np.zeros_like(u)
+    for axis in range(f.grid.d):
+        out += np.roll(u, 1, axis=axis) - 2.0 * u + np.roll(u, -1, axis=axis)
+    return ScalarField(f.grid, out / h2)
+
+
+def forward_euler_stencil_step(f: ScalarField, config: SolverConfig) -> ScalarField:
+    """Physical-space form of the FE update; agrees with step() to roundoff."""
+    lap = apply_discrete_laplacian(f)
+    return ScalarField(f.grid, f.values + config.k * config.diffusion * lap.values)
 
 
 def index_mode_field(grid, m, phase=0.0):

@@ -14,8 +14,10 @@ from gasdiff.trajectory_io import (
     parse_lammps_dump,
     read_native,
     read_native_header,
+    sidecar_path,
     write_lammps_dump,
     write_native,
+    write_native_frames,
 )
 
 SPECIES_MAP = {1: Species.HE, 2: Species.AR}
@@ -89,6 +91,7 @@ class TestNativeFormat:
         write_native(make_trajectory(seed=4), a)
         write_native(make_trajectory(seed=4), b)
         assert a.read_bytes() == b.read_bytes()
+        assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
 
     def test_missing_signature_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -388,11 +391,16 @@ def whole_file_read_native(path) -> Trajectory:
         parts = lines[i][1:].split(None, 1)
         if len(parts) != 2:
             raise ParseError("malformed header line", path=path, line=i + 1)
-        header[parts[0]] = parts[1]
+        header[parts[0]] = (parts[1], i + 1)
         i += 1
     if "box" not in header:
         raise ParseError("header is missing the box side", path=path, line=i)
-    box_side = parse_float(header["box"], path, 1)
+
+    def number(key, parse):
+        text, line = header[key]
+        return parse(text, path, line)
+
+    box_side = number("box", parse_float)
     frames = []
     while i < len(lines):
         if not lines[i].strip():
@@ -419,12 +427,12 @@ def whole_file_read_native(path) -> Trajectory:
                             velocities=velocities, energy=energy))
     try:
         return Trajectory(
-            box_side=box_side, frames=frames, units=header.get("units", "real"),
-            dt=parse_float(header["dt"], path, 1) if "dt" in header else None,
-            seed=parse_int(header["seed"], path, 1) if "seed" in header else None,
-            n_he=parse_int(header["n_he"], path, 1) if "n_he" in header else None,
-            n_ar=parse_int(header["n_ar"], path, 1) if "n_ar" in header else None,
-            has_velocities=header.get("has_velocities", "1") == "1",
+            box_side=box_side, frames=frames, units=header.get("units", ("real",))[0],
+            dt=number("dt", parse_float) if "dt" in header else None,
+            seed=number("seed", parse_int) if "seed" in header else None,
+            n_he=number("n_he", parse_int) if "n_he" in header else None,
+            n_ar=number("n_ar", parse_int) if "n_ar" in header else None,
+            has_velocities=header.get("has_velocities", ("1",))[0] == "1",
         )
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
@@ -528,6 +536,15 @@ class TestStreamingNativeReader:
         assert outcome(whole_file_read_native, path)[0] == "error"
         assert_same_outcome(path)
 
+    @pytest.mark.parametrize("case, line", [("bad box", 2), ("bad dt", 3)])
+    def test_bad_header_value_names_its_line(self, tmp_path, case, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(MALFORMED_NATIVE[case])
+        for read in (whole_file_read_native, read_native, read_native_header):
+            with pytest.raises(ParseError, match="non-numeric field") as err:
+                read(path)
+            assert err.value.line == line
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_one_edit_of_a_good_file_reads_as_before(self, tmp_path_factory, data):
@@ -562,3 +579,227 @@ class TestStreamingNativeReader:
             want = fh.read().splitlines()
         with open(path, encoding="utf-8") as fh:
             assert list(trajectory_io._lines(fh)) == want
+
+
+def unparsed_frames(path, monkeypatch):
+    """iter_native's frames, failing if it parses any frame from the text."""
+    def parse(*args):
+        raise AssertionError("frame parsed from the text")
+
+    with monkeypatch.context() as m:
+        m.setattr(trajectory_io, "_native_columns", parse)
+        m.setattr(trajectory_io, "_native_rows", parse)
+        return list(iter_native(path))
+
+
+def parsed_frames(path):
+    """iter_native's frames with the sidecar moved away."""
+    side = sidecar_path(path)
+    away = side.with_name(side.name + ".away")
+    side.rename(away)
+    try:
+        return list(iter_native(path))
+    finally:
+        away.rename(side)
+
+
+def assert_sidecar_matches_text(path, monkeypatch):
+    got = unparsed_frames(path, monkeypatch)
+    assert_same_frames(got, parsed_frames(path))
+    for fr in got:
+        for a in (fr.ids, fr.species, fr.positions, fr.velocities):
+            assert a.flags.owndata and a.flags.c_contiguous and a.flags.writeable
+    return got
+
+
+def flip(at):
+    """A damage that flips the lowest bit of byte ``at``."""
+    return lambda data: data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+RECORD = 32 + 48 * 4  # a frame of 4 particles in the sidecar
+SIDECAR_DAMAGE = {
+    "empty": lambda data: b"",
+    "cut one byte": lambda data: data[:-1],
+    "cut one frame": lambda data: data[:2 * RECORD] + data[3 * RECORD:],
+    "extra byte": lambda data: data + b"\0",
+    "flip a position": flip(32 + 16 * 4),
+    "flip an id": flip(RECORD + 32),
+    "flip the magic": flip(3 * RECORD),
+    "flip the frame count": flip(3 * RECORD + 24),
+    "flip the text digest": flip(3 * RECORD + 40),
+    "flip the records digest": flip(3 * RECORD + 72),
+}
+
+
+class TestFrameSidecar:
+    def test_md_run_sidecar_matches_the_text(self, tmp_path, monkeypatch):
+        from gasdiff.cli import main
+
+        outs = [tmp_path / name / "traj.txt" for name in ("a", "b")]
+        for out in outs:
+            assert main(["md-run", "--n-he", "30", "--n-ar", "30", "--box", "1500.0",
+                         "--steps", "100", "--stride", "10", "--seed", "3",
+                         "--out", str(out)]) == 0
+        frames = assert_sidecar_matches_text(outs[0], monkeypatch)
+        assert len(frames) == 11 and all(fr.energy is not None for fr in frames)
+        assert sidecar_path(outs[0]).read_bytes() == sidecar_path(outs[1]).read_bytes()
+        assert_same_frames(read_native(outs[0]).frames, frames)
+
+    def test_reproduce_sidecar_matches_the_text(self, tmp_path, monkeypatch):
+        from gasdiff.pipeline import Preset, run_reproduce
+
+        preset = Preset(name="tiny", n_he=40, n_ar=40, box_side=1500.0, dt=5.0,
+                        n_steps=120, sample_stride=20, temperature=300.0,
+                        n_values=(4,), d0_nd=0.05, init_from_frame0=True)
+        run_reproduce(preset, seeds=[2], out_dir=tmp_path)
+        frames = assert_sidecar_matches_text(
+            tmp_path / "seed_2" / "trajectory.txt", monkeypatch)
+        assert len(frames) == 7
+
+    def test_converted_dump_without_velocities_or_energy(self, tmp_path, monkeypatch):
+        from gasdiff.cli import main
+
+        dump, out = tmp_path / "d.dump", tmp_path / "traj.txt"
+        dump.write_text(REORDERED_DUMP + REORDERED_DUMP.replace("10\n", "20\n", 1))
+        assert main(["convert", "--in", str(dump), "--to", "native",
+                     "--dt", "5.0", "--out", str(out)]) == 0
+        assert "#has_velocities 0" in out.read_text()
+        frames = assert_sidecar_matches_text(out, monkeypatch)
+        assert [fr.energy for fr in frames] == [None, None]
+        assert [fr.timestep for fr in frames] == [10, 20]
+
+    def test_written_trajectory_with_edge_values(self, tmp_path, monkeypatch):
+        traj = make_trajectory(n_frames=3, n=5, seed=8)
+        traj.has_velocities = False
+        traj.frames[0].energy = None
+        traj.frames[1].ids[2] = -(2**62)
+        traj.frames[1].ids[3] = 2**62
+        traj.frames[2].positions[1] = [-0.0, 5e-324]
+        traj.frames[2].velocities[:] = 0.0
+        traj.frames[2].velocities[4] = [-0.0, 1.7976931348623157e308]
+        path = tmp_path / "traj.txt"
+        write_native(traj, path)
+        frames = assert_sidecar_matches_text(path, monkeypatch)
+        assert_same_frames(frames, traj.frames)
+
+    def test_empty_trajectory_and_empty_frames(self, tmp_path, monkeypatch):
+        path = tmp_path / "empty.txt"
+        write_native(Trajectory(box_side=10.0), path)
+        assert assert_sidecar_matches_text(path, monkeypatch) == []
+        traj = make_trajectory(n_frames=2, n=0)
+        write_native(traj, path)
+        assert len(assert_sidecar_matches_text(path, monkeypatch)) == 2
+
+    @pytest.mark.parametrize("old, new", [("5", "6"), ("0", "9")])
+    def test_same_length_edit_reads_the_edited_text(self, tmp_path, old, new):
+        path = tmp_path / "traj.txt"
+        written = make_trajectory(n_frames=3, n=4, seed=2).frames[-1]
+        write_native(make_trajectory(n_frames=3, n=4, seed=2), path)
+        text = path.read_text()
+        at = text.rindex(old)  # a digit in the last row
+        path.write_text(text[:at] + new + text[at + 1:])
+        assert sidecar_path(path).is_file()
+        got = list(iter_native(path))
+        assert_same_frames(got, whole_file_read_native(path).frames)
+        assert not np.array_equal(np.hstack([got[-1].positions, got[-1].velocities]),
+                                  np.hstack([written.positions, written.velocities]))
+
+    @pytest.mark.parametrize("old, new", [("FRAME 100", "FRAMES100"),
+                                          ("\n3 ", "\n3x"), (".", "q")])
+    def test_same_length_malformed_edit_gives_the_parse_error(self, tmp_path, old, new):
+        path = tmp_path / "traj.txt"
+        write_native(make_trajectory(n_frames=3, n=4, seed=2), path)
+        text = path.read_text()
+        at = text.rindex(old)
+        path.write_text(text[:at] + new + text[at + len(old):])
+        assert len(path.read_bytes()) == len(text)
+        assert sidecar_path(path).is_file()
+        assert outcome(whole_file_read_native, path)[0] == "error"
+        assert_same_outcome(path)
+
+    @pytest.mark.parametrize("damage", sorted(SIDECAR_DAMAGE))
+    def test_damaged_sidecar_falls_back_to_the_text(self, tmp_path, damage):
+        path = tmp_path / "traj.txt"
+        traj = make_trajectory(n_frames=3, n=4, seed=5)
+        write_native(traj, path)
+        side = sidecar_path(path)
+        assert len(side.read_bytes()) == 3 * RECORD + 104
+        side.write_bytes(SIDECAR_DAMAGE[damage](side.read_bytes()))
+        calls = []
+        parse = trajectory_io._native_columns
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(trajectory_io, "_native_columns",
+                      lambda rows: calls.append(1) or parse(rows))
+            assert_same_frames(list(iter_native(path)), traj.frames)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("case", ["nan position", "inf velocity", "nan energy",
+                                      "id above 2**62", "repeated timestep",
+                                      "particle count changes", "float timestep",
+                                      "float32 positions", "line break in units"])
+    def test_no_sidecar_where_the_text_would_not_read_back(self, tmp_path, case):
+        traj = make_trajectory(n_frames=3, n=4, seed=6)
+        frames = traj.frames
+        if case == "nan position":
+            frames[1].positions[2, 0] = np.nan
+        elif case == "inf velocity":
+            frames[2].velocities[0, 1] = -np.inf
+        elif case == "nan energy":
+            frames[0].energy = float("nan")
+        elif case == "id above 2**62":
+            frames[2].ids[1] = 2**62 + 1
+        elif case == "repeated timestep":
+            frames[2].timestep = frames[1].timestep
+        elif case == "particle count changes":
+            frames[1] = make_frame(100, 5, np.random.default_rng(1))
+        elif case == "float timestep":
+            frames[1].timestep = 100.0
+        elif case == "float32 positions":
+            frames[0].positions = frames[0].positions.astype(np.float32)
+        else:
+            traj.units = "real\x0bFRAME 0 0.0"
+        path = tmp_path / "traj.txt"
+        write_native(make_trajectory(), path)  # a stale sidecar to replace
+        assert sidecar_path(path).is_file()
+        write_native_frames(traj, frames, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.txt"]
+        assert_same_outcome(path)
+
+    def test_frames_raising_leaves_no_files(self, tmp_path):
+        def frames():
+            yield from make_trajectory().frames
+            raise RuntimeError("run failed")
+
+        with pytest.raises(RuntimeError):
+            write_native_frames(make_trajectory(), frames(), tmp_path / "traj.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sidecar_changed_while_read_is_an_error(self, tmp_path):
+        path = tmp_path / "traj.txt"
+        # frames larger than the file buffer, so the next one is read anew
+        write_native(make_trajectory(n_frames=3, n=500), path)
+        frames = iter_native(path)
+        next(frames)
+        sidecar_path(path).write_bytes(b"")
+        with pytest.raises(ParseError, match="sidecar changed"):
+            next(frames)
+
+    def test_sidecar_read_holds_one_frame(self, tmp_path):
+        import tracemalloc
+
+        n, n_frames = 1000, 200
+        rng = np.random.default_rng(0)
+        frame = make_frame(0, n, rng)
+        path = tmp_path / "traj.txt"
+        write_native_frames(make_trajectory(), (replace(frame, timestep=k)
+                                                for k in range(n_frames)), path)
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_native(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == n_frames
+        # the hash block plus a frame, against 9.6 MB for all of them
+        assert peak < trajectory_io._BLOCK + 4 * 48 * n
