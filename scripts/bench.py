@@ -7,10 +7,10 @@ source tree first on PYTHONPATH.  The MD probe builds the paper preset's
 state (30k He + 30k Ar in a 5e4 A box at 300 K, dt 5 fs, seed 1), takes 20
 steps untimed, then times 1000 velocity-Verlet steps one by one.  It
 reports the median and mean ms/step, the hours a 1e6-step seed takes at the
-mean, inner pair-list rebuilds per step (a new ``state.pair_list``),
+mean, inner pair-list rebuilds per step (a new ``state.pair_list``) and
 outer-list builds per step (a new ``state._work.outer``; 0 where there is
-none) and minor page faults per step.  With a fixed step count, equal
-rebuild counts show that two trees search on the same steps.
+none).  With a fixed step count, equal rebuild counts show that two trees
+search on the same steps.
 
 The I/O probe takes frame 0 of the desk preset (1000 particles) and of the
 paper preset (60000), writes it IO_FRAMES times with
@@ -18,7 +18,18 @@ paper preset (60000), writes it IO_FRAMES times with
 twice: as the writer left it (with the binary frame sidecar, where the
 tree writes one; its hash checks included) and with only the text left.
 It reports each as microseconds per particle row, and the bytes per row of
-the text and of whatever else the writer left (the sidecar).
+the text and of whatever else the writer left (the sidecar).  Where the
+tree forks a writer process, the write includes the fork and the pickling
+of each frame sent to it.
+
+The overlap probe runs first, with the MD settings of perfbench's
+``desk_pipeline`` (500 He + 500 Ar in a 5e3 A box, 2000 steps, a frame
+every 100, seed 1).  It times ``md.iter_frames`` alone and
+``write_native_frames(header, md.iter_frames(...))``, OVERLAP_RUNS times
+each in turn, and reports the medians in ms and the peak RSS of the
+largest child process so far (``RUSAGE_CHILDREN``): the trajectory
+writer's, where the tree forks one, else 0.  The gap between the two
+times is what the write adds to the run.
 
 Trees run in turn, 5 rounds, so that machine drift falls on all of
 them alike; the record keeps every run and the per-tree medians.
@@ -42,11 +53,12 @@ WARMUP = 20
 STEPS = 1000
 #: frames written per preset by the I/O probe
 IO_FRAMES = {"desk": 100, "paper": 5}
+#: runs of the MD alone and with the write, by the overlap probe
+OVERLAP_RUNS = 5
 
 
 def probe() -> dict:
     """Time STEPS paper-density steps after WARMUP untimed ones."""
-    import resource
     import time
 
     from gasdiff import md
@@ -58,7 +70,6 @@ def probe() -> dict:
     for _ in range(WARMUP):
         state, forces, _ = md.verlet_step(state, forces, cfg, box)
     times, inner, outer = [], 0, 0
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(STEPS):
         listed = state.pair_list
         outer_list = getattr(state._work, "outer", None)
@@ -67,7 +78,6 @@ def probe() -> dict:
         times.append(time.perf_counter() - start)
         inner += state.pair_list is not listed
         outer += getattr(state._work, "outer", None) is not outer_list
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     mean_s = statistics.fmean(times)
     return {
         "median_ms_per_step": statistics.median(times) * 1e3,
@@ -75,7 +85,39 @@ def probe() -> dict:
         "hours_per_seed": mean_s * PAPER_STEPS / 3600.0,
         "inner_rebuilds_per_step": inner / STEPS,
         "outer_builds_per_step": outer / STEPS,
-        "minor_faults_per_step": faults / STEPS,
+    }
+
+
+def overlap_probe() -> dict:
+    """Time the desk_pipeline MD alone and with its trajectory written."""
+    import resource
+    import tempfile
+    import time
+
+    from gasdiff import md
+    from gasdiff.trajectory_io import write_native_frames
+
+    cfg = md.MDConfig(n_he=500, n_ar=500, dt=5.0, temperature=300.0, seed=SEED,
+                      sample_stride=100)
+    box = md.SimBox(side=5.0e3)
+    md_s, write_s = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(OVERLAP_RUNS):
+            start = time.perf_counter()
+            for _ in md.iter_frames(cfg, box, 2000):
+                pass
+            md_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            write_native_frames(md.trajectory_header(cfg, box),
+                                md.iter_frames(cfg, box, 2000), Path(tmp) / "traj.txt")
+            write_s.append(time.perf_counter() - start)
+    md_ms, write_ms = statistics.median(md_s) * 1e3, statistics.median(write_s) * 1e3
+    return {
+        "overlap_md_ms": md_ms,
+        "overlap_md_write_ms": write_ms,
+        "overlap_gap_ms": write_ms - md_ms,
+        "writer_child_peak_rss_mb":
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
     }
 
 
@@ -146,7 +188,8 @@ def main():
     args = ap.parse_args()
 
     if args.probe:
-        print(json.dumps({**probe(), **io_probe()}))
+        # the overlap probe first, so that RUSAGE_CHILDREN holds its writers only
+        print(json.dumps({**overlap_probe(), **probe(), **io_probe()}))
         return
     if not args.trees or not args.out:
         ap.error("give --out and at least one NAME=SRC")
@@ -163,7 +206,9 @@ def main():
                   f"{result['outer_builds_per_step']:.3f} outer per step; "
                   f"paper frame write {result['paper_write_us_per_row']:.2f}, "
                   f"read {result['paper_sidecar_read_us_per_row']:.2f}, "
-                  f"text read {result['paper_text_read_us_per_row']:.2f} us/row",
+                  f"text read {result['paper_text_read_us_per_row']:.2f} us/row; "
+                  f"desk MD {result['overlap_md_ms']:.0f} ms, with the write "
+                  f"{result['overlap_md_write_ms']:.0f} ms",
                   flush=True)
     import numpy
 
@@ -173,6 +218,9 @@ def main():
                   "blas_threads": 1, "paper_steps": PAPER_STEPS},
         "io_probe": {"frame": "frame 0 of the desk and paper presets, seed 1",
                      "frames_written": IO_FRAMES},
+        "overlap_probe": {"preset": "500 He + 500 Ar, 5e3 A box, 300 K, dt 5 fs, "
+                                    "2000 steps, a frame every 100",
+                          "seed": SEED, "runs": OVERLAP_RUNS},
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "median_of_runs": {name: {key: statistics.median(r[key] for r in results)

@@ -81,37 +81,13 @@ SKIN = 5.0
 OUTER_RANGE = 70.0
 
 
-@dataclass(frozen=True)
-class LJPairParams:
-    epsilon: float  # kcal/mol
-    sigma: float    # A
-    r_cut: float = LJ_CUTOFF
-
-    def __post_init__(self):
-        if self.epsilon <= 0 or self.sigma <= 0 or self.r_cut <= 0:
-            raise ValueError("Lennard-Jones parameters must be positive")
-        if self.r_cut <= self.sigma:
-            raise ValueError("cutoff must exceed sigma")
-
-
-# Well depths and sizes per species pair; the mixed values equal the
-# geometric mean of the pure ones to the table's precision.
-_PAIR_TABLE = {
-    (Species.HE, Species.HE): LJPairParams(epsilon=0.0196, sigma=2.50),
-    (Species.HE, Species.AR): LJPairParams(epsilon=0.0700, sigma=2.92),
-    (Species.AR, Species.AR): LJPairParams(epsilon=0.2498, sigma=3.40),
-}
-
-_EPS_TABLE = np.zeros((2, 2))
-_SIG_TABLE = np.zeros((2, 2))
-for (_a, _b), _p in _PAIR_TABLE.items():
-    _EPS_TABLE[_a, _b] = _EPS_TABLE[_b, _a] = _p.epsilon
-    _SIG_TABLE[_a, _b] = _SIG_TABLE[_b, _a] = _p.sigma
-
-
-def pair_params(a: Species, b: Species) -> LJPairParams:
-    key = (a, b) if (a, b) in _PAIR_TABLE else (b, a)
-    return _PAIR_TABLE[key]
+# Well depths (kcal/mol) and sizes (A) per species pair, indexed by Species;
+# the mixed values equal the geometric mean of the pure ones to the table's
+# precision.
+_EPS_TABLE = np.array([[0.0196, 0.0700],
+                       [0.0700, 0.2498]])
+_SIG_TABLE = np.array([[2.50, 2.92],
+                       [2.92, 3.40]])
 
 
 @dataclass(frozen=True)
@@ -600,7 +576,7 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
 
     positions = draw(np.ones(len(species), dtype=bool))
 
-    min_sep = 0.8 * pair_params(Species.AR, Species.AR).sigma
+    min_sep = 0.8 * _SIG_TABLE[Species.AR, Species.AR]
     order = None
     for _ in range(100):
         ii, jj, order = _candidate_pairs(positions, side, LJ_CUTOFF + SKIN, order)

@@ -21,7 +21,12 @@ when a source had none (``has_velocities 0``).
 
 Native trajectories stream: write_native_frames appends frames as they
 come and iter_native yields them one at a time; write_native and
-read_native run the same code for a Trajectory held in memory.
+read_native run the same code for a Trajectory held in memory.  The
+caller writes the header and then forks a writer process, which formats,
+hashes and writes each frame while the caller computes the next one, so
+an MD run's write overlaps its steps.  Without ``os.fork``, or in a
+process running other threads (``reproduce --threads N``, N > 1), the same
+writer runs in the calling process.
 
 Next to ``<path>`` the writer also streams a binary sidecar,
 ``<path>.frames``: per frame a little-endian ``<qdqd`` head (timestep,
@@ -47,6 +52,7 @@ import contextlib
 import math
 import os
 import struct
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -175,47 +181,148 @@ def write_native_frames(header: Trajectory, frames: Iterable[Frame], path) -> No
     it comes, to ``path`` + ".tmp", renamed onto ``path`` after the last
     frame; the binary sidecar goes the same way, or is removed when a frame
     would not parse back from the text identically.  If ``frames`` raises,
-    both temporary files are removed."""
+    both temporary files are removed.
+
+    The frames are formatted, hashed and written by a forked child process
+    while the caller makes the next ones; the caller writes only the header.
+    Where there is no ``os.fork``, or the process runs other threads (which
+    a fork would leave behind in the child), the same writer runs here."""
     import hashlib
 
-    tmp, side = Path(f"{path}.tmp"), sidecar_path(path)
-    side_tmp = Path(f"{side}.tmp")
-    text_sha, records_sha = hashlib.sha256(), hashlib.sha256()
+    tmp, side_tmp = Path(f"{path}.tmp"), Path(f"{sidecar_path(path)}.tmp")
+    text_sha = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh, open(side_tmp, "wb") as side_fh:
-            def put(text: str) -> int:
-                data = text.encode("utf-8")
-                text_sha.update(data)
-                fh.write(data)
-                return len(data)
-
             head = _header_text(header)
-            size = put(head)
+            data = head.encode("utf-8")
+            text_sha.update(data)
+            fh.write(data)
             # a line break inside a header value would start another line
             exact = len(head.splitlines()) == head.count("\n")
-            n = last = None
-            count = 0
-            for fr in frames:
-                size += put(_frame_text(fr))
-                exact = exact and _parses_back(fr, n, last)
-                if exact:
-                    for part in _frame_record(fr):
-                        records_sha.update(part)
-                        side_fh.write(part)
-                    n, last, count = len(fr.ids), fr.timestep, count + 1
-            if exact:
-                side_fh.write(_TRAILER.pack(_SIDECAR_MAGIC, n or 0, count, size,
-                                            text_sha.digest(), records_sha.digest()))
-        if exact:
-            os.replace(side_tmp, side)
-        else:
-            side_tmp.unlink()
-            side.unlink(missing_ok=True)
-        os.replace(tmp, path)
+            if hasattr(os, "fork") and threading.active_count() == 1:
+                # the header is on disk, and no buffered byte is copied into the child
+                fh.flush()
+                side_fh.flush()
+                _write_forked(fh, side_fh, path, text_sha, exact, frames)
+            else:
+                _write_frames(fh, side_fh, path, text_sha, exact, frames)
     except BaseException:
         tmp.unlink(missing_ok=True)
         side_tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_frames(fh, side_fh, path, text_sha, exact: bool, frames: Iterable[Frame]) -> None:
+    """Append ``frames`` to the open text and sidecar files ``fh`` and
+    ``side_fh`` of ``path``, whose header is written and in ``text_sha``;
+    close both and move them into place.  ``exact`` is whether the header
+    parses back as written."""
+    import hashlib
+
+    records_sha = hashlib.sha256()
+    with fh, side_fh:
+        n = last = None
+        count = 0
+        for fr in frames:
+            data = _frame_text(fr).encode("utf-8")
+            text_sha.update(data)
+            fh.write(data)
+            exact = exact and _parses_back(fr, n, last)
+            if exact:
+                for part in _frame_record(fr):
+                    records_sha.update(part)
+                    side_fh.write(part)
+                n, last, count = len(fr.ids), fr.timestep, count + 1
+        if exact:
+            side_fh.write(_TRAILER.pack(_SIDECAR_MAGIC, n or 0, count, fh.tell(),
+                                        text_sha.digest(), records_sha.digest()))
+    side = sidecar_path(path)
+    if exact:
+        os.replace(f"{side}.tmp", side)
+    else:
+        os.unlink(f"{side}.tmp")
+        side.unlink(missing_ok=True)
+    os.replace(f"{path}.tmp", path)
+
+
+def _send(fd: int, data: bytes) -> bool:
+    """Write all of ``data`` to the pipe ``fd``; False if its reader has gone."""
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    except BrokenPipeError:
+        return False
+    return True
+
+
+def _write_forked(fh, side_fh, path, text_sha, exact: bool, frames: Iterable[Frame]) -> None:
+    """``_write_frames`` in a forked child, fed ``frames`` through a pipe.
+
+    Each frame goes down the pipe as a pickled tuple of its fields (not the
+    frame, whose class need not pickle), then None ends the run.  The child
+    sends back on a second pipe a pickled None, or the exception it raised,
+    which is raised here; a child that stops early closes the frame pipe, so
+    its error is raised in place of the broken pipe.  If this side fails
+    first (``frames`` raises, or an interrupt) the child is killed and
+    reaped before the exception goes on; the caller removes the files."""
+    import pickle
+    import signal
+
+    frame_r, frame_w = os.pipe()
+    status_r, status_w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        for fd in (frame_r, frame_w, status_r, status_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(frame_w)
+            os.close(status_r)
+            try:
+                with open(frame_r, "rb") as pipe:
+                    received = iter(lambda: pickle.load(pipe), None)
+                    _write_frames(fh, side_fh, path, text_sha, exact,
+                                  (Frame(*fields) for fields in received))
+                report = pickle.dumps(None)
+            except BaseException as exc:
+                try:
+                    report = pickle.dumps(exc)
+                    pickle.loads(report)
+                except Exception:  # an exception that does not pickle back
+                    report = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+            _send(status_w, report)
+        finally:
+            os._exit(0)
+    os.close(frame_r)
+    os.close(status_w)
+    try:
+        try:
+            for fr in frames:
+                fields = (fr.timestep, fr.time_fs, fr.ids, fr.species, fr.positions,
+                          fr.velocities, fr.energy)
+                if not _send(frame_w, pickle.dumps(fields, pickle.HIGHEST_PROTOCOL)):
+                    break
+            else:
+                _send(frame_w, pickle.dumps(None))
+        finally:
+            os.close(frame_w)
+        with open(status_r, "rb", closefd=False) as status:
+            report = status.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(status_r)
+        _, wait_status = os.waitpid(pid, 0)
+    if not report:
+        raise RuntimeError("the trajectory writer process ended without a report "
+                           f"(wait status {wait_status})")
+    error = pickle.loads(report)
+    if error is not None:
+        raise error
 
 
 def write_native(traj: Trajectory, path) -> None:

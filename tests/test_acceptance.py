@@ -33,8 +33,9 @@ from gasdiff.fd_solver import (
 )
 from gasdiff.fields import GridSpec, ScalarField, UnitScale, field_energy, field_mass
 from gasdiff.fitting import FitProblem, lm_fit
-from gasdiff.md import MDConfig, ParticleState, SimBox, Species, pair_params
+from gasdiff.md import MDConfig, ParticleState, SimBox, Species
 from gasdiff.trajectory_io import parse_lammps_dump
+from lj_pairs import pair_params
 
 SPECIES_MAP = {1: Species.HE, 2: Species.AR}
 

@@ -12,7 +12,6 @@ from gasdiff.md import (
     LJ_CUTOFF,
     OUTER_RANGE,
     SKIN,
-    LJPairParams,
     MDConfig,
     ParticleState,
     SimBox,
@@ -21,11 +20,11 @@ from gasdiff.md import (
     init_state,
     kinetic_energy,
     minimum_image,
-    pair_params,
     run,
     verlet_step,
 )
 from gasdiff.trajectory_io import Frame, Trajectory
+from lj_pairs import LJPairParams, pair_params
 
 
 def lj_potential(r: float, p: LJPairParams) -> float:
@@ -176,6 +175,12 @@ class TestPairParams:
 
     def test_symmetric(self):
         assert pair_params(Species.AR, Species.HE) == pair_params(Species.HE, Species.AR)
+
+    def test_md_tables_hold_the_same_values(self):
+        for a in Species:
+            for b in Species:
+                assert md._EPS_TABLE[a, b] == pair_params(a, b).epsilon
+                assert md._SIG_TABLE[a, b] == pair_params(a, b).sigma
 
     def test_mixed_is_geometric_mean(self):
         mixed = pair_params(Species.HE, Species.AR)

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -803,3 +804,114 @@ class TestFrameSidecar:
         assert count == n_frames
         # the hash block plus a frame, against 9.6 MB for all of them
         assert peak < trajectory_io._BLOCK + 4 * 48 * n
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counting_forks(monkeypatch):
+    """A list that gets an entry each time ``os.fork`` is called."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def md_blow_up_frames(monkeypatch):
+    """iter_frames of a small run whose 25th step raises InstabilityError,
+    after frames 0, 10 and 20 were made."""
+    from gasdiff import md
+    from gasdiff.errors import InstabilityError
+
+    step, calls = md.verlet_step, []
+
+    def failing_step(*args):
+        calls.append(1)
+        if len(calls) == 25:
+            raise InstabilityError("particle 3 reached 2 A/fs")
+        return step(*args)
+
+    monkeypatch.setattr(md, "verlet_step", failing_step)
+    cfg, box = md.MDConfig(n_he=20, n_ar=20, sample_stride=10), md.SimBox(side=1000.0)
+    return md.trajectory_header(cfg, box), md.iter_frames(cfg, box, 100)
+
+
+class TestForkedWriter:
+    def test_success_leaves_no_child(self, tmp_path, monkeypatch):
+        forks = counting_forks(monkeypatch)
+        write_native(make_trajectory(), tmp_path / "traj.txt")
+        assert forks == [1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["species 7", "frames raise", "md blows up"])
+    def test_failure_leaves_no_files_and_no_child(self, tmp_path, monkeypatch, case):
+        forks = counting_forks(monkeypatch)
+        header = make_trajectory()
+        if case == "species 7":  # raises in the child, which formats the rows
+            frames, error, message = make_trajectory().frames, KeyError, "^7$"
+            frames[1].species[2] = 7
+        elif case == "frames raise":
+            def raising():
+                yield from make_trajectory().frames[:2]
+                raise ValueError("run failed")
+
+            frames, error, message = raising(), ValueError, "^run failed$"
+        else:
+            from gasdiff.errors import InstabilityError
+
+            (header, frames), error = md_blow_up_frames(monkeypatch), InstabilityError
+            message = "^particle 3 reached 2 A/fs$"
+        with pytest.raises(error, match=message):
+            write_native_frames(header, frames, tmp_path / "traj.txt")
+        assert forks == [1]
+        assert list(tmp_path.iterdir()) == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("case", ["md-run", "nan position", "empty"])
+    def test_forked_and_in_process_write_the_same_bytes(self, tmp_path, monkeypatch, case):
+        from gasdiff.cli import main
+
+        def write(out):
+            out.parent.mkdir()
+            if case == "md-run":
+                assert main(["md-run", "--n-he", "30", "--n-ar", "30", "--box", "1500.0",
+                             "--steps", "100", "--stride", "10", "--seed", "3",
+                             "--out", str(out)]) == 0
+            elif case == "nan position":
+                traj = make_trajectory(n_frames=3, n=4, seed=6)
+                traj.frames[1].positions[2, 0] = np.nan
+                write_native(traj, out)
+            else:
+                write_native(Trajectory(box_side=10.0), out)
+            side = sidecar_path(out)
+            return out.read_bytes(), side.read_bytes() if side.exists() else None
+
+        forks = counting_forks(monkeypatch)
+        forked = write(tmp_path / "forked" / "traj.txt")
+        assert forks == [1]
+        monkeypatch.delattr(os, "fork")
+        assert write(tmp_path / "in_process" / "traj.txt") == forked
+        assert (forked[1] is None) == (case == "nan position")
+
+    def test_threads_keep_the_writer_in_process(self, tmp_path, monkeypatch):
+        import threading
+
+        forks = counting_forks(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            write_native(make_trajectory(), tmp_path / "traj.txt")
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+        assert_same_frames(read_native(tmp_path / "traj.txt").frames,
+                           make_trajectory().frames)
