@@ -32,7 +32,9 @@ writer's, where the tree forks one, else 0.  The gap between the two
 times is what the write adds to the run.
 
 Trees run in turn, 5 rounds, so that machine drift falls on all of
-them alike; the record keeps every run and the per-tree medians.
+them alike; the record keeps every run and the per-tree medians, and the
+lines of each tree's ``gasdiff/*.py`` (``src_lines``), so that a change's
+net source lines come from the same record.
 
     python3 scripts/bench.py --out bench.json parent=../parent/src change=src
 """
@@ -167,6 +169,12 @@ def io_probe() -> dict:
     return out
 
 
+def src_lines(src: str) -> int:
+    """Lines in the tree's gasdiff/*.py."""
+    return sum(len(path.read_bytes().splitlines())
+               for path in (Path(src) / "gasdiff").glob("*.py"))
+
+
 def run_probe(src: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -223,6 +231,7 @@ def main():
                           "seed": SEED, "runs": OVERLAP_RUNS},
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
+        "src_lines": {name: src_lines(src) for name, src in trees.items()},
         "median_of_runs": {name: {key: statistics.median(r[key] for r in results)
                                   for key in results[0]}
                            for name, results in runs.items()},

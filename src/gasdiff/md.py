@@ -9,10 +9,10 @@ list: the pairs closer than the cutoff plus a skin, reused until some
 particle has moved more than half the skin since then.  The list is a dual
 one: a new pair list is pruned from an outer list of the pairs closer than
 OUTER_RANGE, which a cell-list search rebuilds only once particles have
-moved far enough to miss a pair from it.  The pruned list equals a fresh
-search at the pair-list range, pairs and order alike, so the forces are
-summed in the same order either way.  At paper density a prune plus its
-share of the outer searches costs about 40 % of a fresh search.
+moved far enough to miss a pair from it.  Both lists are in canonical
+order, each pair i < j and sorted by (i, j), and pairs beyond the cutoff
+add exact zeros, so the forces and potential depend on the positions and
+species alone, not on which search or which list found the pairs.
 
 verlet_step advances a ParticleState in place: its positions and velocities
 arrays, its time and its pair list change, and the step returns the same
@@ -129,10 +129,10 @@ class ParticleState:
     """Positions are wrapped into [0, side); MSDAccumulator rebuilds
     displacements from sampled frames.
 
-    ``pair_list`` is ``(idx_i, idx_j, positions at build, cell order)``, or
-    None; compute_forces checks it against the current positions before
-    using it.  The cell order is that of the last fresh search at the list
-    range, which a later fresh search starts its sort from.
+    ``pair_list`` is ``(idx_i, idx_j, positions at build)``, or None;
+    compute_forces checks it against the current positions before using it.
+    The lists md builds are in canonical order (each pair i < j, sorted by
+    (i, j)), so the forces summed over them depend on positions alone.
 
     verlet_step updates ``positions``, ``velocities``, ``time`` and
     ``pair_list`` in place; arrays that are not C-contiguous writable
@@ -286,7 +286,7 @@ def _cell_pairs(order, sorted_cid, n_side):
         nbr = np.take(loc, hit)
         found_at[dx, dy] = (np.take(start, hit), np.take(counts, hit),
                             np.take(start, nbr), np.take(counts, nbr))
-    # the pairs keep this offset order, which sets the order forces are summed in
+    # the pairs keep this offset order
     for offset in ((0, 1), (1, 0), (1, 1), (1, -1)):
         src, src_n, dst, dst_n = found_at[offset]
         for a in range(int(src_n.max(initial=0))):
@@ -301,64 +301,13 @@ def _cell_pairs(order, sorted_cid, n_side):
     return ii, np.concatenate(out_j)
 
 
-# The offset group of a pair whose second particle's cell is at (sx - 1,
-# sy - 1) from the first's, indexed by 3 * sx + sy: 0 for the same cell,
-# then 1-4 for _cell_pairs' forward offsets (0, 1), (1, 0), (1, 1), (1, -1),
-# which a backward offset (3 * sx + sy < 4) reaches with the pair turned round.
-_OFFSET_GROUP = np.array([3, 2, 4, 1, 0, 1, 4, 2, 3])
-
-
-def _pruned_pairs(pos, side, n_side, outer_i, outer_j):
-    """The pairs of _candidate_pairs(pos, side, LJ_CUTOFF + SKIN), in its
-    order, taken from an outer list that holds every pair in that range and
-    every two particles that share a cell; None if the sort key would
-    overflow int64.
-
-    Cells are at least the range wide, so a pair in range lies in one cell
-    or two adjacent ones.  A particle's slot is its number of cell mates of
-    lower index, its place in the (cell, index) sort.  _cell_pairs emits the
-    same-cell pairs, lower index first, by (slot b, slot a, cell), then per
-    forward offset group by (slot a, slot b, first cell), so one packed key
-    gives its order.
-    """
-    r_cut, cell_len = LJ_CUTOFF + SKIN, side / n_side
-    # the fresh search's filter, exactly
-    d = np.abs(np.take(pos, outer_i, axis=0) - np.take(pos, outer_j, axis=0))
-    d = np.minimum(d, side - d, out=d)
-    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-    # two particles in one cell are closer than its diagonal, or a rounding
-    # over it; only these pairs and the pairs in range need cells
-    close = np.flatnonzero(r2 < 2.0 * (1.01 * cell_len) ** 2)
-    i, j, r2 = np.take(outer_i, close), np.take(outer_j, close), np.take(r2, close)
-    ci = _cell_coords(np.take(pos, i, axis=0), side, n_side)
-    cj = _cell_coords(np.take(pos, j, axis=0), side, n_side)
-    cid_i, cid_j = ci[:, 0] * n_side, cj[:, 0] * n_side
-    cid_i += ci[:, 1]
-    cid_j += cj[:, 1]
-    same = cid_i == cid_j
-    slot = np.bincount(np.maximum(i[same], j[same]), minlength=len(pos))
-    k, n_cells = int(slot.max()) + 1, n_side * n_side
-    if 5 * k * k * n_cells > 2**63 - 1:
-        return None
-    near = np.flatnonzero(r2 < r_cut * r_cut)
-    s = np.take(cj, near, axis=0) - np.take(ci, near, axis=0)
-    s += 1
-    s %= n_side
-    i, j = np.take(i, near), np.take(j, near)
-    cid_i, cid_j = np.take(cid_i, near), np.take(cid_j, near)
-    code = s[:, 0] * 3 + s[:, 1]
-    in_cell = code == 4
-    turn = (code < 4) | (in_cell & (i > j))
-    a, b = np.where(turn, j, i), np.where(turn, i, j)
-    slot_a, slot_b = np.take(slot, a), np.take(slot, b)
-    key = np.take(_OFFSET_GROUP, code) * k
-    key += np.where(in_cell, slot_b, slot_a)
-    key *= k
-    key += np.where(in_cell, slot_a, slot_b)
-    key *= n_cells
-    key += np.where(turn, cid_j, cid_i)
-    by_key = np.argsort(key)  # the keys are distinct
-    return np.take(a, by_key), np.take(b, by_key)
+def _canonical(ii, jj, n):
+    """The pairs (ii, jj) of n particles in canonical order: each turned to
+    i < j, sorted by (i, j)."""
+    key = np.minimum(ii, jj) * n
+    key += np.maximum(ii, jj)
+    key.sort()
+    return np.divmod(key, max(n, 1))
 
 
 class _PairTerms(NamedTuple):
@@ -395,8 +344,10 @@ class _Work:
     that build; ``list_current`` tells the next compute_forces that the
     bound already shows the list current.
 
-    ``outer`` is the outer pair list the pair list is pruned from, as
-    ``(idx_i, idx_j, positions at build, cell order, box side)``, or None.
+    ``outer`` is the outer pair list the pair list is pruned from, in
+    canonical order, as ``(idx_i, idx_j, positions at build, cell order,
+    box side)``, or None; the cell order is its search's, which the next
+    outer search starts its sort from.
     """
 
     __slots__ = ("species", "scale", "buf", "pair_list", "terms", "handed",
@@ -481,39 +432,32 @@ def _pair_list_current(state: ParticleState, box: SimBox, buf) -> bool:
 
 
 def _rebuild_pair_list(state: ParticleState, box: SimBox, w: _Work):
-    """A new pair list for the state's positions, equal to a fresh search.
+    """A new pair list for the state's positions: the pairs of a fresh
+    search at LJ_CUTOFF + SKIN, in canonical order.
 
     It is pruned from the outer list, which is searched again first when it
     is missing, was built for another box, or a particle has moved more
-    than (OUTER_RANGE - the cell diagonal) / 2 since its build.  Within
-    that, two particles now closer than the diagonal were closer than
-    OUTER_RANGE then, so the outer list holds every pair in range and every
-    two particles that share a cell (the diagonal exceeds the range).  A
-    non-finite or out-of-box coordinate, fewer than 3 cells per axis, or
-    cells too large for OUTER_RANGE take a fresh search instead.
+    than (OUTER_RANGE - LJ_CUTOFF - SKIN) / 2 since its build: within that,
+    two particles now in range were closer than OUTER_RANGE then.
     """
     built = state.positions.copy()
-    side, n, r_cut = box.side, len(built), LJ_CUTOFF + SKIN
-    order = state.pair_list[3] if state.pair_list is not None else None
-    n_side = _cells_per_axis(side, n, r_cut)
-    reach = 0.0
-    if n_side >= 3:  # less a margin for rounding, relative and of positions
-        reach = ((OUTER_RANGE - side / n_side * math.sqrt(2.0)) / 2.0
-                 * (1.0 - 1e-9) - side * 2.0**-48)
-    # a NaN fails both bounds
-    if n >= 2 and reach > 0.0 and built.min() >= 0.0 and built.max() <= side:
-        outer = w.outer
-        if (outer is None or outer[4] != side or outer[2].shape != built.shape
-                or not _moved_within(built, outer[2], side, reach, w.buf)):
-            o_order = None if outer is None else outer[3]
-            outer = w.outer = None  # freed before the search, which sets the peak
-            oi, oj, o_order = _candidate_pairs(built, side, OUTER_RANGE, o_order)
-            outer = w.outer = (oi, oj, built, o_order, side)
-        pairs = _pruned_pairs(built, side, n_side, outer[0], outer[1])
-        if pairs is not None:
-            return (*pairs, built, order)
-    idx_i, idx_j, order = _candidate_pairs(built, side, r_cut, order)
-    return (idx_i, idx_j, built, order)
+    side, r_cut = box.side, LJ_CUTOFF + SKIN
+    # less a margin for rounding, relative and of positions
+    reach = max((OUTER_RANGE - r_cut) / 2.0 * (1.0 - 1e-9) - side * 2.0**-48, 0.0)
+    outer = w.outer
+    if (outer is None or outer[4] != side or outer[2].shape != built.shape
+            or not _moved_within(built, outer[2], side, reach, w.buf)):
+        order = None if outer is None else outer[3]
+        outer = w.outer = None  # freed before the search, which sets the peak
+        oi, oj, order = _candidate_pairs(built, side, OUTER_RANGE, order)
+        outer = w.outer = (*_canonical(oi, oj, len(built)), built, order, side)
+    # the fresh search's filter, exactly (a NaN distance fails it); the mask
+    # keeps the canonical order
+    oi, oj = outer[:2]
+    d = np.abs(np.take(built, oi, axis=0) - np.take(built, oj, axis=0))
+    d = np.minimum(d, side - d, out=d)
+    near = np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < r_cut * r_cut)
+    return np.take(oi, near), np.take(oj, near), built
 
 
 def compute_forces(state: ParticleState, box: SimBox):
@@ -556,7 +500,7 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
     Uniform placement can produce overlapping pairs; any particle landing
     within 0.8 * sigma_ArAr of another is redrawn, up to 100 rounds.  The
     last overlap search is at the pair-list range, so its result is handed
-    to the returned state as its pair list.
+    to the returned state as its pair list, in canonical order.
     """
     rng = np.random.default_rng(cfg.seed)
     side = box.side
@@ -601,7 +545,7 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
         velocities=velocities,
         species=species,
         time=0.0,
-        pair_list=(ii, jj, positions, order),
+        pair_list=(*_canonical(ii, jj, len(species)), positions),
     )
 
 

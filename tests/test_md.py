@@ -112,6 +112,13 @@ def pairs_closer_than(r, positions, box, ii, jj):
                    np.maximum(ii, jj)[near].tolist()))
 
 
+def canonical(ii, jj):
+    """Pairs turned to i < j and sorted by (i, j), written the direct way."""
+    a, b = np.minimum(ii, jj), np.maximum(ii, jj)
+    by_pair = np.lexsort((b, a))
+    return a[by_pair], b[by_pair]
+
+
 def unfiltered_cell_pairs(pos, side, r_cut):
     """Every pair of particles in the same or adjacent cells of edge >=
     r_cut, with no distance filter, written the direct way: a (cell, slot)
@@ -352,9 +359,10 @@ class TestInitState:
                 pairs_closer_than(min_sep, pos, box,
                                   *search(pos, box.side, LJ_CUTOFF)[:2])
 
-        ii, jj, built, _ = state.pair_list
+        ii, jj, built = state.pair_list
         assert np.array_equal(built, state.positions)
-        assert ii is searches[-1][1] and jj is searches[-1][2]
+        ref_i, ref_j = canonical(*searches[-1][1:])
+        assert np.array_equal(ii, ref_i) and np.array_equal(jj, ref_j)
         n_searches = len(searches)
         compute_forces(state, box)
         assert len(searches) == n_searches  # the first force call reuses it
@@ -430,7 +438,54 @@ class TestComputeForces:
                               species=rng.integers(0, 2, n))
         forces, _ = compute_forces(state, SimBox(side=250.0))
         assert hashlib.sha256(forces.tobytes()).hexdigest() == (
-            "0ca35909bf2c31b00001678a0117c24437f057ab868e9a1d60097ef6e40a792f")
+            "95e7ae0ae869648d95d799f7c7b628d23bc49cd79adf48a328746dbb6eb067dd")
+
+    def test_canonical_lists_give_the_same_bits(self):
+        # In the crowded box, lists that hold every pair inside the cutoff
+        # plus different pairs beyond it, found in different orders, give
+        # bit-identical forces and potential once in canonical order.
+        rng = np.random.default_rng(12)
+        n, side = 200, 250.0
+        box = SimBox(side=side)
+        positions = rng.uniform(0, side, (n, 2))
+        species = rng.integers(0, 2, n)
+        state = ParticleState(positions=positions, velocities=np.zeros((n, 2)),
+                              species=species)
+        r_cut = LJ_CUTOFF + SKIN
+        fresh = md._candidate_pairs(positions, side, r_cut)[:2]
+        # built where each particle was up to 0.45 SKIN away: stale, but
+        # within half the skin
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        step = 0.45 * SKIN * np.sqrt(rng.uniform(0.0, 1.0, n))[:, None]
+        built = md._wrap(positions + step * np.column_stack((np.cos(angle),
+                                                             np.sin(angle))), side)
+        flip = rng.random(len(fresh[0])) < 0.5
+        shuffled = rng.permutation(len(fresh[0]))
+        lists = {
+            "fresh": fresh,
+            "stale": md._candidate_pairs(built, side, r_cut)[:2],
+            **{f"wide {r}": md._candidate_pairs(positions, side, r)[:2]
+               for r in (30.0, 45.0, 60.0)},
+            "shuffled": (fresh[0][shuffled], fresh[1][shuffled]),
+            "flipped": (np.where(flip, fresh[1], fresh[0]),
+                        np.where(flip, fresh[0], fresh[1])),
+        }
+        assert len({len(ii) for ii, _ in lists.values()}) >= 4
+        ref_forces, ref_potential = md._pair_interactions(
+            positions, species, box, *canonical(*fresh))
+        for name, (ii, jj) in lists.items():
+            assert pairs_closer_than(LJ_CUTOFF, positions, box, ii, jj) == \
+                pairs_closer_than(LJ_CUTOFF, positions, box, *fresh), name
+            forces, potential = md._pair_interactions(positions, species, box,
+                                                      *canonical(ii, jj))
+            assert forces.tobytes() == ref_forces.tobytes(), name
+            assert potential == ref_potential, name
+        # compute_forces' own list, pruned from the outer list, is one too
+        forces, potential = compute_forces(state, box)
+        assert forces.tobytes() == ref_forces.tobytes() and potential == ref_potential
+        # the order shows: the shuffled list as it stands sums differently
+        raw, _ = md._pair_interactions(positions, species, box, *lists["shuffled"])
+        assert raw.tobytes() != ref_forces.tobytes()
 
     def test_coincident_particles_raise(self):
         state = ParticleState(
@@ -471,8 +526,8 @@ class TestPairList:
             assert np.max(np.abs(forces - ref_forces)) <= 1e-12 * scale
             assert potential == pytest.approx(ref_potential, rel=1e-12)
         assert 2 <= len(rebuilt) < n_steps
-        for ii, jj, built, _ in rebuilt:  # each list is a search at the list range
-            fresh = search(built, box.side, LJ_CUTOFF + SKIN)
+        for ii, jj, built in rebuilt:  # each list is a search at the list range
+            fresh = canonical(*search(built, box.side, LJ_CUTOFF + SKIN)[:2])
             assert np.array_equal(ii, fresh[0]) and np.array_equal(jj, fresh[1])
 
     def test_head_on_pair_is_listed_before_it_reaches_the_cutoff(self):
@@ -539,9 +594,9 @@ class TestPairList:
         rebuild = md._rebuild_pair_list
 
         def recording(*args):
-            ii, jj, built, order = rebuild(*args)
+            ii, jj, built = rebuild(*args)
             searches.append((built.copy(), ii, jj))
-            return ii, jj, built, order
+            return ii, jj, built
 
         monkeypatch.setattr(md, "_rebuild_pair_list", recording)
         cfg = MDConfig(n_he=100, n_ar=50, temperature=2000.0, seed=17)
@@ -588,7 +643,7 @@ class TestPairList:
         r_cut = LJ_CUTOFF + SKIN
         cold = md._candidate_pairs(state.positions, box.side, r_cut)
         shuffled = np.random.default_rng(0).permutation(state.n_particles)
-        for order in (state.pair_list[3], shuffled, cold[2]):
+        for order in (state._work.outer[3], shuffled, cold[2]):
             warm = md._candidate_pairs(state.positions, box.side, r_cut, order)
             for a, b in zip(warm, cold):
                 assert np.array_equal(a, b)
@@ -606,21 +661,18 @@ class TestPairList:
 
 def check_rebuilds(monkeypatch):
     """Checks every pair-list rebuild against a fresh search at the list
-    range, in value and order, and counts the rebuilds, the ones pruned from
-    the outer list, and the most particles seen in one cell."""
-    rebuild, prune, search = (md._rebuild_pair_list, md._pruned_pairs,
-                              md._candidate_pairs)
-    seen = {"rebuilds": 0, "pruned": 0, "most_in_cell": 0}
-
-    def counting_prune(*args):
-        pairs = prune(*args)
-        seen["pruned"] += pairs is not None
-        return pairs
+    range in canonical order, in value and order, and counts the rebuilds,
+    the ones that searched the outer list again, and the most particles seen
+    in one cell."""
+    rebuild, search = md._rebuild_pair_list, md._candidate_pairs
+    seen = {"rebuilds": 0, "outer": 0, "most_in_cell": 0}
 
     def checking_rebuild(state, box, w):
+        outer = w.outer
         pair_list = rebuild(state, box, w)
+        seen["outer"] += w.outer is not outer
         built, r_cut = pair_list[2], LJ_CUTOFF + SKIN
-        ii, jj, _ = search(built, box.side, r_cut)
+        ii, jj = canonical(*search(built, box.side, r_cut)[:2])
         assert np.array_equal(pair_list[0], ii) and np.array_equal(pair_list[1], jj)
         n_side = md._cells_per_axis(box.side, len(built), r_cut)
         coords = md._cell_coords(built, box.side, n_side)
@@ -629,7 +681,6 @@ def check_rebuilds(monkeypatch):
         seen["rebuilds"] += 1
         return pair_list
 
-    monkeypatch.setattr(md, "_pruned_pairs", counting_prune)
     monkeypatch.setattr(md, "_rebuild_pair_list", checking_rebuild)
     return seen
 
@@ -655,7 +706,7 @@ class TestDualList:
         for _ in range(n_steps):
             state, forces, _ = verlet_step(state, forces, cfg, box)
         assert seen["rebuilds"] >= 5
-        assert seen["pruned"] == seen["rebuilds"]
+        assert seen["outer"] < seen["rebuilds"]  # some prunes reuse the outer list
         if side == 250.0:
             assert seen["most_in_cell"] >= 3
 
@@ -682,7 +733,7 @@ class TestDualList:
         state.positions, state.pair_list = moved, None
         seen = check_rebuilds(monkeypatch)
         md._rebuild_pair_list(state, box, state._work)
-        assert seen["rebuilds"] == seen["pruned"] == 1
+        assert seen["rebuilds"] == 1 and seen["outer"] == 0
         assert state._work.outer is outer
 
     @pytest.mark.parametrize("n_cells, ulps", [
@@ -704,7 +755,7 @@ class TestDualList:
                               species=np.ones(n, dtype=np.int64))
         seen = check_rebuilds(monkeypatch)
         md._rebuild_pair_list(state, SimBox(side=side), md._work(state))
-        assert seen["rebuilds"] == seen["pruned"] == 1
+        assert seen["rebuilds"] == seen["outer"] == 1
 
     @pytest.mark.parametrize("far", [False, True])
     def test_in_place_move_past_the_outer_reach(self, monkeypatch, far):
@@ -724,17 +775,37 @@ class TestDualList:
         partner = next(k for k in range(1, n) if (0, k) not in paired)
         shift = [0.6 * LJ_CUTOFF, 0.0] if far else [0.0, 0.75 * SKIN]
         target = md._wrap(positions[partner if far else 0] + shift, box.side)
-        reach = (OUTER_RANGE - 25.0 * np.sqrt(2.0)) / 2.0  # 25 A cells
+        reach = (OUTER_RANGE - LJ_CUTOFF - SKIN) / 2.0
         assert (np.linalg.norm(minimum_image(target - positions[0], box)) > reach) == far
         state.positions[0] = target
         seen = check_rebuilds(monkeypatch)
         forces, potential = compute_forces(state, box)
-        assert seen["rebuilds"] == seen["pruned"] == 1
+        assert seen["rebuilds"] == 1 and seen["outer"] == far
         assert (state._work.outer is not outer) == far
         ref_forces, ref_potential = brute_reference_forces(
             state.positions, species, box.side)
         assert np.max(np.abs(forces - ref_forces)) < 1e-10
         assert potential == pytest.approx(ref_potential, abs=1e-10)
+
+    @pytest.mark.parametrize("move, searched", [(22.8, True), (22.4, False)])
+    def test_pair_closing_in_from_beyond_the_outer_range(self, monkeypatch, move,
+                                                         searched):
+        # 70.5 A apart at the outer search, so not in the outer list; each
+        # moves toward the other.  Past the reach of (70 - 25) / 2 = 22.5 A
+        # they are in range (24.9 A) and the outer list is searched again;
+        # within it they are not (25.7 A) and it is kept.
+        box = SimBox(side=400.0)
+        state = ParticleState(
+            positions=np.array([[100.0, 200.0], [170.5, 200.0], [300.0, 330.0]]),
+            velocities=np.zeros((3, 2)), species=np.ones(3, dtype=np.int64))
+        compute_forces(state, box)
+        assert len(state._work.outer[0]) == 0
+        state.positions = np.array([[100.0 + move, 200.0], [170.5 - move, 200.0],
+                                    [300.0, 330.0]])
+        seen = check_rebuilds(monkeypatch)
+        compute_forces(state, box)
+        assert seen["rebuilds"] == 1 and seen["outer"] == searched
+        assert len(state.pair_list[0]) == searched
 
     def test_outer_list_of_another_box_is_rebuilt(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -748,16 +819,17 @@ class TestDualList:
         seen = check_rebuilds(monkeypatch)
         # pairs across the periodic edge of the smaller box
         compute_forces(state, SimBox(side=250.0))
-        assert seen["rebuilds"] == seen["pruned"] == 1
+        assert seen["rebuilds"] == seen["outer"] == 1
         assert state._work.outer is not outer
 
     @pytest.mark.parametrize("side, bad", [
         (250.0, np.nan), (250.0, np.inf), (250.0, -1e-9), (250.0, np.nextafter(250.0, 300.0)),
-        (70.0, None),     # 2 cells per axis
-        (1.0e12, None),   # cells too large for the outer list's reach
-        (5.0e10, None),   # the packed sort key would overflow int64
+        (70.0, None),     # 2 cells per axis at the list range, 1 at the outer
+        (1.0e12, None),   # cells capped far wider than OUTER_RANGE
+        (5.0e10, None),   # cells capped at the list range, not at the outer
     ])
-    def test_other_inputs_take_the_fresh_search(self, monkeypatch, side, bad):
+    def test_other_inputs_prune_to_the_canonical_fresh_search(self, monkeypatch,
+                                                              side, bad):
         rng = np.random.default_rng(3)
         n = 30 if side < 1e3 else 4
         positions = rng.uniform(0.0, min(side, 250.0), (n, 2))
@@ -769,24 +841,18 @@ class TestDualList:
         state = ParticleState(positions=positions, velocities=np.zeros((n, 2)),
                               species=np.ones(n, dtype=np.int64))
         searched = []
-        search, prune = md._candidate_pairs, md._pruned_pairs
+        search = md._candidate_pairs
 
         def recording_search(pos, side, r_cut, order=None):
             searched.append(r_cut)
             return search(pos, side, r_cut, order)
 
-        def recording_prune(*args):
-            searched.append("prune")
-            return prune(*args)
-
         monkeypatch.setattr(md, "_candidate_pairs", recording_search)
-        monkeypatch.setattr(md, "_pruned_pairs", recording_prune)
         with np.errstate(invalid="ignore"):
-            ii, jj, built, _ = md._rebuild_pair_list(state, SimBox(side=side),
-                                                     md._work(state))
-            fresh = search(positions, side, LJ_CUTOFF + SKIN)
-        assert searched[-1] == LJ_CUTOFF + SKIN
-        assert ("prune" in searched) == (side == 5.0e10)
+            ii, jj, built = md._rebuild_pair_list(state, SimBox(side=side),
+                                                  md._work(state))
+            fresh = canonical(*search(positions, side, LJ_CUTOFF + SKIN)[:2])
+        assert searched == [OUTER_RANGE]  # pruned from the outer search alone
         assert np.array_equal(ii, fresh[0]) and np.array_equal(jj, fresh[1])
         assert np.array_equal(built, positions, equal_nan=True)
         if n == 4:
@@ -1396,8 +1462,7 @@ class TestHandBack:
             forces.flags.writeable = False
             ref_forces = forces.copy()
         elif change == "list":
-            state.pair_list = (*state.pair_list[:2], state.pair_list[2].copy(),
-                               state.pair_list[3])
+            state.pair_list = (*state.pair_list[:2], state.pair_list[2].copy())
             ref.pair_list = state.pair_list
         elif change == "dt":
             cfg = MDConfig(n_he=40, n_ar=40, seed=6, dt=4.0)
