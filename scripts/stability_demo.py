@@ -50,7 +50,9 @@ def main():
     trace = energy_trace(SchemeKind.CRANK_NICOLSON, 100.0)
     print("            " + "  ".join(f"{e:9.3e}" for e in trace))
 
-    gasdiff_main(["amp-plot", "--N", "64", "--D", "1.0", "--out", args.amp_csv])
+    code = gasdiff_main(["amp-plot", "--N", "64", "--D", "1.0", "--out", args.amp_csv])
+    if code:
+        raise SystemExit(code)
     print(f"amplification factors written to {args.amp_csv}")
 
 

@@ -13,9 +13,16 @@ One executable with subcommands covering the whole pipeline:
     gasdiff heatmap    field CSV -> SVG
     gasdiff reproduce  full multi-seed pipeline (desk or paper scale)
 
-Every command writes exactly one manifest.json next to its outputs.  Exit
-codes: 0 success, 2 usage error, 3 unreadable/malformed input, 4 numerical
-instability.
+Each ``cmd_*`` does its work and returns its ``(inputs, outputs)``.  ``main``
+does the rest once for every command: it times the command, writes exactly
+one manifest.json next to its outputs, with that wall time and the values
+the command ran with, and maps exceptions to exit codes: 0 success, 2 usage
+error, 3 unreadable/malformed input, 4 numerical instability.
+
+Every option's built-in default sits in its ``add_argument``.  A ``--config``
+file's key=value lines become the chosen subcommand's defaults for the
+options that take a value, so a flag beats the file and the file beats the
+built-in default.
 """
 
 from __future__ import annotations
@@ -24,73 +31,46 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, binning, fitting, md, pipeline
 from .errors import GasdiffError, InstabilityError, ParseError
-from .fd_solver import (
-    SchemeKind,
-    SolverConfig,
-    amplification_factor,
-    critical_time_step,
-    make_patch_initial,
-    solve,
-)
+from .fd_solver import (SchemeKind, SolverConfig, amplification_factors,
+                        critical_time_step, make_patch_initial, solve)
 from .analytic import patch_solution_on_grid
 from .fields import GridSpec, UnitScale, read_field_csv
 from .md import MDConfig, SimBox, Species
-from .trajectory_io import (
-    iter_native,
-    parse_lammps_dump,
-    read_native,
-    read_native_header,
-    write_lammps_dump,
-    write_native,
-    write_native_frames,
-)
+from .trajectory_io import (iter_native, parse_lammps_dump, read_native,
+                            read_native_header, write_lammps_dump, write_native,
+                            write_native_frames)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INSTABILITY = 4
 
-
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    inputs: list
-    outputs: list
-    version: str
-    wall_time_s: float
-    seed: int | None = None
+# Commands whose --out is a directory; the manifest goes inside it.  Every
+# other command writes its manifest next to its --out file.
+_OUT_DIR_COMMANDS = {"fd-run", "bin", "reproduce"}
 
 
-def _write_manifest(directory: Path, manifest: RunManifest) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / "manifest.json"
-    path.write_text(
-        json.dumps(asdict(manifest), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+def _write_text(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
-def _manifest_for(command: str, args_dict: dict, inputs, outputs, started: float,
-                  seed=None) -> RunManifest:
-    config = {k: v for k, v in sorted(args_dict.items())
-              if not k.startswith("_") and k not in ("func", "config", "verbose")}
-    return RunManifest(
-        command=command,
-        config=config,
-        inputs=[str(p) for p in inputs],
-        outputs=[str(p) for p in outputs],
-        version=__version__,
-        wall_time_s=time.monotonic() - started,
-        seed=seed,
-    )
+def _write_json(path: Path, obj) -> None:
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def write_manifest(directory, command: str, config: dict, inputs, outputs,
+                   wall_time_s: float, seed) -> None:
+    _write_json(Path(directory) / "manifest.json", dict(
+        command=command, config=config, inputs=[str(p) for p in inputs],
+        outputs=[str(p) for p in outputs], seed=seed, version=__version__,
+        wall_time_s=wall_time_s))
 
 
 def _load_config_file(path) -> dict:
@@ -105,17 +85,6 @@ def _load_config_file(path) -> dict:
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
     return values
-
-
-def _resolve(args, key, default, cast):
-    """Precedence: command-line flag > config file > built-in default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    cfg = getattr(args, "_config_values", {})
-    if key in cfg:
-        return cast(cfg[key])
-    return default
 
 
 def _species_from_name(name: str) -> Species:
@@ -143,226 +112,142 @@ def _int_list(text: str) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (inputs, outputs) for its manifest
 
 
-def cmd_md_run(args) -> int:
-    started = time.monotonic()
-    cfg = MDConfig(
-        n_he=_resolve(args, "n_he", 500, int),
-        n_ar=_resolve(args, "n_ar", 500, int),
-        dt=_resolve(args, "dt", 5.0, float),
-        temperature=_resolve(args, "temp", 300.0, float),
-        seed=_resolve(args, "seed", 0, int),
-        sample_stride=_resolve(args, "stride", 200, int),
-    )
-    box = SimBox(side=_resolve(args, "box", 5.0e3, float))
-    steps = _resolve(args, "steps", 20000, int)
+def cmd_md_run(args):
+    cfg = MDConfig(n_he=args.n_he, n_ar=args.n_ar, dt=args.dt,
+                   temperature=args.temp, seed=args.seed, sample_stride=args.stride)
+    box = SimBox(side=args.box)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_native_frames(md.trajectory_header(cfg, box), md.iter_frames(cfg, box, steps),
-                        out)
-    _write_manifest(out.parent, _manifest_for(
-        "md-run", vars(args), [], [out], started, seed=cfg.seed))
-    return EXIT_OK
+    write_native_frames(md.trajectory_header(cfg, box),
+                        md.iter_frames(cfg, box, args.steps), out)
+    return [], [out]
 
 
-def cmd_fd_run(args) -> int:
-    started = time.monotonic()
-    grid = GridSpec(d=2, n=_resolve(args, "N", 50, int))
-    config = SolverConfig(
-        grid=grid,
-        k=_resolve(args, "k", 5.0e-3, float),
-        diffusion=_resolve(args, "D", 3.18e-3, float),
-        scheme=SchemeKind(_resolve(args, "scheme", "cn", str)),
-        n_max=_resolve(args, "steps", 1000, int),
-    )
-    stride = _resolve(args, "stride", 100, int)
-    series = solve(make_patch_initial(grid), config, sample_stride=stride)
-    oracle = None
-    if args.oracle:
-        modes = _resolve(args, "modes", 64, int)
-        oracle = [
-            patch_solution_on_grid(grid, float(t), config.diffusion, modes)
-            for t in series.times
-        ]
+def cmd_fd_run(args):
+    grid = GridSpec(d=2, n=args.N)
+    config = SolverConfig(grid=grid, k=args.k, diffusion=args.D,
+                          scheme=SchemeKind(args.scheme), n_max=args.steps)
+    series = solve(make_patch_initial(grid), config, sample_stride=args.stride)
+    oracle = [patch_solution_on_grid(grid, float(t), config.diffusion, args.modes)
+              for t in series.times] if args.oracle else None
     out_dir = Path(args.out)
     pipeline.write_fd_series_dir(series, out_dir, oracle_frames=oracle)
-    outputs = sorted(str(p) for p in out_dir.glob("*.csv")) + [str(out_dir / "series.json")]
-    _write_manifest(out_dir, _manifest_for("fd-run", vars(args), [], outputs, started))
-    return EXIT_OK
+    return [], sorted(str(p) for p in out_dir.glob("*.csv")) + [out_dir / "series.json"]
 
 
-def cmd_amp_plot(args) -> int:
-    started = time.monotonic()
-    grid = GridSpec(d=_resolve(args, "d", 1, int), n=_resolve(args, "N", 50, int))
-    diffusion = _resolve(args, "D", 1.0, float)
-    factors = [float(f) for f in _resolve(args, "k_factors", "0.5,1.0,1.5", str).split(",")]
-    k_c = critical_time_step(grid, diffusion)
-
-    header = ["m_over_n"]
-    for scheme in ("fe", "cn"):
-        header.extend(f"{scheme}_{f}kc" for f in factors)
+def cmd_amp_plot(args):
+    grid = GridSpec(d=args.d, n=args.N)
+    factors = [float(f) for f in args.k_factors.split(",")]
+    k_c = critical_time_step(grid, args.D)
+    m = np.arange(grid.n // 2 + 1)
+    header = ["m_over_n"] + [f"{s}_{f}kc" for s in ("fe", "cn") for f in factors]
+    # each scheme's factor at the diagonal modes (m, ..., m)
+    columns = [np.sqrt(grid.d) * m / grid.n] + [
+        amplification_factors(scheme, f * k_c, args.D, grid)[(m,) * grid.d]
+        for scheme in (SchemeKind.FORWARD_EULER, SchemeKind.CRANK_NICOLSON)
+        for f in factors]
     rows = [",".join(header)]
-    for m in range(grid.n // 2 + 1):
-        mvec = (m,) * grid.d
-        cells = [repr(float(np.sqrt(grid.d) * m / grid.n))]
-        for scheme in (SchemeKind.FORWARD_EULER, SchemeKind.CRANK_NICOLSON):
-            for f in factors:
-                rho = amplification_factor(scheme, mvec, f * k_c, diffusion, grid)
-                cells.append(repr(float(rho)))
-        rows.append(",".join(cells))
+    rows += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_manifest(out.parent, _manifest_for(
-        "amp-plot", vars(args), [], [out], started))
-    return EXIT_OK
+    _write_text(out, "\n".join(rows) + "\n")
+    return [], [out]
 
 
-def cmd_bin(args) -> int:
-    started = time.monotonic()
-    grid = GridSpec(d=2, n=_resolve(args, "N", 20, int))
-    species = _species_from_name(_resolve(args, "species", "ar", str))
+def cmd_bin(args):
+    grid = GridSpec(d=2, n=args.N)
+    species = _species_from_name(args.species)
     binner = binning.Binner(read_native_header(args.traj).box_side, grid, species)
     for frame in iter_native(args.traj):
         binner.add(frame)
     series = binner.series(per_frame_max=args.per_frame_max)
     out_dir = Path(args.out)
     pipeline.write_binned_dir(series, out_dir, source=str(args.traj))
-    outputs = [str(out_dir / "binned.json")]
-    _write_manifest(out_dir, _manifest_for(
-        "bin", vars(args), [args.traj], outputs, started))
-    return EXIT_OK
+    return [args.traj], [out_dir / "binned.json"]
 
 
-def cmd_fit(args) -> int:
-    started = time.monotonic()
+def _unit_scale(args) -> UnitScale:
+    return UnitScale(box_length_cm=args.scale_box_cm, time_unit_s=args.scale_time_s)
+
+
+def cmd_fit(args):
     series = pipeline.read_binned_dir(Path(args.binned))
-    scale = UnitScale(
-        box_length_cm=_resolve(args, "scale_box_cm", 5.0e-4, float),
-        time_unit_s=_resolve(args, "scale_time_s", 1.0e-9, float),
-    )
-    result = pipeline.fit_binned(
-        series, scale,
-        d0_nd=_resolve(args, "d0", 3.0e-3, float),
-        substeps=_resolve(args, "substeps", 1, int),
-        init_from_frame0=args.init_from_frame0,
-    )
+    result = pipeline.fit_binned(series, _unit_scale(args), d0_nd=args.d0,
+                                 substeps=args.substeps,
+                                 init_from_frame0=args.init_from_frame0)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(
-        json.dumps(pipeline.fit_report_dict(result), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    _write_manifest(out.parent, _manifest_for(
-        "fit", vars(args), [args.binned], [out], started))
-    return EXIT_OK
+    _write_json(out, pipeline.fit_report_dict(result))
+    return [args.binned], [out]
 
 
-def cmd_cost_curve(args) -> int:
-    started = time.monotonic()
+def cmd_cost_curve(args):
     series = pipeline.read_binned_dir(Path(args.binned))
-    scale = UnitScale(
-        box_length_cm=_resolve(args, "scale_box_cm", 5.0e-4, float),
-        time_unit_s=_resolve(args, "scale_time_s", 1.0e-9, float),
-    )
     problem = fitting.FitProblem.from_binned(
-        series, scale, substeps=_resolve(args, "substeps", 1, int),
+        series, _unit_scale(args), substeps=args.substeps,
         init_from_frame0=args.init_from_frame0,
     )
-    d_values = np.linspace(args.d_min, args.d_max, _resolve(args, "points", 25, int))
-    curve = fitting.cost_curve(problem, d_values)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    curve = fitting.cost_curve(problem, np.linspace(args.d_min, args.d_max, args.points))
     rows = ["d_nd,cost"] + [f"{float(d)!r},{float(c)!r}" for d, c in curve]
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    _write_manifest(out.parent, _manifest_for(
-        "cost-curve", vars(args), [args.binned], [out], started))
-    return EXIT_OK
+    out = Path(args.out)
+    _write_text(out, "\n".join(rows) + "\n")
+    return [args.binned], [out]
 
 
-def cmd_msd(args) -> int:
-    started = time.monotonic()
-    species = _species_from_name(_resolve(args, "species", "ar", str))
+def cmd_msd(args):
+    species = _species_from_name(args.species)
     msd = md.MSDAccumulator(read_native_header(args.traj).box_side, species)
     for frame in iter_native(args.traj):
         msd.add(frame)
     window = None
     if msd.times and (args.t_lo is not None or args.t_hi is not None):
-        t_lo = args.t_lo if args.t_lo is not None else msd.times[0]
-        t_hi = args.t_hi if args.t_hi is not None else msd.times[-1]
-        window = (t_lo, t_hi)
+        window = (msd.times[0] if args.t_lo is None else args.t_lo,
+                  msd.times[-1] if args.t_hi is None else args.t_hi)
     result = msd.estimate(fit_window=window, use_3d_factor=args.use_3d_factor)
-    report = {
-        "d_a2_fs": result.diffusion,
-        "d_cm2_s": result.diffusion_cm2_s,
-        "slope_a2_fs": result.slope,
-        "intercept_a2": result.intercept,
-        "r_squared": result.r_squared,
-        "n_frames": result.n_frames,
-    }
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                   encoding="utf-8")
-    _write_manifest(out.parent, _manifest_for(
-        "msd", vars(args), [args.traj], [out], started))
-    return EXIT_OK
+    _write_json(out, dict(
+        d_a2_fs=result.diffusion, d_cm2_s=result.diffusion_cm2_s,
+        slope_a2_fs=result.slope, intercept_a2=result.intercept,
+        r_squared=result.r_squared, n_frames=result.n_frames))
+    return [args.traj], [out]
 
 
-def cmd_convert(args) -> int:
-    started = time.monotonic()
+def cmd_convert(args):
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.to == "native":
-        species_map = _parse_species_map(_resolve(args, "species_map", "1=He,2=Ar", str))
-        traj = parse_lammps_dump(args.infile, species_map, dt_fs=args.dt)
-        write_native(traj, out)
+        species_map = _parse_species_map(args.species_map)
+        write_native(parse_lammps_dump(args.infile, species_map, dt_fs=args.dt), out)
     else:
-        traj = read_native(args.infile)
-        write_lammps_dump(traj, out)
-    _write_manifest(out.parent, _manifest_for(
-        "convert", vars(args), [args.infile], [out], started))
-    return EXIT_OK
+        write_lammps_dump(read_native(args.infile), out)
+    return [args.infile], [out]
 
 
-def cmd_heatmap(args) -> int:
-    started = time.monotonic()
+def cmd_heatmap(args):
     field, _ = read_field_csv(args.field)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(pipeline.render_heatmap_svg(field), encoding="utf-8")
-    _write_manifest(out.parent, _manifest_for(
-        "heatmap", vars(args), [args.field], [out], started))
-    return EXIT_OK
+    _write_text(out, pipeline.render_heatmap_svg(field))
+    return [args.field], [out]
 
 
-def cmd_reproduce(args) -> int:
-    started = time.monotonic()
-    preset = pipeline.PRESETS[args.scale]
-    seeds = _int_list(_resolve(args, "seeds", "1,2,3", str))
-    n_values = _int_list(args.N) if args.N else None
+def cmd_reproduce(args):
+    if args.scale not in pipeline.PRESETS:  # a config value skips argparse's choices
+        raise ValueError(f"unknown scale {args.scale!r} (use desk or paper)")
     out_dir = Path(args.out)
     stage_manifests = []
 
     def stage_writer(command, directory, config, outputs, wall_time_s):
-        manifest = RunManifest(
-            command=command, config=config, inputs=[], outputs=outputs,
-            version=__version__, wall_time_s=wall_time_s, seed=config.get("seed"),
-        )
-        _write_manifest(Path(directory), manifest)
+        write_manifest(directory, command, config, [], outputs, wall_time_s,
+                       config.get("seed"))
         stage_manifests.append(str(Path(directory) / "manifest.json"))
 
     pipeline.run_reproduce(
-        preset, seeds, n_values=n_values, out_dir=out_dir,
-        threads=_resolve(args, "threads", 1, int),
-        manifest_writer=stage_writer,
+        pipeline.PRESETS[args.scale], _int_list(args.seeds),
+        n_values=_int_list(args.N) if args.N else None, out_dir=out_dir,
+        threads=args.threads, manifest_writer=stage_writer,
     )
-    outputs = [str(out_dir / "report.json"), str(out_dir / "table.csv")]
-    _write_manifest(out_dir, _manifest_for(
-        "reproduce", vars(args), [], outputs + stage_manifests, started))
-    return EXIT_OK
+    return [], [out_dir / "report.json", out_dir / "table.csv", *stage_manifests]
 
 
 # ---------------------------------------------------------------------------
@@ -379,52 +264,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value defaults file")
-    common.add_argument("--threads", type=int, default=None)
+    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("md-run", parents=[common], help="run an NVE MD simulation")
-    p.add_argument("--n-he", type=int, dest="n_he")
-    p.add_argument("--n-ar", type=int, dest="n_ar")
-    p.add_argument("--box", type=float, help="box side in Angstroms")
-    p.add_argument("--dt", type=float, help="time step in fs")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--stride", type=int, help="steps between saved frames")
-    p.add_argument("--temp", type=float, help="temperature in K")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n-he", type=int, default=500)
+    p.add_argument("--n-ar", type=int, default=500)
+    p.add_argument("--box", type=float, default=5.0e3, help="box side in Angstroms")
+    p.add_argument("--dt", type=float, default=5.0, help="time step in fs")
+    p.add_argument("--steps", type=int, default=20000)
+    p.add_argument("--stride", type=int, default=200, help="steps between saved frames")
+    p.add_argument("--temp", type=float, default=300.0, help="temperature in K")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="native trajectory file")
     p.set_defaults(func=cmd_md_run)
 
     p = sub.add_parser("fd-run", parents=[common],
                        help="solve the diffusion equation from the patch")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--D", type=float, dest="D", help="diffusion coefficient (nd)")
-    p.add_argument("--k", type=float, help="time step (nd)")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--scheme", choices=["fe", "cn"])
-    p.add_argument("--stride", type=int)
+    p.add_argument("--N", type=int, default=50)
+    p.add_argument("--D", type=float, default=3.18e-3, help="diffusion coefficient (nd)")
+    p.add_argument("--k", type=float, default=5.0e-3, help="time step (nd)")
+    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--scheme", choices=["fe", "cn"], default="cn")
+    p.add_argument("--stride", type=int, default=100)
     p.add_argument("--oracle", action="store_true",
                    help="also write Fourier-oracle frames at the same times")
-    p.add_argument("--modes", type=int, help="oracle truncation per axis")
+    p.add_argument("--modes", type=int, default=64, help="oracle truncation per axis")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_fd_run)
 
     p = sub.add_parser("amp-plot", parents=[common],
                        help="amplification factors vs scaled wavenumber")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--D", type=float, dest="D")
-    p.add_argument("--d", type=int, choices=[1, 2])
-    p.add_argument("--k-factors", dest="k_factors",
+    p.add_argument("--N", type=int, default=50)
+    p.add_argument("--D", type=float, default=1.0)
+    p.add_argument("--d", type=int, choices=[1, 2], default=1)
+    p.add_argument("--k-factors", default="0.5,1.0,1.5",
                    help="comma-separated multiples of the critical step")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_amp_plot)
 
-    p = sub.add_parser("bin", parents=[common],
-                       help="bin a trajectory onto the FD grid")
+    p = sub.add_parser("bin", parents=[common], help="bin a trajectory onto the FD grid")
     p.add_argument("--traj", required=True)
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--species", choices=["he", "ar"])
-    p.add_argument("--per-frame-max", action="store_true", dest="per_frame_max",
+    p.add_argument("--N", type=int, default=20)
+    p.add_argument("--species", choices=["he", "ar"], default="ar")
+    p.add_argument("--per-frame-max", action="store_true",
                    help="normalize each frame by its own peak")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bin)
@@ -432,12 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common],
                        help="fit the diffusion coefficient to a binned series")
     p.add_argument("--binned", required=True, help="directory from 'bin'")
-    p.add_argument("--d0", type=float, help="initial guess (nd units)")
-    p.add_argument("--scale-box-cm", type=float, dest="scale_box_cm")
-    p.add_argument("--scale-time-s", type=float, dest="scale_time_s")
-    p.add_argument("--substeps", type=int)
+    p.add_argument("--d0", type=float, default=3.0e-3, help="initial guess (nd units)")
+    p.add_argument("--scale-box-cm", type=float, default=5.0e-4)
+    p.add_argument("--scale-time-s", type=float, default=1.0e-9)
+    p.add_argument("--substeps", type=int, default=1)
     p.add_argument("--init-from-frame0", action="store_true",
-                   dest="init_from_frame0",
                    help="start the FD model from the binned frame 0 instead "
                         "of the idealized patch")
     p.add_argument("--out", required=True, help="report JSON path")
@@ -446,24 +329,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost-curve", parents=[common],
                        help="tabulate cost(D) over a grid")
     p.add_argument("--binned", required=True)
-    p.add_argument("--d-min", type=float, required=True, dest="d_min")
-    p.add_argument("--d-max", type=float, required=True, dest="d_max")
-    p.add_argument("--points", type=int)
-    p.add_argument("--scale-box-cm", type=float, dest="scale_box_cm")
-    p.add_argument("--scale-time-s", type=float, dest="scale_time_s")
-    p.add_argument("--substeps", type=int)
-    p.add_argument("--init-from-frame0", action="store_true",
-                   dest="init_from_frame0")
+    p.add_argument("--d-min", type=float, required=True)
+    p.add_argument("--d-max", type=float, required=True)
+    p.add_argument("--points", type=int, default=25)
+    p.add_argument("--scale-box-cm", type=float, default=5.0e-4)
+    p.add_argument("--scale-time-s", type=float, default=1.0e-9)
+    p.add_argument("--substeps", type=int, default=1)
+    p.add_argument("--init-from-frame0", action="store_true")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=cmd_cost_curve)
 
     p = sub.add_parser("msd", parents=[common],
                        help="mean-squared-displacement diffusion estimate")
     p.add_argument("--traj", required=True)
-    p.add_argument("--species", choices=["he", "ar"])
-    p.add_argument("--t-lo", type=float, dest="t_lo", help="window start (fs)")
-    p.add_argument("--t-hi", type=float, dest="t_hi", help="window end (fs)")
-    p.add_argument("--use-3d-factor", action="store_true", dest="use_3d_factor",
+    p.add_argument("--species", choices=["he", "ar"], default="ar")
+    p.add_argument("--t-lo", type=float, help="window start (fs)")
+    p.add_argument("--t-hi", type=float, help="window end (fs)")
+    p.add_argument("--use-3d-factor", action="store_true",
                    help="divide the slope by 6 instead of 2d=4")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_msd)
@@ -472,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="convert between trajectory formats")
     p.add_argument("--in", required=True, dest="infile")
     p.add_argument("--to", required=True, choices=["native", "lammps"])
-    p.add_argument("--species-map", dest="species_map",
+    p.add_argument("--species-map", default="1=He,2=Ar",
                    help="LAMMPS type ids, e.g. 1=He,2=Ar")
     p.add_argument("--dt", type=float, help="fs per timestep for dump input")
     p.add_argument("--out", required=True)
@@ -486,8 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", parents=[common],
                        help="run the full pipeline at a preset scale")
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
-    p.add_argument("--seeds", help="comma-separated seeds (default 1,2,3)")
-    p.add_argument("--N", dest="N", help="comma-separated binning resolutions")
+    p.add_argument("--seeds", default="1,2,3",
+                   help="comma-separated seeds (default 1,2,3)")
+    p.add_argument("--N", help="comma-separated binning resolutions")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_reproduce)
 
@@ -497,31 +380,36 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    if args.config:
         try:
-            args._config_values = _load_config_file(args.config)
-        except OSError as exc:
+            values = _load_config_file(args.config)
+        except (OSError, ParseError) as exc:
             print(f"gasdiff: cannot read config: {exc}", file=sys.stderr)
             return EXIT_INPUT
-        except ParseError as exc:
-            print(f"gasdiff: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        args._config_values = {}
+        # argparse casts a string default through the option's type, so a bad
+        # value is a usage error (exit 2); store_true flags take no value.
+        sub = parser._subparsers._group_actions[0].choices[args.command]
+        sub.set_defaults(**{action.dest: values[action.dest] for action in sub._actions
+                            if action.dest in values and action.nargs != 0})
+        args = parser.parse_args(argv)
     try:
-        started = time.monotonic()
-        code = args.func(args)
-        if getattr(args, "verbose", False):
-            print(f"gasdiff {args.command}: exit {code} "
-                  f"in {time.monotonic() - started:.2f}s", file=sys.stderr)
-        return code
+        started = time.perf_counter()
+        inputs, outputs = args.func(args)
+        wall_time_s = time.perf_counter() - started
+        out = Path(args.out)
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("func", "config", "verbose")}
+        write_manifest(out if args.command in _OUT_DIR_COMMANDS else out.parent,
+                       args.command, config, inputs, outputs, wall_time_s,
+                       getattr(args, "seed", None))
+        if args.verbose:
+            print(f"gasdiff {args.command}: exit {EXIT_OK} in {wall_time_s:.2f}s",
+                  file=sys.stderr)
+        return EXIT_OK
     except InstabilityError as exc:
         print(f"gasdiff: instability: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
-    except ParseError as exc:
-        print(f"gasdiff: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"gasdiff: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GasdiffError, ValueError) as exc:

@@ -65,28 +65,11 @@ def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
     return axis[:, None] + axis[None, :]
 
 
-def laplacian_eigenvalue(m, grid: GridSpec) -> float:
-    m = np.atleast_1d(np.asarray(m, dtype=np.int64))
-    if m.size != grid.d:
-        raise ValueError(f"wavenumber has {m.size} components, grid is {grid.d}-d")
-    s = np.sin(np.pi * (m % grid.n) / grid.n)
-    return float(-4.0 / grid.h**2 * np.sum(s * s))
-
-
 def critical_time_step(grid: GridSpec, diffusion: float) -> float:
     """Largest stable forward Euler step, h^2 / (2 d D)."""
     if diffusion <= 0:
         raise ValueError("diffusion coefficient must be positive")
     return grid.h**2 / (2.0 * grid.d * diffusion)
-
-
-def amplification_factor(scheme: SchemeKind, m, k: float, diffusion: float,
-                         grid: GridSpec) -> float:
-    lam = laplacian_eigenvalue(m, grid)
-    a = k * diffusion * lam
-    if scheme is SchemeKind.FORWARD_EULER:
-        return 1.0 + a
-    return (1.0 + 0.5 * a) / (1.0 - 0.5 * a)
 
 
 def amplification_factors(scheme: SchemeKind, k: float, diffusion: float,

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from gasdiff import cli
 from gasdiff.cli import main
 from gasdiff.fields import GridSpec, ScalarField, read_field_csv, write_field_csv
 from gasdiff.md import Species
@@ -113,6 +114,27 @@ class TestAmpPlot:
         assert last[5] == pytest.approx(0.0, abs=1e-14)  # CN at k_c
         fe_above = last[3]
         assert fe_above < -1.0  # unstable branch
+
+    @pytest.mark.parametrize("d, n, diffusion, factors", [
+        (1, 32, 2.0, "0.5,1.0,1.5"), (2, 33, 0.7, "0.3,1.0,2.5")])
+    def test_rows_equal_the_per_mode_factors(self, tmp_path, d, n, diffusion, factors):
+        from fd_modes import amplification_factor
+
+        from gasdiff.fd_solver import SchemeKind, critical_time_step
+
+        out = tmp_path / "amp.csv"
+        assert run_cli("amp-plot", "--d", d, "--N", n, "--D", diffusion,
+                       "--k-factors", factors, "--out", out) == 0
+        grid = GridSpec(d=d, n=n)
+        k_c = critical_time_step(grid, diffusion)
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == n // 2 + 1
+        for m, row in enumerate(rows):
+            expected = [np.sqrt(d) * m / n] + [
+                amplification_factor(scheme, (m,) * d, float(f) * k_c, diffusion, grid)
+                for scheme in (SchemeKind.FORWARD_EULER, SchemeKind.CRANK_NICOLSON)
+                for f in factors.split(",")]
+            assert row == ",".join(repr(float(v)) for v in expected)
 
 
 class TestBinCli:
@@ -309,6 +331,34 @@ class TestUsageAndConfig:
         assert traj.seed == 9          # flag beats config
         assert traj.n_he == 40         # config beats built-in default
         assert traj.n_frames == 4      # 30 steps / stride 10 + frame 0
+        # the manifest records the values the run used, wherever they came from
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seed"] == 9
+        assert manifest["config"] == {
+            "box": 2000.0, "command": "md-run", "dt": 5.0, "n_ar": 0, "n_he": 40,
+            "out": str(out), "seed": 9, "steps": 30, "stride": 10, "temp": 300.0,
+            "threads": 1,
+        }
+
+    def test_non_numeric_config_value_exits_2_and_writes_nothing(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n_he = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("md-run", "--config", cfg, "--out", tmp_path / "run" / "t.txt")
+        assert exc.value.code == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_failed_fit_leaves_no_output_directory(self, tmp_path):
+        assert run_cli("fit", "--binned", tmp_path / "missing",
+                       "--out", tmp_path / "new" / "r.json") == 3
+        assert not (tmp_path / "new").exists()
+
+    def test_verbose_line_and_manifest_share_one_wall_time(self, tmp_path, capsys):
+        out = tmp_path / "amp.csv"
+        capsys.readouterr()
+        assert run_cli("amp-plot", "--N", 8, "--verbose", "--out", out) == 0
+        wall = json.loads((tmp_path / "manifest.json").read_text())["wall_time_s"]
+        assert capsys.readouterr().err == f"gasdiff amp-plot: exit 0 in {wall:.2f}s\n"
 
     def test_malformed_config_exits_3(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -388,3 +438,168 @@ class TestStreamingMemory:
                 tracemalloc.stop()
         binned_frame = 2 * grid_n * grid_n * 8  # int64 counts + float64 concentration
         assert peaks[200] - peaks[20] <= 180 * binned_frame
+
+
+# Every subcommand's options as (option strings, dest, required, choices),
+# after the three that all of them share.  Options that take no value (the
+# store_true flags) are listed in NO_VALUE.
+COMMON = [
+    (("--config",), "config", False, None),
+    (("--threads",), "threads", False, None),
+    (("--verbose",), "verbose", False, None),
+]
+SURFACE = {
+    "md-run": [
+        (("--n-he",), "n_he", False, None),
+        (("--n-ar",), "n_ar", False, None),
+        (("--box",), "box", False, None),
+        (("--dt",), "dt", False, None),
+        (("--steps",), "steps", False, None),
+        (("--stride",), "stride", False, None),
+        (("--temp",), "temp", False, None),
+        (("--seed",), "seed", False, None),
+        (("--out",), "out", True, None),
+    ],
+    "fd-run": [
+        (("--N",), "N", False, None),
+        (("--D",), "D", False, None),
+        (("--k",), "k", False, None),
+        (("--steps",), "steps", False, None),
+        (("--scheme",), "scheme", False, ["fe", "cn"]),
+        (("--stride",), "stride", False, None),
+        (("--oracle",), "oracle", False, None),
+        (("--modes",), "modes", False, None),
+        (("--out",), "out", True, None),
+    ],
+    "amp-plot": [
+        (("--N",), "N", False, None),
+        (("--D",), "D", False, None),
+        (("--d",), "d", False, [1, 2]),
+        (("--k-factors",), "k_factors", False, None),
+        (("--out",), "out", True, None),
+    ],
+    "bin": [
+        (("--traj",), "traj", True, None),
+        (("--N",), "N", False, None),
+        (("--species",), "species", False, ["he", "ar"]),
+        (("--per-frame-max",), "per_frame_max", False, None),
+        (("--out",), "out", True, None),
+    ],
+    "fit": [
+        (("--binned",), "binned", True, None),
+        (("--d0",), "d0", False, None),
+        (("--scale-box-cm",), "scale_box_cm", False, None),
+        (("--scale-time-s",), "scale_time_s", False, None),
+        (("--substeps",), "substeps", False, None),
+        (("--init-from-frame0",), "init_from_frame0", False, None),
+        (("--out",), "out", True, None),
+    ],
+    "cost-curve": [
+        (("--binned",), "binned", True, None),
+        (("--d-min",), "d_min", True, None),
+        (("--d-max",), "d_max", True, None),
+        (("--points",), "points", False, None),
+        (("--scale-box-cm",), "scale_box_cm", False, None),
+        (("--scale-time-s",), "scale_time_s", False, None),
+        (("--substeps",), "substeps", False, None),
+        (("--init-from-frame0",), "init_from_frame0", False, None),
+        (("--out",), "out", True, None),
+    ],
+    "msd": [
+        (("--traj",), "traj", True, None),
+        (("--species",), "species", False, ["he", "ar"]),
+        (("--t-lo",), "t_lo", False, None),
+        (("--t-hi",), "t_hi", False, None),
+        (("--use-3d-factor",), "use_3d_factor", False, None),
+        (("--out",), "out", True, None),
+    ],
+    "convert": [
+        (("--in",), "infile", True, None),
+        (("--to",), "to", True, ["native", "lammps"]),
+        (("--species-map",), "species_map", False, None),
+        (("--dt",), "dt", False, None),
+        (("--out",), "out", True, None),
+    ],
+    "heatmap": [
+        (("--field",), "field", True, None),
+        (("--out",), "out", True, None),
+    ],
+    "reproduce": [
+        (("--scale",), "scale", False, ["desk", "paper"]),
+        (("--seeds",), "seeds", False, None),
+        (("--N",), "N", False, None),
+        (("--out",), "out", True, None),
+    ],
+}
+NO_VALUE = {"verbose", "oracle", "per_frame_max", "init_from_frame0", "use_3d_factor"}
+
+
+class TestCliSurface:
+    """The options, the config-file rule and the manifest keys, checked with
+    each command replaced by one that records its arguments."""
+
+    @staticmethod
+    def run_recorded(monkeypatch, tmp_path, command, *args, config=None):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                            lambda a: seen.append(a) or ([], []))
+        argv = [command]
+        for option, dest, required, choices in SURFACE[command]:
+            if required:
+                value = tmp_path / "out" / "o" if dest == "out" else 1
+                argv += [option[0], choices[0] if choices else value]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+            argv += ["--config", cfg]
+        assert run_cli(*argv, *args) == 0
+        return vars(seen[0])
+
+    def test_options_match_the_pinned_table(self):
+        parser = cli.build_parser()
+        subparsers = parser._subparsers._group_actions[0].choices
+        assert list(subparsers) == list(SURFACE)
+        for command, sub in subparsers.items():
+            actions = [a for a in sub._actions if a.dest != "help"]
+            assert [(tuple(a.option_strings), a.dest, a.required, a.choices)
+                    for a in actions] == COMMON + SURFACE[command]
+            assert {a.dest for a in actions if a.nargs == 0} <= NO_VALUE
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_config_supplies_every_value_option_and_flags_win(
+            self, monkeypatch, tmp_path, command):
+        defaults = self.run_recorded(monkeypatch, tmp_path, command)
+        for option, dest, required, choices in COMMON + SURFACE[command]:
+            if required or dest in NO_VALUE or dest == "config":
+                continue
+            if choices:
+                value, other = [c for c in choices if c != defaults[dest]][0], defaults[dest]
+            else:
+                value, other = 7, 3
+            as_flag = self.run_recorded(monkeypatch, tmp_path, command, option[0], value)
+            from_file = self.run_recorded(monkeypatch, tmp_path, command,
+                                          config={dest: value})
+            assert from_file[dest] == as_flag[dest] != defaults[dest], dest
+            both = self.run_recorded(monkeypatch, tmp_path, command, option[0], other,
+                                     config={dest: value})
+            assert both[dest] == self.run_recorded(
+                monkeypatch, tmp_path, command, option[0], other)[dest], dest
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_config_ignores_keys_of_options_without_a_value(
+            self, monkeypatch, tmp_path, command):
+        args = self.run_recorded(monkeypatch, tmp_path, command,
+                                 config={dest: 1 for dest in NO_VALUE})
+        assert all(args[dest] is False for dest in NO_VALUE if dest in args)
+
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_manifest_keys(self, monkeypatch, tmp_path, command):
+        self.run_recorded(monkeypatch, tmp_path, command)
+        out = tmp_path / "out" / "o"
+        directory = out if command in ("fd-run", "bin", "reproduce") else out.parent
+        manifest = json.loads((directory / "manifest.json").read_text())
+        assert sorted(manifest) == ["command", "config", "inputs", "outputs", "seed",
+                                    "version", "wall_time_s"]
+        dests = {dest for _, dest, _, _ in COMMON + SURFACE[command]}
+        assert set(manifest["config"]) == dests - {"config", "verbose"} | {"command"}
+        assert manifest["command"] == command

@@ -7,15 +7,15 @@ from gasdiff.errors import InstabilityError
 from gasdiff.fd_solver import (
     SchemeKind,
     SolverConfig,
-    amplification_factor,
     amplification_factors,
     critical_time_step,
-    laplacian_eigenvalue,
     make_patch_initial,
     solve,
     step,
 )
 from gasdiff.fields import GridSpec, ScalarField, field_energy, field_mass
+
+from fd_modes import amplification_factor, laplacian_eigenvalue
 
 
 def apply_discrete_laplacian(f: ScalarField) -> ScalarField:

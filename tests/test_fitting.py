@@ -8,7 +8,6 @@ from gasdiff.errors import FitError
 from gasdiff.fd_solver import (
     SchemeKind,
     SolverConfig,
-    laplacian_eigenvalue,
     make_patch_initial,
     solve,
 )
@@ -24,6 +23,8 @@ from gasdiff.fitting import (
     model_jacobian,
     residuals,
 )
+
+from fd_modes import laplacian_eigenvalue
 
 SCALE = UnitScale()
 
