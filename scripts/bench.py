@@ -17,10 +17,12 @@ paper preset (60000), writes it IO_FRAMES times with
 ``write_native_frames`` and reads the file back with ``iter_native``
 twice: as the writer left it (with the binary frame sidecar, where the
 tree writes one; its hash checks included) and with only the text left.
-It reports each as microseconds per particle row, and the bytes per row of
-the text and of whatever else the writer left (the sidecar).  Where the
-tree forks a writer process, the write includes the fork and the pickling
-of each frame sent to it.
+It also writes the same frames as a LAMMPS dump with ``write_lammps_dump``
+(untimed) and times ``parse_lammps_dump`` on it.  It reports each as
+microseconds per particle row, and the bytes per row of the text and of
+whatever else the writer left (the sidecar).  Where the tree forks a
+writer process, the write includes the fork and the pickling of each
+frame sent to it.
 
 The overlap probe runs first, with the MD settings of perfbench's
 ``desk_pipeline`` (500 He + 500 Ar in a 5e3 A box, 2000 steps, a frame
@@ -124,14 +126,16 @@ def overlap_probe() -> dict:
 
 
 def io_probe() -> dict:
-    """Time writing IO_FRAMES frames per preset, and reading them back with
-    and without what the writer left beside the text."""
+    """Time writing IO_FRAMES frames per preset, reading them back with and
+    without what the writer left beside the text, and parsing them from a
+    LAMMPS dump."""
     import tempfile
     import time
     from dataclasses import replace
 
     from gasdiff import md, pipeline
-    from gasdiff.trajectory_io import iter_native, write_native_frames
+    from gasdiff.trajectory_io import (Trajectory, iter_native, parse_lammps_dump,
+                                       write_lammps_dump, write_native_frames)
 
     out = {}
     for name, n_frames in IO_FRAMES.items():
@@ -139,9 +143,9 @@ def io_probe() -> dict:
         cfg, box = preset.md_config(SEED), md.SimBox(side=preset.box_side)
         frame = next(md.iter_frames(cfg, box, 0))
         rows = n_frames * frame.n_particles
-        frames = (replace(frame, timestep=k * cfg.sample_stride,
+        frames = [replace(frame, timestep=k * cfg.sample_stride,
                           time_fs=k * cfg.sample_stride * cfg.dt)
-                  for k in range(n_frames))
+                  for k in range(n_frames)]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "traj.txt"
 
@@ -162,7 +166,16 @@ def io_probe() -> dict:
             for p in beside:
                 p.unlink()
             times.append(seconds(read))
-        for key, spent in zip(("write", "sidecar_read", "text_read"), times):
+            dump = Path(tmp) / "traj.dump"
+            write_lammps_dump(Trajectory(box_side=box.side, frames=frames), dump)
+
+            def parse_dump():
+                species_map = {1: md.Species.HE, 2: md.Species.AR}
+                if parse_lammps_dump(dump, species_map).n_frames != n_frames:
+                    raise RuntimeError(f"{dump} did not parse back {n_frames} frames")
+
+            times.append(seconds(parse_dump))
+        for key, spent in zip(("write", "sidecar_read", "text_read", "lammps_parse"), times):
             out[f"{name}_{key}_us_per_row"] = spent / rows * 1e6
         out[f"{name}_text_bytes_per_row"] = sizes[0] / rows
         out[f"{name}_sidecar_bytes_per_row"] = sizes[1] / rows
@@ -214,7 +227,8 @@ def main():
                   f"{result['outer_builds_per_step']:.3f} outer per step; "
                   f"paper frame write {result['paper_write_us_per_row']:.2f}, "
                   f"read {result['paper_sidecar_read_us_per_row']:.2f}, "
-                  f"text read {result['paper_text_read_us_per_row']:.2f} us/row; "
+                  f"text read {result['paper_text_read_us_per_row']:.2f}, "
+                  f"dump parse {result['paper_lammps_parse_us_per_row']:.2f} us/row; "
                   f"desk MD {result['overlap_md_ms']:.0f} ms, with the write "
                   f"{result['overlap_md_write_ms']:.0f} ms",
                   flush=True)

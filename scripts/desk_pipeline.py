@@ -17,12 +17,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", default="1,2,3")
     ap.add_argument("--out", default="desk_out")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     seeds = [int(s) for s in args.seeds.split(",")]
-    report = run_reproduce(DESK, seeds, out_dir=Path(args.out),
-                           threads=args.threads)
+    report = run_reproduce(DESK, seeds, out_dir=Path(args.out))
 
     print(f"{'seed':>5} {'MSD D [cm2/s]':>14} " +
           " ".join(f"{'fit D(N=%d)' % n:>14}" for n in report["n_values"]))

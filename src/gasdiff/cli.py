@@ -232,8 +232,6 @@ def cmd_heatmap(args):
 
 
 def cmd_reproduce(args):
-    if args.scale not in pipeline.PRESETS:  # a config value skips argparse's choices
-        raise ValueError(f"unknown scale {args.scale!r} (use desk or paper)")
     out_dir = Path(args.out)
     stage_manifests = []
 
@@ -245,7 +243,7 @@ def cmd_reproduce(args):
     pipeline.run_reproduce(
         pipeline.PRESETS[args.scale], _int_list(args.seeds),
         n_values=_int_list(args.N) if args.N else None, out_dir=out_dir,
-        threads=args.threads, manifest_writer=stage_writer,
+        manifest_writer=stage_writer,
     )
     return [], [out_dir / "report.json", out_dir / "table.csv", *stage_manifests]
 
@@ -389,9 +387,14 @@ def main(argv=None) -> int:
         # argparse casts a string default through the option's type, so a bad
         # value is a usage error (exit 2); store_true flags take no value.
         sub = parser._subparsers._group_actions[0].choices[args.command]
-        sub.set_defaults(**{action.dest: values[action.dest] for action in sub._actions
-                            if action.dest in values and action.nargs != 0})
+        applied = [a for a in sub._actions if a.dest in values and a.nargs != 0]
+        sub.set_defaults(**{a.dest: values[a.dest] for a in applied})
         args = parser.parse_args(argv)
+        try:  # argparse checks only a flag's value against the option's choices
+            for action in applied:
+                sub._check_value(action, getattr(args, action.dest))
+        except argparse.ArgumentError as exc:
+            sub.error(str(exc))
     try:
         started = time.perf_counter()
         inputs, outputs = args.func(args)

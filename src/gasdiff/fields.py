@@ -96,10 +96,6 @@ class UnitScale:
             raise ValueError("unit scale factors must be positive")
 
     @property
-    def box_length_angstrom(self) -> float:
-        return self.box_length_cm * 1e8
-
-    @property
     def time_unit_fs(self) -> float:
         return self.time_unit_s * 1e15
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -251,8 +250,9 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
 
 
 def run_reproduce(preset: Preset, seeds, n_values=None, out_dir: Path = Path("."),
-                  threads: int = 1, manifest_writer=None) -> dict:
-    """Full pipeline over seeds and binning resolutions.
+                  manifest_writer=None) -> dict:
+    """Full pipeline over seeds and binning resolutions, one seed after
+    another.
 
     Writes per-seed artifacts under ``seed_<s>/``, a Table-2-shaped
     ``table.csv`` (N, mean D_opt, mean cost, mean CI) and ``report.json``
@@ -264,14 +264,8 @@ def run_reproduce(preset: Preset, seeds, n_values=None, out_dir: Path = Path("."
     out_dir.mkdir(parents=True, exist_ok=True)
 
     seeds = list(seeds)
-    jobs = [(seed, out_dir / f"seed_{seed}") for seed in seeds]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(
-                lambda sd: _run_one_seed(preset, sd[0], sd[1], manifest_writer),
-                jobs))
-    else:
-        runs = [_run_one_seed(preset, seed, d, manifest_writer) for seed, d in jobs]
+    runs = [_run_one_seed(preset, seed, out_dir / f"seed_{seed}", manifest_writer)
+            for seed in seeds]
 
     summary = {}
     for n in preset.n_values:

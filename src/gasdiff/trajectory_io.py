@@ -25,8 +25,8 @@ read_native run the same code for a Trajectory held in memory.  The
 caller writes the header and then forks a writer process, which formats,
 hashes and writes each frame while the caller computes the next one, so
 an MD run's write overlaps its steps.  Without ``os.fork``, or in a
-process running other threads (``reproduce --threads N``, N > 1), the same
-writer runs in the calling process.
+process running other threads (a library caller's), the same writer runs
+in the calling process.
 
 Next to ``<path>`` the writer also streams a binary sidecar,
 ``<path>.frames``: per frame a little-endian ``<qdqd`` head (timestep,
@@ -42,8 +42,10 @@ the text all match; otherwise it parses the text.
 
 The LAMMPS reader handles orthogonal-box text dumps with header-driven
 column order, unscaled (x y) or scaled (xs ys) coordinates, and ignores any
-z column.  Every malformed input raises ParseError with a line number; no
-input may crash the parser.
+z column.  Both text formats parse their particle rows with one parser,
+_parse_rows, which converts whole columns and, when a row is malformed,
+walks the rows to the first bad one.  Every malformed input raises
+ParseError with a line number; no input may crash the parser.
 """
 
 from __future__ import annotations
@@ -349,48 +351,41 @@ def _parse_int(token: str, path, line: int) -> int:
 _SPECIES_CODE = {label: int(sp) for label, sp in SPECIES_BY_LABEL.items()}
 
 
-def _native_columns(rows: list[str]):
-    """ids, species, positions and velocities of particle rows, parsed by
-    column; None if any row is malformed (or there are none), so that the
-    row-by-row parser can report it."""
-    parts = list(map(str.split, rows))
-    if set(map(len, parts)) != {6}:
-        return None
-    ids, labels, *floats = zip(*parts)
-    try:
-        ids = np.array(list(map(int, ids)), dtype=np.int64)
-        species = np.array(list(map(_SPECIES_CODE.__getitem__, labels)), dtype=np.int64)
-        values = np.array([list(map(float, col)) for col in floats])
-    except (ValueError, KeyError, OverflowError):
-        return None
-    if ids.min() < -2**62 or ids.max() > 2**62:
-        return None
-    return ids, species, values[:2].T.copy(), values[2:].T.copy()
+def _column(kind, tokens) -> np.ndarray:
+    """``tokens`` parsed as ``kind``; ValueError, KeyError or OverflowError
+    if one is malformed."""
+    parse = kind.__getitem__ if isinstance(kind, dict) else kind
+    values = np.array(list(map(parse, tokens)), np.float64 if kind is float else np.int64)
+    if kind is int and len(values) and not -2**62 <= values.min() <= values.max() <= 2**62:
+        raise OverflowError
+    return values
 
 
-def _native_rows(rows: list[str], first_line: int, path):
-    """The row-by-row parser of particle rows, the first of which is line
-    ``first_line`` of the file: raises ParseError at the first malformed row."""
-    ids, values = [], []
-    for line, row in enumerate(rows, first_line):
-        parts = row.split()
-        if len(parts) != 6:
-            raise ParseError(
-                f"expected 6 columns in particle row, found {len(parts)}",
-                path=path, line=line,
-            )
-        if parts[1] not in SPECIES_BY_LABEL:
-            raise ParseError(f"unknown species {parts[1]!r}", path=path, line=line)
-        ids.append(_parse_int(parts[0], path, line))
+def _parse_rows(rows: list[str], first_line: int, path, kinds, in_row: str = ""):
+    """Particle rows, the first on line ``first_line``, parsed by column:
+    per entry of ``kinds`` an int64 array (``int``, |v| <= 2**62), a float64
+    array (``float``), the int64 codes of a dict's labels, or None (None
+    skips the column).  A malformed row raises ParseError at the first such
+    line; ``in_row`` goes into the column-count message."""
+    fields = [row.split() for row in rows]
+    if all(len(f) == len(kinds) for f in fields):
         try:
-            values.append((int(SPECIES_BY_LABEL[parts[1]]), *map(float, parts[2:])))
-        except ValueError:  # report the first bad field
-            for p in parts[2:]:
-                _parse_float(p, path, line)
-    # ids stay integers: a float64 column would round ids above 2**53
-    arr = np.array(values, dtype=np.float64).reshape(len(values), 5)
-    return (np.array(ids, dtype=np.int64), arr[:, 0].astype(np.int64),
-            arr[:, 1:3].copy(), arr[:, 3:5].copy())
+            return [None if kind is None else _column(kind, tokens)
+                    for kind, tokens in zip(kinds, list(zip(*fields)) or [()] * len(kinds))]
+        except (ValueError, KeyError, OverflowError):
+            pass
+    # some row is malformed: walk the rows to the first one
+    for line, f in enumerate(fields, first_line):
+        if len(f) != len(kinds):
+            raise ParseError(f"expected {len(kinds)} columns{in_row}, found {len(f)}",
+                             path=path, line=line)
+        for kind, token in zip(kinds, f):
+            if kind is int:
+                _parse_int(token, path, line)
+            elif kind is float:
+                _parse_float(token, path, line)
+            elif kind is not None and token not in kind:
+                raise ParseError(f"unknown species {token!r}", path=path, line=line)
 
 
 def _lines(fh):
@@ -530,8 +525,9 @@ def iter_native(path) -> Iterator[Frame]:
             while line is not None and line.strip() and not line.startswith("FRAME"):
                 rows.append(line)
                 line = next(lines, None)
-            ids, species, positions, velocities = (
-                _native_columns(rows) or _native_rows(rows, lineno + 1, path))
+            ids, species, x, y, vx, vy = _parse_rows(
+                rows, lineno + 1, path, (int, _SPECIES_CODE, float, float, float, float),
+                " in particle row")
             lineno += len(rows) + 1
             if n is not None and len(ids) != n:
                 raise ParseError(
@@ -547,8 +543,8 @@ def iter_native(path) -> Iterator[Frame]:
                 time_fs=time_fs,
                 ids=ids,
                 species=species,
-                positions=positions,
-                velocities=velocities,
+                positions=np.column_stack((x, y)),
+                velocities=np.column_stack((vx, vy)),
                 energy=energy,
             )
 
@@ -556,6 +552,18 @@ def iter_native(path) -> Iterator[Frame]:
 def read_native(path) -> Trajectory:
     """``iter_native`` collected into a Trajectory held in memory."""
     return replace(read_native_header(path), frames=list(iter_native(path)))
+
+
+def _species_codes(types: np.ndarray, species_map: dict[int, Species], first_line: int,
+                   path) -> np.ndarray:
+    """The species code of each LAMMPS atom type in ``types``, the first of
+    which is on line ``first_line``; ParseError at the first unmapped one."""
+    types = types.tolist()
+    try:
+        return _column({t: int(sp) for t, sp in species_map.items()}, types)
+    except KeyError as exc:  # the first unmapped type, in row order
+        raise ParseError(f"atom type {exc.args[0]} not in species map", path=path,
+                         line=first_line + types.index(exc.args[0])) from None
 
 
 def _expect_item(lines, i, name, path):
@@ -628,15 +636,16 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
         columns = header.split()[2:]
         col = {name: k for k, name in enumerate(columns)}
         scaled = "xs" in col
-        required = ["id", "type"] + (["xs", "ys"] if scaled else ["x", "y"])
-        missing = [c for c in required if c not in col]
+        names = ["id", "type"] + (["xs", "ys"] if scaled else ["x", "y"])
+        missing = [c for c in names if c not in col]
         if missing:
             raise ParseError(
                 f"unsupported ATOMS column layout {columns!r} (missing {missing})",
                 path=path, line=i + 1,
             )
-        has_vel = "vx" in col and "vy" in col
-        saw_velocities = saw_velocities or has_vel
+        if "vx" in col and "vy" in col:
+            names += ["vx", "vy"]
+            saw_velocities = True
         i += 1
 
         if i + n_atoms > len(lines):
@@ -645,38 +654,24 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
                 f"({len(lines) - i} of {n_atoms} atom rows)",
                 path=path, line=len(lines),
             )
-        ids = np.empty(n_atoms, dtype=np.int64)
-        species = np.empty(n_atoms, dtype=np.int64)
-        positions = np.empty((n_atoms, 2))
-        velocities = np.zeros((n_atoms, 2))
-        for row in range(n_atoms):
-            parts = lines[i + row].split()
-            if len(parts) != len(columns):
-                raise ParseError(
-                    f"expected {len(columns)} columns, found {len(parts)}",
-                    path=path, line=i + row + 1,
-                )
-            ids[row] = _parse_int(parts[col["id"]], path, i + row + 1)
-            type_id = _parse_int(parts[col["type"]], path, i + row + 1)
-            if type_id not in species_map:
-                raise ParseError(
-                    f"atom type {type_id} not in species map", path=path,
-                    line=i + row + 1,
-                )
-            species[row] = int(species_map[type_id])
-            if scaled:
-                x = _parse_float(parts[col["xs"]], path, i + row + 1) * side
-                y = _parse_float(parts[col["ys"]], path, i + row + 1) * side
-            else:
-                x = _parse_float(parts[col["x"]], path, i + row + 1) - lo
-                y = _parse_float(parts[col["y"]], path, i + row + 1) - lo
+        kinds = [None] * len(columns)
+        for name in names:
+            kinds[col[name]] = int if name in ("id", "type") else float
+        rows = lines[i:i + n_atoms]
+        try:
+            parsed = _parse_rows(rows, i + 1, path, kinds)
+        except ParseError as exc:
+            # an unmapped atom type on an earlier row is the first fault
+            earlier = _parse_rows(rows[:exc.line - i - 1], i + 1, path, kinds)
+            _species_codes(earlier[col["type"]], species_map, i + 1, path)
+            raise
+        ids, types, x, y, *v = (parsed[col[name]] for name in names)
+        species = _species_codes(types, species_map, i + 1, path)
+        with np.errstate(all="ignore"):  # inf and nan pass, as in Python floats
+            x, y = (x * side, y * side) if scaled else (x - lo, y - lo)
             # double mod: a tiny negative coordinate can wrap to exactly side
-            positions[row] = ((x % side) % side, (y % side) % side)
-            if has_vel:
-                velocities[row] = (
-                    _parse_float(parts[col["vx"]], path, i + row + 1),
-                    _parse_float(parts[col["vy"]], path, i + row + 1),
-                )
+            positions = np.column_stack(((x % side) % side, (y % side) % side))
+        velocities = np.column_stack(v) if v else np.zeros((n_atoms, 2))
         i += n_atoms
 
         order = np.argsort(ids, kind="stable")

@@ -367,6 +367,71 @@ class TestUsageAndConfig:
         assert run_cli("md-run", "--config", cfg, "--out", out) == 3
 
 
+class TestConfigChoices:
+    """A config-file value is checked against its option's choices like the
+    flag's: exit 2 with argparse's usage message."""
+
+    @pytest.mark.parametrize("command, key, option, value", [
+        (["bin", "--traj", "t.txt"], "species", "--species", "xx"),
+        (["msd", "--traj", "t.txt"], "species", "--species", "xx"),
+        (["fd-run"], "scheme", "--scheme", "xx"),
+        (["amp-plot"], "d", "--d", "3"),
+        (["reproduce"], "scale", "--scale", "big"),
+    ])
+    def test_bad_choice_in_a_config_file_exits_2_like_the_flag(
+            self, tmp_path, capsys, command, key, option, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out" / "o"
+        errors = []
+        for extra in (["--config", cfg], [option, value]):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*command, *extra, "--out", out)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert f"argument {option}: invalid choice: " in errors[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_with_a_good_choice_overrides_a_bad_config_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("d = 3\n")
+        out = tmp_path / "amp.csv"
+        assert run_cli("amp-plot", "--config", cfg, "--d", 2, "--N", 8, "--out", out) == 0
+
+
+class TestReproduceCli:
+    def test_threads_flag_runs_the_seeds_in_order_with_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        from gasdiff import pipeline
+        from test_pipeline import MINI
+
+        monkeypatch.setitem(pipeline.PRESETS, "desk", MINI)
+        runs = {}
+        for threads in (1, 2):
+            # the same relative --out, so the source paths in binned.json match
+            run_dir = tmp_path / str(threads)
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            assert run_cli("reproduce", "--seeds", "5,6", "--threads", threads,
+                           "--out", "out") == 0
+            out = run_dir / "out"
+            runs[threads] = {str(p.relative_to(out)): p.read_bytes()
+                             for p in sorted(out.rglob("*")) if p.is_file()}
+            manifest = json.loads(runs[threads].pop("manifest.json"))
+            stages = [f"seed_{seed}/{stage}manifest.json" for seed in (5, 6)
+                      for stage in ("", "bin_N6/", "fit_N6/")]
+            assert manifest["outputs"] == ["out/report.json", "out/table.csv",
+                                           *(f"out/{stage}" for stage in stages)]
+            assert manifest["config"]["threads"] == threads
+            for stage in stages:
+                runs[threads].pop(stage)
+        assert sorted(runs[1]) == sorted(runs[2])
+        assert "seed_6/trajectory.txt.frames" in runs[1]
+        assert runs[1] == runs[2]
+
+
 class TestArtifactIdempotence:
     def test_fd_run_outputs_byte_identical(self, tmp_path):
         outs = []

@@ -115,22 +115,6 @@ class TestReproduce:
             )
         assert blobs[0] == blobs[1]
 
-    def test_threaded_matches_sequential(self, tmp_path):
-        a = run_reproduce(MINI, seeds=[5, 6], out_dir=tmp_path / "seq", threads=1)
-        b = run_reproduce(MINI, seeds=[5, 6], out_dir=tmp_path / "par", threads=2)
-        assert a["summary"] == b["summary"]
-
-    def test_threaded_writes_the_same_trajectory_bytes(self, tmp_path):
-        # threads=2 keeps the trajectory writer in-process; threads=1 forks it
-        for threads in (1, 2):
-            run_reproduce(MINI, seeds=[5, 6], out_dir=tmp_path / str(threads),
-                          threads=threads)
-        for seed in (5, 6):
-            for name in ("trajectory.txt", "trajectory.txt.frames"):
-                written = [(tmp_path / str(threads) / f"seed_{seed}" / name).read_bytes()
-                           for threads in (1, 2)]
-                assert written[0] == written[1]
-
     def test_n_values_override(self, tmp_path):
         report = run_reproduce(MINI, seeds=[7], n_values=[4, 8],
                                out_dir=tmp_path)

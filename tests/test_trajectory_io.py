@@ -20,6 +20,7 @@ from gasdiff.trajectory_io import (
     write_native,
     write_native_frames,
 )
+from text_rows import lammps_rows, native_rows
 
 SPECIES_MAP = {1: Species.HE, 2: Species.AR}
 
@@ -150,20 +151,18 @@ class TestNativeFormat:
             read_native(p)
         assert err.value.line == 5
 
-    def test_column_parser_matches_row_parser(self, tmp_path):
+    def test_text_parse_matches_the_written_frames(self, tmp_path):
         traj = make_trajectory(n_frames=4, n=50, seed=3)
         traj.frames[1].ids[7] = -(2**62)
         traj.frames[2].velocities[3] = [np.inf, -0.0]
         path = tmp_path / "traj.txt"
         write_native(traj, path)
-        lines = path.read_text().splitlines()
-        starts = [k + 1 for k, line in enumerate(lines) if line.startswith("FRAME")]
-        for start in starts:
-            by_column = trajectory_io._native_columns(lines[start:start + 50])
-            by_row = trajectory_io._native_rows(lines[start:start + 50], start + 1, path)
-            for a, b in zip(by_column, by_row):
-                assert a.dtype == b.dtype and a.shape == b.shape
-                assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+        assert not sidecar_path(path).exists()  # the inf keeps it from being written
+        frames = list(iter_native(path))
+        assert_same_frames(frames, traj.frames)
+        for fr in frames:
+            for a in (fr.ids, fr.species, fr.positions, fr.velocities):
+                assert a.flags.c_contiguous
 
     @pytest.mark.parametrize("bad_row, message", [
         ("3 He 1.0 1.0 0.0", "columns"),
@@ -377,6 +376,150 @@ class TestFuzz:
             pass
 
 
+# Tokens for the generated row blocks: ones each parser accepts, and faults.
+INT_TOKENS = st.one_of(st.integers(-(2**62), 2**62).map(str),
+                       st.sampled_from(["+7", "007", "-0", "1_000"]))
+FLOAT_TOKENS = st.one_of(st.floats().map(repr),
+                         st.sampled_from(["nan", "-inf", "1e400", "+.5", "1_0.5", "5", "-0"]))
+BAD_INTS = ["3.0", "banana", "1e3", str(2**62 + 1), str(-(2**62) - 1), str(2**63), str(2**70)]
+BAD_FLOATS = ["banana", "1.0.0", "0x10", "1e", "--1"]
+JUNK = st.sampled_from(["0.0", "junk", "nan", "1e999", "--", "Xe"])
+
+
+@st.composite
+def row_block(draw, columns, good, bad):
+    """Rows of tokens for ``columns`` (``good[c]`` draws a token of column
+    ``c``, ``bad[c]`` lists its faults; a column without faults is never
+    parsed), then up to 3 faults: a bad token, a dropped or an extra token.
+    Returns the rows and each row's number of faults."""
+    rows = [[draw(good[c]) for c in columns] for _ in range(draw(st.integers(0, 6)))]
+    faults = [0] * len(rows)
+    parsed = [k for k, c in enumerate(columns) if bad.get(c)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        r = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["token", "drop", "extra"]))
+        if edit == "token" and len(rows[r]) == len(columns):
+            k = draw(st.sampled_from(parsed))
+            rows[r][k] = draw(st.sampled_from(bad[columns[k]]))
+        elif edit == "drop" and len(rows[r]) > 1:
+            del rows[r][draw(st.integers(0, len(rows[r]) - 1))]
+        else:
+            rows[r].append("0")
+        faults[r] += 1
+    return [" ".join(row) for row in rows], faults
+
+
+def assert_same_parse(read, oracle, faults, first_line):
+    """``read()`` and ``oracle()`` give bit-identical arrays, or errors on
+    the same line, with the same message when that row has one fault."""
+    try:
+        want = oracle()
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            read()
+        assert got.value.line == err.line
+        if faults[err.line - first_line] == 1:
+            assert str(got.value) == str(err)
+        return
+    got = read()
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
+NATIVE_COLUMNS = ["id", "species", "x", "y", "vx", "vy"]
+NATIVE_GOOD = {"id": INT_TOKENS, "species": st.sampled_from(["He", "Ar"]),
+               **dict.fromkeys(["x", "y", "vx", "vy"], FLOAT_TOKENS)}
+NATIVE_BAD = {"id": BAD_INTS, "species": ["Xe", "he", "1"],
+              **dict.fromkeys(["x", "y", "vx", "vy"], BAD_FLOATS)}
+
+
+def dump_text(n, lo, hi, columns, rows):
+    """One LAMMPS dump frame; its first atom row is line 10."""
+    return (f"ITEM: TIMESTEP\n0\nITEM: NUMBER OF ATOMS\n{n}\nITEM: BOX BOUNDS pp pp pp\n"
+            f"{lo!r} {hi!r}\n{lo!r} {hi!r}\n-0.5 0.5\nITEM: ATOMS {' '.join(columns)}\n"
+            + "".join(f"{row}\n" for row in rows))
+
+
+def parsed_dump_frame(path):
+    fr = parse_lammps_dump(path, SPECIES_MAP).frames[0]
+    return fr.ids, fr.species, fr.positions, fr.velocities
+
+
+class TestRowParser:
+    """The column parser against the row-by-row references in
+    ``text_rows``, on generated row blocks of both text formats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_block(NATIVE_COLUMNS, NATIVE_GOOD, NATIVE_BAD))
+    def test_native_rows_match_the_row_parser(self, tmp_path_factory, block):
+        rows, faults = block
+        path = tmp_path_factory.mktemp("native") / "t.txt"
+        path.write_text("#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n"
+                        + "".join(f"{row}\n" for row in rows))
+
+        def read():
+            fr, = iter_native(path)
+            return fr.ids, fr.species, fr.positions, fr.velocities
+
+        assert_same_parse(read, lambda: native_rows(rows, 4, path), faults, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lammps_rows_match_the_row_parser(self, tmp_path_factory, data):
+        names = (["id", "type"] + data.draw(st.sampled_from([["x", "y"], ["xs", "ys"]]))
+                 + data.draw(st.sampled_from([[], ["z"], ["z", "q"]]))
+                 + data.draw(st.sampled_from([[], ["vx", "vy"], ["vx"]])))
+        columns = data.draw(st.permutations(names))
+        parsed = {"id", "type", "x", "y", "xs", "ys"} | (
+            {"vx", "vy"} if "vy" in names else set())
+        good = {c: JUNK for c in columns}
+        good.update(id=INT_TOKENS, type=st.sampled_from(["1", "2", "01", "+2"]))
+        good.update({c: FLOAT_TOKENS for c in ("x", "y", "xs", "ys", "vx", "vy")
+                     if c in parsed})
+        bad = {"id": BAD_INTS, "type": ["9", "0", "banana", "1.0"]}
+        bad.update({c: BAD_FLOATS for c in ("x", "y", "xs", "ys", "vx", "vy") if c in parsed})
+        rows, faults = data.draw(row_block(columns, good, bad))
+        lo = data.draw(st.floats(-1e4, 1e4))
+        hi = lo + data.draw(st.floats(1.0, 1e5))
+        path = tmp_path_factory.mktemp("dump") / "d.dump"
+        path.write_text(dump_text(len(rows), lo, hi, columns, rows))
+        lines = path.read_text().splitlines()
+        assert_same_parse(lambda: parsed_dump_frame(path),
+                          lambda: lammps_rows(lines, 9, len(rows), columns, lo, hi - lo,
+                                              SPECIES_MAP, path),
+                          faults, 10)
+
+    @pytest.mark.parametrize("good_rows", [0, 1])
+    def test_unmapped_type_before_a_bad_field_names_the_earlier_line(self, tmp_path,
+                                                                      good_rows):
+        rows = ["1 1 5.0 5.0 0.0"] * good_rows + ["2 9 5.0 5.0 0.0", "3 1 banana 5.0 0.0"]
+        path = tmp_path / "d.dump"
+        path.write_text(dump_text(len(rows), 0.0, 100.0, ["id", "type", "x", "y", "z"], rows))
+        with pytest.raises(ParseError) as err:
+            parse_lammps_dump(path, SPECIES_MAP)
+        line = 10 + good_rows
+        assert (err.value.line, str(err.value)) == (
+            line, f"{path}:{line}: atom type 9 not in species map")
+
+    def test_scaled_dump_with_an_offset_box_unsorted_ids_and_junk_z(self, tmp_path):
+        columns = ["type", "xs", "id", "z", "ys", "vx", "vy"]
+        rows = ["2 0.5 3 junk 0.25 0.5 -0.5", "1 0.75 1 nan 1.0 0.0 1e-300",
+                "1 -0.25 2 -- -0.0 2.5 -0.0"]
+        path = tmp_path / "d.dump"
+        path.write_text(dump_text(3, -50.0, 150.0, columns, rows))
+        ids, species, positions, velocities = parsed_dump_frame(path)
+        assert ids.tolist() == [1, 2, 3]
+        assert species.tolist() == [int(Species.HE), int(Species.HE), int(Species.AR)]
+        # scaled coordinates times the side (200), wrapped into [0, 200)
+        assert positions.tolist() == [[150.0, 0.0], [150.0, 0.0], [100.0, 50.0]]
+        assert velocities.tolist() == [[0.0, 1e-300], [2.5, -0.0], [0.5, -0.5]]
+        lines = path.read_text().splitlines()
+        assert_same_parse(lambda: (ids, species, positions, velocities),
+                          lambda: lammps_rows(lines, 9, 3, columns, -50.0, 200.0,
+                                              SPECIES_MAP, path), [0] * 3, 10)
+
+
 def whole_file_read_native(path) -> Trajectory:
     """Whole-file oracle for the streaming reader: the file split into lines
     at once, every frame parsed, then the header fields and the Trajectory
@@ -416,9 +559,7 @@ def whole_file_read_native(path) -> Trajectory:
         start = i = i + 1
         while i < len(lines) and lines[i].strip() and not lines[i].startswith("FRAME"):
             i += 1
-        ids, species, positions, velocities = (
-            trajectory_io._native_columns(lines[start:i])
-            or trajectory_io._native_rows(lines[start:i], start + 1, path))
+        ids, species, positions, velocities = native_rows(lines[start:i], start + 1, path)
         if frames and len(ids) != frames[0].n_particles:
             raise ParseError(
                 f"frame at timestep {timestep} has {len(ids)} particles, "
@@ -588,8 +729,7 @@ def unparsed_frames(path, monkeypatch):
         raise AssertionError("frame parsed from the text")
 
     with monkeypatch.context() as m:
-        m.setattr(trajectory_io, "_native_columns", parse)
-        m.setattr(trajectory_io, "_native_rows", parse)
+        m.setattr(trajectory_io, "_parse_rows", parse)
         return list(iter_native(path))
 
 
@@ -728,10 +868,10 @@ class TestFrameSidecar:
         assert len(side.read_bytes()) == 3 * RECORD + 104
         side.write_bytes(SIDECAR_DAMAGE[damage](side.read_bytes()))
         calls = []
-        parse = trajectory_io._native_columns
+        parse = trajectory_io._parse_rows
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(trajectory_io, "_native_columns",
-                      lambda rows: calls.append(1) or parse(rows))
+            m.setattr(trajectory_io, "_parse_rows",
+                      lambda *args: calls.append(1) or parse(*args))
             assert_same_frames(list(iter_native(path)), traj.frames)
         assert len(calls) == 3
 
