@@ -9,8 +9,14 @@ steps untimed, then times 1000 velocity-Verlet steps one by one.  It
 reports the median and mean ms/step, the hours a 1e6-step seed takes at the
 mean, inner pair-list rebuilds per step (a new ``state.pair_list``) and
 outer-list builds per step (a new ``state._work.outer``; 0 where there is
-none).  With a fixed step count, equal rebuild counts show that two trees
-search on the same steps.
+none).  It splits the steps into plain ones, inner rebuilds without an
+outer search, and outer searches, and reports for each kind the count, the
+median ms and the share of the timed wall time.  It records the SHA-256 of
+the final positions, velocities and forces, so that the record itself
+shows whether two trees reach the same bits.  With a fixed step count,
+equal rebuild counts show that two trees search on the same steps.  The
+same probe runs at desk density (500 He + 500 Ar in a 5e3 A box), its keys
+prefixed ``desk_``.
 
 The I/O probe takes frame 0 of the desk preset (1000 particles) and of the
 paper preset (60000), writes it IO_FRAMES times with
@@ -61,35 +67,51 @@ IO_FRAMES = {"desk": 100, "paper": 5}
 OVERLAP_RUNS = 5
 
 
-def probe() -> dict:
-    """Time STEPS paper-density steps after WARMUP untimed ones."""
+def probe(n_he: int = 30000, n_ar: int = 30000, side: float = 5.0e4) -> dict:
+    """Time STEPS steps of n_he + n_ar particles after WARMUP untimed ones."""
+    import hashlib
     import time
 
     from gasdiff import md
 
-    cfg = md.MDConfig(n_he=30000, n_ar=30000, seed=SEED)
-    box = md.SimBox(side=5.0e4)
+    cfg = md.MDConfig(n_he=n_he, n_ar=n_ar, seed=SEED)
+    box = md.SimBox(side=side)
     state = md.init_state(cfg, box)
     forces, _ = md.compute_forces(state, box)
     for _ in range(WARMUP):
         state, forces, _ = md.verlet_step(state, forces, cfg, box)
-    times, inner, outer = [], 0, 0
+    times = {"plain": [], "inner": [], "outer": []}
     for _ in range(STEPS):
         listed = state.pair_list
         outer_list = getattr(state._work, "outer", None)
         start = time.perf_counter()
         state, forces, _ = md.verlet_step(state, forces, cfg, box)
-        times.append(time.perf_counter() - start)
-        inner += state.pair_list is not listed
-        outer += getattr(state._work, "outer", None) is not outer_list
-    mean_s = statistics.fmean(times)
-    return {
-        "median_ms_per_step": statistics.median(times) * 1e3,
+        spent = time.perf_counter() - start
+        if getattr(state._work, "outer", None) is not outer_list:
+            times["outer"].append(spent)
+        elif state.pair_list is not listed:
+            times["inner"].append(spent)
+        else:
+            times["plain"].append(spent)
+    every = [t for kind in times.values() for t in kind]
+    mean_s, wall_s = statistics.fmean(every), sum(every)
+    out = {
+        "median_ms_per_step": statistics.median(every) * 1e3,
         "mean_ms_per_step": mean_s * 1e3,
         "hours_per_seed": mean_s * PAPER_STEPS / 3600.0,
-        "inner_rebuilds_per_step": inner / STEPS,
-        "outer_builds_per_step": outer / STEPS,
+        # an outer search also makes a new pair list
+        "inner_rebuilds_per_step": (len(times["inner"]) + len(times["outer"])) / STEPS,
+        "outer_builds_per_step": len(times["outer"]) / STEPS,
     }
+    for kind, spent in times.items():
+        out[f"{kind}_steps"] = len(spent)
+        out[f"{kind}_median_ms"] = statistics.median(spent) * 1e3 if spent else None
+        out[f"{kind}_share"] = sum(spent) / wall_s
+    digest = hashlib.sha256()
+    for array in (state.positions, state.velocities, forces):
+        digest.update(array.tobytes())
+    out["state_sha256"] = digest.hexdigest()
+    return out
 
 
 def overlap_probe() -> dict:
@@ -188,6 +210,16 @@ def src_lines(src: str) -> int:
                for path in (Path(src) / "gasdiff").glob("*.py"))
 
 
+def median(values: list):
+    """The median of numbers; of anything else (digests, the median time of
+    a kind of step that never came), the value if every run gave the same
+    one, else the distinct values."""
+    if all(isinstance(v, (int, float)) for v in values):
+        return statistics.median(values)
+    distinct = sorted(set(values), key=str)
+    return distinct[0] if len(distinct) == 1 else distinct
+
+
 def run_probe(src: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -210,7 +242,9 @@ def main():
 
     if args.probe:
         # the overlap probe first, so that RUSAGE_CHILDREN holds its writers only
-        print(json.dumps({**overlap_probe(), **probe(), **io_probe()}))
+        desk = {f"desk_{key}": value
+                for key, value in probe(500, 500, 5.0e3).items()}
+        print(json.dumps({**overlap_probe(), **probe(), **desk, **io_probe()}))
         return
     if not args.trees or not args.out:
         ap.error("give --out and at least one NAME=SRC")
@@ -224,7 +258,11 @@ def main():
                   f"{result['median_ms_per_step']:.3f} ms/step median, "
                   f"{result['mean_ms_per_step']:.3f} mean, "
                   f"{result['inner_rebuilds_per_step']:.3f} inner and "
-                  f"{result['outer_builds_per_step']:.3f} outer per step; "
+                  f"{result['outer_builds_per_step']:.3f} outer per step "
+                  f"(plain {result['plain_median_ms']:.3f}, inner "
+                  f"{result['inner_median_ms']:.3f}, outer "
+                  f"{result['outer_median_ms']:.3f} ms median); desk "
+                  f"{result['desk_median_ms_per_step']:.3f} ms/step median; "
                   f"paper frame write {result['paper_write_us_per_row']:.2f}, "
                   f"read {result['paper_sidecar_read_us_per_row']:.2f}, "
                   f"text read {result['paper_text_read_us_per_row']:.2f}, "
@@ -236,6 +274,7 @@ def main():
 
     record = {
         "probe": {"preset": "30000 He + 30000 Ar, 5e4 A box, 300 K, dt 5 fs",
+                  "desk_preset": "500 He + 500 Ar, 5e3 A box, 300 K, dt 5 fs",
                   "seed": SEED, "warmup_steps": WARMUP, "steps": STEPS,
                   "blas_threads": 1, "paper_steps": PAPER_STEPS},
         "io_probe": {"frame": "frame 0 of the desk and paper presets, seed 1",
@@ -246,7 +285,7 @@ def main():
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "src_lines": {name: src_lines(src) for name, src in trees.items()},
-        "median_of_runs": {name: {key: statistics.median(r[key] for r in results)
+        "median_of_runs": {name: {key: median([r[key] for r in results])
                                   for key in results[0]}
                            for name, results in runs.items()},
         "runs": runs,

@@ -16,11 +16,13 @@ species alone, not on which search or which list found the pairs.
 
 verlet_step advances a ParticleState in place: its positions and velocities
 arrays, its time and its pair list change, and the step returns the same
-object.  A caller that keeps positions or velocities across steps copies
-them.  Between steps the positions, velocities and returned forces are
+object and forces the state owns.  A caller that keeps positions,
+velocities or forces across steps copies them.  Between steps the three are
 read-only; a caller changes a state by assigning new arrays.  When the next
 step gets those same arrays back, it knows they are its own and advances
-them with work on the listed particles only.
+them in place with work on the force components the pair list touches:
+forces are summed, kicked and refreshed there only.  The drift and the
+wrap alone pass over every particle.
 
 iter_frames yields each sampled frame as the run reaches it, and
 MSDAccumulator takes frames one at a time; run collects iter_frames.
@@ -137,8 +139,9 @@ class ParticleState:
     verlet_step updates ``positions``, ``velocities``, ``time`` and
     ``pair_list`` in place; arrays that are not C-contiguous writable
     float64 are first replaced by copies that are.  It hands ``positions``
-    and ``velocities`` back read-only; to change a state between steps,
-    assign new arrays (or copies).  ``species`` is fixed:
+    and ``velocities`` back read-only, with read-only forces that the next
+    step overwrites; to change a state between steps, assign new arrays (or
+    copies).  ``species`` is fixed:
     the first force call makes the array read-only and builds per-particle
     tables from it, so a change of species means assigning a new array.
     """
@@ -313,7 +316,7 @@ def _canonical(ii, jj, n):
 class _PairTerms(NamedTuple):
     """Constants of one pair list, built once per search."""
 
-    flat: np.ndarray    # force component of each term: 2i, 2i+1, 2j, 2j+1
+    slot: np.ndarray    # place in active of each term's component: 2i, 2i+1, 2j, 2j+1
     active: np.ndarray  # the components the list touches, ascending
     accel: np.ndarray   # acceleration per unit force on each active component
     c24: np.ndarray     # 24 eps per pair
@@ -324,25 +327,30 @@ class _PairTerms(NamedTuple):
 def _pair_terms(species, idx_i, idx_j, n) -> _PairTerms:
     si, sj = np.take(species, idx_i), np.take(species, idx_j)
     eps, sig = _EPS_TABLE[si, sj], _SIG_TABLE[si, sj]
-    flat = np.concatenate([2 * idx_i, 2 * idx_i + 1, 2 * idx_j, 2 * idx_j + 1])
-    touched = np.zeros(2 * n, dtype=bool)
-    touched[flat] = True
-    active = np.flatnonzero(touched)
+    touched = np.zeros(n, dtype=bool)
+    touched[idx_i] = touched[idx_j] = True
+    listed = np.flatnonzero(touched)
+    active = (2 * listed[:, None] + np.arange(2)).reshape(-1)
+    # the place in active of each listed particle's x component
+    place = np.empty(n, dtype=np.int64)
+    place[listed] = np.arange(0, len(active), 2)
+    pi, pj = np.take(place, idx_i), np.take(place, idx_j)
     accel = np.take(_ACCEL_SCALE[:, 0], np.take(species, active >> 1))
-    return _PairTerms(flat, active, accel, 24.0 * eps, 4.0 * eps, sig * sig)
+    return _PairTerms(np.concatenate([pi, pi + 1, pj, pj + 1]), active, accel,
+                      24.0 * eps, 4.0 * eps, sig * sig)
 
 
 class _Work:
-    """Scratch a state keeps for compute_forces and verlet_step: the
-    acceleration scale per particle and axis, one (n, 2) buffer, and the
-    terms of the pair list they were last built for.
+    """Scratch a state keeps for compute_forces and verlet_step: one (n, 2)
+    buffer, and the terms of the pair list they were last built for.
 
     verlet_step also keeps what it handed back (positions, velocities,
     forces, pair list, dt, box side), the half kick it gave the listed
-    components, and a bound on how far any particle has moved since the
-    list was built (inf when unknown) with the largest squared speed at
-    that build; ``list_current`` tells the next compute_forces that the
-    bound already shows the list current.
+    components and their velocities after it, v * dt for every component
+    (``vdt``, current off the listed components), and a bound on how far
+    any particle has moved since the list was built (inf when unknown) with
+    the largest squared speed at that build; ``list_current`` tells the
+    next force call that the bound already shows the list current.
 
     ``outer`` is the outer pair list the pair list is pruned from, in
     canonical order, as ``(idx_i, idx_j, positions at build, cell order,
@@ -350,15 +358,19 @@ class _Work:
     outer search starts its sort from.
     """
 
-    __slots__ = ("species", "scale", "buf", "pair_list", "terms", "handed",
-                 "kick", "moved", "v2_built", "list_current", "outer")
+    __slots__ = ("species", "buf", "pair_list", "terms", "handed", "kick",
+                 "listed_v", "vdt", "moved", "v2_built", "list_current", "outer")
 
     def __init__(self, species):
         self.species = species
-        self.scale = np.take(_ACCEL_SCALE, species, axis=0)
-        self.buf = np.empty_like(self.scale)
-        self.pair_list = self.terms = self.handed = self.kick = self.outer = None
+        self.buf = np.empty((len(species), 2))
+        self.pair_list = self.terms = self.handed = self.outer = None
+        self.kick = self.listed_v = self.vdt = None
         self.moved, self.v2_built, self.list_current = math.inf, 0.0, False
+
+    @property
+    def scale(self) -> np.ndarray:  # per particle and axis; only a full kick needs it
+        return np.take(_ACCEL_SCALE, self.species, axis=0)
 
 
 def _work(state: ParticleState) -> _Work:
@@ -369,11 +381,9 @@ def _work(state: ParticleState) -> _Work:
     return w
 
 
-def _pair_interactions(pos, species, box, idx_i, idx_j, terms=None):
-    """Forces and potential for given candidate pairs, cutoff applied.
-    ``terms`` are the pairs' _pair_terms, built here when not given."""
-    if terms is None:
-        terms = _pair_terms(species, idx_i, idx_j, len(pos))
+def _listed_interactions(pos, box, idx_i, idx_j, terms):
+    """Forces on the components ``terms.active`` and the potential, for
+    given candidate pairs with their _pair_terms, cutoff applied."""
     # np.take gathers rows an order of magnitude faster than pos[idx]
     d = minimum_image(np.take(pos, idx_i, axis=0) - np.take(pos, idx_j, axis=0), box)
     r2 = np.einsum("ij,ij->i", d, d)
@@ -387,15 +397,28 @@ def _pair_interactions(pos, species, box, idx_i, idx_j, terms=None):
     sr2 = terms.sig2 / r2
     sr6 = sr2 * sr2 * sr2
     sr12 = sr6 * sr6
-    fd = ((terms.c24 / r2) * (2.0 * sr12 - sr6))[:, None] * d
-    fd[~near] = 0.0  # pairs at or beyond the cutoff add exact zeros
-    # weights fx, fy, -fx, -fy match flat; bincount adds them in that order,
-    # so each component sums its idx_i terms, then its idx_j terms
-    forces = np.bincount(terms.flat, np.concatenate((fd.T, -fd.T), axis=None),
-                         minlength=2 * len(pos))
+    # weight rows fx, fy, -fx, -fy match slot; bincount adds them in that
+    # order, so each component sums its idx_i terms, then its idx_j terms
+    weights = np.empty((4, len(r2)))
+    np.multiply((terms.c24 / r2) * (2.0 * sr12 - sr6), d.T, out=weights[:2])
+    # pairs at or beyond the cutoff add exact zeros
+    np.copyto(weights[:2], 0.0, where=~near)
+    np.negative(weights[:2], out=weights[2:])
+    forces = np.bincount(terms.slot, weights.reshape(-1), minlength=len(terms.active))
     potential = float(np.sum((terms.c4 * (sr12 - sr6))[near]))
     # an empty list gives an int64 count array
-    return forces.astype(np.float64, copy=False).reshape(len(pos), 2), potential
+    return forces.astype(np.float64, copy=False), potential
+
+
+def _pair_interactions(pos, species, box, idx_i, idx_j, terms=None):
+    """(n, 2) forces, +0.0 off the listed components, and potential for given
+    candidate pairs.  ``terms`` are their _pair_terms, built when not given."""
+    if terms is None:
+        terms = _pair_terms(species, idx_i, idx_j, len(pos))
+    listed, potential = _listed_interactions(pos, box, idx_i, idx_j, terms)
+    forces = np.zeros((len(pos), 2))
+    forces.reshape(-1)[terms.active] = listed
+    return forces, potential
 
 
 def _moved_within(positions, built, side, limit, buf) -> bool:
@@ -467,16 +490,21 @@ def compute_forces(state: ParticleState, box: SimBox):
     and leaves the new list on the state.  Pairwise sums are accumulated
     antisymmetrically, so the net force is zero to roundoff.
     """
+    terms = _current_terms(state, box)
+    return _pair_interactions(state.positions, state.species, box,
+                              *state.pair_list[:2], terms)
+
+
+def _current_terms(state: ParticleState, box: SimBox) -> _PairTerms:
+    """The terms of the state's pair list, rebuilt first if missing or stale."""
     w = _work(state)
     known, w.list_current = w.list_current, False
     if not (known or _pair_list_current(state, box, w.buf)):
         state.pair_list = _rebuild_pair_list(state, box, w)
-    idx_i, idx_j = state.pair_list[:2]
     if w.pair_list is not state.pair_list:
         w.pair_list = state.pair_list
-        w.terms = _pair_terms(state.species, idx_i, idx_j, state.n_particles)
-    return _pair_interactions(state.positions, state.species, box, idx_i, idx_j,
-                              w.terms)
+        w.terms = _pair_terms(state.species, *state.pair_list[:2], state.n_particles)
+    return w.terms
 
 
 def kinetic_energy(state: ParticleState) -> float:
@@ -576,34 +604,39 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
     returns (state, new_forces, potential), the same state object, so the
     caller can reuse the freshly computed forces.  The state's positions and
     velocities and the returned forces are handed back read-only.  Given
-    those same arrays again, the step kicks only the components the pair
-    list touches (everything else is in free flight), checks the speed of
-    those particles only, and skips the exact stale-list check while a
-    bound on the distance moved since the list was built stays under
-    SKIN/2; any other input takes the full path.  The results are the same
-    either way.  On InstabilityError the state holds the failed step, with
-    writable arrays.
+    those same arrays again, the step sums forces, kicks and keeps v * dt
+    only on the components the pair list touches (everything else is in
+    free flight), checks the speed of those particles only, skips the exact
+    stale-list check while a bound on the distance moved since the list was
+    built stays under SKIN/2, and overwrites the forces it was given,
+    zeroed on the components that left the list; any other input takes the
+    full path and gets new forces.  The results are the same either way.
+    On InstabilityError the state holds the failed step, with writable
+    arrays.
     """
     w = _work(state)
     trusted = _handed_back(w, state, forces, cfg, box)
     w.handed = None
     if trusted:
         state.positions.flags.writeable = state.velocities.flags.writeable = True
+        forces.flags.writeable = True
     x = state.positions = _own(state.positions)
     v = state.velocities = _own(state.velocities)
     flat_v = v.reshape(-1)
     half_dt = 0.5 * cfg.dt
     listed = state.pair_list
     if trusted:
-        # The forces are the last step's, +0.0 off the listed components, and
-        # w.kick is their half kick there, so only listed particles change
-        # speed: unlisted ones keep the speed they had at the list's build.
-        active = w.terms.active
-        vh = np.take(flat_v, active)
+        # The forces are the last step's, +0.0 off the listed components,
+        # w.kick is their half kick there and w.listed_v the velocities after
+        # it, so only listed particles change speed: unlisted ones keep the
+        # speed they had at the list's build.
+        listed_active = w.terms.active
+        vh = w.listed_v
         vh += w.kick
-        flat_v[active] = vh
-        vh *= vh
-        fastest2 = float((vh[0::2] + vh[1::2]).max(initial=0.0))
+        flat_v[listed_active] = vh
+        w.vdt.reshape(-1)[listed_active] = vh * cfg.dt
+        vh2 = vh * vh
+        fastest2 = float((vh2[0::2] + vh2[1::2]).max(initial=0.0))
         # The drift moves no particle further than dt * the top speed; the
         # factor covers the rounding of dt * v, of this sum and of the exact
         # check, and side * 2^-49 the rounding of x + dt * v and the wrap.
@@ -615,24 +648,34 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         kick *= half_dt
         v += kick
         w.moved = math.inf
-    x += np.multiply(v, cfg.dt, out=w.buf)
+        w.vdt = np.multiply(v, cfg.dt)
+    x += w.vdt
     _wrap(x, box.side)
     state.time = state.time + cfg.dt
-    new_forces, potential = compute_forces(state, box)
+    terms = _current_terms(state, box)
+    # the forces on the listed components, made their half kick below
+    kick, potential = _listed_interactions(x, box, *state.pair_list[:2], terms)
     searched = state.pair_list is not listed
     if searched:
         w.moved = 0.0
-        w.v2_built = float(np.einsum("ij,ij->i", v, v).max(initial=0.0))
+        v2 = np.multiply(v, v, out=w.buf)
+        w.v2_built = float((v2[:, 0] + v2[:, 1]).max(initial=0.0))
+    active = terms.active
+    if not trusted:
+        forces = np.zeros_like(x)
+    elif searched:
+        forces.reshape(-1)[listed_active] = 0.0
+    forces.reshape(-1)[active] = kick
     # The new forces are +0.0 off the components the pair list touches, so a
     # kick there would leave v as it is (a -0.0 would turn +0.0): kick only
     # the listed components.
-    active = w.terms.active
-    w.kick = np.take(new_forces.reshape(-1), active)
-    w.kick *= w.terms.accel
-    w.kick *= half_dt
-    vn = np.take(flat_v, active)
-    vn += w.kick
+    kick *= terms.accel
+    kick *= half_dt
+    # without a search the listed velocities are vh
+    vn = vh if trusted and not searched else np.take(flat_v, active)
+    vn += kick
     flat_v[active] = vn
+    w.kick, w.listed_v = kick, vn
     # Without a search only the listed rows were kicked since the last check
     # passed; a search step also kicked the old list's rows, so check all.
     # Both components within limit/sqrt(2), less a rounding margin, keep
@@ -648,9 +691,9 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
                 f"particle {worst} reached {np.sqrt(speed2[worst]):.3g} A/fs "
                 f"at t = {state.time} fs; reduce dt or check the setup"
             )
-    x.flags.writeable = v.flags.writeable = new_forces.flags.writeable = False
-    w.handed = (x, v, new_forces, state.pair_list, cfg.dt, box.side)
-    return state, new_forces, potential
+    x.flags.writeable = v.flags.writeable = forces.flags.writeable = False
+    w.handed = (x, v, forces, state.pair_list, cfg.dt, box.side)
+    return state, forces, potential
 
 
 def trajectory_header(cfg: MDConfig, box: SimBox):

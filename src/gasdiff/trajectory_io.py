@@ -140,19 +140,24 @@ def _header_text(header: Trajectory) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def _frame_text(fr: Frame) -> str:
+def _frame_text(fr: Frame) -> Iterator[str]:
+    """The text of a frame in pieces: its FRAME line, then its rows in
+    blocks of as many rows as a binary block holds, so that the Python
+    objects of one block only are alive at a time."""
     if fr.energy is None:
-        head = f"FRAME {fr.timestep} {float(fr.time_fs)!r}\n"
+        yield f"FRAME {fr.timestep} {float(fr.time_fs)!r}\n"
     else:
-        head = f"FRAME {fr.timestep} {float(fr.time_fs)!r} {float(fr.energy)!r}\n"
-    rows = zip(fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
-               fr.velocities.tolist())
-    return head + "".join(f"{i} {SPECIES_LABELS[s]} {x!r} {y!r} {vx!r} {vy!r}\n"
-                          for i, s, (x, y), (vx, vy) in rows)
+        yield f"FRAME {fr.timestep} {float(fr.time_fs)!r} {float(fr.energy)!r}\n"
+    step = _BLOCK // _ROW_BYTES
+    for lo in range(0, len(fr.ids), step):
+        rows = zip(*(a[lo:lo + step].tolist()
+                     for a in (fr.ids, fr.species, fr.positions, fr.velocities)))
+        yield "".join(f"{i} {SPECIES_LABELS[s]} {x!r} {y!r} {vx!r} {vy!r}\n"
+                      for i, s, (x, y), (vx, vy) in rows)
 
 
 def _parses_back(fr: Frame, n: int | None, last: int | None) -> bool:
-    """Whether ``_frame_text(fr)``, after a frame of ``n`` particles at
+    """Whether the text of ``fr``, after a frame of ``n`` particles at
     timestep ``last`` (None before the first), parses back to ``fr`` bit for
     bit: dtypes and shapes the parser makes, finite floats (their repr
     round-trips, -0.0 included), and nothing the parser rejects."""
@@ -226,9 +231,10 @@ def _write_frames(fh, side_fh, path, text_sha, exact: bool, frames: Iterable[Fra
         n = last = None
         count = 0
         for fr in frames:
-            data = _frame_text(fr).encode("utf-8")
-            text_sha.update(data)
-            fh.write(data)
+            for text in _frame_text(fr):
+                data = text.encode("utf-8")
+                text_sha.update(data)
+                fh.write(data)
             exact = exact and _parses_back(fr, n, last)
             if exact:
                 for part in _frame_record(fr):

@@ -1247,8 +1247,9 @@ def max_displacement_since_build(state, box):
 
 class TestHandBack:
     @pytest.mark.parametrize("side, n_he, n_ar, temperature, seed", [
-        (300.0, 100, 50, 2000.0, 17),   # hot and crowded: many searches
-        (5000.0, 500, 500, 300.0, 1),   # desk density
+        (300.0, 100, 50, 2000.0, 17),    # hot and crowded: many searches
+        (5000.0, 500, 500, 300.0, 1),    # desk density
+        (5.0e4, 30000, 30000, 300.0, 1),  # paper density: 8 % of components listed
     ])
     def test_handed_back_run_equals_the_full_path(self, monkeypatch, side, n_he,
                                                   n_ar, temperature, seed):
@@ -1275,6 +1276,53 @@ class TestHandBack:
         # the bound spares most exact checks; the full path runs one per step
         assert sum(s["checks"] for s in full) == 150
         assert sum(s["checks"] for s in handed) < 150
+
+    def test_handed_back_forces_are_the_forces_of_the_state(self):
+        # a crowded run with inner rebuilds and outer searches: from the second
+        # step on, the forces array is the one the step was given, overwritten;
+        # it holds the forces of the state's positions, and +0.0 on every
+        # component off the list, those that just left it among them
+        cfg = MDConfig(n_he=100, n_ar=50, temperature=2000.0, seed=17)
+        box = SimBox(side=300.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        rebuilds = searches = left = 0
+        for step in range(150):
+            given, pair_list, outer = forces, state.pair_list, state._work.outer
+            listed = state._work.terms.active
+            state, forces, potential = verlet_step(state, forces, cfg, box)
+            assert (forces is given) == (step > 0)
+            ref_forces, ref_potential = compute_forces(copied_state(state), box)
+            assert forces.tobytes() == ref_forces.tobytes()
+            assert potential == ref_potential
+            off = np.ones(forces.size, dtype=bool)
+            off[state._work.terms.active] = False
+            assert not np.any(forces.reshape(-1)[off])
+            assert not np.any(np.signbit(forces.reshape(-1)[off]))
+            left += int(np.count_nonzero(off[listed]))
+            rebuilds += state.pair_list is not pair_list
+            searches += state._work.outer is not outer
+        assert rebuilds >= 2 and searches >= 1 and left > 0
+
+    def test_forces_on_components_that_leave_the_list_turn_zero(self):
+        # In a run, a pair leaves the list at 25 A, long after its force went
+        # to zero at the cutoff.  Here two argon atoms fly apart 7 A a step:
+        # the first step ends at 19 A, inside the cutoff, and the next, a
+        # handed-back step, at 26 A, so its search drops a pair whose forces
+        # in the array it overwrites are not zero.
+        cfg = MDConfig(n_he=0, n_ar=3, dt=10.0, seed=0)
+        box = SimBox(side=400.0)
+        state = ParticleState(
+            positions=np.array([[100.0, 100.0], [112.0, 100.0], [300.0, 300.0]]),
+            velocities=np.array([[-0.35, 0.0], [0.35, 0.0], [0.0, 0.0]]),
+            species=np.array([1, 1, 1]))
+        forces, _ = compute_forces(state, box)
+        state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert state._work.terms.active.tolist() == [0, 1, 2, 3] and forces[0, 0] != 0.0
+        given = forces
+        state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert forces is given and len(state._work.terms.active) == 0
+        assert forces.tobytes() == np.zeros((3, 2)).tobytes()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bound_covers_the_displacement(self, seed):

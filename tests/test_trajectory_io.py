@@ -80,6 +80,27 @@ class TestNativeFormat:
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.velocities, b.velocities)
 
+    def test_frames_of_many_text_blocks_write_every_row_in_order(self, tmp_path,
+                                                                 monkeypatch):
+        # a frame's rows are formatted in blocks; more rows than two blocks
+        # hold must still give the rows formatted one by one, and a sidecar
+        # whose text hash matches them
+        n = 2 * (trajectory_io._BLOCK // trajectory_io._ROW_BYTES) + 7
+        traj = make_trajectory(n_frames=2, n=n, seed=3)
+        path = tmp_path / "traj.txt"
+        write_native(traj, path)
+        text = path.read_text()
+        assert text[text.index("FRAME"):] == "".join(
+            f"FRAME {fr.timestep} {fr.time_fs!r} {fr.energy!r}\n" + "".join(
+                f"{i} {Species(s).label} {x!r} {y!r} {vx!r} {vy!r}\n"
+                for i, s, (x, y), (vx, vy) in zip(
+                    fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
+                    fr.velocities.tolist()))
+            for fr in traj.frames)
+        got = assert_sidecar_matches_text(path, monkeypatch)
+        assert [fr.positions.tobytes() for fr in got] == [
+            fr.positions.tobytes() for fr in traj.frames]
+
     def test_empty_trajectory_roundtrips(self, tmp_path):
         traj = Trajectory(box_side=500.0, frames=[], dt=1.0, seed=9)
         path = tmp_path / "empty.txt"
