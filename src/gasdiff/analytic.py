@@ -13,12 +13,6 @@ import numpy as np
 from .fields import GridSpec, ScalarField
 
 
-def mode_decay_factor(m, diffusion: float, t: float) -> float:
-    """exp(-4 pi^2 |m|^2 D t) for wavenumber vector m."""
-    m = np.atleast_1d(np.asarray(m, dtype=np.float64))
-    return float(np.exp(-4.0 * np.pi**2 * float(np.dot(m, m)) * diffusion * t))
-
-
 def patch_coefficient_1d(m: int) -> float:
     """Fourier coefficient of the 1D indicator of [1/4, 3/4].
 
@@ -28,15 +22,6 @@ def patch_coefficient_1d(m: int) -> float:
     if m == 0:
         return 0.5
     return (-1.0) ** m * np.sin(np.pi * m / 2.0) / (np.pi * m)
-
-
-def patch_fourier_coefficient(m) -> complex:
-    """Initial Fourier coefficient of the square patch, product of 1D factors."""
-    m = np.atleast_1d(np.asarray(m, dtype=np.int64))
-    out = 1.0
-    for mi in m:
-        out *= patch_coefficient_1d(int(mi))
-    return complex(out)
 
 
 def _patch_axis_sum(x: np.ndarray, t: float, diffusion: float, modes: int) -> np.ndarray:

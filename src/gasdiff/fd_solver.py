@@ -81,15 +81,6 @@ def amplification_factors(scheme: SchemeKind, k: float, diffusion: float,
     return (1.0 + 0.5 * a) / (1.0 - 0.5 * a)
 
 
-def step(f: ScalarField, config: SolverConfig) -> ScalarField:
-    """One time step: transform, multiply by rho_m, transform back."""
-    if f.grid != config.grid:
-        raise ValueError("field and solver config use different grids")
-    rho = amplification_factors(config.scheme, config.k, config.diffusion, config.grid)
-    u_hat = np.fft.fftn(f.values)
-    return ScalarField(f.grid, np.fft.ifftn(rho * u_hat).real)
-
-
 def make_patch_initial(grid: GridSpec) -> ScalarField:
     """Indicator of the centered square patch sampled on the grid.
 

@@ -100,11 +100,6 @@ class UnitScale:
         return self.time_unit_s * 1e15
 
 
-def field_mass(f: ScalarField) -> float:
-    """Average concentration (1/N^d) * sum_j f_j; conserved by both FD schemes."""
-    return float(np.mean(f.values))
-
-
 def field_energy(f: ScalarField) -> float:
     """Squared 2-norm sum_j |f_j|^2, the discrete energy functional."""
     return float(np.sum(f.values * f.values))

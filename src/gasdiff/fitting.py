@@ -51,7 +51,11 @@ class FitResult:
 class FitProblem:
     """Observed series plus the time step of its Crank-Nicolson model, which
     starts from the idealized patch indicator or from observed frame 0 and
-    takes ``substeps`` FD steps between observed frames."""
+    takes ``substeps`` FD steps between observed frames.  Binning scales
+    counts by their largest value, not by the patch density, so for a binned
+    series (``normalization_max`` set) the patch is scaled to the mass of
+    observed frame 0: CN conserves mass, and a patch of the wrong mass could
+    only shed the difference by spreading faster."""
 
     observed: BinnedSeries
     scale: UnitScale
@@ -104,8 +108,10 @@ class FitProblem:
             observed[f] = np.fft.rfftn(frame.concentration.values) * weights
         if self.init_from_frame0:
             return observed, observed[0]
-        patch = fd_solver.make_patch_initial(self.grid).values
-        return observed, np.fft.rfftn(patch) * weights
+        patch = np.fft.rfftn(fd_solver.make_patch_initial(self.grid).values) * weights
+        if self.observed.normalization_max is not None:
+            patch *= observed[0, 0, 0].real / patch[0, 0].real
+        return observed, patch
 
     def _cn_factors(self, diffusion: float) -> np.ndarray:
         """CN multiplier rho of one FD step on the half-spectrum modes."""

@@ -56,15 +56,13 @@ class Species(enum.IntEnum):
     AR = 1
 
     @property
-    def mass(self) -> float:
-        return float(MASS_G_MOL[self.value])
-
-    @property
     def label(self) -> str:
         return SPECIES_LABELS[self.value]
 
 
 MASS_G_MOL = np.array([4.003, 39.948])
+#: Boltzmann constant (kcal/(mol K)).
+KB = 0.001987
 #: acceleration per unit force, per species and axis (A/fs^2 per kcal/(mol A))
 _ACCEL_SCALE = np.repeat((KCAL_PER_MOL_TO_MD / MASS_G_MOL)[:, None], 2, axis=1)
 SPECIES_LABELS = {0: "He", 1: "Ar"}
@@ -113,7 +111,6 @@ class MDConfig:
     n_ar: int = 30000
     dt: float = 5.0           # fs
     temperature: float = 300.0  # K
-    kb: float = 0.001987      # kcal/(mol K)
     seed: int = 0
     sample_stride: int = 1000
 
@@ -514,10 +511,10 @@ def kinetic_energy(state: ParticleState) -> float:
     return float(0.5 * np.sum(m * v2) / KCAL_PER_MOL_TO_MD)
 
 
-def maxwell_boltzmann_velocities(species, temperature, kb, rng) -> np.ndarray:
+def maxwell_boltzmann_velocities(species, temperature, rng) -> np.ndarray:
     """Per-component Gaussian with variance kB T / m, in A/fs."""
     m = MASS_G_MOL[species]
-    sigma_v = np.sqrt(kb * temperature / m * KCAL_PER_MOL_TO_MD)
+    sigma_v = np.sqrt(KB * temperature / m * KCAL_PER_MOL_TO_MD)
     return rng.normal(0.0, 1.0, (len(species), 2)) * sigma_v[:, None]
 
 
@@ -562,7 +559,7 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
     else:
         raise GasdiffError("could not place particles without overlaps")
 
-    velocities = maxwell_boltzmann_velocities(species, cfg.temperature, cfg.kb, rng)
+    velocities = maxwell_boltzmann_velocities(species, cfg.temperature, rng)
     m = MASS_G_MOL[species]
     if len(species):
         velocities -= np.sum(m[:, None] * velocities, axis=0) / np.sum(m)

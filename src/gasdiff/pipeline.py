@@ -42,11 +42,10 @@ class Preset:
     temperature: float
     n_values: tuple[int, ...]
     d0_nd: float      # fallback initial guess when the MSD estimate is unusable
-    # At desk particle counts the global-max normalization leaves the binned
-    # patch level well below 1, so fitting against the idealized unit patch
-    # mostly measures that offset; starting the FD model from binned frame 0
-    # makes the fit measure the spreading instead.  Paper scale keeps the
-    # analytic patch initialization.
+    # Desk scale starts the FD model from binned frame 0, so the fit measures
+    # the spreading from the observed start.  Paper scale starts from the
+    # analytic patch, which the fit scales to binned frame 0's mass: binning
+    # divides by the largest count, so the binned patch level lies below 1.
     init_from_frame0: bool = False
 
     @property

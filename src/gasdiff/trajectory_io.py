@@ -51,6 +51,7 @@ ParseError with a line number; no input may crash the parser.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import struct
@@ -572,19 +573,22 @@ def _species_codes(types: np.ndarray, species_map: dict[int, Species], first_lin
                          line=first_line + types.index(exc.args[0])) from None
 
 
-def _expect_item(lines, i, name, path):
-    if i >= len(lines):
-        raise ParseError(f"missing 'ITEM: {name}' section", path=path, line=len(lines))
-    if not lines[i].startswith(f"ITEM: {name}"):
+def _expect_item(line, i, name, path):
+    """``line``, line i + 1 of the file (None past its end), as the start of
+    the ``ITEM: name`` section."""
+    if line is None:
+        raise ParseError(f"missing 'ITEM: {name}' section", path=path, line=i)
+    if not line.startswith(f"ITEM: {name}"):
         raise ParseError(
-            f"expected 'ITEM: {name}', found {lines[i][:40]!r}", path=path, line=i + 1
+            f"expected 'ITEM: {name}', found {line[:40]!r}", path=path, line=i + 1
         )
-    return lines[i]
+    return line
 
 
 def parse_lammps_dump(path, species_map: dict[int, Species],
                       dt_fs: float | None = None) -> Trajectory:
-    """Read an orthogonal-box LAMMPS text dump.
+    """Read an orthogonal-box LAMMPS text dump, holding one frame's lines at
+    a time.
 
     ``species_map`` translates the dump's numeric atom types.  Column order
     is taken from the ``ITEM: ATOMS`` header and must include id, type and
@@ -592,103 +596,104 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
     atom id so frames index consistently.  LAMMPS dumps carry no time unit,
     so frame times are timestep * dt_fs when given, else the raw timestep.
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().splitlines()
-
     frames: list[Frame] = []
     box_side = None
     saw_velocities = False
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        _expect_item(lines, i, "TIMESTEP", path)
-        if i + 1 >= len(lines):
-            raise ParseError("file ends inside TIMESTEP section", path=path, line=i + 1)
-        timestep = _parse_int(lines[i + 1].strip(), path, i + 2)
-        i += 2
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = _lines(fh)
+        line, i = next(lines, None), 0  # line i + 1 of the file, None past its end
+        while line is not None:
+            if not line.strip():
+                line, i = next(lines, None), i + 1
+                continue
+            _expect_item(line, i, "TIMESTEP", path)
+            line, i = next(lines, None), i + 1
+            if line is None:
+                raise ParseError("file ends inside TIMESTEP section", path=path, line=i)
+            timestep = _parse_int(line.strip(), path, i + 1)
+            line, i = next(lines, None), i + 1
 
-        _expect_item(lines, i, "NUMBER OF ATOMS", path)
-        if i + 1 >= len(lines):
-            raise ParseError("file ends inside NUMBER OF ATOMS section",
-                             path=path, line=i + 1)
-        n_atoms = _parse_int(lines[i + 1].strip(), path, i + 2)
-        if n_atoms < 0:
-            raise ParseError("negative atom count", path=path, line=i + 2)
-        i += 2
+            _expect_item(line, i, "NUMBER OF ATOMS", path)
+            line, i = next(lines, None), i + 1
+            if line is None:
+                raise ParseError("file ends inside NUMBER OF ATOMS section",
+                                 path=path, line=i)
+            n_atoms = _parse_int(line.strip(), path, i + 1)
+            if n_atoms < 0:
+                raise ParseError("negative atom count", path=path, line=i + 1)
+            line, i = next(lines, None), i + 1
 
-        _expect_item(lines, i, "BOX BOUNDS", path)
-        i += 1
-        bounds = []
-        while i < len(lines) and not lines[i].startswith("ITEM:"):
-            parts = lines[i].split()
-            if len(parts) < 2:
-                raise ParseError("malformed box bounds line", path=path, line=i + 1)
-            bounds.append((_parse_float(parts[0], path, i + 1),
-                           _parse_float(parts[1], path, i + 1)))
-            i += 1
-        if len(bounds) < 2:
-            raise ParseError("expected at least 2 box bounds lines",
-                             path=path, line=i)
-        lo, hi = bounds[0]
-        side = hi - lo
-        if side <= 0:
-            raise ParseError("box has nonpositive extent", path=path, line=i)
-        if box_side is None:
-            box_side = side
+            _expect_item(line, i, "BOX BOUNDS", path)
+            line, i = next(lines, None), i + 1
+            bounds = []
+            while line is not None and not line.startswith("ITEM:"):
+                parts = line.split()
+                if len(parts) < 2:
+                    raise ParseError("malformed box bounds line", path=path, line=i + 1)
+                bounds.append((_parse_float(parts[0], path, i + 1),
+                               _parse_float(parts[1], path, i + 1)))
+                line, i = next(lines, None), i + 1
+            if len(bounds) < 2:
+                raise ParseError("expected at least 2 box bounds lines",
+                                 path=path, line=i)
+            lo, hi = bounds[0]
+            side = hi - lo
+            if side <= 0:
+                raise ParseError("box has nonpositive extent", path=path, line=i)
+            if box_side is None:
+                box_side = side
 
-        header = _expect_item(lines, i, "ATOMS", path)
-        columns = header.split()[2:]
-        col = {name: k for k, name in enumerate(columns)}
-        scaled = "xs" in col
-        names = ["id", "type"] + (["xs", "ys"] if scaled else ["x", "y"])
-        missing = [c for c in names if c not in col]
-        if missing:
-            raise ParseError(
-                f"unsupported ATOMS column layout {columns!r} (missing {missing})",
-                path=path, line=i + 1,
-            )
-        if "vx" in col and "vy" in col:
-            names += ["vx", "vy"]
-            saw_velocities = True
-        i += 1
+            columns = _expect_item(line, i, "ATOMS", path).split()[2:]
+            col = {name: k for k, name in enumerate(columns)}
+            scaled = "xs" in col
+            names = ["id", "type"] + (["xs", "ys"] if scaled else ["x", "y"])
+            missing = [c for c in names if c not in col]
+            if missing:
+                raise ParseError(
+                    f"unsupported ATOMS column layout {columns!r} (missing {missing})",
+                    path=path, line=i + 1,
+                )
+            if "vx" in col and "vy" in col:
+                names += ["vx", "vy"]
+                saw_velocities = True
 
-        if i + n_atoms > len(lines):
-            raise ParseError(
-                f"frame at timestep {timestep} is truncated "
-                f"({len(lines) - i} of {n_atoms} atom rows)",
-                path=path, line=len(lines),
-            )
-        kinds = [None] * len(columns)
-        for name in names:
-            kinds[col[name]] = int if name in ("id", "type") else float
-        rows = lines[i:i + n_atoms]
-        try:
-            parsed = _parse_rows(rows, i + 1, path, kinds)
-        except ParseError as exc:
-            # an unmapped atom type on an earlier row is the first fault
-            earlier = _parse_rows(rows[:exc.line - i - 1], i + 1, path, kinds)
-            _species_codes(earlier[col["type"]], species_map, i + 1, path)
-            raise
-        ids, types, x, y, *v = (parsed[col[name]] for name in names)
-        species = _species_codes(types, species_map, i + 1, path)
-        with np.errstate(all="ignore"):  # inf and nan pass, as in Python floats
-            x, y = (x * side, y * side) if scaled else (x - lo, y - lo)
-            # double mod: a tiny negative coordinate can wrap to exactly side
-            positions = np.column_stack(((x % side) % side, (y % side) % side))
-        velocities = np.column_stack(v) if v else np.zeros((n_atoms, 2))
-        i += n_atoms
+            rows = list(itertools.islice(lines, n_atoms))
+            first = i + 2  # the line number of the first row
+            if len(rows) < n_atoms:
+                raise ParseError(
+                    f"frame at timestep {timestep} is truncated "
+                    f"({len(rows)} of {n_atoms} atom rows)",
+                    path=path, line=first - 1 + len(rows),
+                )
+            kinds = [None] * len(columns)
+            for name in names:
+                kinds[col[name]] = int if name in ("id", "type") else float
+            try:
+                parsed = _parse_rows(rows, first, path, kinds)
+            except ParseError as exc:
+                # an unmapped atom type on an earlier row is the first fault
+                earlier = _parse_rows(rows[:exc.line - first], first, path, kinds)
+                _species_codes(earlier[col["type"]], species_map, first, path)
+                raise
+            del rows  # before the next frame's rows are read
+            ids, types, x, y, *v = (parsed[col[name]] for name in names)
+            species = _species_codes(types, species_map, first, path)
+            with np.errstate(all="ignore"):  # inf and nan pass, as in Python floats
+                x, y = (x * side, y * side) if scaled else (x - lo, y - lo)
+                # double mod: a tiny negative coordinate can wrap to exactly side
+                positions = np.column_stack(((x % side) % side, (y % side) % side))
+            velocities = np.column_stack(v) if v else np.zeros((n_atoms, 2))
 
-        order = np.argsort(ids, kind="stable")
-        frames.append(Frame(
-            timestep=timestep,
-            time_fs=float(timestep) * (dt_fs if dt_fs is not None else 1.0),
-            ids=ids[order],
-            species=species[order],
-            positions=positions[order],
-            velocities=velocities[order],
-        ))
+            order = np.argsort(ids, kind="stable")
+            frames.append(Frame(
+                timestep=timestep,
+                time_fs=float(timestep) * (dt_fs if dt_fs is not None else 1.0),
+                ids=ids[order],
+                species=species[order],
+                positions=positions[order],
+                velocities=velocities[order],
+            ))
+            line, i = next(lines, None), i + 1 + n_atoms
 
     if box_side is None:
         raise ParseError("no frames found", path=path, line=1)

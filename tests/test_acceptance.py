@@ -31,10 +31,11 @@ from gasdiff.fd_solver import (
     make_patch_initial,
     solve,
 )
-from gasdiff.fields import GridSpec, ScalarField, UnitScale, field_energy, field_mass
+from gasdiff.fields import GridSpec, ScalarField, UnitScale, field_energy
 from gasdiff.fitting import FitProblem, lm_fit
 from gasdiff.md import MDConfig, ParticleState, SimBox, Species
 from gasdiff.trajectory_io import parse_lammps_dump
+from fd_modes import field_mass
 from lj_pairs import pair_params
 
 SPECIES_MAP = {1: Species.HE, 2: Species.AR}
@@ -207,7 +208,7 @@ def test_criterion_4_md_correctness(desk_run):
     eq_cfg = MDConfig(n_he=5000, n_ar=5000, seed=13)
     eq_state = md.init_state(eq_cfg, SimBox(side=5.0e4))
     mean_ke = md.kinetic_energy(eq_state) / eq_state.n_particles
-    kbt = eq_cfg.kb * eq_cfg.temperature
+    kbt = md.KB * eq_cfg.temperature
     equi_ok = abs(mean_ke - kbt) / kbt <= 0.02
 
     report(4, forces_ok and momentum_ok and nve_ok and equi_ok,

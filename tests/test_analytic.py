@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gasdiff.analytic import (
-    _patch_axis_sum,
-    mode_decay_factor,
-    patch_coefficient_1d,
-    patch_fourier_coefficient,
-    patch_solution_on_grid,
-)
+from gasdiff.analytic import _patch_axis_sum, patch_coefficient_1d, patch_solution_on_grid
 from gasdiff.fd_solver import make_patch_initial
-from gasdiff.fields import GridSpec, field_mass
+from gasdiff.fields import GridSpec
+
+from fd_modes import field_mass, mode_decay_factor, patch_fourier_coefficient
 
 
 def exact_solution(x, t: float, diffusion: float, modes: int = 64,
@@ -28,11 +24,8 @@ def exact_solution(x, t: float, diffusion: float, modes: int = 64,
         total = 0.0 + 0.0j
         for m, c in coefficients.items():
             mv = np.atleast_1d(np.asarray(m, dtype=np.float64))
-            total += (
-                complex(c)
-                * np.exp(-4.0 * np.pi**2 * float(np.dot(mv, mv)) * diffusion * t)
-                * np.exp(2.0j * np.pi * float(np.dot(mv, x)))
-            )
+            total += (complex(c) * mode_decay_factor(m, diffusion, t)
+                      * np.exp(2.0j * np.pi * float(np.dot(mv, x))))
         return float(total.real)
 
     # The patch factorizes over axes, as does the decay factor,

@@ -11,11 +11,10 @@ from gasdiff.fd_solver import (
     critical_time_step,
     make_patch_initial,
     solve,
-    step,
 )
-from gasdiff.fields import GridSpec, ScalarField, field_energy, field_mass
+from gasdiff.fields import GridSpec, ScalarField, field_energy
 
-from fd_modes import amplification_factor, laplacian_eigenvalue
+from fd_modes import amplification_factor, field_mass, laplacian_eigenvalue
 
 
 def apply_discrete_laplacian(f: ScalarField) -> ScalarField:
@@ -29,7 +28,7 @@ def apply_discrete_laplacian(f: ScalarField) -> ScalarField:
 
 
 def forward_euler_stencil_step(f: ScalarField, config: SolverConfig) -> ScalarField:
-    """Physical-space form of the FE update; agrees with step() to roundoff."""
+    """Physical-space form of the FE update; agrees with one solve() step to roundoff."""
     lap = apply_discrete_laplacian(f)
     return ScalarField(f.grid, f.values + config.k * config.diffusion * lap.values)
 
@@ -137,8 +136,8 @@ class TestStep:
     def test_constant_field_unchanged(self):
         grid = GridSpec(d=2, n=8)
         f = ScalarField(grid, np.full((8, 8), 0.4))
-        cfg = SolverConfig(grid=grid, k=0.01, diffusion=1.0)
-        out = step(f, cfg)
+        cfg = SolverConfig(grid=grid, k=0.01, diffusion=1.0, n_max=1)
+        out = solve(f, cfg).frames[1]
         assert np.max(np.abs(out.values - 0.4)) < 1e-14
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
@@ -146,9 +145,9 @@ class TestStep:
         grid = GridSpec(d=2, n=16)
         m = (3, 1)
         f = index_mode_field(grid, m, phase=0.3)
-        cfg = SolverConfig(grid=grid, k=2e-4, diffusion=0.7, scheme=scheme)
+        cfg = SolverConfig(grid=grid, k=2e-4, diffusion=0.7, scheme=scheme, n_max=1)
         rho = amplification_factor(scheme, m, cfg.k, cfg.diffusion, grid)
-        out = step(f, cfg)
+        out = solve(f, cfg).frames[1]
         assert np.max(np.abs(out.values - rho * f.values)) < 1e-12
 
     @pytest.mark.parametrize("scheme", list(SchemeKind))
@@ -156,8 +155,8 @@ class TestStep:
         rng = np.random.default_rng(7)
         grid = GridSpec(d=2, n=16)
         f = ScalarField(grid, rng.uniform(size=(16, 16)))
-        cfg = SolverConfig(grid=grid, k=1e-3, diffusion=0.2, scheme=scheme)
-        out = step(f, cfg)
+        cfg = SolverConfig(grid=grid, k=1e-3, diffusion=0.2, scheme=scheme, n_max=1)
+        out = solve(f, cfg).frames[1]
         assert field_mass(out) == pytest.approx(field_mass(f), abs=1e-13)
 
     @settings(max_examples=25, deadline=None)
@@ -167,8 +166,8 @@ class TestStep:
         grid = GridSpec(d=2, n=12)
         f = ScalarField(grid, rng.normal(size=(12, 12)))
         cfg = SolverConfig(grid=grid, k=1e-4, diffusion=0.5,
-                           scheme=SchemeKind.FORWARD_EULER)
-        spectral = step(f, cfg)
+                           scheme=SchemeKind.FORWARD_EULER, n_max=1)
+        spectral = solve(f, cfg).frames[1]
         stencil = forward_euler_stencil_step(f, cfg)
         assert np.max(np.abs(spectral.values - stencil.values)) < 1e-12
 

@@ -8,11 +8,12 @@ from gasdiff.fields import (
     ScalarField,
     UnitScale,
     field_energy,
-    field_mass,
     nd_to_physical_d,
     read_field_csv,
     write_field_csv,
 )
+
+from fd_modes import field_mass
 
 
 class TestGridSpec:

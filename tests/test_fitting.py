@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -126,6 +127,45 @@ class TestResiduals:
             r = residuals(problem, d)
             assert float(np.dot(r, r)) == pytest.approx(
                 solved_residual_norm(problem, d), rel=1e-12)
+
+
+def binned_patch_series(level, n_frames=31):
+    """A CN patch solution (N = 20, k = 1e-3, D = 0.4) times ``level``,
+    marked as binned: binning scales counts by their largest value, so a
+    binned patch holds less than the unit patch's mass."""
+    observed = synthetic_observed(GridSpec(d=2, n=20), 0.4, 1e-3, n_frames)
+    scaled = BinnedSeries.from_fields(
+        observed.times_fs,
+        [ScalarField(observed.grid, level * f.concentration.values)
+         for f in observed.frames])
+    return dataclasses.replace(scaled, normalization_max=50)
+
+
+class TestBinnedPatchMass:
+    def test_fit_recovers_d_of_a_scaled_patch(self):
+        result = lm_fit(make_problem(binned_patch_series(0.6)), 0.1)
+        assert result.converged
+        assert abs(result.d_opt_nd - 0.4) / 0.4 < 1e-9
+
+    def test_model_is_the_solve_from_the_scaled_patch(self):
+        problem = make_problem(binned_patch_series(0.6, n_frames=6))
+        cfg = SolverConfig(grid=problem.grid, k=problem.k, diffusion=0.7,
+                           scheme=SchemeKind.CRANK_NICOLSON, n_max=5)
+        u0 = ScalarField(problem.grid, 0.6 * make_patch_initial(problem.grid).values)
+        expected = sum(float(np.sum((o.concentration.values - m.values) ** 2))
+                       for o, m in zip(problem.observed.frames, solve(u0, cfg).frames))
+        r = residuals(problem, 0.7)
+        assert float(np.dot(r, r)) == pytest.approx(expected, rel=1e-12)
+
+    def test_unbinned_series_keeps_the_unit_patch(self):
+        series = dataclasses.replace(binned_patch_series(0.6, n_frames=6),
+                                     normalization_max=None)
+        problem = make_problem(series)
+        r = residuals(problem, 0.4)
+        assert float(np.dot(r, r)) == pytest.approx(
+            solved_residual_norm(problem, 0.4), rel=1e-12)
+        assert as_modes(r, problem)[0, 0, 0].real == pytest.approx(
+            -0.4 * 0.25 * problem.grid.n, rel=1e-12)
 
 
 class TestCost:

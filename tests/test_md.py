@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,10 +162,22 @@ def unfiltered_cell_pairs(pos, side, r_cut):
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
+def test_import_loads_no_later_layer():
+    # a fresh interpreter, so that no other test's imports count
+    later = ("fd_solver", "binning", "fitting", "trajectory_io", "pipeline", "cli")
+    code = ("import sys, gasdiff.md; "
+            "print(' '.join(m for m in sys.modules if m.startswith('gasdiff.')))")
+    src = str(Path(md.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    assert "gasdiff.md" in out
+    assert not [m for m in out if m.rpartition(".")[2] in later]
+
+
 class TestSpecies:
     def test_masses(self):
-        assert Species.HE.mass == 4.003
-        assert Species.AR.mass == 39.948
+        assert md.MASS_G_MOL[Species.HE] == 4.003
+        assert md.MASS_G_MOL[Species.AR] == 39.948
 
     def test_labels(self):
         assert Species.HE.label == "He"
@@ -313,7 +329,7 @@ class TestInitState:
         box = SimBox(side=5.0e4)
         state = init_state(cfg, box)
         mean_ke = kinetic_energy(state) / state.n_particles
-        assert mean_ke == pytest.approx(cfg.kb * cfg.temperature, rel=0.02)
+        assert mean_ke == pytest.approx(md.KB * cfg.temperature, rel=0.02)
 
     def test_same_seed_bit_identical(self):
         cfg = MDConfig(n_he=300, n_ar=300, seed=8)

@@ -364,6 +364,25 @@ class TestDumpRoundTrip:
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.velocities, b.velocities)
 
+    def test_parse_holds_one_frame_of_lines(self, tmp_path):
+        import tracemalloc
+
+        def peak_beyond_frames(n_frames):
+            path = tmp_path / f"{n_frames}.dump"
+            write_lammps_dump(make_trajectory(n_frames=n_frames, n=2000), path)
+            tracemalloc.start()
+            try:
+                traj = parse_lammps_dump(path, SPECIES_MAP)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert traj.n_frames == n_frames
+            return peak - held
+
+        # the 20-frame text is 3.6 MB
+        small, large = peak_beyond_frames(2), peak_beyond_frames(20)
+        assert large < 1.2 * small, (small, large)
+
 
 class TestFuzz:
     @settings(max_examples=300, deadline=None)
