@@ -1,22 +1,41 @@
 #!/usr/bin/env python3
-"""Fixed-step paper-density MD probe and trajectory-I/O probe, run on one
-or more source trees.
+"""Interleaved paper-density MD blocks, and desk-density MD, write-overlap
+and trajectory-I/O probes, run on one or more source trees.
 
-Each probe runs in a fresh interpreter with one BLAS thread and the given
-source tree first on PYTHONPATH.  The MD probe builds the paper preset's
-state (30k He + 30k Ar in a 5e4 A box at 300 K, dt 5 fs, seed 1), takes 20
-steps untimed, then times 1000 velocity-Verlet steps one by one.  It
-reports the median and mean ms/step, the hours a 1e6-step seed takes at the
-mean, inner pair-list rebuilds per step (a new ``state.pair_list``) and
-outer-list builds per step (a new ``state._work.outer``; 0 where there is
-none).  It splits the steps into plain ones, inner rebuilds without an
-outer search, and outer searches, and reports for each kind the count, the
-median ms and the share of the timed wall time.  It records the SHA-256 of
-the final positions, velocities and forces, so that the record itself
-shows whether two trees reach the same bits.  With a fixed step count,
-equal rebuild counts show that two trees search on the same steps.  The
-same probe runs at desk density (500 He + 500 Ar in a 5e3 A box), its keys
-prefixed ``desk_``.
+Every probe process runs with one BLAS thread and the given source tree
+first on PYTHONPATH.
+
+The paper-density MD probe interleaves the trees finely, so that the
+machine's drift falls on all of them alike.  For each seed in BLOCK_SEEDS
+it starts one long-lived process per tree, plus a second process of the
+first tree (named ``<first>_again``, the A/A pair).  Each builds the paper
+preset's state (30k He + 30k Ar in a 5e4 A box at 300 K, dt 5 fs) and takes
+WARMUP steps untimed; then the processes take BLOCKS blocks of BLOCK_STEPS
+steps in turn, one block at a time, the order rotating (and reversing
+every other round) from block to block.  Block k of every process covers
+the same steps of the same run, so the record gives, for each process
+against the first tree, the per-pair ratios of their block times, their
+median and quartiles, and the pairs the process won (ratio below 1).  Per
+process it records the block times; the median and mean ms/step; the
+minutes and hours a 1e6-step seed takes at the mean; the steps split into
+plain ones, inner rebuilds without an outer search, and outer searches,
+with each kind's count, median ms and share of the timed wall time; the
+inner rebuilds, outer searches and exact stale checks counted over the
+timed steps; and the SHA-256 of the final positions, velocities and
+forces, so that the record itself shows whether two trees reach the same
+bits.  With a fixed step count, equal counts show that they rebuild and
+search on the same steps.
+
+The counts come from the ``rebuilds``, ``searches`` and ``exact_checks``
+counters on the state's scratch (``state._work``); in a tree older than
+those counters, wrappers around the rebuild, the outer search and the
+exact check count the same calls.
+
+The other probes run in a fresh process per tree and round, trees in turn,
+ROUNDS rounds; the record keeps every run and the per-tree medians.  The
+desk MD probe times STEPS steps one by one at desk density (500 He + 500
+Ar in a 5e3 A box, seed 1) after WARMUP untimed ones and reports the same
+figures as a paper-density process, keys prefixed ``desk_``.
 
 The I/O probe takes frame 0 of the desk preset (1000 particles) and of the
 paper preset (60000), writes it IO_FRAMES times with
@@ -39,10 +58,8 @@ largest child process so far (``RUSAGE_CHILDREN``): the trajectory
 writer's, where the tree forks one, else 0.  The gap between the two
 times is what the write adds to the run.
 
-Trees run in turn, 5 rounds, so that machine drift falls on all of
-them alike; the record keeps every run and the per-tree medians, and the
-lines of each tree's ``gasdiff/*.py`` (``src_lines``), so that a change's
-net source lines come from the same record.
+The record also holds the lines of each tree's ``gasdiff/*.py``
+(``src_lines``), so that a change's net source lines come from it.
 
     python3 scripts/bench.py --out bench.json parent=../parent/src change=src
 """
@@ -60,58 +77,120 @@ PAPER_STEPS = 1_000_000
 SEED = 1
 ROUNDS = 5
 WARMUP = 20
+#: steps the desk MD probe times
 STEPS = 1000
+#: the interleaved paper-density probe: its seeds, blocks per seed and
+#: steps per block
+BLOCK_SEEDS = (1, 7)
+BLOCKS = 84
+BLOCK_STEPS = 100
 #: frames written per preset by the I/O probe
 IO_FRAMES = {"desk": 100, "paper": 5}
 #: runs of the MD alone and with the write, by the overlap probe
 OVERLAP_RUNS = 5
 
 
-def probe(n_he: int = 30000, n_ar: int = 30000, side: float = 5.0e4) -> dict:
-    """Time STEPS steps of n_he + n_ar particles after WARMUP untimed ones."""
-    import hashlib
-    import time
+def list_counter(md, state):
+    """A function giving the (inner rebuilds, outer searches, exact stale
+    checks) so far: the counters on the state's scratch, or, in a tree
+    older than them, counts kept by wrappers around the functions that
+    do each."""
+    w = state._work
+    if hasattr(w, "rebuilds"):
+        return lambda: (w.rebuilds, w.searches, w.exact_checks)
+    seen = [0, 0, 0]
 
-    from gasdiff import md
+    def counted(k, call):
+        def wrapper(*args):
+            seen[k] += 1
+            return call(*args)
+        return wrapper
 
-    cfg = md.MDConfig(n_he=n_he, n_ar=n_ar, seed=SEED)
-    box = md.SimBox(side=side)
-    state = md.init_state(cfg, box)
-    forces, _ = md.compute_forces(state, box)
-    for _ in range(WARMUP):
-        state, forces, _ = md.verlet_step(state, forces, cfg, box)
-    times = {"plain": [], "inner": [], "outer": []}
-    for _ in range(STEPS):
-        listed = state.pair_list
-        outer_list = getattr(state._work, "outer", None)
-        start = time.perf_counter()
-        state, forces, _ = md.verlet_step(state, forces, cfg, box)
-        spent = time.perf_counter() - start
-        if getattr(state._work, "outer", None) is not outer_list:
-            times["outer"].append(spent)
-        elif state.pair_list is not listed:
-            times["inner"].append(spent)
-        else:
-            times["plain"].append(spent)
-    every = [t for kind in times.values() for t in kind]
-    mean_s, wall_s = statistics.fmean(every), sum(every)
-    out = {
-        "median_ms_per_step": statistics.median(every) * 1e3,
-        "mean_ms_per_step": mean_s * 1e3,
-        "hours_per_seed": mean_s * PAPER_STEPS / 3600.0,
-        # an outer search also makes a new pair list
-        "inner_rebuilds_per_step": (len(times["inner"]) + len(times["outer"])) / STEPS,
-        "outer_builds_per_step": len(times["outer"]) / STEPS,
-    }
-    for kind, spent in times.items():
-        out[f"{kind}_steps"] = len(spent)
-        out[f"{kind}_median_ms"] = statistics.median(spent) * 1e3 if spent else None
-        out[f"{kind}_share"] = sum(spent) / wall_s
-    digest = hashlib.sha256()
-    for array in (state.positions, state.velocities, forces):
-        digest.update(array.tobytes())
-    out["state_sha256"] = digest.hexdigest()
-    return out
+    for k, name in enumerate(("_rebuild_pair_list", "_candidate_pairs",
+                              "_pair_list_current")):
+        setattr(md, name, counted(k, getattr(md, name)))
+    return lambda: tuple(seen)
+
+
+class Run:
+    """A state of n_he + n_ar particles after WARMUP untimed steps, stepped
+    on with each step timed and sorted by kind."""
+
+    def __init__(self, n_he: int, n_ar: int, side: float, seed: int):
+        from gasdiff import md
+
+        self.md = md
+        self.cfg = md.MDConfig(n_he=n_he, n_ar=n_ar, seed=seed)
+        self.box = md.SimBox(side=side)
+        self.state = md.init_state(self.cfg, self.box)
+        self.forces, _ = md.compute_forces(self.state, self.box)
+        for _ in range(WARMUP):
+            self.state, self.forces, _ = md.verlet_step(self.state, self.forces,
+                                                        self.cfg, self.box)
+        self.counts = list_counter(md, self.state)
+        self.start_counts = self.counts()
+        self.times = {"plain": [], "inner": [], "outer": []}
+
+    def steps(self, n: int) -> float:
+        """Take n steps; the seconds they took."""
+        import time
+
+        md, cfg, box, counts = self.md, self.cfg, self.box, self.counts
+        state, forces = self.state, self.forces
+        total = 0.0
+        for _ in range(n):
+            before = counts()
+            start = time.perf_counter()
+            state, forces, _ = md.verlet_step(state, forces, cfg, box)
+            spent = time.perf_counter() - start
+            total += spent
+            after = counts()
+            kind = ("outer" if after[1] != before[1] else
+                    "inner" if after[0] != before[0] else "plain")
+            self.times[kind].append(spent)
+        self.state, self.forces = state, forces
+        return total
+
+    def summary(self) -> dict:
+        import hashlib
+
+        every = [t for kind in self.times.values() for t in kind]
+        mean_s, wall_s = statistics.fmean(every), sum(every)
+        rebuilds, searches, checks = (b - a for a, b in zip(self.start_counts,
+                                                            self.counts()))
+        out = {
+            "steps": len(every),
+            "median_ms_per_step": statistics.median(every) * 1e3,
+            "mean_ms_per_step": mean_s * 1e3,
+            "minutes_per_seed": mean_s * PAPER_STEPS / 60.0,
+            "hours_per_seed": mean_s * PAPER_STEPS / 3600.0,
+            # an outer search also makes a new pair list
+            "inner_rebuilds": rebuilds,
+            "outer_searches": searches,
+            "exact_checks": checks,
+        }
+        for kind, spent in self.times.items():
+            out[f"{kind}_steps"] = len(spent)
+            out[f"{kind}_median_ms"] = statistics.median(spent) * 1e3 if spent else None
+            out[f"{kind}_share"] = sum(spent) / wall_s
+        digest = hashlib.sha256()
+        for array in (self.state.positions, self.state.velocities, self.forces):
+            digest.update(array.tobytes())
+        out["state_sha256"] = digest.hexdigest()
+        return out
+
+
+def serve(seed: int) -> None:
+    """The paper-density process of the interleaved probe: after a "ready"
+    line, runs a block of BLOCK_STEPS steps per "block" line read and prints
+    its seconds; at any other line prints the summary and returns."""
+    run = Run(30000, 30000, 5.0e4, seed)
+    print("ready", flush=True)
+    for line in sys.stdin:
+        if line.strip() != "block":
+            break
+        print(json.dumps(run.steps(BLOCK_STEPS)), flush=True)
+    print(json.dumps(run.summary()), flush=True)
 
 
 def overlap_probe() -> dict:
@@ -220,14 +299,68 @@ def median(values: list):
     return distinct[0] if len(distinct) == 1 else distinct
 
 
-def run_probe(src: str) -> dict:
+def probe_env(src: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
+    return env
+
+
+def run_probe(src: str) -> dict:
     proc = subprocess.run(
         [sys.executable, __file__, "--probe"],
-        env=env, capture_output=True, text=True, check=True)
+        env=probe_env(src), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def quartiles(values: list) -> list:
+    return statistics.quantiles(values, n=4)[::2]
+
+
+def interleave(trees: dict, seed: int) -> dict:
+    """The interleaved paper-density probe for one seed."""
+    first = next(iter(trees))
+    procs = {name: subprocess.Popen(
+                 [sys.executable, __file__, "--serve", str(seed)], env=probe_env(src),
+                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+             for name, src in {**trees, f"{first}_again": trees[first]}.items()}
+    try:
+        for name, proc in procs.items():
+            if proc.stdout.readline().strip() != "ready":
+                raise RuntimeError(f"the {name} probe process did not start")
+        names = list(procs)
+        blocks = {name: [] for name in names}
+        for k in range(BLOCKS):
+            turn = k % len(names)
+            order = names[turn:] + names[:turn]
+            if k // len(names) % 2:
+                order.reverse()
+            for name in order:
+                procs[name].stdin.write("block\n")
+                procs[name].stdin.flush()
+                blocks[name].append(json.loads(procs[name].stdout.readline()))
+        summaries = {}
+        for name, proc in procs.items():
+            proc.stdin.write("end\n")
+            proc.stdin.flush()
+            summaries[name] = json.loads(proc.stdout.readline())
+    finally:
+        for proc in procs.values():
+            proc.stdin.close()
+            proc.wait()
+    out = {"trees": {}, "ratios": {}}
+    for name in names:
+        ms = [s * 1e3 for s in blocks[name]]
+        out["trees"][name] = {"block_median_ms": statistics.median(ms),
+                              "block_quartiles_ms": quartiles(ms),
+                              **summaries[name], "block_ms": ms}
+        if name != first:
+            ratios = [b / a for a, b in zip(blocks[first], blocks[name])]
+            out["ratios"][f"{name}/{first}"] = {
+                "median": statistics.median(ratios), "quartiles": quartiles(ratios),
+                "wins": sum(r < 1.0 for r in ratios), "pairs": len(ratios),
+                "per_pair": ratios}
+    return out
 
 
 def main():
@@ -237,31 +370,46 @@ def main():
                     help="a label and the src directory to import gasdiff from")
     ap.add_argument("--out", help="JSON record to write")
     ap.add_argument("--probe", action="store_true",
-                    help="run one probe in this process and print its JSON")
+                    help="run the per-round probes in this process and print their JSON")
+    ap.add_argument("--serve", type=int, metavar="SEED",
+                    help="be one process of the interleaved paper-density probe")
     args = ap.parse_args()
 
+    if args.serve is not None:
+        serve(args.serve)
+        return
     if args.probe:
-        # the overlap probe first, so that RUSAGE_CHILDREN holds its writers only
-        desk = {f"desk_{key}": value
-                for key, value in probe(500, 500, 5.0e3).items()}
-        print(json.dumps({**overlap_probe(), **probe(), **desk, **io_probe()}))
+        # The overlap probe first, so that RUSAGE_CHILDREN holds its writers
+        # only, and before the desk run, whose counting wrappers (in a tree
+        # without counters) would count its steps too.
+        out = overlap_probe()
+        desk = Run(500, 500, 5.0e3, SEED)
+        desk.steps(STEPS)
+        out.update((f"desk_{key}", value) for key, value in desk.summary().items())
+        out.update(io_probe())
+        print(json.dumps(out))
         return
     if not args.trees or not args.out:
         ap.error("give --out and at least one NAME=SRC")
     trees = dict(tree.split("=", 1) for tree in args.trees)
+    interleaved = {}
+    for seed in BLOCK_SEEDS:
+        interleaved[str(seed)] = result = interleave(trees, seed)
+        for name, tree in result["trees"].items():
+            print(f"seed {seed} {name}: block median {tree['block_median_ms']:.1f} ms, "
+                  f"plain {tree['plain_median_ms']:.3f}, inner {tree['inner_median_ms']:.3f}, "
+                  f"outer {tree['outer_median_ms']:.3f} ms median; "
+                  f"{tree['inner_rebuilds']} inner, {tree['outer_searches']} outer",
+                  flush=True)
+        for pair, ratio in result["ratios"].items():
+            print(f"seed {seed} {pair}: median ratio {ratio['median']:.3f}, "
+                  f"{ratio['wins']} of {ratio['pairs']} won", flush=True)
     runs = {name: [] for name in trees}
     for round_ in range(ROUNDS):
         for name, src in trees.items():
             result = run_probe(src)
             runs[name].append(result)
-            print(f"round {round_ + 1} {name}: "
-                  f"{result['median_ms_per_step']:.3f} ms/step median, "
-                  f"{result['mean_ms_per_step']:.3f} mean, "
-                  f"{result['inner_rebuilds_per_step']:.3f} inner and "
-                  f"{result['outer_builds_per_step']:.3f} outer per step "
-                  f"(plain {result['plain_median_ms']:.3f}, inner "
-                  f"{result['inner_median_ms']:.3f}, outer "
-                  f"{result['outer_median_ms']:.3f} ms median); desk "
+            print(f"round {round_ + 1} {name}: desk "
                   f"{result['desk_median_ms_per_step']:.3f} ms/step median; "
                   f"paper frame write {result['paper_write_us_per_row']:.2f}, "
                   f"read {result['paper_sidecar_read_us_per_row']:.2f}, "
@@ -273,10 +421,14 @@ def main():
     import numpy
 
     record = {
-        "probe": {"preset": "30000 He + 30000 Ar, 5e4 A box, 300 K, dt 5 fs",
-                  "desk_preset": "500 He + 500 Ar, 5e3 A box, 300 K, dt 5 fs",
+        "interleaved_probe": {
+            "preset": "30000 He + 30000 Ar, 5e4 A box, 300 K, dt 5 fs",
+            "seeds": list(BLOCK_SEEDS), "warmup_steps": WARMUP,
+            "blocks": BLOCKS, "block_steps": BLOCK_STEPS, "blas_threads": 1,
+            "paper_steps": PAPER_STEPS, "base": next(iter(trees))},
+        "probe": {"desk_preset": "500 He + 500 Ar, 5e3 A box, 300 K, dt 5 fs",
                   "seed": SEED, "warmup_steps": WARMUP, "steps": STEPS,
-                  "blas_threads": 1, "paper_steps": PAPER_STEPS},
+                  "blas_threads": 1},
         "io_probe": {"frame": "frame 0 of the desk and paper presets, seed 1",
                      "frames_written": IO_FRAMES},
         "overlap_probe": {"preset": "500 He + 500 Ar, 5e3 A box, 300 K, dt 5 fs, "
@@ -285,6 +437,7 @@ def main():
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "src_lines": {name: src_lines(src) for name, src in trees.items()},
+        "interleaved": interleaved,
         "median_of_runs": {name: {key: median([r[key] for r in results])
                                   for key in results[0]}
                            for name, results in runs.items()},

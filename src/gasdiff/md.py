@@ -21,8 +21,16 @@ velocities or forces across steps copies them.  Between steps the three are
 read-only; a caller changes a state by assigning new arrays.  When the next
 step gets those same arrays back, it knows they are its own and advances
 them in place with work on the force components the pair list touches:
-forces are summed, kicked and refreshed there only.  The drift and the
-wrap alone pass over every particle.
+forces are summed, kicked and refreshed there only, and the velocities
+there are written once, after the second half kick, unless the step may
+search.  The drift alone passes over every particle.  A running bound on
+the distance moved since the pair list was built stands in for whole-array
+passes wherever it proves their answer: while it stays under SKIN/2 the
+list is current, and only the coordinates that were within SKIN/2 of an
+edge at the build (the border set) can cross one, so only they are
+wrapped.  Summed over the pair lists pruned from one outer list, the bound
+also shows that outer list still valid, and the exact check against it
+runs only once the sum reaches its reach.
 
 iter_frames yields each sampled frame as the run reaches it, and
 MSDAccumulator takes frames one at a time; run collects iter_frames.
@@ -327,7 +335,8 @@ def _pair_terms(species, idx_i, idx_j, n) -> _PairTerms:
     touched = np.zeros(n, dtype=bool)
     touched[idx_i] = touched[idx_j] = True
     listed = np.flatnonzero(touched)
-    active = (2 * listed[:, None] + np.arange(2)).reshape(-1)
+    active = np.repeat(2 * listed, 2)
+    active[1::2] += 1
     # the place in active of each listed particle's x component
     place = np.empty(n, dtype=np.int64)
     place[listed] = np.arange(0, len(active), 2)
@@ -347,23 +356,36 @@ class _Work:
     (``vdt``, current off the listed components), and a bound on how far
     any particle has moved since the list was built (inf when unknown) with
     the largest squared speed at that build; ``list_current`` tells the
-    next force call that the bound already shows the list current.
+    next force call that the bound already shows the list current.  While
+    it does, the step leaves the velocities of the listed components to
+    its end-of-step write, and wraps only ``border``: the flat indices of
+    the coordinates within SKIN/2, plus a rounding margin, of an edge at
+    the list's build.
 
     ``outer`` is the outer pair list the pair list is pruned from, in
     canonical order, as ``(idx_i, idx_j, positions at build, cell order,
     box side)``, or None; the cell order is its search's, which the next
-    outer search starts its sort from.
+    outer search starts its sort from.  ``outer_moved`` bounds how far any
+    particle had moved since that build when the pair list was built: each
+    rebuild adds ``moved`` to it, an outer search sets it to 0, and a force
+    call or a step that is not handed back sets it to inf.
+
+    ``rebuilds``, ``searches`` and ``exact_checks`` count the pair-list
+    rebuilds, the outer searches among them and the exact stale checks.
     """
 
     __slots__ = ("species", "buf", "pair_list", "terms", "handed", "kick",
-                 "listed_v", "vdt", "moved", "v2_built", "list_current", "outer")
+                 "listed_v", "vdt", "moved", "v2_built", "list_current", "border",
+                 "outer", "outer_moved", "rebuilds", "searches", "exact_checks")
 
     def __init__(self, species):
         self.species = species
         self.buf = np.empty((len(species), 2))
         self.pair_list = self.terms = self.handed = self.outer = None
-        self.kick = self.listed_v = self.vdt = None
+        self.kick = self.listed_v = self.vdt = self.border = None
         self.moved, self.v2_built, self.list_current = math.inf, 0.0, False
+        self.outer_moved = math.inf
+        self.rebuilds = self.searches = self.exact_checks = 0
 
     @property
     def scale(self) -> np.ndarray:  # per particle and axis; only a full kick needs it
@@ -382,9 +404,16 @@ def _listed_interactions(pos, box, idx_i, idx_j, terms):
     """Forces on the components ``terms.active`` and the potential, for
     given candidate pairs with their _pair_terms, cutoff applied."""
     # np.take gathers rows an order of magnitude faster than pos[idx]
-    d = minimum_image(np.take(pos, idx_i, axis=0) - np.take(pos, idx_j, axis=0), box)
-    r2 = np.einsum("ij,ij->i", d, d)
-    if np.any(r2 < COINCIDENT_DISTANCE**2):
+    d = np.take(pos, idx_i, axis=0) - np.take(pos, idx_j, axis=0)
+    # The minimum image: rint(q) and minimum_image's floor(q + 0.5) differ
+    # only where |d| is about side/2, beyond the cutoff, where forces and
+    # potential take exact zeros either way.
+    q = np.divide(d, box.side)
+    np.rint(q, out=q)
+    q *= box.side
+    d -= q
+    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    if r2.min(initial=np.inf) < COINCIDENT_DISTANCE**2:
         k = int(np.argmin(r2))
         raise GasdiffError(
             f"coincident particles {idx_i[k]} and {idx_j[k]} "
@@ -439,16 +468,17 @@ def _moved_within(positions, built, side, limit, buf) -> bool:
     return bool(np.isnan(d).any())
 
 
-def _pair_list_current(state: ParticleState, box: SimBox, buf) -> bool:
+def _pair_list_current(state: ParticleState, box: SimBox, w: _Work) -> bool:
     """True while no particle has moved SKIN/2 (minimum image) since the
     state's pair list was built, so no pair outside the list can be inside
-    the cutoff.  ``buf`` is (n, 2) scratch."""
+    the cutoff."""
+    w.exact_checks += 1
     if state.pair_list is None:
         return False
     built = state.pair_list[2]
     if built.shape != state.positions.shape:
         return False
-    return _moved_within(state.positions, built, box.side, 0.5 * SKIN, buf)
+    return _moved_within(state.positions, built, box.side, 0.5 * SKIN, w.buf)
 
 
 def _rebuild_pair_list(state: ParticleState, box: SimBox, w: _Work):
@@ -458,19 +488,26 @@ def _rebuild_pair_list(state: ParticleState, box: SimBox, w: _Work):
     It is pruned from the outer list, which is searched again first when it
     is missing, was built for another box, or a particle has moved more
     than (OUTER_RANGE - LJ_CUTOFF - SKIN) / 2 since its build: within that,
-    two particles now in range were closer than OUTER_RANGE then.
+    two particles now in range were closer than OUTER_RANGE then.  The
+    exact check of that distance runs only when the summed bound
+    ``w.outer_moved + w.moved`` does not already show it shorter.
     """
+    w.rebuilds += 1
     built = state.positions.copy()
     side, r_cut = box.side, LJ_CUTOFF + SKIN
     # less a margin for rounding, relative and of positions
     reach = max((OUTER_RANGE - r_cut) / 2.0 * (1.0 - 1e-9) - side * 2.0**-48, 0.0)
+    w.outer_moved += w.moved  # NaN fails the test below, as inf does
     outer = w.outer
     if (outer is None or outer[4] != side or outer[2].shape != built.shape
-            or not _moved_within(built, outer[2], side, reach, w.buf)):
+            or not (w.outer_moved < reach * (1.0 - 1e-9)
+                    or _moved_within(built, outer[2], side, reach, w.buf))):
+        w.searches += 1
         order = None if outer is None else outer[3]
         outer = w.outer = None  # freed before the search, which sets the peak
         oi, oj, order = _candidate_pairs(built, side, OUTER_RANGE, order)
         outer = w.outer = (*_canonical(oi, oj, len(built)), built, order, side)
+        w.outer_moved = 0.0
     # the fresh search's filter, exactly (a NaN distance fails it); the mask
     # keeps the canonical order
     oi, oj = outer[:2]
@@ -487,6 +524,8 @@ def compute_forces(state: ParticleState, box: SimBox):
     and leaves the new list on the state.  Pairwise sums are accumulated
     antisymmetrically, so the net force is zero to roundoff.
     """
+    # the positions may have been edited since the last step's bound
+    _work(state).outer_moved = math.inf
     terms = _current_terms(state, box)
     return _pair_interactions(state.positions, state.species, box,
                               *state.pair_list[:2], terms)
@@ -496,7 +535,7 @@ def _current_terms(state: ParticleState, box: SimBox) -> _PairTerms:
     """The terms of the state's pair list, rebuilt first if missing or stale."""
     w = _work(state)
     known, w.list_current = w.list_current, False
-    if not (known or _pair_list_current(state, box, w.buf)):
+    if not (known or _pair_list_current(state, box, w)):
         state.pair_list = _rebuild_pair_list(state, box, w)
     if w.pair_list is not state.pair_list:
         w.pair_list = state.pair_list
@@ -604,8 +643,10 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
     those same arrays again, the step sums forces, kicks and keeps v * dt
     only on the components the pair list touches (everything else is in
     free flight), checks the speed of those particles only, skips the exact
-    stale-list check while a bound on the distance moved since the list was
-    built stays under SKIN/2, and overwrites the forces it was given,
+    stale-list check and wraps only the border set while a bound on the
+    distance moved since the list was built stays under SKIN/2, checks the
+    outer list exactly only once that bound summed since the outer search
+    reaches its reach, and overwrites the forces it was given,
     zeroed on the components that left the list; any other input takes the
     full path and gets new forces.  The results are the same either way.
     On InstabilityError the state holds the failed step, with writable
@@ -630,7 +671,6 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         listed_active = w.terms.active
         vh = w.listed_v
         vh += w.kick
-        flat_v[listed_active] = vh
         w.vdt.reshape(-1)[listed_active] = vh * cfg.dt
         vh2 = vh * vh
         fastest2 = float((vh2[0::2] + vh2[1::2]).max(initial=0.0))
@@ -639,15 +679,22 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         # check, and side * 2^-49 the rounding of x + dt * v and the wrap.
         w.moved += (cfg.dt * math.sqrt(max(fastest2, w.v2_built)) * (1.0 + 1e-9)
                     + box.side * 2.0**-49)
-        w.list_current = w.moved < 0.5 * SKIN * (1.0 - 1e-9)
+        current = w.list_current = w.moved < 0.5 * SKIN * (1.0 - 1e-9)
+        if not current:  # a search may follow, and it reads every velocity
+            flat_v[listed_active] = vh
     else:
         kick = np.multiply(forces, w.scale, out=w.buf)
         kick *= half_dt
         v += kick
-        w.moved = math.inf
+        w.moved = w.outer_moved = math.inf
+        current = w.list_current = False
         w.vdt = np.multiply(v, cfg.dt)
     x += w.vdt
-    _wrap(x, box.side)
+    if current:  # only the border set can have crossed an edge
+        flat_x = x.reshape(-1)
+        flat_x[w.border] = _wrap(np.take(flat_x, w.border), box.side)
+    else:
+        _wrap(x, box.side)
     state.time = state.time + cfg.dt
     terms = _current_terms(state, box)
     # the forces on the listed components, made their half kick below
@@ -657,6 +704,11 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         w.moved = 0.0
         v2 = np.multiply(v, v, out=w.buf)
         w.v2_built = float((v2[:, 0] + v2[:, 1]).max(initial=0.0))
+        # the border set: coordinates within SKIN/2 of an edge, plus a margin
+        # for the rounding of x - side/2
+        off = np.abs(np.subtract(x, 0.5 * box.side, out=w.buf), out=w.buf)
+        w.border = np.flatnonzero(
+            off.reshape(-1) > 0.5 * box.side - 0.5 * SKIN - box.side * 2.0**-48)
     active = terms.active
     if not trusted:
         forces = np.zeros_like(x)

@@ -43,9 +43,10 @@ the text all match; otherwise it parses the text.
 The LAMMPS reader handles orthogonal-box text dumps with header-driven
 column order, unscaled (x y) or scaled (xs ys) coordinates, and ignores any
 z column.  Both text formats parse their particle rows with one parser,
-_parse_rows, which converts whole columns and, when a row is malformed,
-walks the rows to the first bad one.  Every malformed input raises
-ParseError with a line number; no input may crash the parser.
+_parse_rows, which converts whole columns a block of rows at a time and,
+when a row is malformed, walks that block's rows to the first bad one.
+Every malformed input raises ParseError with a line number; no input may
+crash the parser.
 """
 
 from __future__ import annotations
@@ -368,31 +369,43 @@ def _column(kind, tokens) -> np.ndarray:
     return values
 
 
+#: rows _parse_rows splits and converts at a time, bounding the tokens held
+_ROW_BLOCK = 4096
+
+
 def _parse_rows(rows: list[str], first_line: int, path, kinds, in_row: str = ""):
     """Particle rows, the first on line ``first_line``, parsed by column:
     per entry of ``kinds`` an int64 array (``int``, |v| <= 2**62), a float64
     array (``float``), the int64 codes of a dict's labels, or None (None
     skips the column).  A malformed row raises ParseError at the first such
-    line; ``in_row`` goes into the column-count message."""
-    fields = [row.split() for row in rows]
-    if all(len(f) == len(kinds) for f in fields):
-        try:
-            return [None if kind is None else _column(kind, tokens)
-                    for kind, tokens in zip(kinds, list(zip(*fields)) or [()] * len(kinds))]
-        except (ValueError, KeyError, OverflowError):
-            pass
-    # some row is malformed: walk the rows to the first one
-    for line, f in enumerate(fields, first_line):
-        if len(f) != len(kinds):
-            raise ParseError(f"expected {len(kinds)} columns{in_row}, found {len(f)}",
-                             path=path, line=line)
-        for kind, token in zip(kinds, f):
-            if kind is int:
-                _parse_int(token, path, line)
-            elif kind is float:
-                _parse_float(token, path, line)
-            elif kind is not None and token not in kind:
-                raise ParseError(f"unknown species {token!r}", path=path, line=line)
+    line; ``in_row`` goes into the column-count message.  The rows are
+    split and converted _ROW_BLOCK at a time."""
+    columns = [None if kind is None else
+               np.empty(len(rows), np.float64 if kind is float else np.int64)
+               for kind in kinds]
+    for start in range(0, len(rows), _ROW_BLOCK):
+        fields = [row.split() for row in rows[start:start + _ROW_BLOCK]]
+        if all(len(f) == len(kinds) for f in fields):
+            try:
+                for column, kind, tokens in zip(columns, kinds, zip(*fields)):
+                    if kind is not None:
+                        column[start:start + len(fields)] = _column(kind, tokens)
+                continue
+            except (ValueError, KeyError, OverflowError):
+                pass
+        # some row of the block is malformed: walk its rows to the first one
+        for line, f in enumerate(fields, first_line + start):
+            if len(f) != len(kinds):
+                raise ParseError(f"expected {len(kinds)} columns{in_row}, found {len(f)}",
+                                 path=path, line=line)
+            for kind, token in zip(kinds, f):
+                if kind is int:
+                    _parse_int(token, path, line)
+                elif kind is float:
+                    _parse_float(token, path, line)
+                elif kind is not None and token not in kind:
+                    raise ParseError(f"unknown species {token!r}", path=path, line=line)
+    return columns
 
 
 def _lines(fh):

@@ -974,7 +974,7 @@ def is_stale(positions, built, side):
                           species=np.zeros(n, dtype=np.int64),
                           pair_list=(np.zeros(0, dtype=np.int64),
                                      np.zeros(0, dtype=np.int64), built, None))
-    return not md._pair_list_current(state, SimBox(side=side), np.empty((n, 2)))
+    return not md._pair_list_current(state, SimBox(side=side), md._work(state))
 
 
 def full_kick_step(state, forces, cfg, box):
@@ -1216,14 +1216,14 @@ class TestSpeedCheck:
 
 def record_steps(monkeypatch):
     """Per verlet_step: whether it took the hand-back path, and how many pair
-    list rebuilds and exact stale checks it ran."""
+    list rebuilds, outer-list searches and exact stale checks it ran."""
     steps = []
-    handed_back, rebuild, check = (md._handed_back, md._rebuild_pair_list,
-                                   md._pair_list_current)
+    handed_back, rebuild, check, search = (md._handed_back, md._rebuild_pair_list,
+                                           md._pair_list_current, md._candidate_pairs)
 
     def recording_handed_back(*args):
         trusted = handed_back(*args)
-        steps.append({"trusted": trusted, "rebuilds": 0, "checks": 0})
+        steps.append({"trusted": trusted, "rebuilds": 0, "searches": 0, "checks": 0})
         return trusted
 
     def counting_rebuild(*args):
@@ -1236,10 +1236,27 @@ def record_steps(monkeypatch):
             steps[-1]["checks"] += 1
         return check(*args)
 
+    def counting_search(*args):  # inside a step, only the outer list is searched
+        if steps:
+            steps[-1]["searches"] += 1
+        return search(*args)
+
     monkeypatch.setattr(md, "_handed_back", recording_handed_back)
     monkeypatch.setattr(md, "_rebuild_pair_list", counting_rebuild)
     monkeypatch.setattr(md, "_pair_list_current", counting_check)
+    monkeypatch.setattr(md, "_candidate_pairs", counting_search)
     return steps
+
+
+def work_counts(state):
+    """The pair-list rebuilds, outer searches and exact stale checks the
+    state's scratch has counted."""
+    w = md._work(state)
+    return {"rebuilds": w.rebuilds, "searches": w.searches, "checks": w.exact_checks}
+
+
+def recorded_counts(steps):
+    return {key: sum(s[key] for s in steps) for key in ("rebuilds", "searches", "checks")}
 
 
 def full_path_step(state, forces, cfg, box):
@@ -1274,11 +1291,22 @@ class TestHandBack:
         state = init_state(cfg, box)
         forces, _ = compute_forces(state, box)
         ref, ref_forces = copied_state(state), forces.copy()
+        counted = work_counts(state)
         steps = record_steps(monkeypatch)
+        outer_checks = {"handed": 0, "full": 0}
+        moved_within = md._moved_within
+
+        def counting_outer_check(positions, built, side, limit, buf):
+            outer_checks[run] += limit > SKIN  # against the outer list's build
+            return moved_within(positions, built, side, limit, buf)
+
+        monkeypatch.setattr(md, "_moved_within", counting_outer_check)
         handed, full = [], []
         for _ in range(150):
+            run = "handed"
             state, forces, potential = verlet_step(state, forces, cfg, box)
             handed.append(steps[-1])
+            run = "full"
             ref, ref_forces, ref_potential = full_path_step(ref, ref_forces, cfg, box)
             full.append(steps[-1])
             assert state.positions.tobytes() == ref.positions.tobytes()
@@ -1287,11 +1315,58 @@ class TestHandBack:
             assert potential == ref_potential
         assert [s["rebuilds"] for s in handed] == [s["rebuilds"] for s in full]
         assert sum(s["rebuilds"] for s in handed) >= 2
+        # the outer list is searched on the same steps, without the exact
+        # check against it where the summed bound shows it valid
+        assert [s["searches"] for s in handed] == [s["searches"] for s in full]
+        assert sum(s["searches"] for s in handed) >= 1
+        assert outer_checks["handed"] < outer_checks["full"]
+        # the scratch counters count what the recorder counts
+        counts = recorded_counts(handed)
+        assert work_counts(state) == {k: counted[k] + counts[k] for k in counts}
+        assert work_counts(ref) == recorded_counts(full)
         assert not any(s["trusted"] for s in full)
         assert all(s["trusted"] for s in handed[1:])
         # the bound spares most exact checks; the full path runs one per step
         assert sum(s["checks"] for s in full) == 150
         assert sum(s["checks"] for s in handed) < 150
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("high", [False, True])
+    def test_edge_crossing_on_a_plain_handed_back_step(self, monkeypatch, axis, high):
+        # Particle 0 drifts 0.1 A a step toward an edge, listed with particle
+        # 1 across it; particles 2 and 3 are a listed pair mid-box.  The first
+        # search of the run, once particle 0 has moved SKIN/2, puts it in the
+        # border set, and a few plain steps later it crosses the edge.
+        cfg = MDConfig(n_he=0, n_ar=4, seed=0)
+        side = 400.0
+        box = SimBox(side=side)
+        positions = np.array([[3.05, 200.0], [side - 6.0, 200.0],
+                              [200.0, 100.0], [209.0, 100.0]])
+        velocities = np.zeros((4, 2))
+        velocities[0, 0] = -0.02
+        if high:
+            positions[:2, 0] = side - positions[:2, 0]
+            velocities[0, 0] = 0.02
+        state = ParticleState(positions=positions[:, ::-1].copy() if axis else positions,
+                              velocities=velocities[:, ::-1].copy() if axis else velocities,
+                              species=np.ones(4, dtype=np.int64))
+        forces, _ = compute_forces(state, box)
+        ref, ref_forces = copied_state(state), forces.copy()
+        steps = record_steps(monkeypatch)
+        crossed = []
+        for _ in range(40):
+            before = state.positions[0, axis]
+            state, forces, potential = verlet_step(state, forces, cfg, box)
+            if abs(state.positions[0, axis] - before) > side / 2:
+                crossed.append(steps[-1])
+            ref, ref_forces, ref_potential = full_path_step(ref, ref_forces, cfg, box)
+            assert state.positions.tobytes() == ref.positions.tobytes()
+            assert state.velocities.tobytes() == ref.velocities.tobytes()
+            assert forces.tobytes() == ref_forces.tobytes()
+            assert potential == ref_potential
+        assert crossed == [{"trusted": True, "rebuilds": 0, "searches": 0, "checks": 0}]
+        assert md._work(state).border.tolist() == [axis]
+        assert 0 <= state.positions[0, axis] < side
 
     def test_handed_back_forces_are_the_forces_of_the_state(self):
         # a crowded run with inner rebuilds and outer searches: from the second
@@ -1399,7 +1474,7 @@ class TestHandBack:
         with pytest.raises(InstabilityError) as handed:
             for _ in range(100):
                 state, forces, _ = verlet_step(state, forces, cfg, box)
-        assert steps[-1] == {"trusted": True, "rebuilds": 0, "checks": 0}
+        assert steps[-1] == {"trusted": True, "rebuilds": 0, "searches": 0, "checks": 0}
         with pytest.raises(InstabilityError) as full:
             for _ in range(100):
                 ref, ref_forces, _ = full_path_step(ref, ref_forces, cfg, box)
@@ -1437,7 +1512,7 @@ class TestHandBack:
         steps = record_steps(monkeypatch)
         for _ in range(200):
             state, forces, _ = verlet_step(state, forces, cfg, box)
-            if steps[-1] == {"trusted": True, "rebuilds": 0, "checks": 0}:
+            if steps[-1] == {"trusted": True, "rebuilds": 0, "searches": 0, "checks": 0}:
                 return cfg, box, state, forces, steps
         raise AssertionError("the bound never spared an exact check")
 
@@ -1465,7 +1540,8 @@ class TestHandBack:
         self.jump_next_to_an_unlisted_particle(state, box)
         del steps[:]
         state, forces, potential = verlet_step(state, forces, cfg, box)
-        assert steps == [{"trusted": False, "rebuilds": 1, "checks": 1}]
+        # the jump (70 A) is past the outer reach too
+        assert steps == [{"trusted": False, "rebuilds": 1, "searches": 1, "checks": 1}]
         ref_forces, ref_potential = brute_reference_forces(
             state.positions, state.species, box.side)
         assert np.max(np.abs(forces - ref_forces)) <= 1e-10

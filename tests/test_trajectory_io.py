@@ -488,11 +488,35 @@ def parsed_dump_frame(path):
 
 class TestRowParser:
     """The column parser against the row-by-row references in
-    ``text_rows``, on generated row blocks of both text formats."""
+    ``text_rows``, on generated row blocks of both text formats, converted
+    in one block of rows and in blocks of two."""
 
     @settings(max_examples=300, deadline=None)
     @given(row_block(NATIVE_COLUMNS, NATIVE_GOOD, NATIVE_BAD))
     def test_native_rows_match_the_row_parser(self, tmp_path_factory, block):
+        self.check_native(tmp_path_factory, block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_block(NATIVE_COLUMNS, NATIVE_GOOD, NATIVE_BAD))
+    def test_native_rows_in_blocks_match_the_row_parser(self, tmp_path_factory, block):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(trajectory_io, "_ROW_BLOCK", 2)
+            self.check_native(tmp_path_factory, block)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_lammps_rows_match_the_row_parser(self, tmp_path_factory, data):
+        self.check_lammps(tmp_path_factory, data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lammps_rows_in_blocks_match_the_row_parser(self, tmp_path_factory, data):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(trajectory_io, "_ROW_BLOCK", 2)
+            self.check_lammps(tmp_path_factory, data)
+
+    @staticmethod
+    def check_native(tmp_path_factory, block):
         rows, faults = block
         path = tmp_path_factory.mktemp("native") / "t.txt"
         path.write_text("#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n"
@@ -504,9 +528,8 @@ class TestRowParser:
 
         assert_same_parse(read, lambda: native_rows(rows, 4, path), faults, 4)
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_lammps_rows_match_the_row_parser(self, tmp_path_factory, data):
+    @staticmethod
+    def check_lammps(tmp_path_factory, data):
         names = (["id", "type"] + data.draw(st.sampled_from([["x", "y"], ["xs", "ys"]]))
                  + data.draw(st.sampled_from([[], ["z"], ["z", "q"]]))
                  + data.draw(st.sampled_from([[], ["vx", "vy"], ["vx"]])))
