@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Interleaved paper-density MD blocks, and desk-density MD, write-overlap
-and trajectory-I/O probes, run on one or more source trees.
+"""Interleaved paper-density MD blocks, and desk-density MD, write-overlap,
+trajectory-I/O and fit probes, run on one or more source trees.
 
 Every probe process runs with one BLAS thread and the given source tree
 first on PYTHONPATH.
@@ -58,6 +58,17 @@ largest child process so far (``RUSAGE_CHILDREN``): the trajectory
 writer's, where the tree forks one, else 0.  The gap between the two
 times is what the write adds to the run.
 
+The fit probe fits perfbench's ``paper_fit`` input (seed 1: N = 100,
+1001 frames), which ``perfbench/inputs.py`` writes once into a temporary
+directory, as that workload does: from observed frame 0, then a cost curve
+of its points over its range.  It runs in a fresh process per tree and
+round, FIT_ROUNDS rounds, the trees alternating which runs first.  Each run
+reads the binned directory and caches the problem's observed modes, then
+reports the ``lm_fit`` and ``cost_curve`` wall times, the peak RSS the fit
+adds above what the process peaked at before it (``RUSAGE_SELF``), and D,
+cost and CI95.  The record keeps every run, the per-tree medians and, for
+each tree against the first, the per-round ratios of both times.
+
 The record also holds the lines of each tree's ``gasdiff/*.py``
 (``src_lines``), so that a change's net source lines come from it.
 
@@ -88,6 +99,9 @@ BLOCK_STEPS = 100
 IO_FRAMES = {"desk": 100, "paper": 5}
 #: runs of the MD alone and with the write, by the overlap probe
 OVERLAP_RUNS = 5
+#: rounds of the fit probe
+FIT_ROUNDS = 10
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def list_counter(md, state):
@@ -283,6 +297,70 @@ def io_probe() -> dict:
     return out
 
 
+def fit_probe(binned: str) -> dict:
+    """Fit perfbench's paper_fit input from frame 0 and time a cost curve."""
+    import resource
+    import time
+
+    import numpy
+
+    from gasdiff import fitting, pipeline
+    from gasdiff.fields import UnitScale
+
+    def peak_rss_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    ref = json.loads((PERFBENCH / "reference.json").read_text())["workloads"]["paper_fit"]
+    spec = ref["input"]
+    scale = UnitScale(box_length_cm=spec["box_side_a"] * 1e-8,
+                      time_unit_s=spec["time_unit_s"])
+    problem = fitting.FitProblem.from_binned(pipeline.read_binned_dir(Path(binned)),
+                                             scale, init_from_frame0=True)
+    problem._modes  # computed and cached first, so the peak below is the fit's own
+    before = peak_rss_mb()
+    start = time.perf_counter()
+    result = fitting.lm_fit(problem, ref["d0_nd"])
+    fit_s = time.perf_counter() - start
+    added = peak_rss_mb() - before
+    lo, hi = (f * spec["d_nd"] for f in ref["cost_curve_range"])
+    start = time.perf_counter()
+    fitting.cost_curve(problem, numpy.linspace(lo, hi, ref["cost_curve_points"]))
+    return {"lm_fit_s": fit_s, "cost_curve_s": time.perf_counter() - start,
+            "peak_before_fit_mb": before, "fit_added_peak_mb": added,
+            "d_opt_nd": result.d_opt_nd, "cost": result.final_cost,
+            "ci95_nd": result.ci95_nd, "iterations": result.iterations}
+
+
+def fit_runs(trees: dict) -> dict:
+    """The fit probe on every tree, FIT_ROUNDS rounds."""
+    import tempfile
+
+    runs = {name: [] for name in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run([sys.executable, str(PERFBENCH / "inputs.py"), "paper_fit",
+                        str(SEED), tmp], check=True)
+        for round_ in range(FIT_ROUNDS):
+            names = list(trees)
+            for name in names if round_ % 2 == 0 else reversed(names):
+                result = run_probe(trees[name], "--fit-probe", tmp)
+                runs[name].append(result)
+                print(f"fit round {round_ + 1} {name}: lm_fit {result['lm_fit_s']:.3f} s, "
+                      f"cost curve {result['cost_curve_s']:.3f} s, adds "
+                      f"{result['fit_added_peak_mb']:.1f} MB to the peak", flush=True)
+    first = next(iter(trees))
+    return {
+        "median_of_runs": {name: {key: median([r[key] for r in results])
+                                  for key in results[0]}
+                           for name, results in runs.items()},
+        "ratios": {f"{name}/{first}": {
+                       key: pair_ratios([r[key] for r in runs[first]],
+                                        [r[key] for r in runs[name]])
+                       for key in ("lm_fit_s", "cost_curve_s")}
+                   for name in trees if name != first},
+        "runs": runs,
+    }
+
+
 def src_lines(src: str) -> int:
     """Lines in the tree's gasdiff/*.py."""
     return sum(len(path.read_bytes().splitlines())
@@ -306,15 +384,24 @@ def probe_env(src: str) -> dict:
     return env
 
 
-def run_probe(src: str) -> dict:
+def run_probe(src: str, *args: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, __file__, "--probe"],
+        [sys.executable, __file__, *args],
         env=probe_env(src), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4)[::2]
+
+
+def pair_ratios(base: list, other: list) -> dict:
+    """Per-pair ratios other / base, their median and quartiles, and the
+    pairs that other won (ratio below 1)."""
+    ratios = [b / a for a, b in zip(base, other)]
+    return {"median": statistics.median(ratios), "quartiles": quartiles(ratios),
+            "wins": sum(r < 1.0 for r in ratios), "pairs": len(ratios),
+            "per_pair": ratios}
 
 
 def interleave(trees: dict, seed: int) -> dict:
@@ -355,11 +442,7 @@ def interleave(trees: dict, seed: int) -> dict:
                               "block_quartiles_ms": quartiles(ms),
                               **summaries[name], "block_ms": ms}
         if name != first:
-            ratios = [b / a for a, b in zip(blocks[first], blocks[name])]
-            out["ratios"][f"{name}/{first}"] = {
-                "median": statistics.median(ratios), "quartiles": quartiles(ratios),
-                "wins": sum(r < 1.0 for r in ratios), "pairs": len(ratios),
-                "per_pair": ratios}
+            out["ratios"][f"{name}/{first}"] = pair_ratios(blocks[first], blocks[name])
     return out
 
 
@@ -373,10 +456,16 @@ def main():
                     help="run the per-round probes in this process and print their JSON")
     ap.add_argument("--serve", type=int, metavar="SEED",
                     help="be one process of the interleaved paper-density probe")
+    ap.add_argument("--fit-probe", metavar="DIR",
+                    help="run the fit probe on a paper_fit input directory and "
+                         "print its JSON")
     args = ap.parse_args()
 
     if args.serve is not None:
         serve(args.serve)
+        return
+    if args.fit_probe:
+        print(json.dumps(fit_probe(args.fit_probe)))
         return
     if args.probe:
         # The overlap probe first, so that RUSAGE_CHILDREN holds its writers
@@ -407,7 +496,7 @@ def main():
     runs = {name: [] for name in trees}
     for round_ in range(ROUNDS):
         for name, src in trees.items():
-            result = run_probe(src)
+            result = run_probe(src, "--probe")
             runs[name].append(result)
             print(f"round {round_ + 1} {name}: desk "
                   f"{result['desk_median_ms_per_step']:.3f} ms/step median; "
@@ -418,6 +507,7 @@ def main():
                   f"desk MD {result['overlap_md_ms']:.0f} ms, with the write "
                   f"{result['overlap_md_write_ms']:.0f} ms",
                   flush=True)
+    fit = fit_runs(trees)
     import numpy
 
     record = {
@@ -434,6 +524,9 @@ def main():
         "overlap_probe": {"preset": "500 He + 500 Ar, 5e3 A box, 300 K, dt 5 fs, "
                                     "2000 steps, a frame every 100",
                           "seed": SEED, "runs": OVERLAP_RUNS},
+        "fit_probe": {"input": "perfbench/inputs.py paper_fit, N = 100, 1001 frames",
+                      "seed": SEED, "init_from_frame0": True, "rounds": FIT_ROUNDS,
+                      "blas_threads": 1},
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "src_lines": {name: src_lines(src) for name, src in trees.items()},
@@ -442,6 +535,7 @@ def main():
                                   for key in results[0]}
                            for name, results in runs.items()},
         "runs": runs,
+        "fit": fit,
     }
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
 

@@ -8,8 +8,9 @@ shrinks after an accepted step and grows after a failed one.  The cost is
 
 CN is diagonal in Fourier modes, so no solve is run: with s FD steps per
 observed frame, model frame f is rho(D)^(f s) times the initial modes, and J
-is exactly f s rho^(f s - 1) drho/dD times them.  r and J hold each frame's
-real-FFT half spectrum, weighted so that ||r||^2 is the sum over cells.
+is exactly f s rho^(f s - 1) drho/dD times them.  The modes are each frame's
+real-FFT half spectrum, weighted so that ||r||^2 is the sum over cells.  The
+fit reads only r.r, J^T r and J^T J, summed one frame at a time.
 """
 
 from __future__ import annotations
@@ -113,63 +114,66 @@ class FitProblem:
             patch *= observed[0, 0, 0].real / patch[0, 0].real
         return observed, patch
 
-    def _cn_factors(self, diffusion: float) -> np.ndarray:
-        """CN multiplier rho of one FD step on the half-spectrum modes."""
-        if diffusion <= 0:
-            raise ValueError("diffusion coefficient must be positive")
-        rho = fd_solver.amplification_factors(
-            fd_solver.SchemeKind.CRANK_NICOLSON, self.k, diffusion, self.grid)
-        return rho[..., :self.grid.n // 2 + 1]
+
+def _frames(problem: FitProblem, diffusion: float):
+    """Run the CN model frame by frame, yielding in reused buffers frame f's
+    residual modes and d(model)/dD: f s times model frame f - 1 times lead."""
+    if diffusion <= 0:
+        raise ValueError("diffusion coefficient must be positive")
+    observed, initial = problem._modes
+    s = problem.substeps
+    half = np.s_[..., :problem.grid.n // 2 + 1]
+    rho = fd_solver.amplification_factors(
+        fd_solver.SchemeKind.CRANK_NICOLSON, problem.k, diffusion, problem.grid)[half]
+    lam = fd_solver.laplacian_eigenvalues(problem.grid)[half]
+    # d(rho^s)/dD / s, with drho/dD = k lambda (1 + rho)^2 / 4
+    lead = rho ** (s - 1) * (problem.k * lam * (1.0 + rho) ** 2 / 4.0)
+    # both factors are real: repeated for each mode's real and imaginary part,
+    # they scale the float views at half the work of a complex product
+    lead, rho_frame = (np.repeat(x, 2, axis=-1) for x in (lead, rho ** s))
+    residual, jacobian = np.empty_like(initial), np.zeros_like(initial)
+    obs, r, j = (a.view(np.float64) for a in (observed, residual, jacobian))
+    model = initial.view(np.float64).copy()
+    for f in range(len(observed)):
+        if f:
+            np.multiply(lead, f * s, out=j)
+            j *= model
+            model *= rho_frame
+        np.subtract(obs[f], model, out=r)
+        yield residual, jacobian
+
+
+def _sums(problem: FitProblem, diffusion: float) -> tuple[float, float, float]:
+    """r.r, J^T r and J^T J of the whole series, added up frame by frame."""
+    rr = jtr = jtj = 0.0
+    for residual, jacobian in _frames(problem, diffusion):
+        # complex dots: N <= 140 (10000 modes) keeps OpenBLAS on one thread
+        rr += np.vdot(residual, residual).real
+        jtr += np.vdot(jacobian, residual).real
+        jtj += np.vdot(jacobian, jacobian).real
+    return float(rr), float(jtr), float(jtj)
 
 
 def residuals(problem: FitProblem, diffusion: float) -> np.ndarray:
     """Weighted modes of (observed - model) over all frames as one float
     vector (real and imaginary parts interleaved): r.r is the sum over cells."""
-    observed, initial = problem._modes
-    rho_frame = problem._cn_factors(diffusion) ** problem.substeps
-    out = np.empty_like(observed)
-    model = initial.copy()
-    for f in range(len(out)):
-        np.subtract(observed[f], model, out=out[f])
-        model *= rho_frame
-    return out.view(np.float64).ravel()
+    frames = [residual.copy() for residual, _ in _frames(problem, diffusion)]
+    return np.concatenate(frames, axis=None).view(np.float64)
 
 
 def cost(problem: FitProblem, diffusion: float) -> float:
-    """Mean-square deviation ||residuals||^2 / N^2 (no frame-count factor)."""
-    r = residuals(problem, diffusion)
-    return float(np.dot(r, r)) / problem.grid.num_cells
+    """Mean-square deviation r.r / N^2 (no frame-count factor)."""
+    return _sums(problem, diffusion)[0] / problem.grid.num_cells
 
 
-def model_jacobian(problem: FitProblem, diffusion: float) -> np.ndarray:
-    """Exact d(model)/dD, laid out like residuals(): frame f is
-    f s rho^(f s - 1) drho/dD times the initial modes, with Laplacian
-    eigenvalue lambda and drho/dD = k lambda / (1 - k D lambda / 2)^2."""
-    observed, initial = problem._modes
-    s = problem.substeps
-    rho = problem._cn_factors(diffusion)
-    lam = fd_solver.laplacian_eigenvalues(problem.grid)[..., :rho.shape[-1]]
-    # d(rho^s)/dD / s, with drho/dD = k lambda (1 + rho)^2 / 4
-    lead = rho ** (s - 1) * (problem.k * lam * (1.0 + rho) ** 2 / 4.0)
-    rho_frame = rho ** s
-    out = np.zeros_like(observed)
-    model = initial.copy()
-    for f in range(1, len(out)):
-        np.multiply(model, (f * s) * lead, out=out[f])
-        model *= rho_frame
-    return out.view(np.float64).ravel()
-
-
-def confidence_interval_95(jacobian: np.ndarray, residual: np.ndarray,
-                           num_observations: int) -> float:
+def confidence_interval_95(jtj: float, rr: float, num_observations: int) -> float:
     """Half-width of the standard asymptotic 95% interval for the scalar fit,
-    from ``num_observations`` fitted values (frames x cells, not len(r))."""
-    jtj = float(np.dot(jacobian, jacobian))
+    from J^T J, r.r and ``num_observations`` (frames x cells, not len(r))."""
     if jtj < 1.0e-300:
         raise FitError("degenerate fit: model does not respond to D")
     if num_observations < 2:
         raise FitError("too few residuals for a confidence interval")
-    s2 = float(np.dot(residual, residual)) / (num_observations - 1)
+    s2 = rr / (num_observations - 1)
     return 1.96 * np.sqrt(s2 / jtj)
 
 
@@ -181,8 +185,8 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
         raise ValueError("initial diffusion guess must be positive")
     num_cells = problem.grid.num_cells
     d_current = d0
-    r = residuals(problem, d_current)
-    c = float(np.dot(r, r)) / num_cells
+    rr, jtr, jtj = _sums(problem, d_current)
+    c = rr / num_cells
     if not np.isfinite(c):
         raise FitError(f"initial cost is not finite at D={d_current}")
 
@@ -192,10 +196,6 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
     converged = False
 
     for _ in range(MAX_ITER):
-        jac = model_jacobian(problem, d_current)
-        jtj = float(np.dot(jac, jac))
-        jtr = float(np.dot(jac, r))
-        del jac  # J^T J and J^T r suffice below, and J is as large as r
         if jtj > 0.0 and abs(jtr) / jtj < TOL_STEP * d_current:
             # the undamped Gauss-Newton step is already below tolerance
             converged = True
@@ -208,11 +208,10 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
             # while lam << J^T J, raising lam can leave d_trial as it was: the
             # same trial is rejected again without evaluating it
             if d_trial > 0.0 and d_trial != rejected:
-                r_trial = residuals(problem, d_trial)
-                c_trial = float(np.dot(r_trial, r_trial)) / num_cells
+                trial = _sums(problem, d_trial)
+                c_trial = trial[0] / num_cells
                 if np.isfinite(c_trial) and c_trial < c:
                     break
-                del r_trial
                 rejected = d_trial
             lam *= LAMBDA_UP
         else:
@@ -221,7 +220,7 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
         iterations += 1
         lam *= LAMBDA_DOWN
         cost_drop = c - c_trial
-        d_current, r, c = d_trial, r_trial, c_trial
+        d_current, c, (rr, jtr, jtj) = d_trial, c_trial, trial
         trace.append(c)
         if abs(delta) < TOL_STEP * d_current or cost_drop < TOL_COST:
             converged = True
@@ -230,8 +229,7 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
     if iterations == 0 and not converged:
         raise FitError(f"no step accepted in {MAX_ITER} iterations from D0={d0}")
 
-    jac = model_jacobian(problem, d_current)
-    ci_nd = confidence_interval_95(jac, r, len(problem.observed.frames) * num_cells)
+    ci_nd = confidence_interval_95(jtj, rr, len(problem.observed.frames) * num_cells)
     return FitResult(
         d_opt_nd=d_current,
         d_opt_cm2_s=nd_to_physical_d(d_current, problem.scale),

@@ -208,10 +208,15 @@ def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float, order=None):
     else:
         order, sorted_cid = _sorted_cells(pos, side, n_side, order)
         ii, jj = _cell_pairs(order, sorted_cid, n_side)
-    d = np.abs(np.take(pos, ii, axis=0) - np.take(pos, jj, axis=0))
-    d = np.minimum(d, side - d, out=d)
-    near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < r_cut * r_cut
+    near = _image_r2(pos, ii, pos, jj, side) < r_cut * r_cut
     return ii[near], jj[near], order
+
+
+def _image_r2(a, i, b, j, side):
+    """Squared minimum-image distance between rows a[i] and b[j]."""
+    d = np.abs(np.take(a, i, axis=0) - np.take(b, j, axis=0))
+    d = np.minimum(d, side - d, out=d)
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
 
 
 def _cell_coords(pos, side, n_side):
@@ -460,10 +465,7 @@ def _moved_within(positions, built, side, limit, buf) -> bool:
     rows = np.flatnonzero(d.reshape(-1) > bound) >> 1
     if not len(rows):
         return True
-    e = np.abs(np.take(positions, rows, axis=0) - np.take(built, rows, axis=0))
-    e = np.minimum(e, side - e, out=e)
-    e *= e
-    if not (e[:, 0] + e[:, 1]).max() > limit * limit:
+    if not _image_r2(positions, rows, built, rows, side).max() > limit * limit:
         return True
     return bool(np.isnan(d).any())
 
@@ -511,9 +513,7 @@ def _rebuild_pair_list(state: ParticleState, box: SimBox, w: _Work):
     # the fresh search's filter, exactly (a NaN distance fails it); the mask
     # keeps the canonical order
     oi, oj = outer[:2]
-    d = np.abs(np.take(built, oi, axis=0) - np.take(built, oj, axis=0))
-    d = np.minimum(d, side - d, out=d)
-    near = np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] < r_cut * r_cut)
+    near = np.flatnonzero(_image_r2(built, oi, built, oj, side) < r_cut * r_cut)
     return np.take(oi, near), np.take(oj, near), built
 
 

@@ -9,6 +9,8 @@ from gasdiff.errors import FitError
 from gasdiff.fd_solver import (
     SchemeKind,
     SolverConfig,
+    amplification_factors,
+    laplacian_eigenvalues,
     make_patch_initial,
     solve,
 )
@@ -21,7 +23,6 @@ from gasdiff.fitting import (
     cost,
     cost_curve,
     lm_fit,
-    model_jacobian,
     residuals,
 )
 
@@ -86,6 +87,29 @@ def noisy_problem(n, substeps, init_from_frame0):
 ORACLE_CASES = pytest.mark.parametrize(
     "n, substeps, init_from_frame0",
     [(n, s, f) for n in (20, 21) for s in (1, 5) for f in (False, True)])
+
+
+def model_jacobian(problem, diffusion):
+    """Oracle for the fit's d(model)/dD, laid out like residuals(): frame f
+    is f s rho^(f s - 1) drho/dD times the initial modes, with Laplacian
+    eigenvalue lambda and drho/dD = k lambda / (1 - k D lambda / 2)^2, each
+    frame's power taken on its own."""
+    observed, initial = problem._modes
+    half = np.s_[..., :problem.grid.n // 2 + 1]
+    rho = amplification_factors(SchemeKind.CRANK_NICOLSON, problem.k, diffusion,
+                                problem.grid)[half]
+    lam = laplacian_eigenvalues(problem.grid)[half]
+    drho = problem.k * lam / (1.0 - 0.5 * problem.k * diffusion * lam) ** 2
+    n = problem.substeps * np.arange(len(observed)).reshape((-1,) + (1,) * rho.ndim)
+    jac = n * rho ** np.maximum(n - 1, 0) * drho * initial
+    return jac.view(np.float64).ravel()
+
+
+def ci95_of_vectors(jacobian, residual, num_observations):
+    """Oracle for the 95% half-width: 1.96 sqrt(s^2 / J.J) with
+    s^2 = r.r / (num_observations - 1), from the vectors themselves."""
+    s2 = float(np.dot(residual, residual)) / (num_observations - 1)
+    return 1.96 * np.sqrt(s2 / float(np.dot(jacobian, jacobian)))
 
 
 def as_modes(r, problem):
@@ -240,6 +264,20 @@ class TestJacobian:
         jac = model_jacobian(problem, d)
         assert np.linalg.norm(jac - numeric) <= 1e-7 * np.linalg.norm(jac)
 
+    @ORACLE_CASES
+    def test_sums_equal_oracle_dot_products(self, n, substeps, init_from_frame0):
+        # the fit's frame-by-frame sums against the whole-series vectors
+        problem = noisy_problem(n, substeps, init_from_frame0)
+        n_obs = len(problem.observed.frames) * problem.grid.num_cells
+        for d in (0.3, D_TRUE, 2.5):
+            rr, jtr, jtj = fitting._sums(problem, d)
+            r, jac = residuals(problem, d), model_jacobian(problem, d)
+            assert rr == pytest.approx(float(np.dot(r, r)), rel=1e-12)
+            assert jtr == pytest.approx(float(np.dot(jac, r)), rel=1e-12)
+            assert jtj == pytest.approx(float(np.dot(jac, jac)), rel=1e-12)
+            assert confidence_interval_95(jtj, rr, n_obs) == pytest.approx(
+                ci95_of_vectors(jac, r, n_obs), rel=1e-12)
+
     def test_fully_decayed_solution_has_flat_response(self):
         # substeps keep k D |lambda| resolved so every mode truly decays
         problem = make_problem(OBSERVED, substeps=100)
@@ -258,12 +296,10 @@ def lm_fit_every_trial(problem, d0):
     just rejected included: the reference for skipping repeats."""
     num_cells = problem.grid.num_cells
     d, lam, iterations, converged = d0, fitting.LAMBDA0, 0, False
-    r = fitting.residuals(problem, d)
-    c = float(np.dot(r, r)) / num_cells
+    rr, jtr, jtj = fitting._sums(problem, d)
+    c = rr / num_cells
     trace = [c]
     for _ in range(fitting.MAX_ITER):
-        jac = fitting.model_jacobian(problem, d)
-        jtj, jtr = float(np.dot(jac, jac)), float(np.dot(jac, r))
         if jtj > 0.0 and abs(jtr) / jtj < fitting.TOL_STEP * d:
             converged = True
             break
@@ -271,8 +307,8 @@ def lm_fit_every_trial(problem, d0):
             delta = jtr / (jtj + lam)
             d_trial = d + delta
             if d_trial > 0.0:
-                r_trial = fitting.residuals(problem, d_trial)
-                c_trial = float(np.dot(r_trial, r_trial)) / num_cells
+                trial = fitting._sums(problem, d_trial)
+                c_trial = trial[0] / num_cells
                 if np.isfinite(c_trial) and c_trial < c:
                     break
             lam *= fitting.LAMBDA_UP
@@ -281,13 +317,12 @@ def lm_fit_every_trial(problem, d0):
         iterations += 1
         lam *= fitting.LAMBDA_DOWN
         cost_drop = c - c_trial
-        d, r, c = d_trial, r_trial, c_trial
+        d, c, (rr, jtr, jtj) = d_trial, c_trial, trial
         trace.append(c)
         if abs(delta) < fitting.TOL_STEP * d or cost_drop < fitting.TOL_COST:
             converged = True
             break
-    ci = confidence_interval_95(fitting.model_jacobian(problem, d), r,
-                                len(problem.observed.frames) * num_cells)
+    ci = confidence_interval_95(jtj, rr, len(problem.observed.frames) * num_cells)
     return FitResult(d, nd_to_physical_d(d, problem.scale), c, iterations, ci,
                      nd_to_physical_d(ci, problem.scale), converged, tuple(trace))
 
@@ -321,13 +356,13 @@ class TestLMFit:
         # it was; from d0 = 2 the first step overshoots and is rejected.
         monkeypatch.setattr(fitting, "LAMBDA0", 1.0e-30)
         calls = []
-        evaluate = fitting.residuals
+        evaluate = fitting._sums
 
         def counting(problem, d):
             calls.append(d)
             return evaluate(problem, d)
 
-        monkeypatch.setattr(fitting, "residuals", counting)
+        monkeypatch.setattr(fitting, "_sums", counting)
         reference = lm_fit_every_trial(PROBLEM, 2.0)
         every_trial = len(calls)
         assert sum(a == b for a, b in zip(calls, calls[1:])) >= 5
@@ -345,8 +380,8 @@ class TestLMFit:
             lm_fit(PROBLEM, -1.0)
 
     def test_peak_memory_is_a_few_series_arrays(self):
-        # the observed modes, r, and J or a trial residual are each about one
-        # F x N^2 float64 array; J is dropped before the trial steps
+        # the observed modes are about one F x N^2 float64 array; the model,
+        # r and J are held one frame at a time
         n_frames = 201
         grid = GridSpec(d=2, n=40)
         observed = synthetic_observed(grid, D_TRUE, K, n_frames, noise=0.01, seed=11)
@@ -357,13 +392,12 @@ class TestLMFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * one_series
+        assert peak < 1.5 * one_series
 
 
 class TestConfidenceInterval:
     def test_zero_residuals_give_zero_halfwidth(self):
-        jac = np.ones(100)
-        assert confidence_interval_95(jac, np.zeros(100), 100) == 0.0
+        assert confidence_interval_95(100.0, 0.0, 100) == 0.0
 
     def test_halfwidth_shrinks_with_more_data(self):
         rng = np.random.default_rng(0)
@@ -371,8 +405,9 @@ class TestConfidenceInterval:
         res_small = rng.normal(0, 0.1, 200)
         jac_big = np.ones(400)
         res_big = rng.normal(0, 0.1, 400)
-        assert (confidence_interval_95(jac_big, res_big, 400)
-                < confidence_interval_95(jac_small, res_small, 200))
+        assert (confidence_interval_95(jac_big @ jac_big, res_big @ res_big, 400)
+                < confidence_interval_95(jac_small @ jac_small,
+                                         res_small @ res_small, 200))
 
     def test_halfwidth_scales_linearly_with_noise(self):
         # doubling sigma doubles the halfwidth within 20% across seeds
@@ -382,13 +417,13 @@ class TestConfidenceInterval:
             jac = rng.normal(0, 1.0, 500)
             base = rng.normal(0, 0.05, 500)
             doubled = rng.normal(0, 0.10, 500)
-            ratios.append(confidence_interval_95(jac, doubled, 500)
-                          / confidence_interval_95(jac, base, 500))
+            ratios.append(confidence_interval_95(jac @ jac, doubled @ doubled, 500)
+                          / confidence_interval_95(jac @ jac, base @ base, 500))
         assert np.mean(ratios) == pytest.approx(2.0, rel=0.2)
 
     def test_degenerate_jacobian_rejected(self):
         with pytest.raises(FitError):
-            confidence_interval_95(np.zeros(50), np.ones(50), 50)
+            confidence_interval_95(0.0, 50.0, 50)
 
     def test_fit_halfwidth_from_per_cell_quantities(self):
         # s^2 = residual sum of squares / (F N^2 - 1) over cells, not over
