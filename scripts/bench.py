@@ -37,6 +37,12 @@ desk MD probe times STEPS steps one by one at desk density (500 He + 500
 Ar in a 5e3 A box, seed 1) after WARMUP untimed ones and reports the same
 figures as a paper-density process, keys prefixed ``desk_``.
 
+The init probe builds the paper preset's state with ``md.init_state`` and
+computes its first forces with ``md.compute_forces``, once for each seed in
+INIT_SEEDS, and reports the milliseconds each took and then the process's
+peak RSS (``RUSAGE_SELF``).  It runs right after the overlap probe, whose
+desk-size runs peak lower, so that the peak is the paper state's.
+
 The I/O probe takes frame 0 of the desk preset (1000 particles) and of the
 paper preset (60000), writes it IO_FRAMES times with
 ``write_native_frames`` and reads the file back with ``iter_native``
@@ -95,6 +101,8 @@ STEPS = 1000
 BLOCK_SEEDS = (1, 7)
 BLOCKS = 84
 BLOCK_STEPS = 100
+#: seeds of the paper-density init probe
+INIT_SEEDS = (1, 2, 3)
 #: frames written per preset by the I/O probe
 IO_FRAMES = {"desk": 100, "paper": 5}
 #: runs of the MD alone and with the write, by the overlap probe
@@ -238,6 +246,26 @@ def overlap_probe() -> dict:
         "writer_child_peak_rss_mb":
             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
     }
+
+
+def init_probe() -> dict:
+    """Time init_state plus the first compute_forces at paper density per
+    seed, then read the peak RSS."""
+    import resource
+    import time
+
+    from gasdiff import md
+
+    box = md.SimBox(side=5.0e4)
+    out = {}
+    for seed in INIT_SEEDS:
+        start = time.perf_counter()
+        state = md.init_state(md.MDConfig(n_he=30000, n_ar=30000, seed=seed), box)
+        md.compute_forces(state, box)
+        out[f"paper_init_ms_seed_{seed}"] = (time.perf_counter() - start) * 1e3
+    out["paper_init_peak_rss_mb"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+    return out
 
 
 def io_probe() -> dict:
@@ -472,6 +500,7 @@ def main():
         # only, and before the desk run, whose counting wrappers (in a tree
         # without counters) would count its steps too.
         out = overlap_probe()
+        out.update(init_probe())
         desk = Run(500, 500, 5.0e3, SEED)
         desk.steps(STEPS)
         out.update((f"desk_{key}", value) for key, value in desk.summary().items())
@@ -498,7 +527,10 @@ def main():
         for name, src in trees.items():
             result = run_probe(src, "--probe")
             runs[name].append(result)
-            print(f"round {round_ + 1} {name}: desk "
+            init_ms = statistics.median(result[f"paper_init_ms_seed_{seed}"]
+                                        for seed in INIT_SEEDS)
+            print(f"round {round_ + 1} {name}: paper init + forces {init_ms:.1f} ms "
+                  f"median, peak RSS {result['paper_init_peak_rss_mb']:.1f} MB; desk "
                   f"{result['desk_median_ms_per_step']:.3f} ms/step median; "
                   f"paper frame write {result['paper_write_us_per_row']:.2f}, "
                   f"read {result['paper_sidecar_read_us_per_row']:.2f}, "
@@ -519,6 +551,9 @@ def main():
         "probe": {"desk_preset": "500 He + 500 Ar, 5e3 A box, 300 K, dt 5 fs",
                   "seed": SEED, "warmup_steps": WARMUP, "steps": STEPS,
                   "blas_threads": 1},
+        "init_probe": {"preset": "30000 He + 30000 Ar, 5e4 A box, 300 K",
+                       "seeds": list(INIT_SEEDS),
+                       "timed": "md.init_state plus the first md.compute_forces"},
         "io_probe": {"frame": "frame 0 of the desk and paper presets, seed 1",
                      "frames_written": IO_FRAMES},
         "overlap_probe": {"preset": "500 He + 500 Ar, 5e3 A box, 300 K, dt 5 fs, "

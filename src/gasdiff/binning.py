@@ -116,8 +116,9 @@ class Binner:
         self.count_frames: list[tuple[float, np.ndarray]] = []
 
     def add(self, frame) -> None:
-        self.count_frames.append((frame.time_fs, bin_counts(
-            frame.positions, self.box, self.grid, frame.species, self.species)))
+        positions = frame.finite_positions(frame.species == int(self.species))
+        self.count_frames.append((frame.time_fs, bin_counts(positions, self.box,
+                                                            self.grid)))
 
     def series(self, per_frame_max: bool = False) -> BinnedSeries:
         return normalize_series(self.count_frames, self.grid, species=self.species,

@@ -34,10 +34,11 @@ class SolverConfig:
     n_max: int = 0
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("time step must be positive")
-        if self.diffusion <= 0:
-            raise ValueError("diffusion coefficient must be positive")
+        if not 0.0 < self.k < np.inf:
+            raise ValueError(f"time step must be positive and finite, got {self.k!r}")
+        if not 0.0 < self.diffusion < np.inf:
+            raise ValueError("diffusion coefficient must be positive and finite, "
+                             f"got {self.diffusion!r}")
         if self.n_max < 0:
             raise ValueError("step count must be nonnegative")
 
@@ -67,8 +68,9 @@ def laplacian_eigenvalues(grid: GridSpec) -> np.ndarray:
 
 def critical_time_step(grid: GridSpec, diffusion: float) -> float:
     """Largest stable forward Euler step, h^2 / (2 d D)."""
-    if diffusion <= 0:
-        raise ValueError("diffusion coefficient must be positive")
+    if not 0.0 < diffusion < np.inf:
+        raise ValueError("diffusion coefficient must be positive and finite, "
+                         f"got {diffusion!r}")
     return grid.h**2 / (2.0 * grid.d * diffusion)
 
 

@@ -92,8 +92,8 @@ class UnitScale:
     time_unit_s: float = 1.0e-9
 
     def __post_init__(self):
-        if self.box_length_cm <= 0 or self.time_unit_s <= 0:
-            raise ValueError("unit scale factors must be positive")
+        if not (0.0 < self.box_length_cm < np.inf and 0.0 < self.time_unit_s < np.inf):
+            raise ValueError("unit scale factors must be positive and finite")
 
     @property
     def time_unit_fs(self) -> float:

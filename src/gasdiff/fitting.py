@@ -75,6 +75,8 @@ class FitProblem:
         the frame spacing); a series that starts later is an error, not a
         shifted fit.
         """
+        if substeps < 1:
+            raise ValueError(f"substeps must be >= 1, got {substeps}")
         times = observed.times_fs
         if len(times) < 2:
             raise FitError("need at least two observed frames to fit")
@@ -118,8 +120,9 @@ class FitProblem:
 def _frames(problem: FitProblem, diffusion: float):
     """Run the CN model frame by frame, yielding in reused buffers frame f's
     residual modes and d(model)/dD: f s times model frame f - 1 times lead."""
-    if diffusion <= 0:
-        raise ValueError("diffusion coefficient must be positive")
+    if not 0.0 < diffusion < np.inf:
+        raise ValueError("diffusion coefficient must be positive and finite, "
+                         f"got {diffusion!r}")
     observed, initial = problem._modes
     s = problem.substeps
     half = np.s_[..., :problem.grid.n // 2 + 1]
@@ -179,10 +182,10 @@ def confidence_interval_95(jtj: float, rr: float, num_observations: int) -> floa
 
 def lm_fit(problem: FitProblem, d0: float) -> FitResult:
     """Levenberg-Marquardt minimization of the cost from the guess d0 > 0.
-    Steps to D <= 0 are failed trials.  Stops on a small relative step or
+    Steps to D <= 0 or to inf are failed trials.  Stops on a small relative step or
     cost drop, or after MAX_ITER steps; raises FitError if none is accepted."""
-    if d0 <= 0:
-        raise ValueError("initial diffusion guess must be positive")
+    if not 0.0 < d0 < np.inf:
+        raise ValueError(f"initial diffusion guess must be positive and finite, got {d0!r}")
     num_cells = problem.grid.num_cells
     d_current = d0
     rr, jtr, jtj = _sums(problem, d_current)
@@ -207,7 +210,7 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
             d_trial = d_current + delta
             # while lam << J^T J, raising lam can leave d_trial as it was: the
             # same trial is rejected again without evaluating it
-            if d_trial > 0.0 and d_trial != rejected:
+            if 0.0 < d_trial < np.inf and d_trial != rejected:
                 trial = _sums(problem, d_trial)
                 c_trial = trial[0] / num_cells
                 if np.isfinite(c_trial) and c_trial < c:
@@ -245,8 +248,10 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
 def cost_curve(problem: FitProblem, d_values) -> np.ndarray:
     """Pointwise cost over a sorted positive grid; rows of (D, cost)."""
     d_values = np.asarray(d_values, dtype=np.float64)
-    if np.any(d_values <= 0):
-        raise ValueError("diffusion grid must be positive")
+    if not len(d_values):
+        raise ValueError("diffusion grid is empty")
+    if not np.all((d_values > 0) & (d_values < np.inf)):
+        raise ValueError("diffusion grid must be positive and finite")
     if np.any(np.diff(d_values) <= 0):
         raise ValueError("diffusion grid must be strictly increasing")
     return np.array([[d, cost(problem, d)] for d in d_values])

@@ -105,8 +105,8 @@ class SimBox:
     side: float = 5.0e4  # A
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise ValueError("box side must be positive")
+        if not 0.0 < self.side < math.inf:
+            raise ValueError(f"box side must be positive and finite, got {self.side!r}")
         if self.side <= 2.0 * LJ_CUTOFF:
             raise ValueError(
                 f"box side {self.side} too small for minimum image at cutoff {LJ_CUTOFF}"
@@ -123,8 +123,8 @@ class MDConfig:
     sample_stride: int = 1000
 
     def __post_init__(self):
-        if self.dt <= 0 or self.temperature <= 0:
-            raise ValueError("time step and temperature must be positive")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.temperature < math.inf):
+            raise ValueError("time step and temperature must be positive and finite")
         if self.n_he < 0 or self.n_ar < 0:
             raise ValueError("particle counts must be nonnegative")
         if self.sample_stride < 1:
@@ -188,28 +188,35 @@ def _cells_per_axis(side: float, n: int, r_cut: float) -> int:
     return min(int(side // r_cut), math.isqrt((2**63 - 1) // max(n, 1)))
 
 
-def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float, order=None):
-    """Index pairs (i, j) at minimum-image separation < r_cut, and the
-    permutation that sorts the particles by (cell, index).
+def _candidate_pairs(pos: np.ndarray, side: float, r_cut: float):
+    """Index pairs (i, j) at minimum-image separation < r_cut, in canonical
+    order: each pair i < j, sorted by (i, j).
 
     Cell list with edge >= r_cut; each unordered cell pair is visited once
     (self plus four forward neighbors) and the pairs at r_cut or beyond are
-    dropped, keeping the visiting order.  The sort starts from ``order``, an
-    earlier search's permutation, so it is cheap when few particles changed
-    cells; the result does not depend on it.  Falls back to all pairs when
-    the box is too small for at least 3 cells per axis.
+    dropped.  Falls back to all pairs when the box is too small for at least
+    3 cells per axis.
     """
     n = len(pos)
-    if order is None or len(order) != n:
-        order = np.arange(n)
     n_side = _cells_per_axis(side, n, r_cut)
     if n_side < 3 or n < 2:
         ii, jj = np.triu_indices(n, k=1)
     else:
-        order, sorted_cid = _sorted_cells(pos, side, n_side, order)
+        sorted_cid, order = _sorted_cells(pos, side, n_side)
         ii, jj = _cell_pairs(order, sorted_cid, n_side)
     near = _image_r2(pos, ii, pos, jj, side) < r_cut * r_cut
-    return ii[near], jj[near], order
+    ii, jj = ii[near], jj[near]
+    key = np.minimum(ii, jj)
+    key *= n
+    key += np.maximum(ii, jj)
+    return _sort_packed(key, n)
+
+
+def _sort_packed(key, n):
+    """Sort distinct int64 keys hi * n + lo, 0 <= lo < n, in place and split
+    them into (hi, lo): the pairs (hi, lo) sorted by hi, then lo."""
+    key.sort()
+    return np.divmod(key, max(n, 1))
 
 
 def _image_r2(a, i, b, j, side):
@@ -233,17 +240,16 @@ def _cell_coords(pos, side, n_side):
     return coords
 
 
-def _sorted_cells(pos, side, n_side, order):
-    """The particles sorted by (cell, index), the sort starting from
-    ``order``, and their cell ids cx * n_side + cy in that order."""
+def _sorted_cells(pos, side, n_side):
+    """The particles' cell ids cx * n_side + cy in ascending order, and the
+    particles in that order, sorted by (cell, index)."""
+    n = len(pos)
     coords = _cell_coords(pos, side, n_side)
-    cid = coords[:, 0] * n_side
-    cid += coords[:, 1]
-    key = np.take(cid, order)
-    key *= len(order)
-    key += order
-    order = np.take(order, np.argsort(key, kind="stable"))
-    return order, np.take(cid, order, out=key)
+    key = coords[:, 0] * n_side
+    key += coords[:, 1]
+    key *= n
+    key += np.arange(n)
+    return _sort_packed(key, n)
 
 
 def _cell_pairs(order, sorted_cid, n_side):
@@ -314,15 +320,6 @@ def _cell_pairs(order, sorted_cid, n_side):
     return ii, np.concatenate(out_j)
 
 
-def _canonical(ii, jj, n):
-    """The pairs (ii, jj) of n particles in canonical order: each turned to
-    i < j, sorted by (i, j)."""
-    key = np.minimum(ii, jj) * n
-    key += np.maximum(ii, jj)
-    key.sort()
-    return np.divmod(key, max(n, 1))
-
-
 class _PairTerms(NamedTuple):
     """Constants of one pair list, built once per search."""
 
@@ -360,27 +357,25 @@ class _Work:
     components and their velocities after it, v * dt for every component
     (``vdt``, current off the listed components), and a bound on how far
     any particle has moved since the list was built (inf when unknown) with
-    the largest squared speed at that build; ``list_current`` tells the
-    next force call that the bound already shows the list current.  While
-    it does, the step leaves the velocities of the listed components to
-    its end-of-step write, and wraps only ``border``: the flat indices of
-    the coordinates within SKIN/2, plus a rounding margin, of an edge at
+    the largest squared speed at that build.  While that bound shows the
+    list current, the step leaves the velocities of the listed components
+    to its end-of-step write, and wraps only ``border``: the flat indices
+    of the coordinates within SKIN/2, plus a rounding margin, of an edge at
     the list's build.
 
     ``outer`` is the outer pair list the pair list is pruned from, in
-    canonical order, as ``(idx_i, idx_j, positions at build, cell order,
-    box side)``, or None; the cell order is its search's, which the next
-    outer search starts its sort from.  ``outer_moved`` bounds how far any
-    particle had moved since that build when the pair list was built: each
-    rebuild adds ``moved`` to it, an outer search sets it to 0, and a force
-    call or a step that is not handed back sets it to inf.
+    canonical order, as ``(idx_i, idx_j, positions at build, box side)``,
+    or None.  ``outer_moved`` bounds how far any particle had moved since
+    that build when the pair list was built: each rebuild adds ``moved`` to
+    it, an outer search sets it to 0, and a force call or a step that is not
+    handed back sets it to inf.
 
     ``rebuilds``, ``searches`` and ``exact_checks`` count the pair-list
     rebuilds, the outer searches among them and the exact stale checks.
     """
 
     __slots__ = ("species", "buf", "pair_list", "terms", "handed", "kick",
-                 "listed_v", "vdt", "moved", "v2_built", "list_current", "border",
+                 "listed_v", "vdt", "moved", "v2_built", "border",
                  "outer", "outer_moved", "rebuilds", "searches", "exact_checks")
 
     def __init__(self, species):
@@ -388,7 +383,7 @@ class _Work:
         self.buf = np.empty((len(species), 2))
         self.pair_list = self.terms = self.handed = self.outer = None
         self.kick = self.listed_v = self.vdt = self.border = None
-        self.moved, self.v2_built, self.list_current = math.inf, 0.0, False
+        self.moved, self.v2_built = math.inf, 0.0
         self.outer_moved = math.inf
         self.rebuilds = self.searches = self.exact_checks = 0
 
@@ -501,14 +496,12 @@ def _rebuild_pair_list(state: ParticleState, box: SimBox, w: _Work):
     reach = max((OUTER_RANGE - r_cut) / 2.0 * (1.0 - 1e-9) - side * 2.0**-48, 0.0)
     w.outer_moved += w.moved  # NaN fails the test below, as inf does
     outer = w.outer
-    if (outer is None or outer[4] != side or outer[2].shape != built.shape
+    if (outer is None or outer[3] != side or outer[2].shape != built.shape
             or not (w.outer_moved < reach * (1.0 - 1e-9)
                     or _moved_within(built, outer[2], side, reach, w.buf))):
         w.searches += 1
-        order = None if outer is None else outer[3]
         outer = w.outer = None  # freed before the search, which sets the peak
-        oi, oj, order = _candidate_pairs(built, side, OUTER_RANGE, order)
-        outer = w.outer = (*_canonical(oi, oj, len(built)), built, order, side)
+        outer = w.outer = (*_candidate_pairs(built, side, OUTER_RANGE), built, side)
         w.outer_moved = 0.0
     # the fresh search's filter, exactly (a NaN distance fails it); the mask
     # keeps the canonical order
@@ -526,15 +519,15 @@ def compute_forces(state: ParticleState, box: SimBox):
     """
     # the positions may have been edited since the last step's bound
     _work(state).outer_moved = math.inf
-    terms = _current_terms(state, box)
+    terms = _current_terms(state, box, False)
     return _pair_interactions(state.positions, state.species, box,
                               *state.pair_list[:2], terms)
 
 
-def _current_terms(state: ParticleState, box: SimBox) -> _PairTerms:
-    """The terms of the state's pair list, rebuilt first if missing or stale."""
+def _current_terms(state: ParticleState, box: SimBox, known: bool) -> _PairTerms:
+    """The terms of the state's pair list, rebuilt first if missing or stale;
+    ``known`` says that the running bound already shows it current."""
     w = _work(state)
-    known, w.list_current = w.list_current, False
     if not (known or _pair_list_current(state, box, w)):
         state.pair_list = _rebuild_pair_list(state, box, w)
     if w.pair_list is not state.pair_list:
@@ -585,15 +578,13 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
     positions = draw(np.ones(len(species), dtype=bool))
 
     min_sep = 0.8 * _SIG_TABLE[Species.AR, Species.AR]
-    order = None
     for _ in range(100):
-        ii, jj, order = _candidate_pairs(positions, side, LJ_CUTOFF + SKIN, order)
-        d = minimum_image(positions[ii] - positions[jj], box)
-        close = np.einsum("ij,ij->i", d, d) < min_sep**2
+        ii, jj = _candidate_pairs(positions, side, LJ_CUTOFF + SKIN)
+        close = _image_r2(positions, ii, positions, jj, side) < min_sep**2
         if not np.any(close):
             break
         offenders = np.zeros(len(species), dtype=bool)
-        offenders[np.maximum(ii[close], jj[close])] = True
+        offenders[jj[close]] = True
         positions[offenders] = draw(offenders)
     else:
         raise GasdiffError("could not place particles without overlaps")
@@ -609,7 +600,7 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
         velocities=velocities,
         species=species,
         time=0.0,
-        pair_list=(*_canonical(ii, jj, len(species)), positions),
+        pair_list=(ii, jj, positions),
     )
 
 
@@ -679,7 +670,7 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         # check, and side * 2^-49 the rounding of x + dt * v and the wrap.
         w.moved += (cfg.dt * math.sqrt(max(fastest2, w.v2_built)) * (1.0 + 1e-9)
                     + box.side * 2.0**-49)
-        current = w.list_current = w.moved < 0.5 * SKIN * (1.0 - 1e-9)
+        current = w.moved < 0.5 * SKIN * (1.0 - 1e-9)
         if not current:  # a search may follow, and it reads every velocity
             flat_v[listed_active] = vh
     else:
@@ -687,7 +678,7 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         kick *= half_dt
         v += kick
         w.moved = w.outer_moved = math.inf
-        current = w.list_current = False
+        current = False
         w.vdt = np.multiply(v, cfg.dt)
     x += w.vdt
     if current:  # only the border set can have crossed an edge
@@ -696,7 +687,7 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
     else:
         _wrap(x, box.side)
     state.time = state.time + cfg.dt
-    terms = _current_terms(state, box)
+    terms = _current_terms(state, box, current)
     # the forces on the listed components, made their half kick below
     kick, potential = _listed_interactions(x, box, *state.pair_list[:2], terms)
     searched = state.pair_list is not listed
@@ -763,6 +754,8 @@ def iter_frames(cfg: MDConfig, box: SimBox, n_steps: int):
     """
     from .trajectory_io import Frame
 
+    if n_steps < 0:
+        raise ValueError(f"step count must be nonnegative, got {n_steps}")
     state = init_state(cfg, box)
     forces, potential = compute_forces(state, box)
     # every frame shares one read-only copy of ids and species
@@ -827,10 +820,10 @@ class MSDAccumulator:
         self.times.append(frame.time_fs)
         if self._mask is None:
             self._mask = frame.species == int(self.species)
-            self._prev = frame.positions[self._mask]
+            self._prev = frame.finite_positions(self._mask)
             self._disp = np.zeros_like(self._prev)
         else:
-            pos = frame.positions[self._mask]
+            pos = frame.finite_positions(self._mask)
             self._disp += minimum_image(pos - self._prev, self.box)
             self._prev = pos
         if len(self._disp):

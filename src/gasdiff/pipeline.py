@@ -257,12 +257,14 @@ def run_reproduce(preset: Preset, seeds, n_values=None, out_dir: Path = Path("."
     ``table.csv`` (N, mean D_opt, mean cost, mean CI) and ``report.json``
     holding the per-seed numbers that the averages came from.
     """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("no seeds given")
     if n_values is not None:
         preset = replace(preset, n_values=tuple(n_values))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    seeds = list(seeds)
     runs = [_run_one_seed(preset, seed, out_dir / f"seed_{seed}", manifest_writer)
             for seed in seeds]
 

@@ -81,6 +81,16 @@ class Frame:
     def n_particles(self) -> int:
         return len(self.ids)
 
+    def finite_positions(self, rows: np.ndarray) -> np.ndarray:
+        """``positions[rows]``; a non-finite coordinate among them is a
+        ParseError that names the frame's timestep and the particle's id."""
+        pos = self.positions[rows]
+        bad = ~np.isfinite(pos).all(axis=1)
+        if bad.any():
+            raise ParseError(f"frame at timestep {self.timestep}: particle "
+                             f"{self.ids[rows][bad][0]} has a non-finite position")
+        return pos
+
 
 @dataclass
 class Trajectory:
@@ -94,8 +104,8 @@ class Trajectory:
     has_velocities: bool = True
 
     def __post_init__(self):
-        if self.box_side <= 0:
-            raise ValueError("box side must be positive")
+        if not 0.0 < self.box_side < math.inf:
+            raise ValueError(f"box side must be positive and finite, got {self.box_side!r}")
         steps = [f.timestep for f in self.frames]
         if any(b <= a for a, b in zip(steps, steps[1:])):
             raise ValueError("frame timesteps must be strictly increasing")
@@ -437,9 +447,13 @@ def _native_header(lines, path):
         text, at = header[key]
         return parse(text, path, at)
 
+    box_side = number("box", _parse_float)
+    if not 0.0 < box_side < math.inf:
+        raise ParseError(f"box side must be positive and finite, got {box_side!r}",
+                         path=path, line=header["box"][1])
     try:
         traj = Trajectory(
-            box_side=number("box", _parse_float),
+            box_side=box_side,
             units=header.get("units", ("real",))[0],
             dt=number("dt", _parse_float),
             seed=number("seed", _parse_int),
@@ -651,8 +665,9 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
                                  path=path, line=i)
             lo, hi = bounds[0]
             side = hi - lo
-            if side <= 0:
-                raise ParseError("box has nonpositive extent", path=path, line=i)
+            if not 0.0 < side < math.inf:
+                raise ParseError(f"box extent must be positive and finite, got {side!r}",
+                                 path=path, line=i - len(bounds) + 1)  # the x bounds
             if box_side is None:
                 box_side = side
 

@@ -285,6 +285,98 @@ class TestMalformedLastFrame:
         assert not out.exists() or list(out.iterdir()) == []
 
 
+def assert_one_line_error(capsys, message):
+    err = capsys.readouterr().err
+    assert err.startswith("gasdiff: ") and err.count("\n") == 1, err
+    assert message in err and "Traceback" not in err
+
+
+class TestValuesOutsideTheirDomain:
+    """Options and input files the model cannot use exit 2 and 3 with a
+    one-line message and write nothing."""
+
+    FIT_SCALE = ["--scale-box-cm", 2.5e-5, "--scale-time-s", 1e-9]
+    MD_RUN = ["md-run", "--n-he", 20, "--n-ar", 20, "--box", 1000.0, "--steps", 10,
+              "--stride", 5]
+    COST_CURVE = ["cost-curve", "--binned", "{binned}", *FIT_SCALE,
+                  "--init-from-frame0", "--d-min", 0.01, "--d-max", 0.2]
+
+    @pytest.mark.parametrize("command, message", [
+        (["fit", "--binned", "{binned}", *FIT_SCALE, "--substeps", 0],
+         "substeps must be >= 1"),
+        (["fit", "--binned", "{binned}", *FIT_SCALE, "--substeps", -1],
+         "substeps must be >= 1"),
+        ([*COST_CURVE, "--substeps", 0], "substeps must be >= 1"),
+        ([*COST_CURVE, "--points", 0], "diffusion grid is empty"),
+        ([*MD_RUN, "--steps", -1], "step count must be nonnegative"),
+        (["reproduce", "--seeds", ""], "no seeds given"),
+        ([*MD_RUN, "--box", "nan"], "box side must be positive and finite"),
+        ([*MD_RUN, "--box", "inf"], "box side must be positive and finite"),
+        ([*MD_RUN, "--dt", "nan"], "time step and temperature must be positive"),
+        ([*MD_RUN, "--dt", "inf"], "time step and temperature must be positive"),
+        ([*MD_RUN, "--temp", "nan"], "time step and temperature must be positive"),
+        ([*MD_RUN, "--temp", "inf"], "time step and temperature must be positive"),
+        (["fd-run", "--D", "inf"], "diffusion coefficient must be positive and finite"),
+        (["amp-plot", "--D", "nan"], "diffusion coefficient must be positive and finite"),
+        ([*COST_CURVE[:-4], "--d-min", "nan", "--d-max", 0.2],
+         "diffusion grid must be positive and finite"),
+        (["fit", "--binned", "{binned}", *FIT_SCALE, "--d0", "nan"],
+         "initial diffusion guess must be positive and finite"),
+        (["fit", "--binned", "{binned}", "--scale-box-cm", "inf"],
+         "unit scale factors must be positive and finite"),
+    ])
+    def test_option_exits_2(self, tmp_path, capsys, binned_dir, command, message):
+        out = tmp_path / "out"
+        argv = [str(a).format(binned=binned_dir) for a in command]
+        capsys.readouterr()
+        assert run_cli(*argv, "--out", out / "result") == 2
+        assert_one_line_error(capsys, message)
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
+        ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
+    ])
+    @pytest.mark.parametrize("fault", ["nan x", "nan box", "inf box"])
+    def test_non_finite_input_exits_3(self, tmp_path, capsys, small_traj, command, fault):
+        if fault == "nan x":  # converts, as the dump's numbers are read as given
+            dump = tmp_path / "nan.dump"
+            dump.write_text("".join(
+                f"ITEM: TIMESTEP\n{t}\nITEM: NUMBER OF ATOMS\n2\n"
+                "ITEM: BOX BOUNDS pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5\n"
+                f"ITEM: ATOMS id type x y\n1 1 5.0 5.0\n7 2 {x} 9.0\n"
+                for t, x in ((0, "8.0"), (10, "nan"), (20, "8.5"))))
+            traj = tmp_path / "nan.txt"
+            assert run_cli("convert", "--in", dump, "--to", "native", "--out", traj) == 0
+            message = "gasdiff: frame at timestep 10: particle 7 has a non-finite position"
+        else:
+            traj = tmp_path / "bad.txt"
+            text = small_traj.read_text()
+            assert "#box 2500.0\n" in text
+            traj.write_text(text.replace("#box 2500.0\n", f"#box {fault[:3]}\n"))
+            message = (f"gasdiff: {traj}:2: box side must be positive and finite, "
+                       f"got {fault[:3]}")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(traj=traj, out=out) for a in command]) == 3
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+
+    @pytest.mark.parametrize("hi", ["nan", "inf", "-1.0"])
+    def test_dump_box_bounds_outside_zero_to_inf_exit_3(self, tmp_path, capsys, hi):
+        dump = tmp_path / "bad.dump"
+        dump.write_text("ITEM: TIMESTEP\n0\nITEM: NUMBER OF ATOMS\n1\n"
+                        f"ITEM: BOX BOUNDS pp pp pp\n0.0 {hi}\n0.0 100.0\n-0.5 0.5\n"
+                        "ITEM: ATOMS id type x y\n1 1 5.0 5.0\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("convert", "--in", dump, "--to", "native",
+                       "--out", out / "t.txt") == 3
+        assert_one_line_error(capsys, f"{dump}:6: box extent must be positive and finite, got {hi}")
+        assert not out.exists() or list(out.iterdir()) == []
+
+
 class TestHeatmapCli:
     def test_valid_xml_and_top_bin(self, tmp_path):
         field_path = tmp_path / "f.csv"

@@ -357,11 +357,11 @@ class TestInitState:
         searches = []
         search = md._candidate_pairs
 
-        def recording(pos, side, r_cut, order=None):
-            ii, jj, order = search(pos, side, r_cut, order)
+        def recording(pos, side, r_cut):
+            ii, jj = search(pos, side, r_cut)
             assert r_cut == LJ_CUTOFF + SKIN
             searches.append((pos.copy(), ii, jj))
-            return ii, jj, order
+            return ii, jj
 
         monkeypatch.setattr(md, "_candidate_pairs", recording)
         cfg = MDConfig(n_he=400, n_ar=400, seed=1)
@@ -373,12 +373,11 @@ class TestInitState:
         for pos, ii, jj in searches:
             assert pairs_closer_than(min_sep, pos, box, ii, jj) == \
                 pairs_closer_than(min_sep, pos, box,
-                                  *search(pos, box.side, LJ_CUTOFF)[:2])
+                                  *search(pos, box.side, LJ_CUTOFF))
 
         ii, jj, built = state.pair_list
         assert np.array_equal(built, state.positions)
-        ref_i, ref_j = canonical(*searches[-1][1:])
-        assert np.array_equal(ii, ref_i) and np.array_equal(jj, ref_j)
+        assert np.array_equal(ii, searches[-1][1]) and np.array_equal(jj, searches[-1][2])
         n_searches = len(searches)
         compute_forces(state, box)
         assert len(searches) == n_searches  # the first force call reuses it
@@ -468,7 +467,7 @@ class TestComputeForces:
         state = ParticleState(positions=positions, velocities=np.zeros((n, 2)),
                               species=species)
         r_cut = LJ_CUTOFF + SKIN
-        fresh = md._candidate_pairs(positions, side, r_cut)[:2]
+        fresh = md._candidate_pairs(positions, side, r_cut)
         # built where each particle was up to 0.45 SKIN away: stale, but
         # within half the skin
         angle = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -479,8 +478,8 @@ class TestComputeForces:
         shuffled = rng.permutation(len(fresh[0]))
         lists = {
             "fresh": fresh,
-            "stale": md._candidate_pairs(built, side, r_cut)[:2],
-            **{f"wide {r}": md._candidate_pairs(positions, side, r)[:2]
+            "stale": md._candidate_pairs(built, side, r_cut),
+            **{f"wide {r}": md._candidate_pairs(positions, side, r)
                for r in (30.0, 45.0, 60.0)},
             "shuffled": (fresh[0][shuffled], fresh[1][shuffled]),
             "flipped": (np.where(flip, fresh[1], fresh[0]),
@@ -488,7 +487,7 @@ class TestComputeForces:
         }
         assert len({len(ii) for ii, _ in lists.values()}) >= 4
         ref_forces, ref_potential = md._pair_interactions(
-            positions, species, box, *canonical(*fresh))
+            positions, species, box, *fresh)
         for name, (ii, jj) in lists.items():
             assert pairs_closer_than(LJ_CUTOFF, positions, box, ii, jj) == \
                 pairs_closer_than(LJ_CUTOFF, positions, box, *fresh), name
@@ -533,7 +532,7 @@ class TestPairList:
         for _ in range(n_steps):
             state, forces, potential = verlet_step(state, forces, cfg, box)
             ii, jj = state.pair_list[:2]
-            fresh = search(state.positions, box.side, LJ_CUTOFF)[:2]
+            fresh = search(state.positions, box.side, LJ_CUTOFF)
             assert pairs_closer_than(LJ_CUTOFF, state.positions, box, ii, jj) == \
                 pairs_closer_than(LJ_CUTOFF, state.positions, box, *fresh)
             ref_forces, ref_potential = md._pair_interactions(
@@ -543,7 +542,7 @@ class TestPairList:
             assert potential == pytest.approx(ref_potential, rel=1e-12)
         assert 2 <= len(rebuilt) < n_steps
         for ii, jj, built in rebuilt:  # each list is a search at the list range
-            fresh = canonical(*search(built, box.side, LJ_CUTOFF + SKIN)[:2])
+            fresh = search(built, box.side, LJ_CUTOFF + SKIN)
             assert np.array_equal(ii, fresh[0]) and np.array_equal(jj, fresh[1])
 
     def test_head_on_pair_is_listed_before_it_reaches_the_cutoff(self):
@@ -642,27 +641,51 @@ class TestPairList:
             positions[on_edge] = edges[on_edge]
             assert np.any(np.floor(positions / 25.1) != positions // 25.1)
         r_cut = LJ_CUTOFF + SKIN
-        ii, jj, _ = md._candidate_pairs(positions, side, r_cut)
+        ii, jj = md._candidate_pairs(positions, side, r_cut)
         ref_i, ref_j = unfiltered_cell_pairs(positions, side, r_cut)
         d = minimum_image(positions[ref_i] - positions[ref_j], box)
         keep = np.einsum("ij,ij->i", d, d) < r_cut**2
         assert len(ii) < len(ref_i)
-        assert np.array_equal(ii, ref_i[keep]) and np.array_equal(jj, ref_j[keep])
+        ref_i, ref_j = canonical(ref_i[keep], ref_j[keep])
+        assert np.array_equal(ii, ref_i) and np.array_equal(jj, ref_j)
 
-    def test_warm_started_search_matches_a_cold_one(self):
+    @pytest.mark.parametrize("side, n, crowded", [
+        (5.0e4, 60000, False),  # paper density
+        (1.0e12, 60, False),    # cells capped so that cid * n + i fits in int64
+        (5.0e3, 0, False), (5.0e3, 1, False), (5.0e3, 2, False),
+        (250.0, 400, True),     # half the particles in one cell
+    ])
+    def test_packed_key_sort_is_the_stable_argsort(self, side, n, crowded):
+        rng = np.random.default_rng(n)
+        positions = rng.uniform(0.0, side, (n, 2))
+        if crowded:
+            positions[:n // 2] = rng.uniform(100.0, 110.0, (n // 2, 2))
+        positions[n - 1:] = np.nextafter(side, 0.0)  # in the last cell
+        n_side = md._cells_per_axis(side, n, LJ_CUTOFF + SKIN)
+        coords = md._cell_coords(positions, side, n_side)
+        cid = coords[:, 0] * n_side + coords[:, 1]
+        if side == 1.0e12:
+            assert n_side < side // (LJ_CUTOFF + SKIN) and int(cid.max()) * n > 2**62
+        sorted_cid, order = md._sorted_cells(positions, side, n_side)
+        ref = np.argsort(cid, kind="stable")
+        assert np.array_equal(order, ref) and np.array_equal(sorted_cid, cid[ref])
+        if crowded:
+            assert np.bincount(cid).max() >= n // 2
+
+    def test_a_search_does_not_depend_on_what_ran_before_it(self):
         cfg = MDConfig(n_he=300, n_ar=300, temperature=2000.0, seed=3)
         box = SimBox(side=1000.0)
         state = init_state(cfg, box)
+        positions, r_cut = state.positions.copy(), LJ_CUTOFF + SKIN
+        first = md._candidate_pairs(positions, box.side, r_cut)
         forces, _ = compute_forces(state, box)
-        for _ in range(30):
+        for _ in range(100):
             state, forces, _ = verlet_step(state, forces, cfg, box)
-        r_cut = LJ_CUTOFF + SKIN
-        cold = md._candidate_pairs(state.positions, box.side, r_cut)
-        shuffled = np.random.default_rng(0).permutation(state.n_particles)
-        for order in (state._work.outer[3], shuffled, cold[2]):
-            warm = md._candidate_pairs(state.positions, box.side, r_cut, order)
-            for a, b in zip(warm, cold):
-                assert np.array_equal(a, b)
+        assert state._work.searches >= 2  # outer searches ran in between
+        shuffled = np.random.default_rng(0).permutation(positions)
+        md._candidate_pairs(shuffled, box.side, r_cut)
+        again = md._candidate_pairs(positions, box.side, r_cut)
+        assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
 
     def test_huge_box_pairs_across_the_periodic_edge(self):
         # cid * n + i would overflow int64 with 25 A cells in this box
@@ -670,7 +693,7 @@ class TestPairList:
         box = SimBox(side=side)
         positions = np.array([[1.0, 5.0e11], [side - 4.0, 5.0e11],
                               [3.0e11, 3.0e11], [3.0e11 + 7.0, 3.0e11 + 7.0]])
-        ii, jj, _ = md._candidate_pairs(positions, side, LJ_CUTOFF + SKIN)
+        ii, jj = md._candidate_pairs(positions, side, LJ_CUTOFF + SKIN)
         assert pairs_closer_than(LJ_CUTOFF + SKIN, positions, box, ii, jj) == {(0, 1), (2, 3)}
         assert len(ii) == 2
 
@@ -688,7 +711,7 @@ def check_rebuilds(monkeypatch):
         pair_list = rebuild(state, box, w)
         seen["outer"] += w.outer is not outer
         built, r_cut = pair_list[2], LJ_CUTOFF + SKIN
-        ii, jj = canonical(*search(built, box.side, r_cut)[:2])
+        ii, jj = search(built, box.side, r_cut)
         assert np.array_equal(pair_list[0], ii) and np.array_equal(pair_list[1], jj)
         n_side = md._cells_per_axis(box.side, len(built), r_cut)
         coords = md._cell_coords(built, box.side, n_side)
@@ -859,15 +882,15 @@ class TestDualList:
         searched = []
         search = md._candidate_pairs
 
-        def recording_search(pos, side, r_cut, order=None):
+        def recording_search(pos, side, r_cut):
             searched.append(r_cut)
-            return search(pos, side, r_cut, order)
+            return search(pos, side, r_cut)
 
         monkeypatch.setattr(md, "_candidate_pairs", recording_search)
         with np.errstate(invalid="ignore"):
             ii, jj, built = md._rebuild_pair_list(state, SimBox(side=side),
                                                   md._work(state))
-            fresh = canonical(*search(positions, side, LJ_CUTOFF + SKIN)[:2])
+            fresh = search(positions, side, LJ_CUTOFF + SKIN)
         assert searched == [OUTER_RANGE]  # pruned from the outer search alone
         assert np.array_equal(ii, fresh[0]) and np.array_equal(jj, fresh[1])
         assert np.array_equal(built, positions, equal_nan=True)
@@ -1038,9 +1061,9 @@ class TestInPlaceStep:
         given_to_search = []
         search, rebuild = md._candidate_pairs, md._rebuild_pair_list
 
-        def recording_search(pos, side, r_cut, order=None):
+        def recording_search(pos, side, r_cut):
             given_to_search.append((pos, pos.copy()))
-            return search(pos, side, r_cut, order)
+            return search(pos, side, r_cut)
 
         def recording_rebuild(*args):
             pair_list = rebuild(*args)

@@ -608,6 +608,9 @@ def whole_file_read_native(path) -> Trajectory:
         return parse(text, path, line)
 
     box_side = number("box", parse_float)
+    if not 0.0 < box_side < np.inf:
+        raise ParseError(f"box side must be positive and finite, got {box_side!r}",
+                         path=path, line=header["box"][1])
     frames = []
     while i < len(lines):
         if not lines[i].strip():
@@ -688,6 +691,8 @@ MALFORMED_NATIVE = {
     "no box": GOOD_NATIVE.replace("#box 100.0\n", ""),
     "bad box": GOOD_NATIVE.replace("#box 100.0", "#box wide"),
     "negative box": GOOD_NATIVE.replace("#box 100.0", "#box -1.0"),
+    "nan box": GOOD_NATIVE.replace("#box 100.0", "#box nan"),
+    "inf box": GOOD_NATIVE.replace("#box 100.0", "#box inf"),
     "bad dt": GOOD_NATIVE.replace("#dt 5.0", "#dt soon"),
     "not a FRAME line": GOOD_NATIVE.replace("FRAME 10 50.0 -1.25", "FRAMES 10 50.0"),
     "bad timestep": GOOD_NATIVE.replace("FRAME 10 ", "FRAME ten "),
@@ -749,6 +754,15 @@ class TestStreamingNativeReader:
             with pytest.raises(ParseError, match="non-numeric field") as err:
                 read(path)
             assert err.value.line == line
+
+    @pytest.mark.parametrize("case", ["negative box", "nan box", "inf box"])
+    def test_box_side_outside_zero_to_inf_names_its_line(self, tmp_path, case):
+        path = tmp_path / "bad.txt"
+        path.write_text(MALFORMED_NATIVE[case])
+        for read in (whole_file_read_native, read_native, read_native_header):
+            with pytest.raises(ParseError, match="box side must be positive and finite") as err:
+                read(path)
+            assert err.value.line == 2
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
