@@ -75,8 +75,9 @@ adds above what the process peaked at before it (``RUSAGE_SELF``), and D,
 cost and CI95.  The record keeps every run, the per-tree medians and, for
 each tree against the first, the per-round ratios of both times.
 
-The record also holds the lines of each tree's ``gasdiff/*.py``
-(``src_lines``), so that a change's net source lines come from it.
+The record also holds the lines of each tree's ``gasdiff/*.py``, in
+total (``src_lines``) and per module (``src_lines_by_module``), so that a
+change's net source lines, and each module's, come from it.
 
     python3 scripts/bench.py --out bench.json parent=../parent/src change=src
 """
@@ -389,10 +390,10 @@ def fit_runs(trees: dict) -> dict:
     }
 
 
-def src_lines(src: str) -> int:
-    """Lines in the tree's gasdiff/*.py."""
-    return sum(len(path.read_bytes().splitlines())
-               for path in (Path(src) / "gasdiff").glob("*.py"))
+def src_lines_by_module(src: str) -> dict:
+    """Lines in each of the tree's gasdiff/*.py, by file name."""
+    return {path.name: len(path.read_bytes().splitlines())
+            for path in sorted((Path(src) / "gasdiff").glob("*.py"))}
 
 
 def median(values: list):
@@ -540,6 +541,7 @@ def main():
                   f"{result['overlap_md_write_ms']:.0f} ms",
                   flush=True)
     fit = fit_runs(trees)
+    src_lines = {name: src_lines_by_module(src) for name, src in trees.items()}
     import numpy
 
     record = {
@@ -564,7 +566,8 @@ def main():
                       "blas_threads": 1},
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": numpy.__version__},
-        "src_lines": {name: src_lines(src) for name, src in trees.items()},
+        "src_lines": {name: sum(lines.values()) for name, lines in src_lines.items()},
+        "src_lines_by_module": src_lines,
         "interleaved": interleaved,
         "median_of_runs": {name: {key: median([r[key] for r in results])
                                   for key in results[0]}

@@ -54,24 +54,18 @@ class BinnedSeries:
         return cls(grid=fields[0].grid, frames=frames, normalization_max=None)
 
 
-def bin_counts(positions: np.ndarray, box: SimBox, grid: GridSpec,
-               species: np.ndarray | None = None,
-               keep: Species | None = None) -> np.ndarray:
+def bin_counts(positions: np.ndarray, box: SimBox, grid: GridSpec) -> np.ndarray:
     """Per-cell particle counts for one frame.
 
-    ``positions`` are wrapped coordinates in Angstroms; with ``species`` and
-    ``keep`` given, only the matching particles are counted.  A coordinate
+    ``positions`` are wrapped coordinates in Angstroms.  A coordinate
     exactly at the box side wraps to cell 0.
     """
     if grid.d != 2:
         raise ValueError("binning is defined for d=2 grids")
-    if species is not None and keep is not None:
-        positions = positions[np.asarray(species) == int(keep)]
     idx = np.floor(grid.n * np.asarray(positions) / box.side).astype(np.int64)
     idx %= grid.n
-    counts = np.zeros((grid.n, grid.n), dtype=np.int64)
-    np.add.at(counts, (idx[:, 0], idx[:, 1]), 1)
-    return counts
+    cells = np.bincount(idx[:, 0] * grid.n + idx[:, 1], minlength=grid.num_cells)
+    return cells.reshape(grid.n, grid.n)
 
 
 def normalize_series(count_frames, grid: GridSpec,

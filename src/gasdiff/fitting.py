@@ -10,7 +10,8 @@ CN is diagonal in Fourier modes, so no solve is run: with s FD steps per
 observed frame, model frame f is rho(D)^(f s) times the initial modes, and J
 is exactly f s rho^(f s - 1) drho/dD times them.  The modes are each frame's
 real-FFT half spectrum, weighted so that ||r||^2 is the sum over cells.  The
-fit reads only r.r, J^T r and J^T J, summed one frame at a time.
+fit reads only r.r, J^T r and J^T J, summed one frame at a time; the cost
+and the cost curve form r alone.
 """
 
 from __future__ import annotations
@@ -117,9 +118,10 @@ class FitProblem:
         return observed, patch
 
 
-def _frames(problem: FitProblem, diffusion: float):
+def _frames(problem: FitProblem, diffusion: float, jacobian: bool = True):
     """Run the CN model frame by frame, yielding in reused buffers frame f's
-    residual modes and d(model)/dD: f s times model frame f - 1 times lead."""
+    residual modes and d(model)/dD: f s times model frame f - 1 times lead.
+    Without ``jacobian`` the second is None and is not formed."""
     if not 0.0 < diffusion < np.inf:
         raise ValueError("diffusion coefficient must be positive and finite, "
                          f"got {diffusion!r}")
@@ -134,16 +136,17 @@ def _frames(problem: FitProblem, diffusion: float):
     # both factors are real: repeated for each mode's real and imaginary part,
     # they scale the float views at half the work of a complex product
     lead, rho_frame = (np.repeat(x, 2, axis=-1) for x in (lead, rho ** s))
-    residual, jacobian = np.empty_like(initial), np.zeros_like(initial)
-    obs, r, j = (a.view(np.float64) for a in (observed, residual, jacobian))
+    residual, derivative = np.empty_like(initial), np.zeros_like(initial)
+    obs, r, j = (a.view(np.float64) for a in (observed, residual, derivative))
     model = initial.view(np.float64).copy()
     for f in range(len(observed)):
         if f:
-            np.multiply(lead, f * s, out=j)
-            j *= model
+            if jacobian:
+                np.multiply(lead, f * s, out=j)
+                j *= model
             model *= rho_frame
         np.subtract(obs[f], model, out=r)
-        yield residual, jacobian
+        yield residual, derivative if jacobian else None
 
 
 def _sums(problem: FitProblem, diffusion: float) -> tuple[float, float, float]:
@@ -160,13 +163,14 @@ def _sums(problem: FitProblem, diffusion: float) -> tuple[float, float, float]:
 def residuals(problem: FitProblem, diffusion: float) -> np.ndarray:
     """Weighted modes of (observed - model) over all frames as one float
     vector (real and imaginary parts interleaved): r.r is the sum over cells."""
-    frames = [residual.copy() for residual, _ in _frames(problem, diffusion)]
+    frames = [residual.copy() for residual, _ in _frames(problem, diffusion, False)]
     return np.concatenate(frames, axis=None).view(np.float64)
 
 
 def cost(problem: FitProblem, diffusion: float) -> float:
     """Mean-square deviation r.r / N^2 (no frame-count factor)."""
-    return _sums(problem, diffusion)[0] / problem.grid.num_cells
+    rr = sum(np.vdot(r, r).real for r, _ in _frames(problem, diffusion, False))
+    return float(rr) / problem.grid.num_cells
 
 
 def confidence_interval_95(jtj: float, rr: float, num_observations: int) -> float:

@@ -36,17 +36,17 @@ trailer closes it: the magic ``gasdiff-frames 1``, the particle and frame
 counts, the text's byte length and SHA-256, and the SHA-256 of the frame
 records.  The writer keeps the sidecar only when every frame parses back
 from its text bit for bit and would be accepted (finite values, |id| and
-|timestep| <= 2**62, increasing timesteps, one particle count).
-iter_native yields the sidecar's frames when its trailer, its records and
-the text all match; otherwise it parses the text.
+|timestep| <= 2**62, and _order_fault's frame-order rule).  iter_native
+yields the sidecar's frames when its trailer, its records and the text all
+match; otherwise it parses the text.
 
-The LAMMPS reader handles orthogonal-box text dumps with header-driven
-column order, unscaled (x y) or scaled (xs ys) coordinates, and ignores any
-z column.  Both text formats parse their particle rows with one parser,
-_parse_rows, which converts whole columns a block of rows at a time and,
-when a row is malformed, walks that block's rows to the first bad one.
-Every malformed input raises ParseError with a line number; no input may
-crash the parser.
+The LAMMPS reader handles text dumps of a square, orthogonal, fixed box
+with header-driven column order, unscaled (x y) or scaled (xs ys)
+coordinates, and ignores any z column.  Both text formats parse their
+particle rows with one parser, _parse_rows, which converts whole columns a
+block of rows at a time and, when a row is malformed, walks that block's
+rows to the first bad one.  Every malformed input raises ParseError with a
+line number; no input may crash the parser.
 """
 
 from __future__ import annotations
@@ -106,12 +106,10 @@ class Trajectory:
     def __post_init__(self):
         if not 0.0 < self.box_side < math.inf:
             raise ValueError(f"box side must be positive and finite, got {self.box_side!r}")
-        steps = [f.timestep for f in self.frames]
-        if any(b <= a for a, b in zip(steps, steps[1:])):
-            raise ValueError("frame timesteps must be strictly increasing")
-        counts = {f.n_particles for f in self.frames}
-        if len(counts) > 1:
-            raise ValueError(f"particle count varies across frames: {sorted(counts)}")
+        heads = [(fr.n_particles, fr.timestep, fr.time_fs) for fr in self.frames]
+        for last, head in zip([None] + heads, heads):
+            if (fault := _order_fault(last, *head)) is not None:
+                raise ValueError(fault[1])
 
     @property
     def n_frames(self) -> int:
@@ -120,6 +118,26 @@ class Trajectory:
     @property
     def n_particles(self) -> int:
         return self.frames[0].n_particles if self.frames else 0
+
+
+def _order_fault(last, n: int, timestep, time_fs) -> tuple[str, str] | None:
+    """The frame-order rule: a frame of ``n`` particles at ``timestep`` and
+    ``time_fs`` has a finite time and, after a frame whose (n, timestep,
+    time_fs) is ``last`` (None before the first), its particle count, a
+    later timestep and a later time.  The part broken ("count", "timestep"
+    or "time") and a message, or None."""
+    if not math.isfinite(time_fs):
+        return "time", f"frame at timestep {timestep} has a non-finite time {float(time_fs)!r}"
+    if last is None:
+        return None
+    if n != last[0]:
+        return "count", f"frame at timestep {timestep} has {n} particles, expected {last[0]}"
+    if timestep <= last[1]:
+        return "timestep", "frame timesteps must be strictly increasing"
+    if time_fs <= last[2]:
+        return "time", (f"frame at timestep {timestep} has time {float(time_fs)!r} fs, "
+                        f"not after {float(last[2])!r}")
+    return None
 
 
 _SIDECAR_MAGIC = b"gasdiff-frames 1"
@@ -168,19 +186,18 @@ def _frame_text(fr: Frame) -> Iterator[str]:
                       for i, s, (x, y), (vx, vy) in rows)
 
 
-def _parses_back(fr: Frame, n: int | None, last: int | None) -> bool:
-    """Whether the text of ``fr``, after a frame of ``n`` particles at
-    timestep ``last`` (None before the first), parses back to ``fr`` bit for
-    bit: dtypes and shapes the parser makes, finite floats (their repr
-    round-trips, -0.0 included), and nothing the parser rejects."""
+def _parses_back(fr: Frame, last) -> bool:
+    """Whether the text of ``fr``, after a frame whose (n, timestep,
+    time_fs) is ``last`` (None before the first), parses back to ``fr`` bit
+    for bit: dtypes and shapes the parser makes, finite floats (their repr
+    round-trips, -0.0 included), and nothing the readers reject."""
     ts, count = fr.timestep, len(fr.ids)
     arrays = (fr.ids, fr.species, fr.positions, fr.velocities)
     return ((type(ts) is int or isinstance(ts, np.integer)) and abs(int(ts)) <= 2**62
-            and (last is None or ts > last) and n in (None, count)
+            and _order_fault(last, count, ts, float(fr.time_fs)) is None
             and all(isinstance(a, np.ndarray) and a.dtype == dtype
                     and a.shape == (count, *cols)
                     for a, (dtype, cols) in zip(arrays, _COLUMNS))
-            and math.isfinite(float(fr.time_fs))
             and (fr.energy is None or math.isfinite(float(fr.energy)))
             and bool(np.isfinite(fr.positions).all() and np.isfinite(fr.velocities).all())
             and (count == 0 or -2**62 <= fr.ids.min() <= fr.ids.max() <= 2**62))
@@ -240,22 +257,22 @@ def _write_frames(fh, side_fh, path, text_sha, exact: bool, frames: Iterable[Fra
 
     records_sha = hashlib.sha256()
     with fh, side_fh:
-        n = last = None
+        last = None  # (n, timestep, time_fs) of the last frame recorded
         count = 0
         for fr in frames:
             for text in _frame_text(fr):
                 data = text.encode("utf-8")
                 text_sha.update(data)
                 fh.write(data)
-            exact = exact and _parses_back(fr, n, last)
+            exact = exact and _parses_back(fr, last)
             if exact:
                 for part in _frame_record(fr):
                     records_sha.update(part)
                     side_fh.write(part)
-                n, last, count = len(fr.ids), fr.timestep, count + 1
+                last, count = (len(fr.ids), fr.timestep, float(fr.time_fs)), count + 1
         if exact:
-            side_fh.write(_TRAILER.pack(_SIDECAR_MAGIC, n or 0, count, fh.tell(),
-                                        text_sha.digest(), records_sha.digest()))
+            side_fh.write(_TRAILER.pack(_SIDECAR_MAGIC, last[0] if last else 0, count,
+                                        fh.tell(), text_sha.digest(), records_sha.digest()))
     side = sidecar_path(path)
     if exact:
         os.replace(f"{side}.tmp", side)
@@ -372,6 +389,8 @@ _SPECIES_CODE = {label: int(sp) for label, sp in SPECIES_BY_LABEL.items()}
 def _column(kind, tokens) -> np.ndarray:
     """``tokens`` parsed as ``kind``; ValueError, KeyError or OverflowError
     if one is malformed."""
+    if isinstance(kind, tuple):  # (int, codes): the codes hold no key beyond 2**62
+        tokens, kind = map(int, tokens), kind[1]
     parse = kind.__getitem__ if isinstance(kind, dict) else kind
     values = np.array(list(map(parse, tokens)), np.float64 if kind is float else np.int64)
     if kind is int and len(values) and not -2**62 <= values.min() <= values.max() <= 2**62:
@@ -386,10 +405,11 @@ _ROW_BLOCK = 4096
 def _parse_rows(rows: list[str], first_line: int, path, kinds, in_row: str = ""):
     """Particle rows, the first on line ``first_line``, parsed by column:
     per entry of ``kinds`` an int64 array (``int``, |v| <= 2**62), a float64
-    array (``float``), the int64 codes of a dict's labels, or None (None
-    skips the column).  A malformed row raises ParseError at the first such
-    line; ``in_row`` goes into the column-count message.  The rows are
-    split and converted _ROW_BLOCK at a time."""
+    array (``float``), the int64 codes of a dict's labels or of ``(int,
+    codes)``'s integers, or None (None skips the column).  A malformed row
+    raises ParseError at the first such line; ``in_row`` goes into the
+    column-count message.  The rows are split and converted _ROW_BLOCK at a
+    time."""
     columns = [None if kind is None else
                np.empty(len(rows), np.float64 if kind is float else np.int64)
                for kind in kinds]
@@ -413,6 +433,10 @@ def _parse_rows(rows: list[str], first_line: int, path, kinds, in_row: str = "")
                     _parse_int(token, path, line)
                 elif kind is float:
                     _parse_float(token, path, line)
+                elif isinstance(kind, tuple):
+                    if (value := _parse_int(token, path, line)) not in kind[1]:
+                        raise ParseError(f"atom type {value} not in species map",
+                                         path=path, line=line)
                 elif kind is not None and token not in kind:
                     raise ParseError(f"unknown species {token!r}", path=path, line=line)
     return columns
@@ -544,7 +568,7 @@ def iter_native(path) -> Iterator[Frame]:
                 for _ in range(count):
                     yield _sidecar_frame(side, n)
                 return
-        n = last = None  # particle count and timestep of the frames so far
+        last = None  # (n, timestep, time_fs) of the last frame
         while line is not None:
             if not line.strip():
                 line, lineno = next(lines, None), lineno + 1
@@ -562,16 +586,11 @@ def iter_native(path) -> Iterator[Frame]:
             ids, species, x, y, vx, vy = _parse_rows(
                 rows, lineno + 1, path, (int, _SPECIES_CODE, float, float, float, float),
                 " in particle row")
-            lineno += len(rows) + 1
-            if n is not None and len(ids) != n:
-                raise ParseError(
-                    f"frame at timestep {timestep} has {len(ids)} particles, "
-                    f"expected {n}",
-                    path=path, line=lineno - 1,
-                )
-            if last is not None and timestep <= last:
-                raise ParseError("frame timesteps must be strictly increasing", path=path)
-            n, last = len(ids), timestep
+            fault = _order_fault(last, len(ids), timestep, time_fs)
+            if fault is not None:  # a count names the frame's last line, a time its FRAME line
+                raise ParseError(fault[1], path=path, line={
+                    "count": lineno + len(rows), "time": lineno}.get(fault[0]))
+            last, lineno = (len(ids), timestep, time_fs), lineno + len(rows) + 1
             yield Frame(
                 timestep=timestep,
                 time_fs=time_fs,
@@ -588,18 +607,6 @@ def read_native(path) -> Trajectory:
     return replace(read_native_header(path), frames=list(iter_native(path)))
 
 
-def _species_codes(types: np.ndarray, species_map: dict[int, Species], first_line: int,
-                   path) -> np.ndarray:
-    """The species code of each LAMMPS atom type in ``types``, the first of
-    which is on line ``first_line``; ParseError at the first unmapped one."""
-    types = types.tolist()
-    try:
-        return _column({t: int(sp) for t, sp in species_map.items()}, types)
-    except KeyError as exc:  # the first unmapped type, in row order
-        raise ParseError(f"atom type {exc.args[0]} not in species map", path=path,
-                         line=first_line + types.index(exc.args[0])) from None
-
-
 def _expect_item(line, i, name, path):
     """``line``, line i + 1 of the file (None past its end), as the start of
     the ``ITEM: name`` section."""
@@ -612,19 +619,37 @@ def _expect_item(line, i, name, path):
     return line
 
 
+def _item_int(lines, line, i, name, path):
+    """The integer of the one-line ``ITEM: name`` section that starts at
+    ``line``, line i + 1 of the file; then the line after the section and
+    its index, which is also the integer's line number."""
+    _expect_item(line, i, name, path)
+    line, i = next(lines, None), i + 1
+    if line is None:
+        raise ParseError(f"file ends inside {name} section", path=path, line=i)
+    return _parse_int(line.strip(), path, i + 1), next(lines, None), i + 1
+
+
 def parse_lammps_dump(path, species_map: dict[int, Species],
                       dt_fs: float | None = None) -> Trajectory:
-    """Read an orthogonal-box LAMMPS text dump, holding one frame's lines at
-    a time.
+    """Read a LAMMPS text dump of a square, orthogonal, fixed box, holding
+    one frame's lines at a time.
 
     ``species_map`` translates the dump's numeric atom types.  Column order
     is taken from the ``ITEM: ATOMS`` header and must include id, type and
     either x/y or xs/ys; vx/vy are used when present.  Rows are reordered by
-    atom id so frames index consistently.  LAMMPS dumps carry no time unit,
-    so frame times are timestep * dt_fs when given, else the raw timestep.
+    atom id so frames index consistently.  Every frame's x and y bounds must
+    be frame 0's, whose y extent must equal its x extent to 1e-12 relative;
+    x and y are measured from their own lower bounds.  LAMMPS dumps carry no
+    time unit, so frame times are timestep * dt_fs when given (0 < dt_fs <
+    inf), else the raw timestep.  Each frame meets the frame-order rule or
+    raises ParseError at its timestep as soon as it is read.
     """
+    if dt_fs is not None and not 0.0 < dt_fs < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt_fs!r}")
+    codes = {t: int(sp) for t, sp in species_map.items() if abs(t) <= 2**62}
     frames: list[Frame] = []
-    box_side = None
+    box = last = None  # frame 0's x and y bounds; the last frame's (n, timestep, time)
     saw_velocities = False
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = _lines(fh)
@@ -633,24 +658,22 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
             if not line.strip():
                 line, i = next(lines, None), i + 1
                 continue
-            _expect_item(line, i, "TIMESTEP", path)
-            line, i = next(lines, None), i + 1
-            if line is None:
-                raise ParseError("file ends inside TIMESTEP section", path=path, line=i)
-            timestep = _parse_int(line.strip(), path, i + 1)
-            line, i = next(lines, None), i + 1
-
-            _expect_item(line, i, "NUMBER OF ATOMS", path)
-            line, i = next(lines, None), i + 1
-            if line is None:
-                raise ParseError("file ends inside NUMBER OF ATOMS section",
-                                 path=path, line=i)
-            n_atoms = _parse_int(line.strip(), path, i + 1)
+            timestep, line, i = _item_int(lines, line, i, "TIMESTEP", path)
+            ts_line = i
+            n_atoms, line, i = _item_int(lines, line, i, "NUMBER OF ATOMS", path)
             if n_atoms < 0:
-                raise ParseError("negative atom count", path=path, line=i + 1)
-            line, i = next(lines, None), i + 1
+                raise ParseError("negative atom count", path=path, line=i)
+            time_fs = float(timestep) * (dt_fs if dt_fs is not None else 1.0)
+            fault = _order_fault(last, n_atoms, timestep, time_fs)
+            if fault is not None:
+                raise ParseError(fault[1], path=path, line=ts_line)
+            last = n_atoms, timestep, time_fs
 
             _expect_item(line, i, "BOX BOUNDS", path)
+            # only boundary flags (pp, fs, ...): tilt factors or abc vectors are triclinic
+            if not all(len(f) == 2 and set(f) <= set("pfsm") for f in line.split()[3:]):
+                raise ParseError(f"only an orthogonal box is supported, found {line[:40]!r}",
+                                 path=path, line=i + 1)
             line, i = next(lines, None), i + 1
             bounds = []
             while line is not None and not line.startswith("ITEM:"):
@@ -663,13 +686,19 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
             if len(bounds) < 2:
                 raise ParseError("expected at least 2 box bounds lines",
                                  path=path, line=i)
-            lo, hi = bounds[0]
-            side = hi - lo
+            (xlo, xhi), (ylo, yhi) = bounds[:2]
+            side, at = xhi - xlo, i - len(bounds) + 1  # at: the x bounds line
             if not 0.0 < side < math.inf:
                 raise ParseError(f"box extent must be positive and finite, got {side!r}",
-                                 path=path, line=i - len(bounds) + 1)  # the x bounds
-            if box_side is None:
-                box_side = side
+                                 path=path, line=at)
+            if not abs(yhi - ylo - side) <= 1e-12 * side:
+                raise ParseError(f"box must be square: x extent {side!r}, "
+                                 f"y extent {yhi - ylo!r}", path=path, line=at + 1)
+            if box is None:
+                box = bounds[:2]
+            elif bounds[:2] != box:
+                raise ParseError(f"box bounds {bounds[:2]} differ from frame 0's {box}",
+                                 path=path, line=at if bounds[0] != box[0] else at + 1)
 
             columns = _expect_item(line, i, "ATOMS", path).split()[2:]
             col = {name: k for k, name in enumerate(columns)}
@@ -695,19 +724,13 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
                 )
             kinds = [None] * len(columns)
             for name in names:
-                kinds[col[name]] = int if name in ("id", "type") else float
-            try:
-                parsed = _parse_rows(rows, first, path, kinds)
-            except ParseError as exc:
-                # an unmapped atom type on an earlier row is the first fault
-                earlier = _parse_rows(rows[:exc.line - first], first, path, kinds)
-                _species_codes(earlier[col["type"]], species_map, first, path)
-                raise
+                kinds[col[name]] = float
+            kinds[col["id"]], kinds[col["type"]] = int, (int, codes)
+            parsed = _parse_rows(rows, first, path, kinds)
             del rows  # before the next frame's rows are read
-            ids, types, x, y, *v = (parsed[col[name]] for name in names)
-            species = _species_codes(types, species_map, first, path)
+            ids, species, x, y, *v = (parsed[col[name]] for name in names)
             with np.errstate(all="ignore"):  # inf and nan pass, as in Python floats
-                x, y = (x * side, y * side) if scaled else (x - lo, y - lo)
+                x, y = (x * side, y * side) if scaled else (x - xlo, y - ylo)
                 # double mod: a tiny negative coordinate can wrap to exactly side
                 positions = np.column_stack(((x % side) % side, (y % side) % side))
             velocities = np.column_stack(v) if v else np.zeros((n_atoms, 2))
@@ -715,7 +738,7 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
             order = np.argsort(ids, kind="stable")
             frames.append(Frame(
                 timestep=timestep,
-                time_fs=float(timestep) * (dt_fs if dt_fs is not None else 1.0),
+                time_fs=time_fs,
                 ids=ids[order],
                 species=species[order],
                 positions=positions[order],
@@ -723,18 +746,11 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
             ))
             line, i = next(lines, None), i + 1 + n_atoms
 
-    if box_side is None:
+    if not frames:
         raise ParseError("no frames found", path=path, line=1)
-    try:
-        return Trajectory(
-            box_side=box_side,
-            frames=frames,
-            units="real",
-            dt=dt_fs,
-            has_velocities=saw_velocities,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path) from None
+    # side is every frame's x extent, as every frame has frame 0's bounds
+    return Trajectory(box_side=side, frames=frames, units="real", dt=dt_fs,
+                      has_velocities=saw_velocities)
 
 
 def write_lammps_dump(traj: Trajectory, path) -> None:

@@ -15,6 +15,19 @@ from gasdiff.trajectory_io import Frame, Trajectory
 
 
 class TestBinCounts:
+    def test_counts_are_the_int64_tally_of_each_cell(self):
+        rng = np.random.default_rng(3)
+        box, grid = SimBox(side=250.0), GridSpec(d=2, n=9)
+        pos = np.vstack([rng.uniform(0.0, box.side, (500, 2)),
+                         [[250.0, 0.0], [0.0, 250.0], [np.nextafter(250.0, 0.0), 125.0]]])
+        want = np.zeros((9, 9), dtype=np.int64)
+        for x, y in pos:
+            want[int(9 * x / 250.0) % 9, int(9 * y / 250.0) % 9] += 1
+        counts = bin_counts(pos, box, grid)
+        assert counts.dtype == np.int64 and counts.shape == (9, 9)
+        assert np.array_equal(counts, want)
+        assert not bin_counts(np.empty((0, 2)), box, grid).any()
+
     def test_single_particle_lands_in_cell_00(self):
         box = SimBox(side=1000.0)
         counts = bin_counts(np.array([[300.0, 300.0]]), box, GridSpec(d=2, n=2))
@@ -47,7 +60,7 @@ class TestBinCounts:
         box = SimBox(side=100.0)
         pos = np.array([[10.0, 10.0], [60.0, 60.0]])
         species = np.array([int(Species.HE), int(Species.AR)])
-        counts = bin_counts(pos, box, GridSpec(d=2, n=2), species, Species.AR)
+        counts = bin_counts(pos[species == int(Species.AR)], box, GridSpec(d=2, n=2))
         assert counts.sum() == 1
         assert counts[1, 1] == 1
 
@@ -171,7 +184,7 @@ class TestBinTrajectory:
         grid = GridSpec(d=2, n=6)
         box = SimBox(side=traj.box_side)
         want = normalize_series(
-            [(fr.time_fs, bin_counts(fr.positions, box, grid, fr.species, Species.AR))
+            [(fr.time_fs, bin_counts(fr.positions[fr.species == int(Species.AR)], box, grid))
              for fr in traj.frames], grid, species=Species.AR,
             per_frame_max=per_frame_max)
         binner = Binner(traj.box_side, grid, Species.AR)

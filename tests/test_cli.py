@@ -376,6 +376,64 @@ class TestValuesOutsideTheirDomain:
         assert_one_line_error(capsys, f"{dump}:6: box extent must be positive and finite, got {hi}")
         assert not out.exists() or list(out.iterdir()) == []
 
+    DUMP_FRAME = ("ITEM: TIMESTEP\n{t}\nITEM: NUMBER OF ATOMS\n2\nITEM: BOX BOUNDS {box}\n"
+                  "ITEM: ATOMS id type x y\n1 1 5.0 5.0\n7 2 8.0 9.0\n")
+    SQUARE = "pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5"
+
+    @pytest.mark.parametrize("box, message", [
+        ("pp pp pp\n0.0 100.0\n0.0 200.0\n-0.5 0.5",
+         "{dump}:18: box must be square: x extent 100.0, y extent 200.0"),
+        ("pp pp pp\n0.0 300.0\n0.0 300.0\n-0.5 0.5",
+         "{dump}:17: box bounds [(0.0, 300.0), (0.0, 300.0)] differ from frame 0's "
+         "[(0.0, 100.0), (0.0, 100.0)]"),
+        ("xy xz yz pp pp pp\n0.0 100.0 5.0\n0.0 100.0 0.0\n-0.5 0.5 0.0",
+         "{dump}:16: only an orthogonal box is supported, "
+         "found 'ITEM: BOX BOUNDS xy xz yz pp pp pp'"),
+    ])
+    def test_dump_box_the_model_cannot_use_exits_3(self, tmp_path, capsys, box, message):
+        dump = tmp_path / "bad.dump"
+        dump.write_text(self.DUMP_FRAME.format(t=0, box=self.SQUARE)
+                        + self.DUMP_FRAME.format(t=10, box=box))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("convert", "--in", dump, "--to", "native",
+                       "--out", out / "t.txt") == 3
+        assert capsys.readouterr().err == f"gasdiff: {message.format(dump=dump)}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-5", "0"])
+    def test_convert_dt_outside_zero_to_inf_exits_2(self, tmp_path, capsys, dt):
+        dump = tmp_path / "d.dump"
+        dump.write_text(self.DUMP_FRAME.format(t=0, box=self.SQUARE)
+                        + self.DUMP_FRAME.format(t=10, box=self.SQUARE))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("convert", "--in", dump, "--to", "native", "--dt", dt,
+                       "--out", out / "t.txt") == 2
+        assert_one_line_error(capsys, f"dt must be positive and finite, got {float(dt)!r}")
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
+        ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
+    ])
+    @pytest.mark.parametrize("time, message", [
+        ("nan", "frame at timestep 10 has a non-finite time nan"),
+        ("0.0", "frame at timestep 10 has time 0.0 fs, not after 0.0"),
+        ("-50.0", "frame at timestep 10 has time -50.0 fs, not after 0.0"),
+    ])
+    def test_frame_time_the_model_cannot_use_exits_3(self, tmp_path, capsys, command, time,
+                                                     message):
+        traj = tmp_path / "bad.txt"
+        traj.write_text("#gasdiff-trajectory 1\n#box 100.0\n#dt 5.0\n"
+                        "FRAME 0 0.0\n1 He 5.0 5.0 0.0 0.0\n2 Ar 8.0 9.0 0.0 0.0\n"
+                        f"FRAME 10 {time}\n1 He 5.5 5.0 0.0 0.0\n2 Ar 8.0 9.5 0.0 0.0\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(traj=traj, out=out) for a in command]) == 3
+        assert capsys.readouterr().err == f"gasdiff: {traj}:7: {message}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestHeatmapCli:
     def test_valid_xml_and_top_bin(self, tmp_path):

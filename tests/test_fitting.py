@@ -216,6 +216,25 @@ class TestCost:
             assert cost(PROBLEM, d) == pytest.approx(
                 float(np.dot(r, r)) / GRID.num_cells, rel=1e-12)
 
+    @ORACLE_CASES
+    def test_cost_forms_no_jacobian_and_is_the_fit_cost_bit_for_bit(
+            self, monkeypatch, n, substeps, init_from_frame0):
+        problem = noisy_problem(n, substeps, init_from_frame0)
+        frames, asked = fitting._frames, []
+
+        def recording(problem, diffusion, jacobian=True):
+            asked.append(jacobian)
+            for residual, derivative in frames(problem, diffusion, jacobian):
+                assert (derivative is None) == (not jacobian)
+                yield residual, derivative
+
+        monkeypatch.setattr(fitting, "_frames", recording)
+        for d in (0.3, D_TRUE, 2.5):
+            assert cost(problem, d) == fitting._sums(problem, d)[0] / problem.grid.num_cells
+            assert cost_curve(problem, [d])[0, 1] == cost(problem, d)
+            residuals(problem, d)
+        assert asked == [False, True, False, False, False] * 3
+
 
 def single_mode_observed(grid, k, n_frames, m=(2, 1), amplitude=0.3):
     j = np.arange(grid.n)

@@ -57,6 +57,14 @@ class TestTrajectoryInvariants:
         with pytest.raises(ValueError):
             Trajectory(box_side=100.0, frames=frames)
 
+    @pytest.mark.parametrize("frame, time", [(0, np.nan), (1, np.inf), (1, 0.0), (1, -5.0)])
+    def test_times_must_be_finite_and_increase(self, frame, time):
+        rng = np.random.default_rng(0)
+        frames = [make_frame(0, 3, rng), make_frame(1, 3, rng)]
+        frames[frame].time_fs = time
+        with pytest.raises(ValueError, match="time"):
+            Trajectory(box_side=100.0, frames=frames)
+
 
 class TestNativeFormat:
     def test_roundtrip_identity(self, tmp_path):
@@ -345,6 +353,108 @@ class TestLammpsParser:
         assert err.value.line == 10
 
 
+SQUARE_BOUNDS = "ITEM: BOX BOUNDS pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5\n"
+
+
+class TestLammpsBoxAndTime:
+    """Boxes and time axes the model cannot use are ParseErrors naming
+    their line; MINIMAL_DUMP's bounds are lines 5-8, and a second copy of
+    it starts at line 11."""
+
+    def test_y_is_measured_from_its_own_origin(self, tmp_path):
+        p = tmp_path / "d.dump"
+        p.write_text(MINIMAL_DUMP.replace("0.0 100.0\n0.0 100.0", "0.0 100.0\n-50.0 50.0")
+                     .replace("25.0 75.0", "25.0 -40.0"))
+        assert parse_lammps_dump(p, SPECIES_MAP).frames[0].positions.tolist() == [[25.0, 10.0]]
+
+    def test_y_extent_within_1e_12_of_x_is_square(self, tmp_path):
+        p = tmp_path / "d.dump"
+        p.write_text(MINIMAL_DUMP.replace("0.0 100.0\n0.0 100.0",
+                                          "0.0 100.0\n0.0 100.00000000000001"))
+        traj = parse_lammps_dump(p, SPECIES_MAP)
+        assert traj.box_side == 100.0
+        assert traj.frames[0].positions.tolist() == [[25.0, 75.0]]
+
+    @pytest.mark.parametrize("flags, bounds, line, message", [
+        ("pp pp pp", "0.0 100.0\n0.0 200.0", 7,
+         "box must be square: x extent 100.0, y extent 200.0"),
+        ("pp pp pp", "0.0 100.0\n0.0 100.000001", 7, "box must be square"),
+        ("pp pp pp", "0.0 100.0\n0.0 nan", 7, "box must be square"),
+        ("xy xz yz pp pp pp", "0.0 100.0 5.0\n0.0 100.0 0.0", 5,
+         "only an orthogonal box is supported"),
+        ("abc origin pp pp pp", "100.0 0.0 0.0 0.0\n0.0 100.0 0.0 0.0", 5,
+         "only an orthogonal box is supported"),
+    ])
+    def test_box_the_model_cannot_use(self, tmp_path, flags, bounds, line, message):
+        p = tmp_path / "d.dump"
+        p.write_text(MINIMAL_DUMP.replace(
+            SQUARE_BOUNDS, f"ITEM: BOX BOUNDS {flags}\n{bounds}\n-0.5 0.5\n"))
+        with pytest.raises(ParseError, match=message) as err:
+            parse_lammps_dump(p, SPECIES_MAP)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("new, line", [("0.0 300.0\n0.0 300.0", 16),
+                                           ("0.0 100.0\n5.0 105.0", 17),
+                                           ("1.0 101.0\n0.0 100.0", 16)])
+    def test_box_that_changes_between_frames(self, tmp_path, new, line):
+        p = tmp_path / "d.dump"
+        p.write_text(MINIMAL_DUMP + MINIMAL_DUMP.replace("TIMESTEP\n0\n", "TIMESTEP\n10\n")
+                     .replace("0.0 100.0\n0.0 100.0", new).replace("25.0", "250.0"))
+        with pytest.raises(ParseError, match="differ from frame 0's") as err:
+            parse_lammps_dump(p, SPECIES_MAP)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("steps, dt, message", [
+        ((0, 0), None, "frame timesteps must be strictly increasing"),
+        ((10, 5), None, "frame timesteps must be strictly increasing"),
+        ((2**62 - 1, 2**62), None,
+         "frame at timestep 4611686018427387904 has time 4.611686018427388e+18 fs, "
+         "not after 4.611686018427388e+18"),
+        ((0, 10), 1e308, "frame at timestep 10 has a non-finite time inf"),
+    ])
+    def test_frames_out_of_order_name_their_timestep_line(self, tmp_path, steps, dt, message):
+        p = tmp_path / "d.dump"
+        p.write_text("".join(MINIMAL_DUMP.replace("TIMESTEP\n0\n", f"TIMESTEP\n{t}\n")
+                             for t in steps))
+        with pytest.raises(ParseError) as err:
+            parse_lammps_dump(p, SPECIES_MAP, dt_fs=dt)
+        assert (err.value.line, str(err.value)) == (12, f"{p}:12: {message}")
+
+    def test_particle_count_change_names_the_timestep_line(self, tmp_path):
+        p = tmp_path / "d.dump"
+        p.write_text(MINIMAL_DUMP + REORDERED_DUMP.replace("0.0 200.0", "0.0 100.0"))
+        with pytest.raises(ParseError) as err:
+            parse_lammps_dump(p, SPECIES_MAP)
+        assert (err.value.line, str(err.value)) == (
+            12, f"{p}:12: frame at timestep 10 has 2 particles, expected 1")
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -5.0, 0.0])
+    def test_dt_outside_zero_to_inf(self, tmp_path, dt):
+        p = tmp_path / "d.dump"
+        p.write_text(MINIMAL_DUMP)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            parse_lammps_dump(p, SPECIES_MAP, dt_fs=dt)
+
+    def test_each_frame_is_parsed_once(self, tmp_path, monkeypatch):
+        columns = ["id", "type", "x", "y", "z"]
+        good = dump_text(3, 0.0, 100.0, columns,
+                         ["1 1 5.0 5.0 0.0", "2 2 5.0 5.0 0.0", "3 1 6.0 5.0 0.0"])
+        # an unmapped type (line 23) before a bad field (line 24)
+        bad = dump_text(3, 0.0, 100.0, columns,
+                        ["1 1 5.0 5.0 0.0", "2 9 5.0 5.0 0.0", "3 1 banana 5.0 0.0"])
+        calls, parse = [], trajectory_io._parse_rows
+        monkeypatch.setattr(trajectory_io, "_parse_rows",
+                            lambda *args: calls.append(1) or parse(*args))
+        p = tmp_path / "d.dump"
+        p.write_text(good + good.replace("TIMESTEP\n0\n", "TIMESTEP\n10\n"))
+        assert parse_lammps_dump(p, SPECIES_MAP).n_frames == 2
+        assert len(calls) == 2
+        p.write_text(good + bad.replace("TIMESTEP\n0\n", "TIMESTEP\n10\n"))
+        with pytest.raises(ParseError, match="atom type 9 not in species map") as err:
+            parse_lammps_dump(p, SPECIES_MAP)
+        assert (err.value.line, len(calls)) == (23, 4)
+
+
 class TestDumpRoundTrip:
     @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture],
               deadline=None)
@@ -626,10 +736,17 @@ def whole_file_read_native(path) -> Trajectory:
         while i < len(lines) and lines[i].strip() and not lines[i].startswith("FRAME"):
             i += 1
         ids, species, positions, velocities = native_rows(lines[start:i], start + 1, path)
+        # line start is the FRAME line
+        if not np.isfinite(time_fs):
+            raise ParseError(f"frame at timestep {timestep} has a non-finite time {time_fs!r}",
+                             path=path, line=start)
         if frames and len(ids) != frames[0].n_particles:
             raise ParseError(
                 f"frame at timestep {timestep} has {len(ids)} particles, "
                 f"expected {frames[0].n_particles}", path=path, line=i)
+        if frames and time_fs <= frames[-1].time_fs:
+            raise ParseError(f"frame at timestep {timestep} has time {time_fs!r} fs, "
+                             f"not after {frames[-1].time_fs!r}", path=path, line=start)
         frames.append(Frame(timestep=timestep, time_fs=time_fs, ids=ids,
                             species=species, positions=positions,
                             velocities=velocities, energy=energy))
@@ -712,6 +829,11 @@ MALFORMED_NATIVE = {
                        "FRAME 0 0.0\n1 He 1.0 1.0 0.0 0.0\n2 Ar 2.0 2.0 0.0 0.0\n"
                        "FRAME 1 5.0\n1 He 1.0 1.0 0.0 0.0\n"),
     "truncated row": "#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n1 He 1.0 1.0\n",
+    "nan time": GOOD_NATIVE.replace("FRAME 10 50.0", "FRAME 10 nan"),
+    "inf time": GOOD_NATIVE.replace("FRAME 10 50.0", "FRAME 10 inf"),
+    "nan time in the first frame": GOOD_NATIVE.replace("FRAME 0 0.0", "FRAME 0 nan"),
+    "time repeats": GOOD_NATIVE.replace("FRAME 20 100.0", "FRAME 20 50.0"),
+    "time decreases": GOOD_NATIVE.replace("FRAME 20 100.0", "FRAME 20 -1.0"),
 }
 
 
@@ -763,6 +885,22 @@ class TestStreamingNativeReader:
             with pytest.raises(ParseError, match="box side must be positive and finite") as err:
                 read(path)
             assert err.value.line == 2
+
+    @pytest.mark.parametrize("case, line, message", [
+        ("nan time", 8, "frame at timestep 10 has a non-finite time nan"),
+        ("inf time", 8, "frame at timestep 10 has a non-finite time inf"),
+        ("nan time in the first frame", 5, "frame at timestep 0 has a non-finite time nan"),
+        ("time repeats", 12, "frame at timestep 20 has time 50.0 fs, not after 50.0"),
+        ("time decreases", 12, "frame at timestep 20 has time -1.0 fs, not after 50.0"),
+    ])
+    def test_frame_time_the_model_cannot_use_names_its_frame_line(self, tmp_path, case, line,
+                                                                 message):
+        path = tmp_path / "bad.txt"
+        path.write_text(MALFORMED_NATIVE[case])
+        for read in (read_native, lambda p: list(iter_native(p))):
+            with pytest.raises(ParseError) as err:
+                read(path)
+            assert (err.value.line, str(err.value)) == (line, f"{path}:{line}: {message}")
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -955,7 +1093,8 @@ class TestFrameSidecar:
     @pytest.mark.parametrize("case", ["nan position", "inf velocity", "nan energy",
                                       "id above 2**62", "repeated timestep",
                                       "particle count changes", "float timestep",
-                                      "float32 positions", "line break in units"])
+                                      "float32 positions", "line break in units",
+                                      "nan time", "time decreases"])
     def test_no_sidecar_where_the_text_would_not_read_back(self, tmp_path, case):
         traj = make_trajectory(n_frames=3, n=4, seed=6)
         frames = traj.frames
@@ -975,6 +1114,10 @@ class TestFrameSidecar:
             frames[1].timestep = 100.0
         elif case == "float32 positions":
             frames[0].positions = frames[0].positions.astype(np.float32)
+        elif case == "nan time":
+            frames[1].time_fs = float("nan")
+        elif case == "time decreases":
+            frames[2].time_fs = frames[1].time_fs - 1.0
         else:
             traj.units = "real\x0bFRAME 0 0.0"
         path = tmp_path / "traj.txt"
@@ -1010,7 +1153,7 @@ class TestFrameSidecar:
         rng = np.random.default_rng(0)
         frame = make_frame(0, n, rng)
         path = tmp_path / "traj.txt"
-        write_native_frames(make_trajectory(), (replace(frame, timestep=k)
+        write_native_frames(make_trajectory(), (replace(frame, timestep=k, time_fs=5.0 * k)
                                                 for k in range(n_frames)), path)
         tracemalloc.start()
         try:
