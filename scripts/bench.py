@@ -77,18 +77,23 @@ each tree against the first, the per-round ratios of both times.
 
 The record also holds the lines of each tree's ``gasdiff/*.py``, in
 total (``src_lines``) and per module (``src_lines_by_module``), so that a
-change's net source lines, and each module's, come from it.
+change's net source lines, and each module's, come from it; and the same
+counts of code lines only, comments and docstrings left out
+(``src_code_lines``, ``src_code_lines_by_module``).
 
     python3 scripts/bench.py --out bench.json parent=../parent/src change=src
 """
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 PAPER_STEPS = 1_000_000
@@ -396,6 +401,31 @@ def src_lines_by_module(src: str) -> dict:
             for path in sorted((Path(src) / "gasdiff").glob("*.py"))}
 
 
+def code_lines(text: str) -> int:
+    """Lines of Python source that hold code: lines with a token other than
+    a comment or layout, less the lines of docstrings."""
+    tree = ast.parse(text)
+    doc = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            doc.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - doc)
+
+
+def src_code_lines_by_module(src: str) -> dict:
+    """Code lines (code_lines) in each of the tree's gasdiff/*.py, by file
+    name: comment and docstring lines are not counted."""
+    return {path.name: code_lines(path.read_text(encoding="utf-8"))
+            for path in sorted((Path(src) / "gasdiff").glob("*.py"))}
+
+
 def median(values: list):
     """The median of numbers; of anything else (digests, the median time of
     a kind of step that never came), the value if every run gave the same
@@ -542,6 +572,7 @@ def main():
                   flush=True)
     fit = fit_runs(trees)
     src_lines = {name: src_lines_by_module(src) for name, src in trees.items()}
+    src_code = {name: src_code_lines_by_module(src) for name, src in trees.items()}
     import numpy
 
     record = {
@@ -568,6 +599,9 @@ def main():
                     "python": platform.python_version(), "numpy": numpy.__version__},
         "src_lines": {name: sum(lines.values()) for name, lines in src_lines.items()},
         "src_lines_by_module": src_lines,
+        "src_code_lines": {name: sum(lines.values())
+                           for name, lines in src_code.items()},
+        "src_code_lines_by_module": src_code,
         "interleaved": interleaved,
         "median_of_runs": {name: {key: median([r[key] for r in results])
                                   for key in results[0]}

@@ -214,6 +214,8 @@ def cmd_msd(args):
 
 
 def cmd_convert(args):
+    if args.to == "lammps" and args.dt is not None:
+        raise ValueError("--dt applies only to dump input (--to native)")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if args.to == "native":

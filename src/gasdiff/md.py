@@ -18,19 +18,23 @@ verlet_step advances a ParticleState in place: its positions and velocities
 arrays, its time and its pair list change, and the step returns the same
 object and forces the state owns.  A caller that keeps positions,
 velocities or forces across steps copies them.  Between steps the three are
-read-only; a caller changes a state by assigning new arrays.  When the next
-step gets those same arrays back, it knows they are its own and advances
-them in place with work on the force components the pair list touches:
-forces are summed, kicked and refreshed there only, and the velocities
-there are written once, after the second half kick, unless the step may
-search.  The drift alone passes over every particle.  A running bound on
-the distance moved since the pair list was built stands in for whole-array
-passes wherever it proves their answer: while it stays under SKIN/2 the
-list is current, and only the coordinates that were within SKIN/2 of an
-edge at the build (the border set) can cross one, so only they are
-wrapped.  Summed over the pair lists pruned from one outer list, the bound
-also shows that outer list still valid, and the exact check against it
-runs only once the sum reaches its reach.
+read-only; a caller changes a state by assigning new arrays.  There is one
+step path.  When the next step gets those same arrays back, it knows they
+are its own; any other input it first takes over, as if it had handed it
+back with no bound on how far the particles have moved.  It then advances
+the arrays in place with work on the components the forces kick (the force
+components the pair list touches, or after a take-over those where the
+given forces are nonzero): forces are summed, kicked and refreshed there
+only, and the velocities there are written once, after the second half
+kick, unless the step may search.  A component with no kick keeps its
+velocity bit for bit, -0.0 included.  The drift alone passes over every
+particle.  A running bound on the distance moved since the pair list was
+built stands in for whole-array passes wherever it proves their answer:
+while it stays under SKIN/2 the list is current, and only the coordinates
+that were within SKIN/2 of an edge at the build (the border set) can cross
+one, so only they are wrapped.  Summed over the pair lists pruned from one
+outer list, the bound also shows that outer list still valid, and the
+exact check against it runs only once the sum reaches its reach.
 
 iter_frames yields each sampled frame as the run reaches it, and
 MSDAccumulator takes frames one at a time; run collects iter_frames.
@@ -142,11 +146,12 @@ class ParticleState:
     (i, j)), so the forces summed over them depend on positions alone.
 
     verlet_step updates ``positions``, ``velocities``, ``time`` and
-    ``pair_list`` in place; arrays that are not C-contiguous writable
-    float64 are first replaced by copies that are.  It hands ``positions``
-    and ``velocities`` back read-only, with read-only forces that the next
-    step overwrites; to change a state between steps, assign new arrays (or
-    copies).  ``species`` is fixed:
+    ``pair_list`` in place.  It hands ``positions`` and ``velocities`` back
+    read-only, with read-only forces that the next step overwrites; to
+    change a state between steps, assign new arrays (or copies).  A step
+    given anything else takes the state over: arrays that are not
+    C-contiguous writable float64 are first replaced by copies that are,
+    and the given forces are read, never written.  ``species`` is fixed:
     the first force call makes the array read-only and builds per-particle
     tables from it, so a change of species means assigning a new array.
     """
@@ -353,15 +358,16 @@ class _Work:
     buffer, and the terms of the pair list they were last built for.
 
     verlet_step also keeps what it handed back (positions, velocities,
-    forces, pair list, dt, box side), the half kick it gave the listed
-    components and their velocities after it, v * dt for every component
-    (``vdt``, current off the listed components), and a bound on how far
-    any particle has moved since the list was built (inf when unknown) with
-    the largest squared speed at that build.  While that bound shows the
-    list current, the step leaves the velocities of the listed components
-    to its end-of-step write, and wraps only ``border``: the flat indices
-    of the coordinates within SKIN/2, plus a rounding margin, of an edge at
-    the list's build.
+    forces, pair list, dt, box side), the components its forces are nonzero
+    on (``kicked``: the listed ones, or after a take-over those of the given
+    forces), the half kick it gave them and their velocities after it, v *
+    dt for every component (``vdt``, current off the kicked components),
+    and a bound on how far any particle has moved since the list was built
+    (inf when unknown) with the largest squared speed at that build.  While
+    that bound shows the list current, the step leaves the velocities of the
+    kicked components to its end-of-step write, and wraps only ``border``:
+    the flat indices of the coordinates within SKIN/2, plus a rounding
+    margin, of an edge at the list's build.
 
     ``outer`` is the outer pair list the pair list is pruned from, in
     canonical order, as ``(idx_i, idx_j, positions at build, box side)``,
@@ -374,22 +380,18 @@ class _Work:
     rebuilds, the outer searches among them and the exact stale checks.
     """
 
-    __slots__ = ("species", "buf", "pair_list", "terms", "handed", "kick",
-                 "listed_v", "vdt", "moved", "v2_built", "border",
+    __slots__ = ("species", "buf", "pair_list", "terms", "handed", "kicked",
+                 "kick", "listed_v", "vdt", "moved", "v2_built", "border",
                  "outer", "outer_moved", "rebuilds", "searches", "exact_checks")
 
     def __init__(self, species):
         self.species = species
         self.buf = np.empty((len(species), 2))
         self.pair_list = self.terms = self.handed = self.outer = None
-        self.kick = self.listed_v = self.vdt = self.border = None
+        self.kicked = self.kick = self.listed_v = self.vdt = self.border = None
         self.moved, self.v2_built = math.inf, 0.0
         self.outer_moved = math.inf
         self.rebuilds = self.searches = self.exact_checks = 0
-
-    @property
-    def scale(self) -> np.ndarray:  # per particle and axis; only a full kick needs it
-        return np.take(_ACCEL_SCALE, self.species, axis=0)
 
 
 def _work(state: ParticleState) -> _Work:
@@ -604,13 +606,6 @@ def init_state(cfg: MDConfig, box: SimBox) -> ParticleState:
     )
 
 
-def _own(a: np.ndarray) -> np.ndarray:
-    """``a`` if it can be updated in place as float64 rows, else such a copy."""
-    if a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable:
-        return a
-    return np.array(a, dtype=np.float64, order="C")
-
-
 def _handed_back(w: _Work, state: ParticleState, forces, cfg: MDConfig,
                  box: SimBox) -> bool:
     """True when the step gets back, still read-only, exactly the arrays and
@@ -623,6 +618,29 @@ def _handed_back(w: _Work, state: ParticleState, forces, cfg: MDConfig,
                      or state.velocities.flags.writeable or forces.flags.writeable))
 
 
+def _take_over(w: _Work, state: ParticleState, forces, cfg: MDConfig) -> np.ndarray:
+    """Set up ``w`` as if the last step had handed ``state`` and ``forces``
+    back with no bound on how far the particles have moved, and return new
+    zero forces for the step to write; ``forces`` is only read.
+
+    Positions and velocities that are not C-contiguous writable float64 are
+    replaced by copies that are.  The kicked components are those with a
+    nonzero force (NaN included); the others, whose kick would be a zero,
+    keep their velocities bit for bit.
+    """
+    state.positions = np.require(state.positions, np.float64, ["C", "W"])
+    v = state.velocities = np.require(state.velocities, np.float64, ["C", "W"])
+    f = np.broadcast_to(forces, v.shape).reshape(-1)
+    w.kicked = np.flatnonzero(f)
+    w.kick = np.take(f, w.kicked) * np.take(_ACCEL_SCALE[:, 0],
+                                            np.take(w.species, w.kicked >> 1))
+    w.kick *= 0.5 * cfg.dt
+    w.listed_v = np.take(v, w.kicked)
+    w.vdt = np.multiply(v, cfg.dt)
+    w.moved = w.outer_moved = math.inf
+    return np.zeros_like(v)
+
+
 def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
                 box: SimBox):
     """One velocity-Verlet step: half kick, drift, recompute, half kick.
@@ -630,39 +648,40 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
     Advances ``state`` in place (positions, velocities, time, pair list) and
     returns (state, new_forces, potential), the same state object, so the
     caller can reuse the freshly computed forces.  The state's positions and
-    velocities and the returned forces are handed back read-only.  Given
-    those same arrays again, the step sums forces, kicks and keeps v * dt
-    only on the components the pair list touches (everything else is in
-    free flight), checks the speed of those particles only, skips the exact
+    velocities and the returned forces are handed back read-only.  Any other
+    input is first taken over (_take_over) as if it had been handed back,
+    with no bound on the distance moved, and gets new forces; then one body
+    runs.  It sums forces, kicks and keeps v * dt only on the kicked
+    components (everything else is in free flight), checks the speed of
+    those particles only unless the kicked set changed, skips the exact
     stale-list check and wraps only the border set while a bound on the
     distance moved since the list was built stays under SKIN/2, checks the
     outer list exactly only once that bound summed since the outer search
-    reaches its reach, and overwrites the forces it was given,
-    zeroed on the components that left the list; any other input takes the
-    full path and gets new forces.  The results are the same either way.
-    On InstabilityError the state holds the failed step, with writable
-    arrays.
+    reaches its reach, and overwrites the forces it was handed back, zeroed
+    on the components that left the list.  On InstabilityError the state
+    holds the failed step, with writable arrays.
     """
     w = _work(state)
-    trusted = _handed_back(w, state, forces, cfg, box)
-    w.handed = None
-    if trusted:
+    if _handed_back(w, state, forces, cfg, box):
         state.positions.flags.writeable = state.velocities.flags.writeable = True
         forces.flags.writeable = True
-    x = state.positions = _own(state.positions)
-    v = state.velocities = _own(state.velocities)
+    else:
+        forces = _take_over(w, state, forces, cfg)
+    w.handed = None
+    x, v = state.positions, state.velocities
     flat_v = v.reshape(-1)
     half_dt = 0.5 * cfg.dt
     listed = state.pair_list
-    if trusted:
-        # The forces are the last step's, +0.0 off the listed components,
-        # w.kick is their half kick there and w.listed_v the velocities after
-        # it, so only listed particles change speed: unlisted ones keep the
-        # speed they had at the list's build.
-        listed_active = w.terms.active
-        vh = w.listed_v
-        vh += w.kick
-        w.vdt.reshape(-1)[listed_active] = vh * cfg.dt
+    # The forces are +0.0 off the kicked components, w.kick is their half
+    # kick and w.listed_v their velocities before it, so only kicked
+    # particles change speed: the others keep the speed they had at the
+    # list's build.
+    kicked, vh = w.kicked, w.listed_v
+    vh += w.kick
+    w.vdt.reshape(-1)[kicked] = vh * cfg.dt
+    # an unknown bound stays unknown; after a take-over the kicked
+    # components need not come in (x, y) pairs
+    if w.moved < math.inf:
         vh2 = vh * vh
         fastest2 = float((vh2[0::2] + vh2[1::2]).max(initial=0.0))
         # The drift moves no particle further than dt * the top speed; the
@@ -670,16 +689,9 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         # check, and side * 2^-49 the rounding of x + dt * v and the wrap.
         w.moved += (cfg.dt * math.sqrt(max(fastest2, w.v2_built)) * (1.0 + 1e-9)
                     + box.side * 2.0**-49)
-        current = w.moved < 0.5 * SKIN * (1.0 - 1e-9)
-        if not current:  # a search may follow, and it reads every velocity
-            flat_v[listed_active] = vh
-    else:
-        kick = np.multiply(forces, w.scale, out=w.buf)
-        kick *= half_dt
-        v += kick
-        w.moved = w.outer_moved = math.inf
-        current = False
-        w.vdt = np.multiply(v, cfg.dt)
+    current = w.moved < 0.5 * SKIN * (1.0 - 1e-9)
+    if not current:  # a search may follow, and it reads every velocity
+        flat_v[kicked] = vh
     x += w.vdt
     if current:  # only the border set can have crossed an edge
         flat_x = x.reshape(-1)
@@ -690,8 +702,7 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
     terms = _current_terms(state, box, current)
     # the forces on the listed components, made their half kick below
     kick, potential = _listed_interactions(x, box, *state.pair_list[:2], terms)
-    searched = state.pair_list is not listed
-    if searched:
+    if state.pair_list is not listed:
         w.moved = 0.0
         v2 = np.multiply(v, v, out=w.buf)
         w.v2_built = float((v2[:, 0] + v2[:, 1]).max(initial=0.0))
@@ -701,26 +712,27 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         w.border = np.flatnonzero(
             off.reshape(-1) > 0.5 * box.side - 0.5 * SKIN - box.side * 2.0**-48)
     active = terms.active
-    if not trusted:
-        forces = np.zeros_like(x)
-    elif searched:
-        forces.reshape(-1)[listed_active] = 0.0
+    # the kicked components are the listed ones, unless this step took the
+    # state over or searched
+    same = kicked is active
+    if not same:
+        forces.reshape(-1)[kicked] = 0.0
     forces.reshape(-1)[active] = kick
     # The new forces are +0.0 off the components the pair list touches, so a
     # kick there would leave v as it is (a -0.0 would turn +0.0): kick only
     # the listed components.
     kick *= terms.accel
     kick *= half_dt
-    # without a search the listed velocities are vh
-    vn = vh if trusted and not searched else np.take(flat_v, active)
+    # with the same components the listed velocities are vh
+    vn = vh if same else np.take(flat_v, active)
     vn += kick
     flat_v[active] = vn
-    w.kick, w.listed_v = kick, vn
-    # Without a search only the listed rows were kicked since the last check
-    # passed; a search step also kicked the old list's rows, so check all.
+    w.kicked, w.kick, w.listed_v = active, kick, vn
+    # With the same components only they were kicked since the last check
+    # passed; otherwise the old kicked rows were too, so check all.
     # Both components within limit/sqrt(2), less a rounding margin, keep
     # vx^2 + vy^2 within limit^2; NaN fails this and goes to the exact check.
-    u = vn if trusted and not searched else v
+    u = vn if same else v
     bound = VELOCITY_LIMIT / math.sqrt(2.0) * (1.0 - 1e-9)
     if not (u.max(initial=0.0) <= bound and u.min(initial=0.0) >= -bound):
         v2 = v * v

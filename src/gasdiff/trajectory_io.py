@@ -587,9 +587,9 @@ def iter_native(path) -> Iterator[Frame]:
                 rows, lineno + 1, path, (int, _SPECIES_CODE, float, float, float, float),
                 " in particle row")
             fault = _order_fault(last, len(ids), timestep, time_fs)
-            if fault is not None:  # a count names the frame's last line, a time its FRAME line
-                raise ParseError(fault[1], path=path, line={
-                    "count": lineno + len(rows), "time": lineno}.get(fault[0]))
+            if fault is not None:  # a count names the frame's last line, any other its FRAME line
+                raise ParseError(fault[1], path=path,
+                                 line={"count": lineno + len(rows)}.get(fault[0], lineno))
             last, lineno = (len(ids), timestep, time_fs), lineno + len(rows) + 1
             yield Frame(
                 timestep=timestep,

@@ -413,6 +413,20 @@ class TestValuesOutsideTheirDomain:
         assert_one_line_error(capsys, f"dt must be positive and finite, got {float(dt)!r}")
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_convert_to_lammps_with_a_dt_exits_2(self, tmp_path, capsys, small_traj,
+                                                 source):
+        # a native trajectory keeps its own times, so a dt has nothing to set
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 5.0\n")
+        extra = ["--dt", "nan"] if source == "flag" else ["--config", cfg]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("convert", "--in", small_traj, "--to", "lammps", *extra,
+                       "--out", out / "t.dump") == 2
+        assert_one_line_error(capsys, "--dt applies only to dump input (--to native)")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
         ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],

@@ -1104,10 +1104,14 @@ class TestInPlaceStep:
                                                            state.species, box.side)
         assert np.allclose(forces, ref_forces, rtol=1e-12, atol=0.0)
         assert potential == pytest.approx(ref_potential, rel=1e-12)
+        # the step kicks both particles, the former helium atom too, as argon
         cfg = MDConfig(n_he=0, n_ar=2, seed=0)
-        verlet_step(state, np.zeros((2, 2)), cfg, box)
+        given = np.array([[0.5, -0.25], [2.0, 1.0]])
+        _, new_forces, _ = verlet_step(state, given, cfg, box)
         ar_scale = KCAL_PER_MOL_TO_MD / md.MASS_G_MOL[Species.AR]
-        assert np.array_equal(state._work.scale, np.full((2, 2), ar_scale))
+        half_dt = 0.5 * cfg.dt
+        expected = given * ar_scale * half_dt + new_forces * ar_scale * half_dt
+        assert state.velocities.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("side, n_he, n_ar, temperature, seed", [
         (300.0, 100, 50, 2000.0, 17),   # hot and crowded: many searches
@@ -1639,6 +1643,59 @@ class TestHandBack:
         assert state.velocities.tobytes() == ref.velocities.tobytes()
         state, forces, _ = verlet_step(state, forces, cfg, box)
         assert steps[2]["trusted"]
+
+    def test_a_taken_over_step_keeps_minus_zero_off_the_kicked_components(self):
+        # particles 0 and 1 are a listed pair; particle 2 is unlisted, so its
+        # force is +0.0 and a kick by it would turn its -0.0 into +0.0
+        cfg = MDConfig(n_he=0, n_ar=3, seed=0)
+        box = SimBox(side=400.0)
+        state = ParticleState(
+            positions=np.array([[100.0, 100.0], [110.0, 100.0], [300.0, 300.0]]),
+            velocities=np.array([[0.0, 0.0], [0.0, 0.0], [-0.0, 0.01]]),
+            species=np.array([1, 1, 1]))
+        forces, _ = compute_forces(state, box)
+        assert 4 not in state._work.terms.active
+        for _ in range(5):
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+            assert np.signbit(state.velocities[2, 0])
+            assert state.velocities[2].tolist() == [0.0, 0.01]
+
+    def test_a_take_over_kicks_the_components_with_a_given_force(self):
+        # forces on five x components only, so the kicked components are
+        # not (x, y) pairs; the step reads them and writes new forces
+        cfg = MDConfig(n_he=40, n_ar=40, seed=6)
+        box = SimBox(side=500.0)
+        state = init_state(cfg, box)
+        given = np.zeros((80, 2))
+        given[[3, 10, 41, 50, 77], 0] = [0.5, -1.0, 2.0, 0.25, -3.0]
+        given.flags.writeable = False
+        ref, ref_forces, ref_potential = full_kick_step(copied_state(state), given,
+                                                        cfg, box)
+        state, forces, potential = verlet_step(state, given, cfg, box)
+        assert forces is not given and np.count_nonzero(given) == 5
+        assert state.positions.tobytes() == ref.positions.tobytes()
+        assert state.velocities.tobytes() == ref.velocities.tobytes()
+        assert forces.tobytes() == ref_forces.tobytes()
+        assert potential == ref_potential
+
+    def test_a_run_rebuilt_from_a_sampled_frame_continues_bit_for_bit(self):
+        # a sampled frame is a whole checkpoint: its positions, velocities
+        # and time, with forces computed afresh, continue the desk run
+        cfg = MDConfig(n_he=500, n_ar=500, seed=1, sample_stride=100)
+        box = SimBox(side=5.0e3)
+        frames = list(md.iter_frames(cfg, box, 1000))
+        start = frames[4]
+        state = ParticleState(positions=start.positions.copy(),
+                              velocities=start.velocities.copy(),
+                              species=start.species, time=start.time_fs,
+                              pair_list=None)
+        forces, _ = compute_forces(state, box)
+        for frame in frames[5:]:
+            for _ in range(cfg.sample_stride):
+                state, forces, _ = verlet_step(state, forces, cfg, box)
+            assert state.time == frame.time_fs
+            assert state.positions.tobytes() == frame.positions.tobytes()
+            assert state.velocities.tobytes() == frame.velocities.tobytes()
 
 
 class TestRun:

@@ -744,6 +744,9 @@ def whole_file_read_native(path) -> Trajectory:
             raise ParseError(
                 f"frame at timestep {timestep} has {len(ids)} particles, "
                 f"expected {frames[0].n_particles}", path=path, line=i)
+        if frames and timestep <= frames[-1].timestep:
+            raise ParseError("frame timesteps must be strictly increasing", path=path,
+                             line=start)
         if frames and time_fs <= frames[-1].time_fs:
             raise ParseError(f"frame at timestep {timestep} has time {time_fs!r} fs, "
                              f"not after {frames[-1].time_fs!r}", path=path, line=start)
@@ -890,6 +893,7 @@ class TestStreamingNativeReader:
         ("nan time", 8, "frame at timestep 10 has a non-finite time nan"),
         ("inf time", 8, "frame at timestep 10 has a non-finite time inf"),
         ("nan time in the first frame", 5, "frame at timestep 0 has a non-finite time nan"),
+        ("timestep repeats", 12, "frame timesteps must be strictly increasing"),
         ("time repeats", 12, "frame at timestep 20 has time 50.0 fs, not after 50.0"),
         ("time decreases", 12, "frame at timestep 20 has time -1.0 fs, not after 50.0"),
     ])
