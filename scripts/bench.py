@@ -45,23 +45,17 @@ desk-size runs peak lower, so that the peak is the paper state's.
 
 The I/O probe takes frame 0 of the desk preset (1000 particles) and of the
 paper preset (60000), writes it IO_FRAMES times with
-``write_native_frames`` and reads the file back with ``iter_native``
-twice: as the writer left it (with the binary frame sidecar, where the
-tree writes one; its hash checks included) and with only the text left.
-It also writes the same frames as a LAMMPS dump with ``write_lammps_dump``
-(untimed) and times ``parse_lammps_dump`` on it.  It reports each as
-microseconds per particle row, and the bytes per row of the text and of
-whatever else the writer left (the sidecar).  Where the tree forks a
-writer process, the write includes the fork and the pickling of each
-frame sent to it.
+``write_native_frames`` and reads the file back with ``iter_native``, its
+checks included.  It also writes the same frames as a LAMMPS dump with
+``write_lammps_dump`` (untimed) and times ``parse_lammps_dump`` on it.  It
+reports each as microseconds per particle row, and the bytes per row of
+every file the writer left.
 
 The overlap probe runs first, with the MD settings of perfbench's
 ``desk_pipeline`` (500 He + 500 Ar in a 5e3 A box, 2000 steps, a frame
 every 100, seed 1).  It times ``md.iter_frames`` alone and
 ``write_native_frames(header, md.iter_frames(...))``, OVERLAP_RUNS times
-each in turn, and reports the medians in ms and the peak RSS of the
-largest child process so far (``RUSAGE_CHILDREN``): the trajectory
-writer's, where the tree forks one, else 0.  The gap between the two
+each in turn, and reports the medians in ms.  The gap between the two
 times is what the write adds to the run.
 
 The fit probe fits perfbench's ``paper_fit`` input (seed 1: N = 100,
@@ -223,7 +217,6 @@ def serve(seed: int) -> None:
 
 def overlap_probe() -> dict:
     """Time the desk_pipeline MD alone and with its trajectory written."""
-    import resource
     import tempfile
     import time
 
@@ -249,8 +242,6 @@ def overlap_probe() -> dict:
         "overlap_md_ms": md_ms,
         "overlap_md_write_ms": write_ms,
         "overlap_gap_ms": write_ms - md_ms,
-        "writer_child_peak_rss_mb":
-            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0,
     }
 
 
@@ -275,9 +266,8 @@ def init_probe() -> dict:
 
 
 def io_probe() -> dict:
-    """Time writing IO_FRAMES frames per preset, reading them back with and
-    without what the writer left beside the text, and parsing them from a
-    LAMMPS dump."""
+    """Time writing IO_FRAMES frames per preset, reading them back, and
+    parsing them from a LAMMPS dump."""
     import tempfile
     import time
     from dataclasses import replace
@@ -309,11 +299,7 @@ def io_probe() -> dict:
 
             times = [seconds(lambda: write_native_frames(
                 md.trajectory_header(cfg, box), frames, path))]
-            beside = [p for p in Path(tmp).iterdir() if p != path]
-            sizes = [path.stat().st_size, sum(p.stat().st_size for p in beside)]
-            times.append(seconds(read))
-            for p in beside:
-                p.unlink()
+            size = sum(p.stat().st_size for p in Path(tmp).iterdir())
             times.append(seconds(read))
             dump = Path(tmp) / "traj.dump"
             write_lammps_dump(Trajectory(box_side=box.side, frames=frames), dump)
@@ -324,10 +310,9 @@ def io_probe() -> dict:
                     raise RuntimeError(f"{dump} did not parse back {n_frames} frames")
 
             times.append(seconds(parse_dump))
-        for key, spent in zip(("write", "sidecar_read", "text_read", "lammps_parse"), times):
+        for key, spent in zip(("write", "read", "lammps_parse"), times):
             out[f"{name}_{key}_us_per_row"] = spent / rows * 1e6
-        out[f"{name}_text_bytes_per_row"] = sizes[0] / rows
-        out[f"{name}_sidecar_bytes_per_row"] = sizes[1] / rows
+        out[f"{name}_bytes_per_row"] = size / rows
     return out
 
 
@@ -527,9 +512,8 @@ def main():
         print(json.dumps(fit_probe(args.fit_probe)))
         return
     if args.probe:
-        # The overlap probe first, so that RUSAGE_CHILDREN holds its writers
-        # only, and before the desk run, whose counting wrappers (in a tree
-        # without counters) would count its steps too.
+        # The overlap probe before the desk run, whose counting wrappers (in
+        # a tree without counters) would count its steps too.
         out = overlap_probe()
         out.update(init_probe())
         desk = Run(500, 500, 5.0e3, SEED)
@@ -564,8 +548,7 @@ def main():
                   f"median, peak RSS {result['paper_init_peak_rss_mb']:.1f} MB; desk "
                   f"{result['desk_median_ms_per_step']:.3f} ms/step median; "
                   f"paper frame write {result['paper_write_us_per_row']:.2f}, "
-                  f"read {result['paper_sidecar_read_us_per_row']:.2f}, "
-                  f"text read {result['paper_text_read_us_per_row']:.2f}, "
+                  f"read {result['paper_read_us_per_row']:.2f}, "
                   f"dump parse {result['paper_lammps_parse_us_per_row']:.2f} us/row; "
                   f"desk MD {result['overlap_md_ms']:.0f} ms, with the write "
                   f"{result['overlap_md_write_ms']:.0f} ms",

@@ -6,13 +6,9 @@ binning resolutions (30k He + 30k Ar in a 5e4 A box, N = 20, 50, 100), cut
 to --steps MD steps sampled every --stride steps.  Each MD frame streams to
 the trajectory writer, the MSD and the three binners, so the peak should
 grow with n + F N^2, not with F n.  Prints the process's peak RSS after
-every stage, and next to it the peak RSS of the forked trajectory writer
-(the largest finished child process; 0 until the writer has finished, and
-where the writer runs in-process).  The writer starts as a copy-on-write
-image of this process before the MD state exists, so its RSS counts pages
-shared with this process; the memory it adds is at most this process's
-RSS at the fork plus one frame and its text.  The trajectory alone is
-about 88 bytes per particle per frame on disk (5.3 GB for 1001 frames).
+every stage; the trajectory is written in this process.  The trajectory
+alone is 48 bytes per particle per frame on disk (2.9 GB for 1001
+frames).
 
     PYTHONPATH=src python3 scripts/paper_memory_probe.py --out probe
 """
@@ -26,8 +22,8 @@ from pathlib import Path
 from gasdiff.pipeline import PAPER, run_reproduce
 
 
-def peak_rss_mb(who=resource.RUSAGE_SELF) -> float:
-    return resource.getrusage(who).ru_maxrss / 1024.0
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main():
@@ -44,15 +40,13 @@ def main():
 
     def stage(command, directory, config, outputs, wall_time_s):
         print(f"{command:7s} {config}: {wall_time_s:8.1f} s, "
-              f"peak RSS {peak_rss_mb():7.1f} MB, writer process "
-              f"{peak_rss_mb(resource.RUSAGE_CHILDREN):7.1f} MB", flush=True)
+              f"peak RSS {peak_rss_mb():7.1f} MB", flush=True)
 
     print(f"frames: {args.steps // args.stride + 1}, "
           f"peak RSS before the run {peak_rss_mb():.1f} MB", flush=True)
     run_reproduce(preset, [args.seed], out_dir=Path(args.out), manifest_writer=stage)
     print(f"total {time.perf_counter() - started:.1f} s, "
-          f"peak RSS {peak_rss_mb():.1f} MB, writer process "
-          f"{peak_rss_mb(resource.RUSAGE_CHILDREN):.1f} MB")
+          f"peak RSS {peak_rss_mb():.1f} MB")
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from .fd_solver import (SchemeKind, SolverConfig, amplification_factors,
 from .analytic import patch_solution_on_grid
 from .fields import GridSpec, UnitScale, read_field_csv
 from .md import MDConfig, SimBox, Species
-from .trajectory_io import (iter_native, parse_lammps_dump, read_native,
+from .trajectory_io import (check_room, iter_native, parse_lammps_dump, read_native,
                             read_native_header, write_lammps_dump, write_native,
                             write_native_frames)
 
@@ -121,8 +121,9 @@ def cmd_md_run(args):
     box = SimBox(side=args.box)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_native_frames(md.trajectory_header(cfg, box),
-                        md.iter_frames(cfg, box, args.steps), out)
+    header = md.trajectory_header(cfg, box)
+    check_room(out.parent, [header], args.steps // args.stride + 1)
+    write_native_frames(header, md.iter_frames(cfg, box, args.steps), out)
     return [], [out]
 
 

@@ -47,6 +47,7 @@ class FitResult:
     ci95_cm2_s: float
     converged: bool
     cost_trace: tuple[float, ...]
+    rejected_trials: int
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,9 @@ def confidence_interval_95(jtj: float, rr: float, num_observations: int) -> floa
 def lm_fit(problem: FitProblem, d0: float) -> FitResult:
     """Levenberg-Marquardt minimization of the cost from the guess d0 > 0.
     Steps to D <= 0 or to inf are failed trials.  Stops on a small relative step or
-    cost drop, or after MAX_ITER steps; raises FitError if none is accepted."""
+    cost drop, or after MAX_ITER steps; raises FitError if none is accepted.
+    ``rejected_trials`` counts the trial D whose cost was evaluated and did
+    not drop."""
     if not 0.0 < d0 < np.inf:
         raise ValueError(f"initial diffusion guess must be positive and finite, got {d0!r}")
     num_cells = problem.grid.num_cells
@@ -199,7 +202,7 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
 
     lam = LAMBDA0
     trace = [c]
-    iterations = 0
+    iterations = rejected_trials = 0
     converged = False
 
     for _ in range(MAX_ITER):
@@ -220,6 +223,7 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
                 if np.isfinite(c_trial) and c_trial < c:
                     break
                 rejected = d_trial
+                rejected_trials += 1
             lam *= LAMBDA_UP
         else:
             break  # no trial accepted
@@ -246,6 +250,7 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
         ci95_cm2_s=nd_to_physical_d(ci_nd, problem.scale),
         converged=converged,
         cost_trace=tuple(trace),
+        rejected_trials=rejected_trials,
     )
 
 

@@ -27,7 +27,7 @@ from .fields import (
     read_field_csv,
     write_field_csv,
 )
-from .trajectory_io import write_native_frames
+from .trajectory_io import check_room, write_native_frames
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,7 @@ def fit_report_dict(result: fitting.FitResult) -> dict:
         "ci95_nd": result.ci95_nd,
         "converged": result.converged,
         "cost_trace": list(result.cost_trace),
+        "rejected_trials": result.rejected_trials,
     }
 
 
@@ -203,7 +204,7 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
             yield frame
 
     seed_dir.mkdir(parents=True, exist_ok=True)
-    traj_path = seed_dir / "trajectory.txt"
+    traj_path = seed_dir / "trajectory.bin"
     write_native_frames(md.trajectory_header(cfg, box),
                         fan_out(md.iter_frames(cfg, box, preset.n_steps)), traj_path)
     if manifest_writer:
@@ -264,6 +265,9 @@ def run_reproduce(preset: Preset, seeds, n_values=None, out_dir: Path = Path("."
         preset = replace(preset, n_values=tuple(n_values))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    box = md.SimBox(side=preset.box_side)
+    check_room(out_dir, [md.trajectory_header(preset.md_config(s), box) for s in seeds],
+               preset.n_steps // preset.sample_stride + 1)
 
     runs = [_run_one_seed(preset, seed, out_dir / f"seed_{seed}", manifest_writer)
             for seed in seeds]

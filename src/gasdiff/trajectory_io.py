@@ -1,14 +1,29 @@
-"""Trajectory persistence: native text format plus a LAMMPS dump reader.
+"""Trajectory persistence: the native binary format, the native text
+format it replaced, and a LAMMPS dump reader.
 
-The native format is line oriented and diffable:
+A native trajectory is one little-endian binary file:
+
+- the magic ``gasdiff-native 2``, the int64 byte length of the header
+  text, and the header text: ``#key value`` lines, the first one
+  ``#gasdiff-trajectory 2``, then box, dt, units, n_he, n_ar, seed and
+  has_velocities;
+- per frame a ``<qdqd`` head (timestep, time_fs, 1 if there is an energy
+  else 0, energy or 0.0), then the int64 ids and species codes and the
+  float64 (n, 2) positions and velocities;
+- a trailer: the particle and frame counts and the SHA-256 of every byte
+  before it.
+
+write_native_frames appends frames as they come, in the calling process,
+and refuses a frame the reader would refuse (_frame_fault); iter_native
+checks the trailer, the size and the SHA-256 before it yields the first
+frame, then yields them one at a time; write_native and read_native run
+the same code for a Trajectory held in memory.  The readers tell the
+formats apart by a file's leading bytes.
+
+The text format is still read.  It is line oriented:
 
     #gasdiff-trajectory 1
     #box 50000.0
-    #dt 5.0
-    #units real
-    #n_he 2
-    #n_ar 1
-    #seed 7
     #has_velocities 1
     FRAME 0 0.0 [total_energy]
     1 He 12.5 99.0 0.001 -0.002
@@ -16,37 +31,15 @@ The native format is line oriented and diffable:
 
 Header lines are ``#key value``; each frame is a ``FRAME <timestep>
 <time_fs>`` line (with an optional trailing total energy) followed by one
-``id species x y vx vy`` row per particle.  Velocities are written as zeros
-when a source had none (``has_velocities 0``).
-
-Native trajectories stream: write_native_frames appends frames as they
-come and iter_native yields them one at a time; write_native and
-read_native run the same code for a Trajectory held in memory.  The
-caller writes the header and then forks a writer process, which formats,
-hashes and writes each frame while the caller computes the next one, so
-an MD run's write overlaps its steps.  Without ``os.fork``, or in a
-process running other threads (a library caller's), the same writer runs
-in the calling process.
-
-Next to ``<path>`` the writer also streams a binary sidecar,
-``<path>.frames``: per frame a little-endian ``<qdqd`` head (timestep,
-time_fs, 1 if there is an energy else 0, energy or 0.0), then the int64
-ids and species and the float64 (n, 2) positions and velocities.  A
-trailer closes it: the magic ``gasdiff-frames 1``, the particle and frame
-counts, the text's byte length and SHA-256, and the SHA-256 of the frame
-records.  The writer keeps the sidecar only when every frame parses back
-from its text bit for bit and would be accepted (finite values, |id| and
-|timestep| <= 2**62, and _order_fault's frame-order rule).  iter_native
-yields the sidecar's frames when its trailer, its records and the text all
-match; otherwise it parses the text.
+``id species x y vx vy`` row per particle.
 
 The LAMMPS reader handles text dumps of a square, orthogonal, fixed box
 with header-driven column order, unscaled (x y) or scaled (xs ys)
 coordinates, and ignores any z column.  Both text formats parse their
 particle rows with one parser, _parse_rows, which converts whole columns a
 block of rows at a time and, when a row is malformed, walks that block's
-rows to the first bad one.  Every malformed input raises ParseError with a
-line number; no input may crash the parser.
+rows to the first bad one.  Every malformed input raises ParseError, with a
+line number in a text file; no input may crash the parser.
 """
 
 from __future__ import annotations
@@ -56,7 +49,6 @@ import itertools
 import math
 import os
 import struct
-import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -64,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .md import SPECIES_BY_LABEL, SPECIES_LABELS, Species
+from .md import SPECIES_BY_LABEL, Species
 
 
 @dataclass
@@ -140,28 +132,27 @@ def _order_fault(last, n: int, timestep, time_fs) -> tuple[str, str] | None:
     return None
 
 
-_SIDECAR_MAGIC = b"gasdiff-frames 1"
+#: the leading bytes of a binary trajectory; a text one starts with "#"
+_MAGIC = b"gasdiff-native 2"
+#: the byte length of the header text
+_LENGTH = struct.Struct("<q")
 #: timestep, time_fs, has energy, energy
 _FRAME_HEAD = struct.Struct("<qdqd")
-#: magic, particles, frames, text bytes, text SHA-256, frame records' SHA-256
-_TRAILER = struct.Struct("<16sqqq32s32s")
-#: ids, species, positions, velocities: the dtype the parser gives each
-#: and its columns; the sidecar stores them little-endian
+#: particles, frames, SHA-256 of every byte before the trailer
+_TRAILER = struct.Struct("<qq32s")
+#: ids, species, positions, velocities: the dtype of each and its columns;
+#: the file stores them little-endian
 _COLUMNS = tuple((np.dtype(t), cols) for t, cols in (
     (np.int64, ()), (np.int64, ()), (np.float64, (2,)), (np.float64, (2,))))
 _ROW_BYTES = 48  # id, species, x, y, vx, vy: 8 bytes each
-_BLOCK = 1 << 18
-
-
-def sidecar_path(path) -> Path:
-    """The binary frame sidecar of the native trajectory at ``path``."""
-    return Path(f"{path}.frames")
+_BLOCK = 1 << 18  # bytes hashed at a time
+_SPECIES_CODES = np.array(sorted(int(sp) for sp in SPECIES_BY_LABEL.values()))
 
 
 def _header_text(header: Trajectory) -> str:
-    lines = ["#gasdiff-trajectory 1", f"#box {header.box_side!r}"]
+    lines = ["#gasdiff-trajectory 2", f"#box {float(header.box_side)!r}"]
     if header.dt is not None:
-        lines.append(f"#dt {header.dt!r}")
+        lines.append(f"#dt {float(header.dt)!r}")
     lines.append(f"#units {header.units}")
     for key in ("n_he", "n_ar", "seed"):
         if getattr(header, key) is not None:
@@ -170,200 +161,95 @@ def _header_text(header: Trajectory) -> str:
     return "".join(f"{line}\n" for line in lines)
 
 
-def _frame_text(fr: Frame) -> Iterator[str]:
-    """The text of a frame in pieces: its FRAME line, then its rows in
-    blocks of as many rows as a binary block holds, so that the Python
-    objects of one block only are alive at a time."""
-    if fr.energy is None:
-        yield f"FRAME {fr.timestep} {float(fr.time_fs)!r}\n"
-    else:
-        yield f"FRAME {fr.timestep} {float(fr.time_fs)!r} {float(fr.energy)!r}\n"
-    step = _BLOCK // _ROW_BYTES
-    for lo in range(0, len(fr.ids), step):
-        rows = zip(*(a[lo:lo + step].tolist()
-                     for a in (fr.ids, fr.species, fr.positions, fr.velocities)))
-        yield "".join(f"{i} {SPECIES_LABELS[s]} {x!r} {y!r} {vx!r} {vy!r}\n"
-                      for i, s, (x, y), (vx, vy) in rows)
+def _header_bytes(header: Trajectory) -> bytes:
+    """The header text of a binary trajectory; ValueError if it would not
+    read back as written (a line break in the units, say)."""
+    text = _header_text(header)
+    try:
+        same = _header_text(_native_header(iter(text.splitlines()), None)[0]) == text
+    except ParseError:
+        same = False
+    if not same:
+        raise ValueError(f"trajectory header {text!r} would not read back as written")
+    return text.encode("utf-8")
 
 
-def _parses_back(fr: Frame, last) -> bool:
-    """Whether the text of ``fr``, after a frame whose (n, timestep,
-    time_fs) is ``last`` (None before the first), parses back to ``fr`` bit
-    for bit: dtypes and shapes the parser makes, finite floats (their repr
-    round-trips, -0.0 included), and nothing the readers reject."""
-    ts, count = fr.timestep, len(fr.ids)
-    arrays = (fr.ids, fr.species, fr.positions, fr.velocities)
-    return ((type(ts) is int or isinstance(ts, np.integer)) and abs(int(ts)) <= 2**62
-            and _order_fault(last, count, ts, float(fr.time_fs)) is None
-            and all(isinstance(a, np.ndarray) and a.dtype == dtype
-                    and a.shape == (count, *cols)
-                    for a, (dtype, cols) in zip(arrays, _COLUMNS))
-            and (fr.energy is None or math.isfinite(float(fr.energy)))
-            and bool(np.isfinite(fr.positions).all() and np.isfinite(fr.velocities).all())
-            and (count == 0 or -2**62 <= fr.ids.min() <= fr.ids.max() <= 2**62))
-
-
-def _frame_record(fr: Frame) -> list[bytes]:
-    energy = fr.energy
-    head = _FRAME_HEAD.pack(int(fr.timestep), float(fr.time_fs), energy is not None,
-                            0.0 if energy is None else float(energy))
-    return [head] + [a.astype(dtype.newbyteorder("<"), copy=False).tobytes()
-                     for a, (dtype, _) in zip(
-                         (fr.ids, fr.species, fr.positions, fr.velocities), _COLUMNS)]
+def _frame_fault(fr: Frame, last) -> str | None:
+    """Why the reader refuses ``fr`` after a frame whose (n, timestep,
+    time_fs) is ``last`` (None before the first), or None: arrays other
+    than int64 (n,) ids and species codes and float64 (n, 2) positions and
+    velocities, a species code that is not He's or Ar's, a timestep that is
+    not an int64, or a break of _order_fault's frame-order rule."""
+    n, ts = len(fr.ids), fr.timestep
+    if not all(isinstance(a, np.ndarray) and a.dtype == dtype and a.shape == (n, *cols)
+               for a, (dtype, cols) in zip(
+                   (fr.ids, fr.species, fr.positions, fr.velocities), _COLUMNS)):
+        return (f"frame at timestep {ts} does not hold int64 (n,) ids and species "
+                "and float64 (n, 2) positions and velocities")
+    if not np.isin(fr.species, _SPECIES_CODES).all():
+        return f"frame at timestep {ts} has a species code other than He's or Ar's"
+    if not isinstance(ts, (int, np.integer)) or not -2**63 <= ts < 2**63:
+        return f"frame timestep {ts!r} is not an int64"
+    fault = _order_fault(last, n, ts, fr.time_fs)
+    return None if fault is None else fault[1]
 
 
 def write_native_frames(header: Trajectory, frames: Iterable[Frame], path) -> None:
     """Write ``header``'s fields (not its frames), then each of ``frames`` as
-    it comes, to ``path`` + ".tmp", renamed onto ``path`` after the last
-    frame; the binary sidecar goes the same way, or is removed when a frame
-    would not parse back from the text identically.  If ``frames`` raises,
-    both temporary files are removed.
-
-    The frames are formatted, hashed and written by a forked child process
-    while the caller makes the next ones; the caller writes only the header.
-    Where there is no ``os.fork``, or the process runs other threads (which
-    a fork would leave behind in the child), the same writer runs here."""
+    it comes, to ``path`` + ".tmp" as one binary trajectory, renamed onto
+    ``path`` after the last frame.  A frame the reader would refuse raises
+    ValueError.  If ``frames`` raises, or a frame is refused, the temporary
+    file is removed and ``path`` is left as it was."""
     import hashlib
 
-    tmp, side_tmp = Path(f"{path}.tmp"), Path(f"{sidecar_path(path)}.tmp")
-    text_sha = hashlib.sha256()
+    tmp, digest = Path(f"{path}.tmp"), hashlib.sha256()
     try:
-        with open(tmp, "wb") as fh, open(side_tmp, "wb") as side_fh:
-            head = _header_text(header)
-            data = head.encode("utf-8")
-            text_sha.update(data)
-            fh.write(data)
-            # a line break inside a header value would start another line
-            exact = len(head.splitlines()) == head.count("\n")
-            if hasattr(os, "fork") and threading.active_count() == 1:
-                # the header is on disk, and no buffered byte is copied into the child
-                fh.flush()
-                side_fh.flush()
-                _write_forked(fh, side_fh, path, text_sha, exact, frames)
-            else:
-                _write_frames(fh, side_fh, path, text_sha, exact, frames)
+        with open(tmp, "wb") as fh:
+            def write(parts):
+                for part in parts:
+                    digest.update(part)
+                fh.writelines(parts)
+                fh.flush()  # whole frames reach the file as the run makes them
+
+            text = _header_bytes(header)
+            write([_MAGIC, _LENGTH.pack(len(text)), text])
+            last, count = None, 0  # (n, timestep, time_fs) of the last frame
+            for fr in frames:
+                if (fault := _frame_fault(fr, last)) is not None:
+                    raise ValueError(fault)
+                energy = fr.energy
+                write([_FRAME_HEAD.pack(fr.timestep, fr.time_fs, energy is not None,
+                                        0.0 if energy is None else energy)]
+                      + [np.ascontiguousarray(a, dtype.newbyteorder("<")).data
+                         for a, (dtype, _) in zip(
+                             (fr.ids, fr.species, fr.positions, fr.velocities), _COLUMNS)])
+                last, count = (len(fr.ids), fr.timestep, float(fr.time_fs)), count + 1
+            fh.write(_TRAILER.pack(last[0] if last else 0, count, digest.digest()))
     except BaseException:
         tmp.unlink(missing_ok=True)
-        side_tmp.unlink(missing_ok=True)
         raise
-
-
-def _write_frames(fh, side_fh, path, text_sha, exact: bool, frames: Iterable[Frame]) -> None:
-    """Append ``frames`` to the open text and sidecar files ``fh`` and
-    ``side_fh`` of ``path``, whose header is written and in ``text_sha``;
-    close both and move them into place.  ``exact`` is whether the header
-    parses back as written."""
-    import hashlib
-
-    records_sha = hashlib.sha256()
-    with fh, side_fh:
-        last = None  # (n, timestep, time_fs) of the last frame recorded
-        count = 0
-        for fr in frames:
-            for text in _frame_text(fr):
-                data = text.encode("utf-8")
-                text_sha.update(data)
-                fh.write(data)
-            exact = exact and _parses_back(fr, last)
-            if exact:
-                for part in _frame_record(fr):
-                    records_sha.update(part)
-                    side_fh.write(part)
-                last, count = (len(fr.ids), fr.timestep, float(fr.time_fs)), count + 1
-        if exact:
-            side_fh.write(_TRAILER.pack(_SIDECAR_MAGIC, last[0] if last else 0, count,
-                                        fh.tell(), text_sha.digest(), records_sha.digest()))
-    side = sidecar_path(path)
-    if exact:
-        os.replace(f"{side}.tmp", side)
-    else:
-        os.unlink(f"{side}.tmp")
-        side.unlink(missing_ok=True)
-    os.replace(f"{path}.tmp", path)
-
-
-def _send(fd: int, data: bytes) -> bool:
-    """Write all of ``data`` to the pipe ``fd``; False if its reader has gone."""
-    view = memoryview(data)
-    try:
-        while view:
-            view = view[os.write(fd, view):]
-    except BrokenPipeError:
-        return False
-    return True
-
-
-def _write_forked(fh, side_fh, path, text_sha, exact: bool, frames: Iterable[Frame]) -> None:
-    """``_write_frames`` in a forked child, fed ``frames`` through a pipe.
-
-    Each frame goes down the pipe as a pickled tuple of its fields (not the
-    frame, whose class need not pickle), then None ends the run.  The child
-    sends back on a second pipe a pickled None, or the exception it raised,
-    which is raised here; a child that stops early closes the frame pipe, so
-    its error is raised in place of the broken pipe.  If this side fails
-    first (``frames`` raises, or an interrupt) the child is killed and
-    reaped before the exception goes on; the caller removes the files."""
-    import pickle
-    import signal
-
-    frame_r, frame_w = os.pipe()
-    status_r, status_w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        for fd in (frame_r, frame_w, status_r, status_w):
-            os.close(fd)
-        raise
-    if pid == 0:
-        try:
-            os.close(frame_w)
-            os.close(status_r)
-            try:
-                with open(frame_r, "rb") as pipe:
-                    received = iter(lambda: pickle.load(pipe), None)
-                    _write_frames(fh, side_fh, path, text_sha, exact,
-                                  (Frame(*fields) for fields in received))
-                report = pickle.dumps(None)
-            except BaseException as exc:
-                try:
-                    report = pickle.dumps(exc)
-                    pickle.loads(report)
-                except Exception:  # an exception that does not pickle back
-                    report = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-            _send(status_w, report)
-        finally:
-            os._exit(0)
-    os.close(frame_r)
-    os.close(status_w)
-    try:
-        try:
-            for fr in frames:
-                fields = (fr.timestep, fr.time_fs, fr.ids, fr.species, fr.positions,
-                          fr.velocities, fr.energy)
-                if not _send(frame_w, pickle.dumps(fields, pickle.HIGHEST_PROTOCOL)):
-                    break
-            else:
-                _send(frame_w, pickle.dumps(None))
-        finally:
-            os.close(frame_w)
-        with open(status_r, "rb", closefd=False) as status:
-            report = status.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(status_r)
-        _, wait_status = os.waitpid(pid, 0)
-    if not report:
-        raise RuntimeError("the trajectory writer process ended without a report "
-                           f"(wait status {wait_status})")
-    error = pickle.loads(report)
-    if error is not None:
-        raise error
+    os.replace(tmp, path)
 
 
 def write_native(traj: Trajectory, path) -> None:
     write_native_frames(traj, traj.frames, path)
+
+
+def check_room(directory, headers: Iterable[Trajectory], n_frames: int) -> None:
+    """Raise OSError (ENOSPC) unless the file system of ``directory`` has
+    room for one native trajectory of ``n_frames`` frames of n_he + n_ar
+    particles per header in ``headers``; the message names the bytes needed
+    and the bytes free."""
+    import errno
+    import shutil
+
+    needed = sum(len(_MAGIC) + _LENGTH.size + len(_header_bytes(h)) + _TRAILER.size
+                 + n_frames * (_FRAME_HEAD.size + _ROW_BYTES * (h.n_he + h.n_ar))
+                 for h in headers)
+    free = shutil.disk_usage(directory).free
+    if needed > free:
+        raise OSError(errno.ENOSPC, f"the trajectories need {needed} bytes, and "
+                                    f"{directory} has {free} bytes free")
 
 
 def _parse_float(token: str, path, line: int) -> float:
@@ -490,8 +376,44 @@ def _native_header(lines, path):
     return traj, line, lineno
 
 
+@contextlib.contextmanager
+def _open_binary(path, verify: bool):
+    """``path`` open at its first frame record, with its header and its
+    particle and frame counts, if its leading bytes are a binary
+    trajectory's; else None.  Its trailer must be whole and its size must
+    fit the counts, and with ``verify`` the bytes before the trailer must
+    have its SHA-256, or ParseError."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            yield None
+            return
+        size = os.fstat(fh.fileno()).st_size
+        body = size - _TRAILER.size
+        start = len(_MAGIC) + _LENGTH.size
+        if body < start:
+            raise ParseError(f"binary trajectory is truncated at {size} bytes", path=path)
+        (length,) = _LENGTH.unpack(fh.read(_LENGTH.size))
+        fh.seek(body)
+        n, count, digest = _TRAILER.unpack(fh.read(_TRAILER.size))
+        if not (length >= 0 and n >= 0 and count >= 0 and body == start + length
+                + count * (_FRAME_HEAD.size + _ROW_BYTES * n)):
+            raise ParseError(f"binary trajectory of {size} bytes does not fit its "
+                             f"trailer's {count} frames of {n} particles", path=path)
+        if verify:
+            fh.seek(0)
+            if _sha256(fh, body) != digest:
+                raise ParseError("binary trajectory does not match its SHA-256", path=path)
+        fh.seek(start)
+        text = fh.read(length).decode("utf-8", errors="replace")
+        yield fh, _native_header(iter(text.splitlines()), path)[0], n, count
+
+
 def read_native_header(path) -> Trajectory:
-    """The header of a native trajectory, as a Trajectory without frames."""
+    """The header of a native trajectory, as a Trajectory without frames.
+    A binary one's trailer and size are checked, not its SHA-256."""
+    with _open_binary(path, verify=False) as binary:
+        if binary is not None:
+            return binary[1]
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return _native_header(_lines(fh), path)[0]
 
@@ -511,41 +433,12 @@ def _sha256(fh, size: int) -> bytes | None:
     return digest.digest()
 
 
-@contextlib.contextmanager
-def _open_sidecar(path):
-    """``path``'s sidecar open at its first frame, with its particle and frame
-    counts, if its trailer, its frame records and the text at ``path`` all
-    match what the writer recorded; else None."""
-    try:
-        fh = open(sidecar_path(path), "rb")
-    except OSError:
-        yield None
-        return
-    with fh:
-        body = os.fstat(fh.fileno()).st_size - _TRAILER.size
-        found = None
-        if body >= 0:
-            fh.seek(body)
-            magic, n, count, text_bytes, text_sha, records_sha = _TRAILER.unpack(
-                fh.read(_TRAILER.size))
-            if (magic == _SIDECAR_MAGIC and n >= 0 and count >= 0
-                    and body == count * (_FRAME_HEAD.size + _ROW_BYTES * n)
-                    and os.path.getsize(path) == text_bytes):
-                with open(path, "rb") as text:
-                    matches = _sha256(text, text_bytes) == text_sha
-                fh.seek(0)
-                if matches and _sha256(fh, body) == records_sha:
-                    fh.seek(0)
-                    found = fh, n, count
-        yield found
-
-
-def _sidecar_frame(fh, n: int) -> Frame:
-    """The next frame of a checked sidecar, each array its own."""
+def _binary_frame(fh, n: int, path) -> Frame:
+    """The next frame of a checked binary trajectory, each array its own."""
     head = fh.read(_FRAME_HEAD.size)
     arrays = [np.empty((n, *cols), dtype.newbyteorder("<")) for dtype, cols in _COLUMNS]
     if len(head) != _FRAME_HEAD.size or any(fh.readinto(a) != a.nbytes for a in arrays):
-        raise ParseError("frame sidecar changed while it was read", path=fh.name)
+        raise ParseError("binary trajectory changed while it was read", path=path)
     timestep, time_fs, has_energy, energy = _FRAME_HEAD.unpack(head)
     return Frame(timestep, time_fs,
                  *(a.astype(dtype, copy=False) for a, (dtype, _) in zip(arrays, _COLUMNS)),
@@ -553,21 +446,27 @@ def _sidecar_frame(fh, n: int) -> Frame:
 
 
 def iter_native(path) -> Iterator[Frame]:
-    """Yield the frames of a native trajectory one at a time: from its
-    binary sidecar when that matches the text, else parsed from the text.
+    """Yield the frames of a native trajectory one at a time.
 
-    A malformed line raises ParseError when the reader reaches it, after
-    the frames before it were yielded.
+    A binary trajectory is checked whole (trailer, size and SHA-256) before
+    its first frame.  A text one is parsed as it is read: a malformed line
+    raises ParseError when the reader reaches it, after the frames before it
+    were yielded.  Either raises ParseError at a frame the writer refuses.
     """
+    with _open_binary(path, verify=True) as binary:
+        if binary is not None:
+            fh, _, n, count = binary
+            last = None  # (n, timestep, time_fs) of the last frame
+            for _ in range(count):
+                fr = _binary_frame(fh, n, path)
+                if (fault := _frame_fault(fr, last)) is not None:
+                    raise ParseError(fault, path=path)
+                last = n, fr.timestep, fr.time_fs
+                yield fr
+            return
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = _lines(fh)
         _, line, lineno = _native_header(lines, path)
-        with _open_sidecar(path) as found:
-            if found is not None:
-                side, n, count = found
-                for _ in range(count):
-                    yield _sidecar_frame(side, n)
-                return
         last = None  # (n, timestep, time_fs) of the last frame
         while line is not None:
             if not line.strip():

@@ -196,7 +196,7 @@ def test_criterion_4_md_correctness(desk_run):
     # desk reproduce run (dt 5 fs, 500+500 particles, energies per frame)
     out_dir, _ = desk_run
     from gasdiff.trajectory_io import read_native
-    traj = read_native(out_dir / "seed_1" / "trajectory.txt")
+    traj = read_native(out_dir / "seed_1" / "trajectory.bin")
     energies = np.array([f.energy for f in traj.frames])
     steps = np.array([f.timestep for f in traj.frames])
     in_window = steps <= 10000
@@ -347,7 +347,7 @@ def test_criterion_7_parser_robustness(tmp_path):
 def test_criterion_8_binning_exactness(desk_run):
     out_dir, _ = desk_run
     from gasdiff.trajectory_io import read_native
-    traj = read_native(out_dir / "seed_1" / "trajectory.txt")
+    traj = read_native(out_dir / "seed_1" / "trajectory.bin")
     n_ar = int(np.count_nonzero(traj.frames[0].species == int(Species.AR)))
     grid = GridSpec(d=2, n=20)
     series = binning.bin_trajectory(traj, grid, Species.AR)

@@ -9,6 +9,7 @@ from gasdiff.cli import main
 from gasdiff.fields import GridSpec, ScalarField, read_field_csv, write_field_csv
 from gasdiff.md import Species
 from gasdiff.trajectory_io import parse_lammps_dump, read_native
+from text_rows import native_text
 
 
 def run_cli(*args):
@@ -165,11 +166,12 @@ class TestFitCli:
         assert code == 0
         report = json.loads(report_path.read_text())
         for key in ("d_opt_nd", "d_opt_cm2_s", "cost", "iterations", "ci95",
-                    "converged", "cost_trace"):
+                    "converged", "cost_trace", "rejected_trials"):
             assert key in report
         assert report["d_opt_nd"] > 0
         assert report["cost"] >= 0
         assert isinstance(report["cost_trace"], list)
+        assert isinstance(report["rejected_trials"], int)
 
 
     def test_series_starting_after_t0_needs_init_from_frame0(self, tmp_path,
@@ -261,9 +263,9 @@ class TestConvertCli:
 
 
 class TestMalformedLastFrame:
-    """A native trajectory whose last row is bad fails after every earlier
-    frame was read: the command exits 3 with the row's line and writes
-    nothing."""
+    """A native text trajectory whose last row is bad fails after every
+    earlier frame was read: the command exits 3 with the row's line and
+    writes nothing."""
 
     @pytest.mark.parametrize("command", [
         ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
@@ -272,7 +274,7 @@ class TestMalformedLastFrame:
     ])
     def test_exits_3_with_the_line_and_writes_nothing(self, tmp_path, capsys,
                                                       small_traj, command):
-        lines = small_traj.read_text().splitlines()
+        lines = native_text(read_native(small_traj)).splitlines()
         lines[-1] = lines[-1].rsplit(" ", 1)[0] + " banana"
         bad = tmp_path / "bad.txt"
         bad.write_text("\n".join(lines) + "\n")
@@ -351,7 +353,7 @@ class TestValuesOutsideTheirDomain:
             message = "gasdiff: frame at timestep 10: particle 7 has a non-finite position"
         else:
             traj = tmp_path / "bad.txt"
-            text = small_traj.read_text()
+            text = native_text(read_native(small_traj))
             assert "#box 2500.0\n" in text
             traj.write_text(text.replace("#box 2500.0\n", f"#box {fault[:3]}\n"))
             message = (f"gasdiff: {traj}:2: box side must be positive and finite, "
@@ -592,7 +594,8 @@ class TestReproduceCli:
             for stage in stages:
                 runs[threads].pop(stage)
         assert sorted(runs[1]) == sorted(runs[2])
-        assert "seed_6/trajectory.txt.frames" in runs[1]
+        assert "seed_6/trajectory.bin" in runs[1]
+        assert not any(name.endswith((".frames", ".tmp", ".txt")) for name in runs[1])
         assert runs[1] == runs[2]
 
 
@@ -609,17 +612,12 @@ class TestArtifactIdempotence:
         assert outs[0] == outs[1]
 
 
-class TestFrameSidecar:
-    def test_bin_and_msd_outputs_match_without_the_sidecar(self, tmp_path, small_traj):
-        from gasdiff.trajectory_io import sidecar_path
-
-        traj = tmp_path / "traj.txt"
-        traj.write_bytes(small_traj.read_bytes())
-        sidecar_path(traj).write_bytes(sidecar_path(small_traj).read_bytes())
+class TestOldTextTrajectory:
+    def test_bin_and_msd_outputs_match_the_binary(self, tmp_path, small_traj):
+        text = tmp_path / "traj.txt"
+        text.write_text(native_text(read_native(small_traj)))
         outputs = []
-        for name in ("with", "without"):
-            if name == "without":
-                sidecar_path(traj).unlink()
+        for name, traj in (("binary", small_traj), ("text", text)):
             assert run_cli("bin", "--traj", traj, "--N", 8, "--species", "ar",
                            "--out", tmp_path / f"bin_{name}") == 0
             assert run_cli("msd", "--traj", traj, "--species", "ar",
@@ -628,6 +626,87 @@ class TestFrameSidecar:
                 (tmp_path / f"bin_{name}").glob("*.csv"))]
                 + [(tmp_path / f"msd_{name}" / "msd.json").read_bytes()])
         assert len(outputs[0]) == 23 and outputs[0] == outputs[1]
+
+
+class TestDamagedBinaryTrajectory:
+    """A binary trajectory that is truncated, or has one byte flipped in its
+    header, records or trailer, makes bin and msd exit 3 and write nothing."""
+
+    @pytest.mark.parametrize("command", [
+        ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
+        ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
+    ])
+    @pytest.mark.parametrize("damage", ["truncated", "header", "record", "trailer"])
+    def test_exits_3_and_writes_nothing(self, tmp_path, capsys, small_traj, command,
+                                        damage):
+        data = small_traj.read_bytes()
+        at = {"header": data.index(b"#box 2500.0") + 6, "record": len(data) // 2,
+              "trailer": len(data) - 40}.get(damage)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(data[:-1] if at is None
+                        else data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(traj=bad, out=out) for a in command]) == 3
+        assert_one_line_error(capsys, f"gasdiff: {bad}: binary trajectory")
+        assert not out.exists() or list(out.iterdir()) == []
+
+
+class TestDiskSpace:
+    """md-run and reproduce compare the exact size of their trajectories with
+    the free space and stop before any MD step when it does not fit."""
+
+    @staticmethod
+    def fake_free(monkeypatch, free):
+        import shutil
+
+        usage = shutil.disk_usage
+        monkeypatch.setattr(shutil, "disk_usage",
+                            lambda path: usage(path)._replace(free=free))
+
+    @staticmethod
+    def count_md(monkeypatch):
+        from gasdiff import md
+
+        calls, init = [], md.init_state
+        monkeypatch.setattr(md, "init_state", lambda *a: calls.append(1) or init(*a))
+        return calls
+
+    MD_RUN = ("md-run", "--n-he", 30, "--n-ar", 30, "--box", 1500.0, "--steps", 100,
+              "--stride", 10, "--seed", 3)
+
+    def test_md_run_needs_the_exact_size(self, tmp_path, monkeypatch, capsys):
+        assert run_cli(*self.MD_RUN, "--out", tmp_path / "a" / "t.txt") == 0
+        size = (tmp_path / "a" / "t.txt").stat().st_size
+        self.fake_free(monkeypatch, size)
+        assert run_cli(*self.MD_RUN, "--out", tmp_path / "b" / "t.txt") == 0
+        self.fake_free(monkeypatch, size - 1)
+        calls = self.count_md(monkeypatch)
+        capsys.readouterr()
+        assert run_cli(*self.MD_RUN, "--out", tmp_path / "c" / "t.txt") == 3
+        assert_one_line_error(
+            capsys, f"gasdiff: [Errno 28] the trajectories need {size} bytes, and "
+                    f"{tmp_path / 'c'} has {size - 1} bytes free")
+        assert calls == []
+        assert list((tmp_path / "c").iterdir()) == []
+
+    def test_reproduce_needs_every_seed_s_trajectory(self, tmp_path, monkeypatch, capsys):
+        from gasdiff import pipeline
+        from test_pipeline import MINI
+
+        monkeypatch.setitem(pipeline.PRESETS, "desk", MINI)
+        assert run_cli("reproduce", "--seeds", "5,6", "--out", tmp_path / "a") == 0
+        size = sum((tmp_path / "a" / f"seed_{s}" / "trajectory.bin").stat().st_size
+                   for s in (5, 6))
+        self.fake_free(monkeypatch, size - 1)
+        calls = self.count_md(monkeypatch)
+        capsys.readouterr()
+        assert run_cli("reproduce", "--seeds", "5,6", "--out", tmp_path / "b") == 3
+        assert_one_line_error(
+            capsys, f"gasdiff: [Errno 28] the trajectories need {size} bytes, and "
+                    f"{tmp_path / 'b'} has {size - 1} bytes free")
+        assert calls == []
+        assert list((tmp_path / "b").iterdir()) == []
 
 
 class TestStreamingMemory:

@@ -312,9 +312,11 @@ class TestJacobian:
 
 def lm_fit_every_trial(problem, d0):
     """lm_fit's loop evaluating every damped trial, a repeat of the trial
-    just rejected included: the reference for skipping repeats."""
+    just rejected included: the reference for skipping repeats.  A repeat
+    is not counted as another rejected trial."""
     num_cells = problem.grid.num_cells
     d, lam, iterations, converged = d0, fitting.LAMBDA0, 0, False
+    rejected, rejected_trials = None, 0
     rr, jtr, jtj = fitting._sums(problem, d)
     c = rr / num_cells
     trace = [c]
@@ -330,6 +332,8 @@ def lm_fit_every_trial(problem, d0):
                 c_trial = trial[0] / num_cells
                 if np.isfinite(c_trial) and c_trial < c:
                     break
+                rejected_trials += d_trial != rejected
+                rejected = d_trial
             lam *= fitting.LAMBDA_UP
         else:
             break
@@ -343,7 +347,8 @@ def lm_fit_every_trial(problem, d0):
             break
     ci = confidence_interval_95(jtj, rr, len(problem.observed.frames) * num_cells)
     return FitResult(d, nd_to_physical_d(d, problem.scale), c, iterations, ci,
-                     nd_to_physical_d(ci, problem.scale), converged, tuple(trace))
+                     nd_to_physical_d(ci, problem.scale), converged, tuple(trace),
+                     rejected_trials)
 
 
 class TestLMFit:
@@ -389,6 +394,20 @@ class TestLMFit:
         assert lm_fit(PROBLEM, 2.0) == reference
         assert len(calls) < every_trial
         assert not any(a == b for a, b in zip(calls, calls[1:]))
+
+    def test_counts_the_rejected_trials(self, monkeypatch):
+        # from d0 = 2 with lambda far below J^T J the first steps overshoot;
+        # every evaluation but the first and the accepted ones is a rejection
+        monkeypatch.setattr(fitting, "LAMBDA0", 1.0e-30)
+        calls = []
+        evaluate = fitting._sums
+        monkeypatch.setattr(fitting, "_sums",
+                            lambda problem, d: calls.append(d) or evaluate(problem, d))
+        result = lm_fit(PROBLEM, 2.0)
+        assert result.rejected_trials >= 1
+        assert result.rejected_trials == len(calls) - 1 - result.iterations
+        monkeypatch.setattr(fitting, "LAMBDA0", 1.0e-3)
+        assert lm_fit(PROBLEM, 0.1).rejected_trials == 0
 
     def test_reports_physical_units(self):
         result = lm_fit(PROBLEM, 0.5)

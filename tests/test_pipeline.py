@@ -93,7 +93,7 @@ class TestReproduce:
         stages = {c for c, _, _ in manifests}
         assert stages == {"md-run", "bin", "fit"}
         assert all(seconds > 0 for _, _, seconds in manifests)
-        assert (tmp_path / "seed_3" / "trajectory.txt").exists()
+        assert (tmp_path / "seed_3" / "trajectory.bin").exists()
         assert (tmp_path / "seed_3" / "bin_N6" / "binned.json").exists()
         assert (tmp_path / "seed_3" / "fit_N6" / "report.json").exists()
 
@@ -111,7 +111,7 @@ class TestReproduce:
             blobs.append(
                 (out / "table.csv").read_bytes()
                 + (out / "report.json").read_bytes()
-                + (out / "seed_4" / "trajectory.txt").read_bytes()
+                + (out / "seed_4" / "trajectory.bin").read_bytes()
             )
         assert blobs[0] == blobs[1]
 

@@ -15,12 +15,11 @@ from gasdiff.trajectory_io import (
     parse_lammps_dump,
     read_native,
     read_native_header,
-    sidecar_path,
     write_lammps_dump,
     write_native,
     write_native_frames,
 )
-from text_rows import lammps_rows, native_rows
+from text_rows import lammps_rows, native_rows, native_text
 
 SPECIES_MAP = {1: Species.HE, 2: Species.AR}
 
@@ -88,26 +87,18 @@ class TestNativeFormat:
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.velocities, b.velocities)
 
-    def test_frames_of_many_text_blocks_write_every_row_in_order(self, tmp_path,
-                                                                 monkeypatch):
-        # a frame's rows are formatted in blocks; more rows than two blocks
-        # hold must still give the rows formatted one by one, and a sidecar
-        # whose text hash matches them
+    def test_frames_of_many_hash_blocks_fill_the_exact_size(self, tmp_path, monkeypatch):
+        # a file is hashed in blocks; frames larger than two blocks must
+        # still read back bit for bit, from a file of exactly the size that
+        # its header and counts give
         n = 2 * (trajectory_io._BLOCK // trajectory_io._ROW_BYTES) + 7
         traj = make_trajectory(n_frames=2, n=n, seed=3)
         path = tmp_path / "traj.txt"
         write_native(traj, path)
-        text = path.read_text()
-        assert text[text.index("FRAME"):] == "".join(
-            f"FRAME {fr.timestep} {fr.time_fs!r} {fr.energy!r}\n" + "".join(
-                f"{i} {Species(s).label} {x!r} {y!r} {vx!r} {vy!r}\n"
-                for i, s, (x, y), (vx, vy) in zip(
-                    fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
-                    fr.velocities.tolist()))
-            for fr in traj.frames)
-        got = assert_sidecar_matches_text(path, monkeypatch)
-        assert [fr.positions.tobytes() for fr in got] == [
-            fr.positions.tobytes() for fr in traj.frames]
+        header = len(trajectory_io._header_bytes(traj))
+        assert path.stat().st_size == 16 + 8 + header + 2 * (32 + 48 * n) + 48
+        got = assert_binary_matches_text(path, monkeypatch)
+        assert_same_frames(got, traj.frames)
 
     def test_empty_trajectory_roundtrips(self, tmp_path):
         traj = Trajectory(box_side=500.0, frames=[], dt=1.0, seed=9)
@@ -122,7 +113,6 @@ class TestNativeFormat:
         write_native(make_trajectory(seed=4), a)
         write_native(make_trajectory(seed=4), b)
         assert a.read_bytes() == b.read_bytes()
-        assert sidecar_path(a).read_bytes() == sidecar_path(b).read_bytes()
 
     def test_missing_signature_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -185,8 +175,7 @@ class TestNativeFormat:
         traj.frames[1].ids[7] = -(2**62)
         traj.frames[2].velocities[3] = [np.inf, -0.0]
         path = tmp_path / "traj.txt"
-        write_native(traj, path)
-        assert not sidecar_path(path).exists()  # the inf keeps it from being written
+        path.write_text(native_text(traj))
         frames = list(iter_native(path))
         assert_same_frames(frames, traj.frames)
         for fr in frames:
@@ -525,6 +514,22 @@ class TestFuzz:
         except ParseError:
             pass
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=400), st.booleans())
+    def test_binary_reader_never_crashes(self, tmp_path_factory, data, valid_head):
+        # random bytes after the magic, or after a whole header
+        path = tmp_path_factory.mktemp("fuzz") / "f.txt"
+        head = trajectory_io._MAGIC
+        if valid_head:
+            text = trajectory_io._header_bytes(make_trajectory())
+            head += trajectory_io._LENGTH.pack(len(text)) + text
+        path.write_bytes(head + data)
+        for read in (read_native, read_native_header):
+            try:
+                read(path)
+            except ParseError:
+                pass
+
 
 # Tokens for the generated row blocks: ones each parser accepts, and faults.
 INT_TOKENS = st.one_of(st.integers(-(2**62), 2**62).map(str),
@@ -845,18 +850,23 @@ class TestStreamingNativeReader:
         from gasdiff import md
         from gasdiff.pipeline import DESK
 
-        # the desk preset's particles and box, shortened to 2000 steps
+        # the desk preset's particles and box, shortened to 2000 steps; the
+        # run in the old text format and in the binary one
         cfg = replace(DESK.md_config(seed=1), sample_stride=100)
-        path = tmp_path / "desk.txt"
-        write_native(md.run(cfg, md.SimBox(side=DESK.box_side), 2000), path)
-        want = whole_file_read_native(path)
+        traj = md.run(cfg, md.SimBox(side=DESK.box_side), 2000)
+        text, binary = tmp_path / "desk.txt", tmp_path / "desk.bin"
+        text.write_text(native_text(traj))
+        write_native(traj, binary)
+        want = whole_file_read_native(text)
         assert want.n_frames == 21
-        assert_same_frames(list(iter_native(path)), want.frames)
-        assert_same_frames(read_native(path).frames, want.frames)
-        header = read_native_header(path)
-        assert header.frames == []
-        assert (header.box_side, header.dt, header.seed, header.n_he, header.n_ar) == (
-            want.box_side, want.dt, want.seed, want.n_he, want.n_ar)
+        assert_same_frames(want.frames, traj.frames)
+        for path in (text, binary):
+            assert_same_frames(list(iter_native(path)), want.frames)
+            assert_same_frames(read_native(path).frames, want.frames)
+            header = read_native_header(path)
+            assert header.frames == []
+            assert (header.box_side, header.dt, header.seed, header.n_he, header.n_ar) == (
+                want.box_side, want.dt, want.seed, want.n_he, want.n_ar)
 
     def test_good_input_parses_as_before(self, tmp_path):
         path = tmp_path / "good.txt"
@@ -943,29 +953,24 @@ class TestStreamingNativeReader:
 
 
 def unparsed_frames(path, monkeypatch):
-    """iter_native's frames, failing if it parses any frame from the text."""
+    """iter_native's frames, failing if it parses any frame from text."""
     def parse(*args):
-        raise AssertionError("frame parsed from the text")
+        raise AssertionError("frame parsed from text")
 
     with monkeypatch.context() as m:
         m.setattr(trajectory_io, "_parse_rows", parse)
         return list(iter_native(path))
 
 
-def parsed_frames(path):
-    """iter_native's frames with the sidecar moved away."""
-    side = sidecar_path(path)
-    away = side.with_name(side.name + ".away")
-    side.rename(away)
-    try:
-        return list(iter_native(path))
-    finally:
-        away.rename(side)
-
-
-def assert_sidecar_matches_text(path, monkeypatch):
+def assert_binary_matches_text(path, monkeypatch):
+    """The frames of the binary trajectory at ``path``, read without the text
+    parser, after checking that they are the frames its text form parses to,
+    bit for bit, and that each array is its own."""
     got = unparsed_frames(path, monkeypatch)
-    assert_same_frames(got, parsed_frames(path))
+    text = path.with_name(path.name + ".text")
+    text.write_text(native_text(replace(read_native_header(path), frames=got)))
+    assert_same_frames(got, list(iter_native(text)))
+    text.unlink()
     for fr in got:
         for a in (fr.ids, fr.species, fr.positions, fr.velocities):
             assert a.flags.owndata and a.flags.c_contiguous and a.flags.writeable
@@ -973,27 +978,38 @@ def assert_sidecar_matches_text(path, monkeypatch):
 
 
 def flip(at):
-    """A damage that flips the lowest bit of byte ``at``."""
-    return lambda data: data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+    """A damage that flips the lowest bit of byte ``at`` (from the end when
+    negative)."""
+    def damage(data):
+        k = at % len(data)
+        return data[:k] + bytes([data[k] ^ 1]) + data[k + 1:]
+    return damage
 
 
-RECORD = 32 + 48 * 4  # a frame of 4 particles in the sidecar
-SIDECAR_DAMAGE = {
+RECORD = 32 + 48 * 4  # a frame of 4 particles
+#: where the header text and the frames of make_trajectory(seed=5) start
+HEADER = trajectory_io._header_bytes(make_trajectory(seed=5))
+FRAMES = 16 + 8 + len(HEADER)
+BINARY_DAMAGE = {
     "empty": lambda data: b"",
+    "cut to the magic": lambda data: data[:16],
     "cut one byte": lambda data: data[:-1],
-    "cut one frame": lambda data: data[:2 * RECORD] + data[3 * RECORD:],
+    "cut one frame": lambda data: data[:FRAMES + RECORD] + data[FRAMES + 2 * RECORD:],
     "extra byte": lambda data: data + b"\0",
-    "flip a position": flip(32 + 16 * 4),
-    "flip an id": flip(RECORD + 32),
-    "flip the magic": flip(3 * RECORD),
-    "flip the frame count": flip(3 * RECORD + 24),
-    "flip the text digest": flip(3 * RECORD + 40),
-    "flip the records digest": flip(3 * RECORD + 72),
+    "flip the header length": flip(16),
+    "flip a digit of the box": flip(16 + 8 + HEADER.index(b"#box 1000.0") + 5),
+    "flip a timestep": flip(FRAMES + RECORD),
+    "flip a position": flip(FRAMES + 32 + 16 * 4),
+    "flip an id": flip(FRAMES + RECORD + 32),
+    "flip a species code": flip(FRAMES + 2 * RECORD + 32 + 8 * 4),
+    "flip the particle count": flip(-48),
+    "flip the frame count": flip(-40),
+    "flip the digest": flip(-1),
 }
 
 
-class TestFrameSidecar:
-    def test_md_run_sidecar_matches_the_text(self, tmp_path, monkeypatch):
+class TestBinaryTrajectory:
+    def test_md_run_binary_matches_the_text(self, tmp_path, monkeypatch):
         from gasdiff.cli import main
 
         outs = [tmp_path / name / "traj.txt" for name in ("a", "b")]
@@ -1001,20 +1017,24 @@ class TestFrameSidecar:
             assert main(["md-run", "--n-he", "30", "--n-ar", "30", "--box", "1500.0",
                          "--steps", "100", "--stride", "10", "--seed", "3",
                          "--out", str(out)]) == 0
-        frames = assert_sidecar_matches_text(outs[0], monkeypatch)
+        assert outs[0].read_bytes().startswith(trajectory_io._MAGIC)
+        frames = assert_binary_matches_text(outs[0], monkeypatch)
         assert len(frames) == 11 and all(fr.energy is not None for fr in frames)
-        assert sidecar_path(outs[0]).read_bytes() == sidecar_path(outs[1]).read_bytes()
+        assert outs[0].read_bytes() == outs[1].read_bytes()
         assert_same_frames(read_native(outs[0]).frames, frames)
+        assert sorted(p.name for p in outs[0].parent.iterdir()) == ["manifest.json",
+                                                                     "traj.txt"]
 
-    def test_reproduce_sidecar_matches_the_text(self, tmp_path, monkeypatch):
+    def test_reproduce_binary_matches_the_text(self, tmp_path, monkeypatch):
         from gasdiff.pipeline import Preset, run_reproduce
 
         preset = Preset(name="tiny", n_he=40, n_ar=40, box_side=1500.0, dt=5.0,
                         n_steps=120, sample_stride=20, temperature=300.0,
                         n_values=(4,), d0_nd=0.05, init_from_frame0=True)
         run_reproduce(preset, seeds=[2], out_dir=tmp_path)
-        frames = assert_sidecar_matches_text(
-            tmp_path / "seed_2" / "trajectory.txt", monkeypatch)
+        seed_dir = tmp_path / "seed_2"
+        assert [p.name for p in seed_dir.iterdir() if p.is_file()] == ["trajectory.bin"]
+        frames = assert_binary_matches_text(seed_dir / "trajectory.bin", monkeypatch)
         assert len(frames) == 7
 
     def test_converted_dump_without_velocities_or_energy(self, tmp_path, monkeypatch):
@@ -1024,8 +1044,9 @@ class TestFrameSidecar:
         dump.write_text(REORDERED_DUMP + REORDERED_DUMP.replace("10\n", "20\n", 1))
         assert main(["convert", "--in", str(dump), "--to", "native",
                      "--dt", "5.0", "--out", str(out)]) == 0
-        assert "#has_velocities 0" in out.read_text()
-        frames = assert_sidecar_matches_text(out, monkeypatch)
+        assert out.read_bytes().startswith(trajectory_io._MAGIC)
+        assert read_native_header(out).has_velocities is False
+        frames = assert_binary_matches_text(out, monkeypatch)
         assert [fr.energy for fr in frames] == [None, None]
         assert [fr.timestep for fr in frames] == [10, 20]
 
@@ -1035,82 +1056,73 @@ class TestFrameSidecar:
         traj.frames[0].energy = None
         traj.frames[1].ids[2] = -(2**62)
         traj.frames[1].ids[3] = 2**62
+        traj.frames[1].velocities[0] = [np.nan, -np.inf]
         traj.frames[2].positions[1] = [-0.0, 5e-324]
         traj.frames[2].velocities[:] = 0.0
         traj.frames[2].velocities[4] = [-0.0, 1.7976931348623157e308]
         path = tmp_path / "traj.txt"
         write_native(traj, path)
-        frames = assert_sidecar_matches_text(path, monkeypatch)
+        frames = assert_binary_matches_text(path, monkeypatch)
         assert_same_frames(frames, traj.frames)
+
+    def test_binary_keeps_what_the_text_format_could_not(self, tmp_path):
+        # values the text writer could not give back bit for bit, or its
+        # reader refused
+        traj = make_trajectory(n_frames=3, n=4, seed=6)
+        traj.frames[0].energy = float("nan")
+        traj.frames[1].positions[2, 0] = np.nan
+        traj.frames[1].velocities[3] = [-np.inf, np.float64(np.nan) * -1.0]
+        traj.frames[2].ids[1] = 2**63 - 1
+        traj.frames[2].timestep = 2**62 + 1
+        path = tmp_path / "traj.txt"
+        write_native(traj, path)
+        assert_same_frames(read_native(path).frames, traj.frames)
+        assert_same_frames(list(iter_native(path)), traj.frames)
 
     def test_empty_trajectory_and_empty_frames(self, tmp_path, monkeypatch):
         path = tmp_path / "empty.txt"
         write_native(Trajectory(box_side=10.0), path)
-        assert assert_sidecar_matches_text(path, monkeypatch) == []
+        assert assert_binary_matches_text(path, monkeypatch) == []
         traj = make_trajectory(n_frames=2, n=0)
         write_native(traj, path)
-        assert len(assert_sidecar_matches_text(path, monkeypatch)) == 2
+        assert len(assert_binary_matches_text(path, monkeypatch)) == 2
 
-    @pytest.mark.parametrize("old, new", [("5", "6"), ("0", "9")])
-    def test_same_length_edit_reads_the_edited_text(self, tmp_path, old, new):
+    @pytest.mark.parametrize("damage", sorted(BINARY_DAMAGE))
+    def test_damaged_binary_is_a_parse_error_before_any_frame(self, tmp_path, damage):
         path = tmp_path / "traj.txt"
-        written = make_trajectory(n_frames=3, n=4, seed=2).frames[-1]
-        write_native(make_trajectory(n_frames=3, n=4, seed=2), path)
-        text = path.read_text()
-        at = text.rindex(old)  # a digit in the last row
-        path.write_text(text[:at] + new + text[at + 1:])
-        assert sidecar_path(path).is_file()
-        got = list(iter_native(path))
-        assert_same_frames(got, whole_file_read_native(path).frames)
-        assert not np.array_equal(np.hstack([got[-1].positions, got[-1].velocities]),
-                                  np.hstack([written.positions, written.velocities]))
+        write_native(make_trajectory(n_frames=3, n=4, seed=5), path)
+        data = path.read_bytes()
+        assert len(data) == FRAMES + 3 * RECORD + 48
+        path.write_bytes(BINARY_DAMAGE[damage](data))
+        with pytest.raises(ParseError):
+            next(iter_native(path))
+        with pytest.raises(ParseError):
+            read_native(path)
 
-    @pytest.mark.parametrize("old, new", [("FRAME 100", "FRAMES100"),
-                                          ("\n3 ", "\n3x"), (".", "q")])
-    def test_same_length_malformed_edit_gives_the_parse_error(self, tmp_path, old, new):
+    def test_reader_refuses_a_frame_the_writer_refuses(self, tmp_path):
+        # a file whose second frame repeats the first one's timestep, with
+        # its trailer's digest made to fit
+        import hashlib
+
         path = tmp_path / "traj.txt"
-        write_native(make_trajectory(n_frames=3, n=4, seed=2), path)
-        text = path.read_text()
-        at = text.rindex(old)
-        path.write_text(text[:at] + new + text[at + len(old):])
-        assert len(path.read_bytes()) == len(text)
-        assert sidecar_path(path).is_file()
-        assert outcome(whole_file_read_native, path)[0] == "error"
-        assert_same_outcome(path)
+        write_native(make_trajectory(n_frames=3, n=4, seed=5), path)
+        data = bytearray(path.read_bytes()[:-48])
+        data[FRAMES + RECORD:FRAMES + RECORD + 8] = data[FRAMES:FRAMES + 8]
+        path.write_bytes(bytes(data) + trajectory_io._TRAILER.pack(
+            4, 3, hashlib.sha256(data).digest()))
+        frames = iter_native(path)
+        next(frames)
+        with pytest.raises(ParseError, match="strictly increasing"):
+            next(frames)
 
-    @pytest.mark.parametrize("damage", sorted(SIDECAR_DAMAGE))
-    def test_damaged_sidecar_falls_back_to_the_text(self, tmp_path, damage):
-        path = tmp_path / "traj.txt"
-        traj = make_trajectory(n_frames=3, n=4, seed=5)
-        write_native(traj, path)
-        side = sidecar_path(path)
-        assert len(side.read_bytes()) == 3 * RECORD + 104
-        side.write_bytes(SIDECAR_DAMAGE[damage](side.read_bytes()))
-        calls = []
-        parse = trajectory_io._parse_rows
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(trajectory_io, "_parse_rows",
-                      lambda *args: calls.append(1) or parse(*args))
-            assert_same_frames(list(iter_native(path)), traj.frames)
-        assert len(calls) == 3
-
-    @pytest.mark.parametrize("case", ["nan position", "inf velocity", "nan energy",
-                                      "id above 2**62", "repeated timestep",
-                                      "particle count changes", "float timestep",
-                                      "float32 positions", "line break in units",
-                                      "nan time", "time decreases"])
-    def test_no_sidecar_where_the_text_would_not_read_back(self, tmp_path, case):
+    @pytest.mark.parametrize("case", ["repeated timestep", "particle count changes",
+                                      "float timestep", "float32 positions",
+                                      "positions of 3 columns", "species code 7",
+                                      "line break in units", "nan time", "time decreases"])
+    def test_writer_refuses_a_frame_the_reader_refuses(self, tmp_path, case):
         traj = make_trajectory(n_frames=3, n=4, seed=6)
         frames = traj.frames
-        if case == "nan position":
-            frames[1].positions[2, 0] = np.nan
-        elif case == "inf velocity":
-            frames[2].velocities[0, 1] = -np.inf
-        elif case == "nan energy":
-            frames[0].energy = float("nan")
-        elif case == "id above 2**62":
-            frames[2].ids[1] = 2**62 + 1
-        elif case == "repeated timestep":
+        if case == "repeated timestep":
             frames[2].timestep = frames[1].timestep
         elif case == "particle count changes":
             frames[1] = make_frame(100, 5, np.random.default_rng(1))
@@ -1118,6 +1130,10 @@ class TestFrameSidecar:
             frames[1].timestep = 100.0
         elif case == "float32 positions":
             frames[0].positions = frames[0].positions.astype(np.float32)
+        elif case == "positions of 3 columns":
+            frames[2].positions = np.zeros((4, 3))
+        elif case == "species code 7":
+            frames[1].species[2] = 7
         elif case == "nan time":
             frames[1].time_fs = float("nan")
         elif case == "time decreases":
@@ -1125,11 +1141,12 @@ class TestFrameSidecar:
         else:
             traj.units = "real\x0bFRAME 0 0.0"
         path = tmp_path / "traj.txt"
-        write_native(make_trajectory(), path)  # a stale sidecar to replace
-        assert sidecar_path(path).is_file()
-        write_native_frames(traj, frames, path)
+        write_native(make_trajectory(), path)  # an older file, left as it was
+        old = path.read_bytes()
+        with pytest.raises(ValueError):
+            write_native_frames(traj, frames, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.txt"]
-        assert_same_outcome(path)
+        assert path.read_bytes() == old
 
     def test_frames_raising_leaves_no_files(self, tmp_path):
         def frames():
@@ -1140,17 +1157,17 @@ class TestFrameSidecar:
             write_native_frames(make_trajectory(), frames(), tmp_path / "traj.txt")
         assert list(tmp_path.iterdir()) == []
 
-    def test_sidecar_changed_while_read_is_an_error(self, tmp_path):
+    def test_binary_changed_while_read_is_an_error(self, tmp_path):
         path = tmp_path / "traj.txt"
         # frames larger than the file buffer, so the next one is read anew
         write_native(make_trajectory(n_frames=3, n=500), path)
         frames = iter_native(path)
         next(frames)
-        sidecar_path(path).write_bytes(b"")
-        with pytest.raises(ParseError, match="sidecar changed"):
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match="changed while it was read"):
             next(frames)
 
-    def test_sidecar_read_holds_one_frame(self, tmp_path):
+    def test_binary_read_holds_one_frame(self, tmp_path):
         import tracemalloc
 
         n, n_frames = 1000, 200
@@ -1206,19 +1223,20 @@ def md_blow_up_frames(monkeypatch):
     return md.trajectory_header(cfg, box), md.iter_frames(cfg, box, 100)
 
 
-class TestForkedWriter:
-    def test_success_leaves_no_child(self, tmp_path, monkeypatch):
+class TestInProcessWriter:
+    def test_success_forks_nothing(self, tmp_path, monkeypatch):
         forks = counting_forks(monkeypatch)
         write_native(make_trajectory(), tmp_path / "traj.txt")
-        assert forks == [1]
+        assert forks == []
         assert_no_child_left()
 
     @pytest.mark.parametrize("case", ["species 7", "frames raise", "md blows up"])
     def test_failure_leaves_no_files_and_no_child(self, tmp_path, monkeypatch, case):
         forks = counting_forks(monkeypatch)
         header = make_trajectory()
-        if case == "species 7":  # raises in the child, which formats the rows
-            frames, error, message = make_trajectory().frames, KeyError, "^7$"
+        if case == "species 7":  # refused before the frame is written
+            frames, error = make_trajectory().frames, ValueError
+            message = "^frame at timestep 100 has a species code other than He's or Ar's$"
             frames[1].species[2] = 7
         elif case == "frames raise":
             def raising():
@@ -1233,49 +1251,31 @@ class TestForkedWriter:
             message = "^particle 3 reached 2 A/fs$"
         with pytest.raises(error, match=message):
             write_native_frames(header, frames, tmp_path / "traj.txt")
-        assert forks == [1]
+        assert forks == []
         assert list(tmp_path.iterdir()) == []
         assert_no_child_left()
 
-    @pytest.mark.parametrize("case", ["md-run", "nan position", "empty"])
-    def test_forked_and_in_process_write_the_same_bytes(self, tmp_path, monkeypatch, case):
+    @pytest.mark.parametrize("command", ["md-run", "reproduce", "convert"])
+    def test_commands_that_write_a_trajectory_fork_nothing(self, tmp_path, monkeypatch,
+                                                           command):
+        from gasdiff import pipeline
         from gasdiff.cli import main
 
-        def write(out):
-            out.parent.mkdir()
-            if case == "md-run":
-                assert main(["md-run", "--n-he", "30", "--n-ar", "30", "--box", "1500.0",
-                             "--steps", "100", "--stride", "10", "--seed", "3",
-                             "--out", str(out)]) == 0
-            elif case == "nan position":
-                traj = make_trajectory(n_frames=3, n=4, seed=6)
-                traj.frames[1].positions[2, 0] = np.nan
-                write_native(traj, out)
-            else:
-                write_native(Trajectory(box_side=10.0), out)
-            side = sidecar_path(out)
-            return out.read_bytes(), side.read_bytes() if side.exists() else None
-
         forks = counting_forks(monkeypatch)
-        forked = write(tmp_path / "forked" / "traj.txt")
-        assert forks == [1]
-        monkeypatch.delattr(os, "fork")
-        assert write(tmp_path / "in_process" / "traj.txt") == forked
-        assert (forked[1] is None) == (case == "nan position")
-
-    def test_threads_keep_the_writer_in_process(self, tmp_path, monkeypatch):
-        import threading
-
-        forks = counting_forks(monkeypatch)
-        release = threading.Event()
-        other = threading.Thread(target=release.wait)
-        other.start()
-        try:
-            write_native(make_trajectory(), tmp_path / "traj.txt")
-        finally:
-            release.set()
-            other.join(timeout=10)
-        assert not other.is_alive()
+        if command == "md-run":
+            argv = ["md-run", "--n-he", "30", "--n-ar", "30", "--box", "1500.0",
+                    "--steps", "100", "--stride", "10", "--out", str(tmp_path / "t.txt")]
+        elif command == "reproduce":
+            monkeypatch.setitem(pipeline.PRESETS, "desk", pipeline.Preset(
+                name="tiny", n_he=40, n_ar=40, box_side=1500.0, dt=5.0, n_steps=120,
+                sample_stride=20, temperature=300.0, n_values=(4,), d0_nd=0.05,
+                init_from_frame0=True))
+            argv = ["reproduce", "--seeds", "1", "--out", str(tmp_path / "out")]
+        else:
+            dump = tmp_path / "d.dump"
+            dump.write_text(REORDERED_DUMP)
+            argv = ["convert", "--in", str(dump), "--to", "native",
+                    "--out", str(tmp_path / "t.txt")]
+        assert main(argv) == 0
         assert forks == []
-        assert_same_frames(read_native(tmp_path / "traj.txt").frames,
-                           make_trajectory().frames)
+        assert_no_child_left()
