@@ -235,7 +235,7 @@ def overlap_probe() -> dict:
             md_s.append(time.perf_counter() - start)
             start = time.perf_counter()
             write_native_frames(md.trajectory_header(cfg, box),
-                                md.iter_frames(cfg, box, 2000), Path(tmp) / "traj.txt")
+                                md.iter_frames(cfg, box, 2000), Path(tmp) / "traj.bin")
             write_s.append(time.perf_counter() - start)
     md_ms, write_ms = statistics.median(md_s) * 1e3, statistics.median(write_s) * 1e3
     return {
@@ -286,7 +286,7 @@ def io_probe() -> dict:
                           time_fs=k * cfg.sample_stride * cfg.dt)
                   for k in range(n_frames)]
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "traj.txt"
+            path = Path(tmp) / "traj.bin"
 
             def seconds(work):
                 start = time.perf_counter()

@@ -128,8 +128,9 @@ def write_field_csv(f: ScalarField, path, time: float = 0.0) -> None:
 
 
 def read_field_csv(path) -> tuple[ScalarField, float]:
-    """Inverse of write_field_csv; returns (field, time)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Inverse of write_field_csv; returns (field, time).  A malformed file,
+    or a grid or values that make no ScalarField, is a ParseError."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines:
         raise ParseError("empty field file", path=path, line=1)
@@ -153,10 +154,10 @@ def read_field_csv(path) -> tuple[ScalarField, float]:
         rows = [[float(v) for v in ln.split(",")] for ln in data_lines]
     except ValueError:
         raise ParseError("non-numeric field value", path=path) from None
+    if widths := {len(row) for row in rows} - {n}:
+        raise ParseError(f"expected {n} columns, found {min(widths)}", path=path, line=2)
     values = np.array(rows, dtype=np.float64)
-    if values.shape[1] != n:
-        raise ParseError(
-            f"expected {n} columns, found {values.shape[1]}", path=path, line=2
-        )
-    grid = GridSpec(d=d, n=n)
-    return ScalarField(grid, values if d == 2 else values[0]), t
+    try:
+        return ScalarField(GridSpec(d=d, n=n), values if d == 2 else values[0]), t
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path) from None

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import binning, fitting, md
+from .errors import ParseError
 from .fd_solver import FieldSeries
 from .fields import (
     GridSpec,
@@ -119,19 +120,40 @@ def write_binned_dir(series: binning.BinnedSeries, out_dir: Path,
 
 
 def read_binned_dir(path: Path) -> binning.BinnedSeries:
-    meta = json.loads((path / "binned.json").read_text(encoding="utf-8"))
+    """The series that write_binned_dir wrote to ``path``.  A binned.json
+    or a u_*.csv that is malformed is a ParseError naming that file."""
+    meta_path = path / "binned.json"
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8", errors="replace"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not JSON ({exc})", path=meta_path) from None
+    if not isinstance(meta, dict):
+        raise ParseError("expected a JSON object", path=meta_path)
+    times_meta, norm, species = (meta.get(key) for key in (
+        "times_fs", "normalization_max", "species"))
+    if not (isinstance(times_meta, list) and times_meta and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in times_meta)):
+        raise ParseError("times_fs must be a nonempty list of numbers", path=meta_path)
+    if norm is not None and (not isinstance(norm, int) or isinstance(norm, bool)):
+        raise ParseError(f"normalization_max must be an integer, got {norm!r}",
+                         path=meta_path)
+    # a list compares a JSON value that may be unhashable
+    if species is not None and species not in list(md.SPECIES_BY_LABEL):
+        raise ParseError(f"unknown species {species!r}", path=meta_path)
     fields = []
     times = []
-    for i, t_meta in enumerate(meta["times_fs"]):
-        f, t = read_field_csv(path / f"u_{i:04d}.csv")
+    for i, t_meta in enumerate(times_meta):
+        field_path = path / f"u_{i:04d}.csv"
+        f, t = read_field_csv(field_path)
+        if fields and f.grid != fields[0].grid:
+            raise ParseError(f"grid {f.grid} differs from u_0000.csv's", path=field_path)
         fields.append(f)
         times.append(t if np.isfinite(t) else t_meta)
     series = binning.BinnedSeries.from_fields(times, fields)
-    if meta.get("normalization_max") is not None:
+    if norm is not None:
         series = binning.BinnedSeries(
-            grid=series.grid, frames=series.frames,
-            normalization_max=int(meta["normalization_max"]),
-            species=md.SPECIES_BY_LABEL.get(meta.get("species")),
+            grid=series.grid, frames=series.frames, normalization_max=norm,
+            species=md.SPECIES_BY_LABEL.get(species),
         )
     return series
 

@@ -1,5 +1,5 @@
-"""Trajectory persistence: the native binary format, the native text
-format it replaced, and a LAMMPS dump reader.
+"""Trajectory persistence: the native binary format and a LAMMPS dump
+reader.
 
 A native trajectory is one little-endian binary file:
 
@@ -15,31 +15,19 @@ A native trajectory is one little-endian binary file:
 
 write_native_frames appends frames as they come, in the calling process,
 and refuses a frame the reader would refuse (_frame_fault); iter_native
-checks the trailer, the size and the SHA-256 before it yields the first
-frame, then yields them one at a time; write_native and read_native run
-the same code for a Trajectory held in memory.  The readers tell the
-formats apart by a file's leading bytes.
-
-The text format is still read.  It is line oriented:
-
-    #gasdiff-trajectory 1
-    #box 50000.0
-    #has_velocities 1
-    FRAME 0 0.0 [total_energy]
-    1 He 12.5 99.0 0.001 -0.002
-    ...
-
-Header lines are ``#key value``; each frame is a ``FRAME <timestep>
-<time_fs>`` line (with an optional trailing total energy) followed by one
-``id species x y vx vy`` row per particle.
+checks the magic, the trailer, the size and the SHA-256 before it yields
+the first frame, then yields them one at a time; write_native and
+read_native run the same code for a Trajectory held in memory.  A file
+that does not start with the magic, such as a text trajectory of format 1,
+is a ParseError.
 
 The LAMMPS reader handles text dumps of a square, orthogonal, fixed box
 with header-driven column order, unscaled (x y) or scaled (xs ys)
-coordinates, and ignores any z column.  Both text formats parse their
-particle rows with one parser, _parse_rows, which converts whole columns a
-block of rows at a time and, when a row is malformed, walks that block's
-rows to the first bad one.  Every malformed input raises ParseError, with a
-line number in a text file; no input may crash the parser.
+coordinates, and ignores any z column.  Its particle rows go through one
+parser, _parse_rows, which converts whole columns a block of rows at a
+time and, when a row is malformed, walks that block's rows to the first
+bad one.  Every malformed input raises ParseError, with a line number in a
+dump; no input may crash the parser.
 """
 
 from __future__ import annotations
@@ -101,7 +89,7 @@ class Trajectory:
         heads = [(fr.n_particles, fr.timestep, fr.time_fs) for fr in self.frames]
         for last, head in zip([None] + heads, heads):
             if (fault := _order_fault(last, *head)) is not None:
-                raise ValueError(fault[1])
+                raise ValueError(fault)
 
     @property
     def n_frames(self) -> int:
@@ -112,27 +100,27 @@ class Trajectory:
         return self.frames[0].n_particles if self.frames else 0
 
 
-def _order_fault(last, n: int, timestep, time_fs) -> tuple[str, str] | None:
+def _order_fault(last, n: int, timestep, time_fs) -> str | None:
     """The frame-order rule: a frame of ``n`` particles at ``timestep`` and
     ``time_fs`` has a finite time and, after a frame whose (n, timestep,
     time_fs) is ``last`` (None before the first), its particle count, a
-    later timestep and a later time.  The part broken ("count", "timestep"
-    or "time") and a message, or None."""
+    later timestep and a later time.  A message naming the broken part, or
+    None."""
     if not math.isfinite(time_fs):
-        return "time", f"frame at timestep {timestep} has a non-finite time {float(time_fs)!r}"
+        return f"frame at timestep {timestep} has a non-finite time {float(time_fs)!r}"
     if last is None:
         return None
     if n != last[0]:
-        return "count", f"frame at timestep {timestep} has {n} particles, expected {last[0]}"
+        return f"frame at timestep {timestep} has {n} particles, expected {last[0]}"
     if timestep <= last[1]:
-        return "timestep", "frame timesteps must be strictly increasing"
+        return "frame timesteps must be strictly increasing"
     if time_fs <= last[2]:
-        return "time", (f"frame at timestep {timestep} has time {float(time_fs)!r} fs, "
-                        f"not after {float(last[2])!r}")
+        return (f"frame at timestep {timestep} has time {float(time_fs)!r} fs, "
+                f"not after {float(last[2])!r}")
     return None
 
 
-#: the leading bytes of a binary trajectory; a text one starts with "#"
+#: the leading bytes of a native trajectory
 _MAGIC = b"gasdiff-native 2"
 #: the byte length of the header text
 _LENGTH = struct.Struct("<q")
@@ -166,7 +154,7 @@ def _header_bytes(header: Trajectory) -> bytes:
     read back as written (a line break in the units, say)."""
     text = _header_text(header)
     try:
-        same = _header_text(_native_header(iter(text.splitlines()), None)[0]) == text
+        same = _header_text(_native_header(text, None)) == text
     except ParseError:
         same = False
     if not same:
@@ -190,8 +178,7 @@ def _frame_fault(fr: Frame, last) -> str | None:
         return f"frame at timestep {ts} has a species code other than He's or Ar's"
     if not isinstance(ts, (int, np.integer)) or not -2**63 <= ts < 2**63:
         return f"frame timestep {ts!r} is not an int64"
-    fault = _order_fault(last, n, ts, fr.time_fs)
-    return None if fault is None else fault[1]
+    return _order_fault(last, n, ts, fr.time_fs)
 
 
 def write_native_frames(header: Trajectory, frames: Iterable[Frame], path) -> None:
@@ -252,14 +239,14 @@ def check_room(directory, headers: Iterable[Trajectory], n_frames: int) -> None:
                                     f"{directory} has {free} bytes free")
 
 
-def _parse_float(token: str, path, line: int) -> float:
+def _parse_float(token: str, path, line: int | None) -> float:
     try:
         return float(token)
     except ValueError:
         raise ParseError(f"non-numeric field {token!r}", path=path, line=line) from None
 
 
-def _parse_int(token: str, path, line: int) -> int:
+def _parse_int(token: str, path, line: int | None) -> int:
     try:
         value = int(token)
     except ValueError:
@@ -269,16 +256,12 @@ def _parse_int(token: str, path, line: int) -> int:
     return value
 
 
-_SPECIES_CODE = {label: int(sp) for label, sp in SPECIES_BY_LABEL.items()}
-
-
 def _column(kind, tokens) -> np.ndarray:
     """``tokens`` parsed as ``kind``; ValueError, KeyError or OverflowError
     if one is malformed."""
     if isinstance(kind, tuple):  # (int, codes): the codes hold no key beyond 2**62
-        tokens, kind = map(int, tokens), kind[1]
-    parse = kind.__getitem__ if isinstance(kind, dict) else kind
-    values = np.array(list(map(parse, tokens)), np.float64 if kind is float else np.int64)
+        tokens, kind = map(int, tokens), kind[1].__getitem__
+    values = np.array(list(map(kind, tokens)), np.float64 if kind is float else np.int64)
     if kind is int and len(values) and not -2**62 <= values.min() <= values.max() <= 2**62:
         raise OverflowError
     return values
@@ -288,14 +271,13 @@ def _column(kind, tokens) -> np.ndarray:
 _ROW_BLOCK = 4096
 
 
-def _parse_rows(rows: list[str], first_line: int, path, kinds, in_row: str = ""):
+def _parse_rows(rows: list[str], first_line: int, path, kinds):
     """Particle rows, the first on line ``first_line``, parsed by column:
     per entry of ``kinds`` an int64 array (``int``, |v| <= 2**62), a float64
-    array (``float``), the int64 codes of a dict's labels or of ``(int,
-    codes)``'s integers, or None (None skips the column).  A malformed row
-    raises ParseError at the first such line; ``in_row`` goes into the
-    column-count message.  The rows are split and converted _ROW_BLOCK at a
-    time."""
+    array (``float``), the int64 codes that ``(int, codes)`` maps its
+    integers to, or None (None skips the column).  A malformed row raises
+    ParseError at the first such line.  The rows are split and converted
+    _ROW_BLOCK at a time."""
     columns = [None if kind is None else
                np.empty(len(rows), np.float64 if kind is float else np.int64)
                for kind in kinds]
@@ -312,7 +294,7 @@ def _parse_rows(rows: list[str], first_line: int, path, kinds, in_row: str = "")
         # some row of the block is malformed: walk its rows to the first one
         for line, f in enumerate(fields, first_line + start):
             if len(f) != len(kinds):
-                raise ParseError(f"expected {len(kinds)} columns{in_row}, found {len(f)}",
+                raise ParseError(f"expected {len(kinds)} columns, found {len(f)}",
                                  path=path, line=line)
             for kind, token in zip(kinds, f):
                 if kind is int:
@@ -323,8 +305,6 @@ def _parse_rows(rows: list[str], first_line: int, path, kinds, in_row: str = "")
                     if (value := _parse_int(token, path, line)) not in kind[1]:
                         raise ParseError(f"atom type {value} not in species map",
                                          path=path, line=line)
-                elif kind is not None and token not in kind:
-                    raise ParseError(f"unknown species {token!r}", path=path, line=line)
     return columns
 
 
@@ -334,59 +314,49 @@ def _lines(fh):
     return (line for raw in fh for line in raw.splitlines())
 
 
-def _native_header(lines, path):
-    """A frameless Trajectory from the header at the start of ``lines``,
-    the line after the header (None at the end) and its line number."""
-    first = next(lines, None)
-    if first is None or not first.startswith("#gasdiff-trajectory"):
-        raise ParseError("missing '#gasdiff-trajectory' signature", path=path, line=1)
-    header: dict[str, tuple[str, int]] = {}  # key -> (value, line number)
-    line, lineno = next(lines, None), 2
-    while line is not None and line.startswith("#"):
+def _native_header(text: str, path) -> Trajectory:
+    """The frameless Trajectory that a native file's header text describes:
+    the signature line, then ``#key value`` lines."""
+    first, *lines = text.splitlines() or [""]
+    if not first.startswith("#gasdiff-trajectory"):
+        raise ParseError("missing '#gasdiff-trajectory' signature", path=path)
+    header: dict[str, str] = {}
+    for line in lines:
         parts = line[1:].split(None, 1)
-        if len(parts) != 2:
-            raise ParseError("malformed header line", path=path, line=lineno)
-        header[parts[0]] = (parts[1], lineno)
-        line, lineno = next(lines, None), lineno + 1
+        if not line.startswith("#") or len(parts) != 2:
+            raise ParseError("malformed header line", path=path)
+        header[parts[0]] = parts[1]
     if "box" not in header:
-        raise ParseError("header is missing the box side", path=path, line=lineno - 1)
+        raise ParseError("header is missing the box side", path=path)
 
     def number(key, parse):
-        if key not in header:
-            return None
-        text, at = header[key]
-        return parse(text, path, at)
+        return parse(header[key], path, None) if key in header else None
 
-    box_side = number("box", _parse_float)
-    if not 0.0 < box_side < math.inf:
-        raise ParseError(f"box side must be positive and finite, got {box_side!r}",
-                         path=path, line=header["box"][1])
     try:
-        traj = Trajectory(
-            box_side=box_side,
-            units=header.get("units", ("real",))[0],
+        return Trajectory(
+            box_side=number("box", _parse_float),
+            units=header.get("units", "real"),
             dt=number("dt", _parse_float),
             seed=number("seed", _parse_int),
             n_he=number("n_he", _parse_int),
             n_ar=number("n_ar", _parse_int),
-            has_velocities=header.get("has_velocities", ("1",))[0] == "1",
+            has_velocities=header.get("has_velocities", "1") == "1",
         )
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from None
-    return traj, line, lineno
 
 
 @contextlib.contextmanager
 def _open_binary(path, verify: bool):
     """``path`` open at its first frame record, with its header and its
-    particle and frame counts, if its leading bytes are a binary
-    trajectory's; else None.  Its trailer must be whole and its size must
-    fit the counts, and with ``verify`` the bytes before the trailer must
-    have its SHA-256, or ParseError."""
+    particle and frame counts.  Its leading bytes must be the magic, its
+    trailer must be whole and its size must fit the counts, and with
+    ``verify`` the bytes before the trailer must have its SHA-256, or
+    ParseError."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
-            yield None
-            return
+            raise ParseError("not a native binary trajectory (text trajectories, "
+                             "format 1, are no longer read)", path=path)
         size = os.fstat(fh.fileno()).st_size
         body = size - _TRAILER.size
         start = len(_MAGIC) + _LENGTH.size
@@ -405,17 +375,14 @@ def _open_binary(path, verify: bool):
                 raise ParseError("binary trajectory does not match its SHA-256", path=path)
         fh.seek(start)
         text = fh.read(length).decode("utf-8", errors="replace")
-        yield fh, _native_header(iter(text.splitlines()), path)[0], n, count
+        yield fh, _native_header(text, path), n, count
 
 
 def read_native_header(path) -> Trajectory:
     """The header of a native trajectory, as a Trajectory without frames.
-    A binary one's trailer and size are checked, not its SHA-256."""
-    with _open_binary(path, verify=False) as binary:
-        if binary is not None:
-            return binary[1]
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return _native_header(_lines(fh), path)[0]
+    Its magic, trailer and size are checked, not its SHA-256."""
+    with _open_binary(path, verify=False) as (_, header, _, _):
+        return header
 
 
 def _sha256(fh, size: int) -> bytes | None:
@@ -446,59 +413,17 @@ def _binary_frame(fh, n: int, path) -> Frame:
 
 
 def iter_native(path) -> Iterator[Frame]:
-    """Yield the frames of a native trajectory one at a time.
-
-    A binary trajectory is checked whole (trailer, size and SHA-256) before
-    its first frame.  A text one is parsed as it is read: a malformed line
-    raises ParseError when the reader reaches it, after the frames before it
-    were yielded.  Either raises ParseError at a frame the writer refuses.
-    """
-    with _open_binary(path, verify=True) as binary:
-        if binary is not None:
-            fh, _, n, count = binary
-            last = None  # (n, timestep, time_fs) of the last frame
-            for _ in range(count):
-                fr = _binary_frame(fh, n, path)
-                if (fault := _frame_fault(fr, last)) is not None:
-                    raise ParseError(fault, path=path)
-                last = n, fr.timestep, fr.time_fs
-                yield fr
-            return
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = _lines(fh)
-        _, line, lineno = _native_header(lines, path)
+    """Yield the frames of a native trajectory one at a time, after checking
+    the file whole (magic, trailer, size and SHA-256).  A frame the writer
+    refuses raises ParseError."""
+    with _open_binary(path, verify=True) as (fh, _, n, count):
         last = None  # (n, timestep, time_fs) of the last frame
-        while line is not None:
-            if not line.strip():
-                line, lineno = next(lines, None), lineno + 1
-                continue
-            tokens = line.split()
-            if tokens[0] != "FRAME" or len(tokens) not in (3, 4):
-                raise ParseError("expected a FRAME line", path=path, line=lineno)
-            timestep = _parse_int(tokens[1], path, lineno)
-            time_fs = _parse_float(tokens[2], path, lineno)
-            energy = _parse_float(tokens[3], path, lineno) if len(tokens) == 4 else None
-            rows, line = [], next(lines, None)
-            while line is not None and line.strip() and not line.startswith("FRAME"):
-                rows.append(line)
-                line = next(lines, None)
-            ids, species, x, y, vx, vy = _parse_rows(
-                rows, lineno + 1, path, (int, _SPECIES_CODE, float, float, float, float),
-                " in particle row")
-            fault = _order_fault(last, len(ids), timestep, time_fs)
-            if fault is not None:  # a count names the frame's last line, any other its FRAME line
-                raise ParseError(fault[1], path=path,
-                                 line={"count": lineno + len(rows)}.get(fault[0], lineno))
-            last, lineno = (len(ids), timestep, time_fs), lineno + len(rows) + 1
-            yield Frame(
-                timestep=timestep,
-                time_fs=time_fs,
-                ids=ids,
-                species=species,
-                positions=np.column_stack((x, y)),
-                velocities=np.column_stack((vx, vy)),
-                energy=energy,
-            )
+        for _ in range(count):
+            fr = _binary_frame(fh, n, path)
+            if (fault := _frame_fault(fr, last)) is not None:
+                raise ParseError(fault, path=path)
+            last = n, fr.timestep, fr.time_fs
+            yield fr
 
 
 def read_native(path) -> Trajectory:
@@ -565,7 +490,7 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
             time_fs = float(timestep) * (dt_fs if dt_fs is not None else 1.0)
             fault = _order_fault(last, n_atoms, timestep, time_fs)
             if fault is not None:
-                raise ParseError(fault[1], path=path, line=ts_line)
+                raise ParseError(fault, path=path, line=ts_line)
             last = n_atoms, timestep, time_fs
 
             _expect_item(line, i, "BOX BOUNDS", path)

@@ -8,8 +8,8 @@ from gasdiff import cli
 from gasdiff.cli import main
 from gasdiff.fields import GridSpec, ScalarField, read_field_csv, write_field_csv
 from gasdiff.md import Species
-from gasdiff.trajectory_io import parse_lammps_dump, read_native
-from text_rows import native_text
+from gasdiff.trajectory_io import Frame, Trajectory, read_native, write_native
+from native_bytes import MAGIC, raw_native
 
 
 def run_cli(*args):
@@ -226,8 +226,8 @@ class TestMsdCli:
         assert 0.0 <= report["r_squared"] <= 1.0
 
     def test_one_sided_window_on_a_frameless_trajectory_exits_2(self, tmp_path):
-        empty = tmp_path / "empty.txt"
-        empty.write_text("#gasdiff-trajectory 1\n#box 100.0\n")
+        empty = tmp_path / "empty.bin"
+        write_native(Trajectory(box_side=100.0), empty)
         assert run_cli("msd", "--traj", empty, "--t-lo", 0.0,
                        "--out", tmp_path / "msd.json") == 2
         assert not (tmp_path / "msd.json").exists()
@@ -260,31 +260,6 @@ class TestConvertCli:
         code = run_cli("convert", "--in", bad, "--to", "native",
                        "--out", tmp_path / "x.txt")
         assert code == 3
-
-
-class TestMalformedLastFrame:
-    """A native text trajectory whose last row is bad fails after every
-    earlier frame was read: the command exits 3 with the row's line and
-    writes nothing."""
-
-    @pytest.mark.parametrize("command", [
-        ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
-        ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
-        ["convert", "--in", "{traj}", "--to", "lammps", "--out", "{out}/t.dump"],
-    ])
-    def test_exits_3_with_the_line_and_writes_nothing(self, tmp_path, capsys,
-                                                      small_traj, command):
-        lines = native_text(read_native(small_traj)).splitlines()
-        lines[-1] = lines[-1].rsplit(" ", 1)[0] + " banana"
-        bad = tmp_path / "bad.txt"
-        bad.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "out"
-        argv = [str(a).format(traj=bad, out=out) for a in command]
-        capsys.readouterr()
-        assert run_cli(*argv) == 3
-        assert capsys.readouterr().err == (
-            f"gasdiff: {bad}:{len(lines)}: non-numeric field 'banana'\n")
-        assert not out.exists() or list(out.iterdir()) == []
 
 
 def assert_one_line_error(capsys, message):
@@ -352,11 +327,10 @@ class TestValuesOutsideTheirDomain:
             assert run_cli("convert", "--in", dump, "--to", "native", "--out", traj) == 0
             message = "gasdiff: frame at timestep 10: particle 7 has a non-finite position"
         else:
-            traj = tmp_path / "bad.txt"
-            text = native_text(read_native(small_traj))
-            assert "#box 2500.0\n" in text
-            traj.write_text(text.replace("#box 2500.0\n", f"#box {fault[:3]}\n"))
-            message = (f"gasdiff: {traj}:2: box side must be positive and finite, "
+            traj = tmp_path / "bad.bin"
+            raw_native(traj, f"#gasdiff-trajectory 2\n#box {fault[:3]}\n#dt 5.0\n",
+                       read_native(small_traj).frames)
+            message = (f"gasdiff: {traj}: box side must be positive and finite, "
                        f"got {fault[:3]}")
         out = tmp_path / "out"
         capsys.readouterr()
@@ -440,14 +414,90 @@ class TestValuesOutsideTheirDomain:
     ])
     def test_frame_time_the_model_cannot_use_exits_3(self, tmp_path, capsys, command, time,
                                                      message):
-        traj = tmp_path / "bad.txt"
-        traj.write_text("#gasdiff-trajectory 1\n#box 100.0\n#dt 5.0\n"
-                        "FRAME 0 0.0\n1 He 5.0 5.0 0.0 0.0\n2 Ar 8.0 9.0 0.0 0.0\n"
-                        f"FRAME 10 {time}\n1 He 5.5 5.0 0.0 0.0\n2 Ar 8.0 9.5 0.0 0.0\n")
+        traj = tmp_path / "bad.bin"
+        ids, species = np.array([1, 2]), np.array([int(Species.HE), int(Species.AR)])
+        raw_native(traj, "#gasdiff-trajectory 2\n#box 100.0\n#dt 5.0\n", [
+            Frame(0, 0.0, ids, species, np.array([[5.0, 5.0], [8.0, 9.0]]), np.zeros((2, 2))),
+            Frame(10, float(time), ids, species, np.array([[5.5, 5.0], [8.0, 9.5]]),
+                  np.zeros((2, 2)))])
         out = tmp_path / "out"
         capsys.readouterr()
         assert run_cli(*[str(a).format(traj=traj, out=out) for a in command]) == 3
-        assert capsys.readouterr().err == f"gasdiff: {traj}:7: {message}\n"
+        assert capsys.readouterr().err == f"gasdiff: {traj}: {message}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+
+class TestMalformedBinnedInput:
+    """A binned directory or a field CSV the model cannot read makes fit,
+    cost-curve and heatmap exit 3 with a one-line message naming the file,
+    and write nothing."""
+
+    FIT = ["fit", "--binned", "{binned}", *TestValuesOutsideTheirDomain.FIT_SCALE,
+           "--init-from-frame0", "--out", "{out}/report.json"]
+    COST_CURVE = [*TestValuesOutsideTheirDomain.COST_CURVE, "--out", "{out}/curve.csv"]
+
+    @pytest.mark.parametrize("command", ["fit", "cost-curve"])
+    @pytest.mark.parametrize("edit, file, message", [
+        ("not JSON", "binned.json", "binned.json: not JSON"),
+        ("a list", "binned.json", "binned.json: expected a JSON object"),
+        ("no times_fs", "binned.json", "binned.json: times_fs must be a nonempty list"),
+        ("times_fs a number", "binned.json", "binned.json: times_fs must be a nonempty list"),
+        ("times_fs empty", "binned.json", "binned.json: times_fs must be a nonempty list"),
+        ("times_fs of strings", "binned.json", "binned.json: times_fs must be a nonempty list"),
+        ("normalization_max a string", "binned.json",
+         "binned.json: normalization_max must be an integer, got 'abc'"),
+        ("normalization_max a float", "binned.json",
+         "binned.json: normalization_max must be an integer, got 2.5"),
+        ("species unknown", "binned.json", "binned.json: unknown species 'Xe'"),
+        ("species a list", "binned.json", "binned.json: unknown species ['Ar']"),
+        ("nan value", "u_0003.csv", "u_0003.csv: field values must be finite"),
+        ("other grid", "u_0002.csv", "u_0002.csv: grid GridSpec(d=2, n=4) differs"),
+    ])
+    def test_binned_dir_exits_3(self, tmp_path, capsys, binned_dir, command, edit, file,
+                                message):
+        import shutil
+
+        binned = tmp_path / "binned"
+        shutil.copytree(binned_dir, binned)
+        meta = json.loads((binned / "binned.json").read_text())
+        if edit == "not JSON":
+            (binned / "binned.json").write_text("{\"times_fs\": [0.0,")
+        elif edit == "nan value":
+            text = (binned / file).read_text().splitlines()
+            text[2] = "nan" + text[2][text[2].index(","):]
+            (binned / file).write_text("\n".join(text) + "\n")
+        elif edit == "other grid":
+            write_field_csv(ScalarField(GridSpec(d=2, n=4), np.zeros((4, 4))), binned / file)
+        else:
+            meta = {"a list": [meta], "no times_fs": {"n": 8},
+                    "times_fs a number": {**meta, "times_fs": 5.0},
+                    "times_fs empty": {**meta, "times_fs": []},
+                    "times_fs of strings": {**meta, "times_fs": ["0.0"] * 11},
+                    "normalization_max a string": {**meta, "normalization_max": "abc"},
+                    "normalization_max a float": {**meta, "normalization_max": 2.5},
+                    "species unknown": {**meta, "species": "Xe"},
+                    "species a list": {**meta, "species": ["Ar"]}}[edit]
+            (binned / "binned.json").write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        argv = self.FIT if command == "fit" else self.COST_CURVE
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(binned=binned, out=out) for a in argv]) == 3
+        assert_one_line_error(capsys, f"gasdiff: {binned}/{message}")
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("values, message", [
+        ("nan,0.0\n0.0,1.0", ": field values must be finite"),
+        ("inf,0.0\n0.0,1.0", ": field values must be finite"),
+        ("0.0\n0.0,1.0", ":2: expected 2 columns, found 1"),
+        ("0.5", ": need at least 2 cells per side, got 1"),
+    ])
+    def test_heatmap_field_exits_3(self, tmp_path, capsys, values, message):
+        field, out = tmp_path / "f.csv", tmp_path / "out"
+        n = values.count("\n") + 1
+        field.write_text(f"# N={n} d=2 t=0.0\n{values}\n")
+        capsys.readouterr()
+        assert run_cli("heatmap", "--field", field, "--out", out / "f.svg") == 3
+        assert_one_line_error(capsys, f"gasdiff: {field}{message}")
         assert not out.exists() or list(out.iterdir()) == []
 
 
@@ -612,20 +662,27 @@ class TestArtifactIdempotence:
         assert outs[0] == outs[1]
 
 
-class TestOldTextTrajectory:
-    def test_bin_and_msd_outputs_match_the_binary(self, tmp_path, small_traj):
-        text = tmp_path / "traj.txt"
-        text.write_text(native_text(read_native(small_traj)))
-        outputs = []
-        for name, traj in (("binary", small_traj), ("text", text)):
-            assert run_cli("bin", "--traj", traj, "--N", 8, "--species", "ar",
-                           "--out", tmp_path / f"bin_{name}") == 0
-            assert run_cli("msd", "--traj", traj, "--species", "ar",
-                           "--out", tmp_path / f"msd_{name}" / "msd.json") == 0
-            outputs.append([p.read_bytes() for p in sorted(
-                (tmp_path / f"bin_{name}").glob("*.csv"))]
-                + [(tmp_path / f"msd_{name}" / "msd.json").read_bytes()])
-        assert len(outputs[0]) == 23 and outputs[0] == outputs[1]
+class TestNotANativeTrajectory:
+    """A format 1 text trajectory, an empty file or other leading bytes
+    make bin, msd and convert --to lammps exit 3 and write nothing."""
+
+    @pytest.mark.parametrize("command", [
+        ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
+        ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
+        ["convert", "--in", "{traj}", "--to", "lammps", "--out", "{out}/t.dump"],
+    ])
+    @pytest.mark.parametrize("data", [
+        b"#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n1 He 1.0 1.0 0.0 0.0\n",
+        b"", MAGIC[:-1] + b"3", bytes(range(256))], ids=["text", "empty", "other", "bytes"])
+    def test_exits_3_and_writes_nothing(self, tmp_path, capsys, command, data):
+        traj, out = tmp_path / "traj.txt", tmp_path / "out"
+        traj.write_bytes(data)
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(traj=traj, out=out) for a in command]) == 3
+        assert capsys.readouterr().err == (
+            f"gasdiff: {traj}: not a native binary trajectory "
+            "(text trajectories, format 1, are no longer read)\n")
+        assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestDamagedBinaryTrajectory:

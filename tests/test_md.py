@@ -1286,9 +1286,9 @@ def recorded_counts(steps):
     return {key: sum(s[key] for s in steps) for key in ("rebuilds", "searches", "checks")}
 
 
-def full_path_step(state, forces, cfg, box):
-    """verlet_step given fresh copies of every array, so it never takes the
-    hand-back path."""
+def taken_over_step(state, forces, cfg, box):
+    """verlet_step given fresh copies of every array, so it never trusts a
+    hand-back and takes every step's input over (md._take_over)."""
     state.positions = state.positions.copy()
     state.velocities = state.velocities.copy()
     return verlet_step(state, forces.copy(), cfg, box)
@@ -1311,7 +1311,7 @@ class TestHandBack:
         (5000.0, 500, 500, 300.0, 1),    # desk density
         (5.0e4, 30000, 30000, 300.0, 1),  # paper density: 8 % of components listed
     ])
-    def test_handed_back_run_equals_the_full_path(self, monkeypatch, side, n_he,
+    def test_handed_back_run_equals_the_taken_over_run(self, monkeypatch, side, n_he,
                                                   n_ar, temperature, seed):
         cfg = MDConfig(n_he=n_he, n_ar=n_ar, temperature=temperature, seed=seed)
         box = SimBox(side=side)
@@ -1334,7 +1334,7 @@ class TestHandBack:
             state, forces, potential = verlet_step(state, forces, cfg, box)
             handed.append(steps[-1])
             run = "full"
-            ref, ref_forces, ref_potential = full_path_step(ref, ref_forces, cfg, box)
+            ref, ref_forces, ref_potential = taken_over_step(ref, ref_forces, cfg, box)
             full.append(steps[-1])
             assert state.positions.tobytes() == ref.positions.tobytes()
             assert state.velocities.tobytes() == ref.velocities.tobytes()
@@ -1353,7 +1353,7 @@ class TestHandBack:
         assert work_counts(ref) == recorded_counts(full)
         assert not any(s["trusted"] for s in full)
         assert all(s["trusted"] for s in handed[1:])
-        # the bound spares most exact checks; the full path runs one per step
+        # the bound spares most exact checks; a taken-over step runs one
         assert sum(s["checks"] for s in full) == 150
         assert sum(s["checks"] for s in handed) < 150
 
@@ -1386,7 +1386,7 @@ class TestHandBack:
             state, forces, potential = verlet_step(state, forces, cfg, box)
             if abs(state.positions[0, axis] - before) > side / 2:
                 crossed.append(steps[-1])
-            ref, ref_forces, ref_potential = full_path_step(ref, ref_forces, cfg, box)
+            ref, ref_forces, ref_potential = taken_over_step(ref, ref_forces, cfg, box)
             assert state.positions.tobytes() == ref.positions.tobytes()
             assert state.velocities.tobytes() == ref.velocities.tobytes()
             assert forces.tobytes() == ref_forces.tobytes()
@@ -1504,7 +1504,7 @@ class TestHandBack:
         assert steps[-1] == {"trusted": True, "rebuilds": 0, "searches": 0, "checks": 0}
         with pytest.raises(InstabilityError) as full:
             for _ in range(100):
-                ref, ref_forces, _ = full_path_step(ref, ref_forces, cfg, box)
+                ref, ref_forces, _ = taken_over_step(ref, ref_forces, cfg, box)
         assert str(handed.value) == str(full.value)
         assert str(handed.value).startswith("particle 0 reached")
         # the failed step leaves the arrays writable and is not handed back
@@ -1616,7 +1616,7 @@ class TestHandBack:
                 array += 0.0
 
     @pytest.mark.parametrize("change", ["forces", "list", "dt", "writable"])
-    def test_any_other_input_takes_the_full_path(self, monkeypatch, change):
+    def test_any_other_input_is_taken_over(self, monkeypatch, change):
         cfg = MDConfig(n_he=40, n_ar=40, seed=6)
         box = SimBox(side=500.0)
         state = init_state(cfg, box)
@@ -1638,7 +1638,7 @@ class TestHandBack:
         steps = record_steps(monkeypatch)
         state, forces, _ = verlet_step(state, forces, cfg, box)
         assert not steps[0]["trusted"]
-        ref, ref_forces, _ = full_path_step(ref, ref_forces, cfg, box)
+        ref, ref_forces, _ = taken_over_step(ref, ref_forces, cfg, box)
         assert state.positions.tobytes() == ref.positions.tobytes()
         assert state.velocities.tobytes() == ref.velocities.tobytes()
         state, forces, _ = verlet_step(state, forces, cfg, box)

@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,8 @@ from gasdiff.trajectory_io import (
     write_native,
     write_native_frames,
 )
-from text_rows import lammps_rows, native_rows, native_text
+from native_bytes import MAGIC, raw_native, whole_file_native
+from text_rows import lammps_rows
 
 SPECIES_MAP = {1: Species.HE, 2: Species.AR}
 
@@ -87,7 +89,7 @@ class TestNativeFormat:
             assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.velocities, b.velocities)
 
-    def test_frames_of_many_hash_blocks_fill_the_exact_size(self, tmp_path, monkeypatch):
+    def test_frames_of_many_hash_blocks_fill_the_exact_size(self, tmp_path):
         # a file is hashed in blocks; frames larger than two blocks must
         # still read back bit for bit, from a file of exactly the size that
         # its header and counts give
@@ -97,8 +99,7 @@ class TestNativeFormat:
         write_native(traj, path)
         header = len(trajectory_io._header_bytes(traj))
         assert path.stat().st_size == 16 + 8 + header + 2 * (32 + 48 * n) + 48
-        got = assert_binary_matches_text(path, monkeypatch)
-        assert_same_frames(got, traj.frames)
+        assert_reads_back(path, traj.frames)
 
     def test_empty_trajectory_roundtrips(self, tmp_path):
         traj = Trajectory(box_side=500.0, frames=[], dt=1.0, seed=9)
@@ -114,31 +115,6 @@ class TestNativeFormat:
         write_native(make_trajectory(seed=4), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_missing_signature_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("FRAME 0 0.0\n")
-        with pytest.raises(ParseError):
-            read_native(p)
-
-    def test_count_mismatch_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text(
-            "#gasdiff-trajectory 1\n#box 100.0\n#has_velocities 1\n"
-            "FRAME 0 0.0\n1 He 1.0 1.0 0.0 0.0\n2 Ar 2.0 2.0 0.0 0.0\n"
-            "FRAME 1 5.0\n1 He 1.0 1.0 0.0 0.0\n"
-        )
-        with pytest.raises(ParseError, match="particles"):
-            read_native(p)
-
-    def test_truncated_row_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text(
-            "#gasdiff-trajectory 1\n#box 100.0\n"
-            "FRAME 0 0.0\n1 He 1.0 1.0\n"
-        )
-        with pytest.raises(ParseError, match="columns"):
-            read_native(p)
-
     @pytest.mark.parametrize("big_id", [2**53 + 1, 2**62, -(2**62)])
     def test_large_ids_roundtrip_exactly(self, tmp_path, big_id):
         # a float64 column would read 2**53 + 1 back as 2**53
@@ -151,52 +127,6 @@ class TestNativeFormat:
         for fr in back.frames:
             assert fr.ids.dtype == np.int64
             assert fr.ids.tolist() == [1, big_id, 7]
-
-    def test_id_beyond_int_range_rejected(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text(f"#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n"
-                     f"{2**62 + 1} He 1.0 1.0 0.0 0.0\n")
-        with pytest.raises(ParseError, match="out of range") as err:
-            read_native(p)
-        assert err.value.line == 4
-
-    @pytest.mark.parametrize("row", ["1 He banana 1.0 0.0 0.0",
-                                     "1 He 1.0 1.0 0.0 banana"])
-    def test_bad_float_names_field_and_line(self, tmp_path, row):
-        p = tmp_path / "bad.txt"
-        p.write_text("#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n"
-                     f"2 Ar 5.0 5.0 0.0 0.0\n{row}\n")
-        with pytest.raises(ParseError, match="non-numeric field 'banana'") as err:
-            read_native(p)
-        assert err.value.line == 5
-
-    def test_text_parse_matches_the_written_frames(self, tmp_path):
-        traj = make_trajectory(n_frames=4, n=50, seed=3)
-        traj.frames[1].ids[7] = -(2**62)
-        traj.frames[2].velocities[3] = [np.inf, -0.0]
-        path = tmp_path / "traj.txt"
-        path.write_text(native_text(traj))
-        frames = list(iter_native(path))
-        assert_same_frames(frames, traj.frames)
-        for fr in frames:
-            for a in (fr.ids, fr.species, fr.positions, fr.velocities):
-                assert a.flags.c_contiguous
-
-    @pytest.mark.parametrize("bad_row, message", [
-        ("3 He 1.0 1.0 0.0", "columns"),
-        ("3 Xe 1.0 1.0 0.0 0.0", "unknown species"),
-        ("3.0 He 1.0 1.0 0.0 0.0", "non-integer"),
-        (f"{2**63} He 1.0 1.0 0.0 0.0", "out of range"),
-    ])
-    def test_bad_row_in_a_later_frame_names_its_line(self, tmp_path, bad_row, message):
-        rows = [f"{k} Ar {k}.5 2.0 0.0 0.0" for k in range(1, 5)]
-        p = tmp_path / "bad.txt"
-        p.write_text("#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n"
-                     + "\n".join(rows) + "\nFRAME 1 5.0\n"
-                     + "\n".join(rows[:2] + [bad_row] + rows[3:]) + "\n")
-        with pytest.raises(ParseError, match=message) as err:
-            read_native(p)
-        assert err.value.line == 11
 
     def test_lammps_dump_bytes_without_velocities(self, tmp_path):
         traj = make_trajectory(n_frames=1, n=2)
@@ -340,6 +270,16 @@ class TestLammpsParser:
         with pytest.raises(ParseError) as err:
             parse_lammps_dump(p, SPECIES_MAP)
         assert err.value.line == 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="ab \n\r\x0b\x0c\x1c\x85\u2028", max_size=60))
+    def test_lines_split_like_splitlines(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("lines") / "t.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as fh:
+            want = fh.read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            assert list(trajectory_io._lines(fh)) == want
 
 
 SQUARE_BOUNDS = "ITEM: BOX BOUNDS pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5\n"
@@ -505,16 +445,6 @@ class TestFuzz:
             pass
 
     @settings(max_examples=200, deadline=None)
-    @given(st.binary(max_size=400))
-    def test_native_reader_never_crashes(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("fuzz") / "f.txt"
-        path.write_bytes(b"#gasdiff-trajectory 1\n" + data)
-        try:
-            read_native(path)
-        except ParseError:
-            pass
-
-    @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=400), st.booleans())
     def test_binary_reader_never_crashes(self, tmp_path_factory, data, valid_head):
         # random bytes after the magic, or after a whole header
@@ -582,13 +512,6 @@ def assert_same_parse(read, oracle, faults, first_line):
         assert a.tobytes() == b.tobytes()
 
 
-NATIVE_COLUMNS = ["id", "species", "x", "y", "vx", "vy"]
-NATIVE_GOOD = {"id": INT_TOKENS, "species": st.sampled_from(["He", "Ar"]),
-               **dict.fromkeys(["x", "y", "vx", "vy"], FLOAT_TOKENS)}
-NATIVE_BAD = {"id": BAD_INTS, "species": ["Xe", "he", "1"],
-              **dict.fromkeys(["x", "y", "vx", "vy"], BAD_FLOATS)}
-
-
 def dump_text(n, lo, hi, columns, rows):
     """One LAMMPS dump frame; its first atom row is line 10."""
     return (f"ITEM: TIMESTEP\n0\nITEM: NUMBER OF ATOMS\n{n}\nITEM: BOX BOUNDS pp pp pp\n"
@@ -602,21 +525,9 @@ def parsed_dump_frame(path):
 
 
 class TestRowParser:
-    """The column parser against the row-by-row references in
-    ``text_rows``, on generated row blocks of both text formats, converted
-    in one block of rows and in blocks of two."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(row_block(NATIVE_COLUMNS, NATIVE_GOOD, NATIVE_BAD))
-    def test_native_rows_match_the_row_parser(self, tmp_path_factory, block):
-        self.check_native(tmp_path_factory, block)
-
-    @settings(max_examples=200, deadline=None)
-    @given(row_block(NATIVE_COLUMNS, NATIVE_GOOD, NATIVE_BAD))
-    def test_native_rows_in_blocks_match_the_row_parser(self, tmp_path_factory, block):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(trajectory_io, "_ROW_BLOCK", 2)
-            self.check_native(tmp_path_factory, block)
+    """The column parser against the row-by-row reference in
+    ``text_rows``, on generated LAMMPS row blocks, converted in one block
+    of rows and in blocks of two."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -629,19 +540,6 @@ class TestRowParser:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(trajectory_io, "_ROW_BLOCK", 2)
             self.check_lammps(tmp_path_factory, data)
-
-    @staticmethod
-    def check_native(tmp_path_factory, block):
-        rows, faults = block
-        path = tmp_path_factory.mktemp("native") / "t.txt"
-        path.write_text("#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n"
-                        + "".join(f"{row}\n" for row in rows))
-
-        def read():
-            fr, = iter_native(path)
-            return fr.ids, fr.species, fr.positions, fr.velocities
-
-        assert_same_parse(read, lambda: native_rows(rows, 4, path), faults, 4)
 
     @staticmethod
     def check_lammps(tmp_path_factory, data):
@@ -698,79 +596,6 @@ class TestRowParser:
                                               SPECIES_MAP, path), [0] * 3, 10)
 
 
-def whole_file_read_native(path) -> Trajectory:
-    """Whole-file oracle for the streaming reader: the file split into lines
-    at once, every frame parsed, then the header fields and the Trajectory
-    checks."""
-    parse_float, parse_int = trajectory_io._parse_float, trajectory_io._parse_int
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("#gasdiff-trajectory"):
-        raise ParseError("missing '#gasdiff-trajectory' signature", path=path, line=1)
-    header = {}
-    i = 1
-    while i < len(lines) and lines[i].startswith("#"):
-        parts = lines[i][1:].split(None, 1)
-        if len(parts) != 2:
-            raise ParseError("malformed header line", path=path, line=i + 1)
-        header[parts[0]] = (parts[1], i + 1)
-        i += 1
-    if "box" not in header:
-        raise ParseError("header is missing the box side", path=path, line=i)
-
-    def number(key, parse):
-        text, line = header[key]
-        return parse(text, path, line)
-
-    box_side = number("box", parse_float)
-    if not 0.0 < box_side < np.inf:
-        raise ParseError(f"box side must be positive and finite, got {box_side!r}",
-                         path=path, line=header["box"][1])
-    frames = []
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        tokens = lines[i].split()
-        if tokens[0] != "FRAME" or len(tokens) not in (3, 4):
-            raise ParseError("expected a FRAME line", path=path, line=i + 1)
-        timestep = parse_int(tokens[1], path, i + 1)
-        time_fs = parse_float(tokens[2], path, i + 1)
-        energy = parse_float(tokens[3], path, i + 1) if len(tokens) == 4 else None
-        start = i = i + 1
-        while i < len(lines) and lines[i].strip() and not lines[i].startswith("FRAME"):
-            i += 1
-        ids, species, positions, velocities = native_rows(lines[start:i], start + 1, path)
-        # line start is the FRAME line
-        if not np.isfinite(time_fs):
-            raise ParseError(f"frame at timestep {timestep} has a non-finite time {time_fs!r}",
-                             path=path, line=start)
-        if frames and len(ids) != frames[0].n_particles:
-            raise ParseError(
-                f"frame at timestep {timestep} has {len(ids)} particles, "
-                f"expected {frames[0].n_particles}", path=path, line=i)
-        if frames and timestep <= frames[-1].timestep:
-            raise ParseError("frame timesteps must be strictly increasing", path=path,
-                             line=start)
-        if frames and time_fs <= frames[-1].time_fs:
-            raise ParseError(f"frame at timestep {timestep} has time {time_fs!r} fs, "
-                             f"not after {frames[-1].time_fs!r}", path=path, line=start)
-        frames.append(Frame(timestep=timestep, time_fs=time_fs, ids=ids,
-                            species=species, positions=positions,
-                            velocities=velocities, energy=energy))
-    try:
-        return Trajectory(
-            box_side=box_side, frames=frames, units=header.get("units", ("real",))[0],
-            dt=number("dt", parse_float) if "dt" in header else None,
-            seed=number("seed", parse_int) if "seed" in header else None,
-            n_he=number("n_he", parse_int) if "n_he" in header else None,
-            n_ar=number("n_ar", parse_int) if "n_ar" in header else None,
-            has_velocities=header.get("has_velocities", ("1",))[0] == "1",
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path) from None
-
-
 def assert_same_frames(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -783,197 +608,33 @@ def assert_same_frames(got, want):
             assert x.tobytes() == y.tobytes()
 
 
-def outcome(read, path):
-    """What a reader makes of a file: its frames, or its error's text and line."""
-    try:
-        result = read(path)
-    except ParseError as err:
-        return ("error", str(err), err.line)
-    return ("frames", result.frames if isinstance(result, Trajectory) else result)
-
-
-def assert_same_outcome(path):
-    want = outcome(whole_file_read_native, path)
-    for read in (read_native, lambda p: list(iter_native(p))):
-        got = outcome(read, path)
-        assert got[0] == want[0], (got, want)
-        if want[0] == "error":
-            assert got == want
-        else:
-            assert_same_frames(got[1], want[1])
-
-
-GOOD_NATIVE = ("#gasdiff-trajectory 1\n#box 100.0\n#dt 5.0\n#has_velocities 1\n"
-               "FRAME 0 0.0 -1.5\n1 He 1.0 1.0 0.0 0.0\n2 Ar 2.0 2.0 0.5 0.25\n"
-               "FRAME 10 50.0 -1.25\n1 He 1.5 1.0 0.0 0.1\n2 Ar 2.5 2.0 0.5 0.25\n"
-               "\n"
-               "FRAME 20 100.0\n1 He 2.0 1.0 0.0 0.1\n2 Ar 3.0 2.0 0.5 0.25\n")
-
-MALFORMED_NATIVE = {
-    "no signature": "FRAME 0 0.0\n",
-    "empty": "",
-    "header line": GOOD_NATIVE.replace("#dt 5.0", "#dt"),
-    "no box": GOOD_NATIVE.replace("#box 100.0\n", ""),
-    "bad box": GOOD_NATIVE.replace("#box 100.0", "#box wide"),
-    "negative box": GOOD_NATIVE.replace("#box 100.0", "#box -1.0"),
-    "nan box": GOOD_NATIVE.replace("#box 100.0", "#box nan"),
-    "inf box": GOOD_NATIVE.replace("#box 100.0", "#box inf"),
-    "bad dt": GOOD_NATIVE.replace("#dt 5.0", "#dt soon"),
-    "not a FRAME line": GOOD_NATIVE.replace("FRAME 10 50.0 -1.25", "FRAMES 10 50.0"),
-    "bad timestep": GOOD_NATIVE.replace("FRAME 10 ", "FRAME ten "),
-    "bad energy": GOOD_NATIVE.replace("-1.25", "cold"),
-    "timestep repeats": GOOD_NATIVE.replace("FRAME 20 ", "FRAME 10 "),
-    "short frame": GOOD_NATIVE.replace("2 Ar 2.5 2.0 0.5 0.25\n", ""),
-    "long frame": GOOD_NATIVE.replace("2 Ar 2.5 2.0 0.5 0.25\n",
-                                      "2 Ar 2.5 2.0 0.5 0.25\n3 Ar 1.0 1.0 0.0 0.0\n"),
-    "blank line inside a frame": GOOD_NATIVE.replace("1 He 1.5", "\n1 He 1.5"),
-    "empty frame": GOOD_NATIVE.replace("FRAME 10 ", "FRAME 5 0.0\nFRAME 10 "),
-    "bad row in the last frame": GOOD_NATIVE.replace("3.0 2.0 0.5", "3.0 x 0.5"),
-    "short row in the last frame": GOOD_NATIVE.replace("3.0 2.0 0.5 0.25", "3.0"),
-    "truncated last frame": GOOD_NATIVE[:-len("2 Ar 3.0 2.0 0.5 0.25\n")],
-    "unknown species": GOOD_NATIVE.replace("2 Ar 2.5", "2 Xe 2.5"),
-    "id out of range": GOOD_NATIVE.replace("1 He 1.5", f"{2**62 + 1} He 1.5"),
-    "count mismatch": ("#gasdiff-trajectory 1\n#box 100.0\n#has_velocities 1\n"
-                       "FRAME 0 0.0\n1 He 1.0 1.0 0.0 0.0\n2 Ar 2.0 2.0 0.0 0.0\n"
-                       "FRAME 1 5.0\n1 He 1.0 1.0 0.0 0.0\n"),
-    "truncated row": "#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n1 He 1.0 1.0\n",
-    "nan time": GOOD_NATIVE.replace("FRAME 10 50.0", "FRAME 10 nan"),
-    "inf time": GOOD_NATIVE.replace("FRAME 10 50.0", "FRAME 10 inf"),
-    "nan time in the first frame": GOOD_NATIVE.replace("FRAME 0 0.0", "FRAME 0 nan"),
-    "time repeats": GOOD_NATIVE.replace("FRAME 20 100.0", "FRAME 20 50.0"),
-    "time decreases": GOOD_NATIVE.replace("FRAME 20 100.0", "FRAME 20 -1.0"),
-}
-
-
-class TestStreamingNativeReader:
-    def test_matches_the_whole_file_reader_on_a_desk_trajectory(self, tmp_path):
-        from gasdiff import md
-        from gasdiff.pipeline import DESK
-
-        # the desk preset's particles and box, shortened to 2000 steps; the
-        # run in the old text format and in the binary one
-        cfg = replace(DESK.md_config(seed=1), sample_stride=100)
-        traj = md.run(cfg, md.SimBox(side=DESK.box_side), 2000)
-        text, binary = tmp_path / "desk.txt", tmp_path / "desk.bin"
-        text.write_text(native_text(traj))
-        write_native(traj, binary)
-        want = whole_file_read_native(text)
-        assert want.n_frames == 21
-        assert_same_frames(want.frames, traj.frames)
-        for path in (text, binary):
-            assert_same_frames(list(iter_native(path)), want.frames)
-            assert_same_frames(read_native(path).frames, want.frames)
-            header = read_native_header(path)
-            assert header.frames == []
-            assert (header.box_side, header.dt, header.seed, header.n_he, header.n_ar) == (
-                want.box_side, want.dt, want.seed, want.n_he, want.n_ar)
-
-    def test_good_input_parses_as_before(self, tmp_path):
-        path = tmp_path / "good.txt"
-        path.write_text(GOOD_NATIVE)
-        assert outcome(whole_file_read_native, path)[0] == "frames"
-        assert_same_outcome(path)
-
-    @pytest.mark.parametrize("case", sorted(MALFORMED_NATIVE))
-    def test_malformed_input_gives_the_old_message_and_line(self, tmp_path, case):
-        path = tmp_path / "bad.txt"
-        path.write_text(MALFORMED_NATIVE[case])
-        assert outcome(whole_file_read_native, path)[0] == "error"
-        assert_same_outcome(path)
-
-    @pytest.mark.parametrize("case, line", [("bad box", 2), ("bad dt", 3)])
-    def test_bad_header_value_names_its_line(self, tmp_path, case, line):
-        path = tmp_path / "bad.txt"
-        path.write_text(MALFORMED_NATIVE[case])
-        for read in (whole_file_read_native, read_native, read_native_header):
-            with pytest.raises(ParseError, match="non-numeric field") as err:
-                read(path)
-            assert err.value.line == line
-
-    @pytest.mark.parametrize("case", ["negative box", "nan box", "inf box"])
-    def test_box_side_outside_zero_to_inf_names_its_line(self, tmp_path, case):
-        path = tmp_path / "bad.txt"
-        path.write_text(MALFORMED_NATIVE[case])
-        for read in (whole_file_read_native, read_native, read_native_header):
-            with pytest.raises(ParseError, match="box side must be positive and finite") as err:
-                read(path)
-            assert err.value.line == 2
-
-    @pytest.mark.parametrize("case, line, message", [
-        ("nan time", 8, "frame at timestep 10 has a non-finite time nan"),
-        ("inf time", 8, "frame at timestep 10 has a non-finite time inf"),
-        ("nan time in the first frame", 5, "frame at timestep 0 has a non-finite time nan"),
-        ("timestep repeats", 12, "frame timesteps must be strictly increasing"),
-        ("time repeats", 12, "frame at timestep 20 has time 50.0 fs, not after 50.0"),
-        ("time decreases", 12, "frame at timestep 20 has time -1.0 fs, not after 50.0"),
-    ])
-    def test_frame_time_the_model_cannot_use_names_its_frame_line(self, tmp_path, case, line,
-                                                                 message):
-        path = tmp_path / "bad.txt"
-        path.write_text(MALFORMED_NATIVE[case])
-        for read in (read_native, lambda p: list(iter_native(p))):
-            with pytest.raises(ParseError) as err:
-                read(path)
-            assert (err.value.line, str(err.value)) == (line, f"{path}:{line}: {message}")
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_one_edit_of_a_good_file_reads_as_before(self, tmp_path_factory, data):
-        lines = GOOD_NATIVE.splitlines(keepends=True)
-        k = data.draw(st.integers(0, len(lines) - 1))
-        edit = data.draw(st.sampled_from(["drop", "repeat", "blank", "token", "cut"]))
-        if edit == "drop":
-            lines[k] = ""
-        elif edit == "repeat":
-            lines[k] = lines[k] * 2
-        elif edit == "blank":
-            lines[k] = "\n" + lines[k]
-        elif edit == "token":
-            tokens = lines[k].split() or [""]
-            j = data.draw(st.integers(0, len(tokens) - 1))
-            tokens[j] = data.draw(st.sampled_from(
-                ["", "x", "-1", "0", "99", "He", "Ar", "FRAME", "#box", "1e400", "nan"]))
-            lines[k] = " ".join(tokens) + "\n"
-        else:
-            lines[k] = lines[k][:data.draw(st.integers(0, len(lines[k])))]
-            lines = lines[:k + 1]
-        path = tmp_path_factory.mktemp("edit") / "t.txt"
-        path.write_text("".join(lines))
-        assert_same_outcome(path)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.text(alphabet="ab \n\r\x0b\x0c\x1c\x85\u2028", max_size=60))
-    def test_lines_split_like_splitlines(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("lines") / "t.txt"
-        path.write_text(text, encoding="utf-8", newline="")
-        with open(path, encoding="utf-8") as fh:
-            want = fh.read().splitlines()
-        with open(path, encoding="utf-8") as fh:
-            assert list(trajectory_io._lines(fh)) == want
-
-
-def unparsed_frames(path, monkeypatch):
-    """iter_native's frames, failing if it parses any frame from text."""
-    def parse(*args):
-        raise AssertionError("frame parsed from text")
-
-    with monkeypatch.context() as m:
-        m.setattr(trajectory_io, "_parse_rows", parse)
-        return list(iter_native(path))
-
-
-def assert_binary_matches_text(path, monkeypatch):
-    """The frames of the binary trajectory at ``path``, read without the text
-    parser, after checking that they are the frames its text form parses to,
-    bit for bit, and that each array is its own."""
-    got = unparsed_frames(path, monkeypatch)
-    text = path.with_name(path.name + ".text")
-    text.write_text(native_text(replace(read_native_header(path), frames=got)))
-    assert_same_frames(got, list(iter_native(text)))
-    text.unlink()
+def assert_reads_back(path, frames):
+    """The frames of the native trajectory at ``path``, after checking that
+    iter_native, read_native and the whole-file reference in
+    ``native_bytes`` all read ``frames`` from it, bit for bit, and that each
+    array iter_native yields is its own."""
+    got = list(iter_native(path))
+    assert_same_frames(got, frames)
+    assert_same_frames(read_native(path).frames, frames)
+    assert_same_frames([Frame(*record) for record in whole_file_native(path)[1]], frames)
     for fr in got:
         for a in (fr.ids, fr.species, fr.positions, fr.velocities):
             assert a.flags.owndata and a.flags.c_contiguous and a.flags.writeable
+    return got
+
+
+def recorded_writes(monkeypatch):
+    """A list that gets each frame handed to write_native_frames, through
+    any module's name for it, as the frame is written."""
+    from gasdiff import cli, pipeline
+
+    got, write = [], trajectory_io.write_native_frames
+
+    def recording(header, frames, path):
+        write(header, (got.append(fr) or fr for fr in frames), path)
+
+    for module in (trajectory_io, cli, pipeline):
+        monkeypatch.setattr(module, "write_native_frames", recording)
     return got
 
 
@@ -1009,48 +670,66 @@ BINARY_DAMAGE = {
 
 
 class TestBinaryTrajectory:
-    def test_md_run_binary_matches_the_text(self, tmp_path, monkeypatch):
+    def test_md_run_reads_back_the_frames_it_wrote(self, tmp_path, monkeypatch):
         from gasdiff.cli import main
 
-        outs = [tmp_path / name / "traj.txt" for name in ("a", "b")]
+        written = recorded_writes(monkeypatch)
+        outs = [tmp_path / name / "traj.bin" for name in ("a", "b")]
         for out in outs:
             assert main(["md-run", "--n-he", "30", "--n-ar", "30", "--box", "1500.0",
                          "--steps", "100", "--stride", "10", "--seed", "3",
                          "--out", str(out)]) == 0
-        assert outs[0].read_bytes().startswith(trajectory_io._MAGIC)
-        frames = assert_binary_matches_text(outs[0], monkeypatch)
-        assert len(frames) == 11 and all(fr.energy is not None for fr in frames)
+        assert outs[0].read_bytes().startswith(MAGIC)
+        assert len(written) == 22
+        frames = assert_reads_back(outs[0], written[:11])
+        assert all(fr.energy is not None for fr in frames)
         assert outs[0].read_bytes() == outs[1].read_bytes()
-        assert_same_frames(read_native(outs[0]).frames, frames)
         assert sorted(p.name for p in outs[0].parent.iterdir()) == ["manifest.json",
-                                                                     "traj.txt"]
+                                                                     "traj.bin"]
 
-    def test_reproduce_binary_matches_the_text(self, tmp_path, monkeypatch):
+    def test_reproduce_reads_back_the_frames_it_wrote(self, tmp_path, monkeypatch):
         from gasdiff.pipeline import Preset, run_reproduce
 
+        written = recorded_writes(monkeypatch)
         preset = Preset(name="tiny", n_he=40, n_ar=40, box_side=1500.0, dt=5.0,
                         n_steps=120, sample_stride=20, temperature=300.0,
                         n_values=(4,), d0_nd=0.05, init_from_frame0=True)
         run_reproduce(preset, seeds=[2], out_dir=tmp_path)
         seed_dir = tmp_path / "seed_2"
         assert [p.name for p in seed_dir.iterdir() if p.is_file()] == ["trajectory.bin"]
-        frames = assert_binary_matches_text(seed_dir / "trajectory.bin", monkeypatch)
-        assert len(frames) == 7
+        assert len(written) == 7
+        assert_reads_back(seed_dir / "trajectory.bin", written)
+
+    def test_desk_run_reads_back_as_written(self, tmp_path):
+        from gasdiff import md
+        from gasdiff.pipeline import DESK
+
+        # the desk preset's particles and box, shortened to 2000 steps
+        cfg = replace(DESK.md_config(seed=1), sample_stride=100)
+        traj = md.run(cfg, md.SimBox(side=DESK.box_side), 2000)
+        path = tmp_path / "desk.bin"
+        write_native(traj, path)
+        assert len(assert_reads_back(path, traj.frames)) == 21
+        header = read_native_header(path)
+        assert header.frames == []
+        assert (header.box_side, header.dt, header.seed, header.n_he, header.n_ar) == (
+            DESK.box_side, DESK.dt, 1, DESK.n_he, DESK.n_ar)
 
     def test_converted_dump_without_velocities_or_energy(self, tmp_path, monkeypatch):
         from gasdiff.cli import main
 
-        dump, out = tmp_path / "d.dump", tmp_path / "traj.txt"
+        written = recorded_writes(monkeypatch)
+        dump, out = tmp_path / "d.dump", tmp_path / "traj.bin"
         dump.write_text(REORDERED_DUMP + REORDERED_DUMP.replace("10\n", "20\n", 1))
         assert main(["convert", "--in", str(dump), "--to", "native",
                      "--dt", "5.0", "--out", str(out)]) == 0
-        assert out.read_bytes().startswith(trajectory_io._MAGIC)
+        assert out.read_bytes().startswith(MAGIC)
         assert read_native_header(out).has_velocities is False
-        frames = assert_binary_matches_text(out, monkeypatch)
+        frames = assert_reads_back(out, written)
         assert [fr.energy for fr in frames] == [None, None]
         assert [fr.timestep for fr in frames] == [10, 20]
 
-    def test_written_trajectory_with_edge_values(self, tmp_path, monkeypatch):
+    def test_written_trajectory_with_edge_values(self, tmp_path):
         traj = make_trajectory(n_frames=3, n=5, seed=8)
         traj.has_velocities = False
         traj.frames[0].energy = None
@@ -1062,8 +741,7 @@ class TestBinaryTrajectory:
         traj.frames[2].velocities[4] = [-0.0, 1.7976931348623157e308]
         path = tmp_path / "traj.txt"
         write_native(traj, path)
-        frames = assert_binary_matches_text(path, monkeypatch)
-        assert_same_frames(frames, traj.frames)
+        assert_reads_back(path, traj.frames)
 
     def test_binary_keeps_what_the_text_format_could_not(self, tmp_path):
         # values the text writer could not give back bit for bit, or its
@@ -1079,13 +757,13 @@ class TestBinaryTrajectory:
         assert_same_frames(read_native(path).frames, traj.frames)
         assert_same_frames(list(iter_native(path)), traj.frames)
 
-    def test_empty_trajectory_and_empty_frames(self, tmp_path, monkeypatch):
-        path = tmp_path / "empty.txt"
+    def test_empty_trajectory_and_empty_frames(self, tmp_path):
+        path = tmp_path / "empty.bin"
         write_native(Trajectory(box_side=10.0), path)
-        assert assert_binary_matches_text(path, monkeypatch) == []
+        assert assert_reads_back(path, []) == []
         traj = make_trajectory(n_frames=2, n=0)
         write_native(traj, path)
-        assert len(assert_binary_matches_text(path, monkeypatch)) == 2
+        assert len(assert_reads_back(path, traj.frames)) == 2
 
     @pytest.mark.parametrize("damage", sorted(BINARY_DAMAGE))
     def test_damaged_binary_is_a_parse_error_before_any_frame(self, tmp_path, damage):
@@ -1099,21 +777,36 @@ class TestBinaryTrajectory:
         with pytest.raises(ParseError):
             read_native(path)
 
-    def test_reader_refuses_a_frame_the_writer_refuses(self, tmp_path):
-        # a file whose second frame repeats the first one's timestep, with
-        # its trailer's digest made to fit
-        import hashlib
-
-        path = tmp_path / "traj.txt"
-        write_native(make_trajectory(n_frames=3, n=4, seed=5), path)
-        data = bytearray(path.read_bytes()[:-48])
-        data[FRAMES + RECORD:FRAMES + RECORD + 8] = data[FRAMES:FRAMES + 8]
-        path.write_bytes(bytes(data) + trajectory_io._TRAILER.pack(
-            4, 3, hashlib.sha256(data).digest()))
-        frames = iter_native(path)
-        next(frames)
-        with pytest.raises(ParseError, match="strictly increasing"):
-            next(frames)
+    @pytest.mark.parametrize("case, bad, message", [
+        ("timestep repeats", 1, "frame timesteps must be strictly increasing"),
+        ("nan time", 1, "frame at timestep 100 has a non-finite time nan"),
+        ("inf time", 1, "frame at timestep 100 has a non-finite time inf"),
+        ("nan time in the first frame", 0, "frame at timestep 0 has a non-finite time nan"),
+        ("time repeats", 2, "frame at timestep 200 has time 500.0 fs, not after 500.0"),
+        ("time decreases", 2, "frame at timestep 200 has time -1.0 fs, not after 500.0"),
+        ("species code 7", 1, "frame at timestep 100 has a species code other than He's or Ar's"),
+    ])
+    def test_reader_refuses_a_frame_the_writer_refuses(self, tmp_path, case, bad, message):
+        # a file the writer would not write, with a trailer that fits: the
+        # frames before the bad one are read, then it is a ParseError
+        frames = make_trajectory(n_frames=3, n=4, seed=5).frames
+        if case == "timestep repeats":
+            frames[1].timestep = frames[0].timestep
+        elif case == "species code 7":
+            frames[1].species[2] = 7
+        else:
+            frames[bad].time_fs = {"nan time": np.nan, "inf time": np.inf,
+                                   "nan time in the first frame": np.nan,
+                                   "time repeats": 500.0, "time decreases": -1.0}[case]
+        path = tmp_path / "traj.bin"
+        raw_native(path, "#gasdiff-trajectory 2\n#box 1000.0\n", frames)
+        read = iter_native(path)
+        assert_same_frames([next(read) for _ in range(bad)], frames[:bad])
+        with pytest.raises(ParseError) as err:
+            next(read)
+        assert (err.value.line, str(err.value)) == (None, f"{path}: {message}")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            read_native(path)
 
     @pytest.mark.parametrize("case", ["repeated timestep", "particle count changes",
                                       "float timestep", "float32 positions",
@@ -1185,6 +878,93 @@ class TestBinaryTrajectory:
         assert count == n_frames
         # the hash block plus a frame, against 9.6 MB for all of them
         assert peak < trajectory_io._BLOCK + 4 * 48 * n
+
+
+GOOD_HEADER = "#gasdiff-trajectory 2\n#box 100.0\n#dt 5.0\n#has_velocities 1\n"
+
+
+def assert_refused(path, message):
+    """read_native_header, read_native and iter_native each raise
+    ParseError ``path: message``, with no line, before any frame is read."""
+    def first_frame(p):
+        return next(iter_native(p))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(trajectory_io, "_binary_frame", None)  # a frame read would fail
+        for read in (read_native_header, read_native, first_frame):
+            with pytest.raises(ParseError) as err:
+                read(path)
+            assert (err.value.line, str(err.value)) == (None, f"{path}: {message}")
+
+
+class TestBinaryHeader:
+    """A header the model cannot use is a ParseError that names the file;
+    a binary file has no lines, so it names none."""
+
+    @pytest.mark.parametrize("line, bad", [("#box 100.0", "wide"), ("#dt 5.0", "soon")])
+    def test_bad_header_value_is_a_parse_error_without_a_line(self, tmp_path, line, bad):
+        path = tmp_path / "bad.bin"
+        raw_native(path, GOOD_HEADER.replace(line, f"{line.split()[0]} {bad}"))
+        assert_refused(path, f"non-numeric field {bad!r}")
+
+    @pytest.mark.parametrize("box", ["-1.0", "0.0", "nan", "inf"])
+    def test_box_side_outside_zero_to_inf_is_a_parse_error(self, tmp_path, box):
+        path = tmp_path / "bad.bin"
+        raw_native(path, GOOD_HEADER.replace("#box 100.0", f"#box {box}"),
+                   make_trajectory(n_frames=1).frames)
+        assert_refused(path, f"box side must be positive and finite, got {float(box)!r}")
+
+    @pytest.mark.parametrize("header, message", [
+        ("", "missing '#gasdiff-trajectory' signature"),
+        (GOOD_HEADER.replace("#gasdiff-trajectory 2\n", ""),
+         "missing '#gasdiff-trajectory' signature"),
+        (GOOD_HEADER.replace("#dt 5.0", "#dt"), "malformed header line"),
+        (GOOD_HEADER.replace("#dt 5.0", "dt 5.0"), "malformed header line"),
+        (GOOD_HEADER.replace("#dt 5.0", ""), "malformed header line"),
+        (GOOD_HEADER.replace("#box 100.0\n", ""), "header is missing the box side"),
+        (GOOD_HEADER.replace("#dt 5.0", "#n_he 2.5"), "non-integer field '2.5'"),
+    ])
+    def test_malformed_header_is_a_parse_error(self, tmp_path, header, message):
+        path = tmp_path / "bad.bin"
+        raw_native(path, header)
+        assert_refused(path, message)
+
+    def test_good_header_reads_its_fields(self, tmp_path):
+        path = tmp_path / "good.bin"
+        raw_native(path, GOOD_HEADER + "#units metal\n#n_he 2\n#n_ar 3\n#seed 9\n")
+        header = read_native_header(path)
+        assert (header.box_side, header.dt, header.units, header.n_he, header.n_ar,
+                header.seed, header.has_velocities, header.frames) == (
+            100.0, 5.0, "metal", 2, 3, 9, True, [])
+
+
+NOT_BINARY_MESSAGE = ("not a native binary trajectory "
+                      "(text trajectories, format 1, are no longer read)")
+NOT_BINARY = {
+    "format 1 text": (b"#gasdiff-trajectory 1\n#box 100.0\n#has_velocities 1\n"
+                      b"FRAME 0 0.0\n1 He 1.0 1.0 0.0 0.0\n2 Ar 2.0 2.0 0.0 0.0\n"),
+    "empty": b"",
+    "the magic cut short": MAGIC[:-1],
+    "random bytes": np.random.default_rng(0).integers(0, 256, 400, np.uint8).tobytes(),
+}
+
+
+class TestOnlyBinaryIsRead:
+    """A file that does not start with the binary magic is refused before
+    its first frame, whatever follows."""
+
+    @pytest.mark.parametrize("case", sorted(NOT_BINARY))
+    def test_file_without_the_magic_is_a_parse_error(self, tmp_path, case):
+        path = tmp_path / "traj.txt"
+        path.write_bytes(NOT_BINARY[case])
+        assert_refused(path, NOT_BINARY_MESSAGE)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=400).filter(lambda data: not data.startswith(MAGIC)))
+    def test_any_other_leading_bytes_are_a_parse_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "f"
+        path.write_bytes(data)
+        assert_refused(path, NOT_BINARY_MESSAGE)
 
 
 def assert_no_child_left():
