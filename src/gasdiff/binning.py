@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GridSpec, ScalarField
-from .md import SimBox, Species
+from .md import Species
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,15 @@ class BinnedSeries:
         return cls(grid=fields[0].grid, frames=frames, normalization_max=None)
 
 
-def bin_counts(positions: np.ndarray, box: SimBox, grid: GridSpec) -> np.ndarray:
+def bin_counts(positions: np.ndarray, side: float, grid: GridSpec) -> np.ndarray:
     """Per-cell particle counts for one frame.
 
-    ``positions`` are wrapped coordinates in Angstroms.  A coordinate
-    exactly at the box side wraps to cell 0.
+    ``positions`` are wrapped coordinates in Angstroms in a box of ``side``
+    (0 < side < inf).  A coordinate exactly at the box side wraps to cell 0.
     """
     if grid.d != 2:
         raise ValueError("binning is defined for d=2 grids")
-    idx = np.floor(grid.n * np.asarray(positions) / box.side).astype(np.int64)
+    idx = np.floor(grid.n * np.asarray(positions) / side).astype(np.int64)
     idx %= grid.n
     cells = np.bincount(idx[:, 0] * grid.n + idx[:, 1], minlength=grid.num_cells)
     return cells.reshape(grid.n, grid.n)
@@ -101,17 +101,18 @@ class Binner:
     """Per-cell counts of one species, added a frame at a time.
 
     Holds one N x N count array per frame added, never the frames.
+    ``box_side`` is the trajectory's, which need not pass SimBox's MD rule.
     """
 
     def __init__(self, box_side: float, grid: GridSpec, species: Species = Species.AR):
-        self.box = SimBox(side=box_side)
+        self.side = box_side
         self.grid = grid
         self.species = species
         self.count_frames: list[tuple[float, np.ndarray]] = []
 
     def add(self, frame) -> None:
         positions = frame.finite_positions(frame.species == int(self.species))
-        self.count_frames.append((frame.time_fs, bin_counts(positions, self.box,
+        self.count_frames.append((frame.time_fs, bin_counts(positions, self.side,
                                                             self.grid)))
 
     def series(self, per_frame_max: bool = False) -> BinnedSeries:

@@ -142,7 +142,7 @@ def read_field_csv(path) -> tuple[ScalarField, float]:
         t = float(m.group(3))
     except ValueError:
         raise ParseError("non-numeric time in header", path=path, line=1) from None
-    data_lines = [ln for ln in lines[1:] if ln.strip()]
+    data_lines = [(no, ln) for no, ln in enumerate(lines[1:], 2) if ln.strip()]
     expected_rows = n if d == 2 else 1
     if len(data_lines) != expected_rows:
         raise ParseError(
@@ -150,12 +150,15 @@ def read_field_csv(path) -> tuple[ScalarField, float]:
             path=path,
             line=len(lines),
         )
-    try:
-        rows = [[float(v) for v in ln.split(",")] for ln in data_lines]
-    except ValueError:
-        raise ParseError("non-numeric field value", path=path) from None
-    if widths := {len(row) for row in rows} - {n}:
-        raise ParseError(f"expected {n} columns, found {min(widths)}", path=path, line=2)
+    rows = []
+    for no, ln in data_lines:
+        try:
+            rows.append([float(v) for v in ln.split(",")])
+        except ValueError:
+            raise ParseError("non-numeric field value", path=path, line=no) from None
+        if len(rows[-1]) != n:
+            raise ParseError(f"expected {n} columns, found {len(rows[-1])}",
+                             path=path, line=no)
     values = np.array(rows, dtype=np.float64)
     try:
         return ScalarField(GridSpec(d=d, n=n), values if d == 2 else values[0]), t

@@ -169,11 +169,11 @@ class ParticleState:
         return len(self.positions)
 
 
-def minimum_image(dx: np.ndarray, box: SimBox) -> np.ndarray:
-    """Shift displacement components by multiples of the side into
-    [-side/2, side/2)."""
+def minimum_image(dx: np.ndarray, side: float) -> np.ndarray:
+    """Shift displacement components by multiples of ``side`` (0 < side <
+    inf) into [-side/2, side/2)."""
     dx = np.asarray(dx, dtype=np.float64)
-    return dx - box.side * np.floor(dx / box.side + 0.5)
+    return dx - side * np.floor(dx / side + 0.5)
 
 
 def _wrap(x: np.ndarray, side: float) -> np.ndarray:
@@ -818,11 +818,12 @@ class MSDAccumulator:
 
     Keeps their previous positions, their running displacement (summed
     minimum-image steps, valid while nothing moves half a box side between
-    frames) and one (time, MSD) pair per frame.
+    frames) and one (time, MSD) pair per frame.  ``box_side`` is the
+    trajectory's, which need not pass SimBox's MD rule.
     """
 
     def __init__(self, box_side: float, species: Species):
-        self.box = SimBox(side=box_side)
+        self.side = box_side
         self.species = species
         self.times: list[float] = []
         self.msd: list[float] = []
@@ -836,7 +837,7 @@ class MSDAccumulator:
             self._disp = np.zeros_like(self._prev)
         else:
             pos = frame.finite_positions(self._mask)
-            self._disp += minimum_image(pos - self._prev, self.box)
+            self._disp += minimum_image(pos - self._prev, self.side)
             self._prev = pos
         if len(self._disp):
             sq = np.einsum("nd,nd->n", self._disp, self._disp)

@@ -22,12 +22,13 @@ that does not start with the magic, such as a text trajectory of format 1,
 is a ParseError.
 
 The LAMMPS reader handles text dumps of a square, orthogonal, fixed box
-with header-driven column order, unscaled (x y) or scaled (xs ys)
-coordinates, and ignores any z column.  Its particle rows go through one
-parser, _parse_rows, which converts whole columns a block of rows at a
-time and, when a row is malformed, walks that block's rows to the first
-bad one.  Every malformed input raises ParseError, with a line number in a
-dump; no input may crash the parser.
+whose column layout, unscaled (x y) or scaled (xs ys) coordinates with or
+without velocities, frame 0's ATOMS header sets and every frame repeats;
+it ignores any z column.  It reads one numbered line stream, and its
+particle rows go through one parser, _parse_rows, which converts whole
+columns a block of rows at a time and, when a row is malformed, walks that
+block's rows to the first bad one.  Every malformed input raises
+ParseError, with a line number in a dump; no input may crash the parser.
 """
 
 from __future__ import annotations
@@ -271,13 +272,13 @@ def _column(kind, tokens) -> np.ndarray:
 _ROW_BLOCK = 4096
 
 
-def _parse_rows(rows: list[str], first_line: int, path, kinds):
-    """Particle rows, the first on line ``first_line``, parsed by column:
+def _parse_rows(rows: list[str], after: int, path, kinds):
+    """Particle rows, the lines after line ``after``, parsed by column:
     per entry of ``kinds`` an int64 array (``int``, |v| <= 2**62), a float64
     array (``float``), the int64 codes that ``(int, codes)`` maps its
     integers to, or None (None skips the column).  A malformed row raises
-    ParseError at the first such line.  The rows are split and converted
-    _ROW_BLOCK at a time."""
+    ParseError naming the first such row's line.  The rows are split and
+    converted _ROW_BLOCK at a time."""
     columns = [None if kind is None else
                np.empty(len(rows), np.float64 if kind is float else np.int64)
                for kind in kinds]
@@ -292,7 +293,7 @@ def _parse_rows(rows: list[str], first_line: int, path, kinds):
             except (ValueError, KeyError, OverflowError):
                 pass
         # some row of the block is malformed: walk its rows to the first one
-        for line, f in enumerate(fields, first_line + start):
+        for line, f in enumerate(fields, after + 1 + start):
             if len(f) != len(kinds):
                 raise ParseError(f"expected {len(kinds)} columns, found {len(f)}",
                                  path=path, line=line)
@@ -431,126 +432,127 @@ def read_native(path) -> Trajectory:
     return replace(read_native_header(path), frames=list(iter_native(path)))
 
 
-def _expect_item(line, i, name, path):
-    """``line``, line i + 1 of the file (None past its end), as the start of
-    the ``ITEM: name`` section."""
-    if line is None:
-        raise ParseError(f"missing 'ITEM: {name}' section", path=path, line=i)
-    if not line.startswith(f"ITEM: {name}"):
-        raise ParseError(
-            f"expected 'ITEM: {name}', found {line[:40]!r}", path=path, line=i + 1
-        )
-    return line
-
-
-def _item_int(lines, line, i, name, path):
-    """The integer of the one-line ``ITEM: name`` section that starts at
-    ``line``, line i + 1 of the file; then the line after the section and
-    its index, which is also the integer's line number."""
-    _expect_item(line, i, name, path)
-    line, i = next(lines, None), i + 1
-    if line is None:
-        raise ParseError(f"file ends inside {name} section", path=path, line=i)
-    return _parse_int(line.strip(), path, i + 1), next(lines, None), i + 1
-
-
 def parse_lammps_dump(path, species_map: dict[int, Species],
                       dt_fs: float | None = None) -> Trajectory:
     """Read a LAMMPS text dump of a square, orthogonal, fixed box, holding
     one frame's lines at a time.
 
-    ``species_map`` translates the dump's numeric atom types.  Column order
-    is taken from the ``ITEM: ATOMS`` header and must include id, type and
-    either x/y or xs/ys; vx/vy are used when present.  Rows are reordered by
-    atom id so frames index consistently.  Every frame's x and y bounds must
-    be frame 0's, whose y extent must equal its x extent to 1e-12 relative;
-    x and y are measured from their own lower bounds.  LAMMPS dumps carry no
-    time unit, so frame times are timestep * dt_fs when given (0 < dt_fs <
-    inf), else the raw timestep.  Each frame meets the frame-order rule or
-    raises ParseError at its timestep as soon as it is read.
+    ``species_map`` translates the dump's numeric atom types.  The column
+    layout is taken from frame 0's ``ITEM: ATOMS`` header, which must
+    include id, type and either x/y or xs/ys; vx/vy are used when both are
+    present.  Every later frame must list the same columns, as LAMMPS fixes
+    them when a dump is defined.  Rows are reordered by atom id so frames
+    index consistently.  Every frame's x and y bounds must be frame 0's,
+    whose y extent must equal its x extent to 1e-12 relative; x and y are
+    measured from their own lower bounds.  LAMMPS dumps carry no time unit,
+    so frame times are timestep * dt_fs when given (0 < dt_fs < inf), else
+    the raw timestep.
+
+    The lines come from one numbered stream, and a fault names the line it
+    is found on, the last line when the file ends too soon.  The exceptions
+    name a line of their section: a frame that breaks the frame-order rule
+    its timestep line (as soon as the frame's atom count is read), and a
+    box fault its bounds line.
     """
     if dt_fs is not None and not 0.0 < dt_fs < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt_fs!r}")
     codes = {t: int(sp) for t, sp in species_map.items() if abs(t) <= 2**62}
     frames: list[Frame] = []
-    box = last = None  # frame 0's x and y bounds; the last frame's (n, timestep, time)
-    saw_velocities = False
+    # frame 0's x and y bounds and ATOMS columns; the last frame's (n, timestep, time)
+    box = columns = last = None
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = _lines(fh)
-        line, i = next(lines, None), 0  # line i + 1 of the file, None past its end
-        while line is not None:
+        lines, no = _lines(fh), 0  # no: the number of the last line read
+
+        def read():
+            """The next line; None past the end, where ``no`` stays."""
+            nonlocal no
+            line = next(lines, None)
+            no += line is not None
+            return line
+
+        def fault(message):
+            return ParseError(message, path=path, line=no)
+
+        def item(name, line):
+            """``line``, the last one read, as the start of ``ITEM: name``."""
+            if line is None:
+                raise fault(f"missing 'ITEM: {name}' section")
+            if not line.startswith(f"ITEM: {name}"):
+                raise fault(f"expected 'ITEM: {name}', found {line[:40]!r}")
+            return line
+
+        def integer(name):
+            """The integer on the line after ``ITEM: name``."""
+            if (line := read()) is None:
+                raise fault(f"file ends inside {name} section")
+            return _parse_int(line.strip(), path, no)
+
+        while (line := read()) is not None:
             if not line.strip():
-                line, i = next(lines, None), i + 1
                 continue
-            timestep, line, i = _item_int(lines, line, i, "TIMESTEP", path)
-            ts_line = i
-            n_atoms, line, i = _item_int(lines, line, i, "NUMBER OF ATOMS", path)
-            if n_atoms < 0:
-                raise ParseError("negative atom count", path=path, line=i)
+            item("TIMESTEP", line)
+            timestep, ts_line = integer("TIMESTEP"), no
+            item("NUMBER OF ATOMS", read())
+            if (n_atoms := integer("NUMBER OF ATOMS")) < 0:
+                raise fault("negative atom count")
             time_fs = float(timestep) * (dt_fs if dt_fs is not None else 1.0)
-            fault = _order_fault(last, n_atoms, timestep, time_fs)
-            if fault is not None:
-                raise ParseError(fault, path=path, line=ts_line)
+            if (message := _order_fault(last, n_atoms, timestep, time_fs)) is not None:
+                raise ParseError(message, path=path, line=ts_line)
             last = n_atoms, timestep, time_fs
 
-            _expect_item(line, i, "BOX BOUNDS", path)
+            line = item("BOX BOUNDS", read())
             # only boundary flags (pp, fs, ...): tilt factors or abc vectors are triclinic
             if not all(len(f) == 2 and set(f) <= set("pfsm") for f in line.split()[3:]):
-                raise ParseError(f"only an orthogonal box is supported, found {line[:40]!r}",
-                                 path=path, line=i + 1)
-            line, i = next(lines, None), i + 1
-            bounds = []
-            while line is not None and not line.startswith("ITEM:"):
+                raise fault(f"only an orthogonal box is supported, found {line[:40]!r}")
+            bounds, at = [], [no]  # at: the section's line numbers, its ITEM line first
+            while (line := read()) is not None and not line.startswith("ITEM:"):
                 parts = line.split()
                 if len(parts) < 2:
-                    raise ParseError("malformed box bounds line", path=path, line=i + 1)
-                bounds.append((_parse_float(parts[0], path, i + 1),
-                               _parse_float(parts[1], path, i + 1)))
-                line, i = next(lines, None), i + 1
+                    raise fault("malformed box bounds line")
+                bounds.append((_parse_float(parts[0], path, no),
+                               _parse_float(parts[1], path, no)))
+                at.append(no)
             if len(bounds) < 2:
                 raise ParseError("expected at least 2 box bounds lines",
-                                 path=path, line=i)
-            (xlo, xhi), (ylo, yhi) = bounds[:2]
-            side, at = xhi - xlo, i - len(bounds) + 1  # at: the x bounds line
+                                 path=path, line=at[-1])
+            bounds = bounds[:2]  # x and y; a z line is ignored
+            (xlo, xhi), (ylo, yhi) = bounds
+            side = xhi - xlo
             if not 0.0 < side < math.inf:
                 raise ParseError(f"box extent must be positive and finite, got {side!r}",
-                                 path=path, line=at)
+                                 path=path, line=at[1])
             if not abs(yhi - ylo - side) <= 1e-12 * side:
                 raise ParseError(f"box must be square: x extent {side!r}, "
-                                 f"y extent {yhi - ylo!r}", path=path, line=at + 1)
+                                 f"y extent {yhi - ylo!r}", path=path, line=at[2])
             if box is None:
-                box = bounds[:2]
-            elif bounds[:2] != box:
-                raise ParseError(f"box bounds {bounds[:2]} differ from frame 0's {box}",
-                                 path=path, line=at if bounds[0] != box[0] else at + 1)
+                box = bounds
+            elif bounds != box:
+                raise ParseError(f"box bounds {bounds} differ from frame 0's {box}",
+                                 path=path, line=at[1] if bounds[0] != box[0] else at[2])
 
-            columns = _expect_item(line, i, "ATOMS", path).split()[2:]
-            col = {name: k for k, name in enumerate(columns)}
-            scaled = "xs" in col
-            names = ["id", "type"] + (["xs", "ys"] if scaled else ["x", "y"])
-            missing = [c for c in names if c not in col]
-            if missing:
-                raise ParseError(
-                    f"unsupported ATOMS column layout {columns!r} (missing {missing})",
-                    path=path, line=i + 1,
-                )
-            if "vx" in col and "vy" in col:
-                names += ["vx", "vy"]
-                saw_velocities = True
+            header = item("ATOMS", line).split()[2:]
+            if columns is None:  # frame 0 sets the layout
+                columns, col = header, {name: k for k, name in enumerate(header)}
+                scaled = "xs" in col
+                names = ["id", "type"] + (["xs", "ys"] if scaled else ["x", "y"])
+                if missing := [c for c in names if c not in col]:
+                    raise fault(f"unsupported ATOMS column layout {columns!r} "
+                                f"(missing {missing})")
+                if "vx" in col and "vy" in col:
+                    names += ["vx", "vy"]
+                kinds = [None] * len(columns)
+                for name in names:
+                    kinds[col[name]] = float
+                kinds[col["id"]], kinds[col["type"]] = int, (int, codes)
+            elif header != columns:
+                raise fault(f"ATOMS columns {header!r} differ from frame 0's {columns!r}")
 
-            rows = list(itertools.islice(lines, n_atoms))
-            first = i + 2  # the line number of the first row
+            rows, atoms_line = list(itertools.islice(lines, n_atoms)), no
+            no += len(rows)
             if len(rows) < n_atoms:
-                raise ParseError(
-                    f"frame at timestep {timestep} is truncated "
-                    f"({len(rows)} of {n_atoms} atom rows)",
-                    path=path, line=first - 1 + len(rows),
-                )
-            kinds = [None] * len(columns)
-            for name in names:
-                kinds[col[name]] = float
-            kinds[col["id"]], kinds[col["type"]] = int, (int, codes)
-            parsed = _parse_rows(rows, first, path, kinds)
+                raise fault(f"frame at timestep {timestep} is truncated "
+                            f"({len(rows)} of {n_atoms} atom rows)")
+            parsed = _parse_rows(rows, atoms_line, path, kinds)
             del rows  # before the next frame's rows are read
             ids, species, x, y, *v = (parsed[col[name]] for name in names)
             with np.errstate(all="ignore"):  # inf and nan pass, as in Python floats
@@ -568,35 +570,28 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
                 positions=positions[order],
                 velocities=velocities[order],
             ))
-            line, i = next(lines, None), i + 1 + n_atoms
 
     if not frames:
         raise ParseError("no frames found", path=path, line=1)
     # side is every frame's x extent, as every frame has frame 0's bounds
     return Trajectory(box_side=side, frames=frames, units="real", dt=dt_fs,
-                      has_velocities=saw_velocities)
+                      has_velocities="vx" in names)
 
 
 def write_lammps_dump(traj: Trajectory, path) -> None:
-    """Emit frames as an orthogonal-box LAMMPS text dump (z set to zero)."""
+    """Emit frames as an orthogonal-box LAMMPS text dump (z set to zero),
+    with vx vy columns when the trajectory has velocities."""
     type_of = {int(Species.HE): 1, int(Species.AR): 2}
+    side = float(traj.box_side)
+    columns = "id type x y z" + (" vx vy" if traj.has_velocities else "")
     with open(path, "w", encoding="utf-8") as fh:
         for fr in traj.frames:
-            fh.write("ITEM: TIMESTEP\n")
-            fh.write(f"{fr.timestep}\n")
-            fh.write("ITEM: NUMBER OF ATOMS\n")
-            fh.write(f"{fr.n_particles}\n")
-            fh.write("ITEM: BOX BOUNDS pp pp pp\n")
-            fh.write(f"0.0 {float(traj.box_side)!r}\n")
-            fh.write(f"0.0 {float(traj.box_side)!r}\n")
-            fh.write("-0.5 0.5\n")
-            rows = zip(fr.ids.tolist(), fr.species.tolist(), fr.positions.tolist(),
-                       fr.velocities.tolist())
-            if traj.has_velocities:
-                fh.write("ITEM: ATOMS id type x y z vx vy\n")
-                fh.write("".join(f"{i} {type_of[s]} {x!r} {y!r} 0.0 {vx!r} {vy!r}\n"
-                                 for i, s, (x, y), (vx, vy) in rows))
-            else:
-                fh.write("ITEM: ATOMS id type x y z\n")
-                fh.write("".join(f"{i} {type_of[s]} {x!r} {y!r} 0.0\n"
-                                 for i, s, (x, y), _ in rows))
+            fh.write(f"ITEM: TIMESTEP\n{fr.timestep}\n"
+                     f"ITEM: NUMBER OF ATOMS\n{fr.n_particles}\n"
+                     f"ITEM: BOX BOUNDS pp pp pp\n0.0 {side!r}\n0.0 {side!r}\n-0.5 0.5\n"
+                     f"ITEM: ATOMS {columns}\n")
+            values = [fr.positions, np.zeros((fr.n_particles, 1))]
+            values += [fr.velocities] if traj.has_velocities else []
+            fh.write("".join(f"{i} {type_of[s]} {' '.join(map(repr, row))}\n" for i, s, row
+                             in zip(fr.ids.tolist(), fr.species.tolist(),
+                                    np.hstack(values).tolist())))

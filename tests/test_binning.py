@@ -17,62 +17,62 @@ from gasdiff.trajectory_io import Frame, Trajectory
 class TestBinCounts:
     def test_counts_are_the_int64_tally_of_each_cell(self):
         rng = np.random.default_rng(3)
-        box, grid = SimBox(side=250.0), GridSpec(d=2, n=9)
-        pos = np.vstack([rng.uniform(0.0, box.side, (500, 2)),
+        side, grid = 250.0, GridSpec(d=2, n=9)
+        pos = np.vstack([rng.uniform(0.0, side, (500, 2)),
                          [[250.0, 0.0], [0.0, 250.0], [np.nextafter(250.0, 0.0), 125.0]]])
         want = np.zeros((9, 9), dtype=np.int64)
         for x, y in pos:
             want[int(9 * x / 250.0) % 9, int(9 * y / 250.0) % 9] += 1
-        counts = bin_counts(pos, box, grid)
+        counts = bin_counts(pos, side, grid)
         assert counts.dtype == np.int64 and counts.shape == (9, 9)
         assert np.array_equal(counts, want)
-        assert not bin_counts(np.empty((0, 2)), box, grid).any()
+        assert not bin_counts(np.empty((0, 2)), side, grid).any()
 
     def test_single_particle_lands_in_cell_00(self):
-        box = SimBox(side=1000.0)
-        counts = bin_counts(np.array([[300.0, 300.0]]), box, GridSpec(d=2, n=2))
+        side = 1000.0
+        counts = bin_counts(np.array([[300.0, 300.0]]), side, GridSpec(d=2, n=2))
         assert counts[0, 0] == 1
         assert counts.sum() == 1
 
     def test_one_particle_per_cell_center(self):
         n = 8
-        box = SimBox(side=800.0)
+        side = 800.0
         grid = GridSpec(d=2, n=n)
-        centers = (np.arange(n) + 0.5) * box.side / n
+        centers = (np.arange(n) + 0.5) * side / n
         xx, yy = np.meshgrid(centers, centers, indexing="ij")
         pos = np.column_stack([xx.ravel(), yy.ravel()])
-        counts = bin_counts(pos, box, grid)
+        counts = bin_counts(pos, side, grid)
         assert np.array_equal(counts, np.ones((n, n), dtype=np.int64))
 
     def test_counts_partition_all_particles(self):
         rng = np.random.default_rng(0)
-        box = SimBox(side=500.0)
-        pos = rng.uniform(0, box.side, (321, 2))
-        counts = bin_counts(pos, box, GridSpec(d=2, n=7))
+        side = 500.0
+        pos = rng.uniform(0, side, (321, 2))
+        counts = bin_counts(pos, side, GridSpec(d=2, n=7))
         assert counts.sum() == 321
 
     def test_boundary_wraps_to_cell_zero(self):
-        box = SimBox(side=100.0)
-        counts = bin_counts(np.array([[100.0, 50.0]]), box, GridSpec(d=2, n=4))
+        side = 100.0
+        counts = bin_counts(np.array([[100.0, 50.0]]), side, GridSpec(d=2, n=4))
         assert counts[0, 2] == 1
 
     def test_species_filter(self):
-        box = SimBox(side=100.0)
+        side = 100.0
         pos = np.array([[10.0, 10.0], [60.0, 60.0]])
         species = np.array([int(Species.HE), int(Species.AR)])
-        counts = bin_counts(pos[species == int(Species.AR)], box, GridSpec(d=2, n=2))
+        counts = bin_counts(pos[species == int(Species.AR)], side, GridSpec(d=2, n=2))
         assert counts.sum() == 1
         assert counts[1, 1] == 1
 
     def test_translation_by_one_cell_permutes_counts(self):
         rng = np.random.default_rng(5)
-        box = SimBox(side=300.0)
+        side = 300.0
         grid = GridSpec(d=2, n=6)
-        pos = rng.uniform(0, box.side, (100, 2))
-        base = bin_counts(pos, box, grid)
+        pos = rng.uniform(0, side, (100, 2))
+        base = bin_counts(pos, side, grid)
         shifted = pos.copy()
-        shifted[:, 0] = (shifted[:, 0] + box.side / grid.n) % box.side
-        moved = bin_counts(shifted, box, grid)
+        shifted[:, 0] = (shifted[:, 0] + side / grid.n) % side
+        moved = bin_counts(shifted, side, grid)
         assert np.array_equal(moved, np.roll(base, 1, axis=0))
 
 
@@ -99,9 +99,9 @@ class TestNormalizeSeries:
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(1)
         grid = GridSpec(d=2, n=5)
-        box = SimBox(side=50.0)
+        side = 50.0
         frames = [
-            (float(t), bin_counts(rng.uniform(0, box.side, (300, 2)), box, grid))
+            (float(t), bin_counts(rng.uniform(0, side, (300, 2)), side, grid))
             for t in range(4)
         ]
         series = normalize_series(frames, grid)
@@ -126,9 +126,9 @@ class TestNormalizeSeries:
     def test_global_normalization_preserves_argmax_and_order(self):
         rng = np.random.default_rng(2)
         grid = GridSpec(d=2, n=4)
-        box = SimBox(side=100.0)
+        side = 100.0
         frames = [
-            (float(t), bin_counts(rng.uniform(0, box.side, (200, 2)), box, grid))
+            (float(t), bin_counts(rng.uniform(0, side, (200, 2)), side, grid))
             for t in range(3)
         ]
         series = normalize_series(frames, grid)
@@ -182,9 +182,9 @@ class TestBinTrajectory:
         write_native(md.run(cfg, SimBox(side=2000.0), 200), path)
         traj = read_native(path)
         grid = GridSpec(d=2, n=6)
-        box = SimBox(side=traj.box_side)
+        side = traj.box_side
         want = normalize_series(
-            [(fr.time_fs, bin_counts(fr.positions[fr.species == int(Species.AR)], box, grid))
+            [(fr.time_fs, bin_counts(fr.positions[fr.species == int(Species.AR)], side, grid))
              for fr in traj.frames], grid, species=Species.AR,
             per_frame_max=per_frame_max)
         binner = Binner(traj.box_side, grid, Species.AR)

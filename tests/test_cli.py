@@ -262,6 +262,64 @@ class TestConvertCli:
         assert code == 3
 
 
+class TestSmallBoxCli:
+    """A trajectory's box needs no room for the MD's cutoff: a 30 A dump
+    converts, bins and gives an MSD, while md-run refuses a 30 A box."""
+
+    def test_dump_with_a_30_a_box(self, tmp_path, capsys):
+        # He 1 stays put; Ar 2 steps +1 A in x across the x = 30 boundary,
+        # Ar 3 steps -1 A in y; frames every 10 steps of 5 fs
+        dump = tmp_path / "small.dump"
+        dump.write_text("".join(
+            f"ITEM: TIMESTEP\n{10 * k}\nITEM: NUMBER OF ATOMS\n3\n"
+            "ITEM: BOX BOUNDS pp pp pp\n0.0 30.0\n0.0 30.0\n-0.5 0.5\n"
+            f"ITEM: ATOMS id type x y\n1 1 15.0 15.0\n2 2 {x} 10.0\n3 2 20.0 {5.0 - k}\n"
+            for k, x in enumerate([29.5, 0.5, 1.5, 2.5])))
+        traj, binned, msd = tmp_path / "t.bin", tmp_path / "bin", tmp_path / "msd.json"
+        assert run_cli("convert", "--in", dump, "--to", "native", "--dt", 5.0,
+                       "--out", traj) == 0
+        assert read_native(traj).box_side == 30.0
+        assert run_cli("bin", "--traj", traj, "--N", 4, "--out", binned) == 0
+        for k in range(4):
+            want = np.zeros((4, 4))
+            want[3 if k == 0 else 0, 1] = want[2, 0] = 1.0
+            counts, t = read_field_csv(binned / f"counts_{k:04d}.csv")
+            assert (t, counts.values.tolist()) == (50.0 * k, want.tolist())
+        assert run_cli("msd", "--traj", traj, "--out", msd) == 0
+        report = json.loads(msd.read_text())
+        # MSD k**2 A**2 at 50 k fs: slope 0.06 A**2/fs, D = slope / 4
+        assert report["n_frames"] == 4
+        assert report["slope_a2_fs"] == pytest.approx(0.06, rel=1e-12)
+        assert report["d_a2_fs"] == pytest.approx(0.015, rel=1e-12)
+        capsys.readouterr()
+        assert run_cli("md-run", "--n-he", 2, "--n-ar", 2, "--box", 30.0, "--steps", 10,
+                       "--out", tmp_path / "md" / "t.bin") == 2
+        assert_one_line_error(capsys, "box side 30.0 too small for minimum image at cutoff 20.0")
+        assert not (tmp_path / "md").exists()
+
+
+class TestDumpColumnLayoutCli:
+    FRAME = ("ITEM: TIMESTEP\n{t}\nITEM: NUMBER OF ATOMS\n1\n"
+             "ITEM: BOX BOUNDS pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5\n"
+             "ITEM: ATOMS {columns}\n{row}\n")
+
+    @pytest.mark.parametrize("columns, row", [
+        ("type id x y", "1 1 25.0 75.0"),
+        ("id type xs ys", "1 1 0.25 0.75"),
+        ("id type x y vx vy", "1 1 25.0 75.0 0.5 -0.5"),
+    ])
+    def test_later_frame_with_other_columns_exits_3(self, tmp_path, capsys, columns, row):
+        dump = tmp_path / "d.dump"
+        dump.write_text(self.FRAME.format(t=0, columns="id type x y", row="1 1 25.0 75.0")
+                        + self.FRAME.format(t=10, columns=columns, row=row))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("convert", "--in", dump, "--to", "native", "--out", out / "t.bin") == 3
+        assert_one_line_error(capsys, f"{dump}:19: ATOMS columns {columns.split()!r} "
+                                      "differ from frame 0's ['id', 'type', 'x', 'y']")
+        assert not out.exists() or list(out.iterdir()) == []
+
+
 def assert_one_line_error(capsys, message):
     err = capsys.readouterr().err
     assert err.startswith("gasdiff: ") and err.count("\n") == 1, err

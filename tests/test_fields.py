@@ -162,6 +162,19 @@ class TestFieldCsv:
         with pytest.raises(ParseError):
             read_field_csv(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("# N=3 d=2 t=0.0\n1,2,3\n\n4,5,6\n7,8\n", ":5: expected 3 columns, found 2"),
+        ("# N=2 d=2 t=0.0\n1,2\n3,abc\n", ":3: non-numeric field value"),
+        ("# N=2 d=2 t=0.0\n\n1,2\n\n3,4,5\n", ":5: expected 2 columns, found 3"),
+    ])
+    def test_row_fault_names_its_own_line(self, tmp_path, text, message):
+        # blank lines are skipped, but each row keeps its line number
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_field_csv(path)
+        assert str(err.value) == f"{path}{message}"
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("# N=3 d=2 t=0.0\n1,2,3\n4,5,6\n")

@@ -80,7 +80,7 @@ def unwrap_displacements(traj) -> np.ndarray:
     disp = np.zeros((len(frames), len(frames[0].ids), 2))
     for i in range(1, len(frames)):
         delta = minimum_image(
-            frames[i].positions - frames[i - 1].positions, box)
+            frames[i].positions - frames[i - 1].positions, box.side)
         disp[i] = disp[i - 1] + delta
     return disp
 
@@ -110,7 +110,7 @@ def brute_reference_forces(positions, species, side):
 
 def pairs_closer_than(r, positions, box, ii, jj):
     """Unordered index pairs among (ii, jj) at minimum-image separation < r."""
-    d = minimum_image(positions[ii] - positions[jj], box)
+    d = minimum_image(positions[ii] - positions[jj], box.side)
     near = np.einsum("ij,ij->i", d, d) < r**2
     return set(zip(np.minimum(ii, jj)[near].tolist(),
                    np.maximum(ii, jj)[near].tolist()))
@@ -261,21 +261,21 @@ class TestLJForce:
 class TestMinimumImage:
     def test_small_displacement_unchanged(self):
         box = SimBox(side=100.0)
-        assert np.allclose(minimum_image(np.array([2.0, -2.0]), box), [2.0, -2.0])
+        assert np.allclose(minimum_image(np.array([2.0, -2.0]), box.side), [2.0, -2.0])
 
     def test_wraparound_pair(self):
         box = SimBox(side=100.0)
-        d = minimum_image(np.array([0.99 * 100 - 0.01 * 100]), box)
+        d = minimum_image(np.array([0.99 * 100 - 0.01 * 100]), box.side)
         assert d[0] == pytest.approx(-2.0)
 
     def test_negative_point_six(self):
         box = SimBox(side=100.0)
-        assert minimum_image(np.array([-60.0]), box)[0] == pytest.approx(40.0)
+        assert minimum_image(np.array([-60.0]), box.side)[0] == pytest.approx(40.0)
 
     @given(st.floats(min_value=-199.0, max_value=199.0))
     def test_result_in_half_open_interval(self, dx):
         box = SimBox(side=100.0)
-        out = minimum_image(np.array([dx]), box)[0]
+        out = minimum_image(np.array([dx]), box.side)[0]
         assert -50.0 <= out < 50.0
         # shifted by an integer number of sides
         assert (out - dx) / 100.0 == pytest.approx(round((out - dx) / 100.0), abs=1e-9)
@@ -595,7 +595,7 @@ class TestPairList:
         # particle 0 jumps next to a particle it was not listed with
         partner = next(k for k in range(1, n) if (0, k) not in listed)
         target = md._wrap(positions[partner] + [0.6 * LJ_CUTOFF, 0.0], box.side)
-        assert np.linalg.norm(minimum_image(target - positions[0], box)) > SKIN / 2
+        assert np.linalg.norm(minimum_image(target - positions[0], box.side)) > SKIN / 2
         state.positions[0] = target
         forces, potential = compute_forces(state, box)
         ref_forces, ref_potential = brute_reference_forces(
@@ -622,7 +622,7 @@ class TestPairList:
             state, forces, _ = verlet_step(state, forces, cfg, box)
         assert len(searches) >= 3
         for pos, ii, jj in searches:
-            d = minimum_image(pos[ii] - pos[jj], box)
+            d = minimum_image(pos[ii] - pos[jj], box.side)
             assert np.all(np.einsum("ij,ij->i", d, d) < (LJ_CUTOFF + SKIN) ** 2)
 
     @pytest.mark.parametrize("side, n_he, n_ar, seed", [
@@ -643,7 +643,7 @@ class TestPairList:
         r_cut = LJ_CUTOFF + SKIN
         ii, jj = md._candidate_pairs(positions, side, r_cut)
         ref_i, ref_j = unfiltered_cell_pairs(positions, side, r_cut)
-        d = minimum_image(positions[ref_i] - positions[ref_j], box)
+        d = minimum_image(positions[ref_i] - positions[ref_j], box.side)
         keep = np.einsum("ij,ij->i", d, d) < r_cut**2
         assert len(ii) < len(ref_i)
         ref_i, ref_j = canonical(ref_i[keep], ref_j[keep])
@@ -815,7 +815,7 @@ class TestDualList:
         shift = [0.6 * LJ_CUTOFF, 0.0] if far else [0.0, 0.75 * SKIN]
         target = md._wrap(positions[partner if far else 0] + shift, box.side)
         reach = (OUTER_RANGE - LJ_CUTOFF - SKIN) / 2.0
-        assert (np.linalg.norm(minimum_image(target - positions[0], box)) > reach) == far
+        assert (np.linalg.norm(minimum_image(target - positions[0], box.side)) > reach) == far
         state.positions[0] = target
         seen = check_rebuilds(monkeypatch)
         forces, potential = compute_forces(state, box)
@@ -926,7 +926,7 @@ class TestVerletStep:
         n = 200
         for _ in range(n):
             state, forces, _ = verlet_step(state, forces, cfg, box)
-        unwrapped = x0 + minimum_image(state.positions - x0, box)
+        unwrapped = x0 + minimum_image(state.positions - x0, box.side)
         assert np.allclose(unwrapped, x0 + n * cfg.dt * v, rtol=1e-12, atol=1e-9)
         assert np.allclose(state.velocities, v, rtol=0, atol=0)
 
@@ -953,7 +953,7 @@ class TestVerletStep:
         state.velocities = -state.velocities
         for _ in range(n):
             state, forces, _ = verlet_step(state, forces, cfg, box)
-        assert np.max(np.abs(minimum_image(state.positions - start, box))) < 1e-8
+        assert np.max(np.abs(minimum_image(state.positions - start, box.side))) < 1e-8
 
     def test_instability_aborts_with_diagnostic(self):
         cfg = MDConfig(n_he=0, n_ar=2, dt=100.0, seed=0)
@@ -1301,7 +1301,7 @@ def copied_state(state):
 
 
 def max_displacement_since_build(state, box):
-    d = minimum_image(state.positions - state.pair_list[2], box)
+    d = minimum_image(state.positions - state.pair_list[2], box.side)
     return float(np.sqrt(np.einsum("ij,ij->i", d, d)).max(initial=0.0))
 
 
@@ -1554,10 +1554,10 @@ class TestHandBack:
                 continue
             target = md._wrap(state.positions[partner] + [0.6 * LJ_CUTOFF, 0.0],
                               box.side)
-            d = minimum_image(state.positions[1:] - target, box)
+            d = minimum_image(state.positions[1:] - target, box.side)
             if np.sqrt(np.einsum("ij,ij->i", d, d)).min() > 4.0:
                 break
-        assert np.linalg.norm(minimum_image(target - state.positions[0], box)) > SKIN / 2
+        assert np.linalg.norm(minimum_image(target - state.positions[0], box.side)) > SKIN / 2
         state.positions.flags.writeable = True
         state.positions[0] = target
 
@@ -1709,7 +1709,7 @@ class TestRun:
             assert np.all(np.isfinite(f.positions)) and np.all(np.isfinite(f.velocities))
         if n_he + n_ar:
             drift = minimum_image(traj.frames[-1].positions - traj.frames[0].positions,
-                                  SimBox(side=1000.0))
+                                  1000.0)
             assert np.allclose(drift, 20 * cfg.dt * traj.frames[0].velocities,
                                rtol=1e-12, atol=1e-9)
 
@@ -1793,7 +1793,7 @@ class TestRun:
         for _ in range(400):
             previous = state.positions.copy()  # the step moves it in place
             state, forces, _ = verlet_step(state, forces, cfg, box)
-            unwrapped += minimum_image(state.positions - previous, box)
+            unwrapped += minimum_image(state.positions - previous, box.side)
         ratio = (unwrapped - state.positions) / box.side
         assert np.max(np.abs(ratio - np.round(ratio))) < 1e-9
         assert np.max(np.abs(np.round(ratio))) >= 1  # something actually wrapped

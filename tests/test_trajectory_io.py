@@ -384,6 +384,36 @@ class TestLammpsBoxAndTime:
         assert (err.value.line, len(calls)) == (23, 4)
 
 
+class TestLammpsColumnLayout:
+    """Frame 0's ATOMS columns are the dump's layout; a later frame that
+    lists other columns is a ParseError naming its ATOMS line, line 19 of
+    two copies of MINIMAL_DUMP."""
+
+    @pytest.mark.parametrize("columns, row", [
+        ("type id x y z", "1 1 25.0 75.0 0.0"),
+        ("id type x y z q", "1 1 25.0 75.0 0.0 7"),
+        ("id type xs ys z", "1 1 0.25 0.75 0.0"),
+        ("id type x y z vx vy", "1 1 25.0 75.0 0.0 0.5 -0.5"),
+    ])
+    def test_later_frame_with_other_columns(self, tmp_path, columns, row):
+        p = tmp_path / "d.dump"
+        p.write_text(MINIMAL_DUMP + MINIMAL_DUMP.replace("TIMESTEP\n0\n", "TIMESTEP\n10\n")
+                     .replace("id type x y z\n1 1 25.0 75.0 0.0", f"{columns}\n{row}"))
+        with pytest.raises(ParseError) as err:
+            parse_lammps_dump(p, SPECIES_MAP)
+        assert (err.value.line, str(err.value)) == (
+            19, f"{p}:19: ATOMS columns {columns.split()!r} differ from frame 0's "
+            "['id', 'type', 'x', 'y', 'z']")
+
+    def test_same_columns_with_other_spacing(self, tmp_path):
+        p = tmp_path / "d.dump"
+        p.write_text(MINIMAL_DUMP + MINIMAL_DUMP.replace("TIMESTEP\n0\n", "TIMESTEP\n10\n")
+                     .replace("ITEM: ATOMS id type x y z", "ITEM: ATOMS  id\ttype x  y z "))
+        traj = parse_lammps_dump(p, SPECIES_MAP)
+        assert [fr.positions.tolist() for fr in traj.frames] == [[[25.0, 75.0]]] * 2
+        assert traj.has_velocities is False
+
+
 class TestDumpRoundTrip:
     @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture],
               deadline=None)
