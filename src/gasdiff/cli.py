@@ -120,10 +120,10 @@ def cmd_md_run(args):
                    temperature=args.temp, seed=args.seed, sample_stride=args.stride)
     box = SimBox(side=args.box)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    header = md.trajectory_header(cfg, box)
+    header, frames = md.trajectory_header(cfg, box), md.iter_frames(cfg, box, args.steps)
     check_room(out.parent, [header], args.steps // args.stride + 1)
-    write_native_frames(header, md.iter_frames(cfg, box, args.steps), out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_native_frames(header, frames, out)
     return [], [out]
 
 
@@ -218,12 +218,13 @@ def cmd_convert(args):
     if args.to == "lammps" and args.dt is not None:
         raise ValueError("--dt applies only to dump input (--to native)")
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     if args.to == "native":
         species_map = _parse_species_map(args.species_map)
-        write_native(parse_lammps_dump(args.infile, species_map, dt_fs=args.dt), out)
+        traj, write = parse_lammps_dump(args.infile, species_map, dt_fs=args.dt), write_native
     else:
-        write_lammps_dump(read_native(args.infile), out)
+        traj, write = read_native(args.infile), write_lammps_dump
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write(traj, out)
     return [args.infile], [out]
 
 

@@ -762,12 +762,17 @@ def iter_frames(cfg: MDConfig, box: SimBox, n_steps: int):
 
     A frame owns copies of the positions and velocities, so consumers may
     keep it; the run itself holds only the current state.  Total (kinetic +
-    potential) energy is recorded on every frame.
+    potential) energy is recorded on every frame.  The step count is
+    checked at the call, before the first frame is asked for.
     """
-    from .trajectory_io import Frame
-
     if n_steps < 0:
         raise ValueError(f"step count must be nonnegative, got {n_steps}")
+    return _frames(cfg, box, n_steps)
+
+
+def _frames(cfg: MDConfig, box: SimBox, n_steps: int):
+    from .trajectory_io import Frame
+
     state = init_state(cfg, box)
     forces, potential = compute_forces(state, box)
     # every frame shares one read-only copy of ids and species

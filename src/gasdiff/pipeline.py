@@ -286,10 +286,10 @@ def run_reproduce(preset: Preset, seeds, n_values=None, out_dir: Path = Path("."
     if n_values is not None:
         preset = replace(preset, n_values=tuple(n_values))
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     box = md.SimBox(side=preset.box_side)
     check_room(out_dir, [md.trajectory_header(preset.md_config(s), box) for s in seeds],
                preset.n_steps // preset.sample_stride + 1)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = [_run_one_seed(preset, seed, out_dir / f"seed_{seed}", manifest_writer)
             for seed in seeds]

@@ -227,14 +227,18 @@ def check_room(directory, headers: Iterable[Trajectory], n_frames: int) -> None:
     """Raise OSError (ENOSPC) unless the file system of ``directory`` has
     room for one native trajectory of ``n_frames`` frames of n_he + n_ar
     particles per header in ``headers``; the message names the bytes needed
-    and the bytes free."""
+    and the bytes free.  ``directory`` need not exist yet: the free space is
+    that of its nearest existing ancestor."""
     import errno
     import shutil
 
     needed = sum(len(_MAGIC) + _LENGTH.size + len(_header_bytes(h)) + _TRAILER.size
                  + n_frames * (_FRAME_HEAD.size + _ROW_BYTES * (h.n_he + h.n_ar))
                  for h in headers)
-    free = shutil.disk_usage(directory).free
+    existing = Path(directory).absolute()
+    while not existing.exists():
+        existing = existing.parent
+    free = shutil.disk_usage(existing).free
     if needed > free:
         raise OSError(errno.ENOSPC, f"the trajectories need {needed} bytes, and "
                                     f"{directory} has {free} bytes free")

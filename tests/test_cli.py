@@ -317,7 +317,7 @@ class TestDumpColumnLayoutCli:
         assert run_cli("convert", "--in", dump, "--to", "native", "--out", out / "t.bin") == 3
         assert_one_line_error(capsys, f"{dump}:19: ATOMS columns {columns.split()!r} "
                                       "differ from frame 0's ['id', 'type', 'x', 'y']")
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
 
 def assert_one_line_error(capsys, message):
@@ -366,7 +366,7 @@ class TestValuesOutsideTheirDomain:
         capsys.readouterr()
         assert run_cli(*argv, "--out", out / "result") == 2
         assert_one_line_error(capsys, message)
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
@@ -394,7 +394,7 @@ class TestValuesOutsideTheirDomain:
         capsys.readouterr()
         assert run_cli(*[str(a).format(traj=traj, out=out) for a in command]) == 3
         assert capsys.readouterr().err == message + "\n"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("hi", ["nan", "inf", "-1.0"])
@@ -408,7 +408,7 @@ class TestValuesOutsideTheirDomain:
         assert run_cli("convert", "--in", dump, "--to", "native",
                        "--out", out / "t.txt") == 3
         assert_one_line_error(capsys, f"{dump}:6: box extent must be positive and finite, got {hi}")
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     DUMP_FRAME = ("ITEM: TIMESTEP\n{t}\nITEM: NUMBER OF ATOMS\n2\nITEM: BOX BOUNDS {box}\n"
                   "ITEM: ATOMS id type x y\n1 1 5.0 5.0\n7 2 8.0 9.0\n")
@@ -433,7 +433,7 @@ class TestValuesOutsideTheirDomain:
         assert run_cli("convert", "--in", dump, "--to", "native",
                        "--out", out / "t.txt") == 3
         assert capsys.readouterr().err == f"gasdiff: {message.format(dump=dump)}\n"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("dt", ["nan", "inf", "-5", "0"])
     def test_convert_dt_outside_zero_to_inf_exits_2(self, tmp_path, capsys, dt):
@@ -445,7 +445,7 @@ class TestValuesOutsideTheirDomain:
         assert run_cli("convert", "--in", dump, "--to", "native", "--dt", dt,
                        "--out", out / "t.txt") == 2
         assert_one_line_error(capsys, f"dt must be positive and finite, got {float(dt)!r}")
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_convert_to_lammps_with_a_dt_exits_2(self, tmp_path, capsys, small_traj,
@@ -482,7 +482,7 @@ class TestValuesOutsideTheirDomain:
         capsys.readouterr()
         assert run_cli(*[str(a).format(traj=traj, out=out) for a in command]) == 3
         assert capsys.readouterr().err == f"gasdiff: {traj}: {message}\n"
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestMalformedBinnedInput:
@@ -541,7 +541,7 @@ class TestMalformedBinnedInput:
         capsys.readouterr()
         assert run_cli(*[str(a).format(binned=binned, out=out) for a in argv]) == 3
         assert_one_line_error(capsys, f"gasdiff: {binned}/{message}")
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("values, message", [
         ("nan,0.0\n0.0,1.0", ": field values must be finite"),
@@ -556,7 +556,7 @@ class TestMalformedBinnedInput:
         capsys.readouterr()
         assert run_cli("heatmap", "--field", field, "--out", out / "f.svg") == 3
         assert_one_line_error(capsys, f"gasdiff: {field}{message}")
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestHeatmapCli:
@@ -740,7 +740,7 @@ class TestNotANativeTrajectory:
         assert capsys.readouterr().err == (
             f"gasdiff: {traj}: not a native binary trajectory "
             "(text trajectories, format 1, are no longer read)\n")
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestDamagedBinaryTrajectory:
@@ -764,7 +764,7 @@ class TestDamagedBinaryTrajectory:
         capsys.readouterr()
         assert run_cli(*[str(a).format(traj=bad, out=out) for a in command]) == 3
         assert_one_line_error(capsys, f"gasdiff: {bad}: binary trajectory")
-        assert not out.exists() or list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestDiskSpace:
@@ -803,7 +803,7 @@ class TestDiskSpace:
             capsys, f"gasdiff: [Errno 28] the trajectories need {size} bytes, and "
                     f"{tmp_path / 'c'} has {size - 1} bytes free")
         assert calls == []
-        assert list((tmp_path / "c").iterdir()) == []
+        assert not (tmp_path / "c").exists()
 
     def test_reproduce_needs_every_seed_s_trajectory(self, tmp_path, monkeypatch, capsys):
         from gasdiff import pipeline
@@ -821,7 +821,51 @@ class TestDiskSpace:
             capsys, f"gasdiff: [Errno 28] the trajectories need {size} bytes, and "
                     f"{tmp_path / 'b'} has {size - 1} bytes free")
         assert calls == []
-        assert list((tmp_path / "b").iterdir()) == []
+        assert not (tmp_path / "b").exists()
+
+
+class TestRefusedCommandLeavesNoDirectory:
+    """A command that exits 3 before it writes creates no output directory:
+    convert reads its input first, md-run and reproduce check the free space
+    of the directory's nearest existing ancestor first."""
+
+    def test_convert_of_a_dump_with_a_bad_timestep(self, tmp_path, capsys):
+        dump = tmp_path / "bad.dump"
+        dump.write_text("ITEM: TIMESTEP\nx\nITEM: NUMBER OF ATOMS\n1\n"
+                        "ITEM: BOX BOUNDS pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5\n"
+                        "ITEM: ATOMS id type x y\n1 1 5.0 5.0\n")
+        capsys.readouterr()
+        assert run_cli("convert", "--in", dump, "--to", "native",
+                       "--out", tmp_path / "newdir" / "t.bin") == 3
+        assert_one_line_error(capsys, f"{dump}:2: non-integer field 'x'")
+        assert not (tmp_path / "newdir").exists()
+
+    def test_convert_of_bytes_that_are_no_trajectory(self, tmp_path, capsys):
+        garbage = tmp_path / "garbage.bin"
+        garbage.write_bytes(bytes(range(256)))
+        capsys.readouterr()
+        assert run_cli("convert", "--in", garbage, "--to", "lammps",
+                       "--out", tmp_path / "d2" / "t.dump") == 3
+        assert_one_line_error(capsys, f"{garbage}: not a native binary trajectory")
+        assert not (tmp_path / "d2").exists()
+
+    def test_md_run_with_no_room(self, tmp_path, capsys):
+        # 1e11 frames of 60000 rows need far more bytes than any disk holds
+        capsys.readouterr()
+        assert run_cli("md-run", "--n-he", 30000, "--n-ar", 30000, "--box", 50000.0,
+                       "--steps", 100_000_000_000, "--stride", 1,
+                       "--out", tmp_path / "run1" / "t.bin") == 3
+        assert_one_line_error(capsys, "gasdiff: [Errno 28] the trajectories need")
+        assert not (tmp_path / "run1").exists()
+
+    def test_reproduce_with_no_room(self, tmp_path, monkeypatch, capsys):
+        # 20 paper seeds need 57.6 GB; the file system is made to show 1 GB
+        TestDiskSpace.fake_free(monkeypatch, 10**9)
+        capsys.readouterr()
+        assert run_cli("reproduce", "--scale", "paper", "--seeds",
+                       ",".join(str(s) for s in range(1, 21)), "--out", tmp_path / "rep1") == 3
+        assert_one_line_error(capsys, "gasdiff: [Errno 28] the trajectories need")
+        assert not (tmp_path / "rep1").exists()
 
 
 class TestStreamingMemory:
