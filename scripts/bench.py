@@ -21,11 +21,13 @@ and the cost curve have read up to 23 % apart between two trees.
 
 The parent runs the jobs below one after another.  A job is one call into
 one layer; a process builds what the call needs (untimed) when the job's
-first block reaches it, and drops it when the next job starts.  A block is
-a number of calls, timed together.  In block 0 the first process makes
-calls until BLOCK_S has passed, and every process then makes that many
-calls per block, so that block k of each process does the same work, and a
-stateful job (the paper-density MD) advances alike in all of them.  The
+first block reaches it, then makes one untimed call, so that no block
+times a cold first call (one that fills a cache, say), and drops it all
+when the next job starts.  A block is a number of calls, timed together.
+In block 0 the first process makes calls until BLOCK_S has passed, and
+every process then makes that many calls per block, so that block k of
+each process does the same work, and a stateful job (the paper-density MD,
+whose warm call is one more step) advances alike in all of them.  The
 processes take BLOCKS blocks of each job in turn, the order rotating, and
 reversing every other round, from block to block, so that the machine's
 drift falls on all of them alike.
@@ -401,6 +403,7 @@ def serve(work: str) -> None:
                 if new:
                     built.clear()  # the last job's fixtures go before these are built
                     built[name] = JOBS[name](scratch)
+                    built[name][0]()  # warm: every process makes this call
                 call, calls, done = built[name][0], int(calls), 0
                 start = time.perf_counter()
                 while done < calls if calls else time.perf_counter() - start < BLOCK_S:

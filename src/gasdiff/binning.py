@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParseError
 from .fields import GridSpec, ScalarField
 from .md import Species
 
@@ -100,8 +101,10 @@ def normalize_series(count_frames, grid: GridSpec,
 class Binner:
     """Per-cell counts of one species, added a frame at a time.
 
-    Holds one N x N count array per frame added, never the frames.
-    ``box_side`` is the trajectory's, which need not pass SimBox's MD rule.
+    Holds frame 0's species codes and one N x N count array per frame
+    added, never the frames; a frame whose species codes differ from frame
+    0's is a ParseError.  ``box_side`` is the trajectory's, which need not
+    pass SimBox's MD rule.
     """
 
     def __init__(self, box_side: float, grid: GridSpec, species: Species = Species.AR):
@@ -109,8 +112,13 @@ class Binner:
         self.grid = grid
         self.species = species
         self.count_frames: list[tuple[float, np.ndarray]] = []
+        self._codes = None
 
     def add(self, frame) -> None:
+        if self._codes is not None and not np.array_equal(frame.species, self._codes):
+            raise ParseError(f"frame at timestep {frame.timestep} holds particles of "
+                             "other species than frame 0")
+        self._codes = frame.species  # frame 0's, as every later one must equal them
         positions = frame.finite_positions(frame.species == int(self.species))
         self.count_frames.append((frame.time_fs, bin_counts(positions, self.side,
                                                             self.grid)))

@@ -28,7 +28,6 @@ built-in default.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -40,7 +39,7 @@ from .errors import GasdiffError, InstabilityError, ParseError
 from .fd_solver import (SchemeKind, SolverConfig, amplification_factors,
                         critical_time_step, make_patch_initial, solve)
 from .analytic import patch_solution_on_grid
-from .fields import GridSpec, UnitScale, read_field_csv
+from .fields import GridSpec, UnitScale, read_field_csv, write_json, write_text
 from .md import MDConfig, SimBox, Species
 from .trajectory_io import (check_room, iter_native, parse_lammps_dump, read_native,
                             read_native_header, write_lammps_dump, write_native,
@@ -56,18 +55,9 @@ EXIT_INSTABILITY = 4
 _OUT_DIR_COMMANDS = {"fd-run", "bin", "reproduce"}
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-
-
-def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def write_manifest(directory, command: str, config: dict, inputs, outputs,
                    wall_time_s: float, seed) -> None:
-    _write_json(Path(directory) / "manifest.json", dict(
+    write_json(Path(directory) / "manifest.json", dict(
         command=command, config=config, inputs=[str(p) for p in inputs],
         outputs=[str(p) for p in outputs], seed=seed, version=__version__,
         wall_time_s=wall_time_s))
@@ -122,7 +112,6 @@ def cmd_md_run(args):
     out = Path(args.out)
     header, frames = md.trajectory_header(cfg, box), md.iter_frames(cfg, box, args.steps)
     check_room(out.parent, [header], args.steps // args.stride + 1)
-    out.parent.mkdir(parents=True, exist_ok=True)
     write_native_frames(header, frames, out)
     return [], [out]
 
@@ -153,7 +142,7 @@ def cmd_amp_plot(args):
     rows = [",".join(header)]
     rows += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
     out = Path(args.out)
-    _write_text(out, "\n".join(rows) + "\n")
+    write_text(out, "\n".join(rows) + "\n")
     return [], [out]
 
 
@@ -179,7 +168,7 @@ def cmd_fit(args):
                                  substeps=args.substeps,
                                  init_from_frame0=args.init_from_frame0)
     out = Path(args.out)
-    _write_json(out, pipeline.fit_report_dict(result))
+    write_json(out, pipeline.fit_report_dict(result))
     return [args.binned], [out]
 
 
@@ -192,7 +181,7 @@ def cmd_cost_curve(args):
     curve = fitting.cost_curve(problem, np.linspace(args.d_min, args.d_max, args.points))
     rows = ["d_nd,cost"] + [f"{float(d)!r},{float(c)!r}" for d, c in curve]
     out = Path(args.out)
-    _write_text(out, "\n".join(rows) + "\n")
+    write_text(out, "\n".join(rows) + "\n")
     return [args.binned], [out]
 
 
@@ -201,13 +190,9 @@ def cmd_msd(args):
     msd = md.MSDAccumulator(read_native_header(args.traj).box_side, species)
     for frame in iter_native(args.traj):
         msd.add(frame)
-    window = None
-    if msd.times and (args.t_lo is not None or args.t_hi is not None):
-        window = (msd.times[0] if args.t_lo is None else args.t_lo,
-                  msd.times[-1] if args.t_hi is None else args.t_hi)
-    result = msd.estimate(fit_window=window, use_3d_factor=args.use_3d_factor)
+    result = msd.estimate(args.t_lo, args.t_hi, use_3d_factor=args.use_3d_factor)
     out = Path(args.out)
-    _write_json(out, dict(
+    write_json(out, dict(
         d_a2_fs=result.diffusion, d_cm2_s=result.diffusion_cm2_s,
         slope_a2_fs=result.slope, intercept_a2=result.intercept,
         r_squared=result.r_squared, n_frames=result.n_frames))
@@ -220,18 +205,16 @@ def cmd_convert(args):
     out = Path(args.out)
     if args.to == "native":
         species_map = _parse_species_map(args.species_map)
-        traj, write = parse_lammps_dump(args.infile, species_map, dt_fs=args.dt), write_native
+        write_native(parse_lammps_dump(args.infile, species_map, dt_fs=args.dt), out)
     else:
-        traj, write = read_native(args.infile), write_lammps_dump
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write(traj, out)
+        write_lammps_dump(read_native(args.infile), out)
     return [args.infile], [out]
 
 
 def cmd_heatmap(args):
     field, _ = read_field_csv(args.field)
     out = Path(args.out)
-    _write_text(out, pipeline.render_heatmap_svg(field))
+    write_text(out, pipeline.render_heatmap_svg(field))
     return [args.field], [out]
 
 

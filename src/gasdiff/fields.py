@@ -5,12 +5,17 @@ cells per side, h = 1/N.  A field value with index j represents the cell
 [j*h, (j+1)*h) and is sampled at the cell center x_j = (j + 1/2)*h.  Fields
 are stored as C-ordered numpy arrays, so for d=2 the flat index is
 j = j1*N + j2; the binning module relies on this layout bit-for-bit.
+
+Every CSV, JSON and SVG output is written by write_text (write_json for
+JSON), which makes the directories it needs.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -117,14 +122,23 @@ def physical_to_nd_d(d_cm2_s: float, scale: UnitScale) -> float:
 _HEADER_RE = re.compile(r"^#\s*N=(\d+)\s+d=(\d+)\s+t=(\S+)\s*$")
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, making its missing directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as a JSON artifact: sorted keys, two-space indent and a
+    final newline."""
+    write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def write_field_csv(f: ScalarField, path, time: float = 0.0) -> None:
     """Write a field as CSV: header '# N=<N> d=<d> t=<time>', then rows."""
-    rows = f.values if f.grid.d == 2 else f.values.reshape(1, -1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# N={f.grid.n} d={f.grid.d} t={float(time)!r}\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
+    write_text(path, f"# N={f.grid.n} d={f.grid.d} t={float(time)!r}\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in np.atleast_2d(f.values)))
 
 
 def read_field_csv(path) -> tuple[ScalarField, float]:

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import GasdiffError, InstabilityError
+from .errors import GasdiffError, InstabilityError, ParseError
 from .fields import KCAL_PER_MOL_TO_MD, A2_PER_FS_IN_CM2_PER_S
 
 #: integration aborts once any particle exceeds this speed (A/fs).
@@ -821,9 +821,10 @@ class MSDAccumulator:
     """Mean squared displacement from frame 0 of the particles that are
     ``species`` in frame 0, added a frame at a time.
 
-    Keeps their previous positions, their running displacement (summed
-    minimum-image steps, valid while nothing moves half a box side between
-    frames) and one (time, MSD) pair per frame.  ``box_side`` is the
+    Keeps their ids, their previous positions, their running displacement
+    (summed minimum-image steps, valid while nothing moves half a box side
+    between frames) and one (time, MSD) pair per frame.  A frame whose rows
+    of those particles hold other ids is a ParseError.  ``box_side`` is the
     trajectory's, which need not pass SimBox's MD rule.
     """
 
@@ -832,38 +833,39 @@ class MSDAccumulator:
         self.species = species
         self.times: list[float] = []
         self.msd: list[float] = []
-        self._mask = self._prev = self._disp = None
+        self._mask = self._ids = self._prev = self._disp = None
 
     def add(self, frame) -> None:
-        self.times.append(frame.time_fs)
         if self._mask is None:
             self._mask = frame.species == int(self.species)
+            self._ids = frame.ids[self._mask]
             self._prev = frame.finite_positions(self._mask)
             self._disp = np.zeros_like(self._prev)
         else:
+            if not np.array_equal(frame.ids[self._mask], self._ids):
+                raise ParseError(f"frame at timestep {frame.timestep} holds other "
+                                 f"{self.species.label} particles than frame 0")
             pos = frame.finite_positions(self._mask)
             self._disp += minimum_image(pos - self._prev, self.side)
             self._prev = pos
+        self.times.append(frame.time_fs)
         if len(self._disp):
             sq = np.einsum("nd,nd->n", self._disp, self._disp)
             # summed left to right, as the mean over a frames-inner array was
             self.msd.append(np.add.accumulate(sq)[-1] / len(sq))
 
-    def estimate(self, fit_window=None, use_3d_factor: bool = False) -> MSDResult:
+    def estimate(self, t_lo=None, t_hi=None, use_3d_factor: bool = False) -> MSDResult:
         """Diffusion coefficient from the slope of mean squared displacement.
 
-        Fits a straight line to MSD(t) over ``fit_window`` = (t_lo, t_hi) in
-        fs (default: every frame) and divides the slope by 2d with d=2.
-        ``use_3d_factor`` divides by 6 instead, reproducing the common
-        three-dimensional convention.  The r_squared diagnostic exposes how
-        linear the window actually was.
+        Fits a straight line to MSD(t) over the frames with t_lo <= t <= t_hi
+        in fs (an open end: no bound on that side) and divides the slope by
+        2d with d=2.  ``use_3d_factor`` divides by 6 instead, reproducing the
+        common three-dimensional convention.  The r_squared diagnostic
+        exposes how linear the window actually was.
         """
         times = np.array(self.times)
-        if fit_window is None:
-            sel = np.ones(len(times), dtype=bool)
-        else:
-            t_lo, t_hi = fit_window
-            sel = (times >= t_lo) & (times <= t_hi)
+        sel = ((times >= (-np.inf if t_lo is None else t_lo))
+               & (times <= (np.inf if t_hi is None else t_hi)))
         if int(np.count_nonzero(sel)) < 3:
             raise ValueError("need at least 3 trajectory frames in the fit window")
         if not self.msd:

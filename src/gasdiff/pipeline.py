@@ -27,6 +27,8 @@ from .fields import (
     physical_to_nd_d,
     read_field_csv,
     write_field_csv,
+    write_json,
+    write_text,
 )
 from .trajectory_io import check_room, write_native_frames
 
@@ -98,7 +100,6 @@ PRESETS = {"desk": DESK, "paper": PAPER}
 def write_binned_dir(series: binning.BinnedSeries, out_dir: Path,
                      source: str = "") -> None:
     """Per-frame count and concentration CSVs plus a binned.json manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i, frame in enumerate(series.frames):
         if frame.counts is not None:
             write_field_csv(
@@ -107,16 +108,14 @@ def write_binned_dir(series: binning.BinnedSeries, out_dir: Path,
             )
         write_field_csv(frame.concentration, out_dir / f"u_{i:04d}.csv",
                         time=frame.time_fs)
-    meta = {
+    write_json(out_dir / "binned.json", {
         "n": series.grid.n,
         "d": series.grid.d,
         "normalization_max": series.normalization_max,
         "species": series.species.label if series.species is not None else None,
         "times_fs": [f.time_fs for f in series.frames],
         "source": source,
-    }
-    (out_dir / "binned.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 def read_binned_dir(path: Path) -> binning.BinnedSeries:
@@ -160,14 +159,11 @@ def read_binned_dir(path: Path) -> binning.BinnedSeries:
 
 def write_fd_series_dir(series: FieldSeries, out_dir: Path,
                         oracle_frames=None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, (frame, t) in enumerate(zip(series.frames, series.times)):
-        write_field_csv(frame, out_dir / f"frame_{i:04d}.csv", time=float(t))
-    if oracle_frames is not None:
-        for i, (frame, t) in enumerate(zip(oracle_frames, series.times)):
-            write_field_csv(frame, out_dir / f"oracle_{i:04d}.csv", time=float(t))
+    for prefix, frames in (("frame", series.frames), ("oracle", oracle_frames or ())):
+        for i, (frame, t) in enumerate(zip(frames, series.times)):
+            write_field_csv(frame, out_dir / f"{prefix}_{i:04d}.csv", time=float(t))
     cfg = series.config
-    meta = {
+    write_json(out_dir / "series.json", {
         "n": cfg.grid.n,
         "d": cfg.grid.d,
         "k": cfg.k,
@@ -176,9 +172,7 @@ def write_fd_series_dir(series: FieldSeries, out_dir: Path,
         "n_max": cfg.n_max,
         "sample_stride": series.sample_stride,
         "times": [float(t) for t in series.times],
-    }
-    (out_dir / "series.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 def fit_binned(series: binning.BinnedSeries, scale: UnitScale, d0_nd: float,
@@ -225,7 +219,6 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
                 consumer.add(frame)
             yield frame
 
-    seed_dir.mkdir(parents=True, exist_ok=True)
     traj_path = seed_dir / "trajectory.bin"
     write_native_frames(md.trajectory_header(cfg, box),
                         fan_out(md.iter_frames(cfg, box, preset.n_steps)), traj_path)
@@ -252,16 +245,13 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
         started = time.perf_counter()
         result = fit_binned(series, scale, d0,
                             init_from_frame0=preset.init_from_frame0)
-        report = fit_report_dict(result)
+        fits[n] = fit_report_dict(result)
         fit_dir = seed_dir / f"fit_N{n}"
-        fit_dir.mkdir(parents=True, exist_ok=True)
-        (fit_dir / "report.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        write_json(fit_dir / "report.json", fits[n])
         if manifest_writer:
             manifest_writer("fit", fit_dir, {"N": n, "seed": seed, "d0": d0},
                             [str(fit_dir / "report.json")],
                             time.perf_counter() - started)
-        fits[n] = report
 
     return {
         "seed": seed,
@@ -285,11 +275,13 @@ def run_reproduce(preset: Preset, seeds, n_values=None, out_dir: Path = Path("."
         raise ValueError("no seeds given")
     if n_values is not None:
         preset = replace(preset, n_values=tuple(n_values))
+    for name, values in (("seed", seeds), ("N", preset.n_values)):
+        if repeated := [v for k, v in enumerate(values) if v in values[:k]]:
+            raise ValueError(f"{name} {repeated[0]} is given more than once")
     out_dir = Path(out_dir)
     box = md.SimBox(side=preset.box_side)
     check_room(out_dir, [md.trajectory_header(preset.md_config(s), box) for s in seeds],
                preset.n_steps // preset.sample_stride + 1)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     runs = [_run_one_seed(preset, seed, out_dir / f"seed_{seed}", manifest_writer)
             for seed in seeds]
@@ -310,15 +302,14 @@ def run_reproduce(preset: Preset, seeds, n_values=None, out_dir: Path = Path("."
         "runs": runs,
         "summary": summary,
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_json(out_dir / "report.json", report)
 
     lines = ["N,d_opt_cm2_s,cost,ci95"]
     for n in preset.n_values:
         s = summary[str(n)]
         lines.append(
             f"{n},{s['d_opt_cm2_s_mean']!r},{s['cost_mean']!r},{s['ci95_mean']!r}")
-    (out_dir / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(out_dir / "table.csv", "\n".join(lines) + "\n")
     return report
 
 

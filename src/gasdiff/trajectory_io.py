@@ -19,7 +19,9 @@ checks the magic, the trailer, the size and the SHA-256 before it yields
 the first frame, then yields them one at a time; write_native and
 read_native run the same code for a Trajectory held in memory.  A file
 that does not start with the magic, such as a text trajectory of format 1,
-is a ParseError.
+is a ParseError.  Both writers, native and LAMMPS, write ``path`` + ".tmp"
+and rename it onto ``path`` (_replacing), which makes the directories they
+need and removes what it made on any exception.
 
 The LAMMPS reader handles text dumps of a square, orthogonal, fixed box
 whose column layout, unscaled (x y) or scaled (xs ys) coordinates with or
@@ -182,41 +184,57 @@ def _frame_fault(fr: Frame, last) -> str | None:
     return _order_fault(last, n, ts, fr.time_fs)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """``path`` + ".tmp" open for binary writing, renamed onto ``path`` when
+    the block ends; missing directories are made first.  On any exception,
+    the rename's included, the temporary file goes, and so does each
+    directory made here that is left empty; the exception propagates."""
+    tmp = Path(f"{path}.tmp")
+    made = [d for d in tmp.absolute().parents if not d.exists()]  # nearest first
+    try:
+        tmp.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # a directory that holds other files stays
+            for directory in made:
+                directory.rmdir()
+        raise
+
+
 def write_native_frames(header: Trajectory, frames: Iterable[Frame], path) -> None:
     """Write ``header``'s fields (not its frames), then each of ``frames`` as
     it comes, to ``path`` + ".tmp" as one binary trajectory, renamed onto
-    ``path`` after the last frame.  A frame the reader would refuse raises
-    ValueError.  If ``frames`` raises, or a frame is refused, the temporary
-    file is removed and ``path`` is left as it was."""
+    ``path`` after the last frame (see _replacing).  A frame the reader
+    would refuse raises ValueError.  If ``frames`` raises, a frame is
+    refused or the rename fails, ``path`` is left as it was."""
     import hashlib
 
-    tmp, digest = Path(f"{path}.tmp"), hashlib.sha256()
-    try:
-        with open(tmp, "wb") as fh:
-            def write(parts):
-                for part in parts:
-                    digest.update(part)
-                fh.writelines(parts)
-                fh.flush()  # whole frames reach the file as the run makes them
+    digest = hashlib.sha256()
+    with _replacing(path) as fh:
+        def write(parts):
+            for part in parts:
+                digest.update(part)
+            fh.writelines(parts)
+            fh.flush()  # whole frames reach the file as the run makes them
 
-            text = _header_bytes(header)
-            write([_MAGIC, _LENGTH.pack(len(text)), text])
-            last, count = None, 0  # (n, timestep, time_fs) of the last frame
-            for fr in frames:
-                if (fault := _frame_fault(fr, last)) is not None:
-                    raise ValueError(fault)
-                energy = fr.energy
-                write([_FRAME_HEAD.pack(fr.timestep, fr.time_fs, energy is not None,
-                                        0.0 if energy is None else energy)]
-                      + [np.ascontiguousarray(a, dtype.newbyteorder("<")).data
-                         for a, (dtype, _) in zip(
-                             (fr.ids, fr.species, fr.positions, fr.velocities), _COLUMNS)])
-                last, count = (len(fr.ids), fr.timestep, float(fr.time_fs)), count + 1
-            fh.write(_TRAILER.pack(last[0] if last else 0, count, digest.digest()))
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
+        text = _header_bytes(header)
+        write([_MAGIC, _LENGTH.pack(len(text)), text])
+        last, count = None, 0  # (n, timestep, time_fs) of the last frame
+        for fr in frames:
+            if (fault := _frame_fault(fr, last)) is not None:
+                raise ValueError(fault)
+            energy = fr.energy
+            write([_FRAME_HEAD.pack(fr.timestep, fr.time_fs, energy is not None,
+                                    0.0 if energy is None else energy)]
+                  + [np.ascontiguousarray(a, dtype.newbyteorder("<")).data
+                     for a, (dtype, _) in zip(
+                         (fr.ids, fr.species, fr.positions, fr.velocities), _COLUMNS)])
+            last, count = (len(fr.ids), fr.timestep, float(fr.time_fs)), count + 1
+        fh.write(_TRAILER.pack(last[0] if last else 0, count, digest.digest()))
 
 
 def write_native(traj: Trajectory, path) -> None:
@@ -584,18 +602,19 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
 
 def write_lammps_dump(traj: Trajectory, path) -> None:
     """Emit frames as an orthogonal-box LAMMPS text dump (z set to zero),
-    with vx vy columns when the trajectory has velocities."""
+    with vx vy columns when the trajectory has velocities, to ``path`` +
+    ".tmp", renamed onto ``path`` after the last frame (see _replacing)."""
     type_of = {int(Species.HE): 1, int(Species.AR): 2}
     side = float(traj.box_side)
     columns = "id type x y z" + (" vx vy" if traj.has_velocities else "")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for fr in traj.frames:
             fh.write(f"ITEM: TIMESTEP\n{fr.timestep}\n"
                      f"ITEM: NUMBER OF ATOMS\n{fr.n_particles}\n"
                      f"ITEM: BOX BOUNDS pp pp pp\n0.0 {side!r}\n0.0 {side!r}\n-0.5 0.5\n"
-                     f"ITEM: ATOMS {columns}\n")
+                     f"ITEM: ATOMS {columns}\n".encode())
             values = [fr.positions, np.zeros((fr.n_particles, 1))]
             values += [fr.velocities] if traj.has_velocities else []
             fh.write("".join(f"{i} {type_of[s]} {' '.join(map(repr, row))}\n" for i, s, row
                              in zip(fr.ids.tolist(), fr.species.tolist(),
-                                    np.hstack(values).tolist())))
+                                    np.hstack(values).tolist())).encode())

@@ -72,7 +72,24 @@ class TestMdRun:
         assert run_cli("md-run", "--n-he", 20, "--n-ar", 20, "--box", 1000.0,
                        "--steps", 100, "--stride", 10, "--out", out) == 4
         assert len(calls) == 25
-        assert list((tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["md-run", "--n-he", 10, "--n-ar", 10, "--box", 1000.0, "--steps", 20,
+         "--stride", 10],
+        ["convert", "--in", "{traj}", "--to", "lammps"],
+    ])
+    def test_out_that_is_a_directory_exits_3_and_leaves_no_tmp(self, tmp_path, capsys,
+                                                               small_traj, command):
+        # the file is written whole, and the rename onto the directory fails
+        out = tmp_path / "out_is_dir"
+        out.mkdir()
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(traj=small_traj) for a in command],
+                       "--out", out) == 3
+        assert_one_line_error(capsys, f"Is a directory: '{out}.tmp' -> '{out}'")
+        assert [p.name for p in tmp_path.iterdir()] == ["out_is_dir"]
+        assert list(out.iterdir()) == []
 
 
 class TestFdRun:
@@ -298,6 +315,42 @@ class TestSmallBoxCli:
         assert not (tmp_path / "md").exists()
 
 
+class TestFrameWithOtherParticlesCli:
+    """A frame that holds other particles than frame 0 makes msd (other ids
+    in frame 0's rows of the species) and bin (other species) exit 3."""
+
+    @staticmethod
+    def converted(tmp_path, rows):
+        dump, traj = tmp_path / "d.dump", tmp_path / "t.bin"
+        dump.write_text("".join(
+            f"ITEM: TIMESTEP\n{10 * k}\nITEM: NUMBER OF ATOMS\n4\n"
+            "ITEM: BOX BOUNDS pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5\n"
+            "ITEM: ATOMS id type x y\n" + "".join(
+                f"{i} {t} {10.0 * i + k} 50.0\n" for i, t in frame_rows)
+            for k, frame_rows in enumerate(rows)))
+        assert run_cli("convert", "--in", dump, "--to", "native", "--dt", 5.0,
+                       "--out", traj) == 0
+        return traj
+
+    def test_msd_of_a_frame_with_other_ids_exits_3(self, tmp_path, capsys):
+        ar = [(1, 2), (2, 2), (3, 2), (4, 2)]
+        traj = self.converted(tmp_path, [ar, ar, [(i + 4, t) for i, t in ar]])
+        capsys.readouterr()
+        assert run_cli("msd", "--traj", traj, "--out", tmp_path / "msd" / "msd.json") == 3
+        assert capsys.readouterr().err == (
+            "gasdiff: frame at timestep 20 holds other Ar particles than frame 0\n")
+        assert not (tmp_path / "msd").exists()
+
+    def test_bin_of_a_frame_with_other_species_exits_3(self, tmp_path, capsys):
+        rows = [(1, 1), (2, 2), (3, 2), (4, 2)]
+        traj = self.converted(tmp_path, [rows, [(1, 2), *rows[1:]], rows])
+        capsys.readouterr()
+        assert run_cli("bin", "--traj", traj, "--N", 4, "--out", tmp_path / "bin") == 3
+        assert capsys.readouterr().err == (
+            "gasdiff: frame at timestep 10 holds particles of other species than frame 0\n")
+        assert not (tmp_path / "bin").exists()
+
+
 class TestDumpColumnLayoutCli:
     FRAME = ("ITEM: TIMESTEP\n{t}\nITEM: NUMBER OF ATOMS\n1\n"
              "ITEM: BOX BOUNDS pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5\n"
@@ -345,6 +398,8 @@ class TestValuesOutsideTheirDomain:
         ([*COST_CURVE, "--points", 0], "diffusion grid is empty"),
         ([*MD_RUN, "--steps", -1], "step count must be nonnegative"),
         (["reproduce", "--seeds", ""], "no seeds given"),
+        (["reproduce", "--seeds", "1,2,1"], "seed 1 is given more than once"),
+        (["reproduce", "--seeds", "1", "--N", "10,20,10"], "N 10 is given more than once"),
         ([*MD_RUN, "--box", "nan"], "box side must be positive and finite"),
         ([*MD_RUN, "--box", "inf"], "box side must be positive and finite"),
         ([*MD_RUN, "--dt", "nan"], "time step and temperature must be positive"),
@@ -706,6 +761,22 @@ class TestReproduceCli:
         assert not any(name.endswith((".frames", ".tmp", ".txt")) for name in runs[1])
         assert runs[1] == runs[2]
 
+    def test_blow_up_in_seed_1_exits_4_and_leaves_no_directory(self, tmp_path,
+                                                              monkeypatch, capsys):
+        from gasdiff import md, pipeline
+        from gasdiff.errors import InstabilityError
+        from test_pipeline import MINI
+
+        def failing_step(*args):
+            raise InstabilityError("particle 3 reached 2 A/fs")
+
+        monkeypatch.setitem(pipeline.PRESETS, "desk", MINI)
+        monkeypatch.setattr(md, "verlet_step", failing_step)
+        capsys.readouterr()
+        assert run_cli("reproduce", "--seeds", "5,6", "--out", tmp_path / "out") == 4
+        assert_one_line_error(capsys, "instability: particle 3 reached 2 A/fs")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestArtifactIdempotence:
     def test_fd_run_outputs_byte_identical(self, tmp_path):
@@ -745,11 +816,13 @@ class TestNotANativeTrajectory:
 
 class TestDamagedBinaryTrajectory:
     """A binary trajectory that is truncated, or has one byte flipped in its
-    header, records or trailer, makes bin and msd exit 3 and write nothing."""
+    header, records or trailer, makes bin, msd and convert --to lammps exit 3
+    and write nothing."""
 
     @pytest.mark.parametrize("command", [
         ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
         ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
+        ["convert", "--in", "{traj}", "--to", "lammps", "--out", "{out}/t.dump"],
     ])
     @pytest.mark.parametrize("damage", ["truncated", "header", "record", "trailer"])
     def test_exits_3_and_writes_nothing(self, tmp_path, capsys, small_traj, command,
@@ -826,8 +899,9 @@ class TestDiskSpace:
 
 class TestRefusedCommandLeavesNoDirectory:
     """A command that exits 3 before it writes creates no output directory:
-    convert reads its input first, md-run and reproduce check the free space
-    of the directory's nearest existing ancestor first."""
+    the writers make the directories they need, convert reads its input
+    first, md-run and reproduce check the free space of the directory's
+    nearest existing ancestor first."""
 
     def test_convert_of_a_dump_with_a_bad_timestep(self, tmp_path, capsys):
         dump = tmp_path / "bad.dump"

@@ -1812,12 +1812,12 @@ class TestRun:
         assert paths[0] == paths[1]
 
 
-def msd_diffusion_estimate(traj, species, fit_window=None, use_3d_factor=False):
+def msd_diffusion_estimate(traj, species, t_lo=None, t_hi=None, use_3d_factor=False):
     """MSDAccumulator fed every frame of an in-memory trajectory."""
     acc = md.MSDAccumulator(traj.box_side, species)
     for frame in traj.frames:
         acc.add(frame)
-    return acc.estimate(fit_window, use_3d_factor)
+    return acc.estimate(t_lo, t_hi, use_3d_factor)
 
 
 def synthetic_trajectory(frames, side=1e4):
@@ -1902,7 +1902,7 @@ class TestMSD:
         ]
         with pytest.raises(ValueError):
             msd_diffusion_estimate(synthetic_trajectory(frames), Species.AR,
-                                   fit_window=(1e6, 2e6))
+                                   t_lo=1e6, t_hi=2e6)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_streaming_msd_matches_the_unwrapped_oracle_bitwise(self, tmp_path, seed):
@@ -1927,4 +1927,4 @@ class TestMSD:
         assert np.array(acc.msd).tobytes() == oracle.tobytes()
         assert acc.times == [f.time_fs for f in traj.frames]
         assert acc.estimate().n_frames == 21
-        assert acc.estimate((2000.0, 8000.0)).n_frames == 13
+        assert acc.estimate(2000.0, 8000.0).n_frames == 13

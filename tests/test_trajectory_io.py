@@ -880,6 +880,17 @@ class TestBinaryTrajectory:
             write_native_frames(make_trajectory(), frames(), tmp_path / "traj.txt")
         assert list(tmp_path.iterdir()) == []
 
+    def test_frames_raising_removes_the_directories_it_made_that_are_empty(self, tmp_path):
+        def frames():
+            yield from make_trajectory().frames
+            (tmp_path / "a" / "other.txt").write_text("made while the run wrote")
+            raise RuntimeError("run failed")
+
+        with pytest.raises(RuntimeError, match="run failed"):
+            write_native_frames(make_trajectory(), frames(), tmp_path / "a" / "b" / "t.bin")
+        assert [p.relative_to(tmp_path).as_posix()
+                for p in sorted(tmp_path.rglob("*"))] == ["a", "a/other.txt"]
+
     def test_binary_changed_while_read_is_an_error(self, tmp_path):
         path = tmp_path / "traj.txt"
         # frames larger than the file buffer, so the next one is read anew
