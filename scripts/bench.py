@@ -289,7 +289,7 @@ def lammps_parse(scratch):
 
     _, traj = paper_frame()
     dump, rows = scratch / "paper.dump", traj.frames[0].n_particles
-    write_lammps_dump(traj, dump)
+    write_lammps_dump(traj, traj.frames, dump)
 
     def call():
         if parse_lammps_dump(dump, {1: Species.HE, 2: Species.AR}).n_frames != 1:

@@ -41,9 +41,8 @@ from .fd_solver import (SchemeKind, SolverConfig, amplification_factors,
 from .analytic import patch_solution_on_grid
 from .fields import GridSpec, UnitScale, read_field_csv, write_json, write_text
 from .md import MDConfig, SimBox, Species
-from .trajectory_io import (check_room, iter_native, parse_lammps_dump, read_native,
-                            read_native_header, write_lammps_dump, write_native,
-                            write_native_frames)
+from .trajectory_io import (check_room, iter_lammps_dump, iter_native, read_native_header,
+                            write_lammps_dump, write_native_frames)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -91,9 +90,12 @@ def _parse_species_map(text: str) -> dict[int, Species]:
             raise ParseError(f"bad species-map entry {item!r} (use e.g. 1=He,2=Ar)")
         type_id, label = item.split("=", 1)
         try:
-            mapping[int(type_id)] = _species_from_name(label.strip())
+            type_id = int(type_id)
         except ValueError:
             raise ParseError(f"bad type id in species-map entry {item!r}") from None
+        if type_id in mapping:
+            raise ParseError(f"type id {type_id} is given more than once in the species map")
+        mapping[type_id] = _species_from_name(label.strip())
     return mapping
 
 
@@ -131,6 +133,8 @@ def cmd_fd_run(args):
 def cmd_amp_plot(args):
     grid = GridSpec(d=args.d, n=args.N)
     factors = [float(f) for f in args.k_factors.split(",")]
+    if bad := [f for f in factors if not 0.0 < f < np.inf]:
+        raise ValueError(f"k factors must be positive and finite, got {bad[0]!r}")
     k_c = critical_time_step(grid, args.D)
     m = np.arange(grid.n // 2 + 1)
     header = ["m_over_n"] + [f"{s}_{f}kc" for s in ("fe", "cn") for f in factors]
@@ -158,27 +162,25 @@ def cmd_bin(args):
     return [args.traj], [out_dir / "binned.json"]
 
 
-def _unit_scale(args) -> UnitScale:
-    return UnitScale(box_length_cm=args.scale_box_cm, time_unit_s=args.scale_time_s)
+def _fit_problem(args) -> fitting.FitProblem:
+    """The fit problem of ``fit`` and ``cost-curve``: the --binned series
+    at the --scale-* units, --substeps and --init-from-frame0."""
+    return fitting.FitProblem.from_binned(
+        pipeline.read_binned_dir(Path(args.binned)),
+        UnitScale(box_length_cm=args.scale_box_cm, time_unit_s=args.scale_time_s),
+        substeps=args.substeps, init_from_frame0=args.init_from_frame0)
 
 
 def cmd_fit(args):
-    series = pipeline.read_binned_dir(Path(args.binned))
-    result = pipeline.fit_binned(series, _unit_scale(args), d0_nd=args.d0,
-                                 substeps=args.substeps,
-                                 init_from_frame0=args.init_from_frame0)
+    result = fitting.lm_fit(_fit_problem(args), args.d0)
     out = Path(args.out)
     write_json(out, pipeline.fit_report_dict(result))
     return [args.binned], [out]
 
 
 def cmd_cost_curve(args):
-    series = pipeline.read_binned_dir(Path(args.binned))
-    problem = fitting.FitProblem.from_binned(
-        series, _unit_scale(args), substeps=args.substeps,
-        init_from_frame0=args.init_from_frame0,
-    )
-    curve = fitting.cost_curve(problem, np.linspace(args.d_min, args.d_max, args.points))
+    curve = fitting.cost_curve(_fit_problem(args),
+                               np.linspace(args.d_min, args.d_max, args.points))
     rows = ["d_nd,cost"] + [f"{float(d)!r},{float(c)!r}" for d, c in curve]
     out = Path(args.out)
     write_text(out, "\n".join(rows) + "\n")
@@ -200,14 +202,17 @@ def cmd_msd(args):
 
 
 def cmd_convert(args):
+    """Stream the trajectory one frame at a time each way.  ``next(frames)``
+    checks --dt and reads the dump's header, which the writer takes first."""
     if args.to == "lammps" and args.dt is not None:
         raise ValueError("--dt applies only to dump input (--to native)")
     out = Path(args.out)
     if args.to == "native":
-        species_map = _parse_species_map(args.species_map)
-        write_native(parse_lammps_dump(args.infile, species_map, dt_fs=args.dt), out)
+        frames = iter_lammps_dump(args.infile, _parse_species_map(args.species_map),
+                                  dt_fs=args.dt)
+        write_native_frames(next(frames), frames, out)
     else:
-        write_lammps_dump(read_native(args.infile), out)
+        write_lammps_dump(read_native_header(args.infile), iter_native(args.infile), out)
     return [args.infile], [out]
 
 

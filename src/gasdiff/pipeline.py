@@ -175,13 +175,6 @@ def write_fd_series_dir(series: FieldSeries, out_dir: Path,
     })
 
 
-def fit_binned(series: binning.BinnedSeries, scale: UnitScale, d0_nd: float,
-               substeps: int = 1, init_from_frame0: bool = False) -> fitting.FitResult:
-    problem = fitting.FitProblem.from_binned(
-        series, scale, substeps=substeps, init_from_frame0=init_from_frame0)
-    return fitting.lm_fit(problem, d0_nd)
-
-
 def fit_report_dict(result: fitting.FitResult) -> dict:
     return {
         "d_opt_nd": result.d_opt_nd,
@@ -243,8 +236,8 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
                             [str(bin_dir / "binned.json")],
                             time.perf_counter() - started)
         started = time.perf_counter()
-        result = fit_binned(series, scale, d0,
-                            init_from_frame0=preset.init_from_frame0)
+        result = fitting.lm_fit(fitting.FitProblem.from_binned(
+            series, scale, init_from_frame0=preset.init_from_frame0), d0)
         fits[n] = fit_report_dict(result)
         fit_dir = seed_dir / f"fit_N{n}"
         write_json(fit_dir / "report.json", fits[n])

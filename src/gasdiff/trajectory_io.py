@@ -23,7 +23,9 @@ is a ParseError.  Both writers, native and LAMMPS, write ``path`` + ".tmp"
 and rename it onto ``path`` (_replacing), which makes the directories they
 need and removes what it made on any exception.
 
-The LAMMPS reader handles text dumps of a square, orthogonal, fixed box
+The LAMMPS reader, iter_lammps_dump, yields a frameless header and then
+the frames one at a time, as iter_native does; parse_lammps_dump collects
+them.  It handles text dumps of a square, orthogonal, fixed box
 whose column layout, unscaled (x y) or scaled (xs ys) coordinates with or
 without velocities, frame 0's ATOMS header sets and every frame repeats;
 it ignores any z column.  It reads one numbered line stream, and its
@@ -454,10 +456,12 @@ def read_native(path) -> Trajectory:
     return replace(read_native_header(path), frames=list(iter_native(path)))
 
 
-def parse_lammps_dump(path, species_map: dict[int, Species],
-                      dt_fs: float | None = None) -> Trajectory:
+def iter_lammps_dump(path, species_map: dict[int, Species],
+                     dt_fs: float | None = None) -> Iterator[Trajectory | Frame]:
     """Read a LAMMPS text dump of a square, orthogonal, fixed box, holding
-    one frame's lines at a time.
+    one frame's lines at a time: yield the frameless Trajectory header as
+    soon as frame 0's ``ITEM: ATOMS`` line is read, then each frame as it
+    is parsed.
 
     ``species_map`` translates the dump's numeric atom types.  The column
     layout is taken from frame 0's ``ITEM: ATOMS`` header, which must
@@ -474,12 +478,13 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
     is found on, the last line when the file ends too soon.  The exceptions
     name a line of their section: a frame that breaks the frame-order rule
     its timestep line (as soon as the frame's atom count is read), and a
-    box fault its bounds line.
+    box fault its bounds line.  Each fault, a bad dt_fs's ValueError too,
+    is raised by the ``next`` that reaches it, so a fault in frame k comes
+    after frames 0 to k-1 were yielded.
     """
     if dt_fs is not None and not 0.0 < dt_fs < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt_fs!r}")
     codes = {t: int(sp) for t, sp in species_map.items() if abs(t) <= 2**62}
-    frames: list[Frame] = []
     # frame 0's x and y bounds and ATOMS columns; the last frame's (n, timestep, time)
     box = columns = last = None
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -566,6 +571,9 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
                 for name in names:
                     kinds[col[name]] = float
                 kinds[col["id"]], kinds[col["type"]] = int, (int, codes)
+                # side is every frame's x extent, as every frame has frame 0's bounds
+                yield Trajectory(box_side=side, units="real", dt=dt_fs,
+                                 has_velocities="vx" in names)
             elif header != columns:
                 raise fault(f"ATOMS columns {header!r} differ from frame 0's {columns!r}")
 
@@ -584,37 +592,42 @@ def parse_lammps_dump(path, species_map: dict[int, Species],
             velocities = np.column_stack(v) if v else np.zeros((n_atoms, 2))
 
             order = np.argsort(ids, kind="stable")
-            frames.append(Frame(
+            yield Frame(
                 timestep=timestep,
                 time_fs=time_fs,
                 ids=ids[order],
                 species=species[order],
                 positions=positions[order],
                 velocities=velocities[order],
-            ))
+            )
 
-    if not frames:
+    if columns is None:
         raise ParseError("no frames found", path=path, line=1)
-    # side is every frame's x extent, as every frame has frame 0's bounds
-    return Trajectory(box_side=side, frames=frames, units="real", dt=dt_fs,
-                      has_velocities="vx" in names)
 
 
-def write_lammps_dump(traj: Trajectory, path) -> None:
-    """Emit frames as an orthogonal-box LAMMPS text dump (z set to zero),
-    with vx vy columns when the trajectory has velocities, to ``path`` +
-    ".tmp", renamed onto ``path`` after the last frame (see _replacing)."""
+def parse_lammps_dump(path, species_map: dict[int, Species],
+                      dt_fs: float | None = None) -> Trajectory:
+    """``iter_lammps_dump`` collected into a Trajectory held in memory."""
+    frames = iter_lammps_dump(path, species_map, dt_fs)
+    return replace(next(frames), frames=list(frames))
+
+
+def write_lammps_dump(header: Trajectory, frames: Iterable[Frame], path) -> None:
+    """Emit ``frames`` as an orthogonal-box LAMMPS text dump of ``header``'s
+    box side (z set to zero), with vx vy columns when the header has
+    velocities, to ``path`` + ".tmp", renamed onto ``path`` after the last
+    frame (see _replacing)."""
     type_of = {int(Species.HE): 1, int(Species.AR): 2}
-    side = float(traj.box_side)
-    columns = "id type x y z" + (" vx vy" if traj.has_velocities else "")
+    side = float(header.box_side)
+    columns = "id type x y z" + (" vx vy" if header.has_velocities else "")
     with _replacing(path) as fh:
-        for fr in traj.frames:
+        for fr in frames:
             fh.write(f"ITEM: TIMESTEP\n{fr.timestep}\n"
                      f"ITEM: NUMBER OF ATOMS\n{fr.n_particles}\n"
                      f"ITEM: BOX BOUNDS pp pp pp\n0.0 {side!r}\n0.0 {side!r}\n-0.5 0.5\n"
                      f"ITEM: ATOMS {columns}\n".encode())
             values = [fr.positions, np.zeros((fr.n_particles, 1))]
-            values += [fr.velocities] if traj.has_velocities else []
+            values += [fr.velocities] if header.has_velocities else []
             fh.write("".join(f"{i} {type_of[s]} {' '.join(map(repr, row))}\n" for i, s, row
                              in zip(fr.ids.tolist(), fr.species.tolist(),
                                     np.hstack(values).tolist())).encode())

@@ -1,4 +1,5 @@
 import json
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -414,6 +415,10 @@ class TestValuesOutsideTheirDomain:
          "initial diffusion guess must be positive and finite"),
         (["fit", "--binned", "{binned}", "--scale-box-cm", "inf"],
          "unit scale factors must be positive and finite"),
+        (["amp-plot", "--k-factors", "0.5,nan"], "k factors must be positive and finite, got nan"),
+        (["amp-plot", "--k-factors", "-1"], "k factors must be positive and finite, got -1.0"),
+        (["amp-plot", "--k-factors", "0"], "k factors must be positive and finite, got 0.0"),
+        (["amp-plot", "--k-factors", "inf"], "k factors must be positive and finite, got inf"),
     ])
     def test_option_exits_2(self, tmp_path, capsys, binned_dir, command, message):
         out = tmp_path / "out"
@@ -519,6 +524,8 @@ class TestValuesOutsideTheirDomain:
     @pytest.mark.parametrize("command", [
         ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
         ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
+        # streams: frame 0 reaches the .tmp file before frame 1 is refused
+        ["convert", "--in", "{traj}", "--to", "lammps", "--out", "{out}/t.dump"],
     ])
     @pytest.mark.parametrize("time, message", [
         ("nan", "frame at timestep 10 has a non-finite time nan"),
@@ -898,10 +905,10 @@ class TestDiskSpace:
 
 
 class TestRefusedCommandLeavesNoDirectory:
-    """A command that exits 3 before it writes creates no output directory:
-    the writers make the directories they need, convert reads its input
-    first, md-run and reproduce check the free space of the directory's
-    nearest existing ancestor first."""
+    """A refused command leaves no output directory: the writers make the
+    directories they need and remove them on a fault, convert reads its
+    input's header first, md-run and reproduce check the free space of the
+    directory's nearest existing ancestor first."""
 
     def test_convert_of_a_dump_with_a_bad_timestep(self, tmp_path, capsys):
         dump = tmp_path / "bad.dump"
@@ -913,6 +920,19 @@ class TestRefusedCommandLeavesNoDirectory:
                        "--out", tmp_path / "newdir" / "t.bin") == 3
         assert_one_line_error(capsys, f"{dump}:2: non-integer field 'x'")
         assert not (tmp_path / "newdir").exists()
+
+    def test_convert_with_a_repeated_species_map_type(self, tmp_path, capsys):
+        dump = tmp_path / "d.dump"
+        dump.write_text("ITEM: TIMESTEP\n0\nITEM: NUMBER OF ATOMS\n1\n"
+                        "ITEM: BOX BOUNDS pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5\n"
+                        "ITEM: ATOMS id type x y\n1 1 5.0 5.0\n")
+        capsys.readouterr()
+        assert run_cli("convert", "--in", dump, "--to", "native",
+                       "--species-map", "1=He,1=Ar,2=He",
+                       "--out", tmp_path / "d3" / "t.bin") == 3
+        assert_one_line_error(capsys,
+                              "gasdiff: type id 1 is given more than once in the species map")
+        assert not (tmp_path / "d3").exists()
 
     def test_convert_of_bytes_that_are_no_trajectory(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.bin"
@@ -979,6 +999,51 @@ class TestStreamingMemory:
                 tracemalloc.stop()
         binned_frame = 2 * grid_n * grid_n * 8  # int64 counts + float64 concentration
         assert peaks[200] - peaks[20] <= 180 * binned_frame
+
+    def test_convert_peak_rss_is_flat_in_the_frame_count(self, tmp_path):
+        """convert holds one frame at a time each way: on 60k-atom frames
+        (about 3 MB each as arrays), a child interpreter's peak RSS for 8
+        frames stays within 5 MB of that for 2.  The peak is VmHWM, that of
+        the child's own memory map: ru_maxrss would keep the larger peak of
+        the process it was started from."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import gasdiff
+        from gasdiff.trajectory_io import write_lammps_dump
+
+        n, side = 60_000, 5.0e4
+        rng = np.random.default_rng(0)
+        ids, species = np.arange(1, n + 1), np.arange(n) % 2
+
+        def frames(count):
+            for f in range(count):
+                yield Frame(10 * f, 10.0 * f, ids, species, rng.uniform(0.0, side, (n, 2)),
+                            rng.normal(0.0, 0.01, (n, 2)))
+
+        child = ("import re, sys\n"
+                 "from gasdiff.cli import main\n"
+                 "assert main(sys.argv[1:]) == 0\n"
+                 "with open('/proc/self/status') as fh:\n"
+                 "    print(re.search(r'VmHWM:\\s*(\\d+) kB', fh.read())[1])\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(gasdiff.__file__).parents[1])}
+
+        def peak_mb(*argv):
+            done = subprocess.run([sys.executable, "-c", child, *map(str, argv)], env=env,
+                                  capture_output=True, text=True, timeout=120, check=True)
+            return int(done.stdout) / 1024
+
+        peaks = {}
+        for count in (2, 8):
+            dump, native = tmp_path / f"{count}.dump", tmp_path / f"{count}.bin"
+            write_lammps_dump(Trajectory(box_side=side), frames(count), dump)
+            peaks[count] = (
+                peak_mb("convert", "--in", dump, "--to", "native", "--out", native),
+                peak_mb("convert", "--in", native, "--to", "lammps",
+                        "--out", tmp_path / f"{count}.back.dump"))
+        for two, eight in zip(peaks[2], peaks[8]):
+            assert eight - two < 5.0, peaks
 
 
 # Every subcommand's options as (option strings, dest, required, choices),

@@ -12,6 +12,7 @@ from gasdiff.md import Species
 from gasdiff.trajectory_io import (
     Frame,
     Trajectory,
+    iter_lammps_dump,
     iter_native,
     parse_lammps_dump,
     read_native,
@@ -135,7 +136,7 @@ class TestNativeFormat:
         fr.positions = np.array([[0.1, 2.5], [999.0, 1e-300]])
         fr.species = np.array([0, 1])
         path = tmp_path / "t.dump"
-        write_lammps_dump(traj, path)
+        write_lammps_dump(traj, traj.frames, path)
         assert path.read_text().splitlines()[-3:] == [
             "ITEM: ATOMS id type x y z", "1 1 0.1 2.5 0.0", "2 2 999.0 1e-300 0.0"]
 
@@ -230,6 +231,23 @@ class TestLammpsParser:
         assert traj.has_velocities
         assert np.allclose(traj.frames[0].velocities[0], [0.001, -0.002])
         assert traj.frames[0].time_fs == 25.0
+
+    @pytest.mark.parametrize("dt", [None, 5.0])
+    @pytest.mark.parametrize("has_velocities", [True, False])
+    def test_iter_yields_the_header_then_each_frame(self, tmp_path, dt, has_velocities):
+        traj = replace(make_trajectory(n_frames=3, n=5, side=40.0),
+                       has_velocities=has_velocities)
+        p = tmp_path / "d.dump"
+        write_lammps_dump(traj, traj.frames, p)
+        header, *frames = iter_lammps_dump(p, SPECIES_MAP, dt_fs=dt)
+        assert (header.box_side, header.dt, header.has_velocities) == (40.0, dt, has_velocities)
+        assert header.frames == []
+        assert_same_frames(frames, parse_lammps_dump(p, SPECIES_MAP, dt_fs=dt).frames)
+        for got, written in zip(frames, traj.frames):
+            assert got.time_fs == written.timestep * (dt or 1.0)
+            assert got.positions.tolist() == written.positions.tolist()
+            assert got.velocities.tolist() == (written.velocities.tolist() if has_velocities
+                                               else np.zeros((5, 2)).tolist())
 
     def test_missing_number_of_atoms_section(self, tmp_path):
         text = MINIMAL_DUMP.replace("ITEM: NUMBER OF ATOMS\n1\n", "")
@@ -423,7 +441,7 @@ class TestDumpRoundTrip:
     def test_write_then_parse_recovers_fields(self, tmp_path, seed, n, n_frames):
         traj = make_trajectory(n_frames=n_frames, n=n, seed=seed)
         path = tmp_path / f"rt_{seed}_{n}_{n_frames}.dump"
-        write_lammps_dump(traj, path)
+        write_lammps_dump(traj, traj.frames, path)
         back = parse_lammps_dump(path, SPECIES_MAP, dt_fs=5.0)
         assert back.n_frames == traj.n_frames
         assert back.box_side == traj.box_side
@@ -438,7 +456,8 @@ class TestDumpRoundTrip:
 
         def peak_beyond_frames(n_frames):
             path = tmp_path / f"{n_frames}.dump"
-            write_lammps_dump(make_trajectory(n_frames=n_frames, n=2000), path)
+            traj = make_trajectory(n_frames=n_frames, n=2000)
+            write_lammps_dump(traj, traj.frames, path)
             tracemalloc.start()
             try:
                 traj = parse_lammps_dump(path, SPECIES_MAP)
