@@ -8,12 +8,15 @@ the trajectory writer, the MSD and the three binners, so the peak should
 grow with n + F N^2, not with F n.  Prints the process's peak RSS after
 every stage; the trajectory is written in this process.  The trajectory
 alone is 48 bytes per particle per frame on disk (2.9 GB for 1001
-frames).
+frames).  The peak is the process's own VmHWM, read from
+/proc/self/status: ru_maxrss keeps across exec the larger peak of the
+process that started this one, so it is read only where there is no /proc.
 
     PYTHONPATH=src python3 scripts/paper_memory_probe.py --out probe
 """
 
 import argparse
+import re
 import resource
 import time
 from dataclasses import replace
@@ -23,7 +26,11 @@ from gasdiff.pipeline import PAPER, run_reproduce
 
 
 def peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return int(re.search(r"VmHWM:\s*(\d+) kB", fh.read())[1]) / 1024.0
+    except OSError:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main():

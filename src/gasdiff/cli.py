@@ -41,8 +41,8 @@ from .fd_solver import (SchemeKind, SolverConfig, amplification_factors,
 from .analytic import patch_solution_on_grid
 from .fields import GridSpec, UnitScale, read_field_csv, write_json, write_text
 from .md import MDConfig, SimBox, Species
-from .trajectory_io import (check_room, iter_lammps_dump, iter_native, read_native_header,
-                            write_lammps_dump, write_native_frames)
+from .trajectory_io import (check_room, iter_lammps_dump, iter_native, write_lammps_dump,
+                            write_native_frames)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -152,9 +152,9 @@ def cmd_amp_plot(args):
 
 def cmd_bin(args):
     grid = GridSpec(d=2, n=args.N)
-    species = _species_from_name(args.species)
-    binner = binning.Binner(read_native_header(args.traj).box_side, grid, species)
-    for frame in iter_native(args.traj):
+    frames = iter_native(args.traj)
+    binner = binning.Binner(next(frames).box_side, grid, _species_from_name(args.species))
+    for frame in frames:
         binner.add(frame)
     series = binner.series(per_frame_max=args.per_frame_max)
     out_dir = Path(args.out)
@@ -188,9 +188,9 @@ def cmd_cost_curve(args):
 
 
 def cmd_msd(args):
-    species = _species_from_name(args.species)
-    msd = md.MSDAccumulator(read_native_header(args.traj).box_side, species)
-    for frame in iter_native(args.traj):
+    frames = iter_native(args.traj)
+    msd = md.MSDAccumulator(next(frames).box_side, _species_from_name(args.species))
+    for frame in frames:
         msd.add(frame)
     result = msd.estimate(args.t_lo, args.t_hi, use_3d_factor=args.use_3d_factor)
     out = Path(args.out)
@@ -203,16 +203,18 @@ def cmd_msd(args):
 
 def cmd_convert(args):
     """Stream the trajectory one frame at a time each way.  ``next(frames)``
-    checks --dt and reads the dump's header, which the writer takes first."""
+    checks the input (and --dt) and reads its header, which the writer
+    takes first."""
     if args.to == "lammps" and args.dt is not None:
         raise ValueError("--dt applies only to dump input (--to native)")
-    out = Path(args.out)
     if args.to == "native":
         frames = iter_lammps_dump(args.infile, _parse_species_map(args.species_map),
                                   dt_fs=args.dt)
-        write_native_frames(next(frames), frames, out)
+        write = write_native_frames
     else:
-        write_lammps_dump(read_native_header(args.infile), iter_native(args.infile), out)
+        frames, write = iter_native(args.infile), write_lammps_dump
+    out = Path(args.out)
+    write(next(frames), frames, out)
     return [args.infile], [out]
 
 

@@ -84,16 +84,18 @@ def amplification_factors(scheme: SchemeKind, k: float, diffusion: float,
 
 
 def make_patch_initial(grid: GridSpec) -> ScalarField:
-    """Indicator of the centered square patch sampled on the grid.
+    """The centered square patch [1/4, 3/4)^2 averaged over each cell.
 
-    Cell j is set to 1 when its center (j + 1/2) * h lies in [1/4, 3/4)^2.
-    For N divisible by 4 the ones cover exactly a quarter of the cells.
+    On each axis cell j, [j, j + 1) in cell units, holds the fraction of it
+    that lies in [N/4, 3N/4), and a cell holds the product of its two.  For
+    N divisible by 4 that is 1 on the cells whose centers lie in the patch
+    and 0 elsewhere; for every N the patch is centered at 1/2 with mass 1/4.
     """
     if grid.d != 2:
         raise ValueError("patch initial condition is defined for d=2")
-    x = grid.cell_centers_1d()
-    inside = (x >= 0.25) & (x < 0.75)
-    return ScalarField(grid, np.outer(inside, inside).astype(np.float64))
+    j = np.arange(grid.n, dtype=np.float64)
+    inside = np.clip(np.minimum(j + 1, 0.75 * grid.n) - np.maximum(j, 0.25 * grid.n), 0, 1)
+    return ScalarField(grid, np.outer(inside, inside))
 
 
 def _check_frame(values: np.ndarray, step_index: int) -> None:

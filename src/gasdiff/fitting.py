@@ -188,7 +188,9 @@ def confidence_interval_95(jtj: float, rr: float, num_observations: int) -> floa
 def lm_fit(problem: FitProblem, d0: float) -> FitResult:
     """Levenberg-Marquardt minimization of the cost from the guess d0 > 0.
     Steps to D <= 0 or to inf are failed trials.  Stops on a small relative step or
-    cost drop, or after MAX_ITER steps; raises FitError if none is accepted.
+    cost drop, or after MAX_ITER steps, or when a step finds no trial with a
+    lower cost in MAX_REJECTS_PER_ITER damping increases; raises FitError if
+    the first step finds none.
     ``rejected_trials`` counts the trial D whose cost was evaluated and did
     not drop."""
     if not 0.0 < d0 < np.inf:
@@ -238,7 +240,7 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
             break
 
     if iterations == 0 and not converged:
-        raise FitError(f"no step accepted in {MAX_ITER} iterations from D0={d0}")
+        raise FitError(f"no trial D lowered the cost in the first step from D0={d0}")
 
     ci_nd = confidence_interval_95(jtj, rr, len(problem.observed.frames) * num_cells)
     return FitResult(

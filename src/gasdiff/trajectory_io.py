@@ -15,8 +15,8 @@ A native trajectory is one little-endian binary file:
 
 write_native_frames appends frames as they come, in the calling process,
 and refuses a frame the reader would refuse (_frame_fault); iter_native
-checks the magic, the trailer, the size and the SHA-256 before it yields
-the first frame, then yields them one at a time; write_native and
+checks the magic, the trailer, the size and the SHA-256, then yields the
+frameless header and the frames one at a time; write_native and
 read_native run the same code for a Trajectory held in memory.  A file
 that does not start with the magic, such as a text trajectory of format 1,
 is a ParseError.  Both writers, native and LAMMPS, write ``path`` + ".tmp"
@@ -372,12 +372,11 @@ def _native_header(text: str, path) -> Trajectory:
 
 
 @contextlib.contextmanager
-def _open_binary(path, verify: bool):
+def _open_binary(path):
     """``path`` open at its first frame record, with its header and its
     particle and frame counts.  Its leading bytes must be the magic, its
-    trailer must be whole and its size must fit the counts, and with
-    ``verify`` the bytes before the trailer must have its SHA-256, or
-    ParseError."""
+    trailer must be whole, its size must fit the counts and the bytes
+    before the trailer must have its SHA-256, or ParseError."""
     with open(path, "rb") as fh:
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ParseError("not a native binary trajectory (text trajectories, "
@@ -394,20 +393,12 @@ def _open_binary(path, verify: bool):
                 + count * (_FRAME_HEAD.size + _ROW_BYTES * n)):
             raise ParseError(f"binary trajectory of {size} bytes does not fit its "
                              f"trailer's {count} frames of {n} particles", path=path)
-        if verify:
-            fh.seek(0)
-            if _sha256(fh, body) != digest:
-                raise ParseError("binary trajectory does not match its SHA-256", path=path)
+        fh.seek(0)
+        if _sha256(fh, body) != digest:
+            raise ParseError("binary trajectory does not match its SHA-256", path=path)
         fh.seek(start)
         text = fh.read(length).decode("utf-8", errors="replace")
         yield fh, _native_header(text, path), n, count
-
-
-def read_native_header(path) -> Trajectory:
-    """The header of a native trajectory, as a Trajectory without frames.
-    Its magic, trailer and size are checked, not its SHA-256."""
-    with _open_binary(path, verify=False) as (_, header, _, _):
-        return header
 
 
 def _sha256(fh, size: int) -> bytes | None:
@@ -437,11 +428,13 @@ def _binary_frame(fh, n: int, path) -> Frame:
                  energy=energy if has_energy else None)
 
 
-def iter_native(path) -> Iterator[Frame]:
-    """Yield the frames of a native trajectory one at a time, after checking
-    the file whole (magic, trailer, size and SHA-256).  A frame the writer
-    refuses raises ParseError."""
-    with _open_binary(path, verify=True) as (fh, _, n, count):
+def iter_native(path) -> Iterator[Trajectory | Frame]:
+    """Read a native trajectory, holding one frame at a time: check the file
+    whole (magic, trailer, size and SHA-256), then yield the frameless
+    Trajectory header, then each frame.  A frame the writer refuses raises
+    ParseError."""
+    with _open_binary(path) as (fh, header, n, count):
+        yield header
         last = None  # (n, timestep, time_fs) of the last frame
         for _ in range(count):
             fr = _binary_frame(fh, n, path)
@@ -451,9 +444,15 @@ def iter_native(path) -> Iterator[Frame]:
             yield fr
 
 
+def _collect(stream: Iterator[Trajectory | Frame]) -> Trajectory:
+    """A header-first stream of a reader collected into a Trajectory held in
+    memory."""
+    return replace(next(stream), frames=list(stream))
+
+
 def read_native(path) -> Trajectory:
     """``iter_native`` collected into a Trajectory held in memory."""
-    return replace(read_native_header(path), frames=list(iter_native(path)))
+    return _collect(iter_native(path))
 
 
 def iter_lammps_dump(path, species_map: dict[int, Species],
@@ -608,8 +607,7 @@ def iter_lammps_dump(path, species_map: dict[int, Species],
 def parse_lammps_dump(path, species_map: dict[int, Species],
                       dt_fs: float | None = None) -> Trajectory:
     """``iter_lammps_dump`` collected into a Trajectory held in memory."""
-    frames = iter_lammps_dump(path, species_map, dt_fs)
-    return replace(next(frames), frames=list(frames))
+    return _collect(iter_lammps_dump(path, species_map, dt_fs))
 
 
 def write_lammps_dump(header: Trajectory, frames: Iterable[Frame], path) -> None:

@@ -188,7 +188,9 @@ class TestBinTrajectory:
              for fr in traj.frames], grid, species=Species.AR,
             per_frame_max=per_frame_max)
         binner = Binner(traj.box_side, grid, Species.AR)
-        for frame in iter_native(path):
+        frames = iter_native(path)
+        assert next(frames).box_side == side
+        for frame in frames:
             binner.add(frame)
         for series in (binner.series(per_frame_max),
                        bin_trajectory(traj, grid, Species.AR, per_frame_max)):

@@ -216,6 +216,24 @@ class TestFitCli:
         assert run_cli(*args, "--init-from-frame0", "--out", report) == 0
         assert json.loads(report.read_text())["d_opt_nd"] > 0
 
+    def test_series_of_identical_uniform_fields_exits_2(self, tmp_path, capsys):
+        # a uniform field stays as it is for every D, so no trial lowers the cost
+        from gasdiff import pipeline
+        from gasdiff.binning import BinnedSeries
+
+        grid = GridSpec(d=2, n=8)
+        uniform = ScalarField(grid, np.full((8, 8), 0.25))
+        binned, out = tmp_path / "binned", tmp_path / "fit"
+        pipeline.write_binned_dir(BinnedSeries.from_fields([0.0, 1e3, 2e3], [uniform] * 3),
+                                  binned)
+        capsys.readouterr()
+        assert run_cli("fit", "--binned", binned, "--init-from-frame0", "--d0", 0.05,
+                       "--out", out / "report.json") == 2
+        assert capsys.readouterr().err == (
+            "gasdiff: no trial D lowered the cost in the first step from D0=0.05\n")
+        assert not out.exists()
+
+
 class TestCostCurveCli:
     def test_writes_monotone_grid(self, tmp_path, binned_dir):
         out = tmp_path / "curve.csv"
@@ -278,6 +296,26 @@ class TestConvertCli:
         code = run_cli("convert", "--in", bad, "--to", "native",
                        "--out", tmp_path / "x.txt")
         assert code == 3
+
+    DUMP = ("ITEM: TIMESTEP\n0\nITEM: NUMBER OF ATOMS\n1\n"
+            "ITEM: BOX BOUNDS pp pp pp\n0.0 100.0\n0.0 100.0\n-0.5 0.5\n"
+            "ITEM: ATOMS id type x y\n1 1 5.0 5.0\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (("NUMBER OF ATOMS\n1", "NUMBER OF ATOMS\n-1"), ":4: negative atom count"),
+        (("pp pp pp\n0.0 100.0", "pp pp pp\n0.0"), ":6: malformed box bounds line"),
+        (("0.0 100.0\n0.0 100.0\n-0.5 0.5\n", "0.0 100.0\n"),
+         ":6: expected at least 2 box bounds lines"),
+        ((DUMP.split("0\n", 1)[1], ""), ":2: missing 'ITEM: NUMBER OF ATOMS' section"),
+    ], ids=["negative atom count", "one-token bounds line", "one bounds line",
+            "end after the timestep"])
+    def test_malformed_dump_names_its_line(self, tmp_path, capsys, edit, message):
+        dump, out = tmp_path / "bad.dump", tmp_path / "out"
+        dump.write_text(self.DUMP.replace(*edit))
+        capsys.readouterr()
+        assert run_cli("convert", "--in", dump, "--to", "native", "--out", out / "t.bin") == 3
+        assert capsys.readouterr().err == f"gasdiff: {dump}{message}\n"
+        assert not out.exists()
 
 
 class TestSmallBoxCli:
@@ -411,6 +449,8 @@ class TestValuesOutsideTheirDomain:
         (["amp-plot", "--D", "nan"], "diffusion coefficient must be positive and finite"),
         ([*COST_CURVE[:-4], "--d-min", "nan", "--d-max", 0.2],
          "diffusion grid must be positive and finite"),
+        ([*COST_CURVE[:-4], "--d-min", 0.2, "--d-max", 0.1],
+         "diffusion grid must be strictly increasing"),
         (["fit", "--binned", "{binned}", *FIT_SCALE, "--d0", "nan"],
          "initial diffusion guess must be positive and finite"),
         (["fit", "--binned", "{binned}", "--scale-box-cm", "inf"],
@@ -620,6 +660,18 @@ class TestMalformedBinnedInput:
         assert_one_line_error(capsys, f"gasdiff: {field}{message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty field file"),
+        ("# N=2 d=2 t=abc\n0.0,1.0\n1.0,0.0\n", "non-numeric time in header"),
+    ])
+    def test_heatmap_field_header_exits_3(self, tmp_path, capsys, text, message):
+        field, out = tmp_path / "f.csv", tmp_path / "out"
+        field.write_text(text)
+        capsys.readouterr()
+        assert run_cli("heatmap", "--field", field, "--out", out / "f.svg") == 3
+        assert capsys.readouterr().err == f"gasdiff: {field}:1: {message}\n"
+        assert not out.exists()
+
 
 class TestHeatmapCli:
     def test_valid_xml_and_top_bin(self, tmp_path):
@@ -798,15 +850,19 @@ class TestArtifactIdempotence:
         assert outs[0] == outs[1]
 
 
+#: the commands that read a native trajectory
+NATIVE_INPUT_COMMANDS = [
+    ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
+    ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
+    ["convert", "--in", "{traj}", "--to", "lammps", "--out", "{out}/t.dump"],
+]
+
+
 class TestNotANativeTrajectory:
     """A format 1 text trajectory, an empty file or other leading bytes
     make bin, msd and convert --to lammps exit 3 and write nothing."""
 
-    @pytest.mark.parametrize("command", [
-        ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
-        ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
-        ["convert", "--in", "{traj}", "--to", "lammps", "--out", "{out}/t.dump"],
-    ])
+    @pytest.mark.parametrize("command", NATIVE_INPUT_COMMANDS)
     @pytest.mark.parametrize("data", [
         b"#gasdiff-trajectory 1\n#box 100.0\nFRAME 0 0.0\n1 He 1.0 1.0 0.0 0.0\n",
         b"", MAGIC[:-1] + b"3", bytes(range(256))], ids=["text", "empty", "other", "bytes"])
@@ -826,11 +882,7 @@ class TestDamagedBinaryTrajectory:
     header, records or trailer, makes bin, msd and convert --to lammps exit 3
     and write nothing."""
 
-    @pytest.mark.parametrize("command", [
-        ["bin", "--traj", "{traj}", "--N", 8, "--out", "{out}"],
-        ["msd", "--traj", "{traj}", "--out", "{out}/msd.json"],
-        ["convert", "--in", "{traj}", "--to", "lammps", "--out", "{out}/t.dump"],
-    ])
+    @pytest.mark.parametrize("command", NATIVE_INPUT_COMMANDS)
     @pytest.mark.parametrize("damage", ["truncated", "header", "record", "trailer"])
     def test_exits_3_and_writes_nothing(self, tmp_path, capsys, small_traj, command,
                                         damage):
@@ -844,6 +896,54 @@ class TestDamagedBinaryTrajectory:
         capsys.readouterr()
         assert run_cli(*[str(a).format(traj=bad, out=out) for a in command]) == 3
         assert_one_line_error(capsys, f"gasdiff: {bad}: binary trajectory")
+        assert not out.exists()
+
+
+class TestNativeInputReadOnce:
+    """bin, msd and convert --to lammps open and hash their native input
+    once, taking its header from the one stream, and refuse a file whose
+    SHA-256 does not match before any writer starts, whatever its header
+    holds."""
+
+    @staticmethod
+    def record(monkeypatch):
+        """The names of the reads and writes a command makes, in order."""
+        from gasdiff import pipeline, trajectory_io
+
+        calls = []
+        for module, name in [(trajectory_io, "_open_binary"), (trajectory_io, "_sha256"),
+                             (cli, "write_lammps_dump"), (cli, "write_json"),
+                             (pipeline, "write_binned_dir")]:
+            def recording(*args, _name=name, _call=getattr(module, name), **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(module, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("command", NATIVE_INPUT_COMMANDS)
+    def test_input_is_opened_and_hashed_once(self, tmp_path, monkeypatch, small_traj,
+                                             command):
+        out = tmp_path / "out"
+        calls = self.record(monkeypatch)
+        assert run_cli(*[str(a).format(traj=small_traj, out=out) for a in command]) == 0
+        assert calls[:2] == ["_open_binary", "_sha256"]
+        assert calls[2:] and not {"_open_binary", "_sha256"} & set(calls[2:])
+
+    @pytest.mark.parametrize("command", NATIVE_INPUT_COMMANDS)
+    @pytest.mark.parametrize("header", ["#box 2500.0", "#box 2500.x"])
+    def test_bad_sha256_is_refused_before_any_write(self, tmp_path, capsys, monkeypatch,
+                                                    small_traj, command, header):
+        data = small_traj.read_bytes().replace(b"#box 2500.0", header.encode())
+        at = len(data) // 2  # inside a frame record
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data[:at] + bytes([data[at] ^ 1]) + data[at + 1:])
+        out = tmp_path / "out"
+        calls = self.record(monkeypatch)
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(traj=bad, out=out) for a in command]) == 3
+        assert capsys.readouterr().err == (
+            f"gasdiff: {bad}: binary trajectory does not match its SHA-256\n")
+        assert calls == ["_open_binary", "_sha256"]
         assert not out.exists()
 
 
@@ -933,6 +1033,21 @@ class TestRefusedCommandLeavesNoDirectory:
         assert_one_line_error(capsys,
                               "gasdiff: type id 1 is given more than once in the species map")
         assert not (tmp_path / "d3").exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1He", "bad species-map entry '1He' (use e.g. 1=He,2=Ar)"),
+        ("x=He", "bad type id in species-map entry 'x=He'"),
+        ("1=Ne", "unknown species 'Ne' (use he or ar)"),
+    ])
+    def test_convert_with_a_bad_species_map_entry(self, tmp_path, capsys, entry, message):
+        dump = tmp_path / "d.dump"
+        dump.write_text(TestConvertCli.DUMP)
+        capsys.readouterr()
+        assert run_cli("convert", "--in", dump, "--to", "native",
+                       "--species-map", f"{entry},2=Ar",
+                       "--out", tmp_path / "d4" / "t.bin") == 3
+        assert capsys.readouterr().err == f"gasdiff: {message}\n"
+        assert not (tmp_path / "d4").exists()
 
     def test_convert_of_bytes_that_are_no_trajectory(self, tmp_path, capsys):
         garbage = tmp_path / "garbage.bin"

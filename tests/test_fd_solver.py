@@ -180,14 +180,27 @@ class TestPatchInitial:
         expected[1:3, 1:3] = 1.0
         assert np.array_equal(f.values, expected)
 
-    @pytest.mark.parametrize("n", [4, 8, 20, 64])
-    def test_mass_quarter_when_divisible_by_four(self, n):
+    @pytest.mark.parametrize("n", [4, 5, 8, 10, 20, 50, 64])
+    def test_patch_is_centred_with_mass_quarter(self, n):
         f = make_patch_initial(GridSpec(d=2, n=n))
         assert field_mass(f) == pytest.approx(0.25, abs=1e-15)
+        x = f.grid.cell_centers_1d()
+        for axis in (0, 1):
+            profile = f.values.sum(axis=axis)
+            assert (profile * x).sum() / profile.sum() == pytest.approx(0.5, abs=1e-15)
 
-    def test_values_are_indicator(self):
+    def test_edge_cells_hold_the_fraction_inside(self):
+        # at N = 10 the patch edges 2.5 and 7.5 (cell units) halve cells 2 and 7
         f = make_patch_initial(GridSpec(d=2, n=10))
-        assert set(np.unique(f.values)) <= {0.0, 1.0}
+        edge = [0.0, 0.0, 0.5, 1.0, 1.0, 1.0, 1.0, 0.5, 0.0, 0.0]
+        assert np.array_equal(f.values, np.outer(edge, edge))
+
+    def test_cell_centre_indicator_when_divisible_by_four(self):
+        for n in range(4, 129, 4):
+            x = GridSpec(d=2, n=n).cell_centers_1d()
+            inside = (x >= 0.25) & (x < 0.75)
+            f = make_patch_initial(GridSpec(d=2, n=n))
+            assert f.values.tobytes() == np.outer(inside, inside).astype(np.float64).tobytes()
 
 
 class TestSolve:

@@ -1922,7 +1922,9 @@ class TestMSD:
         oracle = sq.mean(axis=1)
 
         acc = md.MSDAccumulator(traj.box_side, Species.AR)
-        for frame in iter_native(path):
+        frames = iter_native(path)
+        assert next(frames).box_side == traj.box_side
+        for frame in frames:
             acc.add(frame)
         assert np.array(acc.msd).tobytes() == oracle.tobytes()
         assert acc.times == [f.time_fs for f in traj.frames]

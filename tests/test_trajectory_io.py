@@ -16,7 +16,6 @@ from gasdiff.trajectory_io import (
     iter_native,
     parse_lammps_dump,
     read_native,
-    read_native_header,
     write_lammps_dump,
     write_native,
     write_native_frames,
@@ -503,11 +502,10 @@ class TestFuzz:
             text = trajectory_io._header_bytes(make_trajectory())
             head += trajectory_io._LENGTH.pack(len(text)) + text
         path.write_bytes(head + data)
-        for read in (read_native, read_native_header):
-            try:
-                read(path)
-            except ParseError:
-                pass
+        try:
+            read_native(path)
+        except ParseError:
+            pass
 
 
 # Tokens for the generated row blocks: ones each parser accepts, and faults.
@@ -660,9 +658,11 @@ def assert_same_frames(got, want):
 def assert_reads_back(path, frames):
     """The frames of the native trajectory at ``path``, after checking that
     iter_native, read_native and the whole-file reference in
-    ``native_bytes`` all read ``frames`` from it, bit for bit, and that each
-    array iter_native yields is its own."""
-    got = list(iter_native(path))
+    ``native_bytes`` all read ``frames`` from it, bit for bit, that
+    iter_native yields a frameless header first, and that each array
+    iter_native yields is its own."""
+    header, *got = iter_native(path)
+    assert isinstance(header, Trajectory) and header.frames == []
     assert_same_frames(got, frames)
     assert_same_frames(read_native(path).frames, frames)
     assert_same_frames([Frame(*record) for record in whole_file_native(path)[1]], frames)
@@ -759,7 +759,7 @@ class TestBinaryTrajectory:
         path = tmp_path / "desk.bin"
         write_native(traj, path)
         assert len(assert_reads_back(path, traj.frames)) == 21
-        header = read_native_header(path)
+        header = next(iter_native(path))
         assert header.frames == []
         assert (header.box_side, header.dt, header.seed, header.n_he, header.n_ar) == (
             DESK.box_side, DESK.dt, 1, DESK.n_he, DESK.n_ar)
@@ -773,7 +773,7 @@ class TestBinaryTrajectory:
         assert main(["convert", "--in", str(dump), "--to", "native",
                      "--dt", "5.0", "--out", str(out)]) == 0
         assert out.read_bytes().startswith(MAGIC)
-        assert read_native_header(out).has_velocities is False
+        assert next(iter_native(out)).has_velocities is False
         frames = assert_reads_back(out, written)
         assert [fr.energy for fr in frames] == [None, None]
         assert [fr.timestep for fr in frames] == [10, 20]
@@ -804,7 +804,7 @@ class TestBinaryTrajectory:
         path = tmp_path / "traj.txt"
         write_native(traj, path)
         assert_same_frames(read_native(path).frames, traj.frames)
-        assert_same_frames(list(iter_native(path)), traj.frames)
+        assert_same_frames(list(iter_native(path))[1:], traj.frames)
 
     def test_empty_trajectory_and_empty_frames(self, tmp_path):
         path = tmp_path / "empty.bin"
@@ -850,6 +850,7 @@ class TestBinaryTrajectory:
         path = tmp_path / "traj.bin"
         raw_native(path, "#gasdiff-trajectory 2\n#box 1000.0\n", frames)
         read = iter_native(path)
+        assert next(read).box_side == 1000.0
         assert_same_frames([next(read) for _ in range(bad)], frames[:bad])
         with pytest.raises(ParseError) as err:
             next(read)
@@ -915,7 +916,7 @@ class TestBinaryTrajectory:
         # frames larger than the file buffer, so the next one is read anew
         write_native(make_trajectory(n_frames=3, n=500), path)
         frames = iter_native(path)
-        next(frames)
+        next(frames), next(frames)  # the header and frame 0
         path.write_bytes(b"")
         with pytest.raises(ParseError, match="changed while it was read"):
             next(frames)
@@ -931,7 +932,7 @@ class TestBinaryTrajectory:
                                                 for k in range(n_frames)), path)
         tracemalloc.start()
         try:
-            count = sum(1 for _ in iter_native(path))
+            count = sum(isinstance(fr, Frame) for fr in iter_native(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -944,14 +945,14 @@ GOOD_HEADER = "#gasdiff-trajectory 2\n#box 100.0\n#dt 5.0\n#has_velocities 1\n"
 
 
 def assert_refused(path, message):
-    """read_native_header, read_native and iter_native each raise
-    ParseError ``path: message``, with no line, before any frame is read."""
-    def first_frame(p):
+    """read_native and iter_native's first ``next`` each raise ParseError
+    ``path: message``, with no line, before any frame is read."""
+    def header(p):
         return next(iter_native(p))
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(trajectory_io, "_binary_frame", None)  # a frame read would fail
-        for read in (read_native_header, read_native, first_frame):
+        for read in (read_native, header):
             with pytest.raises(ParseError) as err:
                 read(path)
             assert (err.value.line, str(err.value)) == (None, f"{path}: {message}")
@@ -992,7 +993,7 @@ class TestBinaryHeader:
     def test_good_header_reads_its_fields(self, tmp_path):
         path = tmp_path / "good.bin"
         raw_native(path, GOOD_HEADER + "#units metal\n#n_he 2\n#n_ar 3\n#seed 9\n")
-        header = read_native_header(path)
+        header = next(iter_native(path))
         assert (header.box_side, header.dt, header.units, header.n_he, header.n_ar,
                 header.seed, header.has_velocities, header.frames) == (
             100.0, 5.0, "metal", 2, 3, 9, True, [])
