@@ -18,41 +18,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .fields import GridSpec, ScalarField
+from .fields import GridSpec
 from .md import Species
 
 
 @dataclass(frozen=True)
-class BinnedFrame:
-    time_fs: float
-    counts: np.ndarray | None
-    concentration: ScalarField
-
-
-@dataclass(frozen=True)
 class BinnedSeries:
+    """Frame times and one read-only N x N concentration array per frame.
+
+    With ``normalization_max`` set, each frame is integer counts divided by
+    that one maximum, and every frame counts the same total; a series that
+    breaks this rule is a ValueError.  So a series scaled frame by frame,
+    which would gain or lose mass that the diffusion model conserves, is
+    never fitted.
+    """
+
     grid: GridSpec
-    frames: tuple[BinnedFrame, ...]
+    times_fs: np.ndarray
+    frames: tuple[np.ndarray, ...]
     normalization_max: int | None
     species: Species | None = None
 
     def __post_init__(self):
-        sums = {int(f.counts.sum()) for f in self.frames if f.counts is not None}
-        if len(sums) > 1:
-            raise ValueError(f"per-frame particle count varies: {sorted(sums)}")
-
-    @property
-    def times_fs(self) -> np.ndarray:
-        return np.array([f.time_fs for f in self.frames])
+        object.__setattr__(self, "times_fs", np.array(self.times_fs, dtype=np.float64))
+        object.__setattr__(self, "frames", tuple(self.frames))
+        norm, totals = self.normalization_max, set()
+        for i, frame in enumerate(self.frames):  # one frame's temporaries at a time
+            frame.flags.writeable = False
+            if norm is not None:
+                counts = np.rint(scaled := frame * norm)
+                scaled -= counts  # k / norm * norm is k to a few ulps of k
+                if norm < 1 or counts.min() < 0 or np.abs(scaled).max() > 1e-9 * norm:
+                    raise ValueError(f"frame {i} is not counts / normalization_max {norm}")
+                totals.add(int(counts.sum()))
+        if len(totals) > 1:
+            raise ValueError(f"per-frame particle count varies: {sorted(totals)}")
 
     @classmethod
     def from_fields(cls, times_fs, fields) -> "BinnedSeries":
-        """Wrap plain concentration fields (no counts), e.g. synthetic data."""
-        frames = tuple(
-            BinnedFrame(time_fs=float(t), counts=None, concentration=f)
-            for t, f in zip(times_fs, fields)
-        )
-        return cls(grid=fields[0].grid, frames=frames, normalization_max=None)
+        """Wrap plain concentration fields (no normalization_max), e.g.
+        synthetic data, without copying their values."""
+        return cls(fields[0].grid, times_fs, [f.values for f in fields], None)
 
 
 def bin_counts(positions: np.ndarray, side: float, grid: GridSpec) -> np.ndarray:
@@ -70,32 +76,16 @@ def bin_counts(positions: np.ndarray, side: float, grid: GridSpec) -> np.ndarray
 
 
 def normalize_series(count_frames, grid: GridSpec,
-                     species: Species | None = None,
-                     per_frame_max: bool = False) -> BinnedSeries:
-    """Scale count frames to [0, 1] concentrations.
-
-    ``count_frames`` is a sequence of (time_fs, counts).  The default
-    normalizes every frame by the single global maximum; ``per_frame_max``
-    pins each frame's own peak at 1 instead (for sensitivity studies).
-    """
-    count_frames = list(count_frames)
-    if not count_frames:
-        raise ValueError("no frames to normalize")
-    global_max = int(max(int(np.max(c)) for _, c in count_frames))
+                     species: Species | None = None) -> BinnedSeries:
+    """Scale count frames to [0, 1] concentrations by the single maximum
+    count over every frame and cell.  ``count_frames`` is a sequence of
+    (time_fs, counts)."""
+    global_max = max((int(np.max(c)) for _, c in count_frames), default=0)
     if global_max == 0:
-        raise ValueError("cannot normalize an all-zero series")
-    frames = []
-    for t, counts in count_frames:
-        denom = int(np.max(counts)) if per_frame_max else global_max
-        if denom == 0:
-            raise ValueError(f"frame at t={t} is all zero under per-frame scaling")
-        frames.append(BinnedFrame(
-            time_fs=float(t),
-            counts=np.asarray(counts, dtype=np.int64),
-            concentration=ScalarField(grid, np.asarray(counts, dtype=np.float64) / denom),
-        ))
-    return BinnedSeries(grid=grid, frames=tuple(frames),
-                        normalization_max=global_max, species=species)
+        raise ValueError("cannot normalize an empty or all-zero series")
+    return BinnedSeries(grid, [t for t, _ in count_frames],
+                        [np.divide(c, global_max) for _, c in count_frames],
+                        global_max, species)
 
 
 class Binner:
@@ -123,15 +113,13 @@ class Binner:
         self.count_frames.append((frame.time_fs, bin_counts(positions, self.side,
                                                             self.grid)))
 
-    def series(self, per_frame_max: bool = False) -> BinnedSeries:
-        return normalize_series(self.count_frames, self.grid, species=self.species,
-                                per_frame_max=per_frame_max)
+    def series(self) -> BinnedSeries:
+        return normalize_series(self.count_frames, self.grid, species=self.species)
 
 
-def bin_trajectory(traj, grid: GridSpec, species: Species = Species.AR,
-                   per_frame_max: bool = False) -> BinnedSeries:
+def bin_trajectory(traj, grid: GridSpec, species: Species = Species.AR) -> BinnedSeries:
     """Bin every frame of an in-memory trajectory for one species."""
     binner = Binner(traj.box_side, grid, species)
     for fr in traj.frames:
         binner.add(fr)
-    return binner.series(per_frame_max)
+    return binner.series()

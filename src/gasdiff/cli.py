@@ -125,9 +125,7 @@ def cmd_fd_run(args):
     series = solve(make_patch_initial(grid), config, sample_stride=args.stride)
     oracle = [patch_solution_on_grid(grid, float(t), config.diffusion, args.modes)
               for t in series.times] if args.oracle else None
-    out_dir = Path(args.out)
-    pipeline.write_fd_series_dir(series, out_dir, oracle_frames=oracle)
-    return [], sorted(str(p) for p in out_dir.glob("*.csv")) + [out_dir / "series.json"]
+    return [], pipeline.write_fd_series_dir(series, Path(args.out), oracle_frames=oracle)
 
 
 def cmd_amp_plot(args):
@@ -156,9 +154,8 @@ def cmd_bin(args):
     binner = binning.Binner(next(frames).box_side, grid, _species_from_name(args.species))
     for frame in frames:
         binner.add(frame)
-    series = binner.series(per_frame_max=args.per_frame_max)
     out_dir = Path(args.out)
-    pipeline.write_binned_dir(series, out_dir, source=str(args.traj))
+    pipeline.write_binned_dir(binner.series(), out_dir, source=str(args.traj))
     return [args.traj], [out_dir / "binned.json"]
 
 
@@ -300,8 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traj", required=True)
     p.add_argument("--N", type=int, default=20)
     p.add_argument("--species", choices=["he", "ar"], default="ar")
-    p.add_argument("--per-frame-max", action="store_true",
-                   help="normalize each frame by its own peak")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bin)
 

@@ -110,7 +110,7 @@ class FitProblem:
         observed = np.empty((len(frames),) + self.grid.shape[:-1] + j.shape,
                             dtype=np.complex128)
         for f, frame in enumerate(frames):
-            observed[f] = np.fft.rfftn(frame.concentration.values) * weights
+            observed[f] = np.fft.rfftn(frame) * weights
         if self.init_from_frame0:
             return observed, observed[0]
         patch = np.fft.rfftn(fd_solver.make_patch_initial(self.grid).values) * weights
@@ -242,7 +242,7 @@ def lm_fit(problem: FitProblem, d0: float) -> FitResult:
     if iterations == 0 and not converged:
         raise FitError(f"no trial D lowered the cost in the first step from D0={d0}")
 
-    ci_nd = confidence_interval_95(jtj, rr, len(problem.observed.frames) * num_cells)
+    ci_nd = confidence_interval_95(jtj, rr, len(problem.observed.times_fs) * num_cells)
     return FitResult(
         d_opt_nd=d_current,
         d_opt_cm2_s=nd_to_physical_d(d_current, problem.scale),

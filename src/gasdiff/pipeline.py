@@ -11,6 +11,7 @@ it exists for completeness and is not exercised by the test suite.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -99,28 +100,30 @@ PRESETS = {"desk": DESK, "paper": PAPER}
 
 def write_binned_dir(series: binning.BinnedSeries, out_dir: Path,
                      source: str = "") -> None:
-    """Per-frame count and concentration CSVs plus a binned.json manifest."""
-    for i, frame in enumerate(series.frames):
-        if frame.counts is not None:
-            write_field_csv(
-                ScalarField(series.grid, frame.counts.astype(np.float64)),
-                out_dir / f"counts_{i:04d}.csv", time=frame.time_fs,
-            )
-        write_field_csv(frame.concentration, out_dir / f"u_{i:04d}.csv",
-                        time=frame.time_fs)
+    """Per-frame concentration CSVs, with count CSVs when the series has a
+    normalization_max, plus a binned.json manifest."""
+    norm, times = series.normalization_max, series.times_fs.tolist()
+    for i, (t, frame) in enumerate(zip(times, series.frames)):
+        if norm is not None:
+            write_field_csv(ScalarField(series.grid, np.rint(frame * norm)),
+                            out_dir / f"counts_{i:04d}.csv", time=t)
+        write_field_csv(ScalarField(series.grid, frame), out_dir / f"u_{i:04d}.csv", time=t)
     write_json(out_dir / "binned.json", {
         "n": series.grid.n,
         "d": series.grid.d,
-        "normalization_max": series.normalization_max,
+        "normalization_max": norm,
         "species": series.species.label if series.species is not None else None,
-        "times_fs": [f.time_fs for f in series.frames],
+        "times_fs": times,
         "source": source,
     })
 
 
 def read_binned_dir(path: Path) -> binning.BinnedSeries:
-    """The series that write_binned_dir wrote to ``path``.  A binned.json
-    or a u_*.csv that is malformed is a ParseError naming that file."""
+    """The series that write_binned_dir wrote to ``path``, its times taken
+    from binned.json.  A binned.json or a u_*.csv that is malformed, a
+    u_*.csv whose time differs from binned.json's, and a series that is not
+    counts / normalization_max of one total are each a ParseError naming
+    that file."""
     meta_path = path / "binned.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8", errors="replace"))
@@ -128,11 +131,14 @@ def read_binned_dir(path: Path) -> binning.BinnedSeries:
         raise ParseError(f"not JSON ({exc})", path=meta_path) from None
     if not isinstance(meta, dict):
         raise ParseError("expected a JSON object", path=meta_path)
-    times_meta, norm, species = (meta.get(key) for key in (
+    times, norm, species = (meta.get(key) for key in (
         "times_fs", "normalization_max", "species"))
-    if not (isinstance(times_meta, list) and times_meta and all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in times_meta)):
-        raise ParseError("times_fs must be a nonempty list of numbers", path=meta_path)
+    # an int beyond float range is not finite either
+    if not (isinstance(times, list) and times and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool)
+            and abs(t) <= sys.float_info.max for t in times)):
+        raise ParseError("times_fs must be a nonempty list of finite numbers",
+                         path=meta_path)
     if norm is not None and (not isinstance(norm, int) or isinstance(norm, bool)):
         raise ParseError(f"normalization_max must be an integer, got {norm!r}",
                          path=meta_path)
@@ -140,28 +146,31 @@ def read_binned_dir(path: Path) -> binning.BinnedSeries:
     if species is not None and species not in list(md.SPECIES_BY_LABEL):
         raise ParseError(f"unknown species {species!r}", path=meta_path)
     fields = []
-    times = []
-    for i, t_meta in enumerate(times_meta):
+    for i, t in enumerate(map(float, times)):
         field_path = path / f"u_{i:04d}.csv"
-        f, t = read_field_csv(field_path)
+        f, t_csv = read_field_csv(field_path)
         if fields and f.grid != fields[0].grid:
             raise ParseError(f"grid {f.grid} differs from u_0000.csv's", path=field_path)
+        if t_csv != t:
+            raise ParseError(f"t={t_csv!r} differs from binned.json's times_fs[{i}] = {t!r}",
+                             path=field_path)
         fields.append(f)
-        times.append(t if np.isfinite(t) else t_meta)
-    series = binning.BinnedSeries.from_fields(times, fields)
-    if norm is not None:
-        series = binning.BinnedSeries(
-            grid=series.grid, frames=series.frames, normalization_max=norm,
-            species=md.SPECIES_BY_LABEL.get(species),
-        )
-    return series
+    try:
+        return binning.BinnedSeries(fields[0].grid, times, [f.values for f in fields],
+                                    norm, md.SPECIES_BY_LABEL.get(species))
+    except ValueError as exc:
+        raise ParseError(str(exc), path=meta_path) from None
 
 
 def write_fd_series_dir(series: FieldSeries, out_dir: Path,
-                        oracle_frames=None) -> None:
+                        oracle_frames=None) -> list[Path]:
+    """Frame CSVs, oracle CSVs if given, and a series.json; returns the
+    paths it wrote, in that order."""
+    written = []
     for prefix, frames in (("frame", series.frames), ("oracle", oracle_frames or ())):
         for i, (frame, t) in enumerate(zip(frames, series.times)):
-            write_field_csv(frame, out_dir / f"{prefix}_{i:04d}.csv", time=float(t))
+            written.append(out_dir / f"{prefix}_{i:04d}.csv")
+            write_field_csv(frame, written[-1], time=float(t))
     cfg = series.config
     write_json(out_dir / "series.json", {
         "n": cfg.grid.n,
@@ -173,6 +182,7 @@ def write_fd_series_dir(series: FieldSeries, out_dir: Path,
         "sample_stride": series.sample_stride,
         "times": [float(t) for t in series.times],
     })
+    return written + [out_dir / "series.json"]
 
 
 def fit_report_dict(result: fitting.FitResult) -> dict:

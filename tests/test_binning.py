@@ -84,8 +84,8 @@ class TestNormalizeSeries:
         counts[0, 0] = 2
         series = normalize_series([(0.0, counts)], grid)
         assert series.normalization_max == 8
-        assert series.frames[0].concentration.values[1, 1] == 1.0
-        assert series.frames[0].concentration.values[0, 0] == 0.25
+        assert series.frames[0][1, 1] == 1.0
+        assert series.frames[0][0, 0] == 0.25
 
     def test_global_max_rule_on_two_frames(self):
         grid = GridSpec(d=2, n=2)
@@ -93,8 +93,8 @@ class TestNormalizeSeries:
         second = np.array([[4, 2], [3, 1]], dtype=np.int64)
         series = normalize_series([(0.0, first), (1.0, second)], grid)
         assert series.normalization_max == 10
-        assert series.frames[0].concentration.values[0, 0] == 1.0
-        assert series.frames[1].concentration.values.max() == pytest.approx(0.4)
+        assert series.frames[0][0, 0] == 1.0
+        assert series.frames[1].max() == pytest.approx(0.4)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(1)
@@ -106,22 +106,30 @@ class TestNormalizeSeries:
         ]
         series = normalize_series(frames, grid)
         for f in series.frames:
-            assert np.all(f.concentration.values >= 0.0)
-            assert np.all(f.concentration.values <= 1.0)
+            assert np.all(f >= 0.0)
+            assert np.all(f <= 1.0)
 
     def test_all_zero_series_rejected(self):
         grid = GridSpec(d=2, n=2)
         with pytest.raises(ValueError):
             normalize_series([(0.0, np.zeros((2, 2), dtype=np.int64))], grid)
 
-    def test_per_frame_max_pins_every_peak(self):
+    def test_frames_with_different_totals_rejected(self):
         grid = GridSpec(d=2, n=2)
         first = np.array([[10, 0], [0, 0]], dtype=np.int64)
-        second = np.array([[4, 2], [3, 1]], dtype=np.int64)
-        series = normalize_series([(0.0, first), (1.0, second)], grid,
-                                  per_frame_max=True)
-        assert series.frames[0].concentration.values.max() == 1.0
-        assert series.frames[1].concentration.values.max() == 1.0
+        second = np.array([[4, 2], [3, 2]], dtype=np.int64)
+        with pytest.raises(ValueError, match=r"per-frame particle count varies: \[10, 11\]"):
+            normalize_series([(0.0, first), (1.0, second)], grid)
+
+    def test_frames_are_read_only_and_times_one_array(self):
+        grid = GridSpec(d=2, n=2)
+        counts = np.array([[4, 2], [3, 1]], dtype=np.int64)
+        series = normalize_series([(0.0, counts), (5.0, counts[::-1])], grid)
+        assert series.times_fs.dtype == np.float64 and series.times_fs.tolist() == [0.0, 5.0]
+        for frame in series.frames:
+            assert frame.dtype == np.float64 and frame.shape == (2, 2)
+            with pytest.raises(ValueError, match="read-only"):
+                frame[0, 0] = 0.0
 
     def test_global_normalization_preserves_argmax_and_order(self):
         rng = np.random.default_rng(2)
@@ -133,7 +141,7 @@ class TestNormalizeSeries:
         ]
         series = normalize_series(frames, grid)
         for (_, counts), frame in zip(frames, series.frames):
-            u = frame.concentration.values
+            u = frame
             assert np.argmax(u) == np.argmax(counts)
             order_counts = np.argsort(counts.ravel(), kind="stable")
             order_u = np.argsort(u.ravel(), kind="stable")
@@ -146,7 +154,7 @@ class TestNormalizeSeries:
         counts[1, 1] = 7
         counts[2, 2] = 3
         series = normalize_series([(0.0, counts)], grid)
-        u_mean = float(series.frames[0].concentration.values.mean())
+        u_mean = float(series.frames[0].mean())
         m = series.normalization_max
         assert u_mean * m * grid.num_cells == pytest.approx(10.0, rel=1e-12)
 
@@ -170,10 +178,9 @@ class TestBinTrajectory:
         traj = Trajectory(box_side=side, frames=frames)
         series = bin_trajectory(traj, GridSpec(d=2, n=5), Species.AR)
         for f in series.frames:
-            assert f.counts.sum() == n_ar
+            assert round(f.sum() * series.normalization_max) == n_ar
 
-    @pytest.mark.parametrize("per_frame_max", [False, True])
-    def test_streamed_frames_bin_as_the_whole_trajectory(self, tmp_path, per_frame_max):
+    def test_streamed_frames_bin_as_the_whole_trajectory(self, tmp_path):
         from gasdiff import md
         from gasdiff.trajectory_io import iter_native, read_native, write_native
 
@@ -185,21 +192,18 @@ class TestBinTrajectory:
         side = traj.box_side
         want = normalize_series(
             [(fr.time_fs, bin_counts(fr.positions[fr.species == int(Species.AR)], side, grid))
-             for fr in traj.frames], grid, species=Species.AR,
-            per_frame_max=per_frame_max)
+             for fr in traj.frames], grid, species=Species.AR)
         binner = Binner(traj.box_side, grid, Species.AR)
         frames = iter_native(path)
         assert next(frames).box_side == side
         for frame in frames:
             binner.add(frame)
-        for series in (binner.series(per_frame_max),
-                       bin_trajectory(traj, grid, Species.AR, per_frame_max)):
+        for series in (binner.series(), bin_trajectory(traj, grid, Species.AR)):
             assert series.normalization_max == want.normalization_max
             assert series.species == want.species and len(series.frames) == 11
+            assert series.times_fs.tobytes() == want.times_fs.tobytes()
             for a, b in zip(series.frames, want.frames):
-                assert a.time_fs == b.time_fs
-                assert a.counts.tobytes() == b.counts.tobytes()
-                assert a.concentration.values.tobytes() == b.concentration.values.tobytes()
+                assert a.tobytes() == b.tobytes()
 
 
 def _fd_series(grid, k, n_frames, diffusion=0.1):
@@ -215,4 +219,38 @@ class TestBinnedSeriesFromFields:
         series = BinnedSeries.from_fields([0.0, 1.0, 2.0], list(fd.frames))
         assert series.normalization_max is None
         assert len(series.frames) == 3
-        assert series.frames[1].counts is None
+        assert all(a is f.values for a, f in zip(series.frames, fd.frames))
+
+
+class TestOneTotalRule:
+    """A series with a normalization_max is integer counts divided by it,
+    with one total over every frame."""
+
+    GRID = GridSpec(d=2, n=2)
+
+    def series(self, frames, norm=4):
+        return BinnedSeries(self.GRID, np.arange(len(frames), dtype=np.float64),
+                            [np.array(f, dtype=np.float64) for f in frames], norm)
+
+    def test_counts_over_the_maximum_pass(self):
+        series = self.series([[[1.0, 0.25], [0.0, 0.0]], [[0.5, 0.5], [0.25, 0.0]]])
+        assert series.normalization_max == 4
+
+    def test_a_value_off_the_counts_is_rejected(self):
+        with pytest.raises(ValueError, match="frame 1 is not counts / normalization_max 4"):
+            self.series([[[1.0, 0.25], [0.0, 0.0]], [[0.5, 0.5], [0.26, 0.0]]])
+
+    def test_a_negative_count_is_rejected(self):
+        with pytest.raises(ValueError, match="frame 0 is not counts"):
+            self.series([[[1.0, 0.5], [-0.25, 0.0]]])
+
+    def test_per_frame_scaling_is_rejected(self):
+        # counts [[4, 0], [0, 0]] and [[2, 1], [1, 0]], each divided by its own
+        # peak: frame 1 reads as 8 argon where both hold 4
+        with pytest.raises(ValueError, match=r"per-frame particle count varies: \[4, 8\]"):
+            self.series([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.5], [0.5, 0.0]]])
+
+    @pytest.mark.parametrize("norm", [0, -3])
+    def test_maximum_below_one_is_rejected(self, norm):
+        with pytest.raises(ValueError, match=f"frame 0 is not counts / normalization_max {norm}"):
+            self.series([[[0.0, 0.0], [0.0, 0.0]]], norm)

@@ -112,6 +112,17 @@ class TestFdRun:
         oracle, _ = read_field_csv(out / "oracle_0002.csv")
         assert np.max(np.abs(fd.values - oracle.values)) < 0.15
 
+    def test_manifest_lists_only_what_this_run_wrote(self, tmp_path):
+        out = tmp_path / "fd"
+        assert run_cli("fd-run", "--N", 8, "--steps", 300, "--stride", 100, "--oracle",
+                       "--out", out) == 0
+        assert run_cli("fd-run", "--N", 8, "--steps", 100, "--stride", 100,
+                       "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / name) for name in (
+            "frame_0000.csv", "frame_0001.csv", "series.json")]
+        assert (out / "frame_0003.csv").exists() and (out / "oracle_0003.csv").exists()
+
     def test_forward_euler_blowup_exits_4(self, tmp_path):
         out = tmp_path / "boom"
         code = run_cli(
@@ -171,6 +182,15 @@ class TestBinCli:
         for i in range(11):
             u, _ = read_field_csv(binned_dir / f"u_{i:04d}.csv")
             assert np.all(u.values >= 0.0) and np.all(u.values <= 1.0)
+
+    def test_per_frame_max_is_no_option(self, tmp_path, small_traj):
+        # a frame scaled by its own peak is not counts over one maximum,
+        # which a fit of a mass-conserving model needs
+        out = tmp_path / "b"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bin", "--traj", small_traj, "--per-frame-max", "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestFitCli:
@@ -610,8 +630,17 @@ class TestMalformedBinnedInput:
          "binned.json: normalization_max must be an integer, got 2.5"),
         ("species unknown", "binned.json", "binned.json: unknown species 'Xe'"),
         ("species a list", "binned.json", "binned.json: unknown species ['Ar']"),
+        ("times_fs with a NaN", "binned.json",
+         "binned.json: times_fs must be a nonempty list of finite numbers"),
+        ("times_fs with an int beyond float", "binned.json",
+         "binned.json: times_fs must be a nonempty list of finite numbers"),
         ("nan value", "u_0003.csv", "u_0003.csv: field values must be finite"),
         ("other grid", "u_0002.csv", "u_0002.csv: grid GridSpec(d=2, n=4) differs"),
+        ("other time", "u_0004.csv",
+         "u_0004.csv: t=800.5 differs from binned.json's times_fs[4] = 800.0"),
+        ("value off the counts", "binned.json",
+         "binned.json: frame 3 is not counts / normalization_max"),
+        ("a count added", "binned.json", "binned.json: per-frame particle count varies"),
     ])
     def test_binned_dir_exits_3(self, tmp_path, capsys, binned_dir, command, edit, file,
                                 message):
@@ -628,11 +657,21 @@ class TestMalformedBinnedInput:
             (binned / file).write_text("\n".join(text) + "\n")
         elif edit == "other grid":
             write_field_csv(ScalarField(GridSpec(d=2, n=4), np.zeros((4, 4))), binned / file)
+        elif edit == "other time":
+            u, t = read_field_csv(binned / file)
+            write_field_csv(u, binned / file, time=t + 0.5)
+        elif edit in ("value off the counts", "a count added"):
+            u, t = read_field_csv(binned / "u_0003.csv")
+            values, norm = u.values.copy(), meta["normalization_max"]
+            values[0, 0] += (0.5 if edit == "value off the counts" else 1.0) / norm
+            write_field_csv(ScalarField(u.grid, values), binned / "u_0003.csv", time=t)
         else:
             meta = {"a list": [meta], "no times_fs": {"n": 8},
                     "times_fs a number": {**meta, "times_fs": 5.0},
                     "times_fs empty": {**meta, "times_fs": []},
                     "times_fs of strings": {**meta, "times_fs": ["0.0"] * 11},
+                    "times_fs with a NaN": {**meta, "times_fs": [float("nan")] * 11},
+                    "times_fs with an int beyond float": {**meta, "times_fs": [10**400] * 11},
                     "normalization_max a string": {**meta, "normalization_max": "abc"},
                     "normalization_max a float": {**meta, "normalization_max": 2.5},
                     "species unknown": {**meta, "species": "Xe"},
@@ -643,6 +682,30 @@ class TestMalformedBinnedInput:
         capsys.readouterr()
         assert run_cli(*[str(a).format(binned=binned, out=out) for a in argv]) == 3
         assert_one_line_error(capsys, f"gasdiff: {binned}/{message}")
+        assert not out.exists()
+
+    def test_frames_scaled_by_their_own_peaks_exit_3(self, tmp_path, capsys):
+        """8 argon spread from one cell (peak 8) over two (peak 4) and four
+        (peak 2): scaled by its own peak, as the former bin --per-frame-max
+        wrote it, the series holds 8, 16 and 32 argon over the maximum 8."""
+        from gasdiff.trajectory_io import write_native_frames
+
+        ids, species = np.arange(1, 9), np.full(8, int(Species.AR))
+        cells = [[(0, 0)] * 8, [(0, 0), (1, 1)] * 4, [(0, 0), (0, 1), (1, 0), (1, 1)] * 2]
+        traj, binned = tmp_path / "t.bin", tmp_path / "binned"
+        write_native_frames(Trajectory(box_side=100.0), (
+            Frame(10 * f, 50.0 * f, ids, species, 50.0 * np.array(c) + 25.0, np.zeros((8, 2)))
+            for f, c in enumerate(cells)), traj)
+        assert run_cli("bin", "--traj", traj, "--N", 2, "--out", binned) == 0
+        for i in range(3):
+            counts, t = read_field_csv(binned / f"counts_{i:04d}.csv")
+            write_field_csv(ScalarField(counts.grid, counts.values / counts.values.max()),
+                            binned / f"u_{i:04d}.csv", time=t)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*[str(a).format(binned=binned, out=out) for a in self.FIT]) == 3
+        assert_one_line_error(capsys, f"gasdiff: {binned}/binned.json: "
+                                      "per-frame particle count varies: [8, 16, 32]")
         assert not out.exists()
 
     @pytest.mark.parametrize("values, message", [
@@ -1203,7 +1266,6 @@ SURFACE = {
         (("--traj",), "traj", True, None),
         (("--N",), "N", False, None),
         (("--species",), "species", False, ["he", "ar"]),
-        (("--per-frame-max",), "per_frame_max", False, None),
         (("--out",), "out", True, None),
     ],
     "fit": [
@@ -1252,7 +1314,7 @@ SURFACE = {
         (("--out",), "out", True, None),
     ],
 }
-NO_VALUE = {"verbose", "oracle", "per_frame_max", "init_from_frame0", "use_3d_factor"}
+NO_VALUE = {"verbose", "oracle", "init_from_frame0", "use_3d_factor"}
 
 
 class TestCliSurface:

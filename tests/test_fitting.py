@@ -60,7 +60,7 @@ PROBLEM = make_problem(OBSERVED)
 def solved_frames(problem, diffusion):
     """The problem's model frames from the FD solver, one per observed frame."""
     frames = problem.observed.frames
-    u0 = (frames[0].concentration if problem.init_from_frame0
+    u0 = (ScalarField(problem.grid, frames[0]) if problem.init_from_frame0
           else make_patch_initial(problem.grid))
     cfg = SolverConfig(grid=problem.grid, k=problem.k, diffusion=diffusion,
                        scheme=SchemeKind.CRANK_NICOLSON,
@@ -71,7 +71,7 @@ def solved_frames(problem, diffusion):
 def solved_residual_norm(problem, diffusion):
     """Sum over frames and cells of (observed - solve frame)^2: the per-cell
     residual the mode-space vector must reproduce (Parseval)."""
-    return sum(float(np.sum((o.concentration.values - m.values) ** 2))
+    return sum(float(np.sum((o - m.values) ** 2))
                for o, m in zip(problem.observed.frames,
                                solved_frames(problem, diffusion)))
 
@@ -130,8 +130,8 @@ class TestResiduals:
     def test_uniform_offset_appears_only_in_mean_mode(self):
         delta = 0.037
         shifted = BinnedSeries.from_fields(
-            [f.time_fs for f in OBSERVED.frames],
-            [ScalarField(GRID, f.concentration.values + delta)
+            OBSERVED.times_fs,
+            [ScalarField(GRID, f + delta)
              for f in OBSERVED.frames],
         )
         problem = make_problem(shifted)
@@ -154,15 +154,18 @@ class TestResiduals:
 
 
 def binned_patch_series(level, n_frames=31):
-    """A CN patch solution (N = 20, k = 1e-3, D = 0.4) times ``level``,
-    marked as binned: binning scales counts by their largest value, so a
+    """A CN patch solution (N = 20, k = 1e-3, D = 0.4) times ``level``, as
+    binned counts over normalization_max M = 5 * 2**38: the counts follow
+    the solution to 1e-12, frame 0 is ``level`` times the patch exactly,
+    and each later frame gets frame 0's total in its centre cell, as CN
+    conserves mass.  Binning scales counts by their largest value, so a
     binned patch holds less than the unit patch's mass."""
     observed = synthetic_observed(GridSpec(d=2, n=20), 0.4, 1e-3, n_frames)
-    scaled = BinnedSeries.from_fields(
-        observed.times_fs,
-        [ScalarField(observed.grid, level * f.concentration.values)
-         for f in observed.frames])
-    return dataclasses.replace(scaled, normalization_max=50)
+    m = 5 * 2**38
+    counts = [np.rint(level * f * m) for f in observed.frames]
+    for c in counts[1:]:
+        c[10, 10] += counts[0].sum() - c.sum()
+    return BinnedSeries(observed.grid, observed.times_fs, [c / m for c in counts], m)
 
 
 class TestBinnedPatchMass:
@@ -176,7 +179,7 @@ class TestBinnedPatchMass:
         cfg = SolverConfig(grid=problem.grid, k=problem.k, diffusion=0.7,
                            scheme=SchemeKind.CRANK_NICOLSON, n_max=5)
         u0 = ScalarField(problem.grid, 0.6 * make_patch_initial(problem.grid).values)
-        expected = sum(float(np.sum((o.concentration.values - m.values) ** 2))
+        expected = sum(float(np.sum((o - m.values) ** 2))
                        for o, m in zip(problem.observed.frames, solve(u0, cfg).frames))
         r = residuals(problem, 0.7)
         assert float(np.dot(r, r)) == pytest.approx(expected, rel=1e-12)
@@ -199,8 +202,8 @@ class TestCost:
     def test_uniform_offset_costs_frames_times_delta_squared(self):
         delta = 0.05
         shifted = BinnedSeries.from_fields(
-            [f.time_fs for f in OBSERVED.frames],
-            [ScalarField(GRID, f.concentration.values + delta)
+            OBSERVED.times_fs,
+            [ScalarField(GRID, f + delta)
              for f in OBSERVED.frames],
         )
         c = cost(make_problem(shifted), D_TRUE)
@@ -263,7 +266,7 @@ class TestJacobian:
         a = 0.5 * k * d0 * lam
         rho = (1 + a) / (1 - a)
         drho = k * lam / (1 - a) ** 2
-        u0 = observed.frames[0].concentration.values
+        u0 = observed.frames[0]
         u0_mode = np.fft.rfft2(u0)[m] * np.sqrt(2.0) / grid.n
         for n in range(1, n_frames):
             analytic = n * rho ** (n - 1) * drho * u0_mode
@@ -528,7 +531,7 @@ class TestFitProblemConstruction:
         # frames from a dump whose first timestep is 1000 (a frame every
         # 10 timesteps of 5 fs): the patch is not frame 0's initial state
         times = [(1000 + 10 * f) * 5.0 for f in range(N_FRAMES)]
-        fields = [f.concentration for f in OBSERVED.frames]
+        fields = [ScalarField(GRID, f) for f in OBSERVED.frames]
         observed = BinnedSeries.from_fields(times, fields)
         with pytest.raises(FitError, match="frame 0 is at t = 5000.0 fs"):
             make_problem(observed)
@@ -540,7 +543,7 @@ class TestFitProblemConstruction:
     def test_time_origin_tolerance_is_relative_to_spacing(self, offset, ok):
         spacing = OBSERVED.times_fs[1] - OBSERVED.times_fs[0]
         times = OBSERVED.times_fs + offset * spacing
-        fields = [f.concentration for f in OBSERVED.frames]
+        fields = [ScalarField(GRID, f) for f in OBSERVED.frames]
         observed = BinnedSeries.from_fields(times, fields)
         if ok:
             assert make_problem(observed).k == pytest.approx(K)
@@ -555,7 +558,7 @@ class TestFitProblemConstruction:
         cfg = SolverConfig(grid=GRID, k=K / 5, diffusion=0.5,
                            scheme=SchemeKind.CRANK_NICOLSON, n_max=5 * (N_FRAMES - 1))
         model = solve(make_patch_initial(GRID), cfg, sample_stride=5).frames
-        expected = sum(float(np.sum((o.concentration.values - m.values) ** 2))
+        expected = sum(float(np.sum((o - m.values) ** 2))
                        for o, m in zip(OBSERVED.frames, model))
         r = residuals(problem, 0.5)
         assert float(np.dot(r, r)) == pytest.approx(expected, rel=1e-12)

@@ -60,10 +60,11 @@ class TestBinnedDirRoundtrip:
         write_binned_dir(series, out)
         back = read_binned_dir(out)
         assert back.normalization_max == series.normalization_max
+        assert back.species == series.species
+        assert back.times_fs.tobytes() == series.times_fs.tobytes()
         assert len(back.frames) == len(series.frames)
         for a, b in zip(series.frames, back.frames):
-            assert np.array_equal(a.concentration.values, b.concentration.values)
-            assert a.time_fs == b.time_fs
+            assert a.tobytes() == b.tobytes()
 
 
 class TestReproduce:
