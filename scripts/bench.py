@@ -327,7 +327,10 @@ def fit_problem(scratch):
     spec = ref["input"]
     scale = UnitScale(box_length_cm=spec["box_side_a"] * 1e-8,
                       time_unit_s=spec["time_unit_s"])
-    return fitting, ref, fitting.FitProblem.from_binned(
+    # a tree from before FitProblem checked and derived its own step built
+    # it through FitProblem.from_binned, which takes the same arguments
+    problem = getattr(fitting.FitProblem, "from_binned", fitting.FitProblem)
+    return fitting, ref, problem(
         pipeline.read_binned_dir(scratch.parent / "paper_fit"), scale, init_from_frame0=True)
 
 

@@ -54,12 +54,6 @@ class BinnedSeries:
         if len(totals) > 1:
             raise ValueError(f"per-frame particle count varies: {sorted(totals)}")
 
-    @classmethod
-    def from_fields(cls, times_fs, fields) -> "BinnedSeries":
-        """Wrap plain concentration fields (no normalization_max), e.g.
-        synthetic data, without copying their values."""
-        return cls(fields[0].grid, times_fs, [f.values for f in fields], None)
-
 
 def bin_counts(positions: np.ndarray, side: float, grid: GridSpec) -> np.ndarray:
     """Per-cell particle counts for one frame.

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,26 +77,22 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _species_from_name(name: str) -> Species:
-    try:
-        return {"he": Species.HE, "ar": Species.AR}[name.lower()]
-    except KeyError:
-        raise ParseError(f"unknown species {name!r} (use he or ar)") from None
-
-
 def _parse_species_map(text: str) -> dict[int, Species]:
     mapping = {}
     for item in text.split(","):
         if "=" not in item:
             raise ParseError(f"bad species-map entry {item!r} (use e.g. 1=He,2=Ar)")
-        type_id, label = item.split("=", 1)
+        type_id, label = map(str.strip, item.split("=", 1))
         try:
             type_id = int(type_id)
         except ValueError:
             raise ParseError(f"bad type id in species-map entry {item!r}") from None
         if type_id in mapping:
             raise ParseError(f"type id {type_id} is given more than once in the species map")
-        mapping[type_id] = _species_from_name(label.strip())
+        try:
+            mapping[type_id] = Species[label.upper()]
+        except KeyError:
+            raise ParseError(f"unknown species {label!r} (use he or ar)") from None
     return mapping
 
 
@@ -151,7 +148,7 @@ def cmd_amp_plot(args):
 def cmd_bin(args):
     grid = GridSpec(d=2, n=args.N)
     frames = iter_native(args.traj)
-    binner = binning.Binner(next(frames).box_side, grid, _species_from_name(args.species))
+    binner = binning.Binner(next(frames).box_side, grid, Species[args.species.upper()])
     for frame in frames:
         binner.add(frame)
     out_dir = Path(args.out)
@@ -162,7 +159,7 @@ def cmd_bin(args):
 def _fit_problem(args) -> fitting.FitProblem:
     """The fit problem of ``fit`` and ``cost-curve``: the --binned series
     at the --scale-* units, --substeps and --init-from-frame0."""
-    return fitting.FitProblem.from_binned(
+    return fitting.FitProblem(
         pipeline.read_binned_dir(Path(args.binned)),
         UnitScale(box_length_cm=args.scale_box_cm, time_unit_s=args.scale_time_s),
         substeps=args.substeps, init_from_frame0=args.init_from_frame0)
@@ -186,7 +183,7 @@ def cmd_cost_curve(args):
 
 def cmd_msd(args):
     frames = iter_native(args.traj)
-    msd = md.MSDAccumulator(next(frames).box_side, _species_from_name(args.species))
+    msd = md.MSDAccumulator(next(frames).box_side, Species[args.species.upper()])
     for frame in frames:
         msd.add(frame)
     result = msd.estimate(args.t_lo, args.t_hi, use_3d_factor=args.use_3d_factor)
@@ -231,11 +228,11 @@ def cmd_reproduce(args):
                        config.get("seed"))
         stage_manifests.append(str(Path(directory) / "manifest.json"))
 
-    pipeline.run_reproduce(
-        pipeline.PRESETS[args.scale], _int_list(args.seeds),
-        n_values=_int_list(args.N) if args.N else None, out_dir=out_dir,
-        manifest_writer=stage_writer,
-    )
+    preset = pipeline.PRESETS[args.scale]
+    if args.N:
+        preset = replace(preset, n_values=tuple(_int_list(args.N)))
+    pipeline.run_reproduce(preset, _int_list(args.seeds), out_dir=out_dir,
+                           manifest_writer=stage_writer)
     return [], [out_dir / "report.json", out_dir / "table.csv", *stage_manifests]
 
 
@@ -296,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bin", parents=[common], help="bin a trajectory onto the FD grid")
     p.add_argument("--traj", required=True)
     p.add_argument("--N", type=int, default=20)
-    p.add_argument("--species", choices=["he", "ar"], default="ar")
+    p.add_argument("--species", choices=[sp.name.lower() for sp in Species], default="ar")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_bin)
 
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("msd", parents=[common],
                        help="mean-squared-displacement diffusion estimate")
     p.add_argument("--traj", required=True)
-    p.add_argument("--species", choices=["he", "ar"], default="ar")
+    p.add_argument("--species", choices=[sp.name.lower() for sp in Species], default="ar")
     p.add_argument("--t-lo", type=float, help="window start (fs)")
     p.add_argument("--t-hi", type=float, help="window end (fs)")
     p.add_argument("--use-3d-factor", action="store_true",
@@ -370,7 +367,7 @@ def main(argv=None) -> int:
     if args.config:
         try:
             values = _load_config_file(args.config)
-        except (OSError, ParseError) as exc:
+        except (OSError, ParseError, UnicodeDecodeError) as exc:
             print(f"gasdiff: cannot read config: {exc}", file=sys.stderr)
             return EXIT_INPUT
         # argparse casts a string default through the option's type, so a bad

@@ -52,9 +52,9 @@ class FitResult:
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Observed series plus the time step of its Crank-Nicolson model, which
-    starts from the idealized patch indicator or from observed frame 0 and
-    takes ``substeps`` FD steps between observed frames.  Binning scales
+    """Observed series plus its Crank-Nicolson model, which starts from the
+    idealized patch indicator or from observed frame 0 and takes
+    ``substeps`` FD steps of ``k`` between observed frames.  Binning scales
     counts by their largest value, not by the patch density, so for a binned
     series (``normalization_max`` set) the patch is scaled to the mass of
     observed frame 0: CN conserves mass, and a patch of the wrong mass could
@@ -62,37 +62,33 @@ class FitProblem:
 
     observed: BinnedSeries
     scale: UnitScale
-    k: float
     substeps: int = 1
     init_from_frame0: bool = False
 
-    @classmethod
-    def from_binned(cls, observed: BinnedSeries, scale: UnitScale,
-                    substeps: int = 1,
-                    init_from_frame0: bool = False) -> "FitProblem":
-        """Derive the FD time step from the observed frame spacing.
-
-        The patch initial condition holds at t = 0, so without
+    def __post_init__(self):
+        """The patch initial condition holds at t = 0, so without
         ``init_from_frame0`` observed frame 0 must be at t = 0 (to 1e-9 of
         the frame spacing); a series that starts later is an error, not a
-        shifted fit.
-        """
-        if substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {substeps}")
-        times = observed.times_fs
+        shifted fit."""
+        if self.substeps < 1:
+            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        times = self.observed.times_fs
         if len(times) < 2:
             raise FitError("need at least two observed frames to fit")
         spacing = np.diff(times)
         if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
             raise FitError("observed frames are not uniformly spaced in time")
-        if not init_from_frame0 and not abs(times[0]) <= 1e-9 * abs(spacing[0]):
+        if not self.init_from_frame0 and not abs(times[0]) <= 1e-9 * abs(spacing[0]):
             raise FitError(
                 f"observed frame 0 is at t = {float(times[0])!r} fs, but the patch "
                 f"initial condition is at t = 0; fit from frame 0 instead "
                 f"(--init-from-frame0)")
-        k = float(spacing[0]) / scale.time_unit_fs / substeps
-        return cls(observed=observed, scale=scale, k=k, substeps=substeps,
-                   init_from_frame0=init_from_frame0)
+
+    @cached_property
+    def k(self) -> float:
+        """The FD time step: the observed frame spacing over ``substeps``."""
+        times = self.observed.times_fs
+        return float(times[1] - times[0]) / self.scale.time_unit_fs / self.substeps
 
     @property
     def grid(self) -> GridSpec:

@@ -69,7 +69,7 @@ class Species(enum.IntEnum):
 
     @property
     def label(self) -> str:
-        return SPECIES_LABELS[self.value]
+        return self.name.title()
 
 
 MASS_G_MOL = np.array([4.003, 39.948])
@@ -77,8 +77,6 @@ MASS_G_MOL = np.array([4.003, 39.948])
 KB = 0.001987
 #: acceleration per unit force, per species and axis (A/fs^2 per kcal/(mol A))
 _ACCEL_SCALE = np.repeat((KCAL_PER_MOL_TO_MD / MASS_G_MOL)[:, None], 2, axis=1)
-SPECIES_LABELS = {0: "He", 1: "Ar"}
-SPECIES_BY_LABEL = {"He": Species.HE, "Ar": Species.AR}
 
 #: cutoff shared by all pair interactions (A).
 LJ_CUTOFF = 20.0
@@ -438,11 +436,9 @@ def _listed_interactions(pos, box, idx_i, idx_j, terms):
     return forces.astype(np.float64, copy=False), potential
 
 
-def _pair_interactions(pos, species, box, idx_i, idx_j, terms=None):
+def _pair_interactions(pos, box, idx_i, idx_j, terms):
     """(n, 2) forces, +0.0 off the listed components, and potential for given
-    candidate pairs.  ``terms`` are their _pair_terms, built when not given."""
-    if terms is None:
-        terms = _pair_terms(species, idx_i, idx_j, len(pos))
+    candidate pairs and their _pair_terms."""
     listed, potential = _listed_interactions(pos, box, idx_i, idx_j, terms)
     forces = np.zeros((len(pos), 2))
     forces.reshape(-1)[terms.active] = listed
@@ -522,8 +518,7 @@ def compute_forces(state: ParticleState, box: SimBox):
     # the positions may have been edited since the last step's bound
     _work(state).outer_moved = math.inf
     terms = _current_terms(state, box, False)
-    return _pair_interactions(state.positions, state.species, box,
-                              *state.pair_list[:2], terms)
+    return _pair_interactions(state.positions, box, *state.pair_list[:2], terms)
 
 
 def _current_terms(state: ParticleState, box: SimBox, known: bool) -> _PairTerms:

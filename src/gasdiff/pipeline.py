@@ -1,11 +1,12 @@
 """End-to-end orchestration: MD runs, binning, fitting, reporting.
 
-Two presets are built in.  ``desk`` is sized to finish on one core in a few
-minutes (500+500 particles in a 5e3 A box, 2e4 steps); ``paper`` uses the
-full production setup (3e4+3e4 particles in a 5e4 A box, 1e6 steps of 5 fs,
-sampled every 1000 steps).  Both walk the identical code path, only the
-numbers differ.  A paper-scale run takes hours in this pure-Python engine;
-it exists for completeness and is not exercised by the test suite.
+Two presets are built in.  ``desk`` (500+500 particles in a 5e3 A box, 2e4
+steps) runs one seed in 1.17 s, the median in BENCH_27.json; ``paper`` uses
+the full production setup (3e4+3e4 particles in a 5e4 A box, 1e6 steps of
+5 fs, sampled every 1000 steps).  Both walk the identical code path, only
+the numbers differ.  A paper-scale step takes 0.539 ms (BENCH_27.json), or
+9.0 minutes of MD per seed; the paper preset is not exercised by the test
+suite.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,9 +122,9 @@ def write_binned_dir(series: binning.BinnedSeries, out_dir: Path,
 def read_binned_dir(path: Path) -> binning.BinnedSeries:
     """The series that write_binned_dir wrote to ``path``, its times taken
     from binned.json.  A binned.json or a u_*.csv that is malformed, a
-    u_*.csv whose time differs from binned.json's, and a series that is not
-    counts / normalization_max of one total are each a ParseError naming
-    that file."""
+    u_*.csv whose time differs from binned.json's, a binned.json whose n
+    and d are not u_0000.csv's grid, and a series that is not counts /
+    normalization_max of one total are each a ParseError naming that file."""
     meta_path = path / "binned.json"
     try:
         meta = json.loads(meta_path.read_text(encoding="utf-8", errors="replace"))
@@ -131,8 +132,8 @@ def read_binned_dir(path: Path) -> binning.BinnedSeries:
         raise ParseError(f"not JSON ({exc})", path=meta_path) from None
     if not isinstance(meta, dict):
         raise ParseError("expected a JSON object", path=meta_path)
-    times, norm, species = (meta.get(key) for key in (
-        "times_fs", "normalization_max", "species"))
+    times, norm, species, n, d = (meta.get(key) for key in (
+        "times_fs", "normalization_max", "species", "n", "d"))
     # an int beyond float range is not finite either
     if not (isinstance(times, list) and times and all(
             isinstance(t, (int, float)) and not isinstance(t, bool)
@@ -143,7 +144,7 @@ def read_binned_dir(path: Path) -> binning.BinnedSeries:
         raise ParseError(f"normalization_max must be an integer, got {norm!r}",
                          path=meta_path)
     # a list compares a JSON value that may be unhashable
-    if species is not None and species not in list(md.SPECIES_BY_LABEL):
+    if species is not None and species not in [sp.label for sp in md.Species]:
         raise ParseError(f"unknown species {species!r}", path=meta_path)
     fields = []
     for i, t in enumerate(map(float, times)):
@@ -155,9 +156,14 @@ def read_binned_dir(path: Path) -> binning.BinnedSeries:
             raise ParseError(f"t={t_csv!r} differs from binned.json's times_fs[{i}] = {t!r}",
                              path=field_path)
         fields.append(f)
+    grid = fields[0].grid
+    # JSON's true and 2.0 equal ints, but are not a grid's
+    if (n, d) != (grid.n, grid.d) or type(n) is not int or type(d) is not int:
+        raise ParseError(f"n={n!r}, d={d!r} are not u_0000.csv's grid {grid}",
+                         path=meta_path)
     try:
-        return binning.BinnedSeries(fields[0].grid, times, [f.values for f in fields],
-                                    norm, md.SPECIES_BY_LABEL.get(species))
+        return binning.BinnedSeries(grid, times, [f.values for f in fields], norm,
+                                    md.Species[species.upper()] if species else None)
     except ValueError as exc:
         raise ParseError(str(exc), path=meta_path) from None
 
@@ -246,7 +252,7 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
                             [str(bin_dir / "binned.json")],
                             time.perf_counter() - started)
         started = time.perf_counter()
-        result = fitting.lm_fit(fitting.FitProblem.from_binned(
+        result = fitting.lm_fit(fitting.FitProblem(
             series, scale, init_from_frame0=preset.init_from_frame0), d0)
         fits[n] = fit_report_dict(result)
         fit_dir = seed_dir / f"fit_N{n}"
@@ -264,7 +270,7 @@ def _run_one_seed(preset: Preset, seed: int, seed_dir: Path,
     }
 
 
-def run_reproduce(preset: Preset, seeds, n_values=None, out_dir: Path = Path("."),
+def run_reproduce(preset: Preset, seeds, out_dir: Path = Path("."),
                   manifest_writer=None) -> dict:
     """Full pipeline over seeds and binning resolutions, one seed after
     another.
@@ -276,8 +282,6 @@ def run_reproduce(preset: Preset, seeds, n_values=None, out_dir: Path = Path("."
     seeds = list(seeds)
     if not seeds:
         raise ValueError("no seeds given")
-    if n_values is not None:
-        preset = replace(preset, n_values=tuple(n_values))
     for name, values in (("seed", seeds), ("N", preset.n_values)):
         if repeated := [v for k, v in enumerate(values) if v in values[:k]]:
             raise ValueError(f"{name} {repeated[0]} is given more than once")

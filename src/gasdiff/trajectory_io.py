@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .md import SPECIES_BY_LABEL, Species
+from .md import Species
 
 
 @dataclass
@@ -139,7 +139,7 @@ _COLUMNS = tuple((np.dtype(t), cols) for t, cols in (
     (np.int64, ()), (np.int64, ()), (np.float64, (2,)), (np.float64, (2,))))
 _ROW_BYTES = 48  # id, species, x, y, vx, vy: 8 bytes each
 _BLOCK = 1 << 18  # bytes hashed at a time
-_SPECIES_CODES = np.array(sorted(int(sp) for sp in SPECIES_BY_LABEL.values()))
+_SPECIES_CODES = np.array([int(sp) for sp in Species])
 
 
 def _header_text(header: Trajectory) -> str:
@@ -614,8 +614,7 @@ def write_lammps_dump(header: Trajectory, frames: Iterable[Frame], path) -> None
     """Emit ``frames`` as an orthogonal-box LAMMPS text dump of ``header``'s
     box side (z set to zero), with vx vy columns when the header has
     velocities, to ``path`` + ".tmp", renamed onto ``path`` after the last
-    frame (see _replacing)."""
-    type_of = {int(Species.HE): 1, int(Species.AR): 2}
+    frame (see _replacing).  A species code c is LAMMPS type c + 1."""
     side = float(header.box_side)
     columns = "id type x y z" + (" vx vy" if header.has_velocities else "")
     with _replacing(path) as fh:
@@ -626,6 +625,6 @@ def write_lammps_dump(header: Trajectory, frames: Iterable[Frame], path) -> None
                      f"ITEM: ATOMS {columns}\n".encode())
             values = [fr.positions, np.zeros((fr.n_particles, 1))]
             values += [fr.velocities] if header.has_velocities else []
-            fh.write("".join(f"{i} {type_of[s]} {' '.join(map(repr, row))}\n" for i, s, row
+            fh.write("".join(f"{i} {s + 1} {' '.join(map(repr, row))}\n" for i, s, row
                              in zip(fr.ids.tolist(), fr.species.tolist(),
                                     np.hstack(values).tolist())).encode())

@@ -20,7 +20,7 @@ import pytest
 
 from gasdiff import binning, md
 from gasdiff.analytic import patch_solution_on_grid
-from gasdiff.binning import BinnedSeries, bin_counts, normalize_series
+from gasdiff.binning import bin_counts, normalize_series
 from gasdiff.cli import main as cli_main
 from gasdiff.errors import ParseError
 from gasdiff.fd_solver import (
@@ -35,6 +35,7 @@ from gasdiff.fields import GridSpec, ScalarField, UnitScale, field_energy
 from gasdiff.fitting import FitProblem, lm_fit
 from gasdiff.md import MDConfig, ParticleState, SimBox, Species
 from gasdiff.trajectory_io import parse_lammps_dump
+from binned_fields import series_of_fields
 from fd_modes import field_mass
 from lj_pairs import pair_params
 
@@ -228,8 +229,8 @@ def test_criterion_5_estimator_oracle():
     series = solve(make_patch_initial(grid), cfg, sample_stride=1)
     times_fs = [float(t) * scale.time_unit_fs for t in series.times]
 
-    observed = BinnedSeries.from_fields(times_fs, list(series.frames))
-    problem = FitProblem.from_binned(observed, scale)
+    observed = series_of_fields(times_fs, list(series.frames))
+    problem = FitProblem(observed, scale)
     rel_errors = {}
     traces_ok = True
     for d0 in (0.08, 8.0):
@@ -242,8 +243,8 @@ def test_criterion_5_estimator_oracle():
     rng = np.random.default_rng(5)
     noisy_fields = [ScalarField(grid, f.values + rng.normal(0, 0.01, f.values.shape))
                     for f in series.frames]
-    noisy = BinnedSeries.from_fields(times_fs, noisy_fields)
-    noisy_result = lm_fit(FitProblem.from_binned(noisy, scale), 0.3)
+    noisy = series_of_fields(times_fs, noisy_fields)
+    noisy_result = lm_fit(FitProblem(noisy, scale), 0.3)
     noisy_rel = abs(noisy_result.d_opt_nd - d_true) / d_true
     elapsed = time.monotonic() - started
 

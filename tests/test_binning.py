@@ -12,6 +12,7 @@ from gasdiff.fd_solver import SchemeKind, SolverConfig, make_patch_initial, solv
 from gasdiff.fields import GridSpec
 from gasdiff.md import SimBox, Species
 from gasdiff.trajectory_io import Frame, Trajectory
+from binned_fields import series_of_fields
 
 
 class TestBinCounts:
@@ -216,7 +217,7 @@ class TestBinnedSeriesFromFields:
     def test_wraps_plain_fields(self):
         grid = GridSpec(d=2, n=8)
         fd = _fd_series(grid, k=1e-3, n_frames=3)
-        series = BinnedSeries.from_fields([0.0, 1.0, 2.0], list(fd.frames))
+        series = series_of_fields([0.0, 1.0, 2.0], list(fd.frames))
         assert series.normalization_max is None
         assert len(series.frames) == 3
         assert all(a is f.values for a, f in zip(series.frames, fd.frames))

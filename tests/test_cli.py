@@ -10,6 +10,7 @@ from gasdiff.cli import main
 from gasdiff.fields import GridSpec, ScalarField, read_field_csv, write_field_csv
 from gasdiff.md import Species
 from gasdiff.trajectory_io import Frame, Trajectory, read_native, write_native
+from binned_fields import series_of_fields
 from native_bytes import MAGIC, raw_native
 
 
@@ -239,12 +240,11 @@ class TestFitCli:
     def test_series_of_identical_uniform_fields_exits_2(self, tmp_path, capsys):
         # a uniform field stays as it is for every D, so no trial lowers the cost
         from gasdiff import pipeline
-        from gasdiff.binning import BinnedSeries
 
         grid = GridSpec(d=2, n=8)
         uniform = ScalarField(grid, np.full((8, 8), 0.25))
         binned, out = tmp_path / "binned", tmp_path / "fit"
-        pipeline.write_binned_dir(BinnedSeries.from_fields([0.0, 1e3, 2e3], [uniform] * 3),
+        pipeline.write_binned_dir(series_of_fields([0.0, 1e3, 2e3], [uniform] * 3),
                                   binned)
         capsys.readouterr()
         assert run_cli("fit", "--binned", binned, "--init-from-frame0", "--d0", 0.05,
@@ -641,6 +641,14 @@ class TestMalformedBinnedInput:
         ("value off the counts", "binned.json",
          "binned.json: frame 3 is not counts / normalization_max"),
         ("a count added", "binned.json", "binned.json: per-frame particle count varies"),
+        ("n and d of another grid", "binned.json",
+         "binned.json: n=99, d=7 are not u_0000.csv's grid GridSpec(d=2, n=8)"),
+        ("n a float", "binned.json",
+         "binned.json: n=8.0, d=2 are not u_0000.csv's grid GridSpec(d=2, n=8)"),
+        ("d a string", "binned.json",
+         "binned.json: n=8, d='2' are not u_0000.csv's grid GridSpec(d=2, n=8)"),
+        ("no n", "binned.json",
+         "binned.json: n=None, d=2 are not u_0000.csv's grid GridSpec(d=2, n=8)"),
     ])
     def test_binned_dir_exits_3(self, tmp_path, capsys, binned_dir, command, edit, file,
                                 message):
@@ -675,7 +683,11 @@ class TestMalformedBinnedInput:
                     "normalization_max a string": {**meta, "normalization_max": "abc"},
                     "normalization_max a float": {**meta, "normalization_max": 2.5},
                     "species unknown": {**meta, "species": "Xe"},
-                    "species a list": {**meta, "species": ["Ar"]}}[edit]
+                    "species a list": {**meta, "species": ["Ar"]},
+                    "n and d of another grid": {**meta, "n": 99, "d": 7},
+                    "n a float": {**meta, "n": 8.0},
+                    "d a string": {**meta, "d": "2"},
+                    "no n": {k: v for k, v in meta.items() if k != "n"}}[edit]
             (binned / "binned.json").write_text(json.dumps(meta))
         out = tmp_path / "out"
         argv = self.FIT if command == "fit" else self.COST_CURVE
@@ -817,6 +829,15 @@ class TestUsageAndConfig:
         out = tmp_path / "t.txt"
         assert run_cli("md-run", "--config", cfg, "--out", out) == 3
 
+    def test_config_that_is_not_utf8_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        out = tmp_path / "run" / "t.bin"
+        capsys.readouterr()
+        assert run_cli("md-run", "--config", cfg, "--out", out) == 3
+        assert_one_line_error(capsys, "gasdiff: cannot read config: 'utf-8' codec")
+        assert not out.parent.exists()
+
 
 class TestConfigChoices:
     """A config-file value is checked against its option's choices like the
@@ -882,6 +903,18 @@ class TestReproduceCli:
         assert "seed_6/trajectory.bin" in runs[1]
         assert not any(name.endswith((".frames", ".tmp", ".txt")) for name in runs[1])
         assert runs[1] == runs[2]
+
+    def test_N_replaces_the_preset_s_resolutions(self, tmp_path, monkeypatch):
+        from gasdiff import pipeline
+        from test_pipeline import MINI
+
+        monkeypatch.setitem(pipeline.PRESETS, "desk", MINI)
+        out = tmp_path / "out"
+        assert run_cli("reproduce", "--seeds", "7", "--N", "4,8", "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_values"] == [4, 8]
+        assert set(report["summary"]) == {"4", "8"}
+        assert sorted(p.name for p in (out / "seed_7").glob("bin_N*")) == ["bin_N4", "bin_N8"]
 
     def test_blow_up_in_seed_1_exits_4_and_leaves_no_directory(self, tmp_path,
                                                               monkeypatch, capsys):

@@ -26,6 +26,7 @@ from gasdiff.fitting import (
     residuals,
 )
 
+from binned_fields import series_of_fields
 from fd_modes import laplacian_eigenvalue
 
 SCALE = UnitScale()
@@ -42,11 +43,11 @@ def synthetic_observed(grid, d_true, k, n_frames, noise=0.0, seed=0):
         fields = [ScalarField(grid, f.values + rng.normal(0, noise, f.values.shape))
                   for f in fields]
     times_fs = [float(t) * SCALE.time_unit_fs for t in series.times]
-    return BinnedSeries.from_fields(times_fs, fields)
+    return series_of_fields(times_fs, fields)
 
 
 def make_problem(observed, **kwargs):
-    return FitProblem.from_binned(observed, SCALE, **kwargs)
+    return FitProblem(observed, SCALE, **kwargs)
 
 
 GRID = GridSpec(d=2, n=20)
@@ -129,7 +130,7 @@ class TestResiduals:
 
     def test_uniform_offset_appears_only_in_mean_mode(self):
         delta = 0.037
-        shifted = BinnedSeries.from_fields(
+        shifted = series_of_fields(
             OBSERVED.times_fs,
             [ScalarField(GRID, f + delta)
              for f in OBSERVED.frames],
@@ -201,7 +202,7 @@ class TestCost:
 
     def test_uniform_offset_costs_frames_times_delta_squared(self):
         delta = 0.05
-        shifted = BinnedSeries.from_fields(
+        shifted = series_of_fields(
             OBSERVED.times_fs,
             [ScalarField(GRID, f + delta)
              for f in OBSERVED.frames],
@@ -246,7 +247,7 @@ def single_mode_observed(grid, k, n_frames, m=(2, 1), amplitude=0.3):
     # observed frames are irrelevant for the jacobian; frame 0 seeds the model
     fields = [base] * n_frames
     times = [i * k * SCALE.time_unit_fs for i in range(n_frames)]
-    return BinnedSeries.from_fields(times, fields)
+    return series_of_fields(times, fields)
 
 
 class TestJacobian:
@@ -517,13 +518,13 @@ class TestCostCurve:
 
 class TestFitProblemConstruction:
     def test_rejects_single_frame(self):
-        observed = BinnedSeries.from_fields([0.0], [make_patch_initial(GRID)])
+        observed = series_of_fields([0.0], [make_patch_initial(GRID)])
         with pytest.raises(FitError):
             make_problem(observed)
 
     def test_rejects_nonuniform_spacing(self):
         fields = [make_patch_initial(GRID)] * 3
-        observed = BinnedSeries.from_fields([0.0, 1.0, 3.0], fields)
+        observed = series_of_fields([0.0, 1.0, 3.0], fields)
         with pytest.raises(FitError):
             make_problem(observed)
 
@@ -532,7 +533,7 @@ class TestFitProblemConstruction:
         # 10 timesteps of 5 fs): the patch is not frame 0's initial state
         times = [(1000 + 10 * f) * 5.0 for f in range(N_FRAMES)]
         fields = [ScalarField(GRID, f) for f in OBSERVED.frames]
-        observed = BinnedSeries.from_fields(times, fields)
+        observed = series_of_fields(times, fields)
         with pytest.raises(FitError, match="frame 0 is at t = 5000.0 fs"):
             make_problem(observed)
         problem = make_problem(observed, init_from_frame0=True)
@@ -544,7 +545,7 @@ class TestFitProblemConstruction:
         spacing = OBSERVED.times_fs[1] - OBSERVED.times_fs[0]
         times = OBSERVED.times_fs + offset * spacing
         fields = [ScalarField(GRID, f) for f in OBSERVED.frames]
-        observed = BinnedSeries.from_fields(times, fields)
+        observed = series_of_fields(times, fields)
         if ok:
             assert make_problem(observed).k == pytest.approx(K)
         else:

@@ -59,12 +59,19 @@ def lj_force_pair(r_vec: np.ndarray, p: LJPairParams) -> np.ndarray:
     return (24.0 * p.epsilon / r2) * (2.0 * sr6 * sr6 - sr6) * r_vec
 
 
+def pair_interactions(positions, species, box, idx_i, idx_j):
+    """Forces and potential of the listed pairs through the library's pair
+    kernel, with their _pair_terms built here."""
+    terms = md._pair_terms(species, idx_i, idx_j, len(positions))
+    return md._pair_interactions(positions, box, idx_i, idx_j, terms)
+
+
 def compute_forces_brute(state: ParticleState, box: SimBox):
     """All pairs through the library's pair kernel: the O(n^2) reference
     path for the cell list."""
     idx_i, idx_j = np.triu_indices(state.n_particles, k=1)
-    return md._pair_interactions(state.positions, state.species, box,
-                                 idx_i.astype(np.int64), idx_j.astype(np.int64))
+    return pair_interactions(state.positions, state.species, box,
+                             idx_i.astype(np.int64), idx_j.astype(np.int64))
 
 
 def unwrap_displacements(traj) -> np.ndarray:
@@ -486,20 +493,19 @@ class TestComputeForces:
                         np.where(flip, fresh[0], fresh[1])),
         }
         assert len({len(ii) for ii, _ in lists.values()}) >= 4
-        ref_forces, ref_potential = md._pair_interactions(
-            positions, species, box, *fresh)
+        ref_forces, ref_potential = pair_interactions(positions, species, box, *fresh)
         for name, (ii, jj) in lists.items():
             assert pairs_closer_than(LJ_CUTOFF, positions, box, ii, jj) == \
                 pairs_closer_than(LJ_CUTOFF, positions, box, *fresh), name
-            forces, potential = md._pair_interactions(positions, species, box,
-                                                      *canonical(ii, jj))
+            forces, potential = pair_interactions(positions, species, box,
+                                                  *canonical(ii, jj))
             assert forces.tobytes() == ref_forces.tobytes(), name
             assert potential == ref_potential, name
         # compute_forces' own list, pruned from the outer list, is one too
         forces, potential = compute_forces(state, box)
         assert forces.tobytes() == ref_forces.tobytes() and potential == ref_potential
         # the order shows: the shuffled list as it stands sums differently
-        raw, _ = md._pair_interactions(positions, species, box, *lists["shuffled"])
+        raw, _ = pair_interactions(positions, species, box, *lists["shuffled"])
         assert raw.tobytes() != ref_forces.tobytes()
 
     def test_coincident_particles_raise(self):
@@ -535,7 +541,7 @@ class TestPairList:
             fresh = search(state.positions, box.side, LJ_CUTOFF)
             assert pairs_closer_than(LJ_CUTOFF, state.positions, box, ii, jj) == \
                 pairs_closer_than(LJ_CUTOFF, state.positions, box, *fresh)
-            ref_forces, ref_potential = md._pair_interactions(
+            ref_forces, ref_potential = pair_interactions(
                 state.positions, state.species, box, *fresh)
             scale = np.max(np.abs(ref_forces))
             assert np.max(np.abs(forces - ref_forces)) <= 1e-12 * scale

@@ -115,8 +115,3 @@ class TestReproduce:
                 + (out / "seed_4" / "trajectory.bin").read_bytes()
             )
         assert blobs[0] == blobs[1]
-
-    def test_n_values_override(self, tmp_path):
-        report = run_reproduce(MINI, seeds=[7], n_values=[4, 8],
-                               out_dir=tmp_path)
-        assert set(report["summary"].keys()) == {"4", "8"}
