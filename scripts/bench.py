@@ -50,9 +50,10 @@ steps, a frame every 100):
   of the wall time, the inner rebuilds, outer searches and exact stale
   checks (from the ``rebuilds``, ``searches`` and ``exact_checks`` counters
   of ``state._work``, or, in a tree older than them, wrappers that count
-  the same calls), the hours a 1e6-step seed takes at the mean, and the
-  SHA-256 of the final positions, velocities and forces, so that the record
-  shows whether two trees reach the same bits.
+  the same calls; the checks are null in a tree that runs none), the hours
+  a 1e6-step seed takes at the mean, and the SHA-256 of the final
+  positions, velocities and forces, so that the record shows whether two
+  trees reach the same bits.
 - ``desk_md``: the desk MD through ``md.iter_frames``.
 - ``desk_md_write``: the same run written by ``write_native_frames``.
 - ``native_write``, ``native_read``, ``lammps_parse``: frame 0 of the paper
@@ -118,11 +119,11 @@ def list_counter(md, state):
     """A function giving the (inner rebuilds, outer searches, exact stale
     checks) so far: the counters on the state's scratch, or, in a tree
     older than them, counts kept by wrappers around the functions that
-    do each."""
+    do each.  The checks are None in a tree without them."""
     w = state._work
     if hasattr(w, "rebuilds"):
-        return lambda: (w.rebuilds, w.searches, w.exact_checks)
-    seen = [0, 0, 0]
+        return lambda: (w.rebuilds, w.searches, getattr(w, "exact_checks", None))
+    seen = [0, 0, 0 if hasattr(md, "_pair_list_current") else None]
 
     def counted(k, call):
         def wrapper(*args):
@@ -132,7 +133,8 @@ def list_counter(md, state):
 
     for k, name in enumerate(("_rebuild_pair_list", "_candidate_pairs",
                               "_pair_list_current")):
-        setattr(md, name, counted(k, getattr(md, name)))
+        if seen[k] is not None:
+            setattr(md, name, counted(k, getattr(md, name)))
     return lambda: tuple(seen)
 
 
@@ -165,8 +167,8 @@ class Run:
 
         every = [t for kind in self.times.values() for t in kind]
         mean_s, wall_s = statistics.fmean(every), sum(every)
-        rebuilds, searches, checks = (b - a for a, b in zip(self.start_counts,
-                                                            self.counts()))
+        rebuilds, searches, checks = (None if b is None else b - a for a, b in
+                                      zip(self.start_counts, self.counts()))
         out = {
             "steps": len(every),
             "median_ms_per_step": statistics.median(every) * 1e3,

@@ -5,14 +5,15 @@ Newton's equations are integrated with velocity Verlet (the explicit member
 of the Stormer-Verlet family) in a periodic square box under the minimum
 image convention.  Pair interactions are truncated Lennard-Jones with
 per-species-pair well depth and size.  Neighbor search is a Verlet pair
-list: the pairs closer than the cutoff plus a skin, reused until some
-particle has moved more than half the skin since then.  The list is a dual
-one: a new pair list is pruned from an outer list of the pairs closer than
-OUTER_RANGE, which a cell-list search rebuilds only once particles have
-moved far enough to miss a pair from it.  Both lists are in canonical
-order, each pair i < j and sorted by (i, j), and pairs beyond the cutoff
-add exact zeros, so the forces and potential depend on the positions and
-species alone, not on which search or which list found the pairs.
+list: the pairs closer than the cutoff plus a skin, reused until a bound on
+how far any particle has moved since then reaches half the skin.  The list
+is a dual one: a new pair list is pruned from an outer list of the pairs
+closer than OUTER_RANGE, which a cell-list search rebuilds only once that
+bound, summed since the search, allows a pair to be missing from it.  Both
+lists are in canonical order, each pair i < j and sorted by (i, j), and
+pairs beyond the cutoff add exact zeros, so the forces and potential depend
+on the positions and species alone, not on which search or which list found
+the pairs.
 
 verlet_step advances a ParticleState in place: its positions and velocities
 arrays, its time and its pair list change, and the step returns the same
@@ -29,12 +30,12 @@ only, and the velocities there are written once, after the second half
 kick, unless the step may search.  A component with no kick keeps its
 velocity bit for bit, -0.0 included.  The drift alone passes over every
 particle.  A running bound on the distance moved since the pair list was
-built stands in for whole-array passes wherever it proves their answer:
-while it stays under SKIN/2 the list is current, and only the coordinates
-that were within SKIN/2 of an edge at the build (the border set) can cross
-one, so only they are wrapped.  Summed over the pair lists pruned from one
-outer list, the bound also shows that outer list still valid, and the
-exact check against it runs only once the sum reaches its reach.
+built decides alone when the list goes stale: while it stays under SKIN/2
+the list is current, and only the coordinates that were within SKIN/2 of
+an edge at the build (the border set) can cross one, so only they are
+wrapped; the step where it reaches SKIN/2 rebuilds.  Summed over the pair
+lists pruned from one outer list, the bound also keeps that outer list
+until the sum reaches its reach.
 
 iter_frames yields each sampled frame as the run reaches it, and
 MSDAccumulator takes frames one at a time; run collects iter_frames.
@@ -82,12 +83,14 @@ _ACCEL_SCALE = np.repeat((KCAL_PER_MOL_TO_MD / MASS_G_MOL)[:, None], 2, axis=1)
 LJ_CUTOFF = 20.0
 
 #: the pair list holds every pair closer than LJ_CUTOFF + SKIN and is rebuilt
-#: once any particle has moved SKIN/2 from where it was at the last search (A).
+#: once a bound on how far any particle has moved since its build reaches
+#: SKIN/2 (A).
 SKIN = 5.0
 
 #: the outer pair list holds every pair closer than this; the pair list is
-#: pruned from it, and it is searched again only once a particle has moved
-#: so far since that it could miss a pair the pruned list needs (A).
+#: pruned from it, and it is searched again only once a bound on how far
+#: any particle has moved since then allows it to miss a pair the pruned
+#: list needs (A).
 OUTER_RANGE = 70.0
 
 
@@ -139,7 +142,7 @@ class ParticleState:
     displacements from sampled frames.
 
     ``pair_list`` is ``(idx_i, idx_j, positions at build)``, or None;
-    compute_forces checks it against the current positions before using it.
+    compute_forces uses it only while the positions equal that build.
     The lists md builds are in canonical order (each pair i < j, sorted by
     (i, j)), so the forces summed over them depend on positions alone.
 
@@ -362,25 +365,26 @@ class _Work:
     dt for every component (``vdt``, current off the kicked components),
     and a bound on how far any particle has moved since the list was built
     (inf when unknown) with the largest squared speed at that build.  While
-    that bound shows the list current, the step leaves the velocities of the
-    kicked components to its end-of-step write, and wraps only ``border``:
-    the flat indices of the coordinates within SKIN/2, plus a rounding
-    margin, of an edge at the list's build.
+    that bound stays under SKIN/2, the list is current: the step leaves the
+    velocities of the kicked components to its end-of-step write, and wraps
+    only ``border``: the flat indices of the coordinates within SKIN/2, plus
+    a rounding margin, of an edge at the list's build.
 
     ``outer`` is the outer pair list the pair list is pruned from, in
-    canonical order, as ``(idx_i, idx_j, positions at build, box side)``,
-    or None.  ``outer_moved`` bounds how far any particle had moved since
-    that build when the pair list was built: each rebuild adds ``moved`` to
-    it, an outer search sets it to 0, and a force call or a step that is not
-    handed back sets it to inf.
+    canonical order, as ``(idx_i, idx_j)``, or None.  ``outer_moved`` bounds
+    how far any particle had moved since the outer search when the pair list
+    was built: each rebuild adds ``moved`` to it, an outer search sets it to
+    0, and a force call that rebuilds or a step that is not handed back sets
+    it to inf.  So it is finite only while ``outer`` was searched for this
+    box and these particles.
 
-    ``rebuilds``, ``searches`` and ``exact_checks`` count the pair-list
-    rebuilds, the outer searches among them and the exact stale checks.
+    ``rebuilds`` and ``searches`` count the pair-list rebuilds and the outer
+    searches among them.
     """
 
     __slots__ = ("species", "buf", "pair_list", "terms", "handed", "kicked",
                  "kick", "listed_v", "vdt", "moved", "v2_built", "border",
-                 "outer", "outer_moved", "rebuilds", "searches", "exact_checks")
+                 "outer", "outer_moved", "rebuilds", "searches")
 
     def __init__(self, species):
         self.species = species
@@ -389,7 +393,7 @@ class _Work:
         self.kicked = self.kick = self.listed_v = self.vdt = self.border = None
         self.moved, self.v2_built = math.inf, 0.0
         self.outer_moved = math.inf
-        self.rebuilds = self.searches = self.exact_checks = 0
+        self.rebuilds = self.searches = 0
 
 
 def _work(state: ParticleState) -> _Work:
@@ -445,65 +449,29 @@ def _pair_interactions(pos, box, idx_i, idx_j, terms):
     return forces, potential
 
 
-def _moved_within(positions, built, side, limit, buf) -> bool:
-    """False when some particle's minimum-image displacement from ``built``
-    is longer than ``limit`` (a NaN maximum counts as within).
-
-    The norm is taken only for rows with a component above limit/sqrt(2),
-    less a rounding margin; ``buf`` is (n, 2) scratch.
-    """
-    d = np.abs(np.subtract(positions, built, out=buf), out=buf)
-    # |component| >= its minimum image, so every other row is within limit
-    bound = limit / math.sqrt(2.0) * (1.0 - 1e-9)
-    rows = np.flatnonzero(d.reshape(-1) > bound) >> 1
-    if not len(rows):
-        return True
-    if not _image_r2(positions, rows, built, rows, side).max() > limit * limit:
-        return True
-    return bool(np.isnan(d).any())
-
-
-def _pair_list_current(state: ParticleState, box: SimBox, w: _Work) -> bool:
-    """True while no particle has moved SKIN/2 (minimum image) since the
-    state's pair list was built, so no pair outside the list can be inside
-    the cutoff."""
-    w.exact_checks += 1
-    if state.pair_list is None:
-        return False
-    built = state.pair_list[2]
-    if built.shape != state.positions.shape:
-        return False
-    return _moved_within(state.positions, built, box.side, 0.5 * SKIN, w.buf)
-
-
 def _rebuild_pair_list(state: ParticleState, box: SimBox, w: _Work):
     """A new pair list for the state's positions: the pairs of a fresh
     search at LJ_CUTOFF + SKIN, in canonical order.
 
-    It is pruned from the outer list, which is searched again first when it
-    is missing, was built for another box, or a particle has moved more
-    than (OUTER_RANGE - LJ_CUTOFF - SKIN) / 2 since its build: within that,
-    two particles now in range were closer than OUTER_RANGE then.  The
-    exact check of that distance runs only when the summed bound
-    ``w.outer_moved + w.moved`` does not already show it shorter.
+    It is pruned from the outer list, which is searched again first once
+    the summed bound ``w.outer_moved + w.moved`` reaches (OUTER_RANGE -
+    LJ_CUTOFF - SKIN) / 2: within that, two particles now in range were
+    closer than OUTER_RANGE at the outer search.
     """
     w.rebuilds += 1
     built = state.positions.copy()
     side, r_cut = box.side, LJ_CUTOFF + SKIN
     # less a margin for rounding, relative and of positions
     reach = max((OUTER_RANGE - r_cut) / 2.0 * (1.0 - 1e-9) - side * 2.0**-48, 0.0)
-    w.outer_moved += w.moved  # NaN fails the test below, as inf does
-    outer = w.outer
-    if (outer is None or outer[3] != side or outer[2].shape != built.shape
-            or not (w.outer_moved < reach * (1.0 - 1e-9)
-                    or _moved_within(built, outer[2], side, reach, w.buf))):
+    w.outer_moved += w.moved
+    if not w.outer_moved < reach * (1.0 - 1e-9):  # NaN searches, as inf does
         w.searches += 1
-        outer = w.outer = None  # freed before the search, which sets the peak
-        outer = w.outer = (*_candidate_pairs(built, side, OUTER_RANGE), built, side)
+        w.outer = None  # freed before the search, which sets the peak
+        w.outer = _candidate_pairs(built, side, OUTER_RANGE)
         w.outer_moved = 0.0
     # the fresh search's filter, exactly (a NaN distance fails it); the mask
     # keeps the canonical order
-    oi, oj = outer[:2]
+    oi, oj = w.outer
     near = np.flatnonzero(_image_r2(built, oi, built, oj, side) < r_cut * r_cut)
     return np.take(oi, near), np.take(oj, near), built
 
@@ -511,22 +479,22 @@ def _rebuild_pair_list(state: ParticleState, box: SimBox, w: _Work):
 def compute_forces(state: ParticleState, box: SimBox):
     """Total force on each particle and the total potential energy.
 
-    Searches for pairs only when the state's pair list is missing or stale,
-    and leaves the new list on the state.  Pairwise sums are accumulated
-    antisymmetrically, so the net force is zero to roundoff.
+    Keeps the state's pair list only while the positions equal its build;
+    otherwise, as nothing bounds how far they have moved, it builds a new
+    list from a new outer search and leaves it on the state.  Pairwise sums
+    are accumulated antisymmetrically, so the net force is zero to roundoff.
     """
-    # the positions may have been edited since the last step's bound
-    _work(state).outer_moved = math.inf
-    terms = _current_terms(state, box, False)
-    return _pair_interactions(state.positions, box, *state.pair_list[:2], terms)
-
-
-def _current_terms(state: ParticleState, box: SimBox, known: bool) -> _PairTerms:
-    """The terms of the state's pair list, rebuilt first if missing or stale;
-    ``known`` says that the running bound already shows it current."""
     w = _work(state)
-    if not (known or _pair_list_current(state, box, w)):
+    listed = state.pair_list
+    if listed is None or not np.array_equal(listed[2], state.positions):
+        w.outer_moved = math.inf
         state.pair_list = _rebuild_pair_list(state, box, w)
+    return _pair_interactions(state.positions, box, *state.pair_list[:2],
+                              _current_terms(state, w))
+
+
+def _current_terms(state: ParticleState, w: _Work) -> _PairTerms:
+    """The terms of the state's pair list, built once per list."""
     if w.pair_list is not state.pair_list:
         w.pair_list = state.pair_list
         w.terms = _pair_terms(state.species, *state.pair_list[:2], state.n_particles)
@@ -648,13 +616,17 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
     with no bound on the distance moved, and gets new forces; then one body
     runs.  It sums forces, kicks and keeps v * dt only on the kicked
     components (everything else is in free flight), checks the speed of
-    those particles only unless the kicked set changed, skips the exact
-    stale-list check and wraps only the border set while a bound on the
-    distance moved since the list was built stays under SKIN/2, checks the
-    outer list exactly only once that bound summed since the outer search
-    reaches its reach, and overwrites the forces it was handed back, zeroed
-    on the components that left the list.  On InstabilityError the state
-    holds the failed step, with writable arrays.
+    those particles only unless the kicked set changed, wraps only the
+    border set while a bound on the distance moved since the list was built
+    stays under SKIN/2 and rebuilds the list on the step where it reaches
+    it, searches the outer list again once that bound summed since the
+    outer search reaches its reach, and overwrites the forces it was handed
+    back, zeroed on the components that left the list.  On InstabilityError
+    the state holds the failed step, with writable arrays.
+
+    The bound alone decides, so a taken-over step, whose history is
+    unknown, rebuilds the list and searches the outer list; a run takes
+    over only its first step.
     """
     w = _work(state)
     if _handed_back(w, state, forces, cfg, box):
@@ -666,7 +638,6 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
     x, v = state.positions, state.velocities
     flat_v = v.reshape(-1)
     half_dt = 0.5 * cfg.dt
-    listed = state.pair_list
     # The forces are +0.0 off the kicked components, w.kick is their half
     # kick and w.listed_v their velocities before it, so only kicked
     # particles change speed: the others keep the speed they had at the
@@ -680,24 +651,21 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         vh2 = vh * vh
         fastest2 = float((vh2[0::2] + vh2[1::2]).max(initial=0.0))
         # The drift moves no particle further than dt * the top speed; the
-        # factor covers the rounding of dt * v, of this sum and of the exact
-        # check, and side * 2^-49 the rounding of x + dt * v and the wrap.
+        # factor covers the rounding of dt * v and of this sum, and
+        # side * 2^-49 the rounding of x + dt * v and the wrap.
         w.moved += (cfg.dt * math.sqrt(max(fastest2, w.v2_built)) * (1.0 + 1e-9)
                     + box.side * 2.0**-49)
     current = w.moved < 0.5 * SKIN * (1.0 - 1e-9)
-    if not current:  # a search may follow, and it reads every velocity
+    if not current:  # a rebuild follows, and it reads every velocity
         flat_v[kicked] = vh
     x += w.vdt
+    state.time = state.time + cfg.dt
     if current:  # only the border set can have crossed an edge
         flat_x = x.reshape(-1)
         flat_x[w.border] = _wrap(np.take(flat_x, w.border), box.side)
     else:
         _wrap(x, box.side)
-    state.time = state.time + cfg.dt
-    terms = _current_terms(state, box, current)
-    # the forces on the listed components, made their half kick below
-    kick, potential = _listed_interactions(x, box, *state.pair_list[:2], terms)
-    if state.pair_list is not listed:
+        state.pair_list = _rebuild_pair_list(state, box, w)
         w.moved = 0.0
         v2 = np.multiply(v, v, out=w.buf)
         w.v2_built = float((v2[:, 0] + v2[:, 1]).max(initial=0.0))
@@ -706,9 +674,12 @@ def verlet_step(state: ParticleState, forces: np.ndarray, cfg: MDConfig,
         off = np.abs(np.subtract(x, 0.5 * box.side, out=w.buf), out=w.buf)
         w.border = np.flatnonzero(
             off.reshape(-1) > 0.5 * box.side - 0.5 * SKIN - box.side * 2.0**-48)
+    terms = _current_terms(state, w)
+    # the forces on the listed components, made their half kick below
+    kick, potential = _listed_interactions(x, box, *state.pair_list[:2], terms)
     active = terms.active
     # the kicked components are the listed ones, unless this step took the
-    # state over or searched
+    # state over or rebuilt the list
     same = kicked is active
     if not same:
         forces.reshape(-1)[kicked] = 0.0

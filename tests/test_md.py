@@ -776,6 +776,10 @@ class TestDualList:
         moved[:4] = edges
         assert np.any(np.floor(moved / 25.1) != moved // 25.1)
         state.positions, state.pair_list = moved, None
+        # the largest move, given as the step's bound, keeps the outer list
+        d = minimum_image(moved - positions, side)
+        state._work.moved = float(np.sqrt(np.einsum("ij,ij->i", d, d)).max())
+        assert state._work.moved < (OUTER_RANGE - LJ_CUTOFF - SKIN) / 2.0
         seen = check_rebuilds(monkeypatch)
         md._rebuild_pair_list(state, box, state._work)
         assert seen["rebuilds"] == 1 and seen["outer"] == 0
@@ -803,7 +807,7 @@ class TestDualList:
         assert seen["rebuilds"] == seen["outer"] == 1
 
     @pytest.mark.parametrize("far", [False, True])
-    def test_in_place_move_past_the_outer_reach(self, monkeypatch, far):
+    def test_in_place_move_searches_the_outer_list_again(self, monkeypatch, far):
         rng = np.random.default_rng(12)
         n = 200
         box = SimBox(side=250.0)
@@ -816,7 +820,8 @@ class TestDualList:
         oi, oj = outer[:2]
         paired = set(zip(np.minimum(oi, oj).tolist(), np.maximum(oi, oj).tolist()))
         # particle 0 jumps next to a particle the outer list does not pair it
-        # with, or moves past SKIN/2 but stays within the outer list's reach
+        # with, or moves past SKIN/2 but stays within the outer list's reach;
+        # nothing bounds a move between force calls, so both search again
         partner = next(k for k in range(1, n) if (0, k) not in paired)
         shift = [0.6 * LJ_CUTOFF, 0.0] if far else [0.0, 0.75 * SKIN]
         target = md._wrap(positions[partner if far else 0] + shift, box.side)
@@ -825,8 +830,8 @@ class TestDualList:
         state.positions[0] = target
         seen = check_rebuilds(monkeypatch)
         forces, potential = compute_forces(state, box)
-        assert seen["rebuilds"] == 1 and seen["outer"] == far
-        assert (state._work.outer is not outer) == far
+        assert seen["rebuilds"] == seen["outer"] == 1
+        assert state._work.outer is not outer
         ref_forces, ref_potential = brute_reference_forces(
             state.positions, species, box.side)
         assert np.max(np.abs(forces - ref_forces)) < 1e-10
@@ -836,9 +841,10 @@ class TestDualList:
     def test_pair_closing_in_from_beyond_the_outer_range(self, monkeypatch, move,
                                                          searched):
         # 70.5 A apart at the outer search, so not in the outer list; each
-        # moves toward the other.  Past the reach of (70 - 25) / 2 = 22.5 A
-        # they are in range (24.9 A) and the outer list is searched again;
-        # within it they are not (25.7 A) and it is kept.
+        # moves toward the other, and the move is the step's bound.  Past the
+        # reach of (70 - 25) / 2 = 22.5 A they are in range (24.9 A) and the
+        # outer list is searched again; within it they are not (25.7 A) and
+        # it is kept.
         box = SimBox(side=400.0)
         state = ParticleState(
             positions=np.array([[100.0, 200.0], [170.5, 200.0], [300.0, 330.0]]),
@@ -847,8 +853,9 @@ class TestDualList:
         assert len(state._work.outer[0]) == 0
         state.positions = np.array([[100.0 + move, 200.0], [170.5 - move, 200.0],
                                     [300.0, 330.0]])
+        state._work.moved = move
         seen = check_rebuilds(monkeypatch)
-        compute_forces(state, box)
+        state.pair_list = md._rebuild_pair_list(state, box, state._work)
         assert seen["rebuilds"] == 1 and seen["outer"] == searched
         assert len(state.pair_list[0]) == searched
 
@@ -987,25 +994,6 @@ class TestVerletStep:
             verlet_step(state, forces, cfg, box)
 
 
-def stale_by_norm(positions, built, side):
-    """The full-array stale test: max(x^2 + y^2) of the minimum-image
-    displacement components against (SKIN/2)^2; a NaN maximum keeps the
-    list."""
-    d = np.abs(positions - built)
-    d = np.minimum(d, side - d)
-    d *= d
-    return bool((d[:, 0] + d[:, 1]).max(initial=0.0) > (0.5 * SKIN) ** 2)
-
-
-def is_stale(positions, built, side):
-    n = len(built)
-    state = ParticleState(positions=positions, velocities=np.zeros((n, 2)),
-                          species=np.zeros(n, dtype=np.int64),
-                          pair_list=(np.zeros(0, dtype=np.int64),
-                                     np.zeros(0, dtype=np.int64), built, None))
-    return not md._pair_list_current(state, SimBox(side=side), md._work(state))
-
-
 def full_kick_step(state, forces, cfg, box):
     """Velocity Verlet on copies with both half kicks over every component."""
     scale = np.take(md._ACCEL_SCALE, state.species, axis=0)
@@ -1063,7 +1051,7 @@ class TestInPlaceStep:
         assert state.velocities.tolist() == velocities.tolist()
 
     def test_searched_positions_never_change(self, monkeypatch):
-        # the build snapshots of the pair lists and of the outer lists
+        # the build snapshots of the pair lists, and the positions searched
         given_to_search = []
         search, rebuild = md._candidate_pairs, md._rebuild_pair_list
 
@@ -1091,7 +1079,6 @@ class TestInPlaceStep:
             assert pos is not state.positions
             assert np.array_equal(pos, snapshot)
         assert state.pair_list[2] is given_to_search[-1][0]
-        assert any(state._work.outer[2] is pos for pos, _ in given_to_search)
 
     def test_species_is_frozen_by_the_first_force_call(self):
         state = free_particles([[0.0, 0.0], [0.0, 0.0]])
@@ -1150,61 +1137,61 @@ class TestInPlaceStep:
             assert not np.any(forces) and potential == 0.0
 
 
-class TestStaleCheck:
-    half = 0.5 * SKIN
+class TestStaleRule:
+    """A pair list goes stale by the step's running bound alone, and a force
+    call keeps a list only while the positions equal its build."""
 
-    @pytest.mark.parametrize("delta", [
-        (half, 0.0), (0.0, -half), (1.5, 2.0), (-2.0, 1.5),   # norm exactly SKIN/2
-        (np.nextafter(half, 3.0), 0.0), (0.0, np.nextafter(-half, -3.0)),
-        (half / np.sqrt(2.0), half / np.sqrt(2.0)),           # the component threshold
-        (np.nextafter(half / np.sqrt(2.0), 3.0), np.nextafter(half / np.sqrt(2.0), 3.0)),
-        (half / np.sqrt(2.0) * (1.0 - 1e-9), half / np.sqrt(2.0) * (1.0 - 1e-9)),
-        (1.76776695, 1.76776696), (1.7677669529663687, 1.7677669529663689),
-        (1.0, 0.0), (0.0, 0.0),
-    ])
-    @pytest.mark.parametrize("wrapped", [False, True])
-    def test_edge_displacements_decide_as_the_norm(self, delta, wrapped):
-        side = 100.0
-        rng = np.random.default_rng(3)
-        built = rng.uniform(10.0, 90.0, (50, 2))
-        built[7] = [0.5, 99.5] if wrapped else [50.0, 50.0]
-        positions = built + rng.uniform(-0.1, 0.1, built.shape)
-        positions[7] = md._wrap(built[7] + np.array(delta), side)
-        assert is_stale(positions, built, side) == stale_by_norm(positions, built, side)
+    def test_a_handed_back_desk_run_rebuilds_where_the_bound_reaches_half_skin(self):
+        # The bound recomputed here: from the list's build on, each step adds
+        # dt times the top speed after the first half kick, or at the build if
+        # that is higher, with md's rounding margins; a taken-over step (the
+        # first) has no bound.  The step where it reaches SKIN/2 rebuilds.
+        cfg = MDConfig(n_he=500, n_ar=500, seed=1)
+        box = SimBox(side=5.0e3)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        accel = np.take(md._ACCEL_SCALE, state.species, axis=0)
+        bound, v2_built = np.inf, 0.0
+        expected, rebuilt = [], []
+        for step in range(2000):
+            vh = state.velocities + forces * accel * (0.5 * cfg.dt)
+            v2 = vh[:, 0] * vh[:, 0] + vh[:, 1] * vh[:, 1]
+            bound += (cfg.dt * np.sqrt(max(v2.max(), v2_built)) * (1.0 + 1e-9)
+                      + box.side * 2.0**-49)
+            if not bound < 0.5 * SKIN * (1.0 - 1e-9):
+                expected.append(step)
+                bound, v2_built = 0.0, float(v2.max())
+            pair_list = state.pair_list
+            state, forces, _ = verlet_step(state, forces, cfg, box)
+            if state.pair_list is not pair_list:
+                rebuilt.append(step)
+            assert bound >= max_displacement_since_build(state, box)
+        assert rebuilt == expected
+        assert expected[0] == 0 and len(expected) > 50
+        assert state._work.rebuilds == len(expected)
 
-    def test_random_displacements_decide_as_the_norm(self):
-        rng = np.random.default_rng(11)
-        side = 250.0
-        for trial in range(400):
-            n = int(rng.integers(0, 30))
-            built = rng.uniform(0.0, side, (n, 2))
-            step = rng.normal(0.0, rng.choice([0.3, 1.0, 1.8, 3.0]), (n, 2))
-            positions = md._wrap(built + step, side)
-            if n and trial % 4 == 0:  # some norms right at the limit
-                k = int(rng.integers(n))
-                angle = rng.uniform(0.0, 2.0 * np.pi)
-                positions[k] = md._wrap(
-                    built[k] + self.half * np.array([np.cos(angle), np.sin(angle)]), side)
-            assert is_stale(positions, built, side) == stale_by_norm(positions, built, side)
-
-    @pytest.mark.parametrize("far", [False, True])
-    def test_nan_keeps_the_list_as_the_norm_does(self, far):
-        side = 100.0
-        built = np.array([[10.0, 10.0], [50.0, 50.0], [80.0, 20.0]])
-        positions = built.copy()
-        positions[0, 1] = np.nan
-        if far:  # a row past SKIN/2 does not outweigh a NaN maximum
-            positions[1] += [3.0, 3.0]
-        assert is_stale(positions, built, side) == stale_by_norm(positions, built, side)
-        positions[2, 0] = np.nan  # a NaN row with the other component far off
-        positions[2, 1] += 4.0
-        assert is_stale(positions, built, side) == stale_by_norm(positions, built, side)
-
-    def test_infinite_position_is_stale(self):
-        built = np.array([[10.0, 10.0], [50.0, 50.0]])
-        positions = built.copy()
-        positions[1, 0] = np.inf
-        assert is_stale(positions, built, 100.0) and stale_by_norm(positions, built, 100.0)
+    def test_forces_keep_an_unchanged_list_and_rebuild_after_a_one_ulp_edit(self):
+        cfg = MDConfig(n_he=100, n_ar=50, seed=12)
+        box = SimBox(side=300.0)
+        state = init_state(cfg, box)
+        forces, _ = compute_forces(state, box)
+        # the first step rebuilds, so its positions are the new list's build
+        state, forces, potential = verlet_step(state, forces, cfg, box)
+        w = state._work
+        pair_list, terms, counts = state.pair_list, w.terms, (w.rebuilds, w.searches)
+        again, again_potential = compute_forces(state, box)
+        assert state.pair_list is pair_list and w.terms is terms
+        assert (w.rebuilds, w.searches) == counts
+        assert again.tobytes() == forces.tobytes() and again_potential == potential
+        positions = state.positions.copy()
+        positions[7, 1] = np.nextafter(positions[7, 1], np.inf)
+        state.positions = positions
+        forces, potential = compute_forces(state, box)
+        assert (w.rebuilds, w.searches) == (counts[0] + 1, counts[1] + 1)
+        ii, jj = md._candidate_pairs(positions, box.side, LJ_CUTOFF + SKIN)
+        assert np.array_equal(state.pair_list[0], ii) and np.array_equal(state.pair_list[1], jj)
+        ref_forces, ref_potential = pair_interactions(positions, state.species, box, ii, jj)
+        assert forces.tobytes() == ref_forces.tobytes() and potential == ref_potential
 
 
 class TestSpeedCheck:
@@ -1249,25 +1236,20 @@ class TestSpeedCheck:
 
 def record_steps(monkeypatch):
     """Per verlet_step: whether it took the hand-back path, and how many pair
-    list rebuilds, outer-list searches and exact stale checks it ran."""
+    list rebuilds and outer-list searches it ran."""
     steps = []
-    handed_back, rebuild, check, search = (md._handed_back, md._rebuild_pair_list,
-                                           md._pair_list_current, md._candidate_pairs)
+    handed_back, rebuild, search = (md._handed_back, md._rebuild_pair_list,
+                                    md._candidate_pairs)
 
     def recording_handed_back(*args):
         trusted = handed_back(*args)
-        steps.append({"trusted": trusted, "rebuilds": 0, "searches": 0, "checks": 0})
+        steps.append({"trusted": trusted, "rebuilds": 0, "searches": 0})
         return trusted
 
     def counting_rebuild(*args):
         if steps:
             steps[-1]["rebuilds"] += 1
         return rebuild(*args)
-
-    def counting_check(*args):
-        if steps:
-            steps[-1]["checks"] += 1
-        return check(*args)
 
     def counting_search(*args):  # inside a step, only the outer list is searched
         if steps:
@@ -1276,20 +1258,19 @@ def record_steps(monkeypatch):
 
     monkeypatch.setattr(md, "_handed_back", recording_handed_back)
     monkeypatch.setattr(md, "_rebuild_pair_list", counting_rebuild)
-    monkeypatch.setattr(md, "_pair_list_current", counting_check)
     monkeypatch.setattr(md, "_candidate_pairs", counting_search)
     return steps
 
 
 def work_counts(state):
-    """The pair-list rebuilds, outer searches and exact stale checks the
-    state's scratch has counted."""
+    """The pair-list rebuilds and outer searches the state's scratch has
+    counted."""
     w = md._work(state)
-    return {"rebuilds": w.rebuilds, "searches": w.searches, "checks": w.exact_checks}
+    return {"rebuilds": w.rebuilds, "searches": w.searches}
 
 
 def recorded_counts(steps):
-    return {key: sum(s[key] for s in steps) for key in ("rebuilds", "searches", "checks")}
+    return {key: sum(s[key] for s in steps) for key in ("rebuilds", "searches")}
 
 
 def taken_over_step(state, forces, cfg, box):
@@ -1326,42 +1307,28 @@ class TestHandBack:
         ref, ref_forces = copied_state(state), forces.copy()
         counted = work_counts(state)
         steps = record_steps(monkeypatch)
-        outer_checks = {"handed": 0, "full": 0}
-        moved_within = md._moved_within
-
-        def counting_outer_check(positions, built, side, limit, buf):
-            outer_checks[run] += limit > SKIN  # against the outer list's build
-            return moved_within(positions, built, side, limit, buf)
-
-        monkeypatch.setattr(md, "_moved_within", counting_outer_check)
         handed, full = [], []
         for _ in range(150):
-            run = "handed"
             state, forces, potential = verlet_step(state, forces, cfg, box)
             handed.append(steps[-1])
-            run = "full"
             ref, ref_forces, ref_potential = taken_over_step(ref, ref_forces, cfg, box)
             full.append(steps[-1])
             assert state.positions.tobytes() == ref.positions.tobytes()
             assert state.velocities.tobytes() == ref.velocities.tobytes()
             assert forces.tobytes() == ref_forces.tobytes()
             assert potential == ref_potential
-        assert [s["rebuilds"] for s in handed] == [s["rebuilds"] for s in full]
-        assert sum(s["rebuilds"] for s in handed) >= 2
-        # the outer list is searched on the same steps, without the exact
-        # check against it where the summed bound shows it valid
-        assert [s["searches"] for s in handed] == [s["searches"] for s in full]
+        # a taken-over step has no bound, so it rebuilds and searches; the
+        # handed-back run does so on its first step, and then only as its
+        # bounds reach SKIN/2 and the outer reach
+        assert full == [{"trusted": False, "rebuilds": 1, "searches": 1}] * 150
+        assert handed[0] == full[0]
+        assert all(s["trusted"] for s in handed[1:])
+        assert 2 <= sum(s["rebuilds"] for s in handed) < 150
         assert sum(s["searches"] for s in handed) >= 1
-        assert outer_checks["handed"] < outer_checks["full"]
         # the scratch counters count what the recorder counts
         counts = recorded_counts(handed)
         assert work_counts(state) == {k: counted[k] + counts[k] for k in counts}
         assert work_counts(ref) == recorded_counts(full)
-        assert not any(s["trusted"] for s in full)
-        assert all(s["trusted"] for s in handed[1:])
-        # the bound spares most exact checks; a taken-over step runs one
-        assert sum(s["checks"] for s in full) == 150
-        assert sum(s["checks"] for s in handed) < 150
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("high", [False, True])
@@ -1397,7 +1364,7 @@ class TestHandBack:
             assert state.velocities.tobytes() == ref.velocities.tobytes()
             assert forces.tobytes() == ref_forces.tobytes()
             assert potential == ref_potential
-        assert crossed == [{"trusted": True, "rebuilds": 0, "searches": 0, "checks": 0}]
+        assert crossed == [{"trusted": True, "rebuilds": 0, "searches": 0}]
         assert md._work(state).border.tolist() == [axis]
         assert 0 <= state.positions[0, axis] < side
 
@@ -1494,11 +1461,12 @@ class TestHandBack:
     def test_blow_up_inside_a_handed_back_step_names_the_same_particle(
             self, monkeypatch):
         # two argon atoms close head-on; with dt = 10 fs a step drifts them
-        # into the core without a search, and the kick there blows up
+        # into the core without a rebuild (from 43 A apart, the last one
+        # comes the step before), and the kick there blows up
         cfg = MDConfig(n_he=0, n_ar=3, dt=10.0, seed=0)
         box = SimBox(side=400.0)
         state = ParticleState(
-            positions=np.array([[100.0, 100.0], [141.0, 100.0], [300.0, 300.0]]),
+            positions=np.array([[100.0, 100.0], [143.0, 100.0], [300.0, 300.0]]),
             velocities=np.array([[0.08, 0.0], [-0.08, 0.0], [0.0, 0.0]]),
             species=np.array([1, 1, 1]))
         forces, _ = compute_forces(state, box)
@@ -1507,7 +1475,7 @@ class TestHandBack:
         with pytest.raises(InstabilityError) as handed:
             for _ in range(100):
                 state, forces, _ = verlet_step(state, forces, cfg, box)
-        assert steps[-1] == {"trusted": True, "rebuilds": 0, "searches": 0, "checks": 0}
+        assert steps[-1] == {"trusted": True, "rebuilds": 0, "searches": 0}
         with pytest.raises(InstabilityError) as full:
             for _ in range(100):
                 ref, ref_forces, _ = taken_over_step(ref, ref_forces, cfg, box)
@@ -1535,9 +1503,9 @@ class TestHandBack:
         assert str(handed.value).startswith("particle 57 reached")
 
     @staticmethod
-    def run_until_the_bound_spares_a_check(monkeypatch):
-        """A crowded state just after a handed-back step that skipped the
-        exact stale check, and the step recorder."""
+    def run_until_a_plain_handed_back_step(monkeypatch):
+        """A crowded state just after a handed-back step that kept its pair
+        list, and the step recorder."""
         cfg = MDConfig(n_he=100, n_ar=50, seed=12)
         box = SimBox(side=300.0)
         state = init_state(cfg, box)
@@ -1545,9 +1513,9 @@ class TestHandBack:
         steps = record_steps(monkeypatch)
         for _ in range(200):
             state, forces, _ = verlet_step(state, forces, cfg, box)
-            if steps[-1] == {"trusted": True, "rebuilds": 0, "searches": 0, "checks": 0}:
+            if steps[-1] == {"trusted": True, "rebuilds": 0, "searches": 0}:
                 return cfg, box, state, forces, steps
-        raise AssertionError("the bound never spared an exact check")
+        raise AssertionError("every step rebuilt the pair list")
 
     @staticmethod
     def jump_next_to_an_unlisted_particle(state, box):
@@ -1568,21 +1536,21 @@ class TestHandBack:
         state.positions[0] = target
 
     def test_writable_positions_moved_past_half_skin_rebuild(self, monkeypatch):
-        cfg, box, state, forces, steps = self.run_until_the_bound_spares_a_check(
+        cfg, box, state, forces, steps = self.run_until_a_plain_handed_back_step(
             monkeypatch)
         self.jump_next_to_an_unlisted_particle(state, box)
         del steps[:]
         state, forces, potential = verlet_step(state, forces, cfg, box)
         # the jump (70 A) is past the outer reach too
-        assert steps == [{"trusted": False, "rebuilds": 1, "searches": 1, "checks": 1}]
+        assert steps == [{"trusted": False, "rebuilds": 1, "searches": 1}]
         ref_forces, ref_potential = brute_reference_forces(
             state.positions, state.species, box.side)
         assert np.max(np.abs(forces - ref_forces)) <= 1e-10
         assert potential == pytest.approx(ref_potential, abs=1e-10)
 
     def test_forces_after_an_edit_between_steps(self, monkeypatch):
-        # the step that skipped the stale check leaves no hint behind
-        _, box, state, _, _ = self.run_until_the_bound_spares_a_check(monkeypatch)
+        # a step that kept its pair list leaves no hint behind
+        _, box, state, _, _ = self.run_until_a_plain_handed_back_step(monkeypatch)
         self.jump_next_to_an_unlisted_particle(state, box)
         forces, potential = compute_forces(state, box)
         ref_forces, ref_potential = brute_reference_forces(
@@ -1643,7 +1611,7 @@ class TestHandBack:
             state.velocities.flags.writeable = True
         steps = record_steps(monkeypatch)
         state, forces, _ = verlet_step(state, forces, cfg, box)
-        assert not steps[0]["trusted"]
+        assert steps[0] == {"trusted": False, "rebuilds": 1, "searches": 1}
         ref, ref_forces, _ = taken_over_step(ref, ref_forces, cfg, box)
         assert state.positions.tobytes() == ref.positions.tobytes()
         assert state.velocities.tobytes() == ref.velocities.tobytes()
@@ -1729,17 +1697,36 @@ class TestRun:
         assert digest.hexdigest() == (
             "398e1332fb1d18e493f4fa40262da3136636b223a074c9c29bbcfaa005327880")
 
+    def test_desk_pair_list_upkeep_is_pinned(self, monkeypatch):
+        # The pair-list rebuilds and outer searches of the desk run (seed 1,
+        # 2000 steps) through iter_frames.  A bound that failed every step
+        # would keep every state bit for bit and run about ten times slower;
+        # these counts are what shows it.
+        started = []
+        init = md.init_state
+
+        def recording_init(*args):
+            started.append(init(*args))
+            return started[-1]
+
+        monkeypatch.setattr(md, "init_state", recording_init)
+        cfg = MDConfig(n_he=500, n_ar=500, seed=1, sample_stride=2000)
+        assert len(list(md.iter_frames(cfg, SimBox(side=5.0e3), 2000))) == 2
+        w = started[0]._work
+        assert (w.rebuilds, w.searches) == (100, 12)
+
     def test_paper_density_state_is_pinned(self, monkeypatch):
         # SHA-256 of positions + velocities, the potential and the number of
         # pair list rebuilds after 300 steps at paper density (30k He + 30k
         # Ar, 5e4 A box, seed 1), recorded before steps could take the
         # hand-back path: it covers the listed-component kicks, the stale
-        # bound and the lists pruned from the outer list.
-        searches = []
+        # bound and the lists pruned from the outer list.  The rebuilds count
+        # the first step's, as a taken-over step rebuilds.
+        rebuilds = []
         rebuild = md._rebuild_pair_list
 
         def counting(*args):
-            searches.append(1)
+            rebuilds.append(1)
             return rebuild(*args)
 
         cfg = MDConfig(n_he=30000, n_ar=30000, seed=1)
@@ -1753,7 +1740,7 @@ class TestRun:
         assert digest.hexdigest() == (
             "7eb0c91102bbfa0dc4ebc9d87311b19130e6ad4f1ea3b50742ddaf2c1ec0ffef")
         assert repr(potential) == "-8.662576541246874"
-        assert len(searches) == 21
+        assert len(rebuilds) == 22
 
     def test_zero_steps_single_frame(self):
         cfg = MDConfig(n_he=50, n_ar=50, seed=5, sample_stride=10)
