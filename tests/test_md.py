@@ -1193,6 +1193,137 @@ class TestStaleRule:
         ref_forces, ref_potential = pair_interactions(positions, state.species, box, ii, jj)
         assert forces.tobytes() == ref_forces.tobytes() and potential == ref_potential
 
+    @staticmethod
+    def edit_and_check(built, positions, species, side):
+        """compute_forces on ``positions`` after a call on ``built``: it keeps
+        the list exactly when nothing moved, and otherwise rebuilds from a new
+        outer search to the canonical fresh search, with that list's forces.
+        The list of ``built`` gives those forces too while no particle moved
+        SKIN/2 or more.  Returns whether the list was kept."""
+        box = SimBox(side=side)
+        state = ParticleState(positions=built.copy(), velocities=np.zeros_like(built),
+                              species=species)
+        compute_forces(state, box)
+        w, old = state._work, state.pair_list
+        counts = (w.rebuilds, w.searches)
+        state.positions = positions.copy()
+        forces, potential = compute_forces(state, box)
+        kept = state.pair_list is old
+        assert kept == np.array_equal(positions, built)
+        assert (w.rebuilds, w.searches) == tuple(c + (not kept) for c in counts)
+        ii, jj = md._candidate_pairs(positions, side, LJ_CUTOFF + SKIN)
+        assert np.array_equal(state.pair_list[0], ii) and np.array_equal(state.pair_list[1], jj)
+        ref_forces, ref_potential = pair_interactions(positions, species, box, ii, jj)
+        assert forces.tobytes() == ref_forces.tobytes() and potential == ref_potential
+        d = minimum_image(positions - built, side)
+        if np.sqrt(np.einsum("ij,ij->i", d, d)).max(initial=0.0) < 0.5 * SKIN:
+            old_forces, old_potential = pair_interactions(positions, species, box, *old[:2])
+            assert old_forces.tobytes() == ref_forces.tobytes()
+            assert old_potential == ref_potential
+        return kept
+
+    half = 0.5 * SKIN
+
+    @pytest.mark.parametrize("delta", [
+        (half, 0.0), (0.0, -half), (1.5, 2.0), (-2.0, 1.5),   # norm exactly SKIN/2
+        (np.nextafter(half, 3.0), 0.0), (0.0, np.nextafter(-half, -3.0)),
+        (half / np.sqrt(2.0), half / np.sqrt(2.0)),
+        (np.nextafter(half / np.sqrt(2.0), 3.0), np.nextafter(half / np.sqrt(2.0), 3.0)),
+        (half / np.sqrt(2.0) * (1.0 - 1e-9), half / np.sqrt(2.0) * (1.0 - 1e-9)),
+        (1.76776695, 1.76776696), (1.7677669529663687, 1.7677669529663689),
+        (1.0, 0.0), (0.0, 0.0),
+    ])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_an_edit_of_any_size_rebuilds_to_the_fresh_search(self, delta, wrapped):
+        # particle 7 moves by delta, across the periodic edge when wrapped;
+        # its neighbours within the list range sit on both sides of that edge
+        side = 100.0
+        rng = np.random.default_rng(3)
+        built = rng.uniform(10.0, 90.0, (50, 2))
+        built[7] = [0.5, 99.5] if wrapped else [50.0, 50.0]
+        built[8:12] = md._wrap(built[7] + [[3.0, 4.0], [-4.0, -3.0], [12.0, 0.0],
+                                           [0.0, -21.0]], side)
+        positions = built.copy()
+        positions[7] = md._wrap(built[7] + np.array(delta), side)
+        kept = self.edit_and_check(built, positions, rng.integers(0, 2, 50), side)
+        assert kept == (delta == (0.0, 0.0))
+
+    def test_random_edits_rebuild_to_the_fresh_search(self):
+        rng = np.random.default_rng(11)
+        side = 250.0
+        kept = 0
+        for trial in range(200):
+            n = int(rng.integers(0, 30))
+            built = rng.uniform(0.0, side, (n, 2))
+            step = rng.normal(0.0, rng.choice([0.3, 1.0, 1.8, 3.0]), (n, 2))
+            if trial % 5 == 0:  # some particles stay where they were
+                step[rng.random(n) < 0.7] = 0.0
+            if trial % 20 == 0:  # or every one
+                step[:] = 0.0
+            kept += self.edit_and_check(built, md._wrap(built + step, side),
+                                        rng.integers(0, 2, n), side)
+        assert kept >= 10
+
+    @pytest.mark.parametrize("before, rebuilt", [
+        ("zero", False), ("an ulp under", False), ("at", True), ("over", True),
+        ("nan", True),
+    ])
+    def test_a_step_rebuilds_where_its_bound_reaches_half_skin(self, before, rebuilt):
+        # Three resting argon atoms out of each other's range: every step
+        # adds side * 2^-49 = 2^-40 to the bound, exactly, as dt times no
+        # speed adds nothing.  The bound before the step is set so that
+        # after it the sum sits at the stale limit, an ulp under it, and so on.
+        box = SimBox(side=512.0)
+        cfg = MDConfig(n_he=0, n_ar=3, seed=0)
+        state = ParticleState(
+            positions=np.array([[100.0, 200.0], [200.0, 200.0], [300.0, 330.0]]),
+            velocities=np.zeros((3, 2)), species=np.ones(3, dtype=np.int64))
+        forces, _ = compute_forces(state, box)
+        state, forces, _ = verlet_step(state, forces, cfg, box)  # taken over
+        w = state._work
+        inc, limit = 2.0**-40, 0.5 * SKIN * (1.0 - 1e-9)
+        assert (w.moved, w.v2_built) == (0.0, 0.0) and box.side * 2.0**-49 == inc
+        w.moved = {"zero": 0.0, "an ulp under": np.nextafter(limit - inc, 0.0),
+                   "at": limit - inc, "over": limit, "nan": np.nan}[before]
+        pair_list, rebuilds, bound = state.pair_list, w.rebuilds, w.moved
+        state, forces, _ = verlet_step(state, forces, cfg, box)
+        assert (state.pair_list is not pair_list) == rebuilt
+        assert w.rebuilds == rebuilds + rebuilt
+        assert w.moved == (0.0 if rebuilt else bound + inc)
+        assert (bound + inc < limit) == (not rebuilt) or before == "nan"
+
+    @pytest.mark.parametrize("outer_moved, moved, searched", [
+        (0.0, 0.0, False), (0.0, 0.5, False), (0.5, 0.25, False),
+        (0.0, "an ulp under", False), (0.5, 0.5, True), (0.0, 1.0, True),
+        (np.inf, 0.0, True), (0.0, np.nan, True), (np.nan, 0.0, True),
+    ])
+    def test_outer_search_where_the_summed_bound_reaches_the_reach(self, outer_moved,
+                                                                   moved, searched):
+        # bounds given as fractions of the search limit: the outer list is
+        # searched again once outer_moved + moved reaches it, NaN included
+        side = 400.0
+        rng = np.random.default_rng(6)
+        positions = rng.uniform(0.0, side, (150, 2))
+        state = ParticleState(positions=positions, velocities=np.zeros((150, 2)),
+                              species=rng.integers(0, 2, 150))
+        box = SimBox(side=side)
+        compute_forces(state, box)
+        w = state._work
+        reach = max((OUTER_RANGE - LJ_CUTOFF - SKIN) / 2.0 * (1.0 - 1e-9)
+                    - side * 2.0**-48, 0.0)
+        limit = reach * (1.0 - 1e-9)
+        w.outer_moved = outer_moved * limit
+        w.moved = np.nextafter(limit, 0.0) if moved == "an ulp under" else moved * limit
+        outer, searches = w.outer, w.searches
+        total = w.outer_moved + w.moved
+        ii, jj, built = md._rebuild_pair_list(state, box, w)
+        assert (w.outer is not outer) == searched
+        assert w.searches == searches + searched
+        assert w.outer_moved == (0.0 if searched else total)
+        fresh = md._candidate_pairs(positions, side, LJ_CUTOFF + SKIN)
+        assert np.array_equal(ii, fresh[0]) and np.array_equal(jj, fresh[1])
+        assert np.array_equal(built, positions)
+
 
 class TestSpeedCheck:
     limit = md.VELOCITY_LIMIT
